@@ -15,8 +15,8 @@ from .errors import (FockLatticeError, NumericalError, SchemaError,
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       c_gamma_for_rho_origin, choose_N, classical_weight,
                       default_ap_radii, effective_t, estimate_t,
-                      laplacian_phi, mu_disc, phi, power_weight, rho,
-                      rho_many)
+                      laplacian_phi, mu_disc, mu_disc_many, phi,
+                      power_weight, rho, rho_many)
 from .lattice import (CellGeometry, GridSpec, Lattice, ShellSchedule,
                       SQUARE_SCALE, cell_geometry, explicit_lattice,
                       shells_for, square_lattice, upper_density)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -328,21 +329,18 @@ class TraceVerdict:
         raise KeyError(cid)
 
 
-_T_CACHE: Dict[WeightProfile, DoublingExponent] = {}
-_AP_CACHE: Dict[Tuple[WeightProfile, float], ApReport] = {}
-
-
+@lru_cache(maxsize=16)
 def cached_t(w: WeightProfile) -> DoublingExponent:
-    if w not in _T_CACHE:
-        _T_CACHE[w] = estimate_t(w)
-    return _T_CACHE[w]
+    return estimate_t(w)
 
 
 def cached_ap(w: WeightProfile, p: float) -> ApReport:
-    key = (w, round(p, 12))
-    if key not in _AP_CACHE:
-        _AP_CACHE[key] = ap_probe(w, p, default_ap_radii(w))
-    return _AP_CACHE[key]
+    return _cached_ap(w, round(p, 12))
+
+
+@lru_cache(maxsize=16)
+def _cached_ap(w: WeightProfile, p: float) -> ApReport:
+    return ap_probe(w, p, default_ap_radii(w))
 
 
 def select_branch(p: float, w: WeightProfile,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import SeparationError
-from .weights import WeightProfile, mu_disc, rho_many
+from .weights import WeightProfile, mu_disc_many, rho_many
 
 __all__ = [
     "Lattice",
@@ -159,13 +159,10 @@ def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
     reach = np.abs(centers) + rs[-1] * rho_c
     if np.any(reach > lat.truncation_radius):
         raise ValueError("schedule exceeds the safe truncation margin")
-    best = 0.0
-    r = rs[-1]
-    for c, rc in zip(centers, rho_c):
-        rad = r * rc
-        count = int(np.sum(np.abs(lat.points - c) <= rad + 1e-12))
-        best = max(best, count / mu_disc(w, c, rad))
-    return best
+    rad = rs[-1] * rho_c
+    counts = [np.count_nonzero(np.abs(lat.points - c) <= rc + 1e-12)
+              for c, rc in zip(centers, rad)]
+    return float(np.max(np.asarray(counts) / mu_disc_many(w, centers, rad)))
 
 
 @dataclass(frozen=True, eq=False)

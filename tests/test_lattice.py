@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from focklattice import (GridSpec, SeparationError, cell_geometry,
-                         explicit_lattice, shells_for, square_lattice,
-                         upper_density)
+                         explicit_lattice, mu_disc, power_weight, rho_many,
+                         shells_for, square_lattice, upper_density)
 
 
 class TestSquareLattice:
@@ -88,6 +88,19 @@ class TestUpperDensity:
     def test_schedule_margin_enforced(self, cw, lat12):
         with pytest.raises(ValueError):
             upper_density(lat12, cw, [100.0 / lat12.max_rho])
+
+    def test_power_weight_matches_per_centre_loop(self):
+        # the batched disc masses against one scalar mu_disc per centre
+        w = power_weight(0.5, rho_origin=2.0)
+        lat = square_lattice(20.0, w)
+        centers = [0.0, 3.0 + 1.0j, -2.0j, 5.0]
+        ref = 0.0
+        for c, rc in zip(centers, rho_many(w, centers)):
+            rad = 1.5 * rc
+            count = int(np.sum(np.abs(lat.points - c) <= rad + 1e-12))
+            ref = max(ref, count / mu_disc(w, c, rad))
+        dens = upper_density(lat, w, [1.5], centers=centers)
+        assert dens == pytest.approx(ref, rel=1e-9)
 
     def test_empty_window_contributes_zero(self, cw, lat12, scale):
         deep = 0.5 * scale * (1 + 1j)   # cell center, far from all points

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (ap_probe, c_gamma_for_rho_origin,
+from focklattice import (NumericalError, ap_probe, c_gamma_for_rho_origin,
                          choose_N, classical_weight, default_ap_radii,
                          effective_t, estimate_t, laplacian_phi, mu_disc,
                          phi, power_weight, rho, rho_many)
-from focklattice.weights import DoublingExponent
+from focklattice.weights import DoublingExponent, _check_refinement
 
 
 def fd_laplacian(w, z, h=1e-4):
@@ -117,6 +117,86 @@ class TestRho:
             assert phi(wp, z) == pytest.approx(phi(wc, z), abs=1e-10)
             assert mu_disc(wp, z, 1.7) == pytest.approx(mu_disc(wc, z, 1.7),
                                                         rel=1e-9)
+
+
+class TestDiscEdgeThroughOrigin:
+    # Discs whose edge passes through the origin, where the density
+    # |w|^(gamma-2) is singular for gamma < 2.
+
+    def test_rho_near_its_own_modulus(self):
+        # rho(a) is about a on [6.85, 7] for this weight
+        w = power_weight(0.5, rho_origin=2.0)
+        for a in np.linspace(6.85, 7.0, 151):
+            assert mu_disc(w, a, rho(w, a)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_self_check_raises_on_non_finite(self):
+        # inf - inf is NaN, which every comparison with a bound passes
+        with pytest.raises(NumericalError):
+            _check_refinement(np.array([np.inf]), np.array([np.inf]), 3.0, 3.0, "test")
+
+
+def _mu_oracle(gamma, c, a, r):
+    # Slices by circles |w| = u: the disc D(a, r) holds the full circle for
+    # u < r - a and an arc of half-angle arccos((u^2 + a^2 - r^2)/(2au))
+    # for |a - r| < u < a + r.
+    import mpmath as mp
+    gamma, c, a, r = mp.mpf(gamma), mp.mpf(c), mp.mpf(a), mp.mpf(r)
+    full = 2 * mp.pi * c * gamma * (r - a) ** gamma if r > a else mp.mpf(0)
+    if a == 0:
+        return full
+
+    def arc(u):
+        x = (u * u + a * a - r * r) / (2 * a * u)
+        return c * gamma ** 2 * u ** (gamma - 2) * 2 * u * mp.acos(max(min(x, 1), -1))
+
+    return full + mp.quad(arc, [abs(a - r), a + r])
+
+
+def _rho_oracle(gamma, c, a):
+    import mpmath as mp
+    g = (math.pi * c * gamma ** 2 * a ** (gamma - 2.0)) ** -0.5 if a else 1.0
+    lo, hi = g / 8.0, g * 8.0
+    while _mu_oracle(gamma, c, a, lo) > 1:
+        lo /= 4.0
+    while _mu_oracle(gamma, c, a, hi) < 1:
+        hi *= 4.0
+    return mp.findroot(lambda r: _mu_oracle(gamma, c, a, r) - 1, (lo, hi),
+                       solver="anderson")
+
+
+_ORACLE_WEIGHTS = {
+    0.5: dict(rho_origin=2.0),
+    1.0: dict(rho_origin=2.0),
+    1.5: dict(c_gamma=0.7),
+    5.0: dict(c_gamma=1.0),
+}
+
+
+class TestMpmathOracle:
+    """mu_disc and rho against 30-digit mpmath quadrature and root-finding
+    in the radial variable; bounds 1e-8 (mu) and 1e-10 (rho) relative."""
+
+    @pytest.fixture(autouse=True)
+    def _mp(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("gamma,a,r", [
+        (0.5, 3.0, 3.0), (1.0, 3.0, 3.0), (0.5, 3.0, 3.0 * (1 + 1e-9)),
+        (1.5, 0.3, 1.0), (5.0, 7.0, 7.0), (5.0, 200.0, 5.0)])
+    def test_mu_disc(self, gamma, a, r):
+        w = power_weight(gamma, **_ORACLE_WEIGHTS[gamma])
+        oracle = float(_mu_oracle(gamma, w.c_gamma, a, r))
+        assert mu_disc(w, a * np.exp(0.7j), r) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma,a", [
+        (0.5, 0.0), (0.5, 0.3), (0.5, 7.0), (0.5, 200.0), (1.0, 7.0),
+        (1.5, 0.3), (5.0, 200.0)])
+    def test_rho(self, gamma, a):
+        w = power_weight(gamma, **_ORACLE_WEIGHTS[gamma])
+        oracle = float(_rho_oracle(gamma, w.c_gamma, a))
+        assert rho(w, -1j * a) == pytest.approx(oracle, rel=1e-10)
 
 
 class TestApProbe:
