@@ -22,8 +22,7 @@ from .lattice import (CellGeometry, GridSpec, Lattice, ShellSchedule,
                       shells_for, square_lattice, upper_density)
 from .multiplier import (BoundsReport, Multiplier, builtin_sigma_multiplier,
                          multiplier_bounds_check, sigma_log, sigma_prime,
-                         sigma_tail_bound, sigma_weighted_mag,
-                         user_multiplier)
+                         sigma_weighted_mag, user_multiplier)
 from .transforms import (NecessityReport, OperatorNormReport, PvConfig,
                          PvResult, SequenceData, ba_transform, batch_higher,
                          batch_modified_inf, cauchy_transform,

@@ -84,8 +84,8 @@ class TraceData:
     @property
     def d(self) -> SequenceData:
         if self._d is None:
-            # g' is only needed where c is nonzero; underflowed-to-zero
-            # weighted traces keep the multiplier table lazy on big lattices
+            # d = c/g' where c is nonzero (weighted traces underflow to 0
+            # far out), and 0 elsewhere
             vals = np.zeros(len(self.lattice), dtype=complex)
             nz = np.nonzero(self.c_weighted != 0)[0]
             if len(nz):

@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -140,10 +139,9 @@ def _report(command: str, args, job: dict, results: dict, t0: float,
         "command": command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads or os.environ.get("FOCKLATTICE_THREADS"),
         "config": job,
         "tolerances": tolerances or {},
-        "timing_s": round(time.time() - t0, 3),
+        "timing_s": round(time.perf_counter() - t0, 3),
         "results": results,
     }
 
@@ -171,7 +169,7 @@ def _json_default(obj):
 
 
 def cmd_lattice_info(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     job = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
@@ -194,7 +192,7 @@ def cmd_lattice_info(args) -> int:
 
 
 def cmd_sigma_eval(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     job = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
@@ -203,22 +201,20 @@ def cmd_sigma_eval(args) -> int:
     n = int(g.get("n", 100))
     grid = GridSpec(-half, half, -half, half, n, n)
     pts = grid.points()
-    tail = args.tail_R if args.tail_R is not None else lat.truncation_radius
-    vals = sigma_weighted_mag(lat, pts.ravel(), tail_R=float(tail))
+    vals = sigma_weighted_mag(lat, pts.ravel())
     with open(args.grid, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["x", "y", "weighted_mag"])
         for z, v in zip(pts.ravel(), vals):
             wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}", f"{v:.12g}"])
     results = {"grid_file": args.grid, "n_values": int(vals.size),
-               "max_weighted_mag": float(np.max(vals)),
-               "tail_R": float(tail)}
+               "max_weighted_mag": float(np.max(vals))}
     _emit(_report("sigma-eval", args, job, results, t0), args.output)
     return EXIT_OK
 
 
 def cmd_trace_check(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     job = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
@@ -255,7 +251,7 @@ def cmd_trace_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     job = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
@@ -275,17 +271,21 @@ def cmd_reconstruct(args) -> int:
     grid = GridSpec(-half, half, -half, half, n, n)
     pts = grid.points().ravel()
     vals_w = I.eval_weighted(pts)
-    phis = np.asarray(phi(w, pts), dtype=float)
+    # raw f = f e^{-phi} e^{phi}; NaN where that leaves double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.where(vals_w == 0, 0.0, vals_w * np.exp(phi(w, pts)))
+    overflow = ~np.isfinite(raw)
+    raw[overflow] = complex(np.nan, np.nan)
     with open(args.grid, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["x", "y", "re_f", "im_f", "weighted_mag"])
-        for z, vw, ph in zip(pts, vals_w, phis):
-            raw = vw * math.e ** min(ph, 700.0)
+        for z, vw, f in zip(pts, vals_w, raw):
             wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                         f"{raw.real:.12g}", f"{raw.imag:.12g}",
+                         f"{f.real:.12g}", f"{f.imag:.12g}",
                          f"{abs(vw):.12g}"])
     residual = verify_interpolation(I, max_points=int(job.get("verify_points", 80)))
     results = {"grid_file": args.grid, "max_weighted_residual": residual,
+               "raw_overflow_points": int(overflow.sum()),
                "mode": I.mode, "w0": I.w0,
                "representative_only": I.representative_only}
     _emit(_report("reconstruct", args, job, results, t0,
@@ -294,7 +294,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_ap_probe(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     job = _load_job(args.input)
     w = _build_weight(job)
     p = _parse_p(job)
@@ -313,7 +313,7 @@ def cmd_ap_probe(args) -> int:
 
 
 def cmd_op_norm(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     job = _load_job(args.input)
     w = _build_weight(job)
     op = job.get("op", "B")
@@ -333,7 +333,7 @@ def cmd_op_norm(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     numbers = None
     if args.criteria:
         numbers = [int(k) for k in args.criteria.split(",")]
@@ -343,7 +343,7 @@ def cmd_acceptance(args) -> int:
         "command": "acceptance",
         "version": __version__,
         "seed": args.seed,
-        "timing_s": round(time.time() - t0, 3),
+        "timing_s": round(time.perf_counter() - t0, 3),
         "results": [
             {"criterion": r.number, "title": r.title, "passed": r.passed,
              "details": r.details, "elapsed_s": round(r.elapsed_s, 2)}
@@ -362,10 +362,6 @@ def main(argv=None) -> int:
         description="Trace checks, interpolation and transform probes on "
                     "critical Fock-space lattices.")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="recorded in reports; numerical kernels use "
-                             "the BLAS/FFT thread pool")
-    parser.add_argument("--tail-R", dest="tail_R", type=float, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -189,7 +189,7 @@ def _absolutely_summable(data: TraceData) -> bool:
 def _eval_deflated(data: TraceData, z: complex, idx: int, mode: str,
                    w0: complex, cfg: PvConfig, weighted: bool) -> complex:
     """Near lattice point idx: fold the singular kernel term into the
-    deflated product g(z)/(z - lambda)."""
+    deflated factor g(z)/(z - lambda)."""
     lat = data.lattice
     m = data.multiplier
     d = data.d.values
@@ -314,10 +314,7 @@ def verify_interpolation(I: Interpolant, h: float = 0.05,
     removable structure at the lattice point itself."""
     data = I.data
     lat = data.lattice
-    guard = lat.guard_radius()
-    if I.data.multiplier.source == "builtin_sigma":
-        guard = min(guard, I.data.multiplier._product.tail_R / 4.0 - 1.0)
-    idx = np.nonzero(lat.radii <= guard)[0]
+    idx = np.nonzero(lat.radii <= lat.guard_radius())[0]
     if max_points is not None and len(idx) > max_points:
         idx = idx[np.linspace(0, len(idx) - 1, max_points).astype(int)]
     worst = 0.0

@@ -70,19 +70,6 @@ class Lattice:
         """Inner radius unaffected by truncation-edge bias."""
         return self.truncation_radius - factor * self.max_rho
 
-    def index_of(self, point: complex, tol: float = 1e-9) -> int:
-        d = np.abs(self.points - point)
-        i = int(np.argmin(d))
-        if d[i] > tol * max(1.0, self.scale):
-            raise KeyError(f"{point} is not a lattice point")
-        return i
-
-    def to_json(self) -> dict:
-        if self.kind == "square":
-            return {"kind": "square", "R": self.truncation_radius}
-        return {"kind": "explicit",
-                "points": [[float(p.real), float(p.imag)] for p in self.points]}
-
 
 def _order_points(points: np.ndarray) -> np.ndarray:
     # Deterministic ordering: ascending |p|, ties by (Re, Im); origin first.

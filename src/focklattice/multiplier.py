@@ -1,24 +1,30 @@
 """The Weierstrass sigma function of the critical square lattice, and
 wrappers for user-supplied multiplier data.
 
-sigma(z) = z * prod_{lambda != 0} (1 - z/lambda) exp(z/lambda + z^2/(2 lambda^2))
+On Lambda = s(Z + iZ) with s = sqrt(pi/2) the Legendre relation gives
+eta_1 / (2 omega_1) = 1, and sigma has the closed form (DLMF 20.2, 23.6(i))
 
-evaluated in log form, shell by shell in ascending |lambda|.  The truncated
-product's missing tail equals -sum_{k >= 3} (z^k/k) T_k with
-T_k = sum_{|lambda| > tail_R} lambda^(-k); for the square lattice T_k
-vanishes for k not divisible by 4, and the k = 4, 8 constants follow from
-the lattice's quartic power sum (Gamma(1/4)^8 / (960 pi^2) for the unit
-Gaussian-integer lattice) and the universal eighth-power relation
-G_8 = (3/7) G_4^2.  Compensating with these two constants makes the
-evaluator agree with the infinite product to machine precision throughout
-|z| <= tail_R/4, which the weighted-magnitude and derivative estimates
-need; the uncompensated sum (infinite_tail=False) reproduces the literal
-truncated product exactly.
+    sigma(z) = (s/pi) e^{z^2} theta_1(pi z/s, q) / theta_1'(0, q),  q = e^{-pi},
 
-|sigma(z)| is comparable to e^{|z|^2} d(z, Lambda), and all weighted
-quantities (|sigma| e^{-|z|^2}, sigma'(lambda) e^{-|lambda|^2}) are O(1),
-so large-|z| work must stay in weighted/log form: raw values overflow
-doubles once |z|^2 exceeds ~700.
+with the quasi-periodicity, for lambda = s(m + in),
+
+    sigma(z + lambda) = (-1)^{m+n+mn} e^{2 conj(lambda) z + |lambda|^2} sigma(z).
+
+Every evaluation rounds z to its nearest lattice point lambda and evaluates
+theta_1 at z0 = z - lambda, inside the fundamental cell |Re z0|, |Im z0| <=
+s/2.  There theta_1(v)/v is the sinc series
+
+    sum_{n=0..3} 2 (-1)^n q^{(n+1/2)^2} (2n+1) sinc((2n+1) v),
+
+which is regular at v = 0; the fifth term is below 1e-21.  So
+
+    log sigma(z)         = log z0 + log(sigma(z0)/z0) + 2 conj(lambda) z0
+                           + |lambda|^2 + i pi ((m+n+mn) mod 2),
+    |sigma(z)| e^{-|z|^2} = |z0| exp(Re log(sigma(z0)/z0) - |z0|^2),
+    sigma'(lambda) e^{-|lambda|^2} = (-1)^{m+n+mn}   exactly.
+
+Weighted quantities are O(1) at any radius; raw values overflow doubles
+once |z|^2 exceeds ~700, so large-|z| work stays in weighted or log form.
 """
 
 from __future__ import annotations
@@ -33,265 +39,77 @@ from .errors import NumericalError, SchemaError
 from .lattice import SQUARE_SCALE, Lattice
 from .weights import WeightProfile, classical_weight, phi
 
-__all__ = [
-    "Multiplier",
-    "sigma_log",
-    "sigma_weighted_mag",
-    "sigma_prime",
-    "sigma_tail_bound",
-    "builtin_sigma_multiplier",
-    "user_multiplier",
-    "multiplier_bounds_check",
-    "BoundsReport",
-]
+__all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag", "sigma_prime",
+           "builtin_sigma_multiplier", "user_multiplier",
+           "multiplier_bounds_check", "BoundsReport"]
 
-# Quartic Eisenstein value of Z + iZ (lemniscatic closed form); the eighth
-# power sum follows from the weight-8 identity valid for every lattice.
-_G4_UNIT = math.gamma(0.25) ** 8 / (960.0 * math.pi ** 2)
-_G8_UNIT = (3.0 / 7.0) * _G4_UNIT ** 2
+_S = SQUARE_SCALE
+_Q = math.exp(-math.pi)
+# theta_1(v) / (v theta_1'(0)) = sum_k c_k np.sinc(k v/pi) over k = 2n+1, with
+# np.sinc(x) = sin(pi x)/(pi x); normalised to 1 at v = 0
+_THETA_K = np.array([1.0, 3.0, 5.0, 7.0])
+_THETA_C = np.array([(-1) ** n * _Q ** ((n + 0.5) ** 2) * (2 * n + 1)
+                     for n in range(4)])
+_THETA_C = _THETA_C / _THETA_C.sum()
 
 _ON_LATTICE_RTOL = 1e-8
 
 
-def _square_points(R: float, scale: float = SQUARE_SCALE) -> np.ndarray:
-    """Nonzero points of scale*(Z+iZ) with |p| <= R, ascending |p|."""
-    M = int(math.ceil(R / scale)) + 1
-    m, n = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
-    pts = (scale * (m + 1j * n)).ravel()
-    pts = pts[(np.abs(pts) <= R) & (np.abs(pts) > 0)]
-    return pts[np.argsort(np.abs(pts), kind="stable")]
+def _nearest(z: np.ndarray):
+    """Split z = z0 + lambda at the nearest lambda = s(m+in); returns z0,
+    lambda, |lambda|^2 and the parity (m + n + mn) mod 2."""
+    m = np.rint(z.real / _S)
+    n = np.rint(z.imag / _S)
+    lam = _S * (m + 1j * n)
+    return z - lam, lam, 0.5 * math.pi * (m * m + n * n), (m + n + m * n) % 2
 
 
-class _SigmaProduct:
-    """Product points plus tail-compensation constants for one truncation."""
-
-    def __init__(self, points_nonzero: np.ndarray, scale: float,
-                 tail_R: float, square: bool):
-        self.points = points_nonzero
-        self.scale = scale
-        self.tail_R = float(tail_R)
-        self.square = square
-        if square:
-            g4 = _G4_UNIT / scale ** 4
-            g8 = _G8_UNIT / scale ** 8
-            t4 = g4 - complex(np.sum(self.points ** -4))
-            t8 = g8 - complex(np.sum(self.points ** -8))
-            # Differences below the cancellation floor of the closed forms
-            # are rounding noise, not tail mass; amplifying them by z^k is
-            # worse than dropping them.
-            eps = np.finfo(float).eps
-            self.t4 = t4 if abs(t4) > 64 * eps * g4 else 0.0
-            self.t8 = t8 if abs(t8) > 64 * eps * g8 else 0.0
-        else:
-            self.t4 = 0.0
-            self.t8 = 0.0
-
-    def tail_correction(self, z: np.ndarray) -> np.ndarray:
-        if self.t4 == 0.0 and self.t8 == 0.0:
-            return np.zeros_like(z)
-        z4 = z ** 4
-        return -(z4 / 4.0) * self.t4 - (z4 * z4 / 8.0) * self.t8
-
-    def log_sum(self, z: np.ndarray, exclude: Optional[complex] = None,
-                infinite_tail: bool = True, chunk: int = 2_000_000) -> np.ndarray:
-        """sum over product points of Log(1-z/mu) + z/mu + z^2/(2 mu^2).
-
-        `exclude` removes one point's whole factor (used by the deflated
-        derivative and near-zero evaluation); the tail correction is added
-        unless infinite_tail is False.
-        """
-        z = np.asarray(z, dtype=complex)
-        mus = self.points
-        if exclude is not None:
-            mus = mus[np.abs(mus - exclude) > 1e-12 * self.scale]
-        flat = z.ravel()
-        rows = max(1, chunk // max(len(mus), 1))
-        acc = np.empty(flat.shape, dtype=complex)
-        for i in range(0, len(flat), rows):
-            u = flat[i:i + rows, None] / mus[None, :]
-            acc[i:i + rows] = np.sum(np.log(1.0 - u) + u + 0.5 * u * u, axis=1)
-        out = acc.reshape(z.shape)
-        if infinite_tail:
-            out = out + self.tail_correction(z)
-        return out
-
-    def log_mag_sum(self, z: np.ndarray, infinite_tail: bool = True,
-                    chunk: int = 2_000_000) -> np.ndarray:
-        """Re(log_sum): weighted magnitudes only need the real part, and
-        log|1-u| is a real log, roughly 3x cheaper than the complex one."""
-        z = np.asarray(z, dtype=complex)
-        mus = self.points
-        flat = z.ravel()
-        rows = max(1, chunk // max(len(mus), 1))
-        acc = np.empty(flat.shape, dtype=float)
-        inv = 1.0 / mus
-        inv2 = inv * inv
-        for i in range(0, len(flat), rows):
-            blk = flat[i:i + rows, None]
-            u = blk * inv[None, :]
-            one_minus = 1.0 - u
-            mag2 = one_minus.real ** 2 + one_minus.imag ** 2
-            re_u = u.real
-            re_u2 = (blk * blk * inv2[None, :]).real
-            acc[i:i + rows] = np.sum(0.5 * np.log(mag2) + re_u + 0.5 * re_u2,
-                                     axis=1)
-        out = acc.reshape(z.shape)
-        if infinite_tail:
-            out = out + self.tail_correction(z).real
-        return out
+def _log_ratio(z0: np.ndarray) -> np.ndarray:
+    """log(sigma(z0)/z0) for z0 in the fundamental cell; regular at 0."""
+    t = np.sinc(np.multiply.outer(z0 / _S, _THETA_K)) @ _THETA_C
+    return z0 * z0 + np.log(t)
 
 
-def _product_for(lat: Lattice, tail_R: Optional[float]) -> _SigmaProduct:
-    if tail_R is None:
-        tail_R = lat.truncation_radius
-    if tail_R > lat.truncation_radius + 1e-9:
-        raise ValueError("tail_R exceeds the lattice truncation")
-    pts = lat.points[(np.abs(lat.points) <= tail_R) & (np.abs(lat.points) > 0)]
-    pts = pts[np.argsort(np.abs(pts), kind="stable")]
-    return _SigmaProduct(pts, lat.scale, tail_R, square=(lat.kind == "square"))
+def _require_square(lat: Lattice):
+    if lat.kind != "square":
+        raise SchemaError("builtin sigma requires the square critical lattice")
 
 
-def _check_off_lattice(z: np.ndarray, pts: np.ndarray, scale: float):
-    flat = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-    # distance to the nearest product point or the origin
-    d = np.abs(flat)
-    for i in range(0, len(pts), 4096):
-        blk = pts[i:i + 4096]
-        d = np.minimum(d, np.min(np.abs(flat[:, None] - blk[None, :]), axis=1))
-    if np.any(d <= _ON_LATTICE_RTOL * scale):
+def sigma_log(lat: Lattice, z):
+    """log sigma(z) for z off the lattice by 1e-8*scale (ValueError
+    otherwise).  Only exp and Re are consumed downstream, so the branch of
+    the imaginary part is immaterial."""
+    _require_square(lat)
+    z0, lam, abs2, parity = _nearest(np.asarray(z, dtype=complex))
+    if np.any(np.abs(z0) <= _ON_LATTICE_RTOL * _S):
         raise ValueError("evaluation point lies on (or too near) the lattice")
+    val = (np.log(z0) + _log_ratio(z0) + 2.0 * np.conj(lam) * z0
+           + abs2 + 1j * math.pi * parity)
+    return complex(val) if np.ndim(z) == 0 else val
 
 
-def sigma_log(lat: Lattice, z, tail_R: Optional[float] = None,
-              infinite_tail: bool = True):
-    """log sigma(z): log z plus the per-factor logs over |lambda| <= tail_R.
-
-    Each factor takes a principal Log, so the result may differ from a
-    continuous branch of log sigma by  2 pi i k; only exp and Re are
-    consumed downstream.  Preconditions: z off the lattice by
-    1e-8*scale and tail_R >= 4|z| (the cubic tail decay makes the quarter
-    radius the accuracy boundary).  With infinite_tail the compensated
-    value tracks the infinite product; without it, exponentiating
-    reproduces the literal truncated product.
-    """
-    prod = _product_for(lat, tail_R)
+def sigma_weighted_mag(lat: Lattice, z):
+    """|sigma(z)| e^{-|z|^2}, exactly 0 within 1e-8*scale of the lattice."""
+    _require_square(lat)
     zarr = np.asarray(z, dtype=complex)
-    if np.any(4.0 * np.abs(zarr) > prod.tail_R):
-        raise ValueError("tail_R must be at least 4|z|")
-    _check_off_lattice(zarr, prod.points, lat.scale)
-    if zarr.ndim == 0:
-        # scalar path: shell-by-shell compensated accumulation
-        val = _kahan_shell_sum(complex(zarr), prod, infinite_tail)
-        return val
-    return np.log(zarr) + prod.log_sum(zarr, infinite_tail=infinite_tail)
+    z0 = _nearest(zarr)[0]
+    a = np.abs(z0)
+    out = np.where(a <= _ON_LATTICE_RTOL * _S, 0.0,
+                   a * np.exp(_log_ratio(z0).real - a * a))
+    return float(out) if zarr.ndim == 0 else out
 
 
-def _kahan_shell_sum(z: complex, prod: _SigmaProduct, infinite_tail: bool) -> complex:
-    u = z / prod.points
-    terms = np.log(1.0 - u) + u + 0.5 * u * u
-    r = np.abs(prod.points)
-    shell_starts = np.concatenate([[0], np.nonzero(np.diff(r) > 1e-9)[0] + 1,
-                                   [len(r)]])
-    total = complex(np.log(complex(z)))
-    comp = 0.0 + 0.0j
-    for a, b in zip(shell_starts[:-1], shell_starts[1:]):
-        y = complex(np.sum(terms[a:b])) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if infinite_tail:
-        total += complex(prod.tail_correction(np.asarray(z, dtype=complex)))
-    return total
-
-
-def sigma_tail_bound(lat: Lattice, z, tail_R: Optional[float] = None) -> float:
-    """Analytic bound on the uncompensated tail of sigma_log.
-
-    Each omitted factor is bounded by |z/lambda|^3 / (3 (1 - |z/lambda|)),
-    and the lattice sum of |lambda|^(-3) beyond tail_R is at most
-    (2 pi / covolume) / tail_R.
-    """
-    prod = _product_for(lat, tail_R)
-    T = prod.tail_R
-    a = float(np.max(np.abs(np.asarray(z))))
-    if 4.0 * a > T:
-        raise ValueError("tail_R must be at least 4|z|")
-    covol = lat.scale ** 2 if lat.kind == "square" else \
-        math.pi * lat.truncation_radius ** 2 / max(len(lat), 1)
-    return a ** 3 * (2.0 * math.pi / covol) / T / (3.0 * (1.0 - a / T))
-
-
-def sigma_weighted_mag(lat: Lattice, z, tail_R: Optional[float] = None,
-                       infinite_tail: bool = True):
-    """|sigma(z)| e^{-|z|^2}, defined as exactly 0 on lattice points."""
-    zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    flat = np.atleast_1d(zarr).astype(complex)
-    d = np.abs(flat)
-    pts = lat.points
-    for i in range(0, len(pts), 4096):
-        blk = pts[i:i + 4096]
-        if len(blk):
-            d = np.minimum(d, np.min(np.abs(flat[:, None] - blk[None, :]), axis=1))
-    on = d <= _ON_LATTICE_RTOL * lat.scale
-    out = np.zeros(flat.shape, dtype=float)
-    if np.any(~on):
-        zs = flat[~on]
-        prod = _product_for(lat, tail_R)
-        if np.any(4.0 * np.abs(zs) > prod.tail_R):
-            raise ValueError("tail_R must be at least 4|z|")
-        logs = np.log(np.abs(zs)) + prod.log_mag_sum(zs, infinite_tail=infinite_tail)
-        out[~on] = np.exp(logs - np.abs(zs) ** 2)
-    return float(out[0]) if scalar else out.reshape(zarr.shape)
-
-
-def _sigma_prime_log(prod: _SigmaProduct, lam: complex,
-                     infinite_tail: bool = True) -> complex:
-    """log of (-sigma'(lambda)) via the deflated product:
-    sigma'(lambda) = -exp(3/2 + sum over mu not in {0, lambda}) for
-    lambda != 0."""
-    s = prod.log_sum(np.asarray(lam, dtype=complex), exclude=lam,
-                     infinite_tail=infinite_tail)
-    return complex(s) + 1.5
-
-
-def sigma_prime(lat: Lattice, index: int, tail_R: Optional[float] = None,
-                cross_check: bool = True, fd_rtol: float = 1e-5) -> complex:
-    """sigma'(lambda) at lattice index, by the deflated product.
-
-    When cross_check is set, a Richardson-extrapolated central difference
-    of sigma at lambda +/- h (h = 1e-4 rho-scale), evaluated in the scaled
-    form sigma(.) e^{-|lambda|^2} to avoid overflow, must agree to fd_rtol
-    or a NumericalError is raised.
-    """
-    lam = complex(lat.points[index])
-    if lam == 0:
-        return 1.0 + 0.0j
-    prod = _product_for(lat, tail_R)
-    if 4.0 * abs(lam) > prod.tail_R:
-        raise ValueError("lattice point outside the sigma guard band "
-                         "(need tail_R >= 4|lambda|)")
-    logv = _sigma_prime_log(prod, lam)
-    w2 = abs(lam) ** 2
-    value_scaled = -np.exp(logv - w2)          # sigma'(lambda) e^{-|lambda|^2}
-    if cross_check:
-        rho_lam = float(lat.rho_values[index])
-        h = 1e-4 * rho_lam
-
-        def scaled_sigma(zz):
-            return np.exp(np.log(np.asarray(zz, dtype=complex))
-                          + prod.log_sum(np.asarray(zz, dtype=complex)) - w2)
-
-        def central(hh):
-            return (scaled_sigma(lam + hh) - scaled_sigma(lam - hh)) / (2.0 * hh)
-
-        fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
-        rel = abs(fd - value_scaled) / max(abs(value_scaled), 1e-300)
-        if rel > fd_rtol:
-            raise NumericalError(
-                f"sigma' cross-check failed at index {index}: deflated and "
-                f"finite-difference values differ by {rel:.2e} relative")
-    return complex(value_scaled * np.exp(w2))
+def sigma_prime(lat: Lattice, index: int) -> complex:
+    """sigma'(lambda) = (-1)^{m+n+mn} e^{|lambda|^2}; NumericalError once
+    e^{|lambda|^2} overflows a double."""
+    _require_square(lat)
+    _, _, abs2, parity = _nearest(np.asarray(lat.points[index]))
+    try:
+        mag = math.exp(float(abs2))
+    except OverflowError:
+        raise NumericalError(f"sigma'(lambda) overflows at index {index} "
+                             f"(|lambda|^2 = {float(abs2):.1f})")
+    return complex(mag if parity == 0 else -mag)
 
 
 @dataclass(eq=False)
@@ -307,203 +125,77 @@ class Multiplier:
     lattice: Lattice
     weight: WeightProfile
     source: str                                  # "builtin_sigma" | "user_table"
+    _gw: np.ndarray                              # weighted g' per index
     g_double_prime0: Optional[complex] = None
-    _product: Optional[_SigmaProduct] = None
-    _gw: Optional[np.ndarray] = None             # weighted g' per index
-    _gw_known: Optional[np.ndarray] = None       # mask of computed entries
     _user_weighted_mag: Optional[Callable] = None
-    _subproducts: Optional[dict] = None
 
     # -- g'(lambda) ---------------------------------------------------------
 
     def g_prime_weighted(self, indices=None) -> np.ndarray:
-        """g'(lambda) e^{-phi(lambda)} for the requested indices (all by
-        default); builtin entries are computed lazily and cached."""
-        n = len(self.lattice)
+        """g'(lambda) e^{-phi(lambda)} at the indices (all by default)."""
         if indices is None:
-            indices = np.arange(n)
-        indices = np.asarray(indices, dtype=int)
-        if self.source == "user_table":
-            return self._gw[indices]
-        missing = indices[~self._gw_known[indices]]
-        if missing.size:
-            self._fill_builtin(missing)
-        return self._gw[indices]
+            return self._gw.copy()
+        return self._gw[np.asarray(indices, dtype=int)]
 
     def g_prime(self, index: int) -> complex:
         """Raw g'(lambda); valid while phi(lambda) fits in a double."""
-        gw = self.g_prime_weighted(np.asarray([index]))[0]
+        gw = self._gw[index]
         return complex(gw * np.exp(phi(self.weight, self.lattice.points[index])))
-
-    def _fill_builtin(self, indices: np.ndarray, chunk_terms: int = 4_000_000):
-        prod = self._product
-        pts = self.lattice.points[indices]
-        vals = np.empty(len(pts), dtype=complex)
-        rows = max(1, chunk_terms // max(len(prod.points), 1))
-        for i in range(0, len(pts), rows):
-            blk = pts[i:i + rows]
-            u = blk[:, None] / prod.points[None, :]
-            self_mask = np.abs(blk[:, None] - prod.points[None, :]) \
-                <= 1e-12 * self.lattice.scale
-            terms = np.log(np.where(self_mask, 1.0, 1.0 - u)) + u + 0.5 * u * u
-            # drop the compensator of the removed factor as well
-            terms = np.where(self_mask, 0.0, terms)
-            tot = terms.sum(axis=1) + 1.5 + prod.tail_correction(blk)
-            vals[i:i + rows] = -np.exp(tot - np.abs(blk) ** 2)
-        zero = np.abs(self.lattice.points[indices]) == 0.0
-        vals[zero] = 1.0
-        self._gw[indices] = vals
-        self._gw_known[indices] = True
 
     # -- g(z) ----------------------------------------------------------------
 
-    def _product_for_points(self, zarr: np.ndarray) -> _SigmaProduct:
-        """Sub-product just large enough for the requested points.
-
-        Batch evaluations on grids do not need the full extended product:
-        radius 4.5 * max|z| keeps the compensated tail residual below ~1e-7
-        at the batch edge while cutting the factor count quadratically.
-        Radii are quantised so repeated batches share cached subsets.
-        """
-        full = self._product
-        zmax = float(np.max(np.abs(zarr))) if zarr.size else 0.0
-        need = max(4.5 * zmax, 16.0 * self.lattice.scale)
-        if need >= 0.8 * full.tail_R:
-            return full
-        r_q = 5.0 * math.ceil(need / 5.0)
-        if self._subproducts is None:
-            self._subproducts = {}
-        if r_q not in self._subproducts:
-            pts = full.points[np.abs(full.points) <= r_q]
-            self._subproducts[r_q] = _SigmaProduct(pts, self.lattice.scale,
-                                                   r_q, square=full.square)
-        return self._subproducts[r_q]
-
-    def log_g(self, z) -> np.ndarray:
+    def _require_builtin(self):
         if self.source != "builtin_sigma":
             raise NumericalError("user-table multiplier carries no log_g")
-        zarr = np.asarray(z, dtype=complex)
-        prod = self._product_for_points(zarr)
-        near = prod.points[np.abs(prod.points) <=
-                           float(np.max(np.abs(zarr))) + 2.0 * self.lattice.scale] \
-            if zarr.size else prod.points
-        _check_off_lattice(zarr, near, self.lattice.scale)
-        return np.log(zarr) + prod.log_sum(zarr)
+
+    def log_g(self, z) -> np.ndarray:
+        self._require_builtin()
+        return sigma_log(self.lattice, z)
 
     def log_g_deflated(self, z, index: int) -> np.ndarray:
         """log of g(z)/(z - lambda_index), stable arbitrarily close to the
-        deflated lattice point."""
-        if self.source != "builtin_sigma":
-            raise NumericalError("user-table multiplier carries no log_g")
-        lam = complex(self.lattice.points[index])
-        zarr = np.asarray(z, dtype=complex)
-        prod = self._product_for_points(zarr)
-        if lam == 0:
-            return prod.log_sum(zarr)
-        base = prod.log_sum(zarr, exclude=lam)
-        u = zarr / lam
-        comp = u + 0.5 * u * u
-        return np.log(zarr) + base + comp + np.log(-1.0 / lam)
+        deflated lattice point: with w = z - lambda_k,
+        2 conj(lambda_k) w + |lambda_k|^2 + i pi parity_k + log(sigma(w)/w)."""
+        self._require_builtin()
+        _, lam, abs2, parity = _nearest(np.asarray(self.lattice.points[index]))
+        w = np.asarray(z, dtype=complex) - lam
+        w0, mu, mu2, mu_par = _nearest(w)
+        # log(sigma(w)/w) through w0 = w - mu; w0/w is 1 when mu = 0
+        shift = np.log(np.divide(w0, w, out=np.ones_like(w), where=w0 != w))
+        log_ratio = (shift + _log_ratio(w0) + 2.0 * np.conj(mu) * w0 + mu2
+                     + 1j * math.pi * mu_par)
+        return 2.0 * np.conj(lam) * w + abs2 + 1j * math.pi * parity + log_ratio
 
     def weighted_mag(self, z) -> np.ndarray:
         """|g(z)| e^{-phi(z)}; exactly 0 on lattice points."""
         if self.source == "builtin_sigma":
-            return self._weighted_mag_builtin(z)
+            return sigma_weighted_mag(self.lattice, z)
         if self._user_weighted_mag is None:
             raise NumericalError("no weighted-magnitude table supplied")
         return self._user_weighted_mag(z)
 
-    def _weighted_mag_builtin(self, z):
-        zarr = np.asarray(z, dtype=complex)
-        scalar = zarr.ndim == 0
-        flat = np.atleast_1d(zarr).astype(complex)
-        d = np.abs(flat)
-        pts = self.lattice.points
-        for i in range(0, len(pts), 4096):
-            blk = pts[i:i + 4096]
-            d = np.minimum(d, np.min(np.abs(flat[:, None] - blk[None, :]), axis=1))
-        on = d <= _ON_LATTICE_RTOL * self.lattice.scale
-        out = np.zeros(flat.shape, dtype=float)
-        if np.any(~on):
-            zs = flat[~on]
-            prod = self._product_for_points(zs)
-            logs = np.log(np.abs(zs)) + prod.log_mag_sum(zs)
-            out[~on] = np.exp(logs - np.abs(zs) ** 2)
-        return float(out[0]) if scalar else out.reshape(zarr.shape)
-
     # -- diagnostics ---------------------------------------------------------
 
-    def derivative_envelope(self, guard_factor: float = 4.0):
-        """Two-sided empirical bound on |g'(lambda)| e^{-phi} rho(lambda)
-        over the sigma guard band; the multiplier estimate makes this O(1)."""
-        r = self.lattice.radii
-        if self.source == "builtin_sigma":
-            keep = guard_factor * r <= self._product.tail_R
-        else:
-            keep = np.ones(len(self.lattice), dtype=bool)
-        idx = np.nonzero(keep)[0]
-        vals = np.abs(self.g_prime_weighted(idx)) * self.lattice.rho_values[idx]
+    def derivative_envelope(self):
+        """Two-sided bound on |g'(lambda)| e^{-phi} rho(lambda) over the
+        lattice; the multiplier estimate makes this O(1)."""
+        vals = np.abs(self._gw) * self.lattice.rho_values
         return float(vals.min()), float(vals.max())
 
 
-def builtin_sigma_multiplier(lat: Lattice, w: Optional[WeightProfile] = None,
-                             product_factor: float = 4.0,
-                             product_radius: Optional[float] = None) -> Multiplier:
-    """Multiplier backed by the built-in sigma of the critical square lattice.
-
-    The sigma product runs over an internally extended square lattice of
-    radius product_factor * R (or the explicit product_radius) so that the
-    working points sit inside the quarter-radius accuracy region;
-    derivatives at a sample of points are cross-checked against finite
-    differences at construction.  A product_radius below 4R trades edge
-    accuracy for speed when only inner values will be consumed.
-    """
-    if lat.kind != "square":
-        raise SchemaError("builtin sigma requires the square critical lattice")
+def builtin_sigma_multiplier(lat: Lattice,
+                             w: Optional[WeightProfile] = None) -> Multiplier:
+    """Multiplier backed by the built-in sigma of the critical square
+    lattice; its weighted derivatives are the signs (-1)^{m+n+mn}."""
+    _require_square(lat)
     if w is None:
         w = classical_weight()
     if not w.is_classical_like:
         raise SchemaError("builtin sigma is tied to the classical weight")
-    R = lat.truncation_radius
-    prod_R = product_factor * R if product_radius is None else float(product_radius)
-    if prod_R < R:
-        raise ValueError("product radius must cover the working lattice")
-    pts = _square_points(prod_R, lat.scale)
-    prod = _SigmaProduct(pts, lat.scale, prod_R, square=True)
-    m = Multiplier(lattice=lat, weight=w, source="builtin_sigma",
-                   g_double_prime0=0.0, _product=prod,
-                   _gw=np.zeros(len(lat), dtype=complex),
-                   _gw_known=np.zeros(len(lat), dtype=bool))
-    _spot_check_derivatives(m)
-    return m
-
-
-def _spot_check_derivatives(m: Multiplier, count: int = 12, fd_rtol: float = 1e-5):
-    # Richardson finite differences vs the deflated product on a sample.
-    lat = m.lattice
-    rng = np.random.default_rng(12345)
-    inner = np.nonzero(4.0 * lat.radii <= m._product.tail_R)[0]
-    sample = rng.choice(inner[1:], size=min(count, len(inner) - 1), replace=False) \
-        if len(inner) > 1 else np.array([], dtype=int)
-    for idx in sample:
-        lam = complex(lat.points[idx])
-        w2 = abs(lam) ** 2
-        gw = m.g_prime_weighted(np.asarray([idx]))[0]
-        h = 1e-4 * float(lat.rho_values[idx])
-
-        def scaled(zz):
-            zz = np.asarray(zz, dtype=complex)
-            return np.exp(np.log(zz) + m._product.log_sum(zz) - w2)
-
-        def central(hh):
-            return (scaled(lam + hh) - scaled(lam - hh)) / (2.0 * hh)
-
-        fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
-        rel = abs(fd - gw) / max(abs(gw), 1e-300)
-        if rel > fd_rtol:
-            raise NumericalError(
-                f"builtin sigma derivative spot check failed at index {idx} "
-                f"({rel:.2e} relative)")
+    parity = _nearest(lat.points)[3]
+    return Multiplier(lattice=lat, weight=w, source="builtin_sigma",
+                      _gw=(1.0 - 2.0 * parity).astype(complex),
+                      g_double_prime0=0.0)
 
 
 def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
@@ -536,9 +228,8 @@ def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
         raise SchemaError("g' table contains zero entries (zeros must be simple)")
     if not weighted:
         vals = vals * np.exp(-phi(w, lat.points))
-    return Multiplier(lattice=lat, weight=w, source="user_table",
+    return Multiplier(lattice=lat, weight=w, source="user_table", _gw=vals,
                       g_double_prime0=g_double_prime0,
-                      _gw=vals, _gw_known=np.ones(n, dtype=bool),
                       _user_weighted_mag=weighted_mag_table)
 
 

@@ -83,11 +83,6 @@ class WeightProfile:
     def is_classical_like(self) -> bool:
         return self.kind == "classical" or (self.gamma == 2.0 and self.c_gamma == 1.0)
 
-    def to_json(self) -> dict:
-        if self.kind == "classical":
-            return {"kind": "classical"}
-        return {"kind": "power", "gamma": self.gamma, "c_gamma": self.c_gamma}
-
     @staticmethod
     def from_json(obj: dict) -> "WeightProfile":
         if not isinstance(obj, dict) or "kind" not in obj:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -93,6 +94,35 @@ class TestOtherCommands:
         lines = grid.read_text().strip().splitlines()
         assert lines[0] == "x,y,weighted_mag"
         assert len(lines) == 65
+
+    def test_sigma_eval_explicit_lattice_is_schema_error(self, tmp_path):
+        pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5]]
+        job = {"lattice": {"kind": "explicit", "points": pts}}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        rc = main(["sigma-eval", "--input", str(path),
+                   "--grid", str(tmp_path / "g.csv")])
+        assert rc == 2
+
+    def test_reconstruct_raw_overflow_is_nan(self, tmp_path):
+        # grid cells centred at (+-20, +-20): phi = 800 > log(max double)
+        path = tmp_path / "job.json"
+        job = dict(BASE, lattice={"kind": "square", "R": 44},
+                   values={"kind": "gaussian_trace", "w": [0.2, -0.1]},
+                   p=2, grid={"half_width": 40.0, "n": 2}, verify_points=8)
+        path.write_text(json.dumps(job))
+        grid = tmp_path / "rg.csv"
+        out = tmp_path / "r.json"
+        rc = main(["reconstruct", "--input", str(path), "--grid", str(grid),
+                   "--output", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["results"]["raw_overflow_points"] == 4
+        rows = list(csv.DictReader(grid.read_text().splitlines()))
+        assert len(rows) == 4
+        for row in rows:
+            assert math.isnan(float(row["re_f"]))
+            assert math.isnan(float(row["im_f"]))
+            assert math.isfinite(float(row["weighted_mag"]))
 
     def test_reconstruct_residual(self, tmp_path):
         path = tmp_path / "job.json"

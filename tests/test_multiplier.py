@@ -5,76 +5,117 @@ import numpy as np
 import pytest
 
 from focklattice import (GridSpec, NumericalError, SchemaError,
-                         builtin_sigma_multiplier, multiplier_bounds_check,
-                         sigma_log, sigma_prime, sigma_tail_bound,
-                         sigma_weighted_mag, user_multiplier)
+                         builtin_sigma_multiplier,
+                         multiplier_bounds_check, sigma_log, sigma_prime,
+                         sigma_weighted_mag, square_lattice, user_multiplier)
 from focklattice.classifier import TraceData, condition_a, condition_b
 
 
-def literal_product(lat, z, tail_R):
-    """Brute-force oracle: the truncated product by direct multiplication."""
-    pts = lat.points[(np.abs(lat.points) > 0) & (np.abs(lat.points) <= tail_R)]
-    pts = pts[np.argsort(np.abs(pts), kind="stable")]
-    out = complex(z)
-    for lam in pts:
-        u = complex(z) / lam
-        out *= (1.0 - u) * cmath.exp(u + 0.5 * u * u)
-    return out
+@pytest.fixture(scope="module")
+def lat30(cw):
+    return square_lattice(30.0, cw)
+
+
+def sigma_mp(mp, z):
+    """sigma(z) = (s/pi) e^{z^2} theta_1(pi z/s, e^{-pi}) / theta_1'(0) in
+    mpmath, with no lattice reduction."""
+    s = mp.sqrt(mp.pi / 2)
+    q = mp.exp(-mp.pi)
+    return (s / mp.pi * mp.exp(z * z) * mp.jtheta(1, mp.pi * z / s, q)
+            / mp.jtheta(1, 0, q, 1))
+
+
+def exact_point(mp, lam, scale):
+    """The lattice point s(m+in) in mpmath, from its double-rounded value."""
+    m, n = round(lam.real / scale), round(lam.imag / scale)
+    return mp.sqrt(mp.pi / 2) * mp.mpc(m, n)
+
+
+def phase_gap(a, b):
+    d = (a - b + math.pi) % (2.0 * math.pi) - math.pi
+    return abs(d)
+
+
+class TestMpmathOracle:
+    """30-digit mpmath theta functions, evaluated without the reduction to
+    the fundamental cell; bounds fixed before measuring."""
+
+    def test_sigma_log_matches_jtheta(self, lat30):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+        zs = 57.0 * np.sqrt(rng.uniform(0, 1, 40)) \
+            * np.exp(2j * math.pi * rng.uniform(0, 1, 40))
+        with mp.workdps(30):
+            for z in zs:
+                got = sigma_log(lat30, complex(z))
+                want = mp.log(sigma_mp(mp, mp.mpc(z.real, z.imag)))
+                assert abs(got.real - float(want.real)) <= 1e-11
+                assert phase_gap(got.imag, float(want.imag)) <= 1e-11
+
+    def test_g_prime_weighted_matches_derivative(self, lat30, scale):
+        mp = pytest.importorskip("mpmath")
+        m = builtin_sigma_multiplier(lat30)
+        with mp.workdps(30):
+            for k in (0, 1, 5, 17, 60, 300, len(lat30) - 1):
+                lam = exact_point(mp, lat30.points[k], scale)
+                want = mp.diff(lambda z: sigma_mp(mp, z), lam) \
+                    * mp.exp(-abs(lam) ** 2)
+                assert abs(m.g_prime_weighted([k])[0] - complex(want)) <= 1e-12
+
+    def test_log_g_deflated_near_and_away(self, lat30, scale):
+        mp = pytest.importorskip("mpmath")
+        m = builtin_sigma_multiplier(lat30)
+        with mp.workdps(30):
+            for k in (0, 3, 60, len(lat30) - 1):
+                lam = complex(lat30.points[k])
+                for h in (1e-12, 1e-6, 0.3, 2.0 + 0.7j):
+                    z = lam + h
+                    w = z - lam       # exact: what the evaluator deflates by
+                    got = m.log_g_deflated(np.asarray([z]), k)[0]
+                    wm = mp.mpc(w.real, w.imag)
+                    want = mp.log(sigma_mp(mp, exact_point(mp, lam, scale) + wm)
+                                  / wm)
+                    assert abs(got.real - float(want.real)) <= 1e-12
+                    assert phase_gap(got.imag, float(want.imag)) <= 1e-11
 
 
 class TestSigmaLog:
-    def test_matches_literal_product(self, lat12, rng):
-        done = 0
-        while done < 12:
-            z = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
-            if abs(z) > 3.0 or min(abs(z - p) for p in lat12.points) < 1e-3:
-                continue
-            got = cmath.exp(sigma_log(lat12, z, tail_R=12.0, infinite_tail=False))
-            want = literal_product(lat12, z, 12.0)
-            assert abs(got - want) <= 1e-10 * abs(want)
-            done += 1
+    def test_matches_literal_product(self, lat30, rng):
+        # z prod (1 - z/l) exp(z/l + z^2/(2 l^2)) over 0 < |l| <= 30: by the
+        # square symmetry only l^{-4k} tail sums survive, so the omitted
+        # factors change log sigma by at most |z|^4/4 sum_{|l|>R} |l|^-4,
+        # about |z|^4 / (2 R^2) from the point density 2/pi
+        pts = lat30.points[1:]
+        for _ in range(10):
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            u = z / pts
+            prod = cmath.log(z) + complex(np.sum(np.log(1 - u) + u + u * u / 2))
+            got = sigma_log(lat30, z)
+            assert abs(cmath.exp(got - prod) - 1.0) <= abs(z) ** 4 / (2 * 30.0 ** 2)
 
     def test_oddness(self, lat16, rng):
         for _ in range(10):
             z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
             if min(abs(z - p) for p in lat16.points) < 1e-2:
                 continue
-            a = cmath.exp(sigma_log(lat16, z, tail_R=16.0))
-            b = cmath.exp(sigma_log(lat16, -z, tail_R=16.0))
+            a = cmath.exp(sigma_log(lat16, z))
+            b = cmath.exp(sigma_log(lat16, -z))
             assert abs(a + b) <= 1e-8 * abs(a)
 
     def test_normalised_at_origin(self, lat16):
         z = 1e-3
-        val = cmath.exp(sigma_log(lat16, z, tail_R=16.0)) / z
+        val = cmath.exp(sigma_log(lat16, z)) / z
         assert abs(val - 1.0) <= 1e-5
 
     def test_scalar_vector_agree(self, lat12):
         z = 0.37 + 0.21j
-        a = sigma_log(lat12, z, tail_R=12.0)
-        b = sigma_log(lat12, np.asarray([z]), tail_R=12.0)[0]
+        a = sigma_log(lat12, z)
+        b = sigma_log(lat12, np.asarray([z]))[0]
         assert abs(a - b) <= 1e-12
-
-    def test_tail_radius_precondition(self, lat12):
-        with pytest.raises(ValueError):
-            sigma_log(lat12, 4.0 + 0j, tail_R=12.0)
 
     def test_on_lattice_rejected(self, lat12, scale):
         with pytest.raises(ValueError):
-            sigma_log(lat12, scale + 0j, tail_R=12.0)
-
-    def test_tail_bound_dominates_actual_tail(self, lat16, rng):
-        # uncompensated sums at two truncations differ by less than the
-        # reported analytic bound
-        done = 0
-        while done < 10:
-            z = rng.uniform(-1.4, 1.4) + 1j * rng.uniform(-1.4, 1.4)
-            if abs(z) > 1.9 or min(abs(z - p) for p in lat16.points) < 1e-2:
-                continue
-            a = sigma_log(lat16, z, tail_R=8.0, infinite_tail=False)
-            b = sigma_log(lat16, z, tail_R=16.0, infinite_tail=False)
-            bound = sigma_tail_bound(lat16, z, tail_R=8.0)
-            assert abs(a - b) <= bound
-            done += 1
+            sigma_log(lat12, scale + 0j)
 
 
 class TestWeightedMag:
@@ -91,13 +132,13 @@ class TestWeightedMag:
                min(abs(z + scale - p) for p in lat16.points) > 1e-3:
                 zs.append(z)
         zs = np.asarray(zs)
-        a = sigma_weighted_mag(lat16, zs, tail_R=16.0)
-        b = sigma_weighted_mag(lat16, zs + scale, tail_R=16.0)
+        a = sigma_weighted_mag(lat16, zs)
+        b = sigma_weighted_mag(lat16, zs + scale)
         assert np.max(np.abs(a - b) / np.maximum(a, b)) <= 1e-6
 
     def test_deep_hole_ratio(self, lat12, scale):
         deep = 0.5 * scale * (1 + 1j)
-        val = sigma_weighted_mag(lat12, deep, tail_R=12.0)
+        val = sigma_weighted_mag(lat12, deep)
         d = scale / math.sqrt(2)
         assert val > 0
         assert 0.1 < val / d < 10.0
@@ -108,7 +149,7 @@ class TestWeightedMag:
         X, Y = np.meshgrid(xs, xs)
         Z = (X + 1j * Y).ravel()
         Z = Z[np.abs(Z) > 5e-2]
-        W = sigma_weighted_mag(lat16, Z, tail_R=16.0)
+        W = sigma_weighted_mag(lat16, Z)
         neigh = np.asarray([scale * (a + 1j * b)
                             for a in (-1, 0, 1) for b in (-1, 0, 1)])
         dist = np.min(np.abs(Z[:, None] - neigh[None, :]), axis=1)
@@ -121,11 +162,10 @@ class TestSigmaPrime:
         assert sigma_prime(lat12, 0) == 1.0
 
     def test_weighted_magnitude_constant(self, lat16):
-        # |sigma'(lambda)| e^{-|lambda|^2} = 1, cross-checked against the
-        # finite-difference path built into sigma_prime
+        # |sigma'(lambda)| e^{-|lambda|^2} = 1
         idx = [i for i, p in enumerate(lat16.points) if 0 < abs(p) <= 4.0]
         for i in idx:
-            sp = sigma_prime(lat16, i, cross_check=True)
+            sp = sigma_prime(lat16, i)
             lam = lat16.points[i]
             assert abs(sp) * math.exp(-abs(lam) ** 2) == pytest.approx(1.0,
                                                                        abs=1e-5)
@@ -135,14 +175,24 @@ class TestSigmaPrime:
             if not 0 < abs(p) <= 3.0:
                 continue
             j = int(np.argmin(np.abs(lat16.points + p)))
-            a = sigma_prime(lat16, i, cross_check=False)
-            b = sigma_prime(lat16, j, cross_check=False)
+            a = sigma_prime(lat16, i, )
+            b = sigma_prime(lat16, j, )
             assert abs(a - b) <= 1e-8 * abs(a)
 
-    def test_guard_band_enforced(self, lat12):
-        far = int(np.argmax(np.abs(lat12.points)))
-        with pytest.raises(ValueError):
-            sigma_prime(lat12, far)
+    def test_overflow_raises(self, lat30):
+        # e^{|lambda|^2} leaves double range beyond |lambda| ~ 26.6
+        far = int(np.argmax(np.abs(lat30.points)))
+        with pytest.raises(NumericalError):
+            sigma_prime(lat30, far)
+
+    def test_non_square_lattice_rejected(self, cw):
+        from focklattice import explicit_lattice
+        lat = explicit_lattice([0.0, 1.5, 3.0, 1.5j, 3j, -1.5, -3.0], cw)
+        for call in (lambda: sigma_log(lat, 0.7 + 0.2j),
+                     lambda: sigma_weighted_mag(lat, 0.7 + 0.2j),
+                     lambda: sigma_prime(lat, 1)):
+            with pytest.raises(SchemaError):
+                call()
 
 
 class TestBuiltinMultiplier:
