@@ -19,7 +19,7 @@ from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       power_weight, rho, rho_many)
 from .lattice import (CellGeometry, GridSpec, Lattice, ShellSchedule,
                       SQUARE_SCALE, cell_geometry, explicit_lattice,
-                      shells_for, square_lattice, upper_density)
+                      nearest_index, shells_for, square_lattice, upper_density)
 from .multiplier import (BoundsReport, Multiplier, builtin_sigma_multiplier,
                          multiplier_bounds_check, sigma_log, sigma_prime,
                          sigma_weighted_mag, user_multiplier)

@@ -32,7 +32,7 @@ import numpy as np
 from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
 from .transforms import (DEFAULT_PV, PvConfig, SequenceData,
-                         batch_higher, batch_modified_inf)
+                         batch_higher, batch_modified_inf, loglog_fit)
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       choose_N, default_ap_radii, effective_t, estimate_t,
                       phi)
@@ -43,6 +43,7 @@ __all__ = [
     "BranchInfo",
     "TraceVerdict",
     "trajectory_verdict",
+    "shell_trajectory",
     "condition_a",
     "condition_b",
     "condition_c",
@@ -164,33 +165,36 @@ def trajectory_verdict(radii, values) -> Tuple[str, Optional[float]]:
     base = values[base_idx]
     if base > 0 and values[-1] / base - 1.0 <= FLATTEN_TOL:
         return "bounded", None
-    pos = window & (values > 0) & (radii > 0)
-    if pos.sum() >= 4:
-        x, y = np.log(radii[pos]), np.log(values[pos])
-        slope, icpt = np.polyfit(x, y, 1)
-        res = y - (slope * x + icpt)
-        ss = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(res ** 2)) / ss if ss > 0 else 0.0
-        if slope >= DIVERGE_MIN_EXPONENT and r2 >= DIVERGE_MIN_R2:
-            return "diverging", float(slope)
-        return "undetermined", float(slope)
-    return "undetermined", None
+    fit = loglog_fit(radii, values)
+    if fit is None:
+        return "undetermined", None
+    slope, r2 = fit
+    if slope >= DIVERGE_MIN_EXPONENT and r2 >= DIVERGE_MIN_R2:
+        return "diverging", slope
+    return "undetermined", slope
 
 
-def _shell_cumulative(lat: Lattice, per_index: np.ndarray, p: float):
-    """Cumulative l^p mass (or running sup) of per-index terms, by shell."""
+def shell_trajectory(lat: Lattice, per_index: np.ndarray, p: float,
+                     indices: Optional[np.ndarray] = None):
+    """Cumulative l^p mass (running sup for p = inf) of per-index terms over
+    the shells of |lambda|: (shell radii, cumulative values).
+
+    per_index covers every lattice index, or only `indices` when given;
+    then only the shells holding one of them are reported.
+    """
     sched = shells_for(lat)
-    radii, vals = [], []
-    total = 0.0
-    for r, members in zip(sched.radii, sched.members):
-        block = per_index[members]
-        if math.isinf(p):
-            total = max(total, float(np.max(block)) if len(block) else 0.0)
-        else:
-            total += float(np.sum(block))
-        radii.append(float(r))
-        vals.append(total)
-    return np.asarray(radii), np.asarray(vals)
+    if indices is None:
+        indices = np.arange(len(lat))
+    terms = np.zeros(len(lat))
+    terms[indices] = per_index
+    held = np.zeros(len(lat), dtype=bool)
+    held[indices] = True
+    keep = np.logical_or.reduceat(held, sched.starts)
+    if math.isinf(p):
+        cum = np.maximum.accumulate(np.maximum.reduceat(terms, sched.starts))
+    else:
+        cum = np.cumsum(np.add.reduceat(terms, sched.starts))
+    return sched.radii[keep], cum[keep]
 
 
 def condition_a(data: TraceData) -> ConditionReport:
@@ -199,7 +203,7 @@ def condition_a(data: TraceData) -> ConditionReport:
     mags = np.abs(data.c_weighted)
     p = data.p
     per = mags if math.isinf(p) else mags ** p
-    radii, vals = _shell_cumulative(data.lattice, per, p)
+    radii, vals = shell_trajectory(data.lattice, per, p)
     verdict, expo = trajectory_verdict(radii, vals)
     cid = "inf_a" if math.isinf(p) else "a"
     traj = tuple(zip(radii.tolist(), vals.tolist()))
@@ -217,29 +221,15 @@ def _outer_indices(lat: Lattice, exclude_origin: bool = False) -> np.ndarray:
 def _aggregate(data: TraceData, inner_values: np.ndarray, indices: np.ndarray,
                cid: str, unconverged: int) -> ConditionReport:
     """Outer aggregation of per-lambda' magnitudes into a trajectory."""
-    lat = data.lattice
     p = data.p
-    r = lat.radii[indices]
-    order = np.argsort(r, kind="stable")
-    r_sorted = r[order]
-    v_sorted = np.abs(inner_values)[order]
-    gaps = np.nonzero(np.diff(r_sorted) > 1e-9 * np.maximum(1.0, r_sorted[1:]))[0]
-    starts = np.concatenate([[0], gaps + 1, [len(r_sorted)]])
-    radii, vals = [], []
-    total = 0.0
-    for a, b in zip(starts[:-1], starts[1:]):
-        block = v_sorted[a:b]
-        if math.isinf(p):
-            total = max(total, float(block.max()))
-        else:
-            total += float(np.sum(block ** p))
-        radii.append(float(r_sorted[b - 1]))
-        vals.append(total)
-    verdict, expo = trajectory_verdict(np.asarray(radii), np.asarray(vals))
+    mags = np.abs(inner_values)
+    radii, vals = shell_trajectory(data.lattice, mags if math.isinf(p) else mags ** p,
+                                   p, indices)
+    verdict, expo = trajectory_verdict(radii, vals)
     if verdict == "bounded" and unconverged > 0.1 * max(len(indices), 1):
         verdict = "undetermined"
-    return ConditionReport(cid, tuple(zip(radii, vals)), verdict, expo,
-                           inner_unconverged=unconverged,
+    return ConditionReport(cid, tuple(zip(radii.tolist(), vals.tolist())), verdict,
+                           expo, inner_unconverged=unconverged,
                            inner_total=len(indices))
 
 

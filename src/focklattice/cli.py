@@ -127,10 +127,10 @@ def _parse_p(job: dict):
 def _pv_config(job: dict, args) -> PvConfig:
     pv = job.get("pv", {})
     tol = args.tolerance if args.tolerance is not None else pv.get("tolerance", 1e-9)
-    mode = pv.get("center_mode", "origin")
-    if mode not in ("origin", "center"):
-        raise SchemaError("pv.center_mode must be origin or center")
-    return PvConfig(rtol=float(tol), center_mode=mode)
+    if pv.get("center_mode", "origin") != "origin":
+        raise SchemaError("pv.center_mode: only the origin schedule exists "
+                          "(partial sums always run over |lambda| < R)")
+    return PvConfig(rtol=float(tol))
 
 
 def _report(command: str, args, job: dict, results: dict, t0: float,

@@ -24,11 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classifier import TraceData
+from .classifier import TraceData, shell_trajectory, trajectory_verdict
 from .errors import NumericalError
-from .lattice import GridSpec, shells_for
+from .lattice import GridSpec, nearest_index, shells_for
 from .multiplier import Multiplier
-from .transforms import DEFAULT_PV, PvConfig
+from .transforms import DEFAULT_PV, PvConfig, _shell_kernel, loglog_fit
 from .weights import phi, rho_many
 
 __all__ = [
@@ -44,101 +44,53 @@ __all__ = [
 
 _NEAR_FACTOR = 1e-3
 _ON_FACTOR = 1e-8
+# grid points per block of weighted_norm
+_NORM_CHUNK = 16384
 
 
-def _pv_kernel_sum(data: TraceData, z: np.ndarray, mode: str,
-                   w0: complex, cfg: PvConfig):
-    """Shell-ordered compensated sum of the reconstruction kernel at each z.
+def _kernel_shell_sums(data: TraceData, z: np.ndarray, excl: np.ndarray,
+                       mode: str, w0: complex):
+    """(len(z) x shells) matrix of per-shell sums of the reconstruction
+    kernel at each z, built shell by shell.
 
-    Returns (sums, converged, tail) without materialising the full shell
-    trajectory; diagnosis of a non-convergent point is re-run separately.
+    The term of index excl[j] (-1: none) loses its 1/(z - lambda) half at
+    z[j]; the deflated factor g(z)/(z - lambda) carries it instead.  In
+    p = inf mode the +1/lambda half and w0 stay.
     """
     lat = data.lattice
     d = data.d.values
-    sched = shells_for(lat)
     pts = lat.points
-    total = np.zeros(z.shape, dtype=complex)
-    comp = np.zeros(z.shape, dtype=complex)
-    window = []
-    for members in sched.members:
-        lam = pts[members]
-        dm = d[members]
-        if mode == "finite":
-            contrib = np.sum(dm[None, :] / (z[:, None] - lam[None, :]), axis=1)
-        else:
-            orig = np.abs(lam) == 0.0
-            if orig.any():
-                contrib = w0 + dm[orig][0] / z
-                lam2, dm2 = lam[~orig], dm[~orig]
-            else:
-                contrib = np.zeros(z.shape, dtype=complex)
-                lam2, dm2 = lam, dm
-            if len(lam2):
-                contrib = contrib + np.sum(
-                    dm2[None, :] * (1.0 / (z[:, None] - lam2[None, :])
-                                    + 1.0 / lam2[None, :]), axis=1)
-        y = contrib - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        window.append(total.copy())
-        if len(window) > cfg.cauchy_window:
-            window.pop(0)
-    stack = np.stack(window)
-    spread = np.max(np.abs(stack[:, None, :] - stack[None, :, :]), axis=(0, 1))
-    scale = np.max(np.abs(stack), axis=0)
-    converged = spread <= cfg.rtol * scale + cfg.atol
-    return total, converged, spread
-
-
-def _diagnose_growth(data: TraceData, z: complex, mode: str, w0: complex) -> str:
-    lat = data.lattice
     sched = shells_for(lat)
-    d = data.d.values
-    partials, total = [], 0.0 + 0.0j
-    for members in sched.members:
-        lam = lat.points[members]
-        dm = d[members]
+    out = np.empty((len(z), sched.n_shells), dtype=complex)
+    bounds = np.append(sched.starts, len(lat))
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if mode == "inf" and s == 0:
+            # the origin shell holds the origin alone
+            out[:, 0] = w0 + np.where(excl == 0, 0.0, d[0] / z)
+            continue
+        lam, dm = pts[a:b], d[a:b]
         if mode == "finite":
-            total += complex(np.sum(dm / (z - lam)))
+            block = dm[None, :] / (z[:, None] - lam[None, :])
         else:
-            orig = np.abs(lam) == 0.0
-            if orig.any():
-                total += w0 + complex(dm[orig][0]) / z
-                lam, dm = lam[~orig], dm[~orig]
-            if len(lam):
-                total += complex(np.sum(dm * (1.0 / (z - lam) + 1.0 / lam)))
-        partials.append(abs(total))
-    r = sched.radii
-    a = np.asarray(partials)
-    keep = (r >= r[-1] / 10.0) & (a > 0)
-    if keep.sum() >= 4:
-        slope = float(np.polyfit(np.log(r[keep]), np.log(a[keep]), 1)[0])
-        return f"growth exponent ~ {slope:.3f}"
-    return "trajectory too short to fit"
+            block = dm[None, :] * (1.0 / (z[:, None] - lam[None, :]) + 1.0 / lam[None, :])
+        rows = np.nonzero((excl >= a) & (excl < b))[0]
+        k = excl[rows] - a
+        block[rows, k] = 0.0 if mode == "finite" else dm[k] / lam[k]
+        out[:, s] = np.sum(block, axis=1)
+    return out
 
 
 def _eval_core(data: TraceData, z, mode: str, w0: complex,
-               cfg: PvConfig, weighted: bool, strict: bool = True):
+               cfg: PvConfig, weighted: bool):
     lat = data.lattice
     m = data.multiplier
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(zarr.shape, dtype=complex)
 
     # classify points: on-lattice / near-lattice / regular
-    dmin = np.full(zarr.shape, np.inf)
-    nearest = np.zeros(zarr.shape, dtype=int)
-    for i in range(0, len(lat.points), 2048):
-        blk = lat.points[i:i + 2048]
-        dist = np.abs(zarr[:, None] - blk[None, :])
-        j = np.argmin(dist, axis=1)
-        better = dist[np.arange(len(zarr)), j] < dmin
-        dmin[better] = dist[np.arange(len(zarr)), j][better]
-        nearest[better] = i + j[better]
-    rho_near = lat.rho_values[nearest]
+    nearest, dmin = nearest_index(lat, zarr)
     on = dmin <= _ON_FACTOR * lat.scale
-    near = (~on) & (dmin <= _NEAR_FACTOR * rho_near)
-    reg = ~(on | near)
+    near = (~on) & (dmin <= _NEAR_FACTOR * lat.rho_values[nearest])
 
     if on.any():
         cw = data.c_weighted[nearest[on]]
@@ -148,76 +100,44 @@ def _eval_core(data: TraceData, z, mode: str, w0: complex,
         else:
             out[on] = cw * np.exp(phi(data.weight, lat.points[nearest[on]]))
 
-    if reg.any():
-        zs = zarr[reg]
-        sums, conv, spread = _pv_kernel_sum(data, zs, mode, w0, cfg)
-        bad = ~conv
-        if strict and bad.any() and not _absolutely_summable(data):
-            zb = complex(zs[np.argmax(spread)])
-            raise NumericalError(
-                "principal value did not converge at z = "
-                f"{zb:.6g} ({_diagnose_growth(data, zb, mode, w0)})")
-        logg = m.log_g(zs)
-        expo = logg - phi(data.weight, zs) if weighted else logg
-        out[reg] = np.exp(expo) * sums
-
-    if near.any():
-        for k in np.nonzero(near)[0]:
-            out[k] = _eval_deflated(data, complex(zarr[k]), int(nearest[k]),
-                                    mode, w0, cfg, weighted)
+    off = ~on
+    if off.any():
+        zs = zarr[off]
+        excl = np.where(near[off], nearest[off], -1)
+        partials, conv, spread = _shell_kernel(
+            _kernel_shell_sums(data, zs, excl, mode, w0), cfg)
+        if not conv.all():
+            _check_summable(data, zs, partials, spread)
+        shift = phi(data.weight, zs) if weighted else np.zeros(zs.shape)
+        vals = np.exp(m.log_g(zs) - shift) * partials[:, -1]
+        nr = excl >= 0
+        if nr.any():
+            # the folded lead term d_lambda g(z)/(z - lambda)
+            log_defl = m.log_g_deflated(zs[nr], excl[nr])
+            vals[nr] += np.exp(log_defl - shift[nr]) * data.d.values[excl[nr]]
+        out[off] = vals
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return complex(out[0])
     return out
 
 
-def _absolutely_summable(data: TraceData) -> bool:
-    """Whether sum |d_lambda| / |z - lambda| converges: the far-field kernel
-    scales like 1/|lambda|, so the shell trajectory of |d|/(1+|lambda|) must
-    flatten.  When it does, a failed Cauchy criterion on the principal value
-    is tolerance noise rather than divergence."""
-    from .classifier import trajectory_verdict
+def _check_summable(data: TraceData, zs: np.ndarray, partials: np.ndarray,
+                    spread: np.ndarray):
+    """Raise NumericalError for a failed Cauchy criterion unless
+    sum |d_lambda| / |z - lambda| converges: the far-field kernel scales
+    like 1/|lambda|, so the shell trajectory of |d|/(1+|lambda|) must
+    flatten.  When it does, the failure is tolerance noise rather than
+    divergence."""
     lat = data.lattice
-    sched = shells_for(lat)
-    per = np.abs(data.d.values) / (1.0 + np.abs(lat.points))
-    flat = sched.flat_indices()
-    starts = np.concatenate([[0], sched.boundaries()[:-1]])
-    cum = np.cumsum(np.add.reduceat(per[flat], starts))
-    verdict, _ = trajectory_verdict(sched.radii, cum)
-    return verdict == "bounded"
-
-
-def _eval_deflated(data: TraceData, z: complex, idx: int, mode: str,
-                   w0: complex, cfg: PvConfig, weighted: bool) -> complex:
-    """Near lattice point idx: fold the singular kernel term into the
-    deflated factor g(z)/(z - lambda)."""
-    lat = data.lattice
-    m = data.multiplier
-    d = data.d.values
-    lam = complex(lat.points[idx])
-    zs = np.asarray([z], dtype=complex)
-    log_defl = m.log_g_deflated(zs, idx)[0]
-    logg = m.log_g(zs)[0]
-    shift = phi(data.weight, z) if weighted else 0.0
-
-    othr = np.arange(len(lat)) != idx
-    pts, dm = lat.points[othr], d[othr]
-    if mode == "finite":
-        rest = complex(np.sum(dm / (z - pts)))
-        lead = d[idx]
-    else:
-        if idx == 0:
-            rest = w0 + complex(np.sum(dm[np.abs(pts) > 0]
-                                       * (1.0 / (z - pts[np.abs(pts) > 0])
-                                          + 1.0 / pts[np.abs(pts) > 0])))
-            lead = d[0]
-        else:
-            orig = np.abs(pts) == 0.0
-            rest = w0 + d[0] / z + complex(
-                np.sum(dm[~orig] * (1.0 / (z - pts[~orig]) + 1.0 / pts[~orig])))
-            rest += d[idx] / lam          # the +1/lambda half of the idx term
-            lead = d[idx]
-    return complex(np.exp(log_defl - shift) * lead
-                   + np.exp(logg - shift) * rest)
+    per = np.abs(data.d.values) / (1.0 + lat.radii)
+    if trajectory_verdict(*shell_trajectory(lat, per, 1.0))[0] == "bounded":
+        return
+    worst = int(np.argmax(spread))
+    fit = loglog_fit(shells_for(lat).radii, np.abs(partials[worst]))
+    why = "trajectory too short to fit" if fit is None \
+        else f"growth exponent ~ {fit[0]:.3f}"
+    raise NumericalError("principal value did not converge at z = "
+                         f"{complex(zs[worst]):.6g} ({why})")
 
 
 def reconstruct(data: TraceData, z, cfg: PvConfig = DEFAULT_PV):
@@ -317,19 +237,16 @@ def verify_interpolation(I: Interpolant, h: float = 0.05,
     idx = np.nonzero(lat.radii <= lat.guard_radius())[0]
     if max_points is not None and len(idx) > max_points:
         idx = idx[np.linspace(0, len(idx) - 1, max_points).astype(int)]
-    worst = 0.0
-    dirs = np.asarray([1.0, 1j, -1.0, -1j])
-    for i in idx:
-        lam = complex(lat.points[i])
-        rr = float(lat.rho_values[i])
-        zs = lam + h * rr * dirs
-        vals = I.eval_weighted(zs)
-        # rescale each sample from e^{-phi(z)} to e^{-phi(lambda)}
-        adj = np.exp(np.asarray(phi(data.weight, zs), dtype=float)
-                     - float(phi(data.weight, lam)))
-        avg = complex(np.mean(vals * adj))
-        worst = max(worst, abs(avg - complex(data.c_weighted[i])))
-    return worst
+    if len(idx) == 0:
+        return 0.0
+    lam = lat.points[idx]
+    zs = lam[:, None] + h * lat.rho_values[idx, None] * np.asarray([1.0, 1j, -1.0, -1j])
+    vals = I.eval_weighted(zs.ravel()).reshape(zs.shape)
+    # rescale each sample from e^{-phi(z)} to e^{-phi(lambda)}
+    adj = np.exp(np.asarray(phi(data.weight, zs), dtype=float)
+                 - np.asarray(phi(data.weight, lam), dtype=float)[:, None])
+    avg = np.mean(vals * adj, axis=1)
+    return float(np.max(np.abs(avg - data.c_weighted[idx])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,8 +264,7 @@ class NormEstimate:
 
 
 def weighted_norm(I: Interpolant, p: float, region_radius: float,
-                  grid_density: float = 20.0,
-                  chunk: int = 16384) -> NormEstimate:
+                  grid_density: float = 20.0) -> NormEstimate:
     """Weighted norm of the interpolant over |z| <= region_radius.
 
     Finite p: midpoint Riemann sum of |f|^p e^{-p phi} / rho^2 on a grid
@@ -370,10 +286,10 @@ def weighted_norm(I: Interpolant, p: float, region_radius: float,
     area = grid.cell_area
     contrib: dict = {}
     total = 0.0
-    for i in range(0, len(pts), chunk):
-        zs = pts[i:i + chunk]
+    for i in range(0, len(pts), _NORM_CHUNK):
+        zs = pts[i:i + _NORM_CHUNK]
         vals = np.abs(I.eval_weighted(zs))
-        near = _nearest_cell(lat, zs)
+        near = nearest_index(lat, zs, cell=True)[0]
         if math.isinf(p):
             for cell in np.unique(near):
                 mx = float(vals[near == cell].max())
@@ -389,17 +305,3 @@ def weighted_norm(I: Interpolant, p: float, region_radius: float,
     value = total if math.isinf(p) else total ** (1.0 / p)
     return NormEstimate(p=p, value=value, region_radius=region_radius,
                         cell_contributions=contrib)
-
-
-def _nearest_cell(lat, zs: np.ndarray) -> np.ndarray:
-    best = np.full(zs.shape, np.inf)
-    cell = np.zeros(zs.shape, dtype=int)
-    for i in range(0, len(lat.points), 2048):
-        blk = lat.points[i:i + 2048]
-        sur = np.abs(zs[:, None] - blk[None, :]) / lat.rho_values[None, i:i + 2048]
-        j = np.argmin(sur, axis=1)
-        v = sur[np.arange(len(zs)), j]
-        better = v < best
-        best[better] = v[better]
-        cell[better] = i + j[better]
-    return cell

@@ -4,8 +4,10 @@ The working set is always a finite truncation |lambda| <= R of either the
 critical square lattice sqrt(pi/2)*(Z+iZ) or a user-supplied point set.
 The origin is point index 0 throughout.  Shell schedules order principal
 value sums (partial sums over |lambda| < R with R growing through the
-distinct point radii), and the cell geometry assigns grid points to their
-nearest lattice point in the surrogate metric |z - lambda| / rho(lambda).
+distinct point radii): lattice indices run in ascending radius order, so
+every shell is a contiguous index range.  One KD-tree lookup finds the
+nearest lattice point, Euclidean or in the surrogate metric
+|z - lambda| / rho(lambda) that assigns grid points to cells.
 """
 
 from __future__ import annotations
@@ -30,17 +32,21 @@ __all__ = [
     "explicit_lattice",
     "upper_density",
     "shells_for",
+    "nearest_index",
     "cell_geometry",
 ]
 
 SQUARE_SCALE = math.sqrt(math.pi / 2.0)
 
 _MIN_DELTA_SEP = 1e-6
+# radii within this relative gap (floor 1) are one shell
+_SHELL_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A finite, rho-separated point set containing the origin at index 0."""
+    """A finite, rho-separated point set containing the origin at index 0,
+    indexed in ascending radius order (ValueError otherwise)."""
 
     points: np.ndarray          # complex, index 0 is the origin
     scale: float                # sqrt(pi/2) for square kind
@@ -54,6 +60,9 @@ class Lattice:
         object.__setattr__(self, "rho_values", np.asarray(self.rho_values, dtype=float))
         self.points.setflags(write=False)
         self.rho_values.setflags(write=False)
+        r = self.radii
+        if np.any(np.diff(r) < -_SHELL_RTOL * np.maximum(1.0, r[1:])):
+            raise ValueError("lattice points must be in ascending radius order")
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -138,10 +147,8 @@ def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
     rs = sorted(float(r) for r in r_schedule)
     if not rs:
         raise ValueError("empty schedule")
-    if centers is None:
-        order = np.argsort(np.abs(lat.points), kind="stable")
-        centers = list(lat.points[order[:9]])
-    centers = np.asarray(centers, dtype=complex)
+    # by default the nine points nearest the origin (index order is radius order)
+    centers = np.asarray(lat.points[:9] if centers is None else centers, dtype=complex)
     rho_c = rho_many(w, centers)
     reach = np.abs(centers) + rs[-1] * rho_c
     if np.any(reach > lat.truncation_radius):
@@ -154,60 +161,40 @@ def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
 
 @dataclass(frozen=True, eq=False)
 class ShellSchedule:
-    """Grouping of lattice indices into shells of equal schedule metric.
+    """Grouping of lattice indices into shells of equal |lambda|.
 
-    The default metric is |lambda| regardless of where a transform is
-    centred: partial sums grow through values of |lambda| < R.  Shell radii
-    are strictly ascending and, together, the member lists partition the
-    index set.
+    Partial sums grow through values of |lambda| < R wherever a transform
+    is centred.  Index order is radius order, so shell k is the index range
+    starts[k] .. starts[k+1] - 1 (the last shell ends at n_points - 1);
+    shell radii are strictly ascending.
     """
 
-    center: complex
     radii: np.ndarray              # strictly ascending shell radii
-    members: tuple                 # tuple of integer index arrays
-    metric: str = "origin"         # "origin" | "center"
-
-    def __post_init__(self):
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
+    starts: np.ndarray             # first index of each shell
+    n_points: int
 
     @property
     def n_shells(self) -> int:
-        return len(self.members)
+        return len(self.starts)
 
-    def flat_indices(self) -> np.ndarray:
-        return np.concatenate(self.members) if self.members else np.array([], dtype=int)
-
-    def boundaries(self) -> np.ndarray:
-        """Positions splitting the flat index stream into shells."""
-        sizes = np.fromiter((len(m) for m in self.members), dtype=int,
-                            count=len(self.members))
-        return np.cumsum(sizes)
+    @property
+    def members(self) -> tuple:
+        """Index array of each shell; together they partition the indices."""
+        return tuple(np.split(np.arange(self.n_points), self.starts[1:]))
 
 
-def shells_for(lat: Lattice, center: complex = 0.0,
-               metric: str = "origin") -> ShellSchedule:
-    """Group indices by |lambda| (or |lambda - center| in "center" mode).
+def shells_for(lat: Lattice) -> ShellSchedule:
+    """Split the (radius-ordered) indices into shells of equal |lambda|.
 
     Points of equal radius are inseparable and always share a shell, so a
     principal value is well-defined regardless of within-shell order.
     """
-    if metric not in ("origin", "center"):
-        raise ValueError("metric must be 'origin' or 'center'")
-    ref = 0.0 if metric == "origin" else complex(center)
-    r = np.abs(lat.points - ref)
-    order = np.argsort(r, kind="stable")
-    rs = r[order]
-    # group radii equal up to a relative tolerance (lattice radii are
-    # genuinely discrete, so chained drift is not a concern)
-    gaps = np.diff(rs) > 1e-9 * np.maximum(1.0, rs[1:])
-    breaks = np.concatenate([[0], np.nonzero(gaps)[0] + 1, [len(rs)]])
-    members = []
-    radii = []
-    for b0, b1 in zip(breaks[:-1], breaks[1:]):
-        members.append(np.sort(order[b0:b1]))
-        radii.append(rs[b1 - 1])
-    return ShellSchedule(center=complex(center), radii=np.asarray(radii),
-                         members=tuple(members), metric=metric)
+    r = lat.radii
+    # lattice radii are genuinely discrete, so chained drift is not a concern
+    gaps = np.diff(r) > _SHELL_RTOL * np.maximum(1.0, r[1:])
+    starts = np.concatenate([[0], np.nonzero(gaps)[0] + 1])
+    return ShellSchedule(radii=np.maximum.reduceat(r, starts), starts=starts,
+                         n_points=len(r))
 
 
 @dataclass(frozen=True)
@@ -259,21 +246,33 @@ class CellGeometry:
                 yield (z.real, z.imag, int(self.cell_of[i, j]))
 
 
+def nearest_index(lat: Lattice, z, cell: bool = False):
+    """Index of the lattice point nearest to each z, and the distance.
+
+    With cell=True nearness is the surrogate |z - lambda| / rho(lambda),
+    minimised over the nine Euclidean-nearest points (rho is 1-Lipschitz
+    and varies little between neighbours), and the distance returned is
+    that surrogate.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    k = min(9, len(lat)) if cell else 1
+    tree = cKDTree(np.column_stack([lat.points.real, lat.points.imag]))
+    dist, cand = tree.query(np.column_stack([z.real, z.imag]), k=k)
+    if not cell:
+        return cand, dist
+    cand = cand.reshape(len(z), k)
+    sur = np.abs(z[:, None] - lat.points[cand]) / lat.rho_values[cand]
+    best = np.argmin(sur, axis=1)
+    rows = np.arange(len(z))
+    return cand[rows, best], sur[rows, best]
+
+
 def cell_geometry(lat: Lattice, grid: GridSpec, w: WeightProfile) -> CellGeometry:
     """Assign grid points to cells and accumulate the cell measures."""
     if grid.corner_radius > lat.truncation_radius - 2.0 * lat.max_rho:
         raise ValueError("grid extends outside the safe lattice region")
-    pts = grid.points()
-    flat = pts.ravel()
-    xy = np.column_stack([flat.real, flat.imag])
-    tree = cKDTree(np.column_stack([lat.points.real, lat.points.imag]))
-    k = min(9, len(lat))
-    _, cand = tree.query(xy, k=k)
-    cand = cand.reshape(len(flat), k) if k > 1 else cand.reshape(len(flat), 1)
-    sur = np.abs(flat[:, None] - lat.points[cand]) / lat.rho_values[cand]
-    best = np.argmin(sur, axis=1)
-    assign = cand[np.arange(len(flat)), best]
-    sur_best = sur[np.arange(len(flat)), best]
+    flat = grid.points().ravel()
+    assign, sur_best = nearest_index(lat, flat, cell=True)
 
     rho_z = rho_many(w, flat)
     dens = grid.cell_area / rho_z ** 2

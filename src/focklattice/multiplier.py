@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalError, SchemaError
-from .lattice import SQUARE_SCALE, Lattice
+from .lattice import SQUARE_SCALE, Lattice, nearest_index
 from .weights import WeightProfile, classical_weight, phi
 
 __all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag", "sigma_prime",
@@ -152,9 +152,10 @@ class Multiplier:
         self._require_builtin()
         return sigma_log(self.lattice, z)
 
-    def log_g_deflated(self, z, index: int) -> np.ndarray:
+    def log_g_deflated(self, z, index) -> np.ndarray:
         """log of g(z)/(z - lambda_index), stable arbitrarily close to the
-        deflated lattice point: with w = z - lambda_k,
+        deflated lattice point (index: one index, or one per z): with
+        w = z - lambda_k,
         2 conj(lambda_k) w + |lambda_k|^2 + i pi parity_k + log(sigma(w)/w)."""
         self._require_builtin()
         _, lam, abs2, parity = _nearest(np.asarray(self.lattice.points[index]))
@@ -254,15 +255,7 @@ def multiplier_bounds_check(m: Multiplier, grid) -> BoundsReport:
     lat = m.lattice
     if grid.corner_radius > lat.guard_radius():
         raise ValueError("grid extends beyond the guard band")
-    d = np.full(len(pts), np.inf)
-    near = np.zeros(len(pts), dtype=int)
-    for i in range(0, len(lat.points), 2048):
-        blk = lat.points[i:i + 2048]
-        dist = np.abs(pts[:, None] - blk[None, :])
-        j = np.argmin(dist, axis=1)
-        better = dist[np.arange(len(pts)), j] < d
-        d[better] = dist[np.arange(len(pts)), j][better]
-        near[better] = i + j[better]
+    near, d = nearest_index(lat, pts)
     keep = d > 1e-6
     pts, d, near = pts[keep], d[keep], near[keep]
     surr = np.minimum(1.0, d / lat.rho_values[near])

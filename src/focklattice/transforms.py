@@ -7,6 +7,14 @@ order with compensated (Kahan) carries: the sums are cancellation-heavy
 terms.  Convergence at finite truncation is a verdict, not a certainty:
 the last few shell partials must agree to the configured tolerance.
 
+Every such sum goes through one kernel, `_shell_kernel`, which turns a
+(rows x shells) matrix of per-shell sums into the compensated partial-sum
+trajectories and their convergence verdicts.  Lattice indices run in
+ascending radius order (`Lattice` enforces it), so the per-shell sums of a
+term matrix are one `np.add.reduceat` over the shell starts, with no
+reordering.  The same kernel serves the reconstruction sums of
+`interpolate`, which are built shell by shell.
+
 Transforms acting on weighted sequences d (normally d = c/g'):
 
     cauchy:    sum d_lambda / (lambda - lambda')
@@ -20,6 +28,7 @@ norm probes of their boundedness.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -36,6 +45,7 @@ __all__ = [
     "SequenceData",
     "OperatorNormReport",
     "NecessityReport",
+    "loglog_fit",
     "pv_sum",
     "cauchy_transform",
     "ba_transform",
@@ -51,6 +61,9 @@ __all__ = [
     "transform_batch_report",
 ]
 
+# terms per row block of the batch transforms (64 MB of complex terms)
+_CHUNK_TERMS = 4_000_000
+
 
 @dataclass(frozen=True)
 class PvConfig:
@@ -58,32 +71,57 @@ class PvConfig:
 
     Convergence is declared via a Cauchy criterion on the last
     `cauchy_window` shell partials at relative tolerance `rtol` (scaled by
-    the size of those partials).  `center_mode` selects the shell metric:
-    the limit definition sums over |lambda| < R even for transforms centred
-    elsewhere, so "origin" is the default; "center" exists for experiments.
+    the size of those partials).  Shells are always those of |lambda|:
+    the limit definition sums over |lambda| < R even for transforms
+    centred elsewhere.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-15
     cauchy_window: int = 5
-    center_mode: str = "origin"
 
 
 DEFAULT_PV = PvConfig()
 
 
-def _kahan_cumulative(shell_sums: np.ndarray) -> np.ndarray:
-    """Compensated running sum along axis 0 (shells)."""
-    total = np.zeros_like(shell_sums[0])
-    comp = np.zeros_like(shell_sums[0])
-    out = np.empty_like(shell_sums)
-    for i in range(shell_sums.shape[0]):
-        y = shell_sums[i] - comp
+def _shell_kernel(shell_sums: np.ndarray, cfg: PvConfig):
+    """Compensated running totals of a (rows x shells) matrix of per-shell
+    sums, written into that matrix in place.
+
+    Returns (partials, converged, spread): partials is the overwritten
+    matrix, and a row converged when the largest pairwise gap `spread` of
+    its last `cauchy_window` partials is at most rtol times their largest
+    modulus plus atol.
+    """
+    total = np.zeros(shell_sums.shape[0], dtype=shell_sums.dtype)
+    comp = np.zeros_like(total)
+    for s in range(shell_sums.shape[1]):
+        y = shell_sums[:, s] - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[i] = total
-    return out
+        shell_sums[:, s] = total
+    tail = shell_sums[:, -cfg.cauchy_window:]
+    spread = np.max(np.abs(tail[:, :, None] - tail[:, None, :]), axis=(1, 2))
+    scale = np.max(np.abs(tail), axis=1)
+    return shell_sums, spread <= cfg.rtol * scale + cfg.atol, spread
+
+
+def loglog_fit(radii, values, window: float = 10.0):
+    """Least-squares slope of log(values) against log(radii), with its R^2,
+    over the positive entries in the last `window`-fold range of radii;
+    None when fewer than four entries remain."""
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    keep = (r >= r[-1] / window) & (r > 0) & (v > 0)
+    if keep.sum() < 4:
+        return None
+    x, y = np.log(r[keep]), np.log(v[keep])
+    slope, icpt = np.polyfit(x, y, 1)
+    res = y - (slope * x + icpt)
+    ss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(res ** 2)) / ss if ss > 0 else 0.0
+    return float(slope), r2
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +140,7 @@ class PvResult:
         """Fitted log-log slope of |partial| against shell radius over the
         last `window`-fold range of radii, with its R^2; None when the data
         cannot support a fit.  Used to tell divergence from boundedness."""
-        r = self.shell_radii
-        a = np.abs(self.shell_partials)
-        keep = (r >= r[-1] / window) & (r > 0) & (a > 0)
-        if keep.sum() < 4:
-            return None
-        x, y = np.log(r[keep]), np.log(a[keep])
-        slope, icpt = np.polyfit(x, y, 1)
-        res = y - (slope * x + icpt)
-        ss = np.sum((y - y.mean()) ** 2)
-        r2 = 1.0 - float(np.sum(res ** 2) / ss) if ss > 0 else 0.0
-        return float(slope), float(r2)
+        return loglog_fit(self.shell_radii, np.abs(self.shell_partials), window)
 
 
 def pv_sum(schedule: ShellSchedule, term: Union[Callable[[int], complex], np.ndarray],
@@ -122,35 +150,16 @@ def pv_sum(schedule: ShellSchedule, term: Union[Callable[[int], complex], np.nda
     `term` is either a callable on lattice indices or a precomputed array
     over all indices.  Non-convergence is a reported state, never an error.
     """
-    flat = schedule.flat_indices()
+    n = schedule.n_points
     if callable(term):
-        values = np.fromiter((term(int(i)) for i in flat), dtype=complex,
-                             count=len(flat))
+        values = np.fromiter((term(i) for i in range(n)), dtype=complex, count=n)
     else:
-        values = np.asarray(term, dtype=complex)[flat]
-    bounds = schedule.boundaries()
-    starts = np.concatenate([[0], bounds[:-1]])
-    shell_sums = np.add.reduceat(values, starts) if len(values) else \
-        np.zeros(0, dtype=complex)
-    partials = _kahan_cumulative(shell_sums.reshape(-1, 1)).ravel() \
-        if len(shell_sums) else np.zeros(0, dtype=complex)
-    return _finish_pv(partials, schedule.radii, cfg)
-
-
-def _finish_pv(partials: np.ndarray, radii: np.ndarray,
-               cfg: PvConfig, absolute: bool = False) -> PvResult:
-    if len(partials) == 0:
-        return PvResult(0.0 + 0.0j, partials, radii, True, 0.0, 0,
-                        absolutely_convergent=absolute)
-    k = min(cfg.cauchy_window, len(partials))
-    tailvals = partials[-k:]
-    spread = float(np.max(np.abs(tailvals[:, None] - tailvals[None, :])))
-    scale = float(np.max(np.abs(tailvals)))
-    converged = spread <= cfg.rtol * scale + cfg.atol
-    return PvResult(value=complex(partials[-1]), shell_partials=partials,
-                    shell_radii=np.asarray(radii, dtype=float),
-                    converged=bool(converged), cauchy_tail=spread,
-                    shells_used=len(partials), absolutely_convergent=absolute)
+        values = np.asarray(term, dtype=complex)
+    partials, conv, spread = _shell_kernel(
+        np.add.reduceat(values[None, :], schedule.starts, axis=1), cfg)
+    return PvResult(value=complex(partials[0, -1]), shell_partials=partials[0],
+                    shell_radii=schedule.radii, converged=bool(conv[0]),
+                    cauchy_tail=float(spread[0]), shells_used=schedule.n_shells)
 
 
 @dataclass(eq=False)
@@ -180,22 +189,58 @@ class SequenceData:
         return self._norms[key]
 
 
-def _schedule_for(lat: Lattice, center: complex, cfg: PvConfig) -> ShellSchedule:
-    if cfg.center_mode == "center":
-        return shells_for(lat, center=center, metric="center")
-    if not hasattr(lat, "_origin_schedule"):
-        object.__setattr__(lat, "_origin_schedule", shells_for(lat))
-    return lat._origin_schedule
+def _higher_terms(lat: Lattice, d: SequenceData, blk: np.ndarray, n: int):
+    """Rows d_lambda / (lambda - lambda')^n for the centres lambda' = blk,
+    with the centre's own term 0."""
+    if n < 1:
+        raise ValueError(f"transform order n={n} out of range")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = d.values[None, :] / (lat.points[None, :] - lat.points[blk, None]) ** n
+    terms[np.arange(len(blk)), blk] = 0.0
+    return terms
+
+
+def _modified_terms(lat: Lattice, d: SequenceData, blk: np.ndarray):
+    """Rows of the modified Cauchy kernel for the nonzero centres blk."""
+    if np.any(lat.points[blk] == 0.0):
+        raise ValueError("modified transform requires lambda' != 0")
+    centers = lat.points[blk]
+    inv_lam = np.zeros(len(lat), dtype=complex)
+    inv_lam[1:] = 1.0 / lat.points[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = d.values[None, :] * (1.0 / (lat.points[None, :] - centers[:, None])
+                                     - inv_lam[None, :])
+    terms[np.arange(len(blk)), blk] = 0.0
+    terms[:, 0] = -d.values[0] / centers
+    return terms
+
+
+def _kernel_rows(lat: Lattice, indices, cfg: PvConfig, terms_of):
+    """Run the term rows terms_of(block) of the centres `indices` through
+    the shell kernel in blocks of at most _CHUNK_TERMS terms; yields
+    (slice of indices, partials, converged) per block."""
+    indices = np.asarray(indices, dtype=int)
+    starts = shells_for(lat).starts
+    rows = max(1, _CHUNK_TERMS // len(lat))
+    for i in range(0, len(indices), rows):
+        shell_sums = np.add.reduceat(terms_of(indices[i:i + rows]), starts, axis=1)
+        partials, conv, _ = _shell_kernel(shell_sums, cfg)
+        yield slice(i, i + rows), partials, conv
+
+
+def _batch_values(lat: Lattice, indices, cfg: PvConfig, terms_of):
+    values = np.empty(len(indices), dtype=complex)
+    converged = np.empty(len(indices), dtype=bool)
+    for sl, partials, conv in _kernel_rows(lat, indices, cfg, terms_of):
+        values[sl] = partials[:, -1]
+        converged[sl] = conv
+    return values, converged
 
 
 def cauchy_transform(lat: Lattice, d: SequenceData, index: int,
                      cfg: PvConfig = DEFAULT_PV) -> PvResult:
     """p.v. sum over lambda != lambda' of d_lambda / (lambda - lambda')."""
-    lam_p = lat.points[index]
-    terms = np.zeros(len(lat), dtype=complex)
-    mask = np.arange(len(lat)) != index
-    terms[mask] = d.values[mask] / (lat.points[mask] - lam_p)
-    return pv_sum(_schedule_for(lat, lam_p, cfg), terms, cfg)
+    return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], 1)[0], cfg)
 
 
 def ba_transform(lat: Lattice, d: SequenceData, index: int,
@@ -205,15 +250,9 @@ def ba_transform(lat: Lattice, d: SequenceData, index: int,
     For data with finite l^p(rho^-1) norm, p <= 2, the sum converges
     absolutely and the result is flagged accordingly.
     """
-    lam_p = lat.points[index]
-    terms = np.zeros(len(lat), dtype=complex)
-    mask = np.arange(len(lat)) != index
-    terms[mask] = d.values[mask] / (lam_p - lat.points[mask]) ** 2
-    res = pv_sum(_schedule_for(lat, lam_p, cfg), terms, cfg)
-    absolute = np.isfinite(d.norm(2.0, -1.0))
-    return PvResult(res.value, res.shell_partials, res.shell_radii,
-                    res.converged, res.cauchy_tail, res.shells_used,
-                    absolutely_convergent=bool(absolute))
+    res = pv_sum(shells_for(lat), _higher_terms(lat, d, [index], 2)[0], cfg)
+    return dataclasses.replace(
+        res, absolutely_convergent=bool(np.isfinite(d.norm(2.0, -1.0))))
 
 
 def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
@@ -221,13 +260,9 @@ def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
                      n_max: Optional[int] = None) -> PvResult:
     """p.v. sum of d_lambda / (lambda - lambda')^n; the rho(lambda')^(n-1)
     prefactor of the trace conditions is applied by the caller."""
-    if n < 1 or (n_max is not None and n > n_max):
+    if n_max is not None and n > n_max:
         raise ValueError(f"transform order n={n} out of range")
-    lam_p = lat.points[index]
-    terms = np.zeros(len(lat), dtype=complex)
-    mask = np.arange(len(lat)) != index
-    terms[mask] = d.values[mask] / (lat.points[mask] - lam_p) ** n
-    return pv_sum(_schedule_for(lat, lam_p, cfg), terms, cfg)
+    return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], n)[0], cfg)
 
 
 def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
@@ -236,96 +271,24 @@ def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
     d_lambda (1/(lambda - lambda') - 1/lambda); the sup-norm counterpart of
     the Cauchy condition.  The kernel decays like |lambda'|/|lambda|^2, so
     bounded (rho^-1-weighted) data sums absolutely at fixed lambda'."""
-    if index == 0:
-        raise ValueError("modified transform requires lambda' != 0")
-    lam_p = lat.points[index]
-    idx = np.arange(len(lat))
-    terms = np.zeros(len(lat), dtype=complex)
-    mask = (idx != index) & (idx != 0)
-    pts = lat.points[mask]
-    terms[mask] = d.values[mask] * (1.0 / (pts - lam_p) - 1.0 / pts)
-    terms[0] = -d.values[0] / lam_p
-    res = pv_sum(_schedule_for(lat, lam_p, cfg), terms, cfg)
-    absolute = np.isfinite(d.norm(math.inf, -1.0))
-    return PvResult(res.value, res.shell_partials, res.shell_radii,
-                    res.converged, res.cauchy_tail, res.shells_used,
-                    absolutely_convergent=bool(absolute))
-
-
-def _batch_pv_values(lat: Lattice, term_matrix: np.ndarray,
-                     cfg: PvConfig = DEFAULT_PV):
-    """Shell-ordered compensated evaluation of many p.v. sums at once.
-
-    term_matrix has one row per sum and one column per lattice index.
-    Returns (values, converged, cauchy_tail) arrays; identical to running
-    pv_sum row by row over the origin schedule, but with the shell loop
-    vectorised across rows.
-    """
-    sched = _schedule_for(lat, 0.0, DEFAULT_PV)
-    flat = sched.flat_indices()
-    starts = np.concatenate([[0], sched.boundaries()[:-1]])
-    shell_sums = np.add.reduceat(term_matrix[:, flat], starts, axis=1)
-    total = np.zeros(term_matrix.shape[0], dtype=complex)
-    comp = np.zeros_like(total)
-    window = []
-    for s in range(shell_sums.shape[1]):
-        y = shell_sums[:, s] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        window.append(total.copy())
-        if len(window) > cfg.cauchy_window:
-            window.pop(0)
-    stack = np.stack(window)
-    spread = np.max(np.abs(stack[:, None, :] - stack[None, :, :]), axis=(0, 1))
-    scale = np.max(np.abs(stack), axis=0)
-    converged = spread <= cfg.rtol * scale + cfg.atol
-    return total, converged, spread
+    res = pv_sum(shells_for(lat), _modified_terms(lat, d, [index])[0], cfg)
+    return dataclasses.replace(
+        res, absolutely_convergent=bool(np.isfinite(d.norm(math.inf, -1.0))))
 
 
 def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
-                 cfg: PvConfig = DEFAULT_PV, chunk: int = 4_000_000):
-    """Order-n transforms at many centers (vectorised higher_transform)."""
-    indices = np.asarray(indices, dtype=int)
-    values = np.empty(len(indices), dtype=complex)
-    converged = np.empty(len(indices), dtype=bool)
-    rows = max(1, chunk // max(len(lat), 1))
-    for i in range(0, len(indices), rows):
-        blk = indices[i:i + rows]
-        centers = lat.points[blk]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = d.values[None, :] / (lat.points[None, :] - centers[:, None]) ** n
-        terms[np.arange(len(blk)), blk] = 0.0
-        v, c, _ = _batch_pv_values(lat, terms, cfg)
-        values[i:i + rows] = v
-        converged[i:i + rows] = c
-    return values, converged
+                 cfg: PvConfig = DEFAULT_PV):
+    """Order-n transforms at many centers (vectorised higher_transform):
+    arrays of values and convergence flags."""
+    return _batch_values(lat, indices, cfg,
+                         lambda blk: _higher_terms(lat, d, blk, n))
 
 
 def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
-                       cfg: PvConfig = DEFAULT_PV, chunk: int = 4_000_000):
+                       cfg: PvConfig = DEFAULT_PV):
     """Vectorised modified_cauchy_inf over many nonzero centers."""
-    indices = np.asarray(indices, dtype=int)
-    if np.any(np.abs(lat.points[indices]) == 0.0):
-        raise ValueError("modified transform requires lambda' != 0")
-    values = np.empty(len(indices), dtype=complex)
-    converged = np.empty(len(indices), dtype=bool)
-    rows = max(1, chunk // max(len(lat), 1))
-    inv_lam = np.zeros(len(lat), dtype=complex)
-    nz = np.abs(lat.points) > 0
-    inv_lam[nz] = 1.0 / lat.points[nz]
-    for i in range(0, len(indices), rows):
-        blk = indices[i:i + rows]
-        centers = lat.points[blk]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = d.values[None, :] * (1.0 / (lat.points[None, :] - centers[:, None])
-                                         - inv_lam[None, :])
-        terms[np.arange(len(blk)), blk] = 0.0
-        terms[:, 0] = -d.values[0] / centers
-        v, c, _ = _batch_pv_values(lat, terms, cfg)
-        values[i:i + rows] = v
-        converged[i:i + rows] = c
-    return values, converged
+    return _batch_values(lat, indices, cfg,
+                         lambda blk: _modified_terms(lat, d, blk))
 
 
 def potential_LM(lat: Lattice, d: SequenceData, mode: str, index: int,
@@ -618,12 +581,7 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
     d_vals = f_lam * np.exp(-_phi_vec(m.weight, pts)) / m.g_prime_weighted()
     d = SequenceData(lattice=lat, values=d_vals)
 
-    direct = {}
-    for n in range(1, N + 1):
-        vals = np.empty(len(indices), dtype=complex)
-        for j, idx in enumerate(indices):
-            vals[j] = higher_transform(lat, d, int(idx), n, cfg).value
-        direct[n] = vals
+    direct = {n: batch_higher(lat, d, indices, n, cfg)[0] for n in range(1, N + 1)}
 
     omega = np.exp(2j * math.pi * np.arange(N) / N)
     A = np.zeros((N, len(indices)), dtype=complex)
@@ -657,16 +615,19 @@ def transform_batch_report(lat: Lattice, d: SequenceData, indices, n: int = 1,
                            cfg: PvConfig = DEFAULT_PV) -> list:
     """Serialisable per-center transform results: one entry
     {index, value: [re, im], converged, growth_exponent} per lambda'."""
+    indices = np.asarray(indices, dtype=int)
+    radii = shells_for(lat).radii
     out = []
-    for i in np.asarray(indices, dtype=int):
-        res = higher_transform(lat, d, int(i), n, cfg)
-        fit = res.growth_exponent()
-        out.append({
-            "index": int(i),
-            "value": [float(res.value.real), float(res.value.imag)],
-            "converged": bool(res.converged),
-            "growth_exponent": None if fit is None else float(fit[0]),
-        })
+    for sl, partials, conv in _kernel_rows(lat, indices, cfg,
+                                           lambda blk: _higher_terms(lat, d, blk, n)):
+        for i, row, c in zip(indices[sl], partials, conv):
+            fit = loglog_fit(radii, np.abs(row))
+            out.append({
+                "index": int(i),
+                "value": [float(row[-1].real), float(row[-1].imag)],
+                "converged": bool(c),
+                "growth_exponent": None if fit is None else fit[0],
+            })
     return out
 
 

@@ -7,7 +7,7 @@ from focklattice import (classify, condition_a, condition_b,
                          condition_bprime, condition_c, condition_inf_b,
                          power_weight, select_branch, square_lattice,
                          trajectory_verdict, user_multiplier)
-from focklattice.classifier import TraceData
+from focklattice.classifier import TraceData, shell_trajectory
 
 
 class TestTrajectoryVerdict:
@@ -31,6 +31,34 @@ class TestTrajectoryVerdict:
         r = np.geomspace(0.5, 200, 60)
         verdict, _ = trajectory_verdict(r, np.log(1 + r))
         assert verdict != "bounded"
+
+
+class TestShellTrajectory:
+    @staticmethod
+    def loop_reference(lat, per, p, indices):
+        """Per-shell loop over the selected indices, sorted by radius."""
+        r = lat.radii[indices]
+        order = np.argsort(r, kind="stable")
+        radii, vals, total = [], [], 0.0
+        for k, rk in enumerate(r[order]):
+            v = per[order[k]]
+            total = max(total, v) if math.isinf(p) else total + v
+            if k + 1 == len(order) or r[order[k + 1]] > rk * (1 + 1e-9):
+                radii.append(rk)
+                vals.append(total)
+        return np.array(radii), np.array(vals)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    @pytest.mark.parametrize("origin", [True, False])
+    def test_matches_per_shell_loop(self, lat16, rng, p, origin):
+        idx = np.nonzero(lat16.radii <= 8.0)[0]
+        if not origin:
+            idx = idx[1:]
+        per = rng.uniform(size=len(idx))
+        radii, vals = shell_trajectory(lat16, per, p, idx)
+        ref_r, ref_v = self.loop_reference(lat16, per, p, idx)
+        assert np.array_equal(radii, ref_r)
+        assert np.allclose(vals, ref_v, rtol=1e-13, atol=0.0)
 
 
 class TestConditionA:

@@ -62,6 +62,17 @@ class TestTraceCheck:
         rc, _ = run(tmp_path, job, "trace-check")
         assert rc == 2
 
+    def test_center_mode_other_than_origin_is_schema_error(self, tmp_path, capsys):
+        # partial sums always run over |lambda| < R; "center" never took effect
+        job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=2)
+        rc, _ = run(tmp_path, dict(job, pv={"center_mode": "center"}), "trace-check")
+        assert rc == 2
+        assert "only the origin schedule exists" in capsys.readouterr().err
+        rc, rep = run(tmp_path, dict(job, pv={"center_mode": "origin"}), "trace-check")
+        assert rc == 0
+        _, plain = run(tmp_path, job, "trace-check")
+        assert rep["results"] == plain["results"]
+
     def test_determinism(self, tmp_path):
         job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=2)
         p1 = tmp_path / "a.json"

@@ -111,6 +111,17 @@ class TestReconstructInf:
         err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
         assert np.max(err) <= 1e-3
 
+    def test_near_lattice_deflated_path(self, lat16, mult16, cw):
+        # within 1e-3 rho the excluded term keeps its +1/lambda half (and
+        # at the origin w0); the origin and four other points
+        wv = 0.4 - 0.3j
+        data = TraceData.gaussian(lat16, mult16, cw, math.inf, wv)
+        I = reconstruct_inf(data, w0_from(gaussian_fn(wv), mult16))
+        idx = np.array([0, 3, 5, 12, 30])
+        zs = lat16.points[idx] + 1e-4 * lat16.rho_values[idx] * np.exp(0.7j)
+        err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
+        assert np.max(err) <= 1e-10
+
     def test_zero_data_w0_one_gives_g(self, lat16, mult16, cw, rng):
         data = TraceData.zero(lat16, mult16, cw, math.inf)
         I = reconstruct_inf(data, 1.0)

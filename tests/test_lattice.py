@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (GridSpec, SeparationError, cell_geometry,
-                         explicit_lattice, mu_disc, power_weight, rho_many,
-                         shells_for, square_lattice, upper_density)
+from focklattice import (GridSpec, Lattice, SeparationError, cell_geometry,
+                         explicit_lattice, mu_disc, nearest_index, power_weight,
+                         rho_many, shells_for, square_lattice, upper_density)
 
 
 class TestSquareLattice:
@@ -120,9 +120,9 @@ class TestShells:
         assert all(abs(abs(p) - scale * math.sqrt(2)) < 1e-9 for p in second)
 
     def test_partition(self, lat12):
+        # index order is shell order: the shells are consecutive index runs
         sch = shells_for(lat12)
-        flat = np.sort(sch.flat_indices())
-        assert np.array_equal(flat, np.arange(len(lat12)))
+        assert np.array_equal(np.concatenate(sch.members), np.arange(len(lat12)))
 
     def test_radii_strictly_increasing(self, lat12):
         sch = shells_for(lat12)
@@ -138,10 +138,15 @@ class TestShells:
                 image = set(np.round(transform(pts[members]), 9).tolist())
                 assert shell == image
 
-    def test_center_metric_mode(self, lat12, scale):
-        sch = shells_for(lat12, center=scale, metric="center")
-        assert len(sch.members[0]) == 1
-        assert lat12.points[sch.members[0][0]] == pytest.approx(scale)
+    def test_unordered_points_rejected(self, lat12):
+        # the shell split relies on index order being radius order
+        pts = lat12.points.copy()
+        pts[[1, 9]] = pts[[9, 1]]
+        with pytest.raises(ValueError, match="ascending radius"):
+            Lattice(points=pts, scale=lat12.scale,
+                    truncation_radius=lat12.truncation_radius,
+                    rho_values=lat12.rho_values, kind="explicit",
+                    delta_sep=lat12.delta_sep)
 
 
 class TestCellGeometry:
@@ -179,3 +184,39 @@ class TestCellGeometry:
         rows = list(geo.to_csv_rows())
         assert len(rows) == 16
         assert all(len(r) == 3 for r in rows)
+
+
+class TestNearestIndex:
+    """The KD-tree lookup against a dense argmin over every lattice point."""
+
+    @pytest.fixture(scope="class")
+    def power_lat(self):
+        return square_lattice(20.0, power_weight(0.5, rho_origin=2.0))
+
+    @staticmethod
+    def sample(lat, rng, n=3000):
+        r = lat.truncation_radius * np.sqrt(rng.uniform(size=n))
+        z = r * np.exp(2j * math.pi * rng.uniform(size=n))
+        # lattice points themselves and points very close to them
+        return np.concatenate([z, lat.points[::7], lat.points[::11] + 1e-9])
+
+    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    def test_euclidean_matches_dense_argmin(self, which, request, rng):
+        lat = request.getfixturevalue(which)
+        z = self.sample(lat, rng)
+        dense = np.abs(z[:, None] - lat.points[None, :])
+        idx, dist = nearest_index(lat, z)
+        assert np.allclose(dist, dense.min(axis=1), rtol=1e-12, atol=1e-15)
+        assert np.allclose(np.abs(z - lat.points[idx]), dense.min(axis=1),
+                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    def test_cell_matches_dense_surrogate_argmin(self, which, request, rng):
+        lat = request.getfixturevalue(which)
+        z = self.sample(lat, rng)
+        dense = np.abs(z[:, None] - lat.points[None, :]) / lat.rho_values[None, :]
+        idx, sur = nearest_index(lat, z, cell=True)
+        best = dense.min(axis=1)
+        assert np.allclose(sur, best, rtol=1e-12, atol=1e-15)
+        assert np.allclose(np.abs(z - lat.points[idx]) / lat.rho_values[idx], best,
+                           rtol=1e-12, atol=1e-15)

@@ -1,4 +1,7 @@
-"""Property tests (hypothesis) of the rho geometry of power weights."""
+"""Property tests (hypothesis) of the rho geometry of power weights, of
+the shell-ordered p.v. engine and of reconstruction."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from focklattice import mu_disc_many, power_weight, rho  # noqa: E402
+from focklattice import (SequenceData, TraceData, batch_higher,  # noqa: E402
+                         make_interpolant, mu_disc_many, power_weight, pv_sum,
+                         reconstruct_inf, rho, shells_for)
 
 _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
 
@@ -32,3 +37,70 @@ class TestWeightProperties:
             r0 = a if a > 0.0 else 1.0
         radii = r0 * np.cumprod([1.0] + [1.0 + s for s in steps])
         assert np.all(np.diff(mu_disc_many(w, a, radii)) > 0.0)
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _rotation_index(lat):
+    """perm with points[perm[j]] = -i points[j] on the square lattice."""
+    mn = np.rint(np.column_stack([lat.points.real, lat.points.imag]) / lat.scale)
+    where = {(int(m), int(n)): j for j, (m, n) in enumerate(mn)}
+    return np.array([where[(int(n), -int(m))] for m, n in mn])
+
+
+class TestPvEngineProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(a=st.integers(0, 4), b=st.integers(0, 4), extra=st.integers(0, 3),
+           seed=_seeds)
+    def test_odd_kernel_vanishes_per_shell(self, lat16, a, b, extra, seed):
+        # lambda^a conj(lambda)^b / |lambda|^(a+b+extra+1) with a + b odd is
+        # odd under lambda -> -lambda, and every shell is symmetric
+        if (a + b) % 2 == 0:
+            b += 1
+        rng = np.random.default_rng(seed)
+        c = complex(*rng.normal(size=2))
+        lam = lat16.points[1:]
+        terms = np.zeros(len(lat16), dtype=complex)
+        terms[1:] = c * lam ** a * np.conj(lam) ** b / np.abs(lam) ** (a + b + extra + 1)
+        res = pv_sum(shells_for(lat16), terms)
+        assert np.max(np.abs(res.shell_partials)) <= 1e-12 * np.max(np.abs(terms))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3), seed=_seeds)
+    def test_rotation_by_i_covariance(self, lat16, n, seed):
+        # T_n[d(-i .)](lambda') = i^(-n) T_n[d](-i lambda')
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=len(lat16)) + 1j * rng.normal(size=len(lat16))
+        perm = _rotation_index(lat16)
+        idx = np.nonzero(lat16.radii <= 0.5 * lat16.truncation_radius)[0]
+        rotated = batch_higher(lat16, SequenceData(lat16, d[perm]), idx, n)[0]
+        direct = batch_higher(lat16, SequenceData(lat16, d), perm[idx], n)[0]
+        assert np.max(np.abs(rotated - 1j ** (-n) * direct)) \
+            <= 1e-13 * (1.0 + np.max(np.abs(direct)))
+
+
+class TestReconstructionProperties:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(inf=st.booleans(), seed=_seeds)
+    def test_linear_in_values(self, lat12, mult12, cw, inf, seed):
+        # the regular, near-lattice (deflated) and on-lattice paths alike
+        rng = np.random.default_rng(seed)
+        p = math.inf if inf else 2.0
+        a, b, w01, w02 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        d1, d2 = (TraceData.gaussian(lat12, mult12, cw, p, complex(*rng.uniform(-0.5, 0.5, 2)))
+                  for _ in range(2))
+        mix = TraceData.from_weighted(lat12, mult12, cw, p,
+                                      a * d1.c_weighted + b * d2.c_weighted)
+        k = rng.integers(1, 40, size=6)
+        near = lat12.points[k] + 1e-4 * lat12.rho_values[k] * np.exp(2j * math.pi * rng.uniform(size=6))
+        z = np.concatenate([rng.uniform(-4, 4, 30) + 1j * rng.uniform(-4, 4, 30),
+                            near, lat12.points[k[:2]]])
+
+        def ev(data, w0):
+            I = reconstruct_inf(data, w0) if inf else make_interpolant(data)
+            return I.eval_weighted(z)
+
+        lhs = ev(mix, a * w01 + b * w02)
+        rhs = a * ev(d1, w01) + b * ev(d2, w02)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
