@@ -37,6 +37,8 @@ class CriterionResult:
     passed: bool
     details: Dict[str, object] = field(default_factory=dict)
     elapsed_s: float = 0.0
+    # the measured objects behind the details, for tests; not printed
+    reports: Dict[object, object] = field(default_factory=dict)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -320,7 +322,7 @@ def criterion_6() -> CriterionResult:
     details["riesz_thorin_echo"] = rt_ok
     details["N"] = N
     return CriterionResult(6, "operator norm growth probes", ok, details,
-                           time.perf_counter() - t0)
+                           time.perf_counter() - t0, reports)
 
 
 def criterion_7() -> CriterionResult:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import SeparationError
+from .errors import NumericalError, SeparationError
 from .weights import WeightProfile, mu_disc_many, rho_many
 
 __all__ = [
@@ -143,6 +143,7 @@ def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
     #(Lambda on the closed disc D(z, r*rho(z))) / mu(D(z, r*rho(z))) is
     formed; the value returned is the maximum over centers at the largest r
     (the limsup surrogate).  The critical square lattice gives 1/(2*pi).
+    NumericalError when the largest disc reaches past the truncation.
     """
     rs = sorted(float(r) for r in r_schedule)
     if not rs:
@@ -152,7 +153,7 @@ def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
     rho_c = rho_many(w, centers)
     reach = np.abs(centers) + rs[-1] * rho_c
     if np.any(reach > lat.truncation_radius):
-        raise ValueError("schedule exceeds the safe truncation margin")
+        raise NumericalError("schedule exceeds the safe truncation margin")
     rad = rs[-1] * rho_c
     counts = [np.count_nonzero(np.abs(lat.points - c) <= rc + 1e-12)
               for c, rc in zip(centers, rad)]

@@ -76,13 +76,13 @@ def _require_square(lat: Lattice):
 
 
 def sigma_log(lat: Lattice, z):
-    """log sigma(z) for z off the lattice by 1e-8*scale (ValueError
+    """log sigma(z) for z off the lattice by 1e-8*scale (NumericalError
     otherwise).  Only exp and Re are consumed downstream, so the branch of
     the imaginary part is immaterial."""
     _require_square(lat)
     z0, lam, abs2, parity = _nearest(np.asarray(z, dtype=complex))
     if np.any(np.abs(z0) <= _ON_LATTICE_RTOL * _S):
-        raise ValueError("evaluation point lies on (or too near) the lattice")
+        raise NumericalError("evaluation point lies on (or too near) the lattice")
     val = (np.log(z0) + _log_ratio(z0) + 2.0 * np.conj(lam) * z0
            + abs2 + 1j * math.pi * parity)
     return complex(val) if np.ndim(z) == 0 else val

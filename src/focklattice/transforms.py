@@ -5,15 +5,31 @@ A principal value here always means the limit of partial sums over
 order with compensated (Kahan) carries: the sums are cancellation-heavy
 (odd kernels vanish per shell on the square lattice) and may run over 1e5
 terms.  Convergence at finite truncation is a verdict, not a certainty:
-the last few shell partials must agree to the configured tolerance.
+the last `cauchy_window` shell partials must agree to the configured
+tolerance, and one test, `_window_test`, decides that on every path.
 
-Every such sum goes through one kernel, `_shell_kernel`, which turns a
-(rows x shells) matrix of per-shell sums into the compensated partial-sum
-trajectories and their convergence verdicts.  Lattice indices run in
-ascending radius order (`Lattice` enforces it), so the per-shell sums of a
-term matrix are one `np.add.reduceat` over the shell starts, with no
-reordering.  The same kernel serves the reconstruction sums of
-`interpolate`, which are built shell by shell.
+Which path runs follows from the lattice, with no knob:
+
+* The shell path (`_shell_kernel`) turns a (rows x shells) matrix of
+  per-shell sums into compensated partial-sum trajectories.  Lattice
+  indices run in ascending radius order (`Lattice` enforces it), so the
+  per-shell sums of a term matrix are one `np.add.reduceat` over the shell
+  starts.  It serves explicit lattices, the scalar transforms that return
+  whole `PvResult` trajectories, `transform_batch_report`, and the
+  reconstruction sums of `interpolate`; the tests use it as the oracle.
+* On the square lattice `batch_higher` and `batch_modified_inf` take the
+  whole-disc total at every centre from one 2-D FFT correlation of the
+  grid-embedded d with the order-n kernel (K(0) = 0), O(R^2 log R) instead
+  of the O(R^4) term matrix.  The verdict needs only the last
+  `cauchy_window` partials, and partial k is the total minus the sums over
+  the shells beyond k.  Those few outer shells (a few dozen points) are
+  summed directly, so the tail partials are exact up to rounding of the
+  same order as the shell path's, and the window test sees the same
+  numbers.  The modified p = inf kernel is the order-1 correlation minus
+  sum_{lambda != 0} d_lambda/lambda plus d_lambda'/lambda'.
+
+The same zero-padded FFT convolution (`_SquareGrid`) applies the operator
+sections of the norm probes.
 
 Transforms acting on weighted sequences d (normally d = c/g'):
 
@@ -29,6 +45,7 @@ norm probes of their boundedness.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -89,9 +106,7 @@ def _shell_kernel(shell_sums: np.ndarray, cfg: PvConfig):
     sums, written into that matrix in place.
 
     Returns (partials, converged, spread): partials is the overwritten
-    matrix, and a row converged when the largest pairwise gap `spread` of
-    its last `cauchy_window` partials is at most rtol times their largest
-    modulus plus atol.
+    matrix; converged and spread are `_window_test` of it.
     """
     total = np.zeros(shell_sums.shape[0], dtype=shell_sums.dtype)
     comp = np.zeros_like(total)
@@ -101,10 +116,18 @@ def _shell_kernel(shell_sums: np.ndarray, cfg: PvConfig):
         comp = (t - total) - y
         total = t
         shell_sums[:, s] = total
-    tail = shell_sums[:, -cfg.cauchy_window:]
+    return (shell_sums,) + _window_test(shell_sums, cfg)
+
+
+def _window_test(partials: np.ndarray, cfg: PvConfig):
+    """Cauchy test on the last `cauchy_window` columns of (rows x partials):
+    (converged, spread), where a row converged when the largest pairwise
+    gap `spread` of those partials is at most rtol times their largest
+    modulus plus atol."""
+    tail = partials[:, -cfg.cauchy_window:]
     spread = np.max(np.abs(tail[:, :, None] - tail[:, None, :]), axis=(1, 2))
     scale = np.max(np.abs(tail), axis=1)
-    return shell_sums, spread <= cfg.rtol * scale + cfg.atol, spread
+    return spread <= cfg.rtol * scale + cfg.atol, spread
 
 
 def loglog_fit(radii, values, window: float = 10.0):
@@ -189,29 +212,40 @@ class SequenceData:
         return self._norms[key]
 
 
-def _higher_terms(lat: Lattice, d: SequenceData, blk: np.ndarray, n: int):
-    """Rows d_lambda / (lambda - lambda')^n for the centres lambda' = blk,
-    with the centre's own term 0."""
+def _zero_self(terms: np.ndarray, blk: np.ndarray, first: int):
+    # terms spans the indices first.. ; zero each centre's own term
+    rows = np.nonzero(blk >= first)[0]
+    terms[rows, blk[rows] - first] = 0.0
+
+
+def _higher_terms(lat: Lattice, d: SequenceData, blk, n: int, first: int = 0):
+    """Rows d_lambda / (lambda - lambda')^n over the indices first.. for the
+    centres lambda' = blk, with the centre's own term 0."""
     if n < 1:
         raise ValueError(f"transform order n={n} out of range")
+    blk = np.asarray(blk, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d.values[None, :] / (lat.points[None, :] - lat.points[blk, None]) ** n
-    terms[np.arange(len(blk)), blk] = 0.0
+        terms = d.values[None, first:] / (lat.points[None, first:]
+                                          - lat.points[blk, None]) ** n
+    _zero_self(terms, blk, first)
     return terms
 
 
-def _modified_terms(lat: Lattice, d: SequenceData, blk: np.ndarray):
-    """Rows of the modified Cauchy kernel for the nonzero centres blk."""
-    if np.any(lat.points[blk] == 0.0):
-        raise ValueError("modified transform requires lambda' != 0")
+def _modified_terms(lat: Lattice, d: SequenceData, blk, first: int = 0):
+    """Rows of the modified Cauchy kernel over the indices first.. for the
+    nonzero centres blk."""
+    blk = np.asarray(blk, dtype=int)
     centers = lat.points[blk]
+    if np.any(centers == 0.0):
+        raise ValueError("modified transform requires lambda' != 0")
     inv_lam = np.zeros(len(lat), dtype=complex)
     inv_lam[1:] = 1.0 / lat.points[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d.values[None, :] * (1.0 / (lat.points[None, :] - centers[:, None])
-                                     - inv_lam[None, :])
-    terms[np.arange(len(blk)), blk] = 0.0
-    terms[:, 0] = -d.values[0] / centers
+        terms = d.values[None, first:] * (
+            1.0 / (lat.points[None, first:] - centers[:, None]) - inv_lam[None, first:])
+    _zero_self(terms, blk, first)
+    if first == 0:
+        terms[:, 0] = -d.values[0] / centers
     return terms
 
 
@@ -228,13 +262,54 @@ def _kernel_rows(lat: Lattice, indices, cfg: PvConfig, terms_of):
         yield slice(i, i + rows), partials, conv
 
 
-def _batch_values(lat: Lattice, indices, cfg: PvConfig, terms_of):
+def _batch_values(lat: Lattice, indices, cfg: PvConfig, terms_of, totals):
+    """Values and convergence flags of the p.v. sums with term rows
+    terms_of(block, first) (over the indices first..) at the centres:
+    through the shell kernel on explicit lattices, from `_tail_partials`
+    on the square lattice."""
+    indices = np.asarray(indices, dtype=int)
+    if lat.kind == "square":
+        partials = _tail_partials(lat, indices, cfg, terms_of, totals)
+        return partials[:, -1], _window_test(partials, cfg)[0]
     values = np.empty(len(indices), dtype=complex)
     converged = np.empty(len(indices), dtype=bool)
     for sl, partials, conv in _kernel_rows(lat, indices, cfg, terms_of):
         values[sl] = partials[:, -1]
         converged[sl] = conv
     return values, converged
+
+
+def _tail_partials(lat: Lattice, indices: np.ndarray, cfg: PvConfig, terms_of,
+                   totals) -> np.ndarray:
+    """The last `cauchy_window` shell partials at the centres: the totals
+    (from totals(indices), an FFT correlation) less the direct sums over
+    the outer shells beyond each partial."""
+    sched = shells_for(lat)
+    k = min(cfg.cauchy_window, sched.n_shells) - 1
+    first = int(sched.starts[-k]) if k > 0 else len(lat)
+    outer = np.empty((len(indices), k), dtype=complex)
+    rows = max(1, _CHUNK_TERMS // max(1, len(lat) - first))
+    for i in range(0, len(indices), rows):
+        # runs even without outer shells: terms_of validates its arguments
+        terms = terms_of(indices[i:i + rows], first)
+        if k > 0:
+            outer[i:i + rows] = np.add.reduceat(terms, sched.starts[-k:] - first,
+                                                axis=1)
+    total = totals(indices)[:, None]
+    beyond = np.cumsum(outer[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([total - beyond, total], axis=1)
+
+
+def _correlate(lat: Lattice, d: SequenceData, n: int, indices) -> np.ndarray:
+    """sum over lambda != lambda' of d_lambda / (lambda - lambda')^n at the
+    centres lambda' = points[indices] of a square lattice: one FFT
+    correlation of the grid-embedded d."""
+    grid, (ii, jj) = _SquareGrid.embedding(lat)
+    x = np.zeros(grid.points.shape, dtype=complex)
+    x[ii, jj] = d.values
+    # the kernel at offset lambda' - lambda
+    kf = grid.fft(grid.kernel(lambda off: 1.0 / (-off) ** n))
+    return grid.conv(kf, x)[ii[indices], jj[indices]]
 
 
 def cauchy_transform(lat: Lattice, d: SequenceData, index: int,
@@ -281,14 +356,22 @@ def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
     """Order-n transforms at many centers (vectorised higher_transform):
     arrays of values and convergence flags."""
     return _batch_values(lat, indices, cfg,
-                         lambda blk: _higher_terms(lat, d, blk, n))
+                         lambda blk, first=0: _higher_terms(lat, d, blk, n, first),
+                         lambda idx: _correlate(lat, d, n, idx))
 
 
 def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
                        cfg: PvConfig = DEFAULT_PV):
     """Vectorised modified_cauchy_inf over many nonzero centers."""
+    def totals(idx):
+        # the order-1 sum holds -d_0/lambda'; the -1/lambda halves of the
+        # other terms are sum_{lambda != 0} d_lambda/lambda less the centre's
+        c = np.sum(d.values[1:] / lat.points[1:])
+        return _correlate(lat, d, 1, idx) - c + d.values[idx] / lat.points[idx]
+
     return _batch_values(lat, indices, cfg,
-                         lambda blk: _modified_terms(lat, d, blk))
+                         lambda blk, first=0: _modified_terms(lat, d, blk, first),
+                         totals)
 
 
 def potential_LM(lat: Lattice, d: SequenceData, mode: str, index: int,
@@ -367,51 +450,98 @@ def operator_matrix(lat: Lattice, w: WeightProfile, kind: str,
     return K
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
+
+
+class _SquareGrid:
+    """The grid scale*(m + i n), |m|, |n| <= M, with linear convolution
+    (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of grid functions x with
+    kernels K on the offsets |m|, |n| <= 2M: a 2-D FFT zero-padded to a
+    5-smooth length >= 4M + 1, so that no offset wraps around."""
+
+    def __init__(self, M: int, scale: float = SQUARE_SCALE):
+        self.M = M
+        m = np.arange(-M, M + 1)
+        self.points = scale * (m[:, None] + 1j * m[None, :])
+        off = np.arange(-2 * M, 2 * M + 1)
+        self.offsets = scale * (off[:, None] + 1j * off[None, :])
+        self._n = _fft_length(4 * M + 1)
+
+    @classmethod
+    def embedding(cls, lat: Lattice):
+        """The smallest grid holding a square lattice, and the grid cells
+        (row and column index arrays) of the lattice indices."""
+        m = np.rint(lat.points.real / lat.scale).astype(int)
+        n = np.rint(lat.points.imag / lat.scale).astype(int)
+        M = int(max(np.abs(m).max(), np.abs(n).max()))
+        return cls(M, lat.scale), (m + M, n + M)
+
+    def kernel(self, fn) -> np.ndarray:
+        """fn on the nonzero offsets, 0 at offset 0."""
+        ctr = self.offsets == 0
+        return np.where(ctr, 0.0, fn(np.where(ctr, 1.0, self.offsets)))
+
+    def fft(self, a: np.ndarray) -> np.ndarray:
+        return np.fft.fft2(a, s=(self._n, self._n))
+
+    def conv(self, kf: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """K * x on the grid, for kf = fft(K)."""
+        M = self.M
+        return np.fft.ifft2(kf * self.fft(x))[2 * M:4 * M + 1, 2 * M:4 * M + 1]
+
+
 class _FftSection:
     """Matrix-free section of a translation-invariant kernel with diagonal
-    weights on a disc of the square lattice."""
+    weights on a disc of the square lattice.  Each kernel FFT is built on
+    first use: p = 2 reads K and its adjoint, p = 1 and inf only |K|."""
 
     def __init__(self, R: float, w: WeightProfile, kind: str, N: int,
                  scale: float = SQUARE_SCALE):
-        M = int(math.ceil(R / scale))
-        m = np.arange(-M, M + 1)
-        mm, nn = np.meshgrid(m, m, indexing="ij")
-        lam = scale * (mm + 1j * nn)
+        self.grid = _SquareGrid(int(math.ceil(R / scale)), scale)
+        self.M = self.grid.M
+        lam = self.grid.points
         self.mask = np.abs(lam) <= R
         self.size = int(self.mask.sum())
-        self.M = M
         rv = rho_many(w, lam.ravel()).reshape(lam.shape)
         out_w, in_w = _op_weights(kind, rv, N)
         self.out_w = np.where(self.mask, out_w, 0.0)
         self.in_w = np.where(self.mask, in_w, 0.0)
-        off = np.arange(-2 * M, 2 * M + 1)
-        om, on = np.meshgrid(off, off, indexing="ij")
-        d = scale * (om + 1j * on)
-        ctr = (om == 0) & (on == 0)
-        kern = np.where(ctr, 0.0, _op_kernel(kind, np.where(ctr, 1.0, d), N))
-        n = 4 * M + 1
-        self._n = n
-        self._kf = np.fft.fft2(kern, s=(n, n))
-        self._kcf = np.fft.fft2(np.conj(kern[::-1, ::-1]), s=(n, n))
-        self._kabsf = np.fft.fft2(np.abs(kern), s=(n, n))
+        self._kern = self.grid.kernel(lambda d: _op_kernel(kind, d, N))
 
-    def _conv(self, kf, x):
-        Y = np.fft.ifft2(kf * np.fft.fft2(x, s=(self._n, self._n)))
-        return Y[2 * self.M:4 * self.M + 1, 2 * self.M:4 * self.M + 1]
+    @functools.cached_property
+    def _kf(self):
+        return self.grid.fft(self._kern)
+
+    @functools.cached_property
+    def _kcf(self):
+        return self.grid.fft(np.conj(self._kern[::-1, ::-1]))
+
+    @functools.cached_property
+    def _kabsf(self):
+        return self.grid.fft(np.abs(self._kern))
 
     def apply(self, x):
-        return self.out_w * self._conv(self._kf, self.in_w * x)
+        return self.out_w * self.grid.conv(self._kf, self.in_w * x)
 
     def apply_adjoint(self, y):
         # weights are real, so conjugation only touches the kernel
-        return self.in_w * self._conv(self._kcf, self.out_w * y)
+        return self.in_w * self.grid.conv(self._kcf, self.out_w * y)
 
     def col_sum_max(self) -> float:
-        s = self._conv(self._kabsf, self.out_w).real
+        s = self.grid.conv(self._kabsf, self.out_w).real
         return float((self.in_w * np.where(self.mask, s, 0.0)).max())
 
     def row_sum_max(self) -> float:
-        s = self._conv(self._kabsf, self.in_w).real
+        s = self.grid.conv(self._kabsf, self.in_w).real
         return float((self.out_w * np.where(self.mask, s, 0.0)).max())
 
 
@@ -585,6 +715,7 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
 
     omega = np.exp(2j * math.pi * np.arange(N) / N)
     A = np.zeros((N, len(indices)), dtype=complex)
+    rows = max(1, _CHUNK_TERMS // len(lat))
     sample_norms = {}
     for k in range(N):
         zk = pts[indices] + delta * omega[k] * rho_v[indices]
@@ -593,12 +724,16 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
             sample_norms[k] = float(np.max(np.abs(fg)))
         else:
             sample_norms[k] = float(np.sum(np.abs(fg) ** p) ** (1.0 / p))
-        for j, idx in enumerate(indices):
-            zeta = delta * omega[k] * rho_v[idx]
-            mask = np.arange(len(lat)) != idx
-            rem = np.sum(d.values[mask] * zeta ** N
-                         / ((pts[mask] - pts[idx]) ** N * (zk[j] - pts[mask])))
-            A[k, j] = d.values[idx] / zeta + rem - fg[j]
+        zeta = delta * omega[k] * rho_v[indices]
+        # remainder: sum over lambda != lambda' of
+        # d_lambda zeta^N / ((lambda - lambda')^N (z_k - lambda))
+        rem = np.empty(len(indices), dtype=complex)
+        for i in range(0, len(indices), rows):
+            sl = slice(i, i + rows)
+            rem[sl] = np.sum(_higher_terms(lat, d, indices[sl], N)
+                             * (zeta[sl, None] ** N / (zk[sl, None] - pts[None, :])),
+                             axis=1)
+        A[k] = d.values[indices] / zeta + rem - fg
 
     recovered = {}
     discrepancy = {}

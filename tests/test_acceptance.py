@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing its PASS/FAIL
 line with the measured quantities, plus checks on the norm estimate that
-criterion 6 gates on: a closed-form oracle for the potential L and a
-negative control that an unbounded operator still fails the budget.
+criterion 6 gates on: a closed-form oracle for the potential L, a
+negative control that an unbounded operator still fails the budget, and
+the monotonicity of the raw section norms the criterion builds.
 """
 
 import pytest
@@ -43,6 +44,15 @@ class TestAcceptance:
     def test_criterion_6_operator_norm_growth(self):
         res = _run(6)
         assert res.passed, res.details
+        # nested sections are compressions, ||P A P|| <= ||A||, so the raw
+        # section norms (200 -> 5000 points) cannot decrease with size:
+        # exactly at p = 1 and inf, up to the power iteration's reported
+        # stagnation at p = 2
+        assert len(res.reports) == 7
+        for key, rep in res.reports.items():
+            for a, b, sa, sb in zip(rep.norms, rep.norms[1:],
+                                    rep.stagnations, rep.stagnations[1:]):
+                assert b >= a * (1.0 - max(sa, sb)), (key, rep.norms)
 
     def test_criterion_7_ap_probe(self):
         res = _run(7)

@@ -115,6 +115,24 @@ class TestOtherCommands:
                    "--grid", str(tmp_path / "g.csv")])
         assert rc == 2
 
+    def test_sigma_on_the_lattice_is_numerical_error(self, tmp_path, capsys):
+        # the two grid cells on the diagonal are centred at s(+-8 +- 8i),
+        # points of the infinite lattice beyond R = 10, where the sigma
+        # evaluator refuses to take log sigma
+        s = math.sqrt(math.pi / 2.0)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(
+            BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=2,
+            grid={"half_width": 16.0 * s, "n": 2}, verify_points=4)))
+        rc = main(["reconstruct", "--input", str(path),
+                   "--grid", str(tmp_path / "g.csv")])
+        assert rc == 3
+        assert "lies on (or too near) the lattice" in capsys.readouterr().err
+
+    def test_density_schedule_past_truncation_is_numerical_error(self, tmp_path):
+        rc, _ = run(tmp_path, dict(BASE, density_r_max=100.0), "lattice-info")
+        assert rc == 3
+
     def test_reconstruct_raw_overflow_is_nan(self, tmp_path):
         # grid cells centred at (+-20, +-20): phi = 800 > log(max double)
         path = tmp_path / "job.json"

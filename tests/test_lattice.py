@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (GridSpec, Lattice, SeparationError, cell_geometry,
-                         explicit_lattice, mu_disc, nearest_index, power_weight,
-                         rho_many, shells_for, square_lattice, upper_density)
+from focklattice import (GridSpec, Lattice, NumericalError, SeparationError,
+                         cell_geometry, explicit_lattice, mu_disc, nearest_index,
+                         power_weight, rho_many, shells_for, square_lattice,
+                         upper_density)
 
 
 class TestSquareLattice:
@@ -86,7 +87,7 @@ class TestUpperDensity:
             upper_density(lat, cw, r, centers=[0.0]) + 1e-12
 
     def test_schedule_margin_enforced(self, cw, lat12):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             upper_density(lat12, cw, [100.0 / lat12.max_rho])
 
     def test_power_weight_matches_per_centre_loop(self):

@@ -114,7 +114,7 @@ class TestSigmaLog:
         assert abs(a - b) <= 1e-12
 
     def test_on_lattice_rejected(self, lat12, scale):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             sigma_log(lat12, scale + 0j)
 
 

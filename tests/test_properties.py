@@ -1,5 +1,5 @@
 """Property tests (hypothesis) of the rho geometry of power weights, of
-the shell-ordered p.v. engine and of reconstruction."""
+the shell-ordered p.v. engine, of the classifier and of reconstruction."""
 
 import math
 
@@ -10,8 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focklattice import (SequenceData, TraceData, batch_higher,  # noqa: E402
-                         make_interpolant, mu_disc_many, power_weight, pv_sum,
-                         reconstruct_inf, rho, shells_for)
+                         classify, make_interpolant, mu_disc_many, power_weight,
+                         pv_sum, reconstruct_inf, rho, shells_for)
 
 _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
 
@@ -78,6 +78,31 @@ class TestPvEngineProperties:
         direct = batch_higher(lat16, SequenceData(lat16, d), perm[idx], n)[0]
         assert np.max(np.abs(rotated - 1j ** (-n) * direct)) \
             <= 1e-13 * (1.0 + np.max(np.abs(direct)))
+
+
+class TestClassifierProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([1.0, 2.0, math.inf]),
+           w=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           log_mod=st.floats(-3.0, 3.0), arg=st.floats(0.0, 2.0 * math.pi))
+    def test_verdicts_invariant_under_complex_scaling(self, lat16, mult16, cw,
+                                                      p, w, log_mod, arg):
+        # the conditions are homogeneous in c: trajectories scale by
+        # |kappa|^p (|kappa| at p = inf), up to rounding noise where a sum
+        # cancels, and the verdicts do not move
+        kappa = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
+        base = TraceData.gaussian(lat16, mult16, cw, p, complex(*w))
+        scaled = TraceData.from_weighted(lat16, mult16, cw, p, kappa * base.c_weighted)
+        vb, vs = classify(base), classify(scaled)
+        assert vs.overall == vb.overall
+        factor = abs(kappa) if math.isinf(p) else abs(kappa) ** p
+        for rb, rs in zip(vb.reports, vs.reports):
+            assert (rs.condition_id, rs.verdict) == (rb.condition_id, rb.verdict)
+            tb = np.asarray(rb.partial_trajectory)
+            ts = np.asarray(rs.partial_trajectory)
+            assert np.array_equal(ts[:, 0], tb[:, 0])
+            want = factor * tb[:, 1]
+            assert np.allclose(ts[:, 1], want, rtol=1e-9, atol=1e-12 * want.max())
 
 
 class TestReconstructionProperties:

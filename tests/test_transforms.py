@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from focklattice import (SequenceData, ba_transform, batch_higher,
+from focklattice import (PvConfig, SequenceData, ba_transform, batch_higher,
                          batch_modified_inf, cauchy_transform,
                          higher_transform, modified_cauchy_inf,
                          necessity_probe, operator_matrix,
-                         operator_norm_estimate, potential_LM, pv_sum,
-                         shells_for, square_lattice, taylor_kernel_check)
+                         operator_norm_estimate, potential_LM, power_weight,
+                         pv_sum, shells_for, square_lattice,
+                         taylor_kernel_check)
 from conftest import gaussian_fn
 
 
@@ -177,6 +179,109 @@ class TestModifiedCauchy:
                                           rel=1e-12)
 
 
+def shell_oracle(lat):
+    """The same lattice run through the compensated shell path."""
+    return dataclasses.replace(lat, kind="explicit")
+
+
+@pytest.fixture(scope="module")
+def fft_lattices(cw):
+    return {"classical70": square_lattice(70.0, cw),
+            "power45": square_lattice(45.0, power_weight(0.5, rho_origin=2.0))}
+
+
+class TestFftPath:
+    """The square-lattice FFT path against the shell path.  The bound,
+    fixed before measuring: per centre lambda',
+    |FFT - shell| <= 16 eps ||d||_2 ||K||_2, ||K||_2 the l^2 norm of the
+    order-n kernel over the other lattice points, plus eps sum |d/lambda|
+    for the modified kernel; the convergence flags are identical."""
+
+    @pytest.mark.parametrize("name", ["classical70", "power45"])
+    @pytest.mark.parametrize("data", ["gaussian", "constant", "phase"])
+    def test_matches_shell_path(self, fft_lattices, name, data):
+        lat = fft_lattices[name]
+        pts = lat.points
+        rng = np.random.default_rng(3)
+        w = 0.3 + 0.1j
+        vals = {"gaussian": np.exp(2 * np.conj(w) * pts - abs(w) ** 2 - np.abs(pts) ** 2),
+                "constant": np.ones(len(lat), complex),
+                "phase": np.exp(2j * math.pi * rng.uniform(size=len(lat)))}[data]
+        d = SequenceData(lat, vals)
+        # every 7th centre of the classifier's disc |lambda'| <= R/2
+        idx = np.nonzero(lat.radii <= 0.5 * lat.truncation_radius)[0][1::7]
+        eps = np.finfo(float).eps
+        diff = np.abs(pts[None, :] - pts[idx, None])
+        diff[np.arange(len(idx)), idx] = np.inf
+        for n in (1, 2, 3, 5, "modified"):
+            k = 1 if n == "modified" else n
+            bound = 16 * eps * np.linalg.norm(vals) * np.sqrt(np.sum(diff ** (-2.0 * k), axis=1))
+            if n == "modified":
+                bound += eps * np.sum(np.abs(vals[1:] / pts[1:]))
+                fv, fc = batch_modified_inf(lat, d, idx)
+                sv, sc = batch_modified_inf(shell_oracle(lat), d, idx)
+            else:
+                fv, fc = batch_higher(lat, d, idx, n)
+                sv, sc = batch_higher(shell_oracle(lat), d, idx, n)
+            assert np.all(np.abs(fv - sv) <= bound), (n, np.max(np.abs(fv - sv) / bound))
+            assert np.array_equal(fc, sc), n
+
+    def test_tail_partials_match_shell_partials(self, lat16, rng):
+        # the last cauchy_window partials themselves, not only the verdict
+        from focklattice.transforms import (DEFAULT_PV, _higher_terms,
+                                            _kernel_rows, _tail_partials)
+        d = SequenceData(lat16, rng.standard_normal(len(lat16))
+                         + 1j * rng.standard_normal(len(lat16)))
+        idx = np.arange(0, len(lat16), 3)
+        w = DEFAULT_PV.cauchy_window
+        for n in (1, 2, 3):
+            def terms_of(blk, first=0):
+                return _higher_terms(lat16, d, blk, n, first)
+            fft = _tail_partials(lat16, idx, DEFAULT_PV, terms_of,
+                                 lambda i: batch_higher(lat16, d, i, n)[0])
+            shell = np.concatenate([p[:, -w:] for _, p, _ in
+                                    _kernel_rows(lat16, idx, DEFAULT_PV, terms_of)])
+            assert fft.shape == shell.shape == (len(idx), w)
+            assert np.max(np.abs(fft - shell)) <= 1e-13 * np.max(np.abs(shell))
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 500])
+    def test_window_lengths(self, lat12, rng, window):
+        # window 1 needs no outer shells, 500 exceeds the shell count; the
+        # data leave windows 2 and 5 with converged and unconverged centres
+        cfg = PvConfig(cauchy_window=window)
+        d = SequenceData(lat12, rng.standard_normal(len(lat12))
+                         * np.exp(-np.abs(lat12.points) ** 2 / 6.0) + 0j)
+        idx = np.arange(len(lat12))
+        for n in (1, 2):
+            fv, fc = batch_higher(lat12, d, idx, n, cfg)
+            sv, sc = batch_higher(shell_oracle(lat12), d, idx, n, cfg)
+            assert np.max(np.abs(fv - sv)) <= 1e-14
+            assert np.array_equal(fc, sc)
+            if window in (2, 5):
+                assert 0 < fc.sum() < len(idx)
+
+    def test_arguments_are_validated(self, lat12):
+        d = SequenceData(lat12, np.ones(len(lat12), complex))
+        with pytest.raises(ValueError):
+            batch_higher(lat12, d, [1, 2], 0)
+        with pytest.raises(ValueError):
+            batch_modified_inf(lat12, d, [0, 3])
+        v, c = batch_higher(lat12, d, np.zeros(0, dtype=int), 2)
+        assert v.shape == c.shape == (0,)
+
+    def test_fft_length_is_five_smooth(self):
+        from focklattice.transforms import _fft_length
+        assert _fft_length(161) == 162
+        assert _fft_length(225) == 225
+        for n in range(1, 400):
+            m = _fft_length(n)
+            assert m >= n
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            assert m == 1
+
+
 class TestPotentials:
     def test_zero(self, lat12):
         d = SequenceData(lattice=lat12, values=np.zeros(len(lat12), complex))
@@ -246,6 +351,15 @@ class TestOperatorNorms:
         dense_rep = operator_norm_estimate("B", [200], 2.0, cw, method="dense")
         assert fft_rep.norms[0] == pytest.approx(dense_rep.norms[0], rel=5e-3)
         assert fft_rep.norms[0] <= dense_rep.norms[0] * (1 + 1e-9)
+
+    def test_kernel_ffts_are_built_on_first_use(self, cw):
+        from focklattice.transforms import _FftSection
+        sec = _FftSection(10.0, cw, "B", 2)
+        x = np.where(sec.mask, 1.0 + 0j, 0.0)
+        sec.apply_adjoint(sec.apply(x))
+        assert "_kabsf" not in vars(sec)     # p = 2 reads K and its adjoint
+        sec.col_sum_max()
+        assert "_kabsf" in vars(sec)
 
     def test_single_point_lattice(self, cw):
         rep = operator_norm_estimate("B", [1], 2.0, cw)
@@ -321,6 +435,32 @@ class TestNecessityProbe:
         vals = list(rep.sample_norms.values())
         assert all(np.isfinite(v) for v in vals)
         assert max(vals) <= 3.0 * min(vals)
+
+    def test_remainder_matches_per_centre_loop(self, lat12, mult12, cw):
+        # the chunked remainder sums against the per-centre loop they replaced
+        from focklattice.weights import phi
+        f = gaussian_fn(0.3 + 0.1j)
+        delta, N = 1.0, 3
+        rep = necessity_probe(lat12, mult12, f, 2.0, delta=delta, N=N)
+        pts, rho_v, idx = lat12.points, lat12.rho_values, rep.indices
+        d = f(pts) * np.exp(-np.asarray(phi(cw, pts), dtype=float)) \
+            / mult12.g_prime_weighted()
+        omega = np.exp(2j * math.pi * np.arange(N) / N)
+        A = np.zeros((N, len(idx)), dtype=complex)
+        for k in range(N):
+            zk = pts[idx] + delta * omega[k] * rho_v[idx]
+            fg = f(zk) * np.exp(-mult12.log_g(zk))
+            for j, i in enumerate(idx):
+                zeta = delta * omega[k] * rho_v[i]
+                mask = np.arange(len(lat12)) != i
+                rem = np.sum(d[mask] * zeta ** N
+                             / ((pts[mask] - pts[i]) ** N * (zk[j] - pts[mask])))
+                A[k, j] = d[i] / zeta + rem - fg[j]
+        for n in range(1, N + 1):
+            want = np.mean(A * omega[:, None] ** (-(n - 1)), axis=0) \
+                / (delta * rho_v[idx]) ** (n - 1)
+            assert np.max(np.abs(rep.recovered[n] - want)) \
+                <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
     def test_degenerate_single_sample(self, lat12, mult12):
         f = gaussian_fn(0.2)
