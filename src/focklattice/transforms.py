@@ -97,6 +97,10 @@ class PvConfig:
     atol: float = 1e-15
     cauchy_window: int = 5
 
+    def __post_init__(self):
+        if self.cauchy_window < 1:
+            raise ValueError("cauchy_window must be at least 1")
+
 
 DEFAULT_PV = PvConfig()
 
@@ -304,7 +308,8 @@ def _correlate(lat: Lattice, d: SequenceData, n: int, indices) -> np.ndarray:
     """sum over lambda != lambda' of d_lambda / (lambda - lambda')^n at the
     centres lambda' = points[indices] of a square lattice: one FFT
     correlation of the grid-embedded d."""
-    grid, (ii, jj) = _SquareGrid.embedding(lat)
+    grid = _SquareGrid(lat.truncation_radius, lat.scale)
+    ii, jj = grid.cells(lat.points)
     x = np.zeros(grid.points.shape, dtype=complex)
     x[ii, jj] = d.values
     # the kernel at offset lambda' - lambda
@@ -463,27 +468,26 @@ def _fft_length(n: int) -> int:
 
 
 class _SquareGrid:
-    """The grid scale*(m + i n), |m|, |n| <= M, with linear convolution
-    (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of grid functions x with
-    kernels K on the offsets |m|, |n| <= 2M: a 2-D FFT zero-padded to a
-    5-smooth length >= 4M + 1, so that no offset wraps around."""
+    """The grid scale*(m + i n), |m|, |n| <= M = ceil(R / scale), which
+    holds the disc |lambda| <= R of the square lattice, with linear
+    convolution (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of grid
+    functions x with kernels K on the offsets |m|, |n| <= 2M: a 2-D FFT
+    zero-padded to a 5-smooth length >= 4M + 1, so that no offset wraps
+    around."""
 
-    def __init__(self, M: int, scale: float = SQUARE_SCALE):
-        self.M = M
+    def __init__(self, R: float, scale: float = SQUARE_SCALE):
+        self.M = M = int(math.ceil(R / scale))
+        self.scale = scale
         m = np.arange(-M, M + 1)
         self.points = scale * (m[:, None] + 1j * m[None, :])
         off = np.arange(-2 * M, 2 * M + 1)
         self.offsets = scale * (off[:, None] + 1j * off[None, :])
         self._n = _fft_length(4 * M + 1)
 
-    @classmethod
-    def embedding(cls, lat: Lattice):
-        """The smallest grid holding a square lattice, and the grid cells
-        (row and column index arrays) of the lattice indices."""
-        m = np.rint(lat.points.real / lat.scale).astype(int)
-        n = np.rint(lat.points.imag / lat.scale).astype(int)
-        M = int(max(np.abs(m).max(), np.abs(n).max()))
-        return cls(M, lat.scale), (m + M, n + M)
+    def cells(self, points: np.ndarray):
+        """Grid cells (row and column index arrays) of lattice points."""
+        return (np.rint(points.real / self.scale).astype(int) + self.M,
+                np.rint(points.imag / self.scale).astype(int) + self.M)
 
     def kernel(self, fn) -> np.ndarray:
         """fn on the nonzero offsets, 0 at offset 0."""
@@ -506,7 +510,7 @@ class _FftSection:
 
     def __init__(self, R: float, w: WeightProfile, kind: str, N: int,
                  scale: float = SQUARE_SCALE):
-        self.grid = _SquareGrid(int(math.ceil(R / scale)), scale)
+        self.grid = _SquareGrid(R, scale)
         self.M = self.grid.M
         lam = self.grid.points
         self.mask = np.abs(lam) <= R

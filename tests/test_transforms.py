@@ -268,6 +268,8 @@ class TestFftPath:
             batch_modified_inf(lat12, d, [0, 3])
         v, c = batch_higher(lat12, d, np.zeros(0, dtype=int), 2)
         assert v.shape == c.shape == (0,)
+        with pytest.raises(ValueError):
+            PvConfig(cauchy_window=0)
 
     def test_fft_length_is_five_smooth(self):
         from focklattice.transforms import _fft_length
