@@ -30,10 +30,11 @@ from .transforms import (NecessityReport, OperatorNormReport, PvConfig,
                          necessity_probe, operator_matrix,
                          operator_norm_estimate, potential_LM, pv_sum,
                          taylor_kernel_check)
-from .classifier import (BranchInfo, ConditionReport, TraceData,
+from .classifier import (BranchInfo, ConditionReport, Margins, TraceData,
                          TraceVerdict, classify, condition_a, condition_b,
                          condition_bprime, condition_c, condition_inf_b,
-                         condition_inf_c, select_branch, trajectory_verdict)
+                         condition_inf_c, select_branch, trajectory_margins,
+                         trajectory_verdict)
 from .interpolate import (Interpolant, NormEstimate, make_interpolant,
                           reconstruct, reconstruct_inf, verify_interpolation,
                           w0_from, weighted_norm)

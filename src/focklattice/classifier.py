@@ -16,8 +16,10 @@ evaluates exactly the condition set prescribed for that regime:
 Finiteness of an infinite sum is undecidable at finite truncation, so each
 condition yields a tri-state verdict read off the partial-sum trajectory:
 flattening (last-decade growth <= 1%) is bounded, a clean power law
-(fitted exponent with R^2 >= 0.9) is diverging, anything else is
-undetermined.
+(fitted exponent >= 0.05 with R^2 >= 0.9) is diverging, anything else is
+undetermined.  A bounded verdict on inner p.v. sums is demoted to
+undetermined when more than 10% of them did not converge.  Each report
+carries the numbers its verdict was read from (`Margins`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
     "ConditionReport",
     "BranchInfo",
     "TraceVerdict",
+    "Margins",
+    "trajectory_margins",
     "trajectory_verdict",
     "shell_trajectory",
     "condition_a",
@@ -56,6 +60,7 @@ __all__ = [
 FLATTEN_TOL = 0.01          # last-decade relative growth for "bounded"
 DIVERGE_MIN_EXPONENT = 0.05
 DIVERGE_MIN_R2 = 0.9
+UNCONVERGED_MAX_SHARE = 0.1 # of inner sums, above which bounded is demoted
 OUTER_GUARD_FRACTION = 0.5  # aggregate over |lambda'| <= R/2 only
 
 
@@ -132,6 +137,35 @@ class TraceData:
                                  np.zeros(len(lattice), dtype=complex))
 
 
+@dataclass(frozen=True)
+class Margins:
+    """The numbers a trajectory verdict is read from, to be held against
+    FLATTEN_TOL, DIVERGE_MIN_EXPONENT and DIVERGE_MIN_R2.
+
+    growth is the relative increase over the last decade of radii (0 for an
+    all-zero trajectory, None when the decade starts at 0); slope and r2
+    come from the log-log fit over that decade (None when too short)."""
+
+    growth: Optional[float]
+    slope: Optional[float] = None
+    r2: Optional[float] = None
+
+    @property
+    def verdict(self) -> str:
+        if self.growth is not None and self.growth <= FLATTEN_TOL:
+            return "bounded"
+        if self.slope is None:
+            return "undetermined"
+        if self.slope >= DIVERGE_MIN_EXPONENT and self.r2 >= DIVERGE_MIN_R2:
+            return "diverging"
+        return "undetermined"
+
+    @property
+    def exponent(self) -> Optional[float]:
+        """The fitted slope, reported unless the verdict is bounded."""
+        return None if self.verdict == "bounded" else self.slope
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """One trace condition's partial-sum trajectory and verdict."""
@@ -139,39 +173,42 @@ class ConditionReport:
     condition_id: str
     partial_trajectory: Tuple[Tuple[float, float], ...]
     verdict: str                       # bounded | diverging | undetermined
-    growth_exponent: Optional[float] = None
+    margins: Margins                   # what the trajectory verdict read
     inner_unconverged: int = 0
     inner_total: int = 0
+
+    @property
+    def growth_exponent(self) -> Optional[float]:
+        return self.margins.exponent
 
     @property
     def final_value(self) -> float:
         return self.partial_trajectory[-1][1] if self.partial_trajectory else 0.0
 
 
+def trajectory_margins(radii, values) -> Margins:
+    """Last-decade growth, log-log slope and R^2 of a nondecreasing
+    trajectory of positive sums."""
+    radii = np.asarray(radii, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(values) == 0 or values[-1] == 0.0:
+        return Margins(0.0)
+    base = values[int(np.argmax(radii >= radii[-1] / 10.0))]
+    growth = float(values[-1] / base - 1.0) if base > 0 else None
+    fit = loglog_fit(radii, values)
+    return Margins(growth) if fit is None else Margins(growth, *fit)
+
+
 def trajectory_verdict(radii, values) -> Tuple[str, Optional[float]]:
-    """Tri-state verdict for a nondecreasing trajectory of positive sums.
+    """Tri-state verdict for a nondecreasing trajectory of positive sums,
+    with the fitted growth exponent unless bounded.
 
     Bounded when the relative increase over the last decade of radii is at
     most 1%; diverging when log-values against log-radius fit a positive
     power law (slope >= 0.05, R^2 >= 0.9) over that window; undetermined
     otherwise."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0 or values[-1] == 0.0:
-        return "bounded", None
-    rmax = radii[-1]
-    window = radii >= rmax / 10.0
-    base_idx = int(np.argmax(window))
-    base = values[base_idx]
-    if base > 0 and values[-1] / base - 1.0 <= FLATTEN_TOL:
-        return "bounded", None
-    fit = loglog_fit(radii, values)
-    if fit is None:
-        return "undetermined", None
-    slope, r2 = fit
-    if slope >= DIVERGE_MIN_EXPONENT and r2 >= DIVERGE_MIN_R2:
-        return "diverging", slope
-    return "undetermined", slope
+    m = trajectory_margins(radii, values)
+    return m.verdict, m.exponent
 
 
 def shell_trajectory(lat: Lattice, per_index: np.ndarray, p: float,
@@ -204,10 +241,10 @@ def condition_a(data: TraceData) -> ConditionReport:
     p = data.p
     per = mags if math.isinf(p) else mags ** p
     radii, vals = shell_trajectory(data.lattice, per, p)
-    verdict, expo = trajectory_verdict(radii, vals)
+    margins = trajectory_margins(radii, vals)
     cid = "inf_a" if math.isinf(p) else "a"
     traj = tuple(zip(radii.tolist(), vals.tolist()))
-    return ConditionReport(cid, traj, verdict, expo)
+    return ConditionReport(cid, traj, margins.verdict, margins)
 
 
 def _outer_indices(lat: Lattice, exclude_origin: bool = False) -> np.ndarray:
@@ -225,11 +262,12 @@ def _aggregate(data: TraceData, inner_values: np.ndarray, indices: np.ndarray,
     mags = np.abs(inner_values)
     radii, vals = shell_trajectory(data.lattice, mags if math.isinf(p) else mags ** p,
                                    p, indices)
-    verdict, expo = trajectory_verdict(radii, vals)
-    if verdict == "bounded" and unconverged > 0.1 * max(len(indices), 1):
+    margins = trajectory_margins(radii, vals)
+    verdict = margins.verdict
+    if verdict == "bounded" and unconverged > UNCONVERGED_MAX_SHARE * max(len(indices), 1):
         verdict = "undetermined"
     return ConditionReport(cid, tuple(zip(radii.tolist(), vals.tolist())), verdict,
-                           expo, inner_unconverged=unconverged,
+                           margins, inner_unconverged=unconverged,
                            inner_total=len(indices))
 
 

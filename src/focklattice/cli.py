@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .classifier import TraceData, cached_t, classify
+from .classifier import (DIVERGE_MIN_EXPONENT, DIVERGE_MIN_R2, FLATTEN_TOL,
+                         UNCONVERGED_MAX_SHARE, TraceData, cached_t, classify)
 from .errors import FockLatticeError, NumericalError, SchemaError
 from .interpolate import make_interpolant, reconstruct_inf, verify_interpolation
 from .lattice import (GridSpec, Lattice, explicit_lattice, shells_for,
@@ -238,14 +239,19 @@ def cmd_trace_check(args) -> int:
                 "condition": rep.condition_id,
                 "verdict": rep.verdict,
                 "growth_exponent": rep.growth_exponent,
+                "margins": {"last_decade_growth": rep.margins.growth,
+                            "slope": rep.margins.slope,
+                            "r2": rep.margins.r2},
                 "inner_unconverged": rep.inner_unconverged,
+                "inner_total": rep.inner_total,
                 "trajectory": [[r, v] for r, v in rep.partial_trajectory],
             }
             for rep in verdict.reports
         ],
     }
-    tol = {"pv_rtol": cfg.rtol, "flatten_tol": 0.01,
-           "diverge_exponent": 0.05, "diverge_r2": 0.9}
+    tol = {"pv_rtol": cfg.rtol, "flatten_tol": FLATTEN_TOL,
+           "diverge_exponent": DIVERGE_MIN_EXPONENT, "diverge_r2": DIVERGE_MIN_R2,
+           "unconverged_max_share": UNCONVERGED_MAX_SHARE}
     _emit(_report("trace-check", args, job, results, t0, tol), args.output)
     return EXIT_OK
 

@@ -5,9 +5,16 @@ critical square lattice sqrt(pi/2)*(Z+iZ) or a user-supplied point set.
 The origin is point index 0 throughout.  Shell schedules order principal
 value sums (partial sums over |lambda| < R with R growing through the
 distinct point radii): lattice indices run in ascending radius order, so
-every shell is a contiguous index range.  One KD-tree lookup finds the
-nearest lattice point, Euclidean or in the surrogate metric
-|z - lambda| / rho(lambda) that assigns grid points to cells.
+every shell is a contiguous index range.
+
+Nearest-point lookups, Euclidean or in the surrogate metric
+|z - lambda| / rho(lambda) that assigns grid points to cells, and the
+separation constant rank a few candidates per point.  On the square
+lattice the candidates are the grid block around z/scale rounded to
+integers (`grid_coords`), looked up in an (m, n) -> index table of the
+truncation built per call.  Explicit lattices, and square-lattice queries
+that round outside the truncation, take their candidates from a KD-tree
+(scipy, imported on first use).
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericalError, SeparationError
 from .weights import WeightProfile, mu_disc_many, rho_many
@@ -33,12 +39,18 @@ __all__ = [
     "upper_density",
     "shells_for",
     "nearest_index",
+    "grid_coords",
     "cell_geometry",
 ]
 
 SQUARE_SCALE = math.sqrt(math.pi / 2.0)
 
 _MIN_DELTA_SEP = 1e-6
+# Cell lookups and the separation on the square lattice rank the 5 x 5 grid
+# block around the rounded point.  It holds the nine Euclidean-nearest
+# points of any z (the KD-tree candidates of cells) and the 11 nearest
+# neighbours of a lattice point (those of the separation).
+_BLOCK = 2
 # radii within this relative gap (floor 1) are one shell
 _SHELL_RTOL = 1e-9
 
@@ -87,18 +99,70 @@ def _order_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def _separation(points: np.ndarray, rho_vals: np.ndarray) -> float:
+def grid_coords(z, scale: float):
+    """(m, n) of the grid point scale*(m + in) nearest to each z, as
+    integer-valued floats: the one rounding behind every square-lattice
+    lookup (nearest points, sigma's reduction to the fundamental cell, the
+    FFT grid)."""
+    z = np.asarray(z)
+    return np.rint(z.real / scale), np.rint(z.imag / scale)
+
+
+def _kd_candidates(points: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k points Euclidean-nearest to each z, shape
+    (len(z), k).  scipy loads on first use."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(np.column_stack([points.real, points.imag]))
+    idx = tree.query(np.column_stack([z.real, z.imag]), k=k)[1]
+    return np.asarray(idx, dtype=np.intp).reshape(len(z), k)
+
+
+def _candidates(points: np.ndarray, z: np.ndarray, k: int,
+                scale: Optional[float] = None, block: int = 0) -> np.ndarray:
+    """Candidate indices per z, shape (len(z), c), -1 marking none.
+
+    Square lattice (scale given): the (2 block + 1)^2 grid block around z
+    rounded by `grid_coords`, looked up in an (m, n) -> index table of the
+    truncation.  Explicit lattices, and rows whose rounded point lies
+    outside the truncation, get the k Euclidean-nearest points instead.
+    """
+    k = min(k, points.size)
+    if scale is None:
+        return _kd_candidates(points, z, k)
+    pm, pn = (c.astype(np.intp) for c in grid_coords(points, scale))
+    M = int(max(np.abs(pm).max(), np.abs(pn).max()))
+    pad = M + block             # blocks around |m|, |n| <= M stay on the table
+    table = np.full((2 * pad + 1, 2 * pad + 1), -1, dtype=np.intp)
+    table[pm + pad, pn + pad] = np.arange(points.size)
+    m, n = grid_coords(z, scale)
+    out = ~((np.abs(m) <= M) & (np.abs(n) <= M))
+    m, n = (np.where(out, 0, c).astype(np.intp) + pad for c in (m, n))
+    off = np.arange(-block, block + 1)
+    cand = table[(m[:, None] + off)[:, :, None],
+                 (n[:, None] + off)[:, None, :]].reshape(len(z), off.size ** 2)
+    out |= cand[:, off.size ** 2 // 2] < 0
+    if out.any():
+        cand[out] = -1
+        cand[out, :k] = _kd_candidates(points, z[out], k)
+    return cand
+
+
+def _separation(points: np.ndarray, rho_vals: np.ndarray,
+                scale: Optional[float] = None) -> float:
+    """The separation constant min |l - l'| / max(rho(l), rho(l')).  rho is
+    1-Lipschitz, so the minimiser is a pair of near neighbours: the grid
+    block of the square lattice (scale given), else each point's 11 nearest
+    neighbours."""
     if points.size < 2:
         return math.inf
-    xy = np.column_stack([points.real, points.imag])
-    tree = cKDTree(xy)
-    k = min(12, points.size)
-    dist, idx = tree.query(xy, k=k)
-    # rho is 1-Lipschitz, so the separation minimiser is among near neighbours
+    own = np.arange(points.size)
     best = math.inf
-    for j in range(1, k):
-        m = np.maximum(rho_vals, rho_vals[idx[:, j]])
-        best = min(best, float(np.min(dist[:, j] / m)))
+    # one candidate column at a time keeps the temporaries O(points)
+    for j in _candidates(points, points, 12, scale, _BLOCK).T:
+        i = own[(j >= 0) & (j != own)]
+        if i.size:
+            d = np.abs(points[i] - points[j[i]])
+            best = min(best, float(np.min(d / np.maximum(rho_vals[i], rho_vals[j[i]]))))
     return best
 
 
@@ -114,7 +178,7 @@ def square_lattice(R: float, w: WeightProfile) -> Lattice:
     rv = rho_many(w, pts)
     return Lattice(points=pts, scale=s, truncation_radius=float(R),
                    rho_values=rv, kind="square",
-                   delta_sep=_separation(pts, rv))
+                   delta_sep=_separation(pts, rv, s))
 
 
 def explicit_lattice(points: Sequence[complex], w: WeightProfile) -> Lattice:
@@ -251,21 +315,24 @@ def nearest_index(lat: Lattice, z, cell: bool = False):
     """Index of the lattice point nearest to each z, and the distance.
 
     With cell=True nearness is the surrogate |z - lambda| / rho(lambda),
-    minimised over the nine Euclidean-nearest points (rho is 1-Lipschitz
-    and varies little between neighbours), and the distance returned is
-    that surrogate.
+    minimised over nearby candidates (rho is 1-Lipschitz and varies little
+    between neighbours): the 5 x 5 grid block around the rounded point on
+    the square lattice, else the nine Euclidean-nearest points; the
+    distance returned is that surrogate.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    k = min(9, len(lat)) if cell else 1
-    tree = cKDTree(np.column_stack([lat.points.real, lat.points.imag]))
-    dist, cand = tree.query(np.column_stack([z.real, z.imag]), k=k)
-    if not cell:
-        return cand, dist
-    cand = cand.reshape(len(z), k)
-    sur = np.abs(z[:, None] - lat.points[cand]) / lat.rho_values[cand]
-    best = np.argmin(sur, axis=1)
+    square = lat.kind == "square"
+    cand = _candidates(lat.points, z, 9 if cell else 1,
+                       lat.scale if square else None, _BLOCK if cell else 0)
+    valid = cand >= 0
+    safe = np.where(valid, cand, 0)
+    dist = np.abs(z[:, None] - lat.points[safe])
+    if cell:
+        dist = dist / lat.rho_values[safe]
+    dist = np.where(valid, dist, np.inf)
+    best = np.argmin(dist, axis=1)
     rows = np.arange(len(z))
-    return cand[rows, best], sur[rows, best]
+    return cand[rows, best], dist[rows, best]
 
 
 def cell_geometry(lat: Lattice, grid: GridSpec, w: WeightProfile) -> CellGeometry:

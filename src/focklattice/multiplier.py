@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalError, SchemaError
-from .lattice import SQUARE_SCALE, Lattice, nearest_index
+from .lattice import SQUARE_SCALE, Lattice, grid_coords, nearest_index
 from .weights import WeightProfile, classical_weight, phi
 
 __all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag", "sigma_prime",
@@ -58,8 +58,7 @@ _ON_LATTICE_RTOL = 1e-8
 def _nearest(z: np.ndarray):
     """Split z = z0 + lambda at the nearest lambda = s(m+in); returns z0,
     lambda, |lambda|^2 and the parity (m + n + mn) mod 2."""
-    m = np.rint(z.real / _S)
-    n = np.rint(z.imag / _S)
+    m, n = grid_coords(z, _S)
     lam = _S * (m + 1j * n)
     return z - lam, lam, 0.5 * math.pi * (m * m + n * n), (m + n + m * n) % 2
 

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NumericalError
-from .lattice import Lattice, ShellSchedule, shells_for, SQUARE_SCALE
+from .lattice import Lattice, ShellSchedule, grid_coords, shells_for, SQUARE_SCALE
 from .weights import WeightProfile, rho_many
 
 __all__ = [
@@ -309,7 +309,7 @@ def _correlate(lat: Lattice, d: SequenceData, n: int, indices) -> np.ndarray:
     centres lambda' = points[indices] of a square lattice: one FFT
     correlation of the grid-embedded d."""
     grid = _SquareGrid(lat.truncation_radius, lat.scale)
-    ii, jj = grid.cells(lat.points)
+    ii, jj = (c.astype(int) + grid.M for c in grid_coords(lat.points, grid.scale))
     x = np.zeros(grid.points.shape, dtype=complex)
     x[ii, jj] = d.values
     # the kernel at offset lambda' - lambda
@@ -483,11 +483,6 @@ class _SquareGrid:
         off = np.arange(-2 * M, 2 * M + 1)
         self.offsets = scale * (off[:, None] + 1j * off[None, :])
         self._n = _fft_length(4 * M + 1)
-
-    def cells(self, points: np.ndarray):
-        """Grid cells (row and column index arrays) of lattice points."""
-        return (np.rint(points.real / self.scale).astype(int) + self.M,
-                np.rint(points.imag / self.scale).astype(int) + self.M)
 
     def kernel(self, fn) -> np.ndarray:
         """fn on the nonzero offsets, 0 at offset 0."""

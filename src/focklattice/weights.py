@@ -18,8 +18,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize.elementwise import bracket_root, find_root
 
 from .errors import NumericalError, SchemaError
 
@@ -245,7 +243,9 @@ def _solve_rho(w: WeightProfile, a: np.ndarray) -> np.ndarray:
     solves all elements to brentq's precision, and the refinement
     self-check runs at every root.  Any element that fails to bracket,
     converge or pass the check raises NumericalError naming its radii.
+    Only power weights get here, so scipy loads on first use.
     """
+    from scipy.optimize.elementwise import bracket_root, find_root
     excess = lambda r, aa: _mu_power(w, aa, r) - 1.0
     with np.errstate(divide="ignore", over="ignore"):
         local = (math.pi * w.c_gamma * w.gamma ** 2 * a ** (w.gamma - 2.0)) ** -0.5
@@ -283,6 +283,7 @@ def _radial_rho_spline(w: WeightProfile, umax: float):
     # gamma = 5, |z| = 200, but only to 1e-6 .. 1e-5 at gamma = 0.5,
     # |z| = 7 (1.1e-6 with umax = 8, 3.7e-6 with 64, 9.3e-6 with 32768):
     # there rho(u) ~ u, and d mu / d r is unbounded for gamma < 1.
+    from scipy.interpolate import CubicSpline
     us = np.geomspace(max(umax * 1e-6, 1e-9), umax, 420)
     return CubicSpline(np.concatenate([[0.0], us]),
                        np.concatenate([[w.rho_origin], _solve_rho(w, us)]))

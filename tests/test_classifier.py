@@ -6,8 +6,9 @@ import pytest
 from focklattice import (classify, condition_a, condition_b,
                          condition_bprime, condition_c, condition_inf_b,
                          power_weight, select_branch, square_lattice,
-                         trajectory_verdict, user_multiplier)
-from focklattice.classifier import TraceData, shell_trajectory
+                         trajectory_margins, trajectory_verdict,
+                         user_multiplier)
+from focklattice.classifier import Margins, TraceData, shell_trajectory
 
 
 class TestTrajectoryVerdict:
@@ -31,6 +32,22 @@ class TestTrajectoryVerdict:
         r = np.geomspace(0.5, 200, 60)
         verdict, _ = trajectory_verdict(r, np.log(1 + r))
         assert verdict != "bounded"
+
+
+    def test_margins_of_power_law(self):
+        # v = r^2 on radii 1..100: the last decade starts at r = 10
+        r = np.geomspace(1, 100, 41)
+        m = trajectory_margins(r, r ** 2)
+        assert m.growth == pytest.approx(99.0, rel=1e-12)
+        assert m.slope == pytest.approx(2.0, rel=1e-12)
+        assert m.r2 == pytest.approx(1.0, rel=1e-12)
+        assert (m.verdict, m.exponent) == trajectory_verdict(r, r ** 2)
+
+    def test_margins_of_flat_and_zero(self):
+        r = np.geomspace(1, 100, 41)
+        m = trajectory_margins(r, np.full(41, 3.0))
+        assert (m.growth, m.verdict, m.exponent) == (0.0, "bounded", None)
+        assert trajectory_margins(r, np.zeros(41)) == Margins(0.0, None, None)
 
 
 class TestShellTrajectory:

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from focklattice import square_lattice
 from focklattice.cli import main
 
 
@@ -72,6 +74,47 @@ class TestTraceCheck:
         assert rc == 0
         _, plain = run(tmp_path, job, "trace-check")
         assert rep["results"] == plain["results"]
+
+    @staticmethod
+    def verdict_from_margins(rep, tol):
+        # the verdict rule restated from the report and its tolerances alone
+        m = rep["margins"]
+        if m["last_decade_growth"] is not None \
+                and m["last_decade_growth"] <= tol["flatten_tol"]:
+            verdict = "bounded"
+        elif m["slope"] is not None and m["slope"] >= tol["diverge_exponent"] \
+                and m["r2"] >= tol["diverge_r2"]:
+            verdict = "diverging"
+        else:
+            verdict = "undetermined"
+        if verdict == "bounded" and rep["inner_unconverged"] > \
+                tol["unconverged_max_share"] * max(rep["inner_total"], 1):
+            verdict = "undetermined"
+        return verdict
+
+    def test_verdicts_follow_from_margins(self, tmp_path, cw):
+        ones = [{"index": k, "re": 1.0, "im": 0.0}
+                for k in range(len(square_lattice(10, cw)))]
+        gauss = {"kind": "gaussian_trace", "w": [0.3, 0.1]}
+        jobs = [dict(BASE, values=gauss, p=2), dict(BASE, values=gauss, p="inf"),
+                dict(BASE, values=gauss, p=1),
+                dict(BASE, values={"kind": "list", "weighted": True, "items": ones},
+                     p=2)]
+        seen = set()
+        for job in jobs:
+            rc, rep = run(tmp_path, job, "trace-check")
+            assert rc == 0
+            tol = rep["tolerances"]
+            assert (tol["flatten_tol"], tol["diverge_exponent"], tol["diverge_r2"],
+                    tol["unconverged_max_share"]) == (0.01, 0.05, 0.9, 0.1)
+            for r in rep["results"]["reports"]:
+                assert r["verdict"] == self.verdict_from_margins(r, tol)
+                radii, vals = np.array(r["trajectory"]).T
+                base = vals[np.argmax(radii >= radii[-1] / 10.0)]
+                assert r["margins"]["last_decade_growth"] == \
+                    pytest.approx(vals[-1] / base - 1.0, rel=1e-12, abs=1e-15)
+                seen.add(r["verdict"])
+        assert seen == {"bounded", "diverging", "undetermined"}
 
     def test_determinism(self, tmp_path):
         job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=2)

@@ -7,6 +7,7 @@ from focklattice import (GridSpec, Lattice, NumericalError, SeparationError,
                          cell_geometry, explicit_lattice, mu_disc, nearest_index,
                          power_weight, rho_many, shells_for, square_lattice,
                          upper_density)
+from focklattice.lattice import grid_coords
 
 
 class TestSquareLattice:
@@ -187,12 +188,19 @@ class TestCellGeometry:
         assert all(len(r) == 3 for r in rows)
 
 
-class TestNearestIndex:
-    """The KD-tree lookup against a dense argmin over every lattice point."""
+@pytest.fixture(scope="module")
+def power_lat():
+    return square_lattice(20.0, power_weight(0.5, rho_origin=2.0))
 
-    @pytest.fixture(scope="class")
-    def power_lat(self):
-        return square_lattice(20.0, power_weight(0.5, rho_origin=2.0))
+
+@pytest.fixture(scope="module")
+def power5_lat():
+    return square_lattice(20.0, power_weight(5.0, rho_origin=2.0))
+
+
+class TestNearestIndex:
+    """The grid lookup (KD-tree fallback beyond the truncation) against a
+    dense argmin over every lattice point."""
 
     @staticmethod
     def sample(lat, rng, n=3000):
@@ -201,23 +209,79 @@ class TestNearestIndex:
         # lattice points themselves and points very close to them
         return np.concatenate([z, lat.points[::7], lat.points[::11] + 1e-9])
 
+    @staticmethod
+    def beyond(lat, rng, n=2000):
+        # |z| from R - scale to R + 3 scale: most round to grid points
+        # outside the truncation
+        R, s = lat.truncation_radius, lat.scale
+        r = rng.uniform(R - s, R + 3.0 * s, size=n)
+        return r * np.exp(2j * math.pi * rng.uniform(size=n))
+
+    @staticmethod
+    def midlines(lat):
+        # s(m + 1/2) + i s n and its rotation by i, equidistant from two
+        # grid points, out to |z| = R + 3 scale
+        R, s = lat.truncation_radius, lat.scale
+        k = np.arange(-int(R / s) - 4, int(R / s) + 4)
+        z = (s * (k[:, None] + 0.5) + 1j * s * k[None, :]).ravel()
+        z = z[np.abs(z) <= R + 3.0 * s]
+        return np.concatenate([z, 1j * z])
+
+    @staticmethod
+    def check_against_dense(lat, z, cell):
+        # distances only: on ties either index is right
+        dense = np.abs(z[:, None] - lat.points[None, :])
+        if cell:
+            dense = dense / lat.rho_values[None, :]
+        best = dense.min(axis=1)
+        idx, dist = nearest_index(lat, z, cell=cell)
+        own = np.abs(z - lat.points[idx])
+        if cell:
+            own = own / lat.rho_values[idx]
+        assert np.allclose(dist, best, rtol=1e-12, atol=1e-15)
+        assert np.allclose(own, best, rtol=1e-12, atol=1e-15)
+
     @pytest.mark.parametrize("which", ["lat16", "power_lat"])
     def test_euclidean_matches_dense_argmin(self, which, request, rng):
         lat = request.getfixturevalue(which)
-        z = self.sample(lat, rng)
-        dense = np.abs(z[:, None] - lat.points[None, :])
-        idx, dist = nearest_index(lat, z)
-        assert np.allclose(dist, dense.min(axis=1), rtol=1e-12, atol=1e-15)
-        assert np.allclose(np.abs(z - lat.points[idx]), dense.min(axis=1),
-                           rtol=1e-12, atol=1e-15)
+        self.check_against_dense(lat, self.sample(lat, rng), cell=False)
 
     @pytest.mark.parametrize("which", ["lat16", "power_lat"])
     def test_cell_matches_dense_surrogate_argmin(self, which, request, rng):
         lat = request.getfixturevalue(which)
-        z = self.sample(lat, rng)
-        dense = np.abs(z[:, None] - lat.points[None, :]) / lat.rho_values[None, :]
-        idx, sur = nearest_index(lat, z, cell=True)
-        best = dense.min(axis=1)
-        assert np.allclose(sur, best, rtol=1e-12, atol=1e-15)
-        assert np.allclose(np.abs(z - lat.points[idx]) / lat.rho_values[idx], best,
-                           rtol=1e-12, atol=1e-15)
+        self.check_against_dense(lat, self.sample(lat, rng), cell=True)
+
+    @pytest.mark.parametrize("cell", [False, True])
+    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    def test_beyond_truncation_matches_dense(self, which, cell, request, rng):
+        lat = request.getfixturevalue(which)
+        z = self.beyond(lat, rng)
+        m, n = grid_coords(z, lat.scale)
+        assert np.sum(np.abs(lat.scale * (m + 1j * n)) > lat.truncation_radius) > 500
+        self.check_against_dense(lat, z, cell)
+
+    @pytest.mark.parametrize("cell", [False, True])
+    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    def test_midlines_match_dense_by_distance(self, which, cell, request):
+        lat = request.getfixturevalue(which)
+        self.check_against_dense(lat, self.midlines(lat), cell)
+
+
+class TestSeparation:
+    """delta_sep from grid-neighbour offsets against the minimum over all
+    pairs of points."""
+
+    @pytest.mark.parametrize("which", ["lat12", "power_lat", "power5_lat"])
+    def test_delta_sep_matches_dense_pairs(self, which, request):
+        lat = request.getfixturevalue(which)
+        P, rv = lat.points, lat.rho_values
+        dense = np.abs(P[:, None] - P[None, :]) / np.maximum(rv[:, None], rv[None, :])
+        np.fill_diagonal(dense, np.inf)
+        assert lat.delta_sep == pytest.approx(dense.min(), rel=1e-12)
+
+    def test_explicit_lattice_matches_dense_pairs(self, cw, rng):
+        pts = np.concatenate([[0.0], rng.uniform(-5, 5, 60) + 1j * rng.uniform(-5, 5, 60)])
+        lat = explicit_lattice(pts, cw)
+        dense = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(dense, np.inf)
+        assert lat.delta_sep == pytest.approx(dense.min() / lat.max_rho, rel=1e-12)
