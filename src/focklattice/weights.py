@@ -233,33 +233,129 @@ def mu_disc(w: WeightProfile, center, radius: float) -> float:
     return float(mu_disc_many(w, complex(center), float(radius)))
 
 
+# Root-finding for rho: the stopping rule of scipy's find_root defaults.
+# An element stops when |mu - 1| <= _FATOL or its bracket is narrower than
+# |x| * _XRTOL + _XATOL; _ROOT_ITERS = log2(max / tiny) steps would bisect
+# across the whole double range.
+_TINY = np.finfo(float).tiny
+_XATOL, _XRTOL, _FATOL = 4.0 * _TINY, 8.9e-16, _TINY
+_BRACKET_ITERS = 1000
+_ROOT_ITERS = 2046
+
+
+def _bracket(f, a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Brackets [lo, hi] with a sign change of the increasing f(., a).
+
+    Where f > 0 at both ends, lo moves toward 0 by factors of 4 (hi takes
+    its old value); where f < 0 at both ends, hi moves away from the
+    initial lo by 4 times its distance (lo takes its old value).  These
+    are the moves of scipy's bracket_root with xmin = 0 and factor = 4.
+    Returns (lo, hi, f(lo), f(hi)).  Raises NumericalError, naming the
+    moduli a, for a non-finite value, lo reaching 0, or no sign change
+    within _BRACKET_ITERS moves.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = f(lo, a), f(hi, a)
+    x0, d = lo.copy(), hi - lo
+    for _ in range(_BRACKET_ITERS):
+        down, up = (flo > 0) & (fhi > 0), (flo < 0) & (fhi < 0)
+        bad = ~(np.isfinite(flo) & np.isfinite(fhi) & (lo < hi)) | (down & (lo == 0.0))
+        if np.any(bad):
+            break
+        move = down | up
+        if not np.any(move):
+            return lo, hi, flo, fhi
+        hi[down], fhi[down] = lo[down], flo[down]
+        lo[down] /= 4.0
+        lo[up], flo[up] = hi[up], fhi[up]
+        d[up] *= 4.0
+        hi[up] = x0[up] + d[up]
+        fx = f(np.where(down, lo, hi)[move], a[move])
+        flo[down], fhi[up] = fx[down[move]], fx[up[move]]
+    else:
+        bad = (flo > 0) & (fhi > 0) | (flo < 0) & (fhi < 0)
+    raise NumericalError(f"rho bracket failure at |z| = {a[bad][:4].tolist()}")
+
+
+def _chandrupatla(f, a: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+                  f1: np.ndarray, f2: np.ndarray):
+    """Roots of f(., a) in the brackets [x1, x2] with f-values f1, f2 of
+    opposite signs, by Chandrupatla's hybrid of inverse quadratic
+    interpolation and bisection (Chandrupatla 1997), all elements at once.
+
+    The steps, the stopping rule and the order of operations are those of
+    scipy's find_root, and converged elements leave the active set after
+    every step, so the roots agree with it.  Returns (x, f(x)), x being
+    the end of the final bracket with the smaller |f|.  Raises
+    NumericalError, naming the moduli a, at a non-finite value, a lost
+    sign change or after _ROOT_ITERS steps without convergence.
+    """
+    x_out, f_out = np.empty(a.shape), np.empty(a.shape)
+    act = np.arange(a.size)
+    x3 = f3 = None
+    t = 0.5
+    for it in range(_ROOT_ITERS + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xm) * _XRTOL + _XATOL
+        small_f = np.abs(fm) <= _FATOL
+        finite = np.isfinite(f1) & np.isfinite(f2)
+        if not np.all(finite):
+            raise NumericalError("rho root-find met a non-finite value at "
+                                 f"|z| = {a[~finite][:4].tolist()}")
+        lost = ~small_f & (np.sign(f1) == np.sign(f2))
+        if np.any(lost):
+            raise NumericalError("rho root-find lost its bracket at "
+                                 f"|z| = {a[lost][:4].tolist()}")
+        done = small_f | (dx < tol)
+        x_out[act[done]], f_out[act[done]] = xm[done], fm[done]
+        keep = ~done
+        if not np.any(keep):
+            return x_out, f_out
+        if it == _ROOT_ITERS:
+            raise NumericalError("rho root-find did not converge at "
+                                 f"|z| = {a[keep][:4].tolist()}")
+        act, a, x1, x2, f1, f2 = act[keep], a[keep], x1[keep], x2[keep], f1[keep], f2[keep]
+        dx, tol = dx[keep], tol[keep]
+        if it > 0:
+            x3, f3 = x3[keep], f3[keep]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quad = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = f(x, a)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+
+
 def _solve_rho(w: WeightProfile, a: np.ndarray) -> np.ndarray:
     """rho at the moduli a > 0 of a power weight, all roots found together.
 
     mu(D(a, .)) is strictly increasing, so each root is unique.  The guess
     is the radius of unit mass at the local density, clipped into
-    [rho(0) - a, rho(0) + a], where the 1-Lipschitz rho must lie.  Brackets
-    grow by factors of 4 from guess/8 and guess*8, Chandrupatla's method
-    solves all elements to brentq's precision, and the refinement
-    self-check runs at every root.  Any element that fails to bracket,
-    converge or pass the check raises NumericalError naming its radii.
-    Only power weights get here, so scipy loads on first use.
+    [rho(0) - a, rho(0) + a], where the 1-Lipschitz rho must lie.
+    `_bracket` grows brackets by factors of 4 from guess/8 and guess*8,
+    `_chandrupatla` solves all elements to 8.9e-16 relative, and the
+    refinement self-check runs at every root.  Any element that fails to
+    bracket, converge or pass the check raises NumericalError naming its
+    radii.  numpy only: the roots match scipy's bracket_root + find_root.
     """
-    from scipy.optimize.elementwise import bracket_root, find_root
     excess = lambda r, aa: _mu_power(w, aa, r) - 1.0
     with np.errstate(divide="ignore", over="ignore"):
         local = (math.pi * w.c_gamma * w.gamma ** 2 * a ** (w.gamma - 2.0)) ** -0.5
     guess = np.clip(local, w.rho_origin - a, w.rho_origin + a)
-    br = bracket_root(excess, guess / 8.0, guess * 8.0, xmin=0.0, factor=4.0,
-                      args=(a,))
-    if not np.all(br.success):
-        raise NumericalError(f"rho bracket failure at |z| = {a[~br.success][:4].tolist()}")
-    res = find_root(excess, br.bracket, args=(a,), tolerances=dict(xrtol=8.9e-16))
-    if not np.all(res.success):
-        raise NumericalError(
-            f"rho root-find did not converge at |z| = {a[~res.success][:4].tolist()}")
-    _check_refinement(res.f_x + 1.0, _mu_power(w, a, res.x, _PSI_PANELS), a, res.x, "rho")
-    return res.x
+    x, fx = _chandrupatla(excess, a, *_bracket(excess, a, guess / 8.0, guess * 8.0))
+    _check_refinement(fx + 1.0, _mu_power(w, a, x, _PSI_PANELS), a, x, "rho")
+    return x
 
 
 def rho(w: WeightProfile, z) -> float:
@@ -276,17 +372,55 @@ def rho(w: WeightProfile, z) -> float:
     return float(_solve_rho(w, np.array([a]))[0])
 
 
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray):
+    """The C^2 cubic spline through (x, y) whose third derivative is
+    continuous at x[1] and x[-2] (not-a-knot ends), as a vectorised
+    callable that extends the end pieces beyond [x[0], x[-1]].
+
+    The slopes at the nodes solve one tridiagonal system (set up as in
+    scipy's CubicSpline, solved densely); each piece is a cubic in
+    u - x[i], evaluated by Horner's rule after a searchsorted.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A, b = np.zeros((n, n)), np.empty(n)
+    i = np.arange(1, n - 1)
+    A[i, i - 1], A[i, i], A[i, i + 1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[0, :2] = dx[1], d
+    b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[-1, -2:] = d, dx[-2]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = np.linalg.solve(A, b)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def spline(u):
+        u = np.asarray(u, dtype=float)
+        k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, n - 2)
+        h = u - x[k]
+        return ((c3[k] * h + c2[k]) * h + c1[k]) * h + c0[k]
+
+    return spline
+
+
 @lru_cache(maxsize=16)
 def _radial_rho_spline(w: WeightProfile, umax: float):
-    # Cached radial profile u -> rho(u) through 421 exact nodes solved in
-    # one batch.  Measured against mpmath, the spline is good to 1.8e-7 at
-    # gamma = 5, |z| = 200, but only to 1e-6 .. 1e-5 at gamma = 0.5,
-    # |z| = 7 (1.1e-6 with umax = 8, 3.7e-6 with 64, 9.3e-6 with 32768):
-    # there rho(u) ~ u, and d mu / d r is unbounded for gamma < 1.
-    from scipy.interpolate import CubicSpline
+    """Cached radial profile u -> rho(u) on [0, umax]: the not-a-knot
+    cubic spline through rho(0) and 420 geometric nodes solved in one
+    batch by `_solve_rho`.
+
+    Measured against mpmath, it is good to 1.8e-7 at gamma = 5, |z| = 200,
+    but only to 1e-6 .. 1e-5 at gamma = 0.5, |z| = 7 (1.1e-6 with umax = 8,
+    3.7e-6 with 64, 9.3e-6 with 32768): there rho(u) ~ u, and d mu / d r
+    is unbounded for gamma < 1.
+    """
     us = np.geomspace(max(umax * 1e-6, 1e-9), umax, 420)
-    return CubicSpline(np.concatenate([[0.0], us]),
-                       np.concatenate([[w.rho_origin], _solve_rho(w, us)]))
+    return _not_a_knot_spline(np.concatenate([[0.0], us]),
+                              np.concatenate([[w.rho_origin], _solve_rho(w, us)]))
 
 
 def rho_many(w: WeightProfile, z) -> np.ndarray:
@@ -300,8 +434,7 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
     if w.is_classical_like:
         return np.full(a.shape, (4.0 * math.pi) ** -0.5)
     umax = float(np.max(a)) if a.size else 1.0
-    spl = _radial_rho_spline(w, _bucket(umax))
-    return np.asarray(spl(a))
+    return np.asarray(_radial_rho_spline(w, _bucket(umax))(a))
 
 
 def _bucket(umax: float) -> float:
@@ -393,8 +526,7 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
     if w.is_classical_like:
         rho_f = lambda u: np.full_like(np.asarray(u, dtype=float), (4 * math.pi) ** -0.5)
     else:
-        spl = _radial_rho_spline(w, _bucket(2.2 * max(radii)))
-        rho_f = lambda u: np.asarray(spl(np.asarray(u, dtype=float)))
+        rho_f = _radial_rho_spline(w, _bucket(2.2 * max(radii)))
 
     R = np.asarray(radii)[:, None]
     if centers is None:

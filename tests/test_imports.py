@@ -1,11 +1,14 @@
-"""Classical-weight CLI jobs run on numpy alone: scipy is imported only by
-power weights (rho) and explicit lattices (KD-tree), on first use."""
+"""CLI jobs on the square lattice run on numpy alone, for classical and
+power weights (the rho root-find and spline are numpy code): scipy is
+imported only for the KD-tree of explicit lattices, on first use."""
 
 import json
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import focklattice
 
@@ -47,24 +50,51 @@ SCRIPT = textwrap.dedent("""
                             "g_prime": [{"index": k, "re": 1.0, "im": 0.0}
                                         for k in range(n_points)]},
              "values": {"kind": "zero"}, "p": 2}
-    out["power_rc"] = run("power", "trace-check", power)
+    ap = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, "p": 3}
+    out["power_rc"] = [run("power", "trace-check", power), run("ap", "ap-probe", ap)]
     with open(os.path.join(WORK, "power.json.out")) as fh:
         out["power_overall"] = json.load(fh)["results"]["overall"]
     out["after_power"] = loaded()
+    pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5],
+           [1.5, 1.5], [-1.5, 1.5], [1.5, -1.5], [-1.5, -1.5]]
+    explicit = {"weight": {"kind": "classical"},
+                "lattice": {"kind": "explicit", "points": pts},
+                "multiplier": {"kind": "user_table", "weighted": True,
+                               "g_prime": [{"index": k, "re": 1.0, "im": 0.0}
+                                           for k in range(len(pts))]},
+                "values": {"kind": "zero"}, "p": 2}
+    out["explicit_rc"] = run("explicit", "trace-check", explicit)
+    out["after_explicit"] = loaded()
     print(json.dumps(out))
 """)
 
 
-def test_classical_jobs_do_not_import_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def jobs(tmp_path_factory):
+    """Modules loaded after each group of CLI jobs, run in that order in
+    one fresh interpreter: classical, power weight, explicit lattice."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+    work = str(tmp_path_factory.mktemp("jobs"))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, work], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["after_import"] == []
-    assert out["classical_rc"] == [0, 0, 0, 0]
-    assert out["after_classical"] == []
-    # positive control: a power weight needs rho, so scipy loads and the job passes
-    assert out["power_rc"] == 0
-    assert out["power_overall"] == "bounded"
-    assert "scipy.interpolate" in out["after_power"]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_classical_jobs_do_not_import_scipy(jobs):
+    assert jobs["after_import"] == []
+    assert jobs["classical_rc"] == [0, 0, 0, 0]
+    assert jobs["after_classical"] == []
+
+
+def test_power_weight_jobs_do_not_import_scipy(jobs):
+    # trace-check and ap-probe both build the rho spline
+    assert jobs["power_rc"] == [0, 0]
+    assert jobs["power_overall"] == "bounded"
+    assert jobs["after_power"] == []
+
+
+def test_explicit_lattice_imports_the_kd_tree(jobs):
+    # positive control: the loader above does see scipy when it loads
+    assert jobs["explicit_rc"] == 0
+    assert "scipy.spatial" in jobs["after_explicit"]

@@ -7,7 +7,9 @@ from focklattice import (NumericalError, ap_probe, c_gamma_for_rho_origin,
                          choose_N, classical_weight, default_ap_radii,
                          effective_t, estimate_t, laplacian_phi, mu_disc,
                          phi, power_weight, rho, rho_many)
-from focklattice.weights import DoublingExponent, _check_refinement
+from focklattice.weights import (DoublingExponent, _bracket, _chandrupatla,
+                                 _check_refinement, _mu_power, _not_a_knot_spline,
+                                 _solve_rho)
 
 
 def fd_laplacian(w, z, h=1e-4):
@@ -197,6 +199,85 @@ class TestMpmathOracle:
         w = power_weight(gamma, **_ORACLE_WEIGHTS[gamma])
         oracle = float(_rho_oracle(gamma, w.c_gamma, a))
         assert rho(w, -1j * a) == pytest.approx(oracle, rel=1e-10)
+
+
+# The node layouts of three rho splines: (gamma, weight, cache bucket umax)
+_SPLINE_CASES = [(0.5, dict(rho_origin=2.0), 64.0),
+                 (0.5, dict(rho_origin=2.0), 32768.0),
+                 (5.0, dict(c_gamma=1.0), 4096.0)]
+
+
+def _spline_nodes(umax):
+    # the layout of weights._radial_rho_spline: 0 and 420 geometric nodes
+    return np.concatenate([[0.0], np.geomspace(max(umax * 1e-6, 1e-9), umax, 420)])
+
+
+class TestRootFind:
+    """The numpy bracket and Chandrupatla root-find behind rho."""
+
+    @pytest.mark.parametrize("gamma,kw,umax", _SPLINE_CASES)
+    def test_matches_scipy_find_root(self, gamma, kw, umax):
+        elementwise = pytest.importorskip("scipy.optimize.elementwise")
+        w = power_weight(gamma, **kw)
+        a = _spline_nodes(umax)[1:]
+        excess = lambda r, aa: _mu_power(w, aa, r) - 1.0
+        # the guess of _solve_rho: unit mass at the local density, clipped
+        # into the 1-Lipschitz band around rho(0)
+        local = (math.pi * w.c_gamma * gamma ** 2 * a ** (gamma - 2.0)) ** -0.5
+        guess = np.clip(local, w.rho_origin - a, w.rho_origin + a)
+        br = elementwise.bracket_root(excess, guess / 8.0, guess * 8.0, xmin=0.0,
+                                      factor=4.0, args=(a,))
+        ref = elementwise.find_root(excess, br.bracket, args=(a,),
+                                    tolerances=dict(xrtol=8.9e-16))
+        assert np.all(br.success) and np.all(ref.success)
+        mine = _solve_rho(w, a)
+        assert np.all(np.abs(mine - ref.x) <= 4 * np.spacing(ref.x))
+
+    def test_no_sign_change_raises_naming_radii(self):
+        a = np.array([1.5, 2.5])
+        # positive everywhere: lo shrinks to 0
+        with pytest.raises(NumericalError, match=r"bracket failure at \|z\| = \[1.5, 2.5\]"):
+            _bracket(lambda r, aa: r + aa, a, a / 8.0, a * 8.0)
+        # negative everywhere for the second element: hi grows to inf
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"bracket failure at \|z\| = \[2.5\]"):
+            _bracket(lambda r, aa: r - aa - 3.0 * (aa > 2.0) * (r + 4.0), a, a / 8.0, a * 8.0)
+
+    def test_nan_values_raise_naming_radii(self):
+        a = np.array([1.0, 2.0])
+        with pytest.raises(NumericalError, match=r"bracket failure at \|z\| = \[1.0, 2.0\]"):
+            _bracket(lambda r, aa: np.full(r.shape, np.nan), a, a / 8.0, a * 8.0)
+        # finite at the bracket ends, NaN near the root of the second element
+        f = lambda r, aa: np.where((aa == 2.0) & (np.abs(r - aa) < 0.5), np.nan, r - aa)
+        with pytest.raises(NumericalError, match=r"non-finite value at \|z\| = \[2.0\]"):
+            _chandrupatla(f, a, *_bracket(f, a, a / 8.0, a * 8.0))
+
+    def test_roots_of_a_monotone_function(self):
+        a = np.geomspace(1e-3, 1e3, 50)
+        f = lambda r, aa: np.tanh(r - aa) + 0.1 * (r - aa)
+        x, fx = _chandrupatla(f, a, *_bracket(f, a, a / 8.0, a * 8.0))
+        assert np.all(np.abs(x - a) <= 8.9e-16 * a + 4 * np.finfo(float).tiny)
+        assert np.array_equal(fx, f(x, a))
+
+
+class TestNotAKnotSpline:
+    @pytest.mark.parametrize("gamma,kw,umax", _SPLINE_CASES)
+    def test_matches_scipy_cubic_spline(self, gamma, kw, umax):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        w = power_weight(gamma, **kw)
+        x = _spline_nodes(umax)
+        y = np.concatenate([[w.rho_origin], rho_many(w, x[1:])])
+        u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.linspace(0.0, umax, 4000)])
+        ref = interpolate.CubicSpline(x, y)(u)
+        assert np.max(np.abs(_not_a_knot_spline(x, y)(u) - ref) / np.abs(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("umax", [8.0, 4096.0])
+    def test_reproduces_a_cubic(self, umax):
+        # not-a-knot ends make the spline exact on cubics
+        x = _spline_nodes(umax)
+        cubic = lambda u: 2.0 - 0.7 * (u / umax) + 3.1 * (u / umax) ** 2 - 1.3 * (u / umax) ** 3
+        u = np.concatenate([np.linspace(0.0, umax, 5001), np.geomspace(1e-9, umax, 5001)])
+        assert np.max(np.abs(_not_a_knot_spline(x, cubic(x))(u) - cubic(u))) <= 1e-12
 
 
 class TestApProbe:
