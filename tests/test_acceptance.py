@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing its PASS/FAIL
 line with the measured quantities, plus checks on the norm estimate that
-criterion 6 gates on: a closed-form oracle for the potential L, a
-negative control that an unbounded operator still fails the budget, and
+criterion 6 gates on: closed-form oracles for L and M(N) at p = 1, 2
+and inf, a negative control that an unbounded operator still fails the budget, and
 the monotonicity of the raw section norms the criterion builds.
 """
+
+import math
 
 import pytest
 
@@ -67,19 +69,26 @@ class TestAcceptance:
         assert res.passed, res.details
 
 
-def _l_norm_closed_form() -> float:
-    """l^2 norm of L on the whole classical lattice s(Z+iZ): the kernel's
-    symbol at xi = 0, rho^3 * sum' |lambda|^-3 = 4 zeta(3/2) beta(3/2)
-    rho^3 / s^3 (Epstein zeta of Z^2), with rho = (4 pi)^(-1/2) and
-    s = sqrt(pi/2)."""
+def _closed_form_norm(k: int) -> float:
+    """l^p norm, p = 1, 2 and inf, of the positive convolution with kernel
+    rho^k |lambda|^-k on the whole classical lattice s(Z+iZ): L is k = 3
+    and M(N) is k = N + 1.  All three norms equal the kernel sum (at p = 2
+    it is the symbol at xi = 0), rho^k sum' |lambda|^-k = 4 zeta(k/2)
+    beta(k/2) rho^k / s^k (Epstein zeta of Z^2), with rho = (4 pi)^(-1/2)
+    and s = sqrt(pi/2)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        lattice_sum = 4 * mpmath.zeta(1.5) * mpmath.dirichlet(1.5, [0, 1, 0, -1])
-        # tabulated value of sum' (m^2 + n^2)^(-3/2) over Z^2
-        assert abs(lattice_sum - mpmath.mpf("9.0336216831")) < 1e-9
+        h = mpmath.mpf(k) / 2
+        lattice_sum = 4 * mpmath.zeta(h) * mpmath.dirichlet(h, [0, 1, 0, -1])
+        # tabulated value of sum' (m^2 + n^2)^(-3/2) over Z^2, and
+        # sum' (m^2 + n^2)^(-2) = (2/3) pi^2 G with Catalan's constant G
+        if k == 3:
+            assert abs(lattice_sum - mpmath.mpf("9.0336216831")) < 1e-9
+        if k == 4:
+            assert abs(lattice_sum - 2 * mpmath.pi ** 2 * mpmath.catalan / 3) < 1e-25
         rho = 1 / mpmath.sqrt(4 * mpmath.pi)
         s = mpmath.sqrt(mpmath.pi / 2)
-        return float(lattice_sum * rho ** 3 / s ** 3)
+        return float(lattice_sum * rho ** k / s ** k)
 
 
 class TestOperatorNormEstimate:
@@ -89,10 +98,19 @@ class TestOperatorNormEstimate:
         assert extrapolated_growth("B", 1.0, cw) > OP_NORM_GROWTH_BUDGET
 
     def test_L_p2_against_closed_form(self, cw):
-        exact = _l_norm_closed_form()
+        exact = _closed_form_norm(3)
         raw = operator_norm_estimate("L", OP_NORM_SIZES, 2.0, cw).norms
         # finite sections are lower bounds that increase with the disc
         assert all(b >= a for a, b in zip(raw, raw[1:])), raw
         assert max(raw) <= exact * (1 + 1e-9), (raw, exact)
         est = extrapolated_norm("L", OP_NORM_SIZES[-1], 2.0, cw)
+        assert abs(est - exact) <= 0.01 * exact, (est, exact)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("kind,N", [("L", 2), ("M", 2), ("M", 3)])
+    def test_extrapolated_norm_against_closed_form(self, cw, kind, N, p):
+        # M(2) is criterion 6's setting (N = choose_N for the classical
+        # weight); M(3) has the distinct kernel |lambda|^-4
+        exact = _closed_form_norm(3 if kind == "L" else N + 1)
+        est = extrapolated_norm(kind, OP_NORM_SIZES[-1], p, cw, N=N)
         assert abs(est - exact) <= 0.01 * exact, (est, exact)

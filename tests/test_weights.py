@@ -259,6 +259,34 @@ class TestRootFind:
         assert np.all(np.abs(x - a) <= 8.9e-16 * a + 4 * np.finfo(float).tiny)
         assert np.array_equal(fx, f(x, a))
 
+    def test_steps_match_scipy_on_an_elementwise_function(self):
+        # f is elementwise numpy arithmetic, so its values do not depend on
+        # how elements are batched: the same steps give the same roots, in
+        # the same number of evaluations per element
+        elementwise = pytest.importorskip("scipy.optimize.elementwise")
+        a = np.geomspace(1e-3, 1e3, 60)
+        f = lambda r, aa: np.tanh(r - aa) + 0.1 * (r - aa) + np.sin(3.0 * r) / 40.0
+        lo, hi = a / 8.0, a * 8.0
+        ref = elementwise.find_root(f, (lo, hi), args=(a,), tolerances=dict(xrtol=8.9e-16))
+        seen = []
+        counted = lambda r, aa: (seen.extend(aa.tolist()), f(r, aa))[1]
+        x, fx = _chandrupatla(counted, a, lo, hi, f(lo, a), f(hi, a))
+        assert np.array_equal(x, ref.x) and np.array_equal(fx, ref.f_x)
+        assert [seen.count(v) for v in a.tolist()] == (ref.nfev - 2).tolist()
+
+    def test_bracket_moves_match_scipy(self):
+        elementwise = pytest.importorskip("scipy.optimize.elementwise")
+        a = np.geomspace(1e-2, 1e2, 9)
+        f = lambda r, aa: np.log(r / aa)
+        # the root lies below lo (lo shrinks), inside, or above hi (hi grows)
+        scale = np.array([40.0, 1e6, 1.0, 1e-3, 5e-9, 0.5, 700.0, 1e-5, 3.0])
+        lo, hi = a * scale / 8.0, a * scale * 8.0
+        ref = elementwise.bracket_root(f, lo, hi, xmin=0.0, factor=4.0, args=(a,))
+        assert np.all(ref.success)
+        got = _bracket(f, a, lo, hi)
+        assert np.array_equal(got[0], ref.bracket[0]) and np.array_equal(got[1], ref.bracket[1])
+        assert np.array_equal(got[2], ref.f_bracket[0]) and np.array_equal(got[3], ref.f_bracket[1])
+
 
 class TestNotAKnotSpline:
     @pytest.mark.parametrize("gamma,kw,umax", _SPLINE_CASES)
