@@ -265,16 +265,22 @@ def cmd_reconstruct(args) -> int:
     p = _parse_p(job)
     data = _build_values(job, lat, m, w, p)
     cfg = _pv_config(job, args)
+    # beyond the guard band the truncated sums lose the true value; the
+    # default grid's corner, half * sqrt(2), stays inside it
+    guard = lat.guard_radius()
+    g = job.get("grid", {})
+    half = float(g.get("half_width", min(4.0, guard / math.sqrt(2.0))))
+    n = int(g.get("n", 60))
+    grid = GridSpec(-half, half, -half, half, n, n)
+    if grid.corner_radius > guard:
+        raise ValueError(f"grid corner at radius {grid.corner_radius:.4g} lies "
+                         f"beyond the guard radius {guard:.4g}")
     if math.isinf(p):
         w0 = job.get("w0")
         I = reconstruct_inf(data, None if w0 is None else _complex_of(w0, "w0"),
                             cfg)
     else:
         I = make_interpolant(data, cfg)
-    g = job.get("grid", {})
-    half = float(g.get("half_width", min(4.0, lat.guard_radius())))
-    n = int(g.get("n", 60))
-    grid = GridSpec(-half, half, -half, half, n, n)
     pts = grid.points().ravel()
     vals_w = I.eval_weighted(pts)
     # raw f = f e^{-phi} e^{phi}; NaN where that leaves double range
@@ -321,6 +327,9 @@ def cmd_ap_probe(args) -> int:
 def cmd_op_norm(args) -> int:
     t0 = time.perf_counter()
     job = _load_job(args.input)
+    if "trials" in job:
+        raise SchemaError("op-norm: 'trials' is no longer a job key; p = 2 "
+                          "norms come from one Golub-Kahan-Lanczos run")
     w = _build_weight(job)
     op = job.get("op", "B")
     if op not in ("B", "L", "M"):
@@ -328,9 +337,7 @@ def cmd_op_norm(args) -> int:
     sizes = [int(s) for s in job.get("sizes", [200, 800, 3200])]
     p = _parse_p(job)
     N = int(job.get("N", choose_N(cached_t(w))))
-    rep = operator_norm_estimate(op, sizes, p, w, N=N,
-                                 trials=int(job.get("trials", 2)),
-                                 seed=args.seed)
+    rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
     results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
                "sizes": list(rep.sizes), "norms": list(rep.norms),
                "growth_ratio": rep.growth_ratio}

@@ -11,8 +11,8 @@ class SchemaError(FockLatticeError):
 
 class NumericalError(FockLatticeError):
     """A numerical procedure failed to meet its accuracy contract
-    (quadrature non-convergence, root bracketing, power-iteration
-    stagnation, derivative-estimate instability)."""
+    (quadrature non-convergence, root bracketing, Golub-Kahan-Lanczos
+    non-convergence, derivative-estimate instability)."""
 
 
 class SeparationError(FockLatticeError):

@@ -544,94 +544,92 @@ class _FftSection:
         return float((self.out_w * np.where(self.mask, s, 0.0)).max())
 
 
-def _power_iteration(apply_fn, adjoint_fn, shape, mask, seed: int,
-                     iters: int = 50, stag: float = 1e-8):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x = np.where(mask, x, 0.0)
-    x /= np.linalg.norm(x)
-    prev = None
-    achieved = math.inf
-    for _ in range(iters):
-        y = np.where(mask, apply_fn(x), 0.0)
-        z = np.where(mask, adjoint_fn(y), 0.0)
-        nrm = np.linalg.norm(z)
-        if nrm == 0.0:
-            return 0.0, 0.0
-        sig = math.sqrt(nrm)
-        x = z / nrm
-        if prev is not None:
-            achieved = abs(sig - prev) / max(sig, 1e-300)
-            if achieved <= stag:
-                break
-        prev = sig
-    if achieved > 1e-3:
-        raise NumericalError(
-            f"power iteration failed to stagnate (last change {achieved:.1e})")
-    return sig, achieved
+def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
+                        tol: float = 1e-8):
+    """(theta, change): the section's largest singular value by one
+    Golub-Kahan-Lanczos run (Golub & Van Loan, Matrix Computations, 10.4)
+    from a seeded random start, and its last relative change.
+
+    alpha_k u_k = A v_k - beta_{k-1} u_{k-1}, beta_k v_{k+1} = A^H u_k -
+    alpha_k v_k; theta = sigma_max(B_k) of the upper bidiagonal B_k is a
+    lower bound by interlacing.  Its residual is beta_k |p_k| = beta_k
+    alpha_k |q_k| / theta (p, q the top singular vectors of B_k), where
+    q_k^2 = prod_j (theta^2 - mu_j^2) / (theta^2 - sigma_{j+1}^2) for the
+    singular values sigma of B_k and mu of B_{k-1} (LAPACK's singular-vector
+    path starts BLAS threads, which stalled for ~50 ms a call on 2 cores).
+    No basis is kept: plain Lanczos only repeats converged Ritz values.
+    Stops at `steps`, residual <= tol theta or change <= tol; at the cap
+    NumericalError if both exceed 1e-3."""
+    rng, shape = np.random.default_rng(seed), sec.mask.shape
+    v = np.where(sec.mask, rng.standard_normal(shape)
+                 + 1j * rng.standard_normal(shape), 0.0)
+    v /= np.linalg.norm(v)
+    # the weights vanish off the disc, so the iterates stay masked
+    u, beta, theta, prev = 0.0, 0.0, 0.0, np.zeros(0)
+    alphas, betas = [], []
+    for _ in range(steps):
+        u = sec.apply(v) - beta * u
+        alpha = float(np.linalg.norm(u))
+        u /= alpha
+        v = sec.apply_adjoint(u) - alpha * v
+        beta = float(np.linalg.norm(v))
+        alphas.append(alpha)
+        s = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1), compute_uv=False)
+        betas.append(beta)
+        change = float(abs(s[0] - theta) / s[0])
+        theta = float(s[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q2 = np.prod((theta ** 2 - prev ** 2) / (theta ** 2 - s[1:] ** 2))
+        resid = beta * alpha * math.sqrt(abs(q2)) / theta ** 2
+        prev = s
+        if resid <= tol or change <= tol:
+            return theta, change
+        v /= beta
+    if not (resid <= 1e-3 or change <= 1e-3):
+        raise NumericalError(f"bidiagonalisation did not converge in {steps} "
+                             f"steps (residual {resid:.1e}, change {change:.1e})")
+    return theta, change
 
 
 def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
-                           w: WeightProfile, N: int = 2, trials: int = 2,
+                           w: WeightProfile, N: int = 2,
                            seed: int = 0, method: str = "auto") -> OperatorNormReport:
     """Operator norms of B, L or M(N) across nested square-lattice sizes.
 
-    p=1 and p=inf are the exact max weighted column/row sums; p=2 is the
-    largest singular value by power iteration (50 iterations or 1e-8
-    stagnation; several seeded trials, largest estimate kept).  Square
-    sections are evaluated matrix-free via FFT convolution, which keeps the
-    5000-point probes cheap; `method="dense"` forces the dense matrix.
-    """
+    p=1 and p=inf are the exact max weighted column/row sums.  p=2 is a
+    lower bound on the largest singular value by Golub-Kahan-Lanczos from a
+    start seeded by `seed` (`_top_singular_value`: at most 50 steps, to a
+    relative Ritz residual or change of 1e-8; that change is in
+    `stagnations`).  Sections are matrix-free FFT convolutions;
+    `method="dense"` forces the dense matrix and `np.linalg.norm`."""
     if p not in (1.0, 2.0) and not math.isinf(p):
         raise ValueError("operator norms support p in {1, 2, inf}")
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) == 0 or sizes[0] < 1:
         raise ValueError("sizes must be positive and ascending")
-    norms, actual, stags = [], [], []
+    rows = []
     for size in sizes:
         # radius with expected count ~ size: pi R^2 / scale^2 = size
         R = math.sqrt(size * SQUARE_SCALE ** 2 / math.pi)
+        change = 0.0
         if size == 1:
-            norms.append(0.0)
-            actual.append(1)
-            stags.append(0.0)
-            continue
-        if method == "dense":
+            n_pts, norm = 1, 0.0
+        elif method == "dense":
             from .lattice import square_lattice
             lat = square_lattice(max(R, 3.1 * SQUARE_SCALE), w)
-            K = operator_matrix(lat, w, kind, N)
-            actual.append(len(lat))
-            if p == 1.0:
-                norms.append(float(np.abs(K).sum(axis=0).max()))
-                stags.append(0.0)
-            elif math.isinf(p):
-                norms.append(float(np.abs(K).sum(axis=1).max()))
-                stags.append(0.0)
-            else:
-                norms.append(float(np.linalg.svd(K, compute_uv=False)[0]))
-                stags.append(0.0)
-            continue
-        sec = _FftSection(R, w, kind, N)
-        actual.append(sec.size)
-        if p == 1.0:
-            norms.append(sec.col_sum_max())
-            stags.append(0.0)
-        elif math.isinf(p):
-            norms.append(sec.row_sum_max())
-            stags.append(0.0)
+            n_pts = len(lat)
+            norm = float(np.linalg.norm(operator_matrix(lat, w, kind, N), p))
         else:
-            best, ach = 0.0, math.inf
-            for t in range(max(trials, 1)):
-                sig, a = _power_iteration(sec.apply, sec.apply_adjoint,
-                                          sec.mask.shape, sec.mask,
-                                          seed=seed + 1000 * t)
-                if sig > best:
-                    best, ach = sig, a
-            norms.append(best)
-            stags.append(ach)
+            sec = _FftSection(R, w, kind, N)
+            n_pts = sec.size
+            if p == 2.0:
+                norm, change = _top_singular_value(sec, seed)
+            else:
+                norm = sec.col_sum_max() if p == 1.0 else sec.row_sum_max()
+        rows.append((n_pts, norm, change))
+    actual, norms, stags = zip(*rows)
     return OperatorNormReport(op=kind if kind != "M" else f"M({N})", p=p,
-                              sizes=tuple(actual), norms=tuple(norms),
-                              stagnations=tuple(stags))
+                              sizes=actual, norms=norms, stagnations=stags)
 
 
 # ---------------------------------------------------------------------------

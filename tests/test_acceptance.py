@@ -48,8 +48,8 @@ class TestAcceptance:
         assert res.passed, res.details
         # nested sections are compressions, ||P A P|| <= ||A||, so the raw
         # section norms (200 -> 5000 points) cannot decrease with size:
-        # exactly at p = 1 and inf, up to the power iteration's reported
-        # stagnation at p = 2
+        # exactly at p = 1 and inf, up to the last relative change the
+        # bidiagonalisation reports at p = 2
         assert len(res.reports) == 7
         for key, rep in res.reports.items():
             for a, b, sa, sb in zip(rep.norms, rep.norms[1:],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import square_lattice
+from focklattice import classical_weight, square_lattice
 from focklattice.cli import main
 
 
@@ -158,30 +158,57 @@ class TestOtherCommands:
                    "--grid", str(tmp_path / "g.csv")])
         assert rc == 2
 
-    def test_sigma_on_the_lattice_is_numerical_error(self, tmp_path, capsys):
-        # the two grid cells on the diagonal are centred at s(+-8 +- 8i),
-        # points of the infinite lattice beyond R = 10, where the sigma
-        # evaluator refuses to take log sigma
+    def test_sigma_on_the_lattice_is_numerical_error(self):
+        # s(8 + 8i) is a point of the infinite lattice beyond R = 10, where
+        # the sigma evaluator refuses to take log sigma; `reconstruct` never
+        # gets there, as its grids stay inside the guard band
+        from focklattice.errors import NumericalError
+        from focklattice.multiplier import sigma_log
         s = math.sqrt(math.pi / 2.0)
+        with pytest.raises(NumericalError, match="lies on .or too near. the lattice"):
+            sigma_log(square_lattice(10.0, classical_weight()), s * (8 + 8j))
+
+    def test_reconstruct_beyond_the_guard_is_schema_error(self, tmp_path, capsys):
+        # the four cells centred at (+-10, +-10) lie outside the R = 10
+        # truncation, where the truncated sums wrote weighted_mag ~ 5e-19
+        # for a true e^-196 with exit 0
         path = tmp_path / "job.json"
         path.write_text(json.dumps(dict(
             BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=2,
-            grid={"half_width": 16.0 * s, "n": 2}, verify_points=4)))
-        rc = main(["reconstruct", "--input", str(path),
-                   "--grid", str(tmp_path / "g.csv")])
-        assert rc == 3
-        assert "lies on (or too near) the lattice" in capsys.readouterr().err
+            grid={"half_width": 20.0, "n": 2}, verify_points=4)))
+        grid = tmp_path / "g.csv"
+        rc = main(["reconstruct", "--input", str(path), "--grid", str(grid)])
+        assert rc == 2
+        assert "beyond the guard radius" in capsys.readouterr().err
+        assert not grid.exists()
+
+    def test_reconstruct_default_grid_inside_the_guard(self, tmp_path):
+        # R = 7: guard radius 5.59, so a half-width of min(4, guard) put
+        # the grid corner at 5.66; the default is now min(4, guard / sqrt(2))
+        lat = square_lattice(7.0, classical_weight())
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(
+            BASE, lattice={"kind": "square", "R": 7}, values={"kind": "zero"},
+            p=2, grid={"n": 2}, verify_points=4)))
+        grid = tmp_path / "g.csv"
+        rc = main(["reconstruct", "--input", str(path), "--grid", str(grid)])
+        assert rc == 0
+        rows = list(csv.DictReader(grid.read_text().splitlines()))
+        half = lat.guard_radius() / math.sqrt(2.0)
+        assert [abs(float(r["x"])) for r in rows] == pytest.approx([half / 2] * 4)
 
     def test_density_schedule_past_truncation_is_numerical_error(self, tmp_path):
         rc, _ = run(tmp_path, dict(BASE, density_r_max=100.0), "lattice-info")
         assert rc == 3
 
     def test_reconstruct_raw_overflow_is_nan(self, tmp_path):
-        # grid cells centred at (+-20, +-20): phi = 800 > log(max double)
+        # corner cells centred at (+-20, +-20): phi = 800 > log(max double);
+        # the edge cells (phi = 400) and the centre stay finite.  The grid
+        # corner, 30 sqrt(2) = 42.4, is inside the guard radius 42.6
         path = tmp_path / "job.json"
         job = dict(BASE, lattice={"kind": "square", "R": 44},
                    values={"kind": "gaussian_trace", "w": [0.2, -0.1]},
-                   p=2, grid={"half_width": 40.0, "n": 2}, verify_points=8)
+                   p=2, grid={"half_width": 30.0, "n": 3}, verify_points=8)
         path.write_text(json.dumps(job))
         grid = tmp_path / "rg.csv"
         out = tmp_path / "r.json"
@@ -190,10 +217,11 @@ class TestOtherCommands:
         assert rc == 0
         assert json.loads(out.read_text())["results"]["raw_overflow_points"] == 4
         rows = list(csv.DictReader(grid.read_text().splitlines()))
-        assert len(rows) == 4
+        assert len(rows) == 9
         for row in rows:
-            assert math.isnan(float(row["re_f"]))
-            assert math.isnan(float(row["im_f"]))
+            corner = abs(float(row["x"])) > 1 and abs(float(row["y"])) > 1
+            assert math.isnan(float(row["re_f"])) == corner
+            assert math.isnan(float(row["im_f"])) == corner
             assert math.isfinite(float(row["weighted_mag"]))
 
     def test_reconstruct_residual(self, tmp_path):
@@ -228,6 +256,13 @@ class TestOtherCommands:
         rc, rep = run(tmp_path, job, "op-norm")
         assert rc == 0
         assert rep["results"]["growth_ratio"] < 1.05
+
+    def test_op_norm_trials_key_is_schema_error(self, tmp_path, capsys):
+        job = {"weight": {"kind": "classical"}, "op": "B", "p": 2,
+               "sizes": [200], "trials": 2}
+        rc, rep = run(tmp_path, job, "op-norm")
+        assert rc == 2 and rep is None
+        assert "'trials'" in capsys.readouterr().err
 
     def test_explicit_lattice_user_table(self, tmp_path):
         pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5],
