@@ -151,11 +151,6 @@ def reconstruct(data: TraceData, z, cfg: PvConfig = DEFAULT_PV):
     return _eval_core(data, z, "finite", 0.0, cfg, weighted=False)
 
 
-def reconstruct_weighted(data: TraceData, z, cfg: PvConfig = DEFAULT_PV):
-    """Same as reconstruct but returns f(z) e^{-phi(z)} (safe at any radius)."""
-    return _eval_core(data, z, "finite", 0.0, cfg, weighted=True)
-
-
 @dataclass(eq=False)
 class Interpolant:
     """Evaluator for one reconstruction; immutable and shareable."""

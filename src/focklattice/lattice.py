@@ -9,12 +9,10 @@ every shell is a contiguous index range.
 
 Nearest-point lookups, Euclidean or in the surrogate metric
 |z - lambda| / rho(lambda) that assigns grid points to cells, and the
-separation constant rank a few candidates per point.  On the square
-lattice the candidates are the grid block around z/scale rounded to
-integers (`grid_coords`), looked up in an (m, n) -> index table of the
-truncation built per call.  Explicit lattices, and square-lattice queries
-that round outside the truncation, take their candidates from a KD-tree
-(scipy, imported on first use).
+separation constant are one exact search (`_search`): the points are
+binned once into a bucket grid, one point per bucket on the square
+lattice, and each query scans rings of buckets until no farther ring can
+win.
 """
 
 from __future__ import annotations
@@ -46,11 +44,9 @@ __all__ = [
 SQUARE_SCALE = math.sqrt(math.pi / 2.0)
 
 _MIN_DELTA_SEP = 1e-6
-# Cell lookups and the separation on the square lattice rank the 5 x 5 grid
-# block around the rounded point.  It holds the nine Euclidean-nearest
-# points of any z (the KD-tree candidates of cells) and the 11 nearest
-# neighbours of a lattice point (those of the separation).
-_BLOCK = 2
+# (query, bin) pairs gathered per step of the search: about 0.5 MB of
+# temporaries on the square lattice, one point per bin
+_RING_PAIRS = 1 << 12
 # radii within this relative gap (floor 1) are one shell
 _SHELL_RTOL = 1e-9
 
@@ -108,62 +104,73 @@ def grid_coords(z, scale: float):
     return np.rint(z.real / scale), np.rint(z.imag / scale)
 
 
-def _kd_candidates(points: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k points Euclidean-nearest to each z, shape
-    (len(z), k).  scipy loads on first use."""
-    from scipy.spatial import cKDTree
-    tree = cKDTree(np.column_stack([points.real, points.imag]))
-    idx = tree.query(np.column_stack([z.real, z.imag]), k=k)[1]
-    return np.asarray(idx, dtype=np.intp).reshape(len(z), k)
+def _search(points: np.ndarray, rho: np.ndarray, z: np.ndarray,
+            r_z: np.ndarray, h: Optional[float] = None,
+            exclude: bool = False):
+    """Index and value of the exact argmin over the points lambda of
+    |z - lambda| / max(r_z, rho_lambda), for each z (exclude: not z's own
+    index, with z the points themselves).
 
-
-def _candidates(points: np.ndarray, z: np.ndarray, k: int,
-                scale: Optional[float] = None, block: int = 0) -> np.ndarray:
-    """Candidate indices per z, shape (len(z), c), -1 marking none.
-
-    Square lattice (scale given): the (2 block + 1)^2 grid block around z
-    rounded by `grid_coords`, looked up in an (m, n) -> index table of the
-    truncation.  Explicit lattices, and rows whose rounded point lies
-    outside the truncation, get the k Euclidean-nearest points instead.
+    Bentley, Stanat & Williams' cell technique: the points are binned once
+    by `grid_coords(points, h)` into a CSR table; h defaults to the
+    bounding-box side over ceil(sqrt(N)), so the table has O(N) bins.  Each
+    query scans rings of bins around its bin, clipped into the table.  A
+    point beyond ring k is at least hypot(gap, k h) from z, gap being z's
+    distance to the points' bounding box (projection onto the box shortens
+    no distance to a point inside it), so the query stops once that reaches
+    best * max(r_z, max rho).
     """
-    k = min(k, points.size)
-    if scale is None:
-        return _kd_candidates(points, z, k)
-    pm, pn = (c.astype(np.intp) for c in grid_coords(points, scale))
-    M = int(max(np.abs(pm).max(), np.abs(pn).max()))
-    pad = M + block             # blocks around |m|, |n| <= M stay on the table
-    table = np.full((2 * pad + 1, 2 * pad + 1), -1, dtype=np.intp)
-    table[pm + pad, pn + pad] = np.arange(points.size)
-    m, n = grid_coords(z, scale)
-    out = ~((np.abs(m) <= M) & (np.abs(n) <= M))
-    m, n = (np.where(out, 0, c).astype(np.intp) + pad for c in (m, n))
-    off = np.arange(-block, block + 1)
-    cand = table[(m[:, None] + off)[:, :, None],
-                 (n[:, None] + off)[:, None, :]].reshape(len(z), off.size ** 2)
-    out |= cand[:, off.size ** 2 // 2] < 0
-    if out.any():
-        cand[out] = -1
-        cand[out, :k] = _kd_candidates(points, z[out], k)
-    return cand
+    x, y = points.real, points.imag
+    if h is None:
+        side = max(np.ptp(x), np.ptp(y))
+        h = side / math.ceil(math.sqrt(points.size)) if side > 0 else 1.0
+    pi, pj = (c.astype(np.intp) for c in grid_coords(points, h))
+    i0, j0 = pi.min(), pj.min()
+    ni, nj = pi.max() - i0 + 1, pj.max() - j0 + 1
+    key = (pi - i0) * nj + (pj - j0)
+    order = np.argsort(key, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=ni * nj))])
+    proj = np.clip(z.real, x.min(), x.max()) + 1j * np.clip(z.imag, y.min(), y.max())
+    gap = np.abs(z - proj)
+    ci, cj = (c.astype(np.intp) for c in grid_coords(proj, h))
+    ci, cj = ci - i0, cj - j0
+    last = np.maximum.reduce([ci, ni - 1 - ci, cj, nj - 1 - cj])
+    reach = np.maximum(r_z, rho.max())
+    best, arg = np.full(z.size, np.inf), np.zeros(z.size, dtype=np.intp)
+    active, k = np.arange(z.size), 0
+    while active.size:
+        d = np.arange(-k, k + 1)
+        di, dj = np.meshgrid(d, d, indexing="ij")
+        ring = np.maximum(np.abs(di), np.abs(dj)) == k
+        di, dj = di[ring], dj[ring]
+        step = max(1, _RING_PAIRS // di.size)
+        for q in (active[s:s + step] for s in range(0, active.size, step)):
+            bi, bj = ci[q, None] + di, cj[q, None] + dj
+            ok = (bi >= 0) & (bi < ni) & (bj >= 0) & (bj < nj)
+            b = np.where(ok, bi * nj + bj, 0).ravel()
+            n = np.where(ok.ravel(), starts[b + 1] - starts[b], 0)
+            # position in `order` of each gathered point: bin start + rank
+            pos = np.repeat(starts[b] - np.cumsum(n) + n, n) + np.arange(n.sum())
+            lam, row = order[pos], np.repeat(np.repeat(q, di.size), n)
+            val = np.abs(z[row] - points[lam]) / np.maximum(r_z[row], rho[lam])
+            if exclude:
+                val[lam == row] = np.inf
+            np.minimum.at(best, row, val)
+            win = val == best[row]
+            arg[row[win]] = lam[win]
+        cover = np.hypot(gap[active], k * h) >= best[active] * reach[active]
+        active = active[~(cover | (k >= last[active]))]
+        k += 1
+    return arg, best
 
 
 def _separation(points: np.ndarray, rho_vals: np.ndarray,
                 scale: Optional[float] = None) -> float:
-    """The separation constant min |l - l'| / max(rho(l), rho(l')).  rho is
-    1-Lipschitz, so the minimiser is a pair of near neighbours: the grid
-    block of the square lattice (scale given), else each point's 11 nearest
-    neighbours."""
+    """The separation constant min |l - l'| / max(rho(l), rho(l')), by the
+    exact search over each point's neighbours."""
     if points.size < 2:
         return math.inf
-    own = np.arange(points.size)
-    best = math.inf
-    # one candidate column at a time keeps the temporaries O(points)
-    for j in _candidates(points, points, 12, scale, _BLOCK).T:
-        i = own[(j >= 0) & (j != own)]
-        if i.size:
-            d = np.abs(points[i] - points[j[i]])
-            best = min(best, float(np.min(d / np.maximum(rho_vals[i], rho_vals[j[i]]))))
-    return best
+    return float(_search(points, rho_vals, points, rho_vals, scale, exclude=True)[1].min())
 
 
 def square_lattice(R: float, w: WeightProfile) -> Lattice:
@@ -314,25 +321,15 @@ class CellGeometry:
 def nearest_index(lat: Lattice, z, cell: bool = False):
     """Index of the lattice point nearest to each z, and the distance.
 
-    With cell=True nearness is the surrogate |z - lambda| / rho(lambda),
-    minimised over nearby candidates (rho is 1-Lipschitz and varies little
-    between neighbours): the 5 x 5 grid block around the rounded point on
-    the square lattice, else the nine Euclidean-nearest points; the
-    distance returned is that surrogate.
+    With cell=True nearness is the surrogate |z - lambda| / rho(lambda) and
+    the distance returned is that surrogate.  Both are the exact argmin over
+    every lattice point (`_search`), for z anywhere in the plane; a surrogate
+    of 1 or more marks a z that the lattice does not cover at scale rho.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    square = lat.kind == "square"
-    cand = _candidates(lat.points, z, 9 if cell else 1,
-                       lat.scale if square else None, _BLOCK if cell else 0)
-    valid = cand >= 0
-    safe = np.where(valid, cand, 0)
-    dist = np.abs(z[:, None] - lat.points[safe])
-    if cell:
-        dist = dist / lat.rho_values[safe]
-    dist = np.where(valid, dist, np.inf)
-    best = np.argmin(dist, axis=1)
-    rows = np.arange(len(z))
-    return cand[rows, best], dist[rows, best]
+    rho = lat.rho_values if cell else np.ones(len(lat))
+    return _search(lat.points, rho, z, np.zeros(z.size),
+                   lat.scale if lat.kind == "square" else None)
 
 
 def cell_geometry(lat: Lattice, grid: GridSpec, w: WeightProfile) -> CellGeometry:

@@ -378,23 +378,31 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray):
     callable that extends the end pieces beyond [x[0], x[-1]].
 
     The slopes at the nodes solve one tridiagonal system (set up as in
-    scipy's CubicSpline, solved densely); each piece is a cubic in
-    u - x[i], evaluated by Horner's rule after a searchsorted.
+    scipy's CubicSpline), by O(n) elimination without pivoting: every pivot
+    stays positive, as the interior rows are diagonally dominant.  Each
+    piece is a cubic in u - x[i], evaluated by Horner's rule after a
+    searchsorted.
     """
     n = x.size
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    A, b = np.zeros((n, n)), np.empty(n)
-    i = np.arange(1, n - 1)
-    A[i, i - 1], A[i, i], A[i, i + 1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
-    b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    A[0, :2] = dx[1], d
-    b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[-1, -2:] = d, dx[-2]
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = np.linalg.solve(A, b)
+    # row i: lo[i] s[i-1] + mid[i] s[i] + up[i] s[i+1] = b[i]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lo = np.concatenate([[0.0], dx[1:], [d1]]).tolist()
+    mid = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]]).tolist()
+    up = np.concatenate([[d0], dx[:-1], [0.0]]).tolist()
+    b = np.concatenate([
+        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]]).tolist()
+    for i in range(1, n):
+        m = lo[i] / mid[i - 1]
+        mid[i] -= m * up[i - 1]
+        b[i] -= m * b[i - 1]
+    b[-1] /= mid[-1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - up[i] * b[i + 1]) / mid[i]
+    s = np.array(b)
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 

@@ -1,6 +1,6 @@
-"""CLI jobs on the square lattice run on numpy alone, for classical and
-power weights (the rho root-find and spline are numpy code): scipy is
-imported only for the KD-tree of explicit lattices, on first use."""
+"""CLI jobs run on numpy alone: square lattices with classical and power
+weights (the rho root-find and spline are numpy code) and explicit
+lattices (the nearest-point search is numpy code)."""
 
 import json
 import os
@@ -65,6 +65,12 @@ SCRIPT = textwrap.dedent("""
                 "values": {"kind": "zero"}, "p": 2}
     out["explicit_rc"] = run("explicit", "trace-check", explicit)
     out["after_explicit"] = loaded()
+    try:
+        import scipy.spatial
+    except ImportError:
+        out["after_control"] = None
+    else:
+        out["after_control"] = loaded()
     print(json.dumps(out))
 """)
 
@@ -72,7 +78,8 @@ SCRIPT = textwrap.dedent("""
 @pytest.fixture(scope="module")
 def jobs(tmp_path_factory):
     """Modules loaded after each group of CLI jobs, run in that order in
-    one fresh interpreter: classical, power weight, explicit lattice."""
+    one fresh interpreter: classical, power weight, explicit lattice; then
+    after importing scipy.spatial directly."""
     env = dict(os.environ, PYTHONPATH=SRC)
     work = str(tmp_path_factory.mktemp("jobs"))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, work], env=env,
@@ -94,7 +101,13 @@ def test_power_weight_jobs_do_not_import_scipy(jobs):
     assert jobs["after_power"] == []
 
 
-def test_explicit_lattice_imports_the_kd_tree(jobs):
-    # positive control: the loader above does see scipy when it loads
+def test_explicit_lattice_jobs_do_not_import_scipy(jobs):
     assert jobs["explicit_rc"] == 0
-    assert "scipy.spatial" in jobs["after_explicit"]
+    assert jobs["after_explicit"] == []
+
+
+def test_loader_sees_scipy_when_it_loads(jobs):
+    # positive control for `loaded`: the script imports scipy.spatial last
+    if jobs["after_control"] is None:
+        pytest.skip("scipy is not installed")
+    assert "scipy.spatial" in jobs["after_control"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,16 +199,48 @@ def power5_lat():
     return square_lattice(20.0, power_weight(5.0, rho_origin=2.0))
 
 
+@pytest.fixture(scope="module")
+def power5_c1_lat():
+    # rho from 0.50 down to 0.0013 against a spacing of 1.25
+    return square_lattice(20.0, power_weight(5.0, c_gamma=1.0))
+
+
+@pytest.fixture(scope="module")
+def random_lat():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-10, 10, 400) + 1j * rng.uniform(-10, 10, 400)
+    return explicit_lattice(np.concatenate([[0.0], pts]),
+                            power_weight(0.5, rho_origin=2.0))
+
+
+@pytest.fixture(scope="module")
+def clustered_lat():
+    # 300 points within 0.05 of 3 + 2i (one bucket) and 40 outliers
+    rng = np.random.default_rng(4)
+    cluster = 3 + 2j + 0.05 * np.sqrt(rng.uniform(size=300)) \
+        * np.exp(2j * math.pi * rng.uniform(size=300))
+    outliers = rng.uniform(-15, 15, 40) + 1j * rng.uniform(-15, 15, 40)
+    return explicit_lattice(np.concatenate([[0.0], cluster, outliers]),
+                            power_weight(0.5, rho_origin=2.0))
+
+
+SQUARE_LATTICES = ["lat16", "power_lat", "power5_lat", "power5_c1_lat"]
+LOOKUP_LATTICES = SQUARE_LATTICES + ["random_lat", "clustered_lat"]
+
+
 class TestNearestIndex:
-    """The grid lookup (KD-tree fallback beyond the truncation) against a
-    dense argmin over every lattice point."""
+    """The bucket-grid search against a dense argmin over every lattice
+    point, on square and explicit lattices, for queries in the disc, at
+    and near lattice points, beyond the truncation and out to |z| = 1e3."""
 
     @staticmethod
     def sample(lat, rng, n=3000):
         r = lat.truncation_radius * np.sqrt(rng.uniform(size=n))
         z = r * np.exp(2j * math.pi * rng.uniform(size=n))
+        far = np.geomspace(lat.truncation_radius, 1e3, 300) \
+            * np.exp(2j * math.pi * rng.uniform(size=300))
         # lattice points themselves and points very close to them
-        return np.concatenate([z, lat.points[::7], lat.points[::11] + 1e-9])
+        return np.concatenate([z, far, lat.points[::7], lat.points[::11] + 1e-9])
 
     @staticmethod
     def beyond(lat, rng, n=2000):
@@ -241,18 +274,18 @@ class TestNearestIndex:
         assert np.allclose(dist, best, rtol=1e-12, atol=1e-15)
         assert np.allclose(own, best, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    @pytest.mark.parametrize("which", LOOKUP_LATTICES)
     def test_euclidean_matches_dense_argmin(self, which, request, rng):
         lat = request.getfixturevalue(which)
         self.check_against_dense(lat, self.sample(lat, rng), cell=False)
 
-    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    @pytest.mark.parametrize("which", LOOKUP_LATTICES)
     def test_cell_matches_dense_surrogate_argmin(self, which, request, rng):
         lat = request.getfixturevalue(which)
         self.check_against_dense(lat, self.sample(lat, rng), cell=True)
 
     @pytest.mark.parametrize("cell", [False, True])
-    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    @pytest.mark.parametrize("which", SQUARE_LATTICES)
     def test_beyond_truncation_matches_dense(self, which, cell, request, rng):
         lat = request.getfixturevalue(which)
         z = self.beyond(lat, rng)
@@ -261,17 +294,39 @@ class TestNearestIndex:
         self.check_against_dense(lat, z, cell)
 
     @pytest.mark.parametrize("cell", [False, True])
-    @pytest.mark.parametrize("which", ["lat16", "power_lat"])
+    @pytest.mark.parametrize("which", SQUARE_LATTICES)
     def test_midlines_match_dense_by_distance(self, which, cell, request):
         lat = request.getfixturevalue(which)
         self.check_against_dense(lat, self.midlines(lat), cell)
 
+    def test_wide_explicit_lattice_keeps_a_small_table(self, cw, rng):
+        # spacing 1e-3 near the origin, extent 1e3: a table binned at the
+        # smallest spacing would hold 4e12 buckets, one at spacing 1 holds
+        # 4e6 (32 MB of bin starts); the search needs about 1.2 MB
+        k = np.arange(-5, 6)
+        block = 1e-3 * (k[:, None] + 1j * k[None, :]).ravel()
+        ring = 1e3 * np.exp(2j * math.pi * np.arange(200) / 200)
+        tracemalloc.start()
+        try:
+            lat = explicit_lattice(np.concatenate([block, ring]), cw)
+            z = self.sample(lat, rng)
+            for cell in (False, True):
+                nearest_index(lat, z, cell=cell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert lat.delta_sep == pytest.approx(1e-3 / lat.max_rho, rel=1e-9)
+        for cell in (False, True):
+            self.check_against_dense(lat, z, cell)
+
 
 class TestSeparation:
-    """delta_sep from grid-neighbour offsets against the minimum over all
+    """delta_sep from the bucket-grid search against the minimum over all
     pairs of points."""
 
-    @pytest.mark.parametrize("which", ["lat12", "power_lat", "power5_lat"])
+    @pytest.mark.parametrize("which", ["lat12", "power_lat", "power5_lat",
+                                       "clustered_lat"])
     def test_delta_sep_matches_dense_pairs(self, which, request):
         lat = request.getfixturevalue(which)
         P, rv = lat.points, lat.rho_values
