@@ -148,7 +148,7 @@ def _report(command: str, args, job: dict, results: dict, t0: float,
 
 
 def _emit(report: dict, path: Optional[str]):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(report, sort_keys=True, default=_json_default)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

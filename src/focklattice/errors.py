@@ -11,7 +11,8 @@ class SchemaError(FockLatticeError):
 
 class NumericalError(FockLatticeError):
     """A numerical procedure failed to meet its accuracy contract
-    (quadrature non-convergence, root bracketing, Golub-Kahan-Lanczos
+    (quadrature non-convergence, a rho table that is not monotone or falls
+    short, a rho bracket without a sign change, Golub-Kahan-Lanczos
     non-convergence, derivative-estimate instability)."""
 
 

@@ -1,5 +1,5 @@
 """CLI jobs run on numpy alone: square lattices with classical and power
-weights (the rho root-find and spline are numpy code) and explicit
+weights (the rho table, its polish and spline are numpy code) and explicit
 lattices (the nearest-point search is numpy code)."""
 
 import json

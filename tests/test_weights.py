@@ -7,9 +7,9 @@ from focklattice import (NumericalError, ap_probe, c_gamma_for_rho_origin,
                          choose_N, classical_weight, default_ap_radii,
                          effective_t, estimate_t, laplacian_phi, mu_disc,
                          phi, power_weight, rho, rho_many)
-from focklattice.weights import (DoublingExponent, _bracket, _chandrupatla,
-                                 _check_refinement, _mu_power, _not_a_knot_spline,
-                                 _solve_rho)
+from focklattice import weights
+from focklattice.weights import (DoublingExponent, _check_refinement,
+                                 _not_a_knot_spline, _radial_rho_spline)
 
 
 def fd_laplacian(w, z, h=1e-4):
@@ -201,91 +201,51 @@ class TestMpmathOracle:
         assert rho(w, -1j * a) == pytest.approx(oracle, rel=1e-10)
 
 
-# The node layouts of three rho splines: (gamma, weight, cache bucket umax)
+# Three rho profiles: (gamma, weight, cache bucket umax)
 _SPLINE_CASES = [(0.5, dict(rho_origin=2.0), 64.0),
                  (0.5, dict(rho_origin=2.0), 32768.0),
                  (5.0, dict(c_gamma=1.0), 4096.0)]
 
 
 def _spline_nodes(umax):
-    # the layout of weights._radial_rho_spline: 0 and 420 geometric nodes
+    # 0 and 420 geometric nodes up to umax
     return np.concatenate([[0.0], np.geomspace(max(umax * 1e-6, 1e-9), umax, 420)])
 
 
-class TestRootFind:
-    """The numpy bracket and Chandrupatla root-find behind rho."""
+class TestRhoTable:
+    """rho_many (the scaling-law table) against the polished scalar rho,
+    and the failures the table and the polish raise instead of clamping."""
 
-    @pytest.mark.parametrize("gamma,kw,umax", _SPLINE_CASES)
-    def test_matches_scipy_find_root(self, gamma, kw, umax):
-        elementwise = pytest.importorskip("scipy.optimize.elementwise")
+    @pytest.mark.parametrize("gamma,kw,umax", [
+        (0.5, dict(rho_origin=2.0), 64.0), (1.0, dict(rho_origin=2.0), 8.0),
+        (1.5, dict(c_gamma=0.7), 64.0), (3.0, dict(rho_origin=2.0), 256.0),
+        (5.0, dict(c_gamma=1.0), 4096.0)])
+    def test_rho_many_matches_scalar_rho(self, gamma, kw, umax, rng):
         w = power_weight(gamma, **kw)
-        a = _spline_nodes(umax)[1:]
-        excess = lambda r, aa: _mu_power(w, aa, r) - 1.0
-        # the guess of _solve_rho: unit mass at the local density, clipped
-        # into the 1-Lipschitz band around rho(0)
-        local = (math.pi * w.c_gamma * gamma ** 2 * a ** (gamma - 2.0)) ** -0.5
-        guess = np.clip(local, w.rho_origin - a, w.rho_origin + a)
-        br = elementwise.bracket_root(excess, guess / 8.0, guess * 8.0, xmin=0.0,
-                                      factor=4.0, args=(a,))
-        ref = elementwise.find_root(excess, br.bracket, args=(a,),
-                                    tolerances=dict(xrtol=8.9e-16))
-        assert np.all(br.success) and np.all(ref.success)
-        mine = _solve_rho(w, a)
-        assert np.all(np.abs(mine - ref.x) <= 4 * np.spacing(ref.x))
+        a_star = mu_disc(w, 1.0, 1.0) ** (-1.0 / gamma)    # rho(a*) = a*
+        near = a_star * (1.0 + np.outer([-1.0, 1.0], 10.0 ** -np.arange(6.0, 10.0)).ravel())
+        a = np.concatenate([[a_star, umax], near, rng.uniform(0.0, umax, 40),
+                            umax * 10.0 ** rng.uniform(-6.0, 0.0, 20)])
+        ref = np.array([rho(w, x) for x in a])
+        assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-5
 
-    def test_no_sign_change_raises_naming_radii(self):
-        a = np.array([1.5, 2.5])
-        # positive everywhere: lo shrinks to 0
-        with pytest.raises(NumericalError, match=r"bracket failure at \|z\| = \[1.5, 2.5\]"):
-            _bracket(lambda r, aa: r + aa, a, a / 8.0, a * 8.0)
-        # negative everywhere for the second element: hi grows to inf
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match=r"bracket failure at \|z\| = \[2.5\]"):
-            _bracket(lambda r, aa: r - aa - 3.0 * (aa > 2.0) * (r + 4.0), a, a / 8.0, a * 8.0)
+    def test_non_monotone_table_raises(self, monkeypatch):
+        # a constant M(s) gives a constant a(s)
+        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r, n=24: np.ones(np.shape(r)))
+        with pytest.raises(NumericalError, match="not monotone"):
+            _radial_rho_spline(power_weight(0.77, rho_origin=1.3), 8.0)
 
-    def test_nan_values_raise_naming_radii(self):
-        a = np.array([1.0, 2.0])
-        with pytest.raises(NumericalError, match=r"bracket failure at \|z\| = \[1.0, 2.0\]"):
-            _bracket(lambda r, aa: np.full(r.shape, np.nan), a, a / 8.0, a * 8.0)
-        # finite at the bracket ends, NaN near the root of the second element
-        f = lambda r, aa: np.where((aa == 2.0) & (np.abs(r - aa) < 0.5), np.nan, r - aa)
-        with pytest.raises(NumericalError, match=r"non-finite value at \|z\| = \[2.0\]"):
-            _chandrupatla(f, a, *_bracket(f, a, a / 8.0, a * 8.0))
+    def test_short_table_raises(self, monkeypatch):
+        mu = weights._mu_power
+        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r, n=24: 1e6 * mu(w, a, r, n))
+        with pytest.raises(NumericalError, match="short of 8.0"):
+            _radial_rho_spline(power_weight(0.78, rho_origin=1.3), 8.0)
 
-    def test_roots_of_a_monotone_function(self):
-        a = np.geomspace(1e-3, 1e3, 50)
-        f = lambda r, aa: np.tanh(r - aa) + 0.1 * (r - aa)
-        x, fx = _chandrupatla(f, a, *_bracket(f, a, a / 8.0, a * 8.0))
-        assert np.all(np.abs(x - a) <= 8.9e-16 * a + 4 * np.finfo(float).tiny)
-        assert np.array_equal(fx, f(x, a))
-
-    def test_steps_match_scipy_on_an_elementwise_function(self):
-        # f is elementwise numpy arithmetic, so its values do not depend on
-        # how elements are batched: the same steps give the same roots, in
-        # the same number of evaluations per element
-        elementwise = pytest.importorskip("scipy.optimize.elementwise")
-        a = np.geomspace(1e-3, 1e3, 60)
-        f = lambda r, aa: np.tanh(r - aa) + 0.1 * (r - aa) + np.sin(3.0 * r) / 40.0
-        lo, hi = a / 8.0, a * 8.0
-        ref = elementwise.find_root(f, (lo, hi), args=(a,), tolerances=dict(xrtol=8.9e-16))
-        seen = []
-        counted = lambda r, aa: (seen.extend(aa.tolist()), f(r, aa))[1]
-        x, fx = _chandrupatla(counted, a, lo, hi, f(lo, a), f(hi, a))
-        assert np.array_equal(x, ref.x) and np.array_equal(fx, ref.f_x)
-        assert [seen.count(v) for v in a.tolist()] == (ref.nfev - 2).tolist()
-
-    def test_bracket_moves_match_scipy(self):
-        elementwise = pytest.importorskip("scipy.optimize.elementwise")
-        a = np.geomspace(1e-2, 1e2, 9)
-        f = lambda r, aa: np.log(r / aa)
-        # the root lies below lo (lo shrinks), inside, or above hi (hi grows)
-        scale = np.array([40.0, 1e6, 1.0, 1e-3, 5e-9, 0.5, 700.0, 1e-5, 3.0])
-        lo, hi = a * scale / 8.0, a * scale * 8.0
-        ref = elementwise.bracket_root(f, lo, hi, xmin=0.0, factor=4.0, args=(a,))
-        assert np.all(ref.success)
-        got = _bracket(f, a, lo, hi)
-        assert np.array_equal(got[0], ref.bracket[0]) and np.array_equal(got[1], ref.bracket[1])
-        assert np.array_equal(got[2], ref.f_bracket[0]) and np.array_equal(got[3], ref.f_bracket[1])
+    def test_bracket_without_sign_change_raises(self, monkeypatch):
+        # the table value is not within 1e-13 of the root
+        monkeypatch.setattr(weights, "_POLISH_RTOL", 1e-13)
+        with pytest.raises(NumericalError, match="no sign change at \\|z\\| = 5.5"):
+            rho(power_weight(0.5, rho_origin=2.0), 5.5)
 
 
 class TestNotAKnotSpline:
@@ -333,6 +293,13 @@ class TestApProbe:
         rep_p = ap_probe(w, 4.0 / 3.0, radii)
         rep_q = ap_probe(w, 4.0, radii)
         assert np.allclose(rep_p.ratios, rep_q.ratios, rtol=1e-9)
+
+    def test_refinement_check_fires(self, monkeypatch):
+        # the 12- and 24-panel ratios differ by about 1.4e-5 here
+        monkeypatch.setattr(weights, "_AP_CHECK_RTOL", 1e-7)
+        w = power_weight(1.0, rho_origin=2.0)
+        with pytest.raises(NumericalError, match="ap_probe quadrature did not converge"):
+            ap_probe(w, 3.0, default_ap_radii(w))
 
     def test_radii_must_ascend(self):
         with pytest.raises(ValueError):
