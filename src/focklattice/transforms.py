@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .lattice import Lattice, ShellSchedule, grid_coords, shells_for, SQUARE_SCALE
-from .weights import WeightProfile, rho_many
+from .weights import WeightProfile, phi, rho_many
 
 __all__ = [
     "PvConfig",
@@ -386,22 +386,19 @@ def potential_LM(lat: Lattice, d: SequenceData, mode: str, index: int,
         L:    sum d~_lambda rho(lambda) rho(lambda')^2 / |lambda'-lambda|^3
         M(N): sum d~_lambda rho(lambda) rho(lambda')^N / |lambda'-lambda|^(N+1)
 
-    Mode M enforces N > 1/t when the doubling exponent t is supplied.
+    Mode M enforces N > 1/t when the doubling exponent t is supplied.  The
+    kernel is row `index` of `operator_matrix`.
     """
-    lam_p = lat.points[index]
-    rho_p = lat.rho_values[index]
-    mask = np.arange(len(lat)) != index
-    dist = np.abs(lat.points[mask] - lam_p)
-    if mode == "L":
-        kern = lat.rho_values[mask] * rho_p ** 2 / dist ** 3
-    elif mode == "M":
+    if mode not in ("L", "M"):
+        raise ValueError("mode must be 'L' or 'M'")
+    if mode == "M":
         if N is None:
             raise ValueError("mode M needs the order N")
         if t is not None and N <= 1.0 / t:
             raise ValueError(f"mode M requires N > 1/t (N={N}, 1/t={1.0 / t:.3f})")
-        kern = lat.rho_values[mask] * rho_p ** N / dist ** (N + 1)
-    else:
-        raise ValueError("mode must be 'L' or 'M'")
+    mask = np.arange(len(lat)) != index
+    out_w, in_w = _op_weights(mode, lat.rho_values, N)
+    kern = out_w[index] * in_w[mask] * _op_kernel(mode, lat.points[mask] - lat.points[index], N)
     return complex(np.sum(d.values[mask] * kern))
 
 
@@ -593,15 +590,14 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
 
 def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
                            w: WeightProfile, N: int = 2,
-                           seed: int = 0, method: str = "auto") -> OperatorNormReport:
+                           seed: int = 0) -> OperatorNormReport:
     """Operator norms of B, L or M(N) across nested square-lattice sizes.
 
     p=1 and p=inf are the exact max weighted column/row sums.  p=2 is a
     lower bound on the largest singular value by Golub-Kahan-Lanczos from a
     start seeded by `seed` (`_top_singular_value`: at most 50 steps, to a
     relative Ritz residual or change of 1e-8; that change is in
-    `stagnations`).  Sections are matrix-free FFT convolutions;
-    `method="dense"` forces the dense matrix and `np.linalg.norm`."""
+    `stagnations`).  Sections are matrix-free FFT convolutions."""
     if p not in (1.0, 2.0) and not math.isinf(p):
         raise ValueError("operator norms support p in {1, 2, inf}")
     sizes = sorted(int(s) for s in sizes)
@@ -614,11 +610,6 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
         change = 0.0
         if size == 1:
             n_pts, norm = 1, 0.0
-        elif method == "dense":
-            from .lattice import square_lattice
-            lat = square_lattice(max(R, 3.1 * SQUARE_SCALE), w)
-            n_pts = len(lat)
-            norm = float(np.linalg.norm(operator_matrix(lat, w, kind, N), p))
         else:
             sec = _FftSection(R, w, kind, N)
             n_pts = sec.size
@@ -705,7 +696,7 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
 
     # trace data d = f|Lambda / g'
     f_lam = _eval_f(f, pts)
-    d_vals = f_lam * np.exp(-_phi_vec(m.weight, pts)) / m.g_prime_weighted()
+    d_vals = f_lam * np.exp(-phi(m.weight, pts)) / m.g_prime_weighted()
     d = SequenceData(lattice=lat, values=d_vals)
 
     direct = {n: batch_higher(lat, d, indices, n, cfg)[0] for n in range(1, N + 1)}
@@ -761,11 +752,6 @@ def transform_batch_report(lat: Lattice, d: SequenceData, indices, n: int = 1,
                 "growth_exponent": None if fit is None else fit[0],
             })
     return out
-
-
-def _phi_vec(w: WeightProfile, z: np.ndarray) -> np.ndarray:
-    from .weights import phi
-    return np.asarray(phi(w, z), dtype=float)
 
 
 def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:

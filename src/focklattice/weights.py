@@ -60,13 +60,13 @@ class WeightProfile:
     """Immutable description of the weight phi.
 
     kind "classical" behaves identically to kind "power" with gamma=2,
-    c_gamma=1; rho_origin caches rho(0).
+    c_gamma=1; rho_origin caches rho(0) and is derived, never passed.
     """
 
     kind: str
     gamma: float = 2.0
     c_gamma: float = 1.0
-    rho_origin: float = field(default=0.0)
+    rho_origin: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("classical", "power"):
@@ -159,9 +159,9 @@ def _radial_disc_integral(f: Callable[[np.ndarray], np.ndarray],
     (a - r)^2 + 4*a*r*sin^2(psi/2) (the form of a^2 + r^2 - 2*a*r*cos(psi)
     that does not cancel near psi = 0).  In the psi variable the integrand
     is analytic except at u -> 0, so geometric panels toward psi = 0 make
-    the rule uniformly robust.  full_part(umax) supplies the closed-form
-    (or separately integrated) full-circle contribution over |w| <= umax;
-    it is called with umax = 0 where the disc misses the origin and must
+    the rule uniformly robust.  full_part(u_full) supplies the closed-form
+    (or separately integrated) full-circle contribution over |w| <= u_full;
+    it is called with u_full = 0 where the disc misses the origin and must
     return 0 there.  Every panel of a chunk of discs is one array
     expression; f and full_part must accept arrays of any shape.  f may
     return several densities stacked on a new leading axis (full_part
@@ -208,7 +208,7 @@ def _mu_power(w: WeightProfile, a, r, npanels: int = 2 * _PSI_PANELS) -> np.ndar
     huge discs in floating-point range.  mu(D(0, u)) = 2*pi*C*gamma*u^gamma
     is the exact full-circle part."""
     lap = lambda u: w.c_gamma * w.gamma ** 2 * np.power(u, w.gamma - 2.0)
-    full = lambda umax: 2.0 * math.pi * w.c_gamma * w.gamma * np.power(umax, w.gamma)
+    full = lambda u_full: 2.0 * math.pi * w.c_gamma * w.gamma * np.power(u_full, w.gamma)
     return np.power(r, w.gamma) * _radial_disc_integral(lap, full, a / r, 1.0, npanels)
 
 
@@ -239,7 +239,7 @@ def mu_disc(w: WeightProfile, center, radius: float) -> float:
 
 
 # Scalar rho polishes the table value inside a bracket of this half-width
-# (relative), well above the table's measured error of at most 5e-6.
+# (relative), well above the table's measured error (see rho_many).
 _POLISH_RTOL = 1e-4
 _POLISH_ITERS = 100
 
@@ -249,23 +249,27 @@ def _solve_rho(w: WeightProfile, a: float) -> float:
 
     The root of mu(D(a, r)) = 1, which is a^gamma * M(r/a) = 1 written in
     r, by secant steps from the ends of the bracket r0 * (1 -+ _POLISH_RTOL)
-    around the table value r0 of `_radial_rho_spline`.  A step that leaves
-    the shrinking bracket is replaced by bisection.  Raises NumericalError
-    if the bracket holds no sign change (the table is off by more than its
-    half-width) or the iteration does not settle; the refinement
-    self-check runs at the root.
+    around the table value r0 of `_rho_radial`.  A step that leaves the
+    shrinking bracket, or follows a step that did not halve it, is replaced
+    by bisection: where d mu / d r is unbounded (the disc edge at the
+    origin, gamma <= 1) secant steps can stay inside the bracket without
+    shrinking it.  Raises NumericalError if the bracket holds no sign
+    change (the table is off by more than its half-width) or the iteration
+    does not settle; the refinement self-check runs at the root.
     """
     f = lambda r: float(_mu_power(w, a, r)) - 1.0
-    r0 = float(_radial_rho_spline(w, _bucket(a))(a))
+    r0 = float(_rho_radial(w, a))
     lo, hi = r0 * (1.0 - _POLISH_RTOL), r0 * (1.0 + _POLISH_RTOL)
     x0, f0, x1, f1 = lo, f(lo), hi, f(hi)
     if not f0 < 0.0 < f1:
         raise NumericalError(f"rho bracket [{lo}, {hi}] from the table holds no "
                              f"sign change at |z| = {a}: mu - 1 = {f0}, {f1}")
+    width = math.inf                            # the bracket before the last step
     for _ in range(_POLISH_ITERS):
         x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
-        if not lo < x < hi:
+        if not lo < x < hi or hi - lo > 0.5 * width:
             x = 0.5 * (lo + hi)
+        width = hi - lo
         fx = f(x)
         if fx < 0.0:
             lo = x
@@ -337,79 +341,83 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray):
     return spline
 
 
-@lru_cache(maxsize=16)
-def _radial_rho_spline(w: WeightProfile, umax: float):
-    """Cached radial profile u -> rho(u) on [0, umax], from the scaling law.
+@lru_cache(maxsize=None)
+def _unit_rho_table(gamma: float):
+    """Cached log u -> log rho_1(u), rho_1 the rho of |z|^gamma (C = 1),
+    from the scaling law.
 
     mu is homogeneous of degree gamma, so mu(D(a, a*s)) = a^gamma * M(s)
     with M(s) = mu(D(1, s)), and each quadrature of M gives an exact point
-    of the profile: a(s) = M(s)^(-1/gamma), rho(a(s)) = a(s)*s.  The 421
-    values of s are 105 geometric ones from s_lo up to 0.5, 105 toward 1
-    (1 - s geometric from 0.5 down to 1e-7), s = 1 itself (the kink
-    rho(a*) = a*, where d mu / d r is unbounded for gamma <= 1) and 210
-    with s - 1 geometric from 1e-7 up to s_hi - 1.  The small-disc
-    asymptote M ~ pi*C*gamma^2*s^2 gives s_lo, which puts a(s_lo) near
-    16^(1/gamma) * umax; s_hi = 4*rho(0) / max(umax*1e-6, 1e-9), at least
-    1e4, puts the smallest a(s) near min(max(umax*1e-6, 1e-9) / 4,
-    rho(0) / 1e4).  All of M is one checked quadrature batch.  The inner
-    branch (u <= a*) is the not-a-knot cubic through (0, rho(0)) and the
-    nodes in (u, rho); the outer branch is the not-a-knot cubic in
-    (log u, log rho).  Raises NumericalError if the a(s) are not strictly
-    decreasing or the table does not reach umax.
-
-    Measured against scalar `rho` it is good to 5e-6 relative, points
-    within 1e-9 of a* included (largest at gamma = 5, umax = 4096).
+    of the profile: log a(s) = -log M(s) / gamma, rho(a(s)) = a(s)*s,
+    kept as logs so that nothing overflows at small gamma.  The 421 values
+    of s are 90 geometric ones from 1e-4 up to 0.5, 160 toward 1 (1 - s
+    geometric from 0.5 down to 1e-7), s = 1 itself (the kink rho(a*) = a*,
+    where d mu / d r is unbounded for gamma <= 1) and 170 with s - 1
+    geometric from 1e-7 up to 1e4.  All of M is one checked quadrature
+    batch.  The inner branch (u <= a*) is the not-a-knot cubic through
+    (0, rho(0)) and the nodes in (u, rho); the outer one is the not-a-knot
+    cubic in (log u, log rho).  Beyond the outermost node (s = 1e-4) the
+    local-density radius (pi*gamma^2*u^(gamma-2))^(-1/2) takes over; its
+    relative error there is (gamma-2)^2*s^2/16, 2.3e-8 at gamma = 8.
+    Raises NumericalError if the a(s) are not strictly decreasing.
     """
-    g, r0 = w.gamma, w.rho_origin
-    s_lo = min(0.25 * (math.pi * w.c_gamma * g * g) ** -0.5 * umax ** (-0.5 * g), 0.25)
-    s_hi = max(4.0 * r0 / max(umax * 1e-6, 1e-9), 1e4)
-    s = np.concatenate([np.geomspace(s_lo, 0.5, 105, endpoint=False),
-                        1.0 - np.geomspace(0.5, 1e-7, 105), [1.0],
-                        1.0 + np.geomspace(1e-7, s_hi - 1.0, 210)])
+    w = WeightProfile(kind="power", gamma=gamma, c_gamma=1.0)
+    s = np.concatenate([np.geomspace(1e-4, 0.5, 90, endpoint=False),
+                        1.0 - np.geomspace(0.5, 1e-7, 160), [1.0],
+                        1.0 + np.geomspace(1e-7, 1e4, 170)])
     m = _mu_power(w, 1.0, s)
     _check_refinement(m, _mu_power(w, 1.0, s, _PSI_PANELS), 1.0, s, "rho")
-    a = m ** (-1.0 / g)
-    falls = np.diff(a) < 0.0
+    log_a = -np.log(m) / gamma
+    falls = np.diff(log_a) < 0.0
     if not np.all(falls):
         raise NumericalError(f"rho table not monotone: a(s) = M(s)^(-1/gamma) does not "
                              f"fall toward s = {s[1:][~falls][:4].tolist()}")
-    if not a[0] >= umax:
-        raise NumericalError(f"rho table reaches |z| = {a[0]}, short of {umax}")
-    k = 210                                     # s[k] = 1, a[k] = a*
-    a_star = a[k]
-    inner = _not_a_knot_spline(np.concatenate([[0.0], a[k:][::-1]]),
-                               np.concatenate([[r0], (a * s)[k:][::-1]]))
-    outer = _not_a_knot_spline(np.log(a[:k + 1][::-1]), np.log((a * s)[:k + 1][::-1]))
+    k = 250                                     # s[k] = 1, a[k] = a*
+    log_a_star, log_a_max = log_a[k], log_a[0]
+    a = np.exp(log_a[k:])
+    inner = _not_a_knot_spline(np.concatenate([[0.0], a[::-1]]),
+                               np.concatenate([[w.rho_origin], (a * s[k:])[::-1]]))
+    outer = _not_a_knot_spline(log_a[:k + 1][::-1], (log_a + np.log(s))[:k + 1][::-1])
+    log_lap = math.log(math.pi * gamma * gamma)
 
-    def spline(u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)
-        near = u <= a_star
-        out[near] = inner(u[near])
-        out[~near] = np.exp(outer(np.log(u[~near])))
+    def log_rho(log_u):
+        out = np.empty(log_u.shape)
+        near, tail = log_u <= log_a_star, log_u > log_a_max
+        mid = ~(near | tail)
+        out[near] = np.log(inner(np.exp(log_u[near])))
+        out[mid] = outer(log_u[mid])
+        out[tail] = -0.5 * (log_lap + (gamma - 2.0) * log_u[tail])
         return out
 
-    return spline
+    return log_rho
+
+
+def _rho_radial(w: WeightProfile, a) -> np.ndarray:
+    """rho at the moduli a, from one C = 1 table per gamma.
+
+    mu_C = C*mu_1 is homogeneous of degree gamma, so rho_C(a) =
+    rho_1(c*a)/c with c = C^(1/gamma); `_unit_rho_table` gives rho_1 for
+    every C and every modulus.
+    """
+    a = np.asarray(a, dtype=float)
+    if w.is_classical_like:
+        return np.full(a.shape, (4.0 * math.pi) ** -0.5)
+    log_c = math.log(w.c_gamma) / w.gamma
+    with np.errstate(divide="ignore"):
+        return np.exp(_unit_rho_table(w.gamma)(np.log(a) + log_c) - log_c)
 
 
 def rho_many(w: WeightProfile, z) -> np.ndarray:
-    """Vectorised rho over an array of points (radial cache for power kinds).
+    """Vectorised rho over an array of points.
 
-    The power-weight values come from the cached table of
-    `_radial_rho_spline`, not from the polished scalar `rho`: measured
-    against it for gamma in {0.5, 1, 1.5, 3, 5}, points within 1e-9 of
-    rho(u) = u included, they are good to 5e-6 relative.
+    The power-weight values come from the cached per-gamma table of
+    `_rho_radial`, not from the polished scalar `rho`: measured against it
+    for gamma from 0.2 to 8, C from 1e-3 to 1e3 and |z| from 1e-6 to 1e6,
+    points within 1e-9 of rho(u) = u included, they are good to 2.8e-7
+    relative.  Smaller gamma is coarser: at gamma = 0.1 the table pieces
+    next to rho(u) = u span a factor of 9 in u and are 1.8e-6 off.
     """
-    a = np.abs(np.asarray(z, dtype=complex))
-    if w.is_classical_like:
-        return np.full(a.shape, (4.0 * math.pi) ** -0.5)
-    umax = float(np.max(a)) if a.size else 1.0
-    return np.asarray(_radial_rho_spline(w, _bucket(umax))(a))
-
-
-def _bucket(umax: float) -> float:
-    # Quantise cache keys so nearby requests share one spline.
-    return float(2.0 ** math.ceil(math.log2(max(umax, 1.0)) + 1e-12))
+    return _rho_radial(w, np.abs(np.asarray(z, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +456,7 @@ def default_ap_radii(w: WeightProfile, decades: float = 3.2, n: int = 12) -> lis
     return list(np.geomspace(r0, r0 * 10.0 ** decades, n))
 
 
-def _disc_ratios(rho_f, a: np.ndarray, R: np.ndarray, p: float,
+def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float,
                  npanels: int = 2 * _PSI_PANELS) -> np.ndarray:
     """The A_p disc ratio at every disc D(c, R), |c| = a (broadcast), by
     the disc quadrature with npanels psi panels."""
@@ -457,16 +465,16 @@ def _disc_ratios(rho_f, a: np.ndarray, R: np.ndarray, p: float,
     ratios = np.ones(a.shape)
     # Small-disc shortcut: rho is 1-Lipschitz, hence nearly constant on D,
     # and the ratio collapses to 1.
-    big = R > rho_f(a) / 4.0
+    big = R > _rho_radial(w, a) / 4.0
     if not np.any(big):
         return ratios
     t, wt = _geometric_rule(1e-8, 30)
     # rho^(p-2) and rho^(q-2) stacked: one rho evaluation serves both
-    f = lambda u: rho_f(u) ** np.reshape([p - 2.0, q - 2.0], (2,) + (1,) * np.ndim(u))
+    f = lambda u: _rho_radial(w, u) ** np.reshape([p - 2.0, q - 2.0], (2,) + (1,) * np.ndim(u))
 
-    def full(umax: np.ndarray) -> np.ndarray:
-        u = umax[..., None] * t
-        return 2.0 * math.pi * umax * ((f(u) * u) @ wt)
+    def full(u_full: np.ndarray) -> np.ndarray:
+        u = u_full[..., None] * t
+        return 2.0 * math.pi * u_full * ((f(u) * u) @ wt)
 
     ip, iq = _radial_disc_integral(f, full, a[big], R[big], npanels)
     ratios[big] = ip ** (1.0 / p) * iq ** (1.0 / q) / (math.pi * R[big] ** 2)
@@ -485,7 +493,7 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
 
     The ratios pass the 12- versus 24-panel self-check at _AP_CHECK_RTOL =
     1e-4 relative, not the 1e-6 that guards mu: the integrand
-    rho_spline^(p-2) is only C^2 at the spline knots, and the two rules
+    rho^(p-2) from the table is only C^2 at its knots, and the two rules
     differ by up to 1.4e-5 (gamma = 1, p = 3).  A relative ratio error eps
     moves the slope fitted over a decade by about eps at most, so the
     bound sits 500 times below the 0.05 exponent tolerance.  Raises
@@ -496,23 +504,18 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
     radii = [float(r) for r in radii]
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be ascending")
-    if w.is_classical_like:
-        rho_f = lambda u: np.full_like(np.asarray(u, dtype=float), (4 * math.pi) ** -0.5)
-    else:
-        rho_f = _radial_rho_spline(w, _bucket(2.2 * max(radii)))
-
     R = np.asarray(radii)[:, None]
     if centers is None:
         ring = R * np.exp(2j * math.pi * np.arange(8) / 8.0)
         discs = np.concatenate([np.zeros_like(ring[:, :1]), ring], axis=1)
     else:
         discs = np.asarray(centers, dtype=complex)[None, :]
-    vals = _disc_ratios(rho_f, np.abs(discs), R, p)
+    vals = _disc_ratios(w, np.abs(discs), R, p)
     bad = ~np.all(np.isfinite(vals) & (vals > 0.0), axis=1)
     if np.any(bad):
         raise NumericalError(f"ap_probe quadrature failed at radius "
                              f"{np.asarray(radii)[bad].tolist()}")
-    _check_refinement(vals, _disc_ratios(rho_f, np.abs(discs), R, p, _PSI_PANELS),
+    _check_refinement(vals, _disc_ratios(w, np.abs(discs), R, p, _PSI_PANELS),
                       np.abs(discs), R, "ap_probe", _AP_CHECK_RTOL)
     sup_ratios = [float(v) for v in vals.max(axis=1)]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focklattice import (SequenceData, TraceData, batch_higher,  # noqa: E402
                          classify, make_interpolant, mu_disc_many, power_weight,
-                         pv_sum, reconstruct_inf, rho, shells_for)
+                         pv_sum, reconstruct_inf, rho, rho_many, shells_for)
 
 _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
 
@@ -24,6 +24,14 @@ class TestWeightProperties:
         c = 0.3
         w, wk = power_weight(gamma, c_gamma=c), power_weight(gamma, c_gamma=c * k ** -gamma)
         assert rho(wk, k * a) == pytest.approx(k * rho(w, a), rel=1e-10)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(gamma=_gammas, a=st.floats(0.0, 1e6), k=st.floats(0.1, 10.0))
+    def test_rho_table_scale_covariance(self, gamma, a, k):
+        # the same law for rho_many: both weights read one table per gamma
+        c = 0.3
+        w, wk = power_weight(gamma, c_gamma=c), power_weight(gamma, c_gamma=c * k ** -gamma)
+        assert float(rho_many(wk, k * a)) == pytest.approx(k * float(rho_many(w, a)), rel=1e-12)
 
     # Centres and radii start at 1e-3: below that mu ~ r^gamma can fall
     # out of double range (r = 1e-198, gamma = 3 gives 1e-594).

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (NumericalError, ap_probe, c_gamma_for_rho_origin,
-                         choose_N, classical_weight, default_ap_radii,
-                         effective_t, estimate_t, laplacian_phi, mu_disc,
-                         phi, power_weight, rho, rho_many)
+from focklattice import (NumericalError, WeightProfile, ap_probe,
+                         c_gamma_for_rho_origin, choose_N, classical_weight,
+                         default_ap_radii, effective_t, estimate_t,
+                         laplacian_phi, mu_disc, phi, power_weight, rho,
+                         rho_many)
 from focklattice import weights
 from focklattice.weights import (DoublingExponent, _check_refinement,
-                                 _not_a_knot_spline, _radial_rho_spline)
+                                 _not_a_knot_spline, _unit_rho_table)
 
 
 def fd_laplacian(w, z, h=1e-4):
@@ -104,6 +105,11 @@ class TestRho:
         assert rho(w, 0.0) == pytest.approx(2.0, rel=1e-12)
         assert w.rho_origin == pytest.approx(2.0, rel=1e-12)
 
+    def test_rho_origin_is_not_an_argument(self):
+        # rho(0) is derived from gamma and C, so passing it is an error
+        with pytest.raises(TypeError):
+            WeightProfile(kind="power", gamma=1.0, c_gamma=1.0, rho_origin=5.0)
+
     def test_lipschitz_on_random_pairs(self, rng):
         w = power_weight(0.7, rho_origin=2.0)
         z1 = rng.uniform(-30, 30, 1000) + 1j * rng.uniform(-30, 30, 1000)
@@ -130,6 +136,14 @@ class TestDiscEdgeThroughOrigin:
         w = power_weight(0.5, rho_origin=2.0)
         for a in np.linspace(6.85, 7.0, 151):
             assert mu_disc(w, a, rho(w, a)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_polish_converges_where_secant_stalls(self):
+        # rho(a) = a to within rounding: once the disc takes in the origin, mu
+        # rises like 2*pi*C*gamma*(r-a)^gamma, with unbounded slope, and
+        # secant steps can stay inside the bracket without shrinking it
+        w = power_weight(0.02, rho_origin=2.0)
+        r = rho(w, 1e5)
+        assert mu_disc(w, 1e5, r * (1 - 1e-12)) < 1.0 < mu_disc(w, 1e5, r * (1 + 1e-12))
 
     def test_self_check_raises_on_non_finite(self):
         # inf - inf is NaN, which every comparison with a bound passes
@@ -201,7 +215,7 @@ class TestMpmathOracle:
         assert rho(w, -1j * a) == pytest.approx(oracle, rel=1e-10)
 
 
-# Three rho profiles: (gamma, weight, cache bucket umax)
+# Three rho profiles: (gamma, weight, largest |z|)
 _SPLINE_CASES = [(0.5, dict(rho_origin=2.0), 64.0),
                  (0.5, dict(rho_origin=2.0), 32768.0),
                  (5.0, dict(c_gamma=1.0), 4096.0)]
@@ -216,30 +230,35 @@ class TestRhoTable:
     """rho_many (the scaling-law table) against the polished scalar rho,
     and the failures the table and the polish raise instead of clamping."""
 
-    @pytest.mark.parametrize("gamma,kw,umax", [
+    @pytest.mark.parametrize("gamma,kw,zmax", [
         (0.5, dict(rho_origin=2.0), 64.0), (1.0, dict(rho_origin=2.0), 8.0),
         (1.5, dict(c_gamma=0.7), 64.0), (3.0, dict(rho_origin=2.0), 256.0),
-        (5.0, dict(c_gamma=1.0), 4096.0)])
-    def test_rho_many_matches_scalar_rho(self, gamma, kw, umax, rng):
+        (5.0, dict(c_gamma=1.0), 4096.0), (5.0, dict(c_gamma=1.0), 1e6),
+        (8.0, dict(c_gamma=1e-3), 1e6), (8.0, dict(c_gamma=1e3), 1e6)])
+    def test_rho_many_matches_scalar_rho(self, gamma, kw, zmax, rng):
         w = power_weight(gamma, **kw)
         a_star = mu_disc(w, 1.0, 1.0) ** (-1.0 / gamma)    # rho(a*) = a*
         near = a_star * (1.0 + np.outer([-1.0, 1.0], 10.0 ** -np.arange(6.0, 10.0)).ravel())
-        a = np.concatenate([[a_star, umax], near, rng.uniform(0.0, umax, 40),
-                            umax * 10.0 ** rng.uniform(-6.0, 0.0, 20)])
+        a = np.concatenate([[a_star, zmax], near, rng.uniform(0.0, zmax, 40),
+                            zmax * 10.0 ** rng.uniform(-6.0, 0.0, 20)])
         ref = np.array([rho(w, x) for x in a])
-        assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-5
+        assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-6
+
+    def test_one_table_per_gamma(self, monkeypatch):
+        # gamma = 0.61 is tabulated by no other test; its table is one
+        # checked quadrature batch at C = 1, shared by every C
+        calls, mu = [], weights._mu_power
+        monkeypatch.setattr(weights, "_mu_power",
+                            lambda w, a, r, n=24: calls.append(w.c_gamma) or mu(w, a, r, n))
+        for c in (1e-3, 0.4, 1e3):
+            rho_many(power_weight(0.61, c_gamma=c), [0.0, 0.5, 7.0, 3e4])
+        assert calls == [1.0, 1.0]
 
     def test_non_monotone_table_raises(self, monkeypatch):
         # a constant M(s) gives a constant a(s)
         monkeypatch.setattr(weights, "_mu_power", lambda w, a, r, n=24: np.ones(np.shape(r)))
         with pytest.raises(NumericalError, match="not monotone"):
-            _radial_rho_spline(power_weight(0.77, rho_origin=1.3), 8.0)
-
-    def test_short_table_raises(self, monkeypatch):
-        mu = weights._mu_power
-        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r, n=24: 1e6 * mu(w, a, r, n))
-        with pytest.raises(NumericalError, match="short of 8.0"):
-            _radial_rho_spline(power_weight(0.78, rho_origin=1.3), 8.0)
+            _unit_rho_table(0.77)
 
     def test_bracket_without_sign_change_raises(self, monkeypatch):
         # the table value is not within 1e-13 of the root
