@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 One JSON job in, one JSON report out (grids go to CSV).  Every report
-echoes the configuration, tolerances, seed and version so runs can be
-audited and reproduced byte-for-byte.
+echoes the configuration, tolerances, seed, version and the SHA-256 of the
+job file.  The job's arrays (a user g' table, a value list, explicit lattice
+points) are echoed by length; the digest identifies their contents.
 
 Exit codes: 0 success, 2 schema error, 3 numerical failure, 4 acceptance
 failure.
@@ -17,6 +18,11 @@ import math
 import sys
 import time
 from typing import Optional
+
+try:  # CPython's own SHA-256; hashlib's would load OpenSSL, about 3.6 MB RSS
+    from _sha2 import sha256
+except ImportError:  # Python < 3.12
+    from _sha256 import sha256
 
 import numpy as np
 
@@ -39,15 +45,28 @@ EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
 
-def _load_job(path: str) -> dict:
+def _load_job(path: str) -> tuple:
+    """The parsed job and the SHA-256 hex digest of the file's bytes."""
     try:
-        with open(path) as fh:
-            job = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        job = json.loads(raw)
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read job file: {exc}")
     if not isinstance(job, dict):
         raise SchemaError("job must be a JSON object")
-    return job
+    return job, sha256(raw).hexdigest()
+
+
+def _echo(job: dict) -> dict:
+    """The job with its arrays replaced by {"length": n}."""
+    out = dict(job)
+    for section, key in (("multiplier", "g_prime"), ("values", "items"),
+                         ("lattice", "points")):
+        spec = job.get(section)
+        if isinstance(spec, dict) and isinstance(spec.get(key), list):
+            out[section] = {**spec, key: {"length": len(spec[key])}}
+    return out
 
 
 def _complex_of(obj, what: str) -> complex:
@@ -134,13 +153,14 @@ def _pv_config(job: dict, args) -> PvConfig:
     return PvConfig(rtol=float(tol))
 
 
-def _report(command: str, args, job: dict, results: dict, t0: float,
-            tolerances: Optional[dict] = None) -> dict:
+def _report(command: str, args, job: dict, digest: str, results: dict,
+            t0: float, tolerances: Optional[dict] = None) -> dict:
     return {
         "command": command,
         "version": __version__,
         "seed": args.seed,
-        "config": job,
+        "config": _echo(job),
+        "input_sha256": digest,
         "tolerances": tolerances or {},
         "timing_s": round(time.perf_counter() - t0, 3),
         "results": results,
@@ -171,7 +191,7 @@ def _json_default(obj):
 
 def cmd_lattice_info(args) -> int:
     t0 = time.perf_counter()
-    job = _load_job(args.input)
+    job, digest = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
     sched = shells_for(lat)
@@ -188,13 +208,13 @@ def cmd_lattice_info(args) -> int:
     if r_max is None:
         r_max = 0.45 * lat.truncation_radius / lat.max_rho
     results["upper_density"] = upper_density(lat, w, [float(r_max)])
-    _emit(_report("lattice-info", args, job, results, t0), args.output)
+    _emit(_report("lattice-info", args, job, digest, results, t0), args.output)
     return EXIT_OK
 
 
 def cmd_sigma_eval(args) -> int:
     t0 = time.perf_counter()
-    job = _load_job(args.input)
+    job, digest = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
     g = job.get("grid", {})
@@ -210,13 +230,13 @@ def cmd_sigma_eval(args) -> int:
             wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}", f"{v:.12g}"])
     results = {"grid_file": args.grid, "n_values": int(vals.size),
                "max_weighted_mag": float(np.max(vals))}
-    _emit(_report("sigma-eval", args, job, results, t0), args.output)
+    _emit(_report("sigma-eval", args, job, digest, results, t0), args.output)
     return EXIT_OK
 
 
 def cmd_trace_check(args) -> int:
     t0 = time.perf_counter()
-    job = _load_job(args.input)
+    job, digest = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
     m = _build_multiplier(job, lat, w)
@@ -252,13 +272,13 @@ def cmd_trace_check(args) -> int:
     tol = {"pv_rtol": cfg.rtol, "flatten_tol": FLATTEN_TOL,
            "diverge_exponent": DIVERGE_MIN_EXPONENT, "diverge_r2": DIVERGE_MIN_R2,
            "unconverged_max_share": UNCONVERGED_MAX_SHARE}
-    _emit(_report("trace-check", args, job, results, t0, tol), args.output)
+    _emit(_report("trace-check", args, job, digest, results, t0, tol), args.output)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
-    job = _load_job(args.input)
+    job, digest = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
     m = _build_multiplier(job, lat, w)
@@ -300,14 +320,14 @@ def cmd_reconstruct(args) -> int:
                "raw_overflow_points": int(overflow.sum()),
                "mode": I.mode, "w0": I.w0,
                "representative_only": I.representative_only}
-    _emit(_report("reconstruct", args, job, results, t0,
+    _emit(_report("reconstruct", args, job, digest, results, t0,
                   {"residual_target": 1e-3}), args.output)
     return EXIT_OK
 
 
 def cmd_ap_probe(args) -> int:
     t0 = time.perf_counter()
-    job = _load_job(args.input)
+    job, digest = _load_job(args.input)
     w = _build_weight(job)
     p = _parse_p(job)
     if math.isinf(p) or p <= 1.0:
@@ -319,14 +339,14 @@ def cmd_ap_probe(args) -> int:
                "ratios": list(rep.ratios),
                "fitted_exponent": rep.fitted_exponent,
                "is_ap": rep.is_ap}
-    _emit(_report("ap-probe", args, job, results, t0,
+    _emit(_report("ap-probe", args, job, digest, results, t0,
                   {"exponent_tolerance": rep.exponent_tolerance}), args.output)
     return EXIT_OK
 
 
 def cmd_op_norm(args) -> int:
     t0 = time.perf_counter()
-    job = _load_job(args.input)
+    job, digest = _load_job(args.input)
     if "trials" in job:
         raise SchemaError("op-norm: 'trials' is no longer a job key; p = 2 "
                           "norms come from one Golub-Kahan-Lanczos run")
@@ -341,7 +361,7 @@ def cmd_op_norm(args) -> int:
     results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
                "sizes": list(rep.sizes), "norms": list(rep.norms),
                "growth_ratio": rep.growth_ratio}
-    _emit(_report("op-norm", args, job, results, t0), args.output)
+    _emit(_report("op-norm", args, job, digest, results, t0), args.output)
     return EXIT_OK
 
 
@@ -374,7 +394,8 @@ def main(argv=None) -> int:
         prog="focklattice",
         description="Trace checks, interpolation and transform probes on "
                     "critical Fock-space lattices.")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seeds the op-norm start vector")
     parser.add_argument("--tolerance", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,7 +422,8 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_acceptance)
 
     args = parser.parse_args(argv)
-    np.random.seed(args.seed)
+    if not 0 <= args.seed < 2 ** 32:
+        parser.error(f"--seed {args.seed} is not in [0, 2**32)")
     try:
         return args.fn(args)
     except SchemaError as exc:

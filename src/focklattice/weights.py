@@ -538,6 +538,8 @@ class DoublingExponent:
     t_fit comes from an envelope regression over sampled pairs; t_bound is
     the analytic bound gamma/2 available for power weights.  The effective
     value used for choosing the transform order is min(t_fit, t_bound).
+    sample_count == 0 marks the closed form of the classical weight, whose
+    constant rho makes every sampled log-ratio 0.
     """
 
     t_fit: float
@@ -580,13 +582,13 @@ def estimate_t(w: WeightProfile, pairs=None, *, nbins: int = 28,
     pairs still feel the rho(0) plateau of power weights) are fit by least
     squares, and t_fit = 1 - slope, clamped into (0, 1 - fit_slack).
     Requires at least two decades of spread in |z-zeta|/rho(zeta).
+    Without `pairs` the classical weight takes its closed form (slope 0).
     """
-    if pairs is None:
-        z, zeta = default_t_pairs(w)
-    else:
-        z, zeta = pairs
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
+    if pairs is None and w.kind == "classical":
+        return DoublingExponent(t_fit=1.0 - fit_slack, t_bound=None,
+                                sample_count=0, fit_slack=fit_slack)
+    z, zeta = default_t_pairs(w) if pairs is None else pairs
+    z, zeta = np.asarray(z, dtype=complex), np.asarray(zeta, dtype=complex)
     rz = rho_many(w, z)
     rzeta = rho_many(w, zeta)
     sep = np.abs(z - zeta)
@@ -602,13 +604,11 @@ def estimate_t(w: WeightProfile, pairs=None, *, nbins: int = 28,
     inwin = x >= lo
     edges = np.linspace(lo, x.max(), nbins + 1)
     idx = np.clip(np.digitize(x[inwin], edges) - 1, 0, nbins - 1)
-    bx, by = [], []
-    for b in range(nbins):
-        m = idx == b
-        if m.any():
-            bx.append(0.5 * (edges[b] + edges[b + 1]))
-            by.append(y[inwin][m].max())
-    slope = float(np.polyfit(np.asarray(bx), np.asarray(by), 1)[0])
+    by = np.full(nbins, -np.inf)
+    np.maximum.at(by, idx, y[inwin])
+    hit = np.bincount(idx, minlength=nbins) > 0
+    bx = 0.5 * (edges[:-1] + edges[1:])
+    slope = float(np.polyfit(bx[hit], by[hit], 1)[0])
     t_fit = min(max(1.0 - slope, fit_slack), 1.0 - fit_slack)
     t_bound = None if w.kind == "classical" else w.gamma / 2.0
     return DoublingExponent(t_fit=t_fit, t_bound=t_bound,

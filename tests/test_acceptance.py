@@ -63,6 +63,7 @@ class TestAcceptance:
     def test_criterion_8_branch_logic(self):
         res = _run(8)
         assert res.passed, res.details
+        assert res.details["t_fit_classical"] == 0.98
 
     def test_criterion_9_round_trip_residuals(self):
         res = _run(9)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -9,13 +10,14 @@ from focklattice import classical_weight, square_lattice
 from focklattice.cli import main
 
 
-def run(tmp_path, job, cmd, extra=None, name="job.json"):
+def run(tmp_path, job, cmd, extra=None, name="job.json", flags=()):
     path = tmp_path / name
     path.write_text(json.dumps(job))
     out = tmp_path / "out.json"
-    argv = [cmd, "--input", str(path), "--output", str(out)]
+    argv = [*flags, cmd, "--input", str(path), "--output", str(out)]
     if extra:
-        argv = argv[:1] + extra + argv[1:]
+        i = len(flags) + 1
+        argv = argv[:i] + extra + argv[i:]
     rc = main(argv)
     report = json.loads(out.read_text()) if out.exists() else None
     return rc, report
@@ -128,6 +130,58 @@ class TestTraceCheck:
         a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
         a.pop("timing_s"), b.pop("timing_s")
         assert a == b
+
+
+class TestReportEcho:
+    def test_arrays_echoed_by_length_with_digest(self, tmp_path):
+        table = [{"index": k, "re": 1.0, "im": 0.0} for k in range(9)]
+        items = [{"index": 0, "re": 1.0, "im": 0.0},
+                 {"index": 3, "re": 0.0, "im": -2.0}]
+        pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5],
+               [1.5, 1.5], [-1.5, 1.5], [1.5, -1.5], [-1.5, -1.5]]
+        job = {"weight": {"kind": "classical"},
+               "lattice": {"kind": "explicit", "points": pts},
+               "multiplier": {"kind": "user_table", "g_prime": table,
+                              "weighted": True},
+               "values": {"kind": "list", "items": items, "weighted": True},
+               "p": 2, "pv": {"tolerance": 1e-8}}
+        rc, rep = run(tmp_path, job, "trace-check")
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "job.json").read_bytes()).hexdigest()
+        assert rep["input_sha256"] == digest
+        cfg = rep["config"]
+        assert cfg["multiplier"] == {"kind": "user_table", "weighted": True,
+                                     "g_prime": {"length": 9}}
+        assert cfg["values"] == {"kind": "list", "weighted": True,
+                                 "items": {"length": 2}}
+        assert cfg["lattice"] == {"kind": "explicit", "points": {"length": 9}}
+        assert cfg["weight"] == job["weight"]
+        assert cfg["p"] == 2 and cfg["pv"] == {"tolerance": 1e-8}
+
+    def test_scalar_config_echoed_unchanged(self, tmp_path):
+        job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
+                   p="inf", pv={"tolerance": 1e-9, "center_mode": "origin"})
+        rc, rep = run(tmp_path, job, "trace-check")
+        assert rc == 0
+        assert rep["config"] == job
+
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    @pytest.mark.parametrize("cmd", ["trace-check", "op-norm"])
+    def test_seed_outside_uint32_is_usage_error(self, tmp_path, capsys, cmd,
+                                                 seed):
+        job = ({"weight": {"kind": "classical"}, "op": "L", "p": 2,
+                "sizes": [20]} if cmd == "op-norm"
+               else dict(BASE, values={"kind": "zero"}, p=2))
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, job, cmd, flags=["--seed", seed])
+        assert exc.value.code == 2 and not (tmp_path / "out.json").exists()
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_reaches_op_norm(self, tmp_path):
+        job = {"weight": {"kind": "classical"}, "op": "L", "p": 2,
+               "sizes": [20]}
+        rc, rep = run(tmp_path, job, "op-norm", flags=["--seed", "4294967295"])
+        assert rc == 0 and rep["seed"] == 2 ** 32 - 1
 
 
 class TestOtherCommands:

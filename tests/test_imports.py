@@ -1,6 +1,8 @@
 """CLI jobs run on numpy alone: square lattices with classical and power
 weights (the rho table, its polish and spline are numpy code) and explicit
-lattices (the nearest-point search is numpy code)."""
+lattices (the nearest-point search is numpy code).  Classical trace-check
+and reconstruct jobs draw no random numbers, so they never load
+numpy.random."""
 
 import json
 import os
@@ -29,7 +31,7 @@ SCRIPT = textwrap.dedent("""
         return cli.main(argv)
 
     WORK = sys.argv[1]
-    out = {"after_import": loaded()}
+    out = {"after_import": loaded(), "random_after_import": "numpy.random" in sys.modules}
     base = {"weight": {"kind": "classical"}, "lattice": {"kind": "square", "R": 10},
             "multiplier": {"kind": "builtin_sigma"},
             "values": {"kind": "gaussian_trace", "w": [0.3, -0.2]}}
@@ -37,11 +39,8 @@ SCRIPT = textwrap.dedent("""
            run("traceinf", "trace-check", dict(base, p="inf")),
            run("recon", "reconstruct", dict(base, p=2, grid={"half_width": 2.0, "n": 6},
                                             verify_points=10),
-               "--grid", os.path.join(WORK, "recon.csv")),
-           run("opnorm", "op-norm", {"weight": {"kind": "classical"}, "op": "L",
-                                     "p": 2, "sizes": [200, 400]})]
-    out["classical_rc"] = rcs
-    out["after_classical"] = loaded()
+               "--grid", os.path.join(WORK, "recon.csv"))]
+    out["random_after_classical"] = "numpy.random" in sys.modules
     k = range(-8, 9)
     n_points = sum(1 for a in k for b in k if (a * a + b * b) * math.pi / 2 <= 100)
     power = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
@@ -49,9 +48,15 @@ SCRIPT = textwrap.dedent("""
              "multiplier": {"kind": "user_table", "weighted": True,
                             "g_prime": [{"index": k, "re": 1.0, "im": 0.0}
                                         for k in range(n_points)]},
-             "values": {"kind": "zero"}, "p": 2}
+             "values": {"kind": "zero"}, "p": 3}
+    power_rc = [run("power", "trace-check", power)]
+    out["random_after_power"] = "numpy.random" in sys.modules
+    rcs.append(run("opnorm", "op-norm", {"weight": {"kind": "classical"}, "op": "L",
+                                         "p": 2, "sizes": [200, 400]}))
+    out["classical_rc"] = rcs
+    out["after_classical"] = loaded()
     ap = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, "p": 3}
-    out["power_rc"] = [run("power", "trace-check", power), run("ap", "ap-probe", ap)]
+    out["power_rc"] = power_rc + [run("ap", "ap-probe", ap)]
     with open(os.path.join(WORK, "power.json.out")) as fh:
         out["power_overall"] = json.load(fh)["results"]["overall"]
     out["after_power"] = loaded()
@@ -78,8 +83,9 @@ SCRIPT = textwrap.dedent("""
 @pytest.fixture(scope="module")
 def jobs(tmp_path_factory):
     """Modules loaded after each group of CLI jobs, run in that order in
-    one fresh interpreter: classical, power weight, explicit lattice; then
-    after importing scipy.spatial directly."""
+    one fresh interpreter: classical trace-check and reconstruct, one
+    power-weight trace-check, classical op-norm, power-weight ap-probe,
+    explicit lattice; then after importing scipy.spatial directly."""
     env = dict(os.environ, PYTHONPATH=SRC)
     work = str(tmp_path_factory.mktemp("jobs"))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, work], env=env,
@@ -92,6 +98,19 @@ def test_classical_jobs_do_not_import_scipy(jobs):
     assert jobs["after_import"] == []
     assert jobs["classical_rc"] == [0, 0, 0, 0]
     assert jobs["after_classical"] == []
+
+
+def test_classical_trace_jobs_do_not_import_numpy_random(jobs):
+    # trace-check at p = 2 and p = inf, then reconstruct, before any
+    # power-weight or op-norm job
+    assert jobs["random_after_import"] is False
+    assert jobs["random_after_classical"] is False
+
+
+def test_power_weight_jobs_load_numpy_random(jobs):
+    # positive control: the power-weight trace-check at p = 3, run right
+    # after the classical jobs, samples pairs for its doubling fit
+    assert jobs["random_after_power"] is True
 
 
 def test_power_weight_jobs_do_not_import_scipy(jobs):

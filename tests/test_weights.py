@@ -10,7 +10,8 @@ from focklattice import (NumericalError, WeightProfile, ap_probe,
                          rho_many)
 from focklattice import weights
 from focklattice.weights import (DoublingExponent, _check_refinement,
-                                 _not_a_knot_spline, _unit_rho_table)
+                                 _not_a_knot_spline, _unit_rho_table,
+                                 default_t_pairs)
 
 
 def fd_laplacian(w, z, h=1e-4):
@@ -325,11 +326,51 @@ class TestApProbe:
             ap_probe(classical_weight(), 1.5, [2.0, 1.0])
 
 
+def _loop_t_fit(w, nbins=28, fit_slack=0.02, window_decades=2.0):
+    """estimate_t's slope fit as a per-bin loop over the default sample."""
+    z, zeta = default_t_pairs(w)
+    rz, rzeta = rho_many(w, z), rho_many(w, zeta)
+    sep = np.abs(z - zeta)
+    keep = sep > rz
+    x = np.log10(sep[keep] / rzeta[keep])
+    y = np.log10(rz[keep] / rzeta[keep])
+    lo = x.max() - max(window_decades, 2.0)
+    inwin = x >= lo
+    edges = np.linspace(lo, x.max(), nbins + 1)
+    idx = np.clip(np.digitize(x[inwin], edges) - 1, 0, nbins - 1)
+    bx, by = [], []
+    for b in range(nbins):
+        m = idx == b
+        if m.any():
+            bx.append(0.5 * (edges[b] + edges[b + 1]))
+            by.append(y[inwin][m].max())
+    slope = float(np.polyfit(np.asarray(bx), np.asarray(by), 1)[0])
+    return min(max(1.0 - slope, fit_slack), 1.0 - fit_slack)
+
+
 class TestDoublingExponent:
     def test_classical_near_one(self):
         t = estimate_t(classical_weight())
         assert t.t_fit >= 0.9
         assert t.t_bound is None
+
+    def test_classical_closed_form_matches_sampled_fit(self):
+        w = classical_weight()
+        closed = estimate_t(w)
+        fitted = estimate_t(w, default_t_pairs(w))
+        assert closed.sample_count == 0 and fitted.sample_count > 0
+        assert closed.t_fit == fitted.t_fit == 0.98
+        assert closed.t_bound is fitted.t_bound is None
+
+    def test_power_gamma2_is_still_fitted(self):
+        t = estimate_t(power_weight(2.0, c_gamma=1.0))
+        assert t.sample_count > 0
+        assert t.t_bound == 1.0
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_bin_maxima_match_loop(self, gamma):
+        w = power_weight(gamma, rho_origin=2.0)
+        assert estimate_t(w).t_fit == _loop_t_fit(w)
 
     def test_gamma1_at_most_half(self):
         t = estimate_t(power_weight(1.0, rho_origin=2.0))
