@@ -25,9 +25,8 @@ carries the numbers its verdict was read from (`Margins`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +63,6 @@ UNCONVERGED_MAX_SHARE = 0.1 # of inner sums, above which bounded is demoted
 OUTER_GUARD_FRACTION = 0.5  # aggregate over |lambda'| <= R/2 only
 
 
-@dataclass(eq=False)
 class TraceData:
     """Lattice values with their multiplier and target exponent.
 
@@ -73,18 +71,18 @@ class TraceData:
     derived sequence d = c/g' is what every transform consumes.
     """
 
-    lattice: Lattice
-    multiplier: Multiplier
-    weight: WeightProfile
-    p: float
-    c_weighted: np.ndarray
-    _d: Optional[SequenceData] = None
-
-    def __post_init__(self):
-        self.c_weighted = np.asarray(self.c_weighted, dtype=complex)
-        if self.c_weighted.shape != (len(self.lattice),):
+    def __init__(self, lattice: Lattice, multiplier: Multiplier,
+                 weight: WeightProfile, p: float, c_weighted: np.ndarray,
+                 _d: Optional[SequenceData] = None):
+        self.lattice = lattice
+        self.multiplier = multiplier
+        self.weight = weight
+        self.p = p
+        self.c_weighted = np.asarray(c_weighted, dtype=complex)
+        self._d = _d
+        if self.c_weighted.shape != (len(lattice),):
             raise ValueError("values must cover every lattice index")
-        if not (self.p == math.inf or self.p >= 1.0):
+        if not (p == math.inf or p >= 1.0):
             raise ValueError("p must lie in [1, inf]")
 
     @property
@@ -137,8 +135,7 @@ class TraceData:
                                  np.zeros(len(lattice), dtype=complex))
 
 
-@dataclass(frozen=True)
-class Margins:
+class Margins(NamedTuple):
     """The numbers a trajectory verdict is read from, to be held against
     FLATTEN_TOL, DIVERGE_MIN_EXPONENT and DIVERGE_MIN_R2.
 
@@ -166,8 +163,7 @@ class Margins:
         return None if self.verdict == "bounded" else self.slope
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """One trace condition's partial-sum trajectory and verdict."""
 
     condition_id: str
@@ -332,8 +328,7 @@ def condition_inf_c(data: TraceData, n: int,
     return _aggregate(data, vals, idx, f"inf_c({n})", int(np.sum(~conv)))
 
 
-@dataclass(frozen=True)
-class BranchInfo:
+class BranchInfo(NamedTuple):
     """Which regime of the characterisation applied."""
 
     case: str                  # "p=1" | "p=2" | "1<p<2" | "2<p<inf" | "p=inf"
@@ -344,8 +339,7 @@ class BranchInfo:
     condition_ids: Tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class TraceVerdict:
+class TraceVerdict(NamedTuple):
     branch: BranchInfo
     reports: Tuple[ConditionReport, ...]
     overall: str

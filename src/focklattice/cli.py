@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from operator import itemgetter
 from typing import Optional
 
 try:  # CPython's own SHA-256; hashlib's would load OpenSSL, about 3.6 MB RSS
@@ -27,13 +28,12 @@ except ImportError:  # Python < 3.12
 import numpy as np
 
 from . import __version__
-from .acceptance import run_acceptance
 from .classifier import (DIVERGE_MIN_EXPONENT, DIVERGE_MIN_R2, FLATTEN_TOL,
                          UNCONVERGED_MAX_SHARE, TraceData, cached_t, classify)
 from .errors import FockLatticeError, NumericalError, SchemaError
 from .interpolate import make_interpolant, reconstruct_inf, verify_interpolation
-from .lattice import (GridSpec, Lattice, explicit_lattice, shells_for,
-                      square_lattice, upper_density)
+from .lattice import (GridSpec, Lattice, explicit_lattice, scatter_indexed,
+                      shells_for, square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
                          user_multiplier)
 from .transforms import PvConfig, operator_norm_estimate
@@ -77,6 +77,21 @@ def _complex_of(obj, what: str) -> complex:
     raise SchemaError(f"{what} must be a number or [re, im] pair")
 
 
+def _entries(entries: list) -> tuple:
+    """Index and complex value arrays of a list of {"index", "re", "im"}
+    objects, one numpy conversion per field."""
+    n = len(entries)
+    idx, re, im = (np.fromiter(map(itemgetter(key), entries), float, n)
+                   for key in ("index", "re", "im"))
+    # numpy reads a JSON null as NaN, where float() would have refused it
+    if not (np.isfinite(idx).all() and np.isfinite(re).all()
+            and np.isfinite(im).all()):
+        raise SchemaError("table entries need a finite index, re and im")
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = re, im
+    return idx, values
+
+
 def _build_weight(job: dict) -> WeightProfile:
     return WeightProfile.from_json(job.get("weight", {"kind": "classical"}))
 
@@ -101,10 +116,9 @@ def _build_multiplier(job: dict, lat: Lattice, w: WeightProfile) -> Multiplier:
     if spec.get("kind") == "builtin_sigma":
         return builtin_sigma_multiplier(lat, w)
     if spec.get("kind") == "user_table":
-        table = {int(e["index"]): complex(float(e["re"]), float(e["im"]))
-                 for e in spec.get("g_prime", [])}
+        indices, values = _entries(spec.get("g_prime", []))
         g2 = spec.get("g_double_prime0")
-        return user_multiplier(lat, w, table,
+        return user_multiplier(lat, w, values, indices=indices,
                                g_double_prime0=None if g2 is None
                                else _complex_of(g2, "g_double_prime0"),
                                weighted=bool(spec.get("weighted", False)))
@@ -122,12 +136,8 @@ def _build_values(job: dict, lat: Lattice, m: Multiplier, w: WeightProfile,
     if kind == "gaussian_trace":
         return TraceData.gaussian(lat, m, w, p, _complex_of(spec.get("w", 0.0), "w"))
     if kind == "list":
-        vals = np.zeros(len(lat), dtype=complex)
-        for e in spec.get("items", []):
-            k = int(e["index"])
-            if not 0 <= k < len(lat):
-                raise SchemaError(f"value index {k} out of range")
-            vals[k] = complex(float(e["re"]), float(e["im"]))
+        vals, _ = scatter_indexed(len(lat), *_entries(spec.get("items", [])),
+                                  "value")
         if spec.get("weighted", False):
             return TraceData.from_weighted(lat, m, w, p, vals)
         return TraceData.from_raw(lat, m, w, p, vals)
@@ -366,6 +376,7 @@ def cmd_op_norm(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
+    from .acceptance import run_acceptance   # only this command loads it
     t0 = time.perf_counter()
     numbers = None
     if args.criteria:

@@ -19,7 +19,6 @@ the deflated factor g(z)/(z - lambda) to avoid 0/0 amplification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,15 +150,17 @@ def reconstruct(data: TraceData, z, cfg: PvConfig = DEFAULT_PV):
     return _eval_core(data, z, "finite", 0.0, cfg, weighted=False)
 
 
-@dataclass(eq=False)
 class Interpolant:
     """Evaluator for one reconstruction; immutable and shareable."""
 
-    data: TraceData
-    mode: str                      # "finite_p" | "infinity"
-    w0: Optional[complex] = None
-    cfg: PvConfig = DEFAULT_PV
-    representative_only: bool = False   # w0 defaulted: one member of f + C g
+    def __init__(self, data: TraceData, mode: str, w0: Optional[complex] = None,
+                 cfg: PvConfig = DEFAULT_PV, representative_only: bool = False):
+        self.data = data
+        self.mode = mode                   # "finite_p" | "infinity"
+        self.w0 = w0
+        self.cfg = cfg
+        # w0 defaulted: one member of f + C g
+        self.representative_only = representative_only
 
     def eval(self, z):
         w0 = self.w0 if self.w0 is not None else 0.0
@@ -244,18 +245,17 @@ def verify_interpolation(I: Interpolant, h: float = 0.05,
     return float(np.max(np.abs(avg - data.c_weighted[idx])))
 
 
-@dataclass(frozen=True, eq=False)
 class NormEstimate:
     """Riemann estimate of the weighted p-norm over a disc region."""
 
-    p: float
-    value: float
-    region_radius: float
-    cell_contributions: dict
-
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, p: float, value: float, region_radius: float,
+                 cell_contributions: dict):
+        if value < 0:
             raise ValueError("norm must be nonnegative")
+        self.p = p
+        self.value = value
+        self.region_radius = region_radius
+        self.cell_contributions = cell_contributions
 
 
 def weighted_norm(I: Interpolant, p: float, region_radius: float,

@@ -18,12 +18,11 @@ win.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, SeparationError
+from .errors import NumericalError, SchemaError, SeparationError
 from .weights import WeightProfile, mu_disc_many, rho_many
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "nearest_index",
     "grid_coords",
     "cell_geometry",
+    "scatter_indexed",
 ]
 
 SQUARE_SCALE = math.sqrt(math.pi / 2.0)
@@ -51,21 +51,19 @@ _RING_PAIRS = 1 << 12
 _SHELL_RTOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class Lattice:
     """A finite, rho-separated point set containing the origin at index 0,
-    indexed in ascending radius order (ValueError otherwise)."""
+    indexed in ascending radius order (ValueError otherwise).  The point
+    and rho arrays are read-only."""
 
-    points: np.ndarray          # complex, index 0 is the origin
-    scale: float                # sqrt(pi/2) for square kind
-    truncation_radius: float
-    rho_values: np.ndarray      # rho(lambda) per point
-    kind: str                   # "square" | "explicit"
-    delta_sep: float            # min |l-l'| / max(rho(l), rho(l'))
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=complex))
-        object.__setattr__(self, "rho_values", np.asarray(self.rho_values, dtype=float))
+    def __init__(self, points, scale: float, truncation_radius: float,
+                 rho_values, kind: str, delta_sep: float):
+        self.points = np.asarray(points, dtype=complex)   # index 0 is the origin
+        self.scale = scale                 # sqrt(pi/2) for square kind
+        self.truncation_radius = truncation_radius
+        self.rho_values = np.asarray(rho_values, dtype=float)   # rho per point
+        self.kind = kind                   # "square" | "explicit"
+        self.delta_sep = delta_sep         # min |l-l'| / max(rho(l), rho(l'))
         self.points.setflags(write=False)
         self.rho_values.setflags(write=False)
         r = self.radii
@@ -93,6 +91,28 @@ def _order_points(points: np.ndarray) -> np.ndarray:
     r = np.abs(points)
     order = np.lexsort((points.imag, points.real, np.round(r, 12)))
     return points[order]
+
+
+def scatter_indexed(n: int, indices, values, what: str):
+    """(table, seen): the values placed at their indices in a length-n
+    complex array (0 elsewhere), and which indices were given.
+
+    Indices are truncated toward zero, like int().  The first one outside
+    [0, n) raises SchemaError("<what> index k out of range"), and a
+    repeated index keeps its last value."""
+    idx = np.trunc(np.asarray(indices, dtype=float))
+    values = np.asarray(values, dtype=complex)
+    bad = ~((idx >= 0) & (idx < n))
+    if bad.any():
+        raise SchemaError(f"{what} index {idx[np.argmax(bad)]:.0f} out of range")
+    # the position of each index's last entry; np.maximum is order-free,
+    # where a fancy assignment would leave the order of repeats unspecified
+    last = np.full(n, -1)
+    np.maximum.at(last, idx.astype(np.intp), np.arange(len(idx)))
+    seen = last >= 0
+    table = np.zeros(n, dtype=complex)
+    table[seen] = values[last[seen]]
+    return table, seen
 
 
 def grid_coords(z, scale: float):
@@ -231,7 +251,6 @@ def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
     return float(np.max(np.asarray(counts) / mu_disc_many(w, centers, rad)))
 
 
-@dataclass(frozen=True, eq=False)
 class ShellSchedule:
     """Grouping of lattice indices into shells of equal |lambda|.
 
@@ -241,9 +260,10 @@ class ShellSchedule:
     shell radii are strictly ascending.
     """
 
-    radii: np.ndarray              # strictly ascending shell radii
-    starts: np.ndarray             # first index of each shell
-    n_points: int
+    def __init__(self, radii: np.ndarray, starts: np.ndarray, n_points: int):
+        self.radii = radii             # strictly ascending shell radii
+        self.starts = starts           # first index of each shell
+        self.n_points = n_points
 
     @property
     def n_shells(self) -> int:
@@ -269,8 +289,7 @@ def shells_for(lat: Lattice) -> ShellSchedule:
                          n_points=len(r))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Rectangular midpoint grid: nx-by-ny cells covering [x0,x1]x[y0,y1]."""
 
     x0: float
@@ -296,7 +315,6 @@ class GridSpec:
                    for x in (self.x0, self.x1) for y in (self.y0, self.y1))
 
 
-@dataclass(frozen=True, eq=False)
 class CellGeometry:
     """Nearest-cell assignment under |z - lambda| / rho(lambda).
 
@@ -305,10 +323,12 @@ class CellGeometry:
     uniformly bounded quantity across cells).
     """
 
-    grid: GridSpec
-    cell_of: np.ndarray          # int array, shape (nx, ny)
-    cell_measure: dict           # lattice index -> float
-    max_diameter_over_rho: float # empirical cell-size diagnostic
+    def __init__(self, grid: GridSpec, cell_of: np.ndarray, cell_measure: dict,
+                 max_diameter_over_rho: float):
+        self.grid = grid
+        self.cell_of = cell_of         # int array, shape (nx, ny)
+        self.cell_measure = cell_measure   # lattice index -> float
+        self.max_diameter_over_rho = max_diameter_over_rho   # cell-size diagnostic
 
     def to_csv_rows(self):
         pts = self.grid.points()

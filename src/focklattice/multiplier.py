@@ -30,13 +30,13 @@ once |z|^2 exceeds ~700, so large-|z| work stays in weighted or log form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NumericalError, SchemaError
-from .lattice import SQUARE_SCALE, Lattice, grid_coords, nearest_index
+from .lattice import (SQUARE_SCALE, Lattice, grid_coords, nearest_index,
+                      scatter_indexed)
 from .weights import WeightProfile, classical_weight, phi
 
 __all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag", "sigma_prime",
@@ -111,7 +111,6 @@ def sigma_prime(lat: Lattice, index: int) -> complex:
     return complex(mag if parity == 0 else -mag)
 
 
-@dataclass(eq=False)
 class Multiplier:
     """Evaluator bundle for a multiplier g with zero set = the lattice.
 
@@ -121,12 +120,15 @@ class Multiplier:
     trace-side operations, which consume g only through g'(lambda).
     """
 
-    lattice: Lattice
-    weight: WeightProfile
-    source: str                                  # "builtin_sigma" | "user_table"
-    _gw: np.ndarray                              # weighted g' per index
-    g_double_prime0: Optional[complex] = None
-    _user_weighted_mag: Optional[Callable] = None
+    def __init__(self, lattice: Lattice, weight: WeightProfile, source: str,
+                 _gw: np.ndarray, g_double_prime0: Optional[complex] = None,
+                 _user_weighted_mag: Optional[Callable] = None):
+        self.lattice = lattice
+        self.weight = weight
+        self.source = source                     # "builtin_sigma" | "user_table"
+        self._gw = _gw                           # weighted g' per index
+        self.g_double_prime0 = g_double_prime0
+        self._user_weighted_mag = _user_weighted_mag
 
     # -- g'(lambda) ---------------------------------------------------------
 
@@ -201,27 +203,24 @@ def builtin_sigma_multiplier(lat: Lattice,
 def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
                     weighted_mag_table: Optional[Callable] = None,
                     g_double_prime0: Optional[complex] = None,
-                    weighted: bool = False) -> Multiplier:
+                    weighted: bool = False, indices=None) -> Multiplier:
     """Wrap externally supplied multiplier data.
 
-    g_prime_table maps every lattice index to g'(lambda) (raw, or already
-    multiplied by e^{-phi} when weighted=True).  Zero or missing entries are
-    rejected; the two-sided |g'| e^{-phi} rho envelope is computed so callers
-    can inspect how multiplier-like the table is.
+    g_prime_table gives g'(lambda) for every lattice index (raw, or already
+    multiplied by e^{-phi} when weighted=True): a dict index -> value, the
+    values in index order, or the values at `indices`, where a repeated
+    index keeps its last value (`scatter_indexed`).  Out-of-range, missing
+    and zero entries are rejected; the two-sided |g'| e^{-phi} rho envelope
+    is computed so callers can inspect how multiplier-like the table is.
     """
-    n = len(lat)
-    vals = np.zeros(n, dtype=complex)
-    seen = np.zeros(n, dtype=bool)
     if isinstance(g_prime_table, dict):
-        items = g_prime_table.items()
-    else:
-        items = enumerate(np.asarray(g_prime_table, dtype=complex))
-    for k, v in items:
-        k = int(k)
-        if not 0 <= k < n:
-            raise SchemaError(f"g' table index {k} out of range")
-        vals[k] = complex(v)
-        seen[k] = True
+        n = len(g_prime_table)
+        indices = np.fromiter(g_prime_table.keys(), float, n)
+        g_prime_table = np.fromiter(g_prime_table.values(), complex, n)
+    values = np.asarray(g_prime_table, dtype=complex)
+    if indices is None:
+        indices = np.arange(len(values))
+    vals, seen = scatter_indexed(len(lat), indices, values, "g' table")
     if not seen.all():
         raise SchemaError(f"g' table misses {int((~seen).sum())} lattice indices")
     if np.any(vals == 0.0):
@@ -233,8 +232,7 @@ def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
                       _user_weighted_mag=weighted_mag_table)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Empirical envelope constants for |g(z)| e^{-phi} against the
     capped surrogate distance min(1, |z - lambda|/rho(lambda))."""
 

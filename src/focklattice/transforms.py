@@ -29,7 +29,10 @@ Which path runs follows from the lattice, with no knob:
   sum_{lambda != 0} d_lambda/lambda plus d_lambda'/lambda'.
 
 The same zero-padded FFT convolution (`_SquareGrid`) applies the operator
-sections of the norm probes.
+sections of the norm probes.  Its transforms skip the zero padding (only
+the rows that hold data are transformed forward, only the output rows
+backward), and real kernels (L, M(N), |K|) take real transforms on the
+half spectrum.
 
 Transforms acting on weighted sequences d (normally d = c/g'):
 
@@ -44,11 +47,9 @@ norm probes of their boundedness.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,9 +83,9 @@ __all__ = [
 _CHUNK_TERMS = 4_000_000
 
 
-@dataclass(frozen=True)
 class PvConfig:
-    """Knobs of the principal-value engine.
+    """Knobs of the principal-value engine; equal configurations compare
+    and hash equal.
 
     Convergence is declared via a Cauchy criterion on the last
     `cauchy_window` shell partials at relative tolerance `rtol` (scaled by
@@ -93,13 +94,27 @@ class PvConfig:
     centred elsewhere.
     """
 
-    rtol: float = 1e-9
-    atol: float = 1e-15
-    cauchy_window: int = 5
+    __slots__ = ("rtol", "atol", "cauchy_window")
 
-    def __post_init__(self):
-        if self.cauchy_window < 1:
+    def __init__(self, rtol: float = 1e-9, atol: float = 1e-15,
+                 cauchy_window: int = 5):
+        if cauchy_window < 1:
             raise ValueError("cauchy_window must be at least 1")
+        self.rtol, self.atol, self.cauchy_window = rtol, atol, cauchy_window
+
+    def _key(self) -> tuple:
+        return (self.rtol, self.atol, self.cauchy_window)
+
+    def __eq__(self, other):
+        if other.__class__ is not PvConfig:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "PvConfig(rtol=%r, atol=%r, cauchy_window=%r)" % self._key()
 
 
 DEFAULT_PV = PvConfig()
@@ -151,17 +166,19 @@ def loglog_fit(radii, values, window: float = 10.0):
     return float(slope), r2
 
 
-@dataclass(frozen=True, eq=False)
 class PvResult:
     """Value and convergence diagnostics of one shell-ordered sum."""
 
-    value: complex
-    shell_partials: np.ndarray
-    shell_radii: np.ndarray
-    converged: bool
-    cauchy_tail: float
-    shells_used: int
-    absolutely_convergent: bool = False
+    def __init__(self, value: complex, shell_partials: np.ndarray,
+                 shell_radii: np.ndarray, converged: bool, cauchy_tail: float,
+                 shells_used: int, absolutely_convergent: bool = False):
+        self.value = value
+        self.shell_partials = shell_partials
+        self.shell_radii = shell_radii
+        self.converged = converged
+        self.cauchy_tail = cauchy_tail
+        self.shells_used = shells_used
+        self.absolutely_convergent = absolutely_convergent
 
     def growth_exponent(self, window: float = 10.0):
         """Fitted log-log slope of |partial| against shell radius over the
@@ -189,17 +206,15 @@ def pv_sum(schedule: ShellSchedule, term: Union[Callable[[int], complex], np.nda
                     cauchy_tail=float(spread[0]), shells_used=schedule.n_shells)
 
 
-@dataclass(eq=False)
 class SequenceData:
     """A weighted sequence d over lattice indices with cached norms."""
 
-    lattice: Lattice
-    values: np.ndarray
-    _norms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (len(self.lattice),):
+    def __init__(self, lattice: Lattice, values: np.ndarray,
+                 _norms: Optional[dict] = None):
+        self.lattice = lattice
+        self.values = np.asarray(values, dtype=complex)
+        self._norms = {} if _norms is None else _norms
+        if self.values.shape != (len(lattice),):
             raise ValueError("sequence must cover every lattice index")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sequence entries must be finite")
@@ -331,8 +346,8 @@ def ba_transform(lat: Lattice, d: SequenceData, index: int,
     absolutely and the result is flagged accordingly.
     """
     res = pv_sum(shells_for(lat), _higher_terms(lat, d, [index], 2)[0], cfg)
-    return dataclasses.replace(
-        res, absolutely_convergent=bool(np.isfinite(d.norm(2.0, -1.0))))
+    res.absolutely_convergent = bool(np.isfinite(d.norm(2.0, -1.0)))
+    return res
 
 
 def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
@@ -352,8 +367,8 @@ def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
     the Cauchy condition.  The kernel decays like |lambda'|/|lambda|^2, so
     bounded (rho^-1-weighted) data sums absolutely at fixed lambda'."""
     res = pv_sum(shells_for(lat), _modified_terms(lat, d, [index])[0], cfg)
-    return dataclasses.replace(
-        res, absolutely_convergent=bool(np.isfinite(d.norm(math.inf, -1.0))))
+    res.absolutely_convergent = bool(np.isfinite(d.norm(math.inf, -1.0)))
+    return res
 
 
 def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
@@ -406,8 +421,7 @@ def potential_LM(lat: Lattice, d: SequenceData, mode: str, index: int,
 # Operator-norm probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorNormReport:
+class OperatorNormReport(NamedTuple):
     """Estimated operator norms across nested lattice truncations."""
 
     op: str
@@ -469,8 +483,15 @@ class _SquareGrid:
     holds the disc |lambda| <= R of the square lattice, with linear
     convolution (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of grid
     functions x with kernels K on the offsets |m|, |n| <= 2M: a 2-D FFT
-    zero-padded to a 5-smooth length >= 4M + 1, so that no offset wraps
-    around."""
+    zero-padded to a 5-smooth length n >= 4M + 1, so that no offset wraps
+    around.
+
+    The transforms are pruned (Markel, "FFT pruning", 1971): the forward
+    one runs along the rows that hold data, then down all n columns, and
+    the inverse one back up the columns and along the 2M + 1 output rows
+    only.  A real array takes real transforms along its rows (the half
+    spectrum), so a real kernel costs half a complex one; a complex x
+    against a real kernel is convolved as its real and imaginary parts."""
 
     def __init__(self, R: float, scale: float = SQUARE_SCALE):
         self.M = M = int(math.ceil(R / scale))
@@ -487,18 +508,31 @@ class _SquareGrid:
         return np.where(ctr, 0.0, fn(np.where(ctr, 1.0, self.offsets)))
 
     def fft(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(a, s=(self._n, self._n))
+        """The n x n spectrum of a zero-padded to n x n; n // 2 + 1
+        columns of it when a is real."""
+        n = self._n
+        rows = (np.fft.rfft if np.isrealobj(a) else np.fft.fft)(a, n=n, axis=1)
+        return np.fft.fft(rows, n=n, axis=0)
 
     def conv(self, kf: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """K * x on the grid, for kf = fft(K)."""
-        M = self.M
-        return np.fft.ifft2(kf * self.fft(x))[2 * M:4 * M + 1, 2 * M:4 * M + 1]
+        """K * x on the grid, for kf = fft(K); real when K and x are."""
+        M, n = self.M, self._n
+        real = kf.shape[1] != n          # a real K has the half spectrum
+        if not real:
+            x = np.asarray(x, dtype=complex)
+        elif np.iscomplexobj(x):
+            return self.conv(kf, x.real) + 1j * self.conv(kf, x.imag)
+        rows = np.fft.ifft(kf * self.fft(x), axis=0)[2 * M:4 * M + 1]
+        out = np.fft.irfft(rows, n=n, axis=1) if real else np.fft.ifft(rows, axis=1)
+        return out[:, 2 * M:4 * M + 1]
 
 
 class _FftSection:
     """Matrix-free section of a translation-invariant kernel with diagonal
     weights on a disc of the square lattice.  Each kernel FFT is built on
-    first use: p = 2 reads K and its adjoint, p = 1 and inf only |K|."""
+    first use: p = 2 reads K and its adjoint, p = 1 and inf only |K|.
+    The L and M(N) kernels are real (`real`), and so is their whole
+    arithmetic on real vectors."""
 
     def __init__(self, R: float, w: WeightProfile, kind: str, N: int,
                  scale: float = SQUARE_SCALE):
@@ -512,6 +546,7 @@ class _FftSection:
         self.out_w = np.where(self.mask, out_w, 0.0)
         self.in_w = np.where(self.mask, in_w, 0.0)
         self._kern = self.grid.kernel(lambda d: _op_kernel(kind, d, N))
+        self.real = np.isrealobj(self._kern)
 
     @functools.cached_property
     def _kf(self):
@@ -533,11 +568,11 @@ class _FftSection:
         return self.in_w * self.grid.conv(self._kcf, self.out_w * y)
 
     def col_sum_max(self) -> float:
-        s = self.grid.conv(self._kabsf, self.out_w).real
+        s = self.grid.conv(self._kabsf, self.out_w)
         return float((self.in_w * np.where(self.mask, s, 0.0)).max())
 
     def row_sum_max(self) -> float:
-        s = self.grid.conv(self._kabsf, self.in_w).real
+        s = self.grid.conv(self._kabsf, self.in_w)
         return float((self.out_w * np.where(self.mask, s, 0.0)).max())
 
 
@@ -545,7 +580,9 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
                         tol: float = 1e-8):
     """(theta, change): the section's largest singular value by one
     Golub-Kahan-Lanczos run (Golub & Van Loan, Matrix Computations, 10.4)
-    from a seeded random start, and its last relative change.
+    from a seeded random start, and its last relative change.  A real
+    section starts from the real part of the same draw, so it iterates in
+    real arithmetic.
 
     alpha_k u_k = A v_k - beta_{k-1} u_{k-1}, beta_k v_{k+1} = A^H u_k -
     alpha_k v_k; theta = sigma_max(B_k) of the upper bidiagonal B_k is a
@@ -558,8 +595,10 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
     Stops at `steps`, residual <= tol theta or change <= tol; at the cap
     NumericalError if both exceed 1e-3."""
     rng, shape = np.random.default_rng(seed), sec.mask.shape
-    v = np.where(sec.mask, rng.standard_normal(shape)
-                 + 1j * rng.standard_normal(shape), 0.0)
+    v = rng.standard_normal(shape)
+    if not sec.real:
+        v = v + 1j * rng.standard_normal(shape)
+    v = np.where(sec.mask, v, 0.0)
     v /= np.linalg.norm(v)
     # the weights vanish off the disc, so the iterates stay masked
     u, beta, theta, prev = 0.0, 0.0, 0.0, np.zeros(0)
@@ -650,18 +689,20 @@ def taylor_kernel_check(z: complex, lam: complex, lam_prime: complex = 0.0,
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class NecessityReport:
     """Comparison of condition sums recovered from perturbed-point samples
     against directly computed transforms."""
 
-    delta: float
-    N: int
-    indices: np.ndarray
-    sample_norms: dict          # k -> l^p norm (or sup) of f/g samples
-    recovered: dict             # n -> complex array over indices
-    direct: dict                # n -> complex array over indices
-    max_discrepancy: dict       # n -> float
+    def __init__(self, delta: float, N: int, indices: np.ndarray,
+                 sample_norms: dict, recovered: dict, direct: dict,
+                 max_discrepancy: dict):
+        self.delta = delta
+        self.N = N
+        self.indices = indices
+        self.sample_norms = sample_norms       # k -> l^p norm (or sup) of f/g samples
+        self.recovered = recovered             # n -> complex array over indices
+        self.direct = direct                   # n -> complex array over indices
+        self.max_discrepancy = max_discrepancy # n -> float
 
     @property
     def worst(self) -> float:

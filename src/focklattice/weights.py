@@ -13,9 +13,8 @@ Muckenhoupt disc-ratio probe for rho^(p-2) and the doubling-exponent fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,31 +52,42 @@ _CHECK_RTOL = 1e-6
 _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
 _CHUNK = 128             # discs per array expression (~0.6 MB per temporary)
 _EPS = np.finfo(float).eps
+_R6_ROOT = 1.1127756842787055   # the real root of g^7 = g + 1 (default_t_pairs)
 
 
-@dataclass(frozen=True)
 class WeightProfile:
-    """Immutable description of the weight phi.
+    """Description of the weight phi; treat it as immutable, since equal
+    profiles share cache entries (`classifier.cached_t`).
 
     kind "classical" behaves identically to kind "power" with gamma=2,
     c_gamma=1; rho_origin caches rho(0) and is derived, never passed.
     """
 
-    kind: str
-    gamma: float = 2.0
-    c_gamma: float = 1.0
-    rho_origin: float = field(init=False)
+    __slots__ = ("kind", "gamma", "c_gamma", "rho_origin")
 
-    def __post_init__(self):
-        if self.kind not in ("classical", "power"):
-            raise SchemaError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "classical":
-            object.__setattr__(self, "gamma", 2.0)
-            object.__setattr__(self, "c_gamma", 1.0)
-        if not (self.gamma > 0 and self.c_gamma > 0):
+    def __init__(self, kind: str, gamma: float = 2.0, c_gamma: float = 1.0):
+        if kind not in ("classical", "power"):
+            raise SchemaError(f"unknown weight kind {kind!r}")
+        if kind == "classical":
+            gamma, c_gamma = 2.0, 1.0
+        if not (gamma > 0 and c_gamma > 0):
             raise SchemaError("gamma and c_gamma must be positive")
-        r0 = (2.0 * math.pi * self.c_gamma * self.gamma) ** (-1.0 / self.gamma)
-        object.__setattr__(self, "rho_origin", r0)
+        self.kind, self.gamma, self.c_gamma = kind, gamma, c_gamma
+        self.rho_origin = (2.0 * math.pi * c_gamma * gamma) ** (-1.0 / gamma)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.gamma, self.c_gamma)
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightProfile:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "WeightProfile(kind=%r, gamma=%r, c_gamma=%r)" % self._key()
 
     @property
     def is_classical_like(self) -> bool:
@@ -424,8 +434,7 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
 # Muckenhoupt probe for rho^(p-2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApReport:
+class ApReport(NamedTuple):
     """Disc-ratio probe of the Muckenhoupt condition for rho^(p-2).
 
     ratios[i] is the supremum over the sampled centers, at disc radius
@@ -531,8 +540,7 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
 # Doubling exponent
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoublingExponent:
+class DoublingExponent(NamedTuple):
     """Empirical exponent t in rho(z)/rho(zeta) <= C (|z-zeta|/rho(zeta))^(1-t).
 
     t_fit comes from an envelope regression over sampled pairs; t_bound is
@@ -554,22 +562,28 @@ def effective_t(t: DoublingExponent) -> float:
     return min(t.t_fit, t.t_bound)
 
 
-def default_t_pairs(w: WeightProfile, count: int = 20000, seed: int = 0,
-                    span: float = 1e4):
-    """Sample pairs (z, zeta) with zeta outside D(z): a log-uniform sweep of
-    |z| against small |zeta| (which traces the envelope for radial weights)
-    plus random pairs for coverage."""
-    rng = np.random.default_rng(seed)
-    r0 = w.rho_origin
+def default_t_pairs(w: WeightProfile, count: int = 20000, span: float = 1e4):
+    """Pairs (z, zeta) with zeta outside D(z): a log-uniform sweep of |z|
+    against small |zeta| (which traces the envelope for radial weights),
+    then pairs spread over every scale for coverage.
+
+    The sample is fixed: point k of the additive R_6 sequence
+    frac(1/2 + k alpha), alpha_j = g^-j with g^7 = g + 1 (Roberts, "The
+    unreasonable effectiveness of quasirandom sequences", 2018), gives
+    pair k its |z|, the small |zeta| of the sweep or the far |zeta| and its
+    span, and both arguments."""
+    alpha = _R6_ROOT ** -np.arange(1.0, 7.0)
+    u = (0.5 + np.arange(1, count + 1)[:, None] * alpha) % 1.0
+    r0, top = w.rho_origin, math.log10(span)
     n1 = count // 2
-    z1 = r0 * 10.0 ** rng.uniform(0.3, math.log10(span), n1)
-    ze1 = r0 * rng.uniform(0.0, 0.5, n1)
-    n2 = count - n1
-    z2 = r0 * 10.0 ** rng.uniform(0.0, math.log10(span), n2)
-    ze2 = r0 * 10.0 ** rng.uniform(0.0, math.log10(span) * rng.uniform(0.2, 1.0, n2), n2)
-    z = np.concatenate([z1, z2]) * np.exp(2j * math.pi * rng.uniform(0, 1, count))
-    zeta = np.concatenate([ze1, ze2]) * np.exp(2j * math.pi * rng.uniform(0, 1, count))
-    return z, zeta
+    sweep, spread = u[:n1], u[n1:]
+    z = r0 * 10.0 ** np.concatenate([0.3 + (top - 0.3) * sweep[:, 0],
+                                     top * spread[:, 0]])
+    zeta = r0 * np.concatenate([0.5 * sweep[:, 1],
+                                10.0 ** (top * (0.2 + 0.8 * spread[:, 3])
+                                         * spread[:, 2])])
+    return (z * np.exp(2j * math.pi * u[:, 4]),
+            zeta * np.exp(2j * math.pi * u[:, 5]))
 
 
 def estimate_t(w: WeightProfile, pairs=None, *, nbins: int = 28,

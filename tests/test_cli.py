@@ -184,6 +184,87 @@ class TestReportEcho:
         assert rc == 0 and rep["seed"] == 2 ** 32 - 1
 
 
+class TestTableEntries:
+    """The g' table and the value list go from JSON entries to arrays in
+    one pass; the rejections and the repeat rule are those of the
+    per-entry loop they replace."""
+
+    PTS = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5],
+           [1.5, 1.5], [-1.5, 1.5], [1.5, -1.5], [-1.5, -1.5]]
+
+    @classmethod
+    def job(cls, table=None, items=None):
+        ones = [{"index": k, "re": 1.0, "im": 0.0} for k in range(len(cls.PTS))]
+        dflt = [{"index": 0, "re": 1.0, "im": 0.0},
+                {"index": 3, "re": 0.0, "im": -2.0}]
+        return {"weight": {"kind": "classical"},
+                "lattice": {"kind": "explicit", "points": cls.PTS},
+                "multiplier": {"kind": "user_table", "weighted": True,
+                               "g_prime": ones if table is None else table},
+                "values": {"kind": "list", "weighted": True,
+                           "items": dflt if items is None else items},
+                "p": 2}
+
+    @staticmethod
+    def entry(k, re=1.0, im=0.0):
+        return {"index": k, "re": re, "im": im}
+
+    @pytest.mark.parametrize("bad,message", [
+        ([12, -1], "g' table index 12 out of range"),
+        ([-1], "g' table index -1 out of range"),
+        ([9], "g' table index 9 out of range")])
+    def test_g_prime_index_out_of_range(self, tmp_path, capsys, bad, message):
+        table = [self.entry(k) for k in range(9)] + [self.entry(k) for k in bad]
+        rc, _ = run(tmp_path, self.job(table=table), "trace-check")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_g_prime_missing_index(self, tmp_path, capsys):
+        table = [self.entry(k) for k in range(9) if k not in (2, 5)]
+        rc, _ = run(tmp_path, self.job(table=table), "trace-check")
+        assert rc == 2
+        assert "g' table misses 2 lattice indices" in capsys.readouterr().err
+
+    def test_g_prime_zero_entry(self, tmp_path, capsys):
+        table = [self.entry(k, 0.0 if k == 6 else 1.0) for k in range(9)]
+        rc, _ = run(tmp_path, self.job(table=table), "trace-check")
+        assert rc == 2
+        assert "g' table contains zero entries" in capsys.readouterr().err
+
+    def test_value_index_out_of_range(self, tmp_path, capsys):
+        items = [self.entry(0), self.entry(9), self.entry(-3)]
+        rc, _ = run(tmp_path, self.job(items=items), "trace-check")
+        assert rc == 2
+        assert "value index 9 out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["table", "items"])
+    @pytest.mark.parametrize("key", ["index", "re", "im"])
+    def test_null_field_is_schema_error(self, tmp_path, capsys, section, key):
+        # float(None) raised an uncaught TypeError; numpy would read NaN
+        entries = [self.entry(k) for k in range(9)]
+        entries[4][key] = None
+        rc, _ = run(tmp_path, self.job(**{section: entries}), "trace-check")
+        assert rc == 2
+        assert "finite index, re and im" in capsys.readouterr().err
+
+    def test_repeated_index_keeps_last_entry(self, tmp_path, capsys):
+        base = [self.entry(k, 1.0 + k) for k in range(9)]
+        # a zero g' overwritten by a later entry is accepted ...
+        table = base[:4] + [self.entry(4, 0.0)] + base[4:]
+        items = [self.entry(3, 5.0), self.entry(0), self.entry(3, 0.0, -2.0)]
+        _, want = run(tmp_path, self.job(table=base), "trace-check")
+        rc, got = run(tmp_path, self.job(table=table, items=items), "trace-check")
+        assert rc == 0 and got["results"] == want["results"]
+        _, first = run(tmp_path, self.job(table=base, items=items[:2]),
+                       "trace-check")
+        assert first["results"] != want["results"]
+        # ... and one that overwrites a valid entry is not
+        rc, _ = run(tmp_path, self.job(table=base + [self.entry(4, 0.0)]),
+                    "trace-check")
+        assert rc == 2
+        assert "g' table contains zero entries" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_lattice_info(self, tmp_path):
         rc, rep = run(tmp_path, dict(BASE), "lattice-info")

@@ -1,8 +1,10 @@
 """CLI jobs run on numpy alone: square lattices with classical and power
 weights (the rho table, its polish and spline are numpy code) and explicit
-lattices (the nearest-point search is numpy code).  Classical trace-check
-and reconstruct jobs draw no random numbers, so they never load
-numpy.random."""
+lattices (the nearest-point search is numpy code).  Trace-check and
+reconstruct jobs draw no random numbers, so they never load numpy.random;
+only op-norm seeds a start vector.  No job loads `dataclasses` (the
+records are named tuples and plain classes) or `focklattice.acceptance`
+(only its own command imports it)."""
 
 import json
 import os
@@ -13,6 +15,9 @@ import textwrap
 import pytest
 
 import focklattice
+from focklattice import PvConfig, WeightProfile, power_weight
+from focklattice.classifier import cached_t
+from focklattice.errors import SchemaError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(focklattice.__file__)))
 
@@ -23,6 +28,11 @@ SCRIPT = textwrap.dedent("""
     def loaded():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+    def heavy():
+        # modules no job should need
+        return sorted(m for m in ("dataclasses", "focklattice.acceptance")
+                      if m in sys.modules)
+
     def run(name, command, job, *extra):
         path = os.path.join(WORK, name + ".json")
         with open(path, "w") as fh:
@@ -31,7 +41,8 @@ SCRIPT = textwrap.dedent("""
         return cli.main(argv)
 
     WORK = sys.argv[1]
-    out = {"after_import": loaded(), "random_after_import": "numpy.random" in sys.modules}
+    out = {"after_import": loaded(), "random_after_import": "numpy.random" in sys.modules,
+           "heavy_after_import": heavy()}
     base = {"weight": {"kind": "classical"}, "lattice": {"kind": "square", "R": 10},
             "multiplier": {"kind": "builtin_sigma"},
             "values": {"kind": "gaussian_trace", "w": [0.3, -0.2]}}
@@ -41,6 +52,7 @@ SCRIPT = textwrap.dedent("""
                                             verify_points=10),
                "--grid", os.path.join(WORK, "recon.csv"))]
     out["random_after_classical"] = "numpy.random" in sys.modules
+    out["heavy_after_classical"] = heavy()
     k = range(-8, 9)
     n_points = sum(1 for a in k for b in k if (a * a + b * b) * math.pi / 2 <= 100)
     power = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
@@ -51,8 +63,11 @@ SCRIPT = textwrap.dedent("""
              "values": {"kind": "zero"}, "p": 3}
     power_rc = [run("power", "trace-check", power)]
     out["random_after_power"] = "numpy.random" in sys.modules
+    out["heavy_after_power"] = heavy()
     rcs.append(run("opnorm", "op-norm", {"weight": {"kind": "classical"}, "op": "L",
                                          "p": 2, "sizes": [200, 400]}))
+    out["random_after_opnorm"] = "numpy.random" in sys.modules
+    out["heavy_after_opnorm"] = heavy()
     out["classical_rc"] = rcs
     out["after_classical"] = loaded()
     ap = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, "p": 3}
@@ -107,10 +122,21 @@ def test_classical_trace_jobs_do_not_import_numpy_random(jobs):
     assert jobs["random_after_classical"] is False
 
 
-def test_power_weight_jobs_load_numpy_random(jobs):
-    # positive control: the power-weight trace-check at p = 3, run right
-    # after the classical jobs, samples pairs for its doubling fit
-    assert jobs["random_after_power"] is True
+def test_power_weight_jobs_do_not_import_numpy_random(jobs):
+    # the power-weight trace-check at p = 3 fits its doubling exponent on
+    # the fixed quasirandom sample
+    assert jobs["random_after_power"] is False
+
+
+def test_op_norm_job_loads_numpy_random(jobs):
+    # positive control: op-norm, run right after the power job, seeds its
+    # Golub-Kahan-Lanczos start vector
+    assert jobs["random_after_opnorm"] is True
+
+
+def test_jobs_load_neither_dataclasses_nor_acceptance(jobs):
+    for when in ("import", "classical", "power", "opnorm"):
+        assert jobs[f"heavy_after_{when}"] == [], when
 
 
 def test_power_weight_jobs_do_not_import_scipy(jobs):
@@ -130,3 +156,27 @@ def test_loader_sees_scipy_when_it_loads(jobs):
     if jobs["after_control"] is None:
         pytest.skip("scipy is not installed")
     assert "scipy.spatial" in jobs["after_control"]
+
+
+def test_equal_weight_profiles_share_one_cached_t_entry():
+    a = power_weight(0.5, rho_origin=2.0)
+    b = WeightProfile(kind="power", gamma=0.5, c_gamma=a.c_gamma)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != power_weight(0.5, rho_origin=3.0)
+    cached_t.cache_clear()
+    assert cached_t(a) is cached_t(b)
+    assert cached_t.cache_info().currsize == 1
+
+
+def test_equal_pv_configs_compare_and_hash_equal():
+    assert PvConfig(rtol=1e-6) == PvConfig(1e-6, 1e-15, 5)
+    assert hash(PvConfig(rtol=1e-6)) == hash(PvConfig(1e-6, 1e-15, 5))
+    assert PvConfig(rtol=1e-6) != PvConfig(rtol=1e-7)
+
+
+def test_bad_weight_profiles_still_raise():
+    # a bad PvConfig: tests/test_transforms.py::test_arguments_are_validated
+    with pytest.raises(SchemaError, match="unknown weight kind"):
+        WeightProfile(kind="log")
+    with pytest.raises(SchemaError, match="must be positive"):
+        WeightProfile(kind="power", gamma=-1.0)

@@ -1,12 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from focklattice import (PvConfig, SequenceData, ba_transform, batch_higher,
-                         batch_modified_inf, cauchy_transform,
-                         higher_transform, modified_cauchy_inf,
+from focklattice import (SQUARE_SCALE, Lattice, PvConfig, SequenceData,
+                         ba_transform, batch_higher, batch_modified_inf,
+                         cauchy_transform, higher_transform, modified_cauchy_inf,
                          necessity_probe, operator_matrix,
                          operator_norm_estimate, potential_LM, power_weight,
                          pv_sum, shells_for, square_lattice,
@@ -181,7 +180,10 @@ class TestModifiedCauchy:
 
 def shell_oracle(lat):
     """The same lattice run through the compensated shell path."""
-    return dataclasses.replace(lat, kind="explicit")
+    return Lattice(points=lat.points, scale=lat.scale,
+                   truncation_radius=lat.truncation_radius,
+                   rho_values=lat.rho_values, kind="explicit",
+                   delta_sep=lat.delta_sep)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +273,31 @@ class TestFftPath:
         with pytest.raises(ValueError):
             PvConfig(cauchy_window=0)
 
+    @pytest.mark.parametrize("M", [6, 10])       # 4M + 1 = 25, 41 (-> 45)
+    @pytest.mark.parametrize("kernel_real", [True, False])
+    @pytest.mark.parametrize("data_real", [True, False])
+    def test_grid_conv_matches_direct_convolution(self, M, kernel_real,
+                                                  data_real, rng):
+        # the pruned (and, for a real kernel, half-spectrum) FFT product
+        # against sum_mu K(lambda - mu) x(mu) summed directly; a general
+        # kernel, so that a flipped offset would show
+        from focklattice.transforms import _SquareGrid
+        grid = _SquareGrid((M - 0.5) * SQUARE_SCALE)
+        assert grid.M == M
+        draw = lambda shape, real: (rng.standard_normal(shape) if real else
+                                    rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape))
+        K = draw((4 * M + 1,) * 2, kernel_real)
+        x = draw((2 * M + 1,) * 2, data_real)
+        want = np.zeros(x.shape, dtype=complex)
+        for a in range(2 * M + 1):
+            for b in range(2 * M + 1):
+                want += x[a, b] * K[2 * M - a:4 * M + 1 - a, 2 * M - b:4 * M + 1 - b]
+        got = grid.conv(grid.fft(K), x)
+        assert got.shape == x.shape
+        assert np.isrealobj(got) == (kernel_real and data_real)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(K) * np.linalg.norm(x)
+
     def test_fft_length_is_five_smooth(self):
         from focklattice.transforms import _fft_length
         assert _fft_length(161) == 162
@@ -354,11 +381,11 @@ class TestOperatorNorms:
         assert fft_rep.norms[0] <= dense * (1 + 1e-9)
 
     @staticmethod
-    def _dense_top_singular_value(cw, kind, size):
+    def _dense_top_singular_value(w, kind, size, N=2):
         # the section operator_norm_estimate builds for `size`, as a dense
         # matrix, and its largest singular value by LAPACK
-        lat = square_lattice(math.sqrt(size / 2.0), cw)   # pi R^2 / s^2 = size
-        K = operator_matrix(lat, cw, kind, 2)
+        lat = square_lattice(math.sqrt(size / 2.0), w)    # pi R^2 / s^2 = size
+        K = operator_matrix(lat, w, kind, N)
         return len(lat), float(np.linalg.svd(K, compute_uv=False)[0])
 
     @pytest.mark.parametrize("size", [193, 401])
@@ -366,6 +393,17 @@ class TestOperatorNorms:
     def test_bidiagonalisation_against_dense_svd(self, cw, kind, size):
         n_pts, exact = self._dense_top_singular_value(cw, kind, size)
         rep = operator_norm_estimate(kind, [size], 2.0, cw, N=2)
+        assert rep.sizes == (n_pts,)
+        assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
+        assert rep.norms[0] <= exact * (1 + 1e-9)
+
+    @pytest.mark.parametrize("size", [193, 401])
+    @pytest.mark.parametrize("kind,N", [("L", 2), ("M", 3)])
+    def test_power_weight_bidiagonalisation_against_dense_svd(self, kind, N, size):
+        # the real sections iterate in real arithmetic; rho varies here
+        pw = power_weight(0.5, rho_origin=2.0)
+        n_pts, exact = self._dense_top_singular_value(pw, kind, size, N)
+        rep = operator_norm_estimate(kind, [size], 2.0, pw, N=N)
         assert rep.sizes == (n_pts,)
         assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
         assert rep.norms[0] <= exact * (1 + 1e-9)
