@@ -31,10 +31,8 @@ from .transforms import (NecessityReport, OperatorNormReport, PvConfig,
                          operator_norm_estimate, potential_LM, pv_sum,
                          taylor_kernel_check)
 from .classifier import (BranchInfo, ConditionReport, Margins, TraceData,
-                         TraceVerdict, classify, condition_a, condition_b,
-                         condition_bprime, condition_c, condition_inf_b,
-                         condition_inf_c, select_branch, trajectory_margins,
-                         trajectory_verdict)
+                         TraceVerdict, classify, condition, condition_a,
+                         select_branch, trajectory_margins)
 from .interpolate import (Interpolant, NormEstimate, make_interpolant,
                           reconstruct, reconstruct_inf, verify_interpolation,
                           w0_from, weighted_norm)

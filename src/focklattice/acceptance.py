@@ -187,10 +187,7 @@ def criterion_4() -> CriterionResult:
         verdict = classify(data)
         branches.add(verdict.branch.case)
         for rep in verdict.reports:
-            traj = np.asarray(rep.partial_trajectory)
-            base = traj[traj[:, 0] >= traj[-1, 0] / 10.0][0, 1]
-            growth = traj[-1, 1] / base - 1.0 if base > 0 else 0.0
-            worst_growth = max(worst_growth, growth)
+            worst_growth = max(worst_growth, rep.margins.growth or 0.0)
             if rep.verdict != "bounded":
                 all_bounded = False
     ok = all_bounded and worst_growth <= 0.01

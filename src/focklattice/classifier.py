@@ -19,21 +19,23 @@ flattening (last-decade growth <= 1%) is bounded, a clean power law
 (fitted exponent >= 0.05 with R^2 >= 0.9) is diverging, anything else is
 undetermined.  A bounded verdict on inner p.v. sums is demoted to
 undetermined when more than 10% of them did not converge.  Each report
-carries the numbers its verdict was read from (`Margins`).
+carries the numbers its verdict was read from (`Margins`).  `select_branch`
+names the conditions by id, and `condition(data, cid)` evaluates any id.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
-from .transforms import (DEFAULT_PV, PvConfig, SequenceData,
-                         batch_higher, batch_modified_inf, loglog_fit)
+from .transforms import (DEFAULT_PV, OUTER_GUARD_FRACTION, PvConfig,
+                         SequenceData, batch_higher, batch_modified_inf,
+                         loglog_fit)
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       choose_N, default_ap_radii, effective_t, estimate_t,
                       phi)
@@ -45,14 +47,10 @@ __all__ = [
     "TraceVerdict",
     "Margins",
     "trajectory_margins",
-    "trajectory_verdict",
     "shell_trajectory",
     "condition_a",
-    "condition_b",
-    "condition_c",
-    "condition_bprime",
-    "condition_inf_b",
-    "condition_inf_c",
+    "condition",
+    "select_branch",
     "classify",
 ]
 
@@ -60,7 +58,6 @@ FLATTEN_TOL = 0.01          # last-decade relative growth for "bounded"
 DIVERGE_MIN_EXPONENT = 0.05
 DIVERGE_MIN_R2 = 0.9
 UNCONVERGED_MAX_SHARE = 0.1 # of inner sums, above which bounded is demoted
-OUTER_GUARD_FRACTION = 0.5  # aggregate over |lambda'| <= R/2 only
 
 
 class TraceData:
@@ -97,10 +94,6 @@ class TraceData:
                 vals[nz] = self.c_weighted[nz] / gw
             self._d = SequenceData(lattice=self.lattice, values=vals)
         return self._d
-
-    def c_raw(self, index: int) -> complex:
-        return complex(self.c_weighted[index]
-                       * np.exp(phi(self.weight, self.lattice.points[index])))
 
     # -- constructors --------------------------------------------------------
 
@@ -141,7 +134,8 @@ class Margins(NamedTuple):
 
     growth is the relative increase over the last decade of radii (0 for an
     all-zero trajectory, None when the decade starts at 0); slope and r2
-    come from the log-log fit over that decade (None when too short)."""
+    come from the log-log fit over that decade (None when too short, or
+    when growth reads bounded: a fit to a flat trajectory fits rounding)."""
 
     growth: Optional[float]
     slope: Optional[float] = None
@@ -157,11 +151,6 @@ class Margins(NamedTuple):
             return "diverging"
         return "undetermined"
 
-    @property
-    def exponent(self) -> Optional[float]:
-        """The fitted slope, reported unless the verdict is bounded."""
-        return None if self.verdict == "bounded" else self.slope
-
 
 class ConditionReport(NamedTuple):
     """One trace condition's partial-sum trajectory and verdict."""
@@ -175,7 +164,7 @@ class ConditionReport(NamedTuple):
 
     @property
     def growth_exponent(self) -> Optional[float]:
-        return self.margins.exponent
+        return self.margins.slope
 
     @property
     def final_value(self) -> float:
@@ -183,28 +172,18 @@ class ConditionReport(NamedTuple):
 
 
 def trajectory_margins(radii, values) -> Margins:
-    """Last-decade growth, log-log slope and R^2 of a nondecreasing
-    trajectory of positive sums."""
+    """Last-decade growth, and the log-log slope and R^2 unless growth
+    reads bounded, of a nondecreasing trajectory of positive sums."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(values) == 0 or values[-1] == 0.0:
         return Margins(0.0)
     base = values[int(np.argmax(radii >= radii[-1] / 10.0))]
     growth = float(values[-1] / base - 1.0) if base > 0 else None
+    if growth is not None and growth <= FLATTEN_TOL:
+        return Margins(growth)
     fit = loglog_fit(radii, values)
     return Margins(growth) if fit is None else Margins(growth, *fit)
-
-
-def trajectory_verdict(radii, values) -> Tuple[str, Optional[float]]:
-    """Tri-state verdict for a nondecreasing trajectory of positive sums,
-    with the fitted growth exponent unless bounded.
-
-    Bounded when the relative increase over the last decade of radii is at
-    most 1%; diverging when log-values against log-radius fit a positive
-    power law (slope >= 0.05, R^2 >= 0.9) over that window; undetermined
-    otherwise."""
-    m = trajectory_margins(radii, values)
-    return m.verdict, m.exponent
 
 
 def shell_trajectory(lat: Lattice, per_index: np.ndarray, p: float,
@@ -267,65 +246,45 @@ def _aggregate(data: TraceData, inner_values: np.ndarray, indices: np.ndarray,
                            inner_total=len(indices))
 
 
-def condition_b(data: TraceData, cfg: PvConfig = DEFAULT_PV) -> ConditionReport:
-    """Cauchy condition: per-lambda' p.v. transforms aggregated in l^p.
-    For p = 1 the inner sums are absolutely convergent and no principal
-    value is needed; the aggregation is then plain absolute summation."""
-    lat = data.lattice
-    idx = _outer_indices(lat)
-    vals, conv = batch_higher(lat, data.d, idx, 1, cfg)
-    bad = 0 if data.p == 1.0 else int(np.sum(~conv))
-    return _aggregate(data, vals, idx, "b", bad)
-
-
-def condition_c(data: TraceData, cfg: PvConfig = DEFAULT_PV) -> ConditionReport:
-    """rho(lambda')-weighted second-order condition via the discrete
-    Beurling-Ahlfors values.  Data with finite l^2(rho^-1) norm sums
-    absolutely, so inner convergence flags are advisory there."""
-    lat = data.lattice
-    idx = _outer_indices(lat)
-    vals, conv = batch_higher(lat, data.d, idx, 2, cfg)
-    vals = vals * lat.rho_values[idx]
-    absolute = np.isfinite(data.d.norm(2.0, -1.0))
-    bad = 0 if absolute else int(np.sum(~conv))
-    return _aggregate(data, vals, idx, "c", bad)
-
-
-def condition_bprime(data: TraceData, N: int,
-                     cfg: PvConfig = DEFAULT_PV) -> List[ConditionReport]:
-    """Higher-order family: rho(lambda')^(n-1)-weighted order-n transforms
-    for every 1 <= n <= N."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    lat = data.lattice
-    idx = _outer_indices(lat)
-    out = []
-    for n in range(1, N + 1):
-        vals, conv = batch_higher(lat, data.d, idx, n, cfg)
-        vals = vals * lat.rho_values[idx] ** (n - 1)
-        out.append(_aggregate(data, vals, idx, f"bprime({n})",
-                              int(np.sum(~conv))))
-    return out
-
-
-def condition_inf_b(data: TraceData, cfg: PvConfig = DEFAULT_PV) -> ConditionReport:
-    """Sup over lambda' != 0 of the origin-anchored modified Cauchy sum."""
-    if not math.isinf(data.p):
-        raise ValueError("the modified Cauchy condition applies to p = inf only")
-    lat = data.lattice
-    idx = _outer_indices(lat, exclude_origin=True)
-    vals, conv = batch_modified_inf(lat, data.d, idx, cfg)
-    return _aggregate(data, vals, idx, "inf_b", int(np.sum(~conv)))
-
-
-def condition_inf_c(data: TraceData, n: int,
-                    cfg: PvConfig = DEFAULT_PV) -> ConditionReport:
-    """Sup-norm counterpart of the order-n condition, 2 <= n <= N."""
+def _order_n(data: TraceData, n: int, cid: str, cfg: PvConfig,
+             advisory: bool = False) -> ConditionReport:
+    """rho(lambda')^(n-1)-weighted order-n p.v. transforms at the inner
+    centres, aggregated in l^p.  The inner convergence flags are not
+    counted when `advisory` (the inner sums converge absolutely)."""
     lat = data.lattice
     idx = _outer_indices(lat)
     vals, conv = batch_higher(lat, data.d, idx, n, cfg)
-    vals = vals * lat.rho_values[idx] ** (n - 1)
-    return _aggregate(data, vals, idx, f"inf_c({n})", int(np.sum(~conv)))
+    bad = 0 if advisory else int(np.sum(~conv))
+    return _aggregate(data, vals * lat.rho_values[idx] ** (n - 1), idx, cid, bad)
+
+
+def condition(data: TraceData, cid: str,
+              cfg: PvConfig = DEFAULT_PV) -> ConditionReport:
+    """The trace condition named cid: a and inf_a by `condition_a`; inf_b
+    the sup over lambda' != 0 of the origin-anchored modified Cauchy sum;
+    b, c, bprime(n) and inf_c(n) the order-n transform of `_order_n`, n = 1
+    for the Cauchy sums (b), which converge absolutely at p = 1, and n = 2
+    for Beurling-Ahlfors (c), absolute for finite l^2(rho^-1) norm."""
+    if cid in ("a", "inf_a"):
+        return condition_a(data)
+    if cid == "b":
+        return _order_n(data, 1, cid, cfg, advisory=data.p == 1.0)
+    if cid == "c":
+        return _order_n(data, 2, cid, cfg,
+                        advisory=bool(np.isfinite(data.d.norm(2.0, -1.0))))
+    if cid == "inf_b":
+        if not math.isinf(data.p):
+            raise ValueError("the modified Cauchy condition applies to p = inf only")
+        lat = data.lattice
+        idx = _outer_indices(lat, exclude_origin=True)
+        vals, conv = batch_modified_inf(lat, data.d, idx, cfg)
+        return _aggregate(data, vals, idx, cid, int(np.sum(~conv)))
+    family, _, arg = cid.partition("(")
+    n = arg[:-1]
+    if family not in ("bprime", "inf_c") or not arg.endswith(")") \
+            or not n.isdecimal() or int(n) < 1:
+        raise ValueError(f"unknown condition id {cid!r}")
+    return _order_n(data, int(n), cid, cfg)
 
 
 class BranchInfo(NamedTuple):
@@ -402,27 +361,7 @@ def classify(data: TraceData, cfg: PvConfig = DEFAULT_PV,
     Overall is bounded only if every selected condition is bounded;
     any divergence wins, and undetermined propagates otherwise."""
     branch = select_branch(data.p, data.weight, t=t, ap=ap)
-    reports: List[ConditionReport] = []
-    bprime_reports = None
-    for cid in branch.condition_ids:
-        if cid in ("a", "inf_a"):
-            reports.append(condition_a(data))
-        elif cid == "b":
-            reports.append(condition_b(data, cfg))
-        elif cid == "c":
-            reports.append(condition_c(data, cfg))
-        elif cid == "inf_b":
-            reports.append(condition_inf_b(data, cfg))
-        elif cid.startswith("bprime"):
-            if bprime_reports is None:
-                bprime_reports = {r.condition_id: r for r in
-                                  condition_bprime(data, branch.n_max, cfg)}
-            reports.append(bprime_reports[cid])
-        elif cid.startswith("inf_c"):
-            n = int(cid[cid.index("(") + 1:-1])
-            reports.append(condition_inf_c(data, n, cfg))
-        else:
-            raise AssertionError(cid)
+    reports = tuple(condition(data, cid, cfg) for cid in branch.condition_ids)
     verdicts = {r.verdict for r in reports}
     if "diverging" in verdicts:
         overall = "diverging"
@@ -430,4 +369,4 @@ def classify(data: TraceData, cfg: PvConfig = DEFAULT_PV,
         overall = "undetermined"
     else:
         overall = "bounded"
-    return TraceVerdict(branch=branch, reports=tuple(reports), overall=overall)
+    return TraceVerdict(branch=branch, reports=reports, overall=overall)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classifier import TraceData, shell_trajectory, trajectory_verdict
+from .classifier import TraceData, shell_trajectory, trajectory_margins
 from .errors import NumericalError
 from .lattice import GridSpec, nearest_index, shells_for
 from .multiplier import Multiplier
@@ -129,7 +129,7 @@ def _check_summable(data: TraceData, zs: np.ndarray, partials: np.ndarray,
     divergence."""
     lat = data.lattice
     per = np.abs(data.d.values) / (1.0 + lat.radii)
-    if trajectory_verdict(*shell_trajectory(lat, per, 1.0))[0] == "bounded":
+    if trajectory_margins(*shell_trajectory(lat, per, 1.0)).verdict == "bounded":
         return
     worst = int(np.argmax(spread))
     fit = loglog_fit(shells_for(lat).radii, np.abs(partials[worst]))
@@ -192,19 +192,18 @@ def reconstruct_inf(data: TraceData, w0: Optional[complex] = None,
                        representative_only=w0 is None)
 
 
-def w0_from(f: Callable, m: Multiplier, h_factor: float = 1e-5) -> complex:
+def w0_from(f: Callable, m: Multiplier) -> complex:
     """Free parameter of the p = inf representation for a concrete f:
     w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)).
 
     f'(0) comes from Richardson-extrapolated central differences with step
-    h = h_factor * rho(0); the extrapolation at two step sizes must agree
+    h = 1e-5 * rho(0); the extrapolation at two step sizes must agree
     or NumericalError is raised.  g''(0) must be known (0 for the builtin
     sigma by oddness); user tables without it cannot use this helper."""
     if m.g_double_prime0 is None:
         raise NumericalError("g''(0) unknown: w0 must be treated as a free "
                              "parameter for this multiplier")
-    rho0 = float(m.lattice.rho_values[0])
-    h = h_factor * rho0
+    h = 1e-5 * float(m.lattice.rho_values[0])
 
     def central(hh: float) -> complex:
         return (complex(f(hh)) - complex(f(-hh))) / (2.0 * hh)
@@ -221,11 +220,11 @@ def w0_from(f: Callable, m: Multiplier, h_factor: float = 1e-5) -> complex:
     return r2 / g1 - complex(m.g_double_prime0) / (2.0 * g1)
 
 
-def verify_interpolation(I: Interpolant, h: float = 0.05,
+def verify_interpolation(I: Interpolant,
                          max_points: Optional[int] = None) -> float:
     """Max weighted interpolation residual over guard-band lattice points.
 
-    The evaluator is sampled at lambda + h*rho(lambda) in four directions
+    The evaluator is sampled at lambda + 0.05 rho(lambda) in four directions
     and averaged, which cancels the first three Taylor terms and avoids the
     removable structure at the lattice point itself."""
     data = I.data
@@ -236,7 +235,7 @@ def verify_interpolation(I: Interpolant, h: float = 0.05,
     if len(idx) == 0:
         return 0.0
     lam = lat.points[idx]
-    zs = lam[:, None] + h * lat.rho_values[idx, None] * np.asarray([1.0, 1j, -1.0, -1j])
+    zs = lam[:, None] + 0.05 * lat.rho_values[idx, None] * np.asarray([1.0, 1j, -1.0, -1j])
     vals = I.eval_weighted(zs.ravel()).reshape(zs.shape)
     # rescale each sample from e^{-phi(z)} to e^{-phi(lambda)}
     adj = np.exp(np.asarray(phi(data.weight, zs), dtype=float)

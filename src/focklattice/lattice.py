@@ -81,9 +81,9 @@ class Lattice:
     def max_rho(self) -> float:
         return float(self.rho_values.max())
 
-    def guard_radius(self, factor: float = 5.0) -> float:
-        """Inner radius unaffected by truncation-edge bias."""
-        return self.truncation_radius - factor * self.max_rho
+    def guard_radius(self) -> float:
+        """Inner radius unaffected by truncation-edge bias: R - 5 max rho."""
+        return self.truncation_radius - 5.0 * self.max_rho
 
 
 def _order_points(points: np.ndarray) -> np.ndarray:

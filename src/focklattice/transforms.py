@@ -81,6 +81,9 @@ __all__ = [
 
 # terms per row block of the batch transforms (64 MB of complex terms)
 _CHUNK_TERMS = 4_000_000
+# inner centres lambda' of the trace conditions and the necessity probe lie
+# in |lambda'| <= OUTER_GUARD_FRACTION * R, away from the truncation edge
+OUTER_GUARD_FRACTION = 0.5
 
 
 class PvConfig:
@@ -149,13 +152,13 @@ def _window_test(partials: np.ndarray, cfg: PvConfig):
     return spread <= cfg.rtol * scale + cfg.atol, spread
 
 
-def loglog_fit(radii, values, window: float = 10.0):
+def loglog_fit(radii, values):
     """Least-squares slope of log(values) against log(radii), with its R^2,
-    over the positive entries in the last `window`-fold range of radii;
-    None when fewer than four entries remain."""
+    over the positive entries in the last decade of radii; None when fewer
+    than four entries remain."""
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
-    keep = (r >= r[-1] / window) & (r > 0) & (v > 0)
+    keep = (r >= r[-1] / 10.0) & (r > 0) & (v > 0)
     if keep.sum() < 4:
         return None
     x, y = np.log(r[keep]), np.log(v[keep])
@@ -180,11 +183,11 @@ class PvResult:
         self.shells_used = shells_used
         self.absolutely_convergent = absolutely_convergent
 
-    def growth_exponent(self, window: float = 10.0):
+    def growth_exponent(self):
         """Fitted log-log slope of |partial| against shell radius over the
-        last `window`-fold range of radii, with its R^2; None when the data
-        cannot support a fit.  Used to tell divergence from boundedness."""
-        return loglog_fit(self.shell_radii, np.abs(self.shell_partials), window)
+        last decade of radii, with its R^2; None when the data cannot
+        support a fit.  Used to tell divergence from boundedness."""
+        return loglog_fit(self.shell_radii, np.abs(self.shell_partials))
 
 
 def pv_sum(schedule: ShellSchedule, term: Union[Callable[[int], complex], np.ndarray],
@@ -351,12 +354,9 @@ def ba_transform(lat: Lattice, d: SequenceData, index: int,
 
 
 def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
-                     cfg: PvConfig = DEFAULT_PV,
-                     n_max: Optional[int] = None) -> PvResult:
+                     cfg: PvConfig = DEFAULT_PV) -> PvResult:
     """p.v. sum of d_lambda / (lambda - lambda')^n; the rho(lambda')^(n-1)
     prefactor of the trace conditions is applied by the caller."""
-    if n_max is not None and n > n_max:
-        raise ValueError(f"transform order n={n} out of range")
     return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], n)[0], cfg)
 
 
@@ -710,8 +710,7 @@ class NecessityReport:
 
 
 def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
-                    N: int, cfg: PvConfig = DEFAULT_PV,
-                    guard_fraction: float = 0.5) -> NecessityReport:
+                    N: int, cfg: PvConfig = DEFAULT_PV) -> NecessityReport:
     """Sample f/g at the N rotated points lambda' + delta w_k rho(lambda')
     (w_k the N-th roots of unity) and reconstruct each condition-(n) sum
     from the sample family.
@@ -730,7 +729,7 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
         raise ValueError("delta must lie in (0, delta_sep/2)")
     if N < 1:
         raise ValueError("N must be at least 1")
-    guard = guard_fraction * lat.truncation_radius
+    guard = OUTER_GUARD_FRACTION * lat.truncation_radius
     indices = np.nonzero(lat.radii <= guard)[0]
     pts = lat.points
     rho_v = lat.rho_values

@@ -451,8 +451,11 @@ class ApReport(NamedTuple):
     disc_radii: tuple
     ratios: tuple
     fitted_exponent: float
-    is_ap: bool
     exponent_tolerance: float = 0.05
+
+    @property
+    def is_ap(self) -> bool:
+        return self.fitted_exponent <= self.exponent_tolerance
 
     @property
     def q(self) -> float:
@@ -533,7 +536,7 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
         top[:] = True
     slope = float(np.polyfit(np.log(radii)[top], np.log(sup_ratios)[top], 1)[0])
     return ApReport(p=p, disc_radii=tuple(radii), ratios=tuple(sup_ratios),
-                    fitted_exponent=slope, is_ap=bool(slope <= 0.05))
+                    fitted_exponent=slope)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (classify, condition_a, condition_b,
-                         condition_bprime, condition_c, condition_inf_b,
-                         power_weight, select_branch, square_lattice,
-                         trajectory_margins, trajectory_verdict,
-                         user_multiplier)
+from focklattice import (PvConfig, classify, condition, condition_a,
+                         higher_transform, power_weight, select_branch,
+                         square_lattice, trajectory_margins, user_multiplier)
 from focklattice.classifier import Margins, TraceData, shell_trajectory
 
 
@@ -15,23 +13,22 @@ class TestTrajectoryVerdict:
     def test_flat_is_bounded(self):
         r = np.geomspace(0.5, 50, 40)
         v = 1.0 - np.exp(-r)
-        verdict, _ = trajectory_verdict(r, v)
-        assert verdict == "bounded"
+        assert trajectory_margins(r, v).verdict == "bounded"
 
     def test_power_law_is_diverging(self):
         r = np.geomspace(0.5, 50, 40)
-        verdict, expo = trajectory_verdict(r, 0.3 * r ** 2)
-        assert verdict == "diverging"
-        assert expo == pytest.approx(2.0, abs=0.01)
+        m = trajectory_margins(r, 0.3 * r ** 2)
+        assert m.verdict == "diverging"
+        assert m.slope == pytest.approx(2.0, abs=0.01)
 
     def test_zero_is_bounded(self):
         r = np.geomspace(1, 10, 10)
-        assert trajectory_verdict(r, np.zeros(10)) == ("bounded", None)
+        m = trajectory_margins(r, np.zeros(10))
+        assert (m.verdict, m.slope) == ("bounded", None)
 
     def test_log_growth_not_bounded(self):
         r = np.geomspace(0.5, 200, 60)
-        verdict, _ = trajectory_verdict(r, np.log(1 + r))
-        assert verdict != "bounded"
+        assert trajectory_margins(r, np.log(1 + r)).verdict != "bounded"
 
 
     def test_margins_of_power_law(self):
@@ -41,13 +38,23 @@ class TestTrajectoryVerdict:
         assert m.growth == pytest.approx(99.0, rel=1e-12)
         assert m.slope == pytest.approx(2.0, rel=1e-12)
         assert m.r2 == pytest.approx(1.0, rel=1e-12)
-        assert (m.verdict, m.exponent) == trajectory_verdict(r, r ** 2)
+        assert m.verdict == "diverging"
 
     def test_margins_of_flat_and_zero(self):
         r = np.geomspace(1, 100, 41)
         m = trajectory_margins(r, np.full(41, 3.0))
-        assert (m.growth, m.verdict, m.exponent) == (0.0, "bounded", None)
+        assert m == Margins(0.0, None, None)
+        assert m.verdict == "bounded"
         assert trajectory_margins(r, np.zeros(41)) == Margins(0.0, None, None)
+
+    def test_margins_flat_to_rounding_fit_nothing(self):
+        # a trajectory flat up to ulp-level steps reads bounded from its
+        # growth alone; a log-log fit to it would fit rounding
+        r = np.geomspace(1, 100, 41)
+        v = 3.0 + 3.0 * np.finfo(float).eps * np.arange(41)
+        m = trajectory_margins(r, v)
+        assert 0.0 < m.growth <= 1e-13
+        assert (m.verdict, m.slope, m.r2) == ("bounded", None, None)
 
 
 class TestShellTrajectory:
@@ -125,14 +132,14 @@ class TestConditionA:
 class TestConditionsBC:
     def test_zero_data_all_zero(self, lat12, mult12, cw):
         data = TraceData.zero(lat12, mult12, cw, 2.0)
-        assert condition_b(data).final_value == 0.0
-        assert condition_c(data).final_value == 0.0
+        assert condition(data, "b").final_value == 0.0
+        assert condition(data, "c").final_value == 0.0
 
     def test_bprime_first_order_equals_b(self, lat12, mult12, cw):
         data = TraceData.gaussian(lat12, mult12, cw, 3.0, 0.2)
-        reps = condition_bprime(data, 2)
-        rb = condition_b(data)
-        t1 = np.asarray(reps[0].partial_trajectory)
+        r1 = condition(data, "bprime(1)")
+        rb = condition(data, "b")
+        t1 = np.asarray(r1.partial_trajectory)
         tb = np.asarray(rb.partial_trajectory)
         assert np.allclose(t1, tb, rtol=1e-12)
 
@@ -141,8 +148,8 @@ class TestConditionsBC:
         kappa = 37.0 - 11.0j
         scaled = TraceData.from_weighted(lat16, mult16, cw, 2.0,
                                          kappa * base.c_weighted)
-        for cond in (condition_a, condition_b):
-            ra, rs = cond(base), cond(scaled)
+        for cid in ("a", "b"):
+            ra, rs = condition(base, cid), condition(scaled, cid)
             assert ra.verdict == rs.verdict
             va = np.asarray([v for _, v in ra.partial_trajectory])
             vs = np.asarray([v for _, v in rs.partial_trajectory])
@@ -151,7 +158,41 @@ class TestConditionsBC:
     def test_inf_b_requires_inf(self, lat12, mult12, cw):
         data = TraceData.gaussian(lat12, mult12, cw, 2.0, 0.1)
         with pytest.raises(ValueError):
-            condition_inf_b(data)
+            condition(data, "inf_b")
+
+    @pytest.mark.parametrize("cid", ["d", "bprime(x)", "inf_c", "bprime(0)",
+                                     "inf_c(2"])
+    def test_unknown_id_raises(self, lat12, mult12, cw, cid):
+        data = TraceData.gaussian(lat12, mult12, cw, math.inf, 0.1)
+        with pytest.raises(ValueError, match="unknown condition id"):
+            condition(data, cid)
+
+    def test_inner_flags_advisory_only_where_absolute(self, lat12, mult12, cw):
+        # with zero tolerances no Gaussian inner sum converges (centred at
+        # 7, its outer shells move every partial); (c) and (b) at p = 1 sum
+        # absolutely and count none, the others count them all
+        cfg = PvConfig(rtol=0.0, atol=0.0)
+        for p, cid, advisory in [(2.0, "c", True), (2.0, "bprime(2)", False),
+                                 (1.0, "b", True), (2.0, "b", False)]:
+            data = TraceData.gaussian(lat12, mult12, cw, p, 7.0)
+            rep = condition(data, cid, cfg)
+            assert rep.inner_total > 0
+            want = 0 if advisory else rep.inner_total
+            assert rep.inner_unconverged == want, (p, cid)
+
+    @pytest.mark.parametrize("p, cid, n", [(2.0, "c", 2), (3.0, "bprime(3)", 3),
+                                           (math.inf, "inf_c(3)", 3)])
+    def test_order_n_against_scalar_transform(self, lat12, mult12, cw, p, cid, n):
+        # rho(lambda')^(n-1) |order-n p.v. sum| over |lambda'| <= R/2,
+        # aggregated in l^p, from the scalar shell-path transform
+        data = TraceData.gaussian(lat12, mult12, cw, p, 0.3 - 0.1j)
+        idx = np.nonzero(lat12.radii <= 0.5 * lat12.truncation_radius)[0]
+        mags = np.array([abs(higher_transform(lat12, data.d, int(i), n).value)
+                         * lat12.rho_values[i] ** (n - 1) for i in idx])
+        want = mags.max() if math.isinf(p) else np.sum(mags ** p)
+        rep = condition(data, cid)
+        assert rep.condition_id == cid
+        assert rep.final_value == pytest.approx(want, rel=1e-9)
 
 
 class TestBranchSelection:

@@ -180,3 +180,32 @@ def test_bad_weight_profiles_still_raise():
         WeightProfile(kind="log")
     with pytest.raises(SchemaError, match="must be positive"):
         WeightProfile(kind="power", gamma=-1.0)
+
+
+def _package_modules():
+    import importlib
+    import pkgutil
+    return [importlib.import_module(f"focklattice.{m.name}")
+            for m in pkgutil.iter_modules(focklattice.__path__)]
+
+
+def test_every_all_name_resolves():
+    for mod in _package_modules():
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists {name}"
+
+
+def test_package_reexports_are_in_module_all():
+    # every `from .module import name` in __init__ names a public export of
+    # a module that declares __all__
+    import ast
+    import importlib
+    with open(focklattice.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod = importlib.import_module(f"focklattice.{node.module}")
+            if not hasattr(mod, "__all__"):
+                continue
+            missing = [a.name for a in node.names if a.name not in mod.__all__]
+            assert not missing, f"focklattice.{node.module}.__all__ lacks {missing}"

@@ -8,7 +8,7 @@ from focklattice import (GridSpec, NumericalError, SchemaError,
                          builtin_sigma_multiplier,
                          multiplier_bounds_check, sigma_log, sigma_prime,
                          sigma_weighted_mag, square_lattice, user_multiplier)
-from focklattice.classifier import TraceData, condition_a, condition_b
+from focklattice.classifier import TraceData, condition, condition_a
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,7 @@ class TestUserMultiplier:
         um = user_multiplier(lat12, cw, table, weighted=True)
         d1 = TraceData.gaussian(lat12, mult12, cw, 2.0, 0.3)
         d2 = TraceData.gaussian(lat12, um, cw, 2.0, 0.3)
-        r1, r2 = condition_b(d1), condition_b(d2)
+        r1, r2 = condition(d1, "b"), condition(d2, "b")
         t1 = np.asarray(r1.partial_trajectory)
         t2 = np.asarray(r2.partial_trajectory)
         assert np.allclose(t1, t2, rtol=1e-12)
@@ -243,7 +243,7 @@ class TestUserMultiplier:
         scaled = TraceData.gaussian(lat12, um, cw, 2.0, 0.3)
         assert np.allclose(scaled.d.values, base.d.values / kappa, rtol=1e-12)
         assert condition_a(base).verdict == condition_a(scaled).verdict
-        assert condition_b(base).verdict == condition_b(scaled).verdict
+        assert condition(base, "b").verdict == condition(scaled, "b").verdict
 
     def test_zero_entry_rejected(self, lat12, cw):
         table = {i: 1.0 + 0j for i in range(len(lat12))}
@@ -269,6 +269,6 @@ class TestUserMultiplier:
                               weighted_mag_table=lambda z: np.zeros_like(z))
         da = TraceData.gaussian(lat12, um1, cw, 2.0, 0.2 + 0.1j)
         db = TraceData.gaussian(lat12, um2, cw, 2.0, 0.2 + 0.1j)
-        ra, rb = condition_b(da), condition_b(db)
+        ra, rb = condition(da, "b"), condition(db, "b")
         assert np.allclose(np.asarray(ra.partial_trajectory),
                            np.asarray(rb.partial_trajectory), rtol=0)
