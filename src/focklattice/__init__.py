@@ -23,9 +23,8 @@ from .lattice import (CellGeometry, GridSpec, Lattice, ShellSchedule,
 from .multiplier import (BoundsReport, Multiplier, builtin_sigma_multiplier,
                          multiplier_bounds_check, sigma_log, sigma_prime,
                          sigma_weighted_mag, user_multiplier)
-from .transforms import (NecessityReport, OperatorNormReport, PvConfig,
-                         PvResult, SequenceData, ba_transform, batch_higher,
-                         batch_modified_inf, cauchy_transform,
+from .transforms import (NecessityReport, OperatorNormReport, PvResult,
+                         SequenceData, batch_higher, batch_modified_inf,
                          higher_transform, modified_cauchy_inf,
                          necessity_probe, operator_matrix,
                          operator_norm_estimate, potential_LM, pv_sum,

@@ -19,7 +19,7 @@ import numpy as np
 from .classifier import TraceData, classify, select_branch, cached_t
 from .interpolate import (make_interpolant, reconstruct, reconstruct_inf,
                           verify_interpolation, w0_from)
-from .lattice import SQUARE_SCALE, square_lattice
+from .lattice import SQUARE_SCALE, nearest_index, square_lattice
 from .multiplier import builtin_sigma_multiplier, sigma_weighted_mag
 from .transforms import operator_norm_estimate, pv_sum, taylor_kernel_check
 from .weights import (ap_probe, choose_N, classical_weight, default_ap_radii,
@@ -71,8 +71,7 @@ def _offgrid_points(lat, count: int, radius: float, seed: int) -> np.ndarray:
         z = rng.uniform(-radius, radius, 4 * count) \
             + 1j * rng.uniform(-radius, radius, 4 * count)
         z = z[np.abs(z) <= radius]
-        d = np.min(np.abs(z[:, None] - lat.points[None, :]), axis=1)
-        z = z[d > 1e-3 * lat.scale]
+        z = z[nearest_index(lat, z)[1] > 1e-3 * lat.scale]
         out.extend(z.tolist())
     return np.asarray(out[:count])
 

@@ -33,9 +33,8 @@ import numpy as np
 
 from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
-from .transforms import (DEFAULT_PV, OUTER_GUARD_FRACTION, PvConfig,
-                         SequenceData, batch_higher, batch_modified_inf,
-                         loglog_fit)
+from .transforms import (OUTER_GUARD_FRACTION, PV_RTOL, SequenceData,
+                         batch_higher, batch_modified_inf, loglog_fit)
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       choose_N, default_ap_radii, effective_t, estimate_t,
                       phi)
@@ -69,14 +68,13 @@ class TraceData:
     """
 
     def __init__(self, lattice: Lattice, multiplier: Multiplier,
-                 weight: WeightProfile, p: float, c_weighted: np.ndarray,
-                 _d: Optional[SequenceData] = None):
+                 weight: WeightProfile, p: float, c_weighted: np.ndarray):
         self.lattice = lattice
         self.multiplier = multiplier
         self.weight = weight
         self.p = p
         self.c_weighted = np.asarray(c_weighted, dtype=complex)
-        self._d = _d
+        self._d = None
         if self.c_weighted.shape != (len(lattice),):
             raise ValueError("values must cover every lattice index")
         if not (p == math.inf or p >= 1.0):
@@ -163,10 +161,6 @@ class ConditionReport(NamedTuple):
     inner_total: int = 0
 
     @property
-    def growth_exponent(self) -> Optional[float]:
-        return self.margins.slope
-
-    @property
     def final_value(self) -> float:
         return self.partial_trajectory[-1][1] if self.partial_trajectory else 0.0
 
@@ -246,20 +240,20 @@ def _aggregate(data: TraceData, inner_values: np.ndarray, indices: np.ndarray,
                            inner_total=len(indices))
 
 
-def _order_n(data: TraceData, n: int, cid: str, cfg: PvConfig,
+def _order_n(data: TraceData, n: int, cid: str, rtol: float,
              advisory: bool = False) -> ConditionReport:
     """rho(lambda')^(n-1)-weighted order-n p.v. transforms at the inner
     centres, aggregated in l^p.  The inner convergence flags are not
     counted when `advisory` (the inner sums converge absolutely)."""
     lat = data.lattice
     idx = _outer_indices(lat)
-    vals, conv = batch_higher(lat, data.d, idx, n, cfg)
+    vals, conv = batch_higher(lat, data.d, idx, n, rtol)
     bad = 0 if advisory else int(np.sum(~conv))
     return _aggregate(data, vals * lat.rho_values[idx] ** (n - 1), idx, cid, bad)
 
 
 def condition(data: TraceData, cid: str,
-              cfg: PvConfig = DEFAULT_PV) -> ConditionReport:
+              rtol: float = PV_RTOL) -> ConditionReport:
     """The trace condition named cid: a and inf_a by `condition_a`; inf_b
     the sup over lambda' != 0 of the origin-anchored modified Cauchy sum;
     b, c, bprime(n) and inf_c(n) the order-n transform of `_order_n`, n = 1
@@ -268,23 +262,23 @@ def condition(data: TraceData, cid: str,
     if cid in ("a", "inf_a"):
         return condition_a(data)
     if cid == "b":
-        return _order_n(data, 1, cid, cfg, advisory=data.p == 1.0)
+        return _order_n(data, 1, cid, rtol, advisory=data.p == 1.0)
     if cid == "c":
-        return _order_n(data, 2, cid, cfg,
+        return _order_n(data, 2, cid, rtol,
                         advisory=bool(np.isfinite(data.d.norm(2.0, -1.0))))
     if cid == "inf_b":
         if not math.isinf(data.p):
             raise ValueError("the modified Cauchy condition applies to p = inf only")
         lat = data.lattice
         idx = _outer_indices(lat, exclude_origin=True)
-        vals, conv = batch_modified_inf(lat, data.d, idx, cfg)
+        vals, conv = batch_modified_inf(lat, data.d, idx, rtol)
         return _aggregate(data, vals, idx, cid, int(np.sum(~conv)))
     family, _, arg = cid.partition("(")
     n = arg[:-1]
     if family not in ("bprime", "inf_c") or not arg.endswith(")") \
             or not n.isdecimal() or int(n) < 1:
         raise ValueError(f"unknown condition id {cid!r}")
-    return _order_n(data, int(n), cid, cfg)
+    return _order_n(data, int(n), cid, rtol)
 
 
 class BranchInfo(NamedTuple):
@@ -353,7 +347,7 @@ def select_branch(p: float, w: WeightProfile,
     return BranchInfo("2<p<inf", p, None, te, N, ids)
 
 
-def classify(data: TraceData, cfg: PvConfig = DEFAULT_PV,
+def classify(data: TraceData, rtol: float = PV_RTOL,
              t: Optional[DoublingExponent] = None,
              ap: Optional[ApReport] = None) -> TraceVerdict:
     """Evaluate the condition set for data.p and fold the verdicts.
@@ -361,7 +355,7 @@ def classify(data: TraceData, cfg: PvConfig = DEFAULT_PV,
     Overall is bounded only if every selected condition is bounded;
     any divergence wins, and undetermined propagates otherwise."""
     branch = select_branch(data.p, data.weight, t=t, ap=ap)
-    reports = tuple(condition(data, cid, cfg) for cid in branch.condition_ids)
+    reports = tuple(condition(data, cid, rtol) for cid in branch.condition_ids)
     verdicts = {r.verdict for r in reports}
     if "diverging" in verdicts:
         overall = "diverging"

@@ -36,8 +36,9 @@ from .lattice import (GridSpec, Lattice, explicit_lattice, scatter_indexed,
                       shells_for, square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
                          user_multiplier)
-from .transforms import PvConfig, operator_norm_estimate
-from .weights import WeightProfile, ap_probe, choose_N, default_ap_radii, phi
+from .transforms import PV_RTOL, operator_norm_estimate
+from .weights import (AP_EXPONENT_TOLERANCE, WeightProfile, ap_probe, choose_N,
+                      default_ap_radii, phi)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -154,13 +155,26 @@ def _parse_p(job: dict):
     return p
 
 
-def _pv_config(job: dict, args) -> PvConfig:
+def _pv_rtol(job: dict, args) -> float:
+    """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL."""
     pv = job.get("pv", {})
-    tol = args.tolerance if args.tolerance is not None else pv.get("tolerance", 1e-9)
+    tol = args.tolerance if args.tolerance is not None else pv.get("tolerance", PV_RTOL)
     if pv.get("center_mode", "origin") != "origin":
         raise SchemaError("pv.center_mode: only the origin schedule exists "
                           "(partial sums always run over |lambda| < R)")
-    return PvConfig(rtol=float(tol))
+    return float(tol)
+
+
+def _load_trace_job(args) -> tuple:
+    """(job, digest, data, rtol) of a trace-check or reconstruct job: its
+    trace data on the job's lattice and multiplier, and the p.v. tolerance."""
+    job, digest = _load_job(args.input)
+    w = _build_weight(job)
+    lat = _build_lattice(job, w)
+    m = _build_multiplier(job, lat, w)
+    p = _parse_p(job)
+    data = _build_values(job, lat, m, w, p)
+    return job, digest, data, _pv_rtol(job, args)
 
 
 def _report(command: str, args, job: dict, digest: str, results: dict,
@@ -246,18 +260,12 @@ def cmd_sigma_eval(args) -> int:
 
 def cmd_trace_check(args) -> int:
     t0 = time.perf_counter()
-    job, digest = _load_job(args.input)
-    w = _build_weight(job)
-    lat = _build_lattice(job, w)
-    m = _build_multiplier(job, lat, w)
-    p = _parse_p(job)
-    data = _build_values(job, lat, m, w, p)
-    cfg = _pv_config(job, args)
-    verdict = classify(data, cfg)
+    job, digest, data, rtol = _load_trace_job(args)
+    verdict = classify(data, rtol)
     results = {
         "branch": {
             "case": verdict.branch.case,
-            "p": "inf" if math.isinf(p) else p,
+            "p": "inf" if math.isinf(data.p) else data.p,
             "is_ap": verdict.branch.is_ap,
             "t_effective": verdict.branch.t_effective,
             "n_max": verdict.branch.n_max,
@@ -268,7 +276,6 @@ def cmd_trace_check(args) -> int:
             {
                 "condition": rep.condition_id,
                 "verdict": rep.verdict,
-                "growth_exponent": rep.growth_exponent,
                 "margins": {"last_decade_growth": rep.margins.growth,
                             "slope": rep.margins.slope,
                             "r2": rep.margins.r2},
@@ -279,7 +286,7 @@ def cmd_trace_check(args) -> int:
             for rep in verdict.reports
         ],
     }
-    tol = {"pv_rtol": cfg.rtol, "flatten_tol": FLATTEN_TOL,
+    tol = {"pv_rtol": rtol, "flatten_tol": FLATTEN_TOL,
            "diverge_exponent": DIVERGE_MIN_EXPONENT, "diverge_r2": DIVERGE_MIN_R2,
            "unconverged_max_share": UNCONVERGED_MAX_SHARE}
     _emit(_report("trace-check", args, job, digest, results, t0, tol), args.output)
@@ -288,16 +295,10 @@ def cmd_trace_check(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
-    job, digest = _load_job(args.input)
-    w = _build_weight(job)
-    lat = _build_lattice(job, w)
-    m = _build_multiplier(job, lat, w)
-    p = _parse_p(job)
-    data = _build_values(job, lat, m, w, p)
-    cfg = _pv_config(job, args)
+    job, digest, data, rtol = _load_trace_job(args)
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
-    guard = lat.guard_radius()
+    guard = data.lattice.guard_radius()
     g = job.get("grid", {})
     half = float(g.get("half_width", min(4.0, guard / math.sqrt(2.0))))
     n = int(g.get("n", 60))
@@ -305,17 +306,17 @@ def cmd_reconstruct(args) -> int:
     if grid.corner_radius > guard:
         raise ValueError(f"grid corner at radius {grid.corner_radius:.4g} lies "
                          f"beyond the guard radius {guard:.4g}")
-    if math.isinf(p):
+    if math.isinf(data.p):
         w0 = job.get("w0")
         I = reconstruct_inf(data, None if w0 is None else _complex_of(w0, "w0"),
-                            cfg)
+                            rtol)
     else:
-        I = make_interpolant(data, cfg)
+        I = make_interpolant(data, rtol)
     pts = grid.points().ravel()
     vals_w = I.eval_weighted(pts)
     # raw f = f e^{-phi} e^{phi}; NaN where that leaves double range
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = np.where(vals_w == 0, 0.0, vals_w * np.exp(phi(w, pts)))
+        raw = np.where(vals_w == 0, 0.0, vals_w * np.exp(phi(data.weight, pts)))
     overflow = ~np.isfinite(raw)
     raw[overflow] = complex(np.nan, np.nan)
     with open(args.grid, "w", newline="") as fh:
@@ -350,7 +351,7 @@ def cmd_ap_probe(args) -> int:
                "fitted_exponent": rep.fitted_exponent,
                "is_ap": rep.is_ap}
     _emit(_report("ap-probe", args, job, digest, results, t0,
-                  {"exponent_tolerance": rep.exponent_tolerance}), args.output)
+                  {"exponent_tolerance": AP_EXPONENT_TOLERANCE}), args.output)
     return EXIT_OK
 
 
@@ -410,10 +411,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_grid=False, needs_input=True):
+    def add(name, fn, needs_grid=False):
         sp = sub.add_parser(name)
-        if needs_input:
-            sp.add_argument("--input", required=True)
+        sp.add_argument("--input", required=True)
         sp.add_argument("--output", default=None)
         if needs_grid:
             sp.add_argument("--grid", required=True)

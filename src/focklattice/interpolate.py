@@ -27,7 +27,7 @@ from .classifier import TraceData, shell_trajectory, trajectory_margins
 from .errors import NumericalError
 from .lattice import GridSpec, nearest_index, shells_for
 from .multiplier import Multiplier
-from .transforms import DEFAULT_PV, PvConfig, _shell_kernel, loglog_fit
+from .transforms import PV_RTOL, _shell_kernel, loglog_fit
 from .weights import phi, rho_many
 
 __all__ = [
@@ -80,7 +80,7 @@ def _kernel_shell_sums(data: TraceData, z: np.ndarray, excl: np.ndarray,
 
 
 def _eval_core(data: TraceData, z, mode: str, w0: complex,
-               cfg: PvConfig, weighted: bool):
+               rtol: float, weighted: bool):
     lat = data.lattice
     m = data.multiplier
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -104,7 +104,7 @@ def _eval_core(data: TraceData, z, mode: str, w0: complex,
         zs = zarr[off]
         excl = np.where(near[off], nearest[off], -1)
         partials, conv, spread = _shell_kernel(
-            _kernel_shell_sums(data, zs, excl, mode, w0), cfg)
+            _kernel_shell_sums(data, zs, excl, mode, w0), rtol)
         if not conv.all():
             _check_summable(data, zs, partials, spread)
         shift = phi(data.weight, zs) if weighted else np.zeros(zs.shape)
@@ -139,7 +139,7 @@ def _check_summable(data: TraceData, zs: np.ndarray, partials: np.ndarray,
                          f"{complex(zs[worst]):.6g} ({why})")
 
 
-def reconstruct(data: TraceData, z, cfg: PvConfig = DEFAULT_PV):
+def reconstruct(data: TraceData, z, rtol: float = PV_RTOL):
     """Value of the reconstructed interpolant at z (finite-p formula).
 
     On-lattice queries return c_lambda directly; points inside the guard
@@ -147,40 +147,40 @@ def reconstruct(data: TraceData, z, cfg: PvConfig = DEFAULT_PV):
     nearest factor within 1e-3 rho of the lattice.  Non-convergence of the
     principal value raises NumericalError carrying the fitted growth
     exponent."""
-    return _eval_core(data, z, "finite", 0.0, cfg, weighted=False)
+    return _eval_core(data, z, "finite", 0.0, rtol, weighted=False)
 
 
 class Interpolant:
     """Evaluator for one reconstruction; immutable and shareable."""
 
     def __init__(self, data: TraceData, mode: str, w0: Optional[complex] = None,
-                 cfg: PvConfig = DEFAULT_PV, representative_only: bool = False):
+                 rtol: float = PV_RTOL, representative_only: bool = False):
         self.data = data
         self.mode = mode                   # "finite_p" | "infinity"
         self.w0 = w0
-        self.cfg = cfg
+        self.rtol = rtol
         # w0 defaulted: one member of f + C g
         self.representative_only = representative_only
 
     def eval(self, z):
         w0 = self.w0 if self.w0 is not None else 0.0
         kind = "finite" if self.mode == "finite_p" else "inf"
-        return _eval_core(self.data, z, kind, w0, self.cfg, weighted=False)
+        return _eval_core(self.data, z, kind, w0, self.rtol, weighted=False)
 
     def eval_weighted(self, z):
         w0 = self.w0 if self.w0 is not None else 0.0
         kind = "finite" if self.mode == "finite_p" else "inf"
-        return _eval_core(self.data, z, kind, w0, self.cfg, weighted=True)
+        return _eval_core(self.data, z, kind, w0, self.rtol, weighted=True)
 
 
-def make_interpolant(data: TraceData, cfg: PvConfig = DEFAULT_PV) -> Interpolant:
+def make_interpolant(data: TraceData, rtol: float = PV_RTOL) -> Interpolant:
     if math.isinf(data.p):
         raise ValueError("finite-p interpolant requested for p = inf data")
-    return Interpolant(data=data, mode="finite_p", cfg=cfg)
+    return Interpolant(data=data, mode="finite_p", rtol=rtol)
 
 
 def reconstruct_inf(data: TraceData, w0: Optional[complex] = None,
-                    cfg: PvConfig = DEFAULT_PV) -> Interpolant:
+                    rtol: float = PV_RTOL) -> Interpolant:
     """Interpolant from the p = inf representation with free parameter w0.
 
     A missing w0 defaults to 0 and flags the output as one representative
@@ -188,7 +188,7 @@ def reconstruct_inf(data: TraceData, w0: Optional[complex] = None,
     if not math.isinf(data.p):
         raise ValueError("reconstruct_inf requires p = inf data")
     return Interpolant(data=data, mode="infinity",
-                       w0=0.0 if w0 is None else complex(w0), cfg=cfg,
+                       w0=0.0 if w0 is None else complex(w0), rtol=rtol,
                        representative_only=w0 is None)
 
 

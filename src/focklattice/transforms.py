@@ -5,8 +5,9 @@ A principal value here always means the limit of partial sums over
 order with compensated (Kahan) carries: the sums are cancellation-heavy
 (odd kernels vanish per shell on the square lattice) and may run over 1e5
 terms.  Convergence at finite truncation is a verdict, not a certainty:
-the last `cauchy_window` shell partials must agree to the configured
-tolerance, and one test, `_window_test`, decides that on every path.
+the last CAUCHY_WINDOW shell partials must agree to the relative tolerance
+`rtol` (PV_RTOL unless the caller passes another), and one test,
+`_window_test`, decides that on every path.
 
 Which path runs follows from the lattice, with no knob:
 
@@ -15,13 +16,13 @@ Which path runs follows from the lattice, with no knob:
   indices run in ascending radius order (`Lattice` enforces it), so the
   per-shell sums of a term matrix are one `np.add.reduceat` over the shell
   starts.  It serves explicit lattices, the scalar transforms that return
-  whole `PvResult` trajectories, `transform_batch_report`, and the
-  reconstruction sums of `interpolate`; the tests use it as the oracle.
+  whole `PvResult` trajectories, and the reconstruction sums of
+  `interpolate`; the tests use it as the oracle.
 * On the square lattice `batch_higher` and `batch_modified_inf` take the
   whole-disc total at every centre from one 2-D FFT correlation of the
   grid-embedded d with the order-n kernel (K(0) = 0), O(R^2 log R) instead
   of the O(R^4) term matrix.  The verdict needs only the last
-  `cauchy_window` partials, and partial k is the total minus the sums over
+  CAUCHY_WINDOW partials, and partial k is the total minus the sums over
   the shells beyond k.  Those few outer shells (a few dozen points) are
   summed directly, so the tail partials are exact up to rounding of the
   same order as the shell path's, and the window test sees the same
@@ -36,9 +37,8 @@ half spectrum.
 
 Transforms acting on weighted sequences d (normally d = c/g'):
 
-    cauchy:    sum d_lambda / (lambda - lambda')
-    ba:        sum d_lambda / (lambda' - lambda)^2
-    higher n:  sum d_lambda / (lambda - lambda')^n
+    higher n:  sum d_lambda / (lambda - lambda')^n   (n = 1 the discrete
+               Cauchy transform, n = 2 the Beurling-Ahlfors one)
     modified:  -d_0/lambda' + sum d_lambda (1/(lambda-lambda') - 1/lambda)
 
 plus the positive-kernel potentials L and M(N) and matrix-free operator
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,15 +58,13 @@ from .lattice import Lattice, ShellSchedule, grid_coords, shells_for, SQUARE_SCA
 from .weights import WeightProfile, phi, rho_many
 
 __all__ = [
-    "PvConfig",
+    "PV_RTOL",
     "PvResult",
     "SequenceData",
     "OperatorNormReport",
     "NecessityReport",
     "loglog_fit",
     "pv_sum",
-    "cauchy_transform",
-    "ba_transform",
     "higher_transform",
     "modified_cauchy_inf",
     "batch_higher",
@@ -76,7 +74,6 @@ __all__ = [
     "operator_norm_estimate",
     "taylor_kernel_check",
     "necessity_probe",
-    "transform_batch_report",
 ]
 
 # terms per row block of the batch transforms (64 MB of complex terms)
@@ -86,44 +83,16 @@ _CHUNK_TERMS = 4_000_000
 OUTER_GUARD_FRACTION = 0.5
 
 
-class PvConfig:
-    """Knobs of the principal-value engine; equal configurations compare
-    and hash equal.
-
-    Convergence is declared via a Cauchy criterion on the last
-    `cauchy_window` shell partials at relative tolerance `rtol` (scaled by
-    the size of those partials).  Shells are always those of |lambda|:
-    the limit definition sums over |lambda| < R even for transforms
-    centred elsewhere.
-    """
-
-    __slots__ = ("rtol", "atol", "cauchy_window")
-
-    def __init__(self, rtol: float = 1e-9, atol: float = 1e-15,
-                 cauchy_window: int = 5):
-        if cauchy_window < 1:
-            raise ValueError("cauchy_window must be at least 1")
-        self.rtol, self.atol, self.cauchy_window = rtol, atol, cauchy_window
-
-    def _key(self) -> tuple:
-        return (self.rtol, self.atol, self.cauchy_window)
-
-    def __eq__(self, other):
-        if other.__class__ is not PvConfig:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "PvConfig(rtol=%r, atol=%r, cauchy_window=%r)" % self._key()
+# The window test: a p.v. sum converged when its last CAUCHY_WINDOW shell
+# partials lie within rtol times their largest modulus plus PV_ATOL.  Shells
+# are always those of |lambda|: the limit definition sums over |lambda| < R
+# even for transforms centred elsewhere.
+PV_RTOL = 1e-9
+PV_ATOL = 1e-15
+CAUCHY_WINDOW = 5
 
 
-DEFAULT_PV = PvConfig()
-
-
-def _shell_kernel(shell_sums: np.ndarray, cfg: PvConfig):
+def _shell_kernel(shell_sums: np.ndarray, rtol: float):
     """Compensated running totals of a (rows x shells) matrix of per-shell
     sums, written into that matrix in place.
 
@@ -138,18 +107,18 @@ def _shell_kernel(shell_sums: np.ndarray, cfg: PvConfig):
         comp = (t - total) - y
         total = t
         shell_sums[:, s] = total
-    return (shell_sums,) + _window_test(shell_sums, cfg)
+    return (shell_sums,) + _window_test(shell_sums, rtol)
 
 
-def _window_test(partials: np.ndarray, cfg: PvConfig):
-    """Cauchy test on the last `cauchy_window` columns of (rows x partials):
+def _window_test(partials: np.ndarray, rtol: float):
+    """Cauchy test on the last CAUCHY_WINDOW columns of (rows x partials):
     (converged, spread), where a row converged when the largest pairwise
     gap `spread` of those partials is at most rtol times their largest
-    modulus plus atol."""
-    tail = partials[:, -cfg.cauchy_window:]
+    modulus plus PV_ATOL."""
+    tail = partials[:, -CAUCHY_WINDOW:]
     spread = np.max(np.abs(tail[:, :, None] - tail[:, None, :]), axis=(1, 2))
     scale = np.max(np.abs(tail), axis=1)
-    return spread <= cfg.rtol * scale + cfg.atol, spread
+    return spread <= rtol * scale + PV_ATOL, spread
 
 
 def loglog_fit(radii, values):
@@ -173,15 +142,11 @@ class PvResult:
     """Value and convergence diagnostics of one shell-ordered sum."""
 
     def __init__(self, value: complex, shell_partials: np.ndarray,
-                 shell_radii: np.ndarray, converged: bool, cauchy_tail: float,
-                 shells_used: int, absolutely_convergent: bool = False):
+                 shell_radii: np.ndarray, converged: bool):
         self.value = value
         self.shell_partials = shell_partials
         self.shell_radii = shell_radii
         self.converged = converged
-        self.cauchy_tail = cauchy_tail
-        self.shells_used = shells_used
-        self.absolutely_convergent = absolutely_convergent
 
     def growth_exponent(self):
         """Fitted log-log slope of |partial| against shell radius over the
@@ -190,33 +155,25 @@ class PvResult:
         return loglog_fit(self.shell_radii, np.abs(self.shell_partials))
 
 
-def pv_sum(schedule: ShellSchedule, term: Union[Callable[[int], complex], np.ndarray],
-           cfg: PvConfig = DEFAULT_PV) -> PvResult:
-    """Shell-ordered principal value of sum(term(index)).
-
-    `term` is either a callable on lattice indices or a precomputed array
-    over all indices.  Non-convergence is a reported state, never an error.
-    """
-    n = schedule.n_points
-    if callable(term):
-        values = np.fromiter((term(i) for i in range(n)), dtype=complex, count=n)
-    else:
-        values = np.asarray(term, dtype=complex)
-    partials, conv, spread = _shell_kernel(
-        np.add.reduceat(values[None, :], schedule.starts, axis=1), cfg)
+def pv_sum(schedule: ShellSchedule, terms: np.ndarray,
+           rtol: float = PV_RTOL) -> PvResult:
+    """Shell-ordered principal value of the sum of `terms`, an array over
+    all lattice indices.  Non-convergence is a reported state, never an
+    error."""
+    values = np.asarray(terms, dtype=complex)
+    partials, conv, _ = _shell_kernel(
+        np.add.reduceat(values[None, :], schedule.starts, axis=1), rtol)
     return PvResult(value=complex(partials[0, -1]), shell_partials=partials[0],
-                    shell_radii=schedule.radii, converged=bool(conv[0]),
-                    cauchy_tail=float(spread[0]), shells_used=schedule.n_shells)
+                    shell_radii=schedule.radii, converged=bool(conv[0]))
 
 
 class SequenceData:
     """A weighted sequence d over lattice indices with cached norms."""
 
-    def __init__(self, lattice: Lattice, values: np.ndarray,
-                 _norms: Optional[dict] = None):
+    def __init__(self, lattice: Lattice, values: np.ndarray):
         self.lattice = lattice
         self.values = np.asarray(values, dtype=complex)
-        self._norms = {} if _norms is None else _norms
+        self._norms = {}
         if self.values.shape != (len(lattice),):
             raise ValueError("sequence must cover every lattice index")
         if not np.all(np.isfinite(self.values)):
@@ -271,43 +228,33 @@ def _modified_terms(lat: Lattice, d: SequenceData, blk, first: int = 0):
     return terms
 
 
-def _kernel_rows(lat: Lattice, indices, cfg: PvConfig, terms_of):
-    """Run the term rows terms_of(block) of the centres `indices` through
-    the shell kernel in blocks of at most _CHUNK_TERMS terms; yields
-    (slice of indices, partials, converged) per block."""
+def _batch_values(lat: Lattice, indices, rtol: float, terms_of, totals):
+    """Values and convergence flags of the p.v. sums with term rows
+    terms_of(block, first) (over the indices first..) at the centres: from
+    `_tail_partials` on the square lattice, and on explicit lattices
+    through the shell kernel in blocks of at most _CHUNK_TERMS terms."""
     indices = np.asarray(indices, dtype=int)
+    if lat.kind == "square":
+        partials = _tail_partials(lat, indices, terms_of, totals)
+        return partials[:, -1], _window_test(partials, rtol)[0]
+    values = np.empty(len(indices), dtype=complex)
+    converged = np.empty(len(indices), dtype=bool)
     starts = shells_for(lat).starts
     rows = max(1, _CHUNK_TERMS // len(lat))
     for i in range(0, len(indices), rows):
         shell_sums = np.add.reduceat(terms_of(indices[i:i + rows]), starts, axis=1)
-        partials, conv, _ = _shell_kernel(shell_sums, cfg)
-        yield slice(i, i + rows), partials, conv
-
-
-def _batch_values(lat: Lattice, indices, cfg: PvConfig, terms_of, totals):
-    """Values and convergence flags of the p.v. sums with term rows
-    terms_of(block, first) (over the indices first..) at the centres:
-    through the shell kernel on explicit lattices, from `_tail_partials`
-    on the square lattice."""
-    indices = np.asarray(indices, dtype=int)
-    if lat.kind == "square":
-        partials = _tail_partials(lat, indices, cfg, terms_of, totals)
-        return partials[:, -1], _window_test(partials, cfg)[0]
-    values = np.empty(len(indices), dtype=complex)
-    converged = np.empty(len(indices), dtype=bool)
-    for sl, partials, conv in _kernel_rows(lat, indices, cfg, terms_of):
-        values[sl] = partials[:, -1]
-        converged[sl] = conv
+        partials, conv, _ = _shell_kernel(shell_sums, rtol)
+        values[i:i + rows], converged[i:i + rows] = partials[:, -1], conv
     return values, converged
 
 
-def _tail_partials(lat: Lattice, indices: np.ndarray, cfg: PvConfig, terms_of,
+def _tail_partials(lat: Lattice, indices: np.ndarray, terms_of,
                    totals) -> np.ndarray:
-    """The last `cauchy_window` shell partials at the centres: the totals
+    """The last CAUCHY_WINDOW shell partials at the centres: the totals
     (from totals(indices), an FFT correlation) less the direct sums over
     the outer shells beyond each partial."""
     sched = shells_for(lat)
-    k = min(cfg.cauchy_window, sched.n_shells) - 1
+    k = min(CAUCHY_WINDOW, sched.n_shells) - 1
     first = int(sched.starts[-k]) if k > 0 else len(lat)
     outer = np.empty((len(indices), k), dtype=complex)
     rows = max(1, _CHUNK_TERMS // max(1, len(lat) - first))
@@ -335,53 +282,35 @@ def _correlate(lat: Lattice, d: SequenceData, n: int, indices) -> np.ndarray:
     return grid.conv(kf, x)[ii[indices], jj[indices]]
 
 
-def cauchy_transform(lat: Lattice, d: SequenceData, index: int,
-                     cfg: PvConfig = DEFAULT_PV) -> PvResult:
-    """p.v. sum over lambda != lambda' of d_lambda / (lambda - lambda')."""
-    return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], 1)[0], cfg)
-
-
-def ba_transform(lat: Lattice, d: SequenceData, index: int,
-                 cfg: PvConfig = DEFAULT_PV) -> PvResult:
-    """Discrete Beurling-Ahlfors value: sum of d_lambda/(lambda'-lambda)^2.
-
-    For data with finite l^p(rho^-1) norm, p <= 2, the sum converges
-    absolutely and the result is flagged accordingly.
-    """
-    res = pv_sum(shells_for(lat), _higher_terms(lat, d, [index], 2)[0], cfg)
-    res.absolutely_convergent = bool(np.isfinite(d.norm(2.0, -1.0)))
-    return res
-
-
 def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
-                     cfg: PvConfig = DEFAULT_PV) -> PvResult:
-    """p.v. sum of d_lambda / (lambda - lambda')^n; the rho(lambda')^(n-1)
-    prefactor of the trace conditions is applied by the caller."""
-    return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], n)[0], cfg)
+                     rtol: float = PV_RTOL) -> PvResult:
+    """p.v. sum of d_lambda / (lambda - lambda')^n at lambda' = points[index]:
+    the discrete Cauchy transform for n = 1, Beurling-Ahlfors for n = 2.
+    The rho(lambda')^(n-1) prefactor of the trace conditions is applied by
+    the caller."""
+    return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], n)[0], rtol)
 
 
 def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
-                        cfg: PvConfig = DEFAULT_PV) -> PvResult:
+                        rtol: float = PV_RTOL) -> PvResult:
     """-d_0/lambda' + p.v. sum over lambda not in {0, lambda'} of
     d_lambda (1/(lambda - lambda') - 1/lambda); the sup-norm counterpart of
     the Cauchy condition.  The kernel decays like |lambda'|/|lambda|^2, so
     bounded (rho^-1-weighted) data sums absolutely at fixed lambda'."""
-    res = pv_sum(shells_for(lat), _modified_terms(lat, d, [index])[0], cfg)
-    res.absolutely_convergent = bool(np.isfinite(d.norm(math.inf, -1.0)))
-    return res
+    return pv_sum(shells_for(lat), _modified_terms(lat, d, [index])[0], rtol)
 
 
 def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
-                 cfg: PvConfig = DEFAULT_PV):
+                 rtol: float = PV_RTOL):
     """Order-n transforms at many centers (vectorised higher_transform):
     arrays of values and convergence flags."""
-    return _batch_values(lat, indices, cfg,
+    return _batch_values(lat, indices, rtol,
                          lambda blk, first=0: _higher_terms(lat, d, blk, n, first),
                          lambda idx: _correlate(lat, d, n, idx))
 
 
 def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
-                       cfg: PvConfig = DEFAULT_PV):
+                       rtol: float = PV_RTOL):
     """Vectorised modified_cauchy_inf over many nonzero centers."""
     def totals(idx):
         # the order-1 sum holds -d_0/lambda'; the -1/lambda halves of the
@@ -389,7 +318,7 @@ def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
         c = np.sum(d.values[1:] / lat.points[1:])
         return _correlate(lat, d, 1, idx) - c + d.values[idx] / lat.points[idx]
 
-    return _batch_values(lat, indices, cfg,
+    return _batch_values(lat, indices, rtol,
                          lambda blk, first=0: _modified_terms(lat, d, blk, first),
                          totals)
 
@@ -710,7 +639,7 @@ class NecessityReport:
 
 
 def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
-                    N: int, cfg: PvConfig = DEFAULT_PV) -> NecessityReport:
+                    N: int, rtol: float = PV_RTOL) -> NecessityReport:
     """Sample f/g at the N rotated points lambda' + delta w_k rho(lambda')
     (w_k the N-th roots of unity) and reconstruct each condition-(n) sum
     from the sample family.
@@ -739,7 +668,7 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
     d_vals = f_lam * np.exp(-phi(m.weight, pts)) / m.g_prime_weighted()
     d = SequenceData(lattice=lat, values=d_vals)
 
-    direct = {n: batch_higher(lat, d, indices, n, cfg)[0] for n in range(1, N + 1)}
+    direct = {n: batch_higher(lat, d, indices, n, rtol)[0] for n in range(1, N + 1)}
 
     omega = np.exp(2j * math.pi * np.arange(N) / N)
     A = np.zeros((N, len(indices)), dtype=complex)
@@ -772,26 +701,6 @@ def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
     return NecessityReport(delta=delta, N=N, indices=indices,
                            sample_norms=sample_norms, recovered=recovered,
                            direct=direct, max_discrepancy=discrepancy)
-
-
-def transform_batch_report(lat: Lattice, d: SequenceData, indices, n: int = 1,
-                           cfg: PvConfig = DEFAULT_PV) -> list:
-    """Serialisable per-center transform results: one entry
-    {index, value: [re, im], converged, growth_exponent} per lambda'."""
-    indices = np.asarray(indices, dtype=int)
-    radii = shells_for(lat).radii
-    out = []
-    for sl, partials, conv in _kernel_rows(lat, indices, cfg,
-                                           lambda blk: _higher_terms(lat, d, blk, n)):
-        for i, row, c in zip(indices[sl], partials, conv):
-            fit = loglog_fit(radii, np.abs(row))
-            out.append({
-                "index": int(i),
-                "value": [float(row[-1].real), float(row[-1].imag)],
-                "converged": bool(c),
-                "growth_exponent": None if fit is None else fit[0],
-            })
-    return out
 
 
 def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:

@@ -53,6 +53,16 @@ _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
 _CHUNK = 128             # discs per array expression (~0.6 MB per temporary)
 _EPS = np.finfo(float).eps
 _R6_ROOT = 1.1127756842787055   # the real root of g^7 = g + 1 (default_t_pairs)
+# the doubling-exponent fit: T_PAIRS sampled pairs spread over T_SPAN rho(0),
+# T_BINS envelope bins over the top T_WINDOW_DECADES decades, and t_fit kept
+# T_FIT_SLACK inside (0, 1)
+T_PAIRS = 20000
+T_SPAN = 1e4
+T_BINS = 28
+T_WINDOW_DECADES = 2.0
+T_FIT_SLACK = 0.02
+# ap_probe's largest fitted slope that still reads as A_p
+AP_EXPONENT_TOLERANCE = 0.05
 
 
 class WeightProfile:
@@ -451,11 +461,10 @@ class ApReport(NamedTuple):
     disc_radii: tuple
     ratios: tuple
     fitted_exponent: float
-    exponent_tolerance: float = 0.05
 
     @property
     def is_ap(self) -> bool:
-        return self.fitted_exponent <= self.exponent_tolerance
+        return self.fitted_exponent <= AP_EXPONENT_TOLERANCE
 
     @property
     def q(self) -> float:
@@ -556,7 +565,6 @@ class DoublingExponent(NamedTuple):
     t_fit: float
     t_bound: Optional[float]
     sample_count: int
-    fit_slack: float = 0.02
 
 
 def effective_t(t: DoublingExponent) -> float:
@@ -565,7 +573,7 @@ def effective_t(t: DoublingExponent) -> float:
     return min(t.t_fit, t.t_bound)
 
 
-def default_t_pairs(w: WeightProfile, count: int = 20000, span: float = 1e4):
+def default_t_pairs(w: WeightProfile):
     """Pairs (z, zeta) with zeta outside D(z): a log-uniform sweep of |z|
     against small |zeta| (which traces the envelope for radial weights),
     then pairs spread over every scale for coverage.
@@ -576,9 +584,9 @@ def default_t_pairs(w: WeightProfile, count: int = 20000, span: float = 1e4):
     pair k its |z|, the small |zeta| of the sweep or the far |zeta| and its
     span, and both arguments."""
     alpha = _R6_ROOT ** -np.arange(1.0, 7.0)
-    u = (0.5 + np.arange(1, count + 1)[:, None] * alpha) % 1.0
-    r0, top = w.rho_origin, math.log10(span)
-    n1 = count // 2
+    u = (0.5 + np.arange(1, T_PAIRS + 1)[:, None] * alpha) % 1.0
+    r0, top = w.rho_origin, math.log10(T_SPAN)
+    n1 = T_PAIRS // 2
     sweep, spread = u[:n1], u[n1:]
     z = r0 * 10.0 ** np.concatenate([0.3 + (top - 0.3) * sweep[:, 0],
                                      top * spread[:, 0]])
@@ -589,21 +597,21 @@ def default_t_pairs(w: WeightProfile, count: int = 20000, span: float = 1e4):
             zeta * np.exp(2j * math.pi * u[:, 5]))
 
 
-def estimate_t(w: WeightProfile, pairs=None, *, nbins: int = 28,
-               fit_slack: float = 0.02, window_decades: float = 2.0) -> DoublingExponent:
+def estimate_t(w: WeightProfile, pairs=None) -> DoublingExponent:
     """Fit the doubling exponent from the ratio envelope.
 
     Pairs violating |z - zeta| > rho(z) are dropped.  log(rho(z)/rho(zeta))
-    is binned against log(|z-zeta|/rho(zeta)); the per-bin maxima over the
-    top `window_decades` decades (the asymptotic regime -- small-separation
-    pairs still feel the rho(0) plateau of power weights) are fit by least
-    squares, and t_fit = 1 - slope, clamped into (0, 1 - fit_slack).
+    is binned (T_BINS bins) against log(|z-zeta|/rho(zeta)); the per-bin
+    maxima over the top T_WINDOW_DECADES decades (the asymptotic regime --
+    small-separation pairs still feel the rho(0) plateau of power weights)
+    are fit by least squares, and t_fit = 1 - slope, clamped into
+    [T_FIT_SLACK, 1 - T_FIT_SLACK].
     Requires at least two decades of spread in |z-zeta|/rho(zeta).
     Without `pairs` the classical weight takes its closed form (slope 0).
     """
     if pairs is None and w.kind == "classical":
-        return DoublingExponent(t_fit=1.0 - fit_slack, t_bound=None,
-                                sample_count=0, fit_slack=fit_slack)
+        return DoublingExponent(t_fit=1.0 - T_FIT_SLACK, t_bound=None,
+                                sample_count=0)
     z, zeta = default_t_pairs(w) if pairs is None else pairs
     z, zeta = np.asarray(z, dtype=complex), np.asarray(zeta, dtype=complex)
     rz = rho_many(w, z)
@@ -617,19 +625,19 @@ def estimate_t(w: WeightProfile, pairs=None, *, nbins: int = 28,
     if x.max() - x.min() < 2.0:
         raise ValueError("insufficient sample spread: need >= 2 decades of "
                          "|z-zeta|/rho(zeta)")
-    lo = x.max() - max(window_decades, 2.0)
+    lo = x.max() - T_WINDOW_DECADES
     inwin = x >= lo
-    edges = np.linspace(lo, x.max(), nbins + 1)
-    idx = np.clip(np.digitize(x[inwin], edges) - 1, 0, nbins - 1)
-    by = np.full(nbins, -np.inf)
+    edges = np.linspace(lo, x.max(), T_BINS + 1)
+    idx = np.clip(np.digitize(x[inwin], edges) - 1, 0, T_BINS - 1)
+    by = np.full(T_BINS, -np.inf)
     np.maximum.at(by, idx, y[inwin])
-    hit = np.bincount(idx, minlength=nbins) > 0
+    hit = np.bincount(idx, minlength=T_BINS) > 0
     bx = 0.5 * (edges[:-1] + edges[1:])
     slope = float(np.polyfit(bx[hit], by[hit], 1)[0])
-    t_fit = min(max(1.0 - slope, fit_slack), 1.0 - fit_slack)
+    t_fit = min(max(1.0 - slope, T_FIT_SLACK), 1.0 - T_FIT_SLACK)
     t_bound = None if w.kind == "classical" else w.gamma / 2.0
     return DoublingExponent(t_fit=t_fit, t_bound=t_bound,
-                            sample_count=int(keep.sum()), fit_slack=fit_slack)
+                            sample_count=int(keep.sum()))
 
 
 def choose_N(t: DoublingExponent) -> int:

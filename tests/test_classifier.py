@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (PvConfig, classify, condition, condition_a,
-                         higher_transform, power_weight, select_branch,
-                         square_lattice, trajectory_margins, user_multiplier)
+from focklattice import (classify, condition, condition_a, higher_transform,
+                         power_weight, select_branch, square_lattice,
+                         trajectory_margins, user_multiplier)
 from focklattice.classifier import Margins, TraceData, shell_trajectory
 
 
@@ -107,7 +107,7 @@ class TestConditionA:
                                        np.ones(len(lat16), complex))
         rep = condition_a(data)
         assert rep.verdict == "diverging"
-        assert rep.growth_exponent == pytest.approx(2.0, abs=0.2)
+        assert rep.margins.slope == pytest.approx(2.0, abs=0.2)
 
     def test_phi_sized_data_sup_bounded(self, lat16, mult16, cw):
         data = TraceData.from_weighted(lat16, mult16, cw, math.inf,
@@ -168,14 +168,14 @@ class TestConditionsBC:
             condition(data, cid)
 
     def test_inner_flags_advisory_only_where_absolute(self, lat12, mult12, cw):
-        # with zero tolerances no Gaussian inner sum converges (centred at
-        # 7, its outer shells move every partial); (c) and (b) at p = 1 sum
-        # absolutely and count none, the others count them all
-        cfg = PvConfig(rtol=0.0, atol=0.0)
+        # with rtol = 0 no Gaussian inner sum converges (centred at 7, its
+        # outer shells move every partial by more than the 1e-15 floor);
+        # (c) and (b) at p = 1 sum absolutely and count none, the others
+        # count them all
         for p, cid, advisory in [(2.0, "c", True), (2.0, "bprime(2)", False),
                                  (1.0, "b", True), (2.0, "b", False)]:
             data = TraceData.gaussian(lat12, mult12, cw, p, 7.0)
-            rep = condition(data, cid, cfg)
+            rep = condition(data, cid, 0.0)
             assert rep.inner_total > 0
             want = 0 if advisory else rep.inner_total
             assert rep.inner_unconverged == want, (p, cid)

@@ -41,6 +41,39 @@ class TestTraceCheck:
         assert conds == {"a", "b"}
         assert all(len(r["trajectory"]) > 0 for r in rep["results"]["reports"])
 
+    def test_condition_report_keys(self, tmp_path):
+        # the fitted slope is reported once, under margins
+        keys = {"condition", "verdict", "margins", "inner_unconverged",
+                "inner_total", "trajectory"}
+        for p in (1, 2, "inf"):
+            job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
+                       p=p)
+            rc, rep = run(tmp_path, job, "trace-check")
+            assert rc == 0
+            assert all(set(r) == keys for r in rep["results"]["reports"])
+
+    def test_pv_tolerance_precedence_and_effect(self, tmp_path, cw):
+        # weighted values (1 + |lambda|)^-10: the last shells move each inner
+        # Cauchy sum by less than 1e-9 of its size but by more than 1e-15
+        lat = square_lattice(10, cw)
+        items = [{"index": k, "re": float(v), "im": 0.0}
+                 for k, v in enumerate((1.0 + lat.radii) ** -10.0)]
+        job = dict(BASE, values={"kind": "list", "weighted": True,
+                                 "items": items}, p=2)
+
+        def check(job, flags=()):
+            rc, rep = run(tmp_path, job, "trace-check", flags=flags)
+            assert rc == 0
+            b = rep["results"]["reports"][1]
+            assert b["condition"] == "b"
+            return rep["tolerances"]["pv_rtol"], b["inner_unconverged"]
+
+        zero = dict(job, pv={"tolerance": 0.0})
+        assert check(job) == (1e-9, 0)
+        assert check(zero) == (0.0, 44)
+        assert check(zero, ["--tolerance", "1e-9"]) == (1e-9, 0)
+        assert check(job, ["--tolerance", "0"]) == (0.0, 44)
+
     def test_zero_job_bounded(self, tmp_path):
         job = dict(BASE, values={"kind": "zero"}, p="inf")
         rc, rep = run(tmp_path, job, "trace-check")

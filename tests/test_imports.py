@@ -15,7 +15,7 @@ import textwrap
 import pytest
 
 import focklattice
-from focklattice import PvConfig, WeightProfile, power_weight
+from focklattice import WeightProfile, power_weight
 from focklattice.classifier import cached_t
 from focklattice.errors import SchemaError
 
@@ -168,14 +168,7 @@ def test_equal_weight_profiles_share_one_cached_t_entry():
     assert cached_t.cache_info().currsize == 1
 
 
-def test_equal_pv_configs_compare_and_hash_equal():
-    assert PvConfig(rtol=1e-6) == PvConfig(1e-6, 1e-15, 5)
-    assert hash(PvConfig(rtol=1e-6)) == hash(PvConfig(1e-6, 1e-15, 5))
-    assert PvConfig(rtol=1e-6) != PvConfig(rtol=1e-7)
-
-
 def test_bad_weight_profiles_still_raise():
-    # a bad PvConfig: tests/test_transforms.py::test_arguments_are_validated
     with pytest.raises(SchemaError, match="unknown weight kind"):
         WeightProfile(kind="log")
     with pytest.raises(SchemaError, match="must be positive"):

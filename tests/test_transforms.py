@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (SQUARE_SCALE, Lattice, PvConfig, SequenceData,
-                         ba_transform, batch_higher, batch_modified_inf,
-                         cauchy_transform, higher_transform, modified_cauchy_inf,
-                         necessity_probe, operator_matrix,
+from focklattice import (SQUARE_SCALE, Lattice, SequenceData, batch_higher,
+                         batch_modified_inf, higher_transform,
+                         modified_cauchy_inf, necessity_probe, operator_matrix,
                          operator_norm_estimate, potential_LM, power_weight,
                          pv_sum, shells_for, square_lattice,
                          taylor_kernel_check)
@@ -52,13 +51,6 @@ class TestPvSum:
         assert res.value.real == pytest.approx(oracle, abs=1e-4)
         assert abs(res.value.imag) < 1e-12
 
-    def test_callable_term_interface(self, lat12):
-        pts = lat12.points
-        term = lambda i: 0.0 if i == 0 else 1.0 / pts[i] ** 4
-        res = pv_sum(shells_for(lat12), term)
-        arr = pv_sum(shells_for(lat12), power_terms(lat12, 4))
-        assert res.value == pytest.approx(arr.value, rel=1e-14)
-
     def test_growth_exponent_of_divergent_sum(self, lat16):
         # |lambda|^2-sized terms: partial sums grow like R^4
         terms = np.abs(lat16.points) ** 2 + 0j
@@ -72,13 +64,13 @@ class TestPvSum:
 class TestCauchy:
     def test_zero_data(self, lat12):
         d = SequenceData(lattice=lat12, values=np.zeros(len(lat12), complex))
-        assert cauchy_transform(lat12, d, 5).value == 0
+        assert higher_transform(lat12, d, 5, 1).value == 0
 
     def test_single_point_support(self, lat12):
         vals = np.zeros(len(lat12), complex)
         vals[7] = 1.0
         d = SequenceData(lattice=lat12, values=vals)
-        res = cauchy_transform(lat12, d, 2)
+        res = higher_transform(lat12, d, 2, 1)
         want = 1.0 / (lat12.points[7] - lat12.points[2])
         assert res.value == pytest.approx(want, rel=1e-14)
         assert res.converged
@@ -87,10 +79,10 @@ class TestCauchy:
         v1 = rng.standard_normal(len(lat12)) + 1j * rng.standard_normal(len(lat12))
         v2 = rng.standard_normal(len(lat12)) + 1j * rng.standard_normal(len(lat12))
         a, b = 1.3 - 0.2j, -0.7 + 2.2j
-        lhs = cauchy_transform(
-            lat12, SequenceData(lattice=lat12, values=a * v1 + b * v2), 4).value
-        rhs = a * cauchy_transform(lat12, SequenceData(lattice=lat12, values=v1), 4).value \
-            + b * cauchy_transform(lat12, SequenceData(lattice=lat12, values=v2), 4).value
+        cauchy = lambda v: higher_transform(
+            lat12, SequenceData(lattice=lat12, values=v), 4, 1).value
+        lhs = cauchy(a * v1 + b * v2)
+        rhs = a * cauchy(v1) + b * cauchy(v2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -99,7 +91,7 @@ class TestBaAndHigher:
         vals = np.zeros(len(lat12), complex)
         vals[9] = 2.0 - 1.0j
         d = SequenceData(lattice=lat12, values=vals)
-        res = ba_transform(lat12, d, 1)
+        res = higher_transform(lat12, d, 1, 2)
         want = vals[9] / (lat12.points[1] - lat12.points[9]) ** 2
         assert res.value == pytest.approx(want, rel=1e-14)
 
@@ -114,14 +106,6 @@ class TestBaAndHigher:
                 dense = np.sum(d.values[mask]
                                / (lat16.points[mask] - lat16.points[idx]) ** n)
                 assert abs(res.value - dense) <= 1e-12 * max(1.0, abs(dense))
-
-    def test_higher_consistency_with_first_and_second(self, lat12, rng):
-        vals = rng.standard_normal(len(lat12)) * np.exp(-np.abs(lat12.points))
-        d = SequenceData(lattice=lat12, values=vals + 0j)
-        assert higher_transform(lat12, d, 3, 1).value == \
-            pytest.approx(cauchy_transform(lat12, d, 3).value, rel=1e-14)
-        assert higher_transform(lat12, d, 3, 2).value == \
-            pytest.approx(ba_transform(lat12, d, 3).value, rel=1e-14)
 
     def test_odd_order_constant_data_vanishes(self, lat16):
         d = SequenceData(lattice=lat16, values=np.ones(len(lat16), complex))
@@ -229,38 +213,35 @@ class TestFftPath:
             assert np.array_equal(fc, sc), n
 
     def test_tail_partials_match_shell_partials(self, lat16, rng):
-        # the last cauchy_window partials themselves, not only the verdict
-        from focklattice.transforms import (DEFAULT_PV, _higher_terms,
-                                            _kernel_rows, _tail_partials)
+        # the last CAUCHY_WINDOW partials themselves, not only the verdict
+        from focklattice.transforms import (CAUCHY_WINDOW, _higher_terms,
+                                            _tail_partials)
         d = SequenceData(lat16, rng.standard_normal(len(lat16))
                          + 1j * rng.standard_normal(len(lat16)))
         idx = np.arange(0, len(lat16), 3)
-        w = DEFAULT_PV.cauchy_window
+        w = CAUCHY_WINDOW
         for n in (1, 2, 3):
             def terms_of(blk, first=0):
                 return _higher_terms(lat16, d, blk, n, first)
-            fft = _tail_partials(lat16, idx, DEFAULT_PV, terms_of,
+            fft = _tail_partials(lat16, idx, terms_of,
                                  lambda i: batch_higher(lat16, d, i, n)[0])
-            shell = np.concatenate([p[:, -w:] for _, p, _ in
-                                    _kernel_rows(lat16, idx, DEFAULT_PV, terms_of)])
+            shell = np.array([higher_transform(lat16, d, int(i), n).shell_partials[-w:]
+                              for i in idx])
             assert fft.shape == shell.shape == (len(idx), w)
             assert np.max(np.abs(fft - shell)) <= 1e-13 * np.max(np.abs(shell))
 
-    @pytest.mark.parametrize("window", [1, 2, 5, 500])
-    def test_window_lengths(self, lat12, rng, window):
-        # window 1 needs no outer shells, 500 exceeds the shell count; the
-        # data leave windows 2 and 5 with converged and unconverged centres
-        cfg = PvConfig(cauchy_window=window)
+    def test_window_flags_match_shell_path(self, lat12, rng):
+        # the data leave the window test with converged and unconverged
+        # centres, and both paths flag the same ones
         d = SequenceData(lat12, rng.standard_normal(len(lat12))
                          * np.exp(-np.abs(lat12.points) ** 2 / 6.0) + 0j)
         idx = np.arange(len(lat12))
         for n in (1, 2):
-            fv, fc = batch_higher(lat12, d, idx, n, cfg)
-            sv, sc = batch_higher(shell_oracle(lat12), d, idx, n, cfg)
+            fv, fc = batch_higher(lat12, d, idx, n)
+            sv, sc = batch_higher(shell_oracle(lat12), d, idx, n)
             assert np.max(np.abs(fv - sv)) <= 1e-14
             assert np.array_equal(fc, sc)
-            if window in (2, 5):
-                assert 0 < fc.sum() < len(idx)
+            assert 0 < fc.sum() < len(idx)
 
     def test_arguments_are_validated(self, lat12):
         d = SequenceData(lat12, np.ones(len(lat12), complex))
@@ -270,8 +251,6 @@ class TestFftPath:
             batch_modified_inf(lat12, d, [0, 3])
         v, c = batch_higher(lat12, d, np.zeros(0, dtype=int), 2)
         assert v.shape == c.shape == (0,)
-        with pytest.raises(ValueError):
-            PvConfig(cauchy_window=0)
 
     @pytest.mark.parametrize("M", [6, 10])       # 4M + 1 = 25, 41 (-> 45)
     @pytest.mark.parametrize("kernel_real", [True, False])
@@ -486,18 +465,6 @@ class TestTaylorIdentity:
             taylor_kernel_check(1.0, 0.0, 0.0, 2)
         with pytest.raises(ValueError):
             taylor_kernel_check(2.0 + 0j, 2.0 + 0j, 0.0, 2)
-
-
-class TestBatchReport:
-    def test_json_shape(self, lat12, rng):
-        import json
-        from focklattice.transforms import transform_batch_report
-        vals = np.exp(-np.abs(lat12.points) ** 2) + 0j
-        d = SequenceData(lattice=lat12, values=vals)
-        rep = transform_batch_report(lat12, d, [0, 2, 5], n=1)
-        assert [e["index"] for e in rep] == [0, 2, 5]
-        assert all(isinstance(e["converged"], bool) for e in rep)
-        json.dumps(rep)   # must serialise as-is
 
 
 class TestNecessityProbe:

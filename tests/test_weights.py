@@ -9,7 +9,8 @@ from focklattice import (NumericalError, WeightProfile, ap_probe,
                          laplacian_phi, mu_disc, phi, power_weight, rho,
                          rho_many)
 from focklattice import weights
-from focklattice.weights import (DoublingExponent, _check_refinement,
+from focklattice.weights import (T_BINS, T_FIT_SLACK, T_WINDOW_DECADES,
+                                 DoublingExponent, _check_refinement,
                                  _not_a_knot_spline, _unit_rho_table,
                                  default_t_pairs)
 
@@ -326,7 +327,8 @@ class TestApProbe:
             ap_probe(classical_weight(), 1.5, [2.0, 1.0])
 
 
-def _loop_t_fit(w, nbins=28, fit_slack=0.02, window_decades=2.0):
+def _loop_t_fit(w, nbins=T_BINS, fit_slack=T_FIT_SLACK,
+                window_decades=T_WINDOW_DECADES):
     """estimate_t's slope fit as a per-bin loop over the default sample."""
     z, zeta = default_t_pairs(w)
     rz, rzeta = rho_many(w, z), rho_many(w, zeta)
@@ -374,14 +376,14 @@ class TestDoublingExponent:
 
     def test_gamma1_at_most_half(self):
         t = estimate_t(power_weight(1.0, rho_origin=2.0))
-        assert t.t_fit <= 0.5 + 2 * t.fit_slack
+        assert t.t_fit <= 0.5 + 2 * T_FIT_SLACK
         assert t.t_bound == 0.5
 
     def test_gamma_half_bound(self):
         t = estimate_t(power_weight(0.5, rho_origin=2.0))
         assert t.t_bound == 0.25
         assert 0.2 < effective_t(t) <= 0.25
-        assert t.t_fit <= t.t_bound + t.fit_slack
+        assert t.t_fit <= t.t_bound + T_FIT_SLACK
 
     def test_insufficient_spread_raises(self):
         w = classical_weight()
