@@ -19,12 +19,11 @@ import numpy as np
 from .classifier import TraceData, classify, select_branch, cached_t
 from .interpolate import (make_interpolant, reconstruct, reconstruct_inf,
                           verify_interpolation, w0_from)
-from .lattice import SQUARE_SCALE, nearest_index, square_lattice
+from .lattice import SQUARE_SCALE, nearest_index, shells_for, square_lattice
 from .multiplier import builtin_sigma_multiplier, sigma_weighted_mag
 from .transforms import operator_norm_estimate, pv_sum, taylor_kernel_check
 from .weights import (ap_probe, choose_N, classical_weight, default_ap_radii,
                       power_weight)
-from .lattice import shells_for
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA", "extrapolated_norm",
            "extrapolated_growth", "OP_NORM_SIZES", "OP_NORM_GROWTH_BUDGET"]
@@ -97,9 +96,7 @@ def criterion_1() -> CriterionResult:
     keep = np.abs(Z) > 1e-6
     Z = Z[keep]
     W = sigma_weighted_mag(lat, Z)
-    neigh = [s * (a + 1j * b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    dist = np.min(np.abs(Z[:, None] - np.asarray(neigh)[None, :]), axis=1)
-    ratio = W / np.minimum(1.0, dist)
+    ratio = W / np.minimum(1.0, nearest_index(lat, Z)[1])
     spread = float(ratio.max() / ratio.min())
     W_shift = sigma_weighted_mag(lat, Z + s)
     rel = np.abs(W - W_shift) / np.maximum(W, W_shift)

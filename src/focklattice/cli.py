@@ -156,13 +156,17 @@ def _parse_p(job: dict):
 
 
 def _pv_rtol(job: dict, args) -> float:
-    """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL."""
+    """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL; a
+    finite number >= 0, since no window test passes below 0."""
     pv = job.get("pv", {})
     tol = args.tolerance if args.tolerance is not None else pv.get("tolerance", PV_RTOL)
     if pv.get("center_mode", "origin") != "origin":
         raise SchemaError("pv.center_mode: only the origin schedule exists "
                           "(partial sums always run over |lambda| < R)")
-    return float(tol)
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {tol}")
+    return tol
 
 
 def _load_trace_job(args) -> tuple:
@@ -332,7 +336,7 @@ def cmd_reconstruct(args) -> int:
                "mode": I.mode, "w0": I.w0,
                "representative_only": I.representative_only}
     _emit(_report("reconstruct", args, job, digest, results, t0,
-                  {"residual_target": 1e-3}), args.output)
+                  {"pv_rtol": rtol, "residual_target": 1e-3}), args.output)
     return EXIT_OK
 
 
@@ -367,7 +371,8 @@ def cmd_op_norm(args) -> int:
         raise SchemaError("op must be B, L or M")
     sizes = [int(s) for s in job.get("sizes", [200, 800, 3200])]
     p = _parse_p(job)
-    N = int(job.get("N", choose_N(cached_t(w))))
+    # only M(N) reads N; without one it is the smallest N > 1/t
+    N = int(job.get("N", 2)) if "N" in job or op != "M" else choose_N(cached_t(w))
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
     results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
                "sizes": list(rep.sizes), "norms": list(rep.norms),
@@ -407,7 +412,7 @@ def main(argv=None) -> int:
         description="Trace checks, interpolation and transform probes on "
                     "critical Fock-space lattices.")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seeds the op-norm start vector")
+                        help="offsets the op-norm quasirandom start vector")
     parser.add_argument("--tolerance", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

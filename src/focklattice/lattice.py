@@ -17,6 +17,7 @@ win.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -54,16 +55,16 @@ _SHELL_RTOL = 1e-9
 class Lattice:
     """A finite, rho-separated point set containing the origin at index 0,
     indexed in ascending radius order (ValueError otherwise).  The point
-    and rho arrays are read-only."""
+    and rho arrays are read-only.  `delta_sep` is searched for on first
+    read, so a job that never reads it never pays for it."""
 
     def __init__(self, points, scale: float, truncation_radius: float,
-                 rho_values, kind: str, delta_sep: float):
+                 rho_values, kind: str):
         self.points = np.asarray(points, dtype=complex)   # index 0 is the origin
         self.scale = scale                 # sqrt(pi/2) for square kind
         self.truncation_radius = truncation_radius
         self.rho_values = np.asarray(rho_values, dtype=float)   # rho per point
         self.kind = kind                   # "square" | "explicit"
-        self.delta_sep = delta_sep         # min |l-l'| / max(rho(l), rho(l'))
         self.points.setflags(write=False)
         self.rho_values.setflags(write=False)
         r = self.radii
@@ -76,6 +77,14 @@ class Lattice:
     @property
     def radii(self) -> np.ndarray:
         return np.abs(self.points)
+
+    @functools.cached_property
+    def delta_sep(self) -> float:
+        """min |l - l'| / max(rho(l), rho(l')) over distinct points, by the
+        exact search over each point's neighbours; inf below two points."""
+        h = self.scale if self.kind == "square" else None
+        return float(_search(self.points, self.rho_values, self.points,
+                             self.rho_values, h, exclude=True)[1].min())
 
     @property
     def max_rho(self) -> float:
@@ -184,15 +193,6 @@ def _search(points: np.ndarray, rho: np.ndarray, z: np.ndarray,
     return arg, best
 
 
-def _separation(points: np.ndarray, rho_vals: np.ndarray,
-                scale: Optional[float] = None) -> float:
-    """The separation constant min |l - l'| / max(rho(l), rho(l')), by the
-    exact search over each point's neighbours."""
-    if points.size < 2:
-        return math.inf
-    return float(_search(points, rho_vals, points, rho_vals, scale, exclude=True)[1].min())
-
-
 def square_lattice(R: float, w: WeightProfile) -> Lattice:
     """All points sqrt(pi/2)*(m+in) with |point| <= R, origin at index 0."""
     s = SQUARE_SCALE
@@ -202,10 +202,8 @@ def square_lattice(R: float, w: WeightProfile) -> Lattice:
     m, n = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
     pts = (s * (m + 1j * n)).ravel()
     pts = _order_points(pts[np.abs(pts) <= R])
-    rv = rho_many(w, pts)
     return Lattice(points=pts, scale=s, truncation_radius=float(R),
-                   rho_values=rv, kind="square",
-                   delta_sep=_separation(pts, rv, s))
+                   rho_values=rho_many(w, pts), kind="square")
 
 
 def explicit_lattice(points: Sequence[complex], w: WeightProfile) -> Lattice:
@@ -215,15 +213,14 @@ def explicit_lattice(points: Sequence[complex], w: WeightProfile) -> Lattice:
     if pts.size == 0 or np.min(np.abs(pts)) > 0.0:
         raise SeparationError("lattice must contain the origin")
     pts = _order_points(pts)
-    rv = rho_many(w, pts)
-    delta = _separation(pts, rv)
-    if delta < _MIN_DELTA_SEP:
-        raise SeparationError(
-            f"points are not rho-separated (delta_sep = {delta:.3e})")
     R = float(np.max(np.abs(pts)))
     scale = float(np.min(np.abs(pts[1:]))) if pts.size > 1 else 1.0
-    return Lattice(points=pts, scale=scale, truncation_radius=R,
-                   rho_values=rv, kind="explicit", delta_sep=delta)
+    lat = Lattice(points=pts, scale=scale, truncation_radius=R,
+                  rho_values=rho_many(w, pts), kind="explicit")
+    if lat.delta_sep < _MIN_DELTA_SEP:
+        raise SeparationError(
+            f"points are not rho-separated (delta_sep = {lat.delta_sep:.3e})")
+    return lat
 
 
 def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .lattice import Lattice, ShellSchedule, grid_coords, shells_for, SQUARE_SCALE
-from .weights import WeightProfile, phi, rho_many
+from .weights import WeightProfile, phi, quasirandom, rho_many
 
 __all__ = [
     "PV_RTOL",
@@ -458,32 +458,28 @@ class _SquareGrid:
 
 class _FftSection:
     """Matrix-free section of a translation-invariant kernel with diagonal
-    weights on a disc of the square lattice.  Each kernel FFT is built on
-    first use: p = 2 reads K and its adjoint, p = 1 and inf only |K|.
-    The L and M(N) kernels are real (`real`), and so is their whole
-    arithmetic on real vectors."""
+    weights on a disc of the square lattice.  Every kernel (B, L, M(N) and
+    |K|) is even on the offset grid and the weights are real, so the
+    adjoint applies K itself.  Each kernel FFT is built on first use: p = 2
+    reads K, p = 1 and inf only |K|.  The L and M(N) kernels are real
+    (`real`), and so is their whole arithmetic on real vectors."""
 
     def __init__(self, R: float, w: WeightProfile, kind: str, N: int,
                  scale: float = SQUARE_SCALE):
         self.grid = _SquareGrid(R, scale)
-        self.M = self.grid.M
         lam = self.grid.points
         self.mask = np.abs(lam) <= R
         self.size = int(self.mask.sum())
-        rv = rho_many(w, lam.ravel()).reshape(lam.shape)
-        out_w, in_w = _op_weights(kind, rv, N)
-        self.out_w = np.where(self.mask, out_w, 0.0)
-        self.in_w = np.where(self.mask, in_w, 0.0)
+        # the weights vanish off the disc, where rho is never evaluated
+        self.out_w, self.in_w = np.zeros((2,) + lam.shape)
+        self.out_w[self.mask], self.in_w[self.mask] = _op_weights(
+            kind, rho_many(w, lam[self.mask]), N)
         self._kern = self.grid.kernel(lambda d: _op_kernel(kind, d, N))
         self.real = np.isrealobj(self._kern)
 
     @functools.cached_property
     def _kf(self):
         return self.grid.fft(self._kern)
-
-    @functools.cached_property
-    def _kcf(self):
-        return self.grid.fft(np.conj(self._kern[::-1, ::-1]))
 
     @functools.cached_property
     def _kabsf(self):
@@ -493,25 +489,25 @@ class _FftSection:
         return self.out_w * self.grid.conv(self._kf, self.in_w * x)
 
     def apply_adjoint(self, y):
-        # weights are real, so conjugation only touches the kernel
-        return self.in_w * self.grid.conv(self._kcf, self.out_w * y)
+        # K is even and the weights real: A^H y = conj(in_w K * (out_w conj y))
+        return np.conj(self.in_w * self.grid.conv(self._kf, self.out_w * np.conj(y)))
 
-    def col_sum_max(self) -> float:
-        s = self.grid.conv(self._kabsf, self.out_w)
-        return float((self.in_w * np.where(self.mask, s, 0.0)).max())
-
-    def row_sum_max(self) -> float:
-        s = self.grid.conv(self._kabsf, self.in_w)
-        return float((self.out_w * np.where(self.mask, s, 0.0)).max())
+    def abs_sum_max(self, p: float) -> float:
+        """The largest weighted column (p = 1) or row (p = inf) sum of |K|;
+        the outer weight vanishes off the disc."""
+        outer, inner = (self.in_w, self.out_w) if p == 1.0 else (self.out_w, self.in_w)
+        return float((outer * self.grid.conv(self._kabsf, inner)).max())
 
 
 def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
                         tol: float = 1e-8):
     """(theta, change): the section's largest singular value by one
     Golub-Kahan-Lanczos run (Golub & Van Loan, Matrix Computations, 10.4)
-    from a seeded random start, and its last relative change.  A real
-    section starts from the real part of the same draw, so it iterates in
-    real arithmetic.
+    and its last relative change.  The start is `quasirandom` offset by
+    `seed`: point seed + j gives the j-th disc point (in grid order) its
+    real part and, on a complex section, its imaginary part, so a real
+    section iterates in real arithmetic.  The start is positive, and so is
+    the top singular vector of the nonnegative L and M(N) kernels.
 
     alpha_k u_k = A v_k - beta_{k-1} u_{k-1}, beta_k v_{k+1} = A^H u_k -
     alpha_k v_k; theta = sigma_max(B_k) of the upper bidiagonal B_k is a
@@ -523,11 +519,9 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
     No basis is kept: plain Lanczos only repeats converged Ritz values.
     Stops at `steps`, residual <= tol theta or change <= tol; at the cap
     NumericalError if both exceed 1e-3."""
-    rng, shape = np.random.default_rng(seed), sec.mask.shape
-    v = rng.standard_normal(shape)
-    if not sec.real:
-        v = v + 1j * rng.standard_normal(shape)
-    v = np.where(sec.mask, v, 0.0)
+    start = quasirandom(sec.size, seed)
+    v = np.zeros(sec.mask.shape, dtype=float if sec.real else complex)
+    v[sec.mask] = start[:, 0] if sec.real else start[:, 0] + 1j * start[:, 1]
     v /= np.linalg.norm(v)
     # the weights vanish off the disc, so the iterates stay masked
     u, beta, theta, prev = 0.0, 0.0, 0.0, np.zeros(0)
@@ -562,10 +556,10 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
     """Operator norms of B, L or M(N) across nested square-lattice sizes.
 
     p=1 and p=inf are the exact max weighted column/row sums.  p=2 is a
-    lower bound on the largest singular value by Golub-Kahan-Lanczos from a
-    start seeded by `seed` (`_top_singular_value`: at most 50 steps, to a
-    relative Ritz residual or change of 1e-8; that change is in
-    `stagnations`).  Sections are matrix-free FFT convolutions."""
+    lower bound on the largest singular value by Golub-Kahan-Lanczos from
+    the quasirandom start offset by `seed` (`_top_singular_value`: at most
+    50 steps, to a relative Ritz residual or change of 1e-8; that change is
+    in `stagnations`).  Sections are matrix-free FFT convolutions."""
     if p not in (1.0, 2.0) and not math.isinf(p):
         raise ValueError("operator norms support p in {1, 2, inf}")
     sizes = sorted(int(s) for s in sizes)
@@ -584,7 +578,7 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
             if p == 2.0:
                 norm, change = _top_singular_value(sec, seed)
             else:
-                norm = sec.col_sum_max() if p == 1.0 else sec.row_sum_max()
+                norm = sec.abs_sum_max(p)
         rows.append((n_pts, norm, change))
     actual, norms, stags = zip(*rows)
     return OperatorNormReport(op=kind if kind != "M" else f"M({N})", p=p,

@@ -36,6 +36,7 @@ __all__ = [
     "ap_probe",
     "default_ap_radii",
     "estimate_t",
+    "quasirandom",
     "default_t_pairs",
     "effective_t",
     "choose_N",
@@ -52,7 +53,6 @@ _CHECK_RTOL = 1e-6
 _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
 _CHUNK = 128             # discs per array expression (~0.6 MB per temporary)
 _EPS = np.finfo(float).eps
-_R6_ROOT = 1.1127756842787055   # the real root of g^7 = g + 1 (default_t_pairs)
 # the doubling-exponent fit: T_PAIRS sampled pairs spread over T_SPAN rho(0),
 # T_BINS envelope bins over the top T_WINDOW_DECADES decades, and t_fit kept
 # T_FIT_SLACK inside (0, 1)
@@ -573,18 +573,24 @@ def effective_t(t: DoublingExponent) -> float:
     return min(t.t_fit, t.t_bound)
 
 
+def quasirandom(count: int, offset: int = 0) -> np.ndarray:
+    """Points k = offset + 1 .. offset + count of the additive R_6 sequence
+    frac(1/2 + k alpha) in [0, 1)^6, alpha_j = g^-j with g^7 = g + 1
+    (Roberts, "The unreasonable effectiveness of quasirandom sequences",
+    2018): the package's one sampler, as a (count x 6) array."""
+    alpha = 1.1127756842787055 ** -np.arange(1.0, 7.0)
+    return (0.5 + np.arange(offset + 1, offset + count + 1)[:, None] * alpha) % 1.0
+
+
 def default_t_pairs(w: WeightProfile):
     """Pairs (z, zeta) with zeta outside D(z): a log-uniform sweep of |z|
     against small |zeta| (which traces the envelope for radial weights),
     then pairs spread over every scale for coverage.
 
-    The sample is fixed: point k of the additive R_6 sequence
-    frac(1/2 + k alpha), alpha_j = g^-j with g^7 = g + 1 (Roberts, "The
-    unreasonable effectiveness of quasirandom sequences", 2018), gives
-    pair k its |z|, the small |zeta| of the sweep or the far |zeta| and its
-    span, and both arguments."""
-    alpha = _R6_ROOT ** -np.arange(1.0, 7.0)
-    u = (0.5 + np.arange(1, T_PAIRS + 1)[:, None] * alpha) % 1.0
+    The sample is fixed: point k of `quasirandom` gives pair k its |z|, the
+    small |zeta| of the sweep or the far |zeta| and its span, and both
+    arguments."""
+    u = quasirandom(T_PAIRS)
     r0, top = w.rho_origin, math.log10(T_SPAN)
     n1 = T_PAIRS // 2
     sweep, spread = u[:n1], u[n1:]

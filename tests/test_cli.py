@@ -51,6 +51,34 @@ class TestTraceCheck:
             rc, rep = run(tmp_path, job, "trace-check")
             assert rc == 0
             assert all(set(r) == keys for r in rep["results"]["reports"])
+            assert rep["tolerances"]["pv_rtol"] == 1e-9
+
+    def test_reconstruct_echoes_pv_rtol(self, tmp_path):
+        job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
+                   p=2, grid={"half_width": 1.0, "n": 2}, verify_points=4)
+        grid = ["--grid", str(tmp_path / "g.csv")]
+        for flags, want in (((), 1e-9), (("--tolerance", "1e-7"), 1e-7)):
+            rc, rep = run(tmp_path, job, "reconstruct", grid, flags=flags)
+            assert rc == 0
+            assert rep["tolerances"] == {"pv_rtol": want, "residual_target": 1e-3}
+
+    @pytest.mark.parametrize("cmd", ["trace-check", "reconstruct"])
+    @pytest.mark.parametrize("flags, pv", [(("--tolerance", "-1"), None),
+                                           (("--tolerance", "nan"), None),
+                                           (("--tolerance", "inf"), None),
+                                           ((), -1e-9), ((), math.inf)])
+    def test_negative_or_nonfinite_tolerance_is_schema_error(
+            self, tmp_path, capsys, cmd, flags, pv):
+        # no window test passes below 0: such a tolerance would leave every
+        # inner sum unconverged and still exit 0
+        job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
+                   p="inf", grid={"half_width": 1.0, "n": 2})
+        if pv is not None:
+            job["pv"] = {"tolerance": pv}
+        grid = ["--grid", str(tmp_path / "g.csv")] if cmd == "reconstruct" else None
+        rc, rep = run(tmp_path, job, cmd, grid, flags=flags)
+        assert rc == 2 and rep is None
+        assert "p.v. tolerance" in capsys.readouterr().err
 
     def test_pv_tolerance_precedence_and_effect(self, tmp_path, cw):
         # weighted values (1 + |lambda|)^-10: the last shells move each inner
@@ -424,6 +452,28 @@ class TestOtherCommands:
         rc, rep = run(tmp_path, job, "op-norm")
         assert rc == 0
         assert rep["results"]["growth_ratio"] < 1.05
+
+    def test_op_norm_fits_t_only_for_m_without_n(self, tmp_path, monkeypatch):
+        # B and L never read N; M(N) without one takes the smallest N > 1/t
+        import focklattice.classifier as classifier
+        fits = []
+
+        def counting_estimate_t(w, *args):
+            fits.append(w)
+            return estimate_t(w, *args)
+
+        estimate_t = classifier.estimate_t
+        monkeypatch.setattr(classifier, "estimate_t", counting_estimate_t)
+        classifier.cached_t.cache_clear()
+        power = {"kind": "power", "gamma": 0.5, "rho_origin": 2.0}
+        for op, extra in (("B", {}), ("L", {}), ("M", {"N": 5})):
+            job = {"weight": power, "op": op, "p": 2, "sizes": [20, 60], **extra}
+            assert run(tmp_path, job, "op-norm")[0] == 0, op
+        assert fits == []
+        job = {"weight": power, "op": "M", "p": 2, "sizes": [20, 60]}
+        rc, rep = run(tmp_path, job, "op-norm")
+        assert rc == 0 and rep["results"]["op"] == "M(5)" and len(fits) == 1
+        classifier.cached_t.cache_clear()
 
     def test_op_norm_trials_key_is_schema_error(self, tmp_path, capsys):
         job = {"weight": {"kind": "classical"}, "op": "B", "p": 2,

@@ -1,10 +1,11 @@
 """CLI jobs run on numpy alone: square lattices with classical and power
 weights (the rho table, its polish and spline are numpy code) and explicit
-lattices (the nearest-point search is numpy code).  Trace-check and
-reconstruct jobs draw no random numbers, so they never load numpy.random;
-only op-norm seeds a start vector.  No job loads `dataclasses` (the
-records are named tuples and plain classes) or `focklattice.acceptance`
-(only its own command imports it)."""
+lattices (the nearest-point search is numpy code).  No job draws random
+numbers: the doubling-exponent fit and the op-norm start vector read the
+fixed quasirandom sample, so no job loads numpy.random (nor the `secrets`
+and OpenSSL `_hashlib` modules it pulls in).  No job loads `dataclasses`
+(the records are named tuples and plain classes) or
+`focklattice.acceptance` (only its own command imports it)."""
 
 import json
 import os
@@ -27,6 +28,11 @@ SCRIPT = textwrap.dedent("""
 
     def loaded():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    def random_modules():
+        # numpy.random and what it pulls in: secrets and OpenSSL's _hashlib
+        return sorted(m for m in ("numpy.random", "secrets", "_hashlib")
+                      if m in sys.modules)
 
     def heavy():
         # modules no job should need
@@ -66,7 +72,7 @@ SCRIPT = textwrap.dedent("""
     out["heavy_after_power"] = heavy()
     rcs.append(run("opnorm", "op-norm", {"weight": {"kind": "classical"}, "op": "L",
                                          "p": 2, "sizes": [200, 400]}))
-    out["random_after_opnorm"] = "numpy.random" in sys.modules
+    out["random_after_opnorm"] = random_modules()
     out["heavy_after_opnorm"] = heavy()
     out["classical_rc"] = rcs
     out["after_classical"] = loaded()
@@ -91,6 +97,8 @@ SCRIPT = textwrap.dedent("""
         out["after_control"] = None
     else:
         out["after_control"] = loaded()
+    import numpy.random
+    out["random_control"] = random_modules()
     print(json.dumps(out))
 """)
 
@@ -100,7 +108,8 @@ def jobs(tmp_path_factory):
     """Modules loaded after each group of CLI jobs, run in that order in
     one fresh interpreter: classical trace-check and reconstruct, one
     power-weight trace-check, classical op-norm, power-weight ap-probe,
-    explicit lattice; then after importing scipy.spatial directly."""
+    explicit lattice; then after importing scipy.spatial and numpy.random
+    directly."""
     env = dict(os.environ, PYTHONPATH=SRC)
     work = str(tmp_path_factory.mktemp("jobs"))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, work], env=env,
@@ -128,10 +137,15 @@ def test_power_weight_jobs_do_not_import_numpy_random(jobs):
     assert jobs["random_after_power"] is False
 
 
-def test_op_norm_job_loads_numpy_random(jobs):
-    # positive control: op-norm, run right after the power job, seeds its
-    # Golub-Kahan-Lanczos start vector
-    assert jobs["random_after_opnorm"] is True
+def test_op_norm_job_does_not_import_numpy_random(jobs):
+    # op-norm, run right after the power job, starts its Golub-Kahan-Lanczos
+    # run from the quasirandom sample offset by --seed
+    assert jobs["random_after_opnorm"] == []
+
+
+def test_loader_sees_numpy_random_when_it_loads(jobs):
+    # positive control for `random_modules`: the script imports numpy.random last
+    assert jobs["random_control"] == ["_hashlib", "numpy.random", "secrets"]
 
 
 def test_jobs_load_neither_dataclasses_nor_acceptance(jobs):

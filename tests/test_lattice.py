@@ -36,6 +36,15 @@ class TestSquareLattice:
         assert lat12.delta_sep == pytest.approx(oracle, rel=1e-12)
         assert lat12.delta_sep == pytest.approx(4.4429, abs=2e-4)
 
+    def test_delta_sep_is_searched_on_first_read(self, cw):
+        # trace-check, reconstruct and op-norm never read it
+        lat = square_lattice(7.0, cw)
+        assert "delta_sep" not in vars(lat)
+        assert lat.delta_sep == pytest.approx(4.4429, abs=2e-4)
+        assert "delta_sep" in vars(lat)
+        # explicit_lattice reads it to reject sets that are not rho-separated
+        assert "delta_sep" in vars(explicit_lattice(list(lat.points), cw))
+
     def test_delta_sep_independent_of_R(self, cw, lat12):
         lat = square_lattice(7.0, cw)
         assert lat.delta_sep == pytest.approx(lat12.delta_sep, rel=1e-12)
@@ -148,8 +157,7 @@ class TestShells:
         with pytest.raises(ValueError, match="ascending radius"):
             Lattice(points=pts, scale=lat12.scale,
                     truncation_radius=lat12.truncation_radius,
-                    rho_values=lat12.rho_values, kind="explicit",
-                    delta_sep=lat12.delta_sep)
+                    rho_values=lat12.rho_values, kind="explicit")
 
 
 class TestCellGeometry:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focklattice import (SQUARE_SCALE, Lattice, SequenceData, batch_higher,
-                         batch_modified_inf, higher_transform,
+                         batch_modified_inf, classical_weight, higher_transform,
                          modified_cauchy_inf, necessity_probe, operator_matrix,
                          operator_norm_estimate, potential_LM, power_weight,
                          pv_sum, shells_for, square_lattice,
@@ -166,8 +166,7 @@ def shell_oracle(lat):
     """The same lattice run through the compensated shell path."""
     return Lattice(points=lat.points, scale=lat.scale,
                    truncation_radius=lat.truncation_radius,
-                   rho_values=lat.rho_values, kind="explicit",
-                   delta_sep=lat.delta_sep)
+                   rho_values=lat.rho_values, kind="explicit")
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +333,7 @@ class TestOperatorNorms:
             K = operator_matrix(lat, cw, kind, 2)
             x = rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
             xg = np.zeros(sec.mask.shape, dtype=complex)
-            M = sec.M
+            M = sec.grid.M
             s = lat.scale
             ii = np.round(lat.points.real / s).astype(int) + M
             jj = np.round(lat.points.imag / s).astype(int) + M
@@ -387,14 +386,35 @@ class TestOperatorNorms:
         assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
         assert rep.norms[0] <= exact * (1 + 1e-9)
 
-    def test_seed_51_B_section(self, cw):
-        # two 50-step power-iteration trials from this seed stopped 0.54%
-        # below the dense SVD (0.170947 against 0.171877)
-        n_pts, exact = self._dense_top_singular_value(cw, "B", 200)
-        rep = operator_norm_estimate("B", [200], 2.0, cw, seed=51)
-        assert rep.sizes == (n_pts,) == (193,)
-        assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
-        assert rep.norms[0] <= exact * (1 + 1e-9)
+    @staticmethod
+    def _weight(name):
+        return classical_weight() if name == "classical" else power_weight(0.5, rho_origin=2.0)
+
+    @pytest.mark.parametrize("weight", ["classical", "power05"])
+    @pytest.mark.parametrize("kind,N", [("B", 2), ("L", 2), ("M", 3)])
+    def test_adjoint_identity(self, rng, weight, kind, N):
+        # <A x, y> = <x, A^H y>: the adjoint applies K itself, by evenness
+        from focklattice.transforms import _FftSection
+        sec = _FftSection(10.0, self._weight(weight), kind, N)
+        x, y = (np.where(sec.mask, rng.standard_normal(sec.mask.shape)
+                         + 1j * rng.standard_normal(sec.mask.shape), 0.0)
+                for _ in range(2))
+        ax, ahy = sec.apply(x), sec.apply_adjoint(y)
+        lhs, rhs = np.vdot(y, ax), np.vdot(ahy, x)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("weight", ["classical", "power05"])
+    @pytest.mark.parametrize("kind,N", [("B", 2), ("L", 2), ("M", 3)])
+    def test_sections_just_below_dense_svd_at_every_seed(self, weight, kind, N):
+        # the Ritz value is a lower bound (up to rounding) that stops within
+        # 1.2e-8 of the top singular value, whatever the start's offset
+        w = self._weight(weight)
+        n_pts, exact = self._dense_top_singular_value(w, kind, 193, N)
+        for seed in (0, 1, 2, 3, 51, 9999, 2 ** 31, 2 ** 32 - 1):
+            rep = operator_norm_estimate(kind, [193], 2.0, w, N=N, seed=seed)
+            assert rep.sizes == (n_pts,) == (193,)
+            gap = (exact - rep.norms[0]) / exact
+            assert -1e-14 <= gap <= 1.2e-8, (seed, gap)
 
     def test_bidiagonalisation_budget_exhausted_is_typed(self, cw):
         # two steps on the 4,997-point B section leave both the Ritz
@@ -411,8 +431,8 @@ class TestOperatorNorms:
         sec = _FftSection(10.0, cw, "B", 2)
         x = np.where(sec.mask, 1.0 + 0j, 0.0)
         sec.apply_adjoint(sec.apply(x))
-        assert "_kabsf" not in vars(sec)     # p = 2 reads K and its adjoint
-        sec.col_sum_max()
+        assert "_kabsf" not in vars(sec)     # p = 2 reads K alone
+        sec.abs_sum_max(1.0)
         assert "_kabsf" in vars(sec)
 
     def test_single_point_lattice(self, cw):
