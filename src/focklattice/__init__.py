@@ -14,24 +14,19 @@ from .errors import (FockLatticeError, NumericalError, SchemaError,
                      SeparationError)
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       c_gamma_for_rho_origin, choose_N, classical_weight,
-                      default_ap_radii, effective_t, estimate_t,
-                      laplacian_phi, mu_disc, mu_disc_many, phi,
-                      power_weight, rho, rho_many)
-from .lattice import (CellGeometry, GridSpec, Lattice, ShellSchedule,
-                      SQUARE_SCALE, cell_geometry, explicit_lattice,
-                      nearest_index, shells_for, square_lattice, upper_density)
-from .multiplier import (BoundsReport, Multiplier, builtin_sigma_multiplier,
-                         multiplier_bounds_check, sigma_log, sigma_prime,
+                      default_ap_radii, effective_t, estimate_t, mu_disc,
+                      mu_disc_many, phi, power_weight, rho, rho_many)
+from .lattice import (GridSpec, Lattice, ShellSchedule, SQUARE_SCALE,
+                      explicit_lattice, nearest_index, shells_for,
+                      square_lattice, upper_density)
+from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_log,
                          sigma_weighted_mag, user_multiplier)
-from .transforms import (NecessityReport, OperatorNormReport, PvResult,
-                         SequenceData, batch_higher, batch_modified_inf,
-                         higher_transform, modified_cauchy_inf,
-                         necessity_probe, operator_matrix,
-                         operator_norm_estimate, potential_LM, pv_sum,
+from .transforms import (OperatorNormReport, PvResult, SequenceData,
+                         batch_higher, batch_modified_inf, higher_transform,
+                         modified_cauchy_inf, operator_norm_estimate, pv_sum,
                          taylor_kernel_check)
 from .classifier import (BranchInfo, ConditionReport, Margins, TraceData,
                          TraceVerdict, classify, condition, condition_a,
                          select_branch, trajectory_margins)
-from .interpolate import (Interpolant, NormEstimate, make_interpolant,
-                          reconstruct, reconstruct_inf, verify_interpolation,
-                          w0_from, weighted_norm)
+from .interpolate import (Interpolant, make_interpolant, reconstruct,
+                          reconstruct_inf, verify_interpolation, w0_from)

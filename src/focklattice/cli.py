@@ -37,8 +37,8 @@ from .lattice import (GridSpec, Lattice, explicit_lattice, scatter_indexed,
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
                          user_multiplier)
 from .transforms import PV_RTOL, operator_norm_estimate
-from .weights import (AP_EXPONENT_TOLERANCE, WeightProfile, ap_probe, choose_N,
-                      default_ap_radii, phi)
+from .weights import (AP_EXPONENT_TOLERANCE, T_FIT_SLACK, WeightProfile,
+                      ap_probe, choose_N, default_ap_radii, phi)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -46,12 +46,17 @@ EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
 
+def _reject_constant(name: str):
+    raise SchemaError(f"job files may not hold {name}")
+
+
 def _load_job(path: str) -> tuple:
-    """The parsed job and the SHA-256 hex digest of the file's bytes."""
+    """The parsed job and the SHA-256 hex digest of the file's bytes.  The
+    non-standard JSON literals NaN, Infinity and -Infinity are refused."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        job = json.loads(raw)
+        job = json.loads(raw, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read job file: {exc}")
     if not isinstance(job, dict):
@@ -371,8 +376,17 @@ def cmd_op_norm(args) -> int:
         raise SchemaError("op must be B, L or M")
     sizes = [int(s) for s in job.get("sizes", [200, 800, 3200])]
     p = _parse_p(job)
-    # only M(N) reads N; without one it is the smallest N > 1/t
-    N = int(job.get("N", 2)) if "N" in job or op != "M" else choose_N(cached_t(w))
+    # only M(N) reads N; without one it is the smallest N > 1/t.  The
+    # effective t never exceeds min(1 - T_FIT_SLACK, gamma/2), so a given N
+    # that fails N > 1/bound fails N > 1/t, and no fit is needed to say so
+    N = 2
+    if op == "M" and "N" not in job:
+        N = choose_N(cached_t(w))
+    elif op == "M":
+        N, t_max = job["N"], min(1.0 - T_FIT_SLACK, w.gamma / 2.0)
+        if type(N) is not int or N <= 1.0 / t_max:
+            raise SchemaError(f"op-norm: M(N) needs an integer N > 1/t, and "
+                              f"t <= {t_max:g} for this weight; N = {N!r}")
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
     results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
                "sizes": list(rep.sizes), "norms": list(rep.norms),

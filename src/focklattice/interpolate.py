@@ -25,26 +25,24 @@ import numpy as np
 
 from .classifier import TraceData, shell_trajectory, trajectory_margins
 from .errors import NumericalError
-from .lattice import GridSpec, nearest_index, shells_for
+from .lattice import nearest_index, shells_for
 from .multiplier import Multiplier
 from .transforms import PV_RTOL, _shell_kernel, loglog_fit
+# rho_many is unused here, but perfbench's tracer wraps it under this
+# module's name (focklattice.interpolate:rho_many) and cannot install without it
 from .weights import phi, rho_many
 
 __all__ = [
     "Interpolant",
-    "NormEstimate",
     "reconstruct",
     "reconstruct_inf",
     "make_interpolant",
     "w0_from",
     "verify_interpolation",
-    "weighted_norm",
 ]
 
 _NEAR_FACTOR = 1e-3
 _ON_FACTOR = 1e-8
-# grid points per block of weighted_norm
-_NORM_CHUNK = 16384
 
 
 def _kernel_shell_sums(data: TraceData, z: np.ndarray, excl: np.ndarray,
@@ -242,60 +240,3 @@ def verify_interpolation(I: Interpolant,
                  - np.asarray(phi(data.weight, lam), dtype=float)[:, None])
     avg = np.mean(vals * adj, axis=1)
     return float(np.max(np.abs(avg - data.c_weighted[idx])))
-
-
-class NormEstimate:
-    """Riemann estimate of the weighted p-norm over a disc region."""
-
-    def __init__(self, p: float, value: float, region_radius: float,
-                 cell_contributions: dict):
-        if value < 0:
-            raise ValueError("norm must be nonnegative")
-        self.p = p
-        self.value = value
-        self.region_radius = region_radius
-        self.cell_contributions = cell_contributions
-
-
-def weighted_norm(I: Interpolant, p: float, region_radius: float,
-                  grid_density: float = 20.0) -> NormEstimate:
-    """Weighted norm of the interpolant over |z| <= region_radius.
-
-    Finite p: midpoint Riemann sum of |f|^p e^{-p phi} / rho^2 on a grid
-    with at least grid_density points per rho; p = inf: the grid maximum of
-    |f| e^{-phi}.  Contributions are accumulated per lattice cell (nearest
-    point in |z - lambda|/rho(lambda))."""
-    data = I.data
-    lat = data.lattice
-    if region_radius > lat.guard_radius():
-        raise ValueError("region extends beyond the guard band")
-    rho_min = float(np.min(rho_many(data.weight,
-                                    np.asarray([0.0, region_radius], dtype=complex))))
-    spacing = rho_min / grid_density
-    n = max(8, int(math.ceil(2.0 * region_radius / spacing)))
-    grid = GridSpec(-region_radius, region_radius,
-                    -region_radius, region_radius, n, n)
-    pts = grid.points().ravel()
-    pts = pts[np.abs(pts) <= region_radius]
-    area = grid.cell_area
-    contrib: dict = {}
-    total = 0.0
-    for i in range(0, len(pts), _NORM_CHUNK):
-        zs = pts[i:i + _NORM_CHUNK]
-        vals = np.abs(I.eval_weighted(zs))
-        near = nearest_index(lat, zs, cell=True)[0]
-        if math.isinf(p):
-            for cell in np.unique(near):
-                mx = float(vals[near == cell].max())
-                contrib[int(cell)] = max(contrib.get(int(cell), 0.0), mx)
-            total = max(total, float(vals.max()) if len(vals) else 0.0)
-        else:
-            rz = rho_many(data.weight, zs)
-            dens = vals ** p / rz ** 2 * area
-            for cell in np.unique(near):
-                contrib[int(cell)] = contrib.get(int(cell), 0.0) \
-                    + float(dens[near == cell].sum())
-            total += float(dens.sum())
-    value = total if math.isinf(p) else total ** (1.0 / p)
-    return NormEstimate(p=p, value=value, region_radius=region_radius,
-                        cell_contributions=contrib)

@@ -1,4 +1,4 @@
-"""Finite lattice truncations, shell schedules, and cell geometry.
+"""Finite lattice truncations, shell schedules, and nearest-point lookups.
 
 The working set is always a finite truncation |lambda| <= R of either the
 critical square lattice sqrt(pi/2)*(Z+iZ) or a user-supplied point set.
@@ -30,7 +30,6 @@ __all__ = [
     "Lattice",
     "ShellSchedule",
     "GridSpec",
-    "CellGeometry",
     "SQUARE_SCALE",
     "square_lattice",
     "explicit_lattice",
@@ -38,7 +37,6 @@ __all__ = [
     "shells_for",
     "nearest_index",
     "grid_coords",
-    "cell_geometry",
     "scatter_indexed",
 ]
 
@@ -303,36 +301,9 @@ class GridSpec(NamedTuple):
         return X + 1j * Y
 
     @property
-    def cell_area(self) -> float:
-        return (self.x1 - self.x0) / self.nx * (self.y1 - self.y0) / self.ny
-
-    @property
     def corner_radius(self) -> float:
         return max(abs(complex(x, y))
                    for x in (self.x0, self.x1) for y in (self.y0, self.y1))
-
-
-class CellGeometry:
-    """Nearest-cell assignment under |z - lambda| / rho(lambda).
-
-    cell_of maps each grid point to a lattice index; cell_measure[i] is the
-    Riemann sum of dm/rho(z)^2 over the points assigned to cell i (a
-    uniformly bounded quantity across cells).
-    """
-
-    def __init__(self, grid: GridSpec, cell_of: np.ndarray, cell_measure: dict,
-                 max_diameter_over_rho: float):
-        self.grid = grid
-        self.cell_of = cell_of         # int array, shape (nx, ny)
-        self.cell_measure = cell_measure   # lattice index -> float
-        self.max_diameter_over_rho = max_diameter_over_rho   # cell-size diagnostic
-
-    def to_csv_rows(self):
-        pts = self.grid.points()
-        for i in range(self.grid.nx):
-            for j in range(self.grid.ny):
-                z = pts[i, j]
-                yield (z.real, z.imag, int(self.cell_of[i, j]))
 
 
 def nearest_index(lat: Lattice, z, cell: bool = False):
@@ -347,21 +318,3 @@ def nearest_index(lat: Lattice, z, cell: bool = False):
     rho = lat.rho_values if cell else np.ones(len(lat))
     return _search(lat.points, rho, z, np.zeros(z.size),
                    lat.scale if lat.kind == "square" else None)
-
-
-def cell_geometry(lat: Lattice, grid: GridSpec, w: WeightProfile) -> CellGeometry:
-    """Assign grid points to cells and accumulate the cell measures."""
-    if grid.corner_radius > lat.truncation_radius - 2.0 * lat.max_rho:
-        raise ValueError("grid extends outside the safe lattice region")
-    flat = grid.points().ravel()
-    assign, sur_best = nearest_index(lat, flat, cell=True)
-
-    rho_z = rho_many(w, flat)
-    dens = grid.cell_area / rho_z ** 2
-    measure = {}
-    for idx in np.unique(assign):
-        measure[int(idx)] = float(dens[assign == idx].sum())
-    return CellGeometry(grid=grid,
-                        cell_of=assign.reshape(grid.nx, grid.ny),
-                        cell_measure=measure,
-                        max_diameter_over_rho=2.0 * float(sur_best.max()))

@@ -30,18 +30,16 @@ once |z|^2 exceeds ~700, so large-|z| work stays in weighted or log form.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError, SchemaError
-from .lattice import (SQUARE_SCALE, Lattice, grid_coords, nearest_index,
-                      scatter_indexed)
+from .lattice import SQUARE_SCALE, Lattice, grid_coords, scatter_indexed
 from .weights import WeightProfile, classical_weight, phi
 
-__all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag", "sigma_prime",
-           "builtin_sigma_multiplier", "user_multiplier",
-           "multiplier_bounds_check", "BoundsReport"]
+__all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag",
+           "builtin_sigma_multiplier", "user_multiplier"]
 
 _S = SQUARE_SCALE
 _Q = math.exp(-math.pi)
@@ -98,19 +96,6 @@ def sigma_weighted_mag(lat: Lattice, z):
     return float(out) if zarr.ndim == 0 else out
 
 
-def sigma_prime(lat: Lattice, index: int) -> complex:
-    """sigma'(lambda) = (-1)^{m+n+mn} e^{|lambda|^2}; NumericalError once
-    e^{|lambda|^2} overflows a double."""
-    _require_square(lat)
-    _, _, abs2, parity = _nearest(np.asarray(lat.points[index]))
-    try:
-        mag = math.exp(float(abs2))
-    except OverflowError:
-        raise NumericalError(f"sigma'(lambda) overflows at index {index} "
-                             f"(|lambda|^2 = {float(abs2):.1f})")
-    return complex(mag if parity == 0 else -mag)
-
-
 class Multiplier:
     """Evaluator bundle for a multiplier g with zero set = the lattice.
 
@@ -121,14 +106,12 @@ class Multiplier:
     """
 
     def __init__(self, lattice: Lattice, weight: WeightProfile, source: str,
-                 _gw: np.ndarray, g_double_prime0: Optional[complex] = None,
-                 _user_weighted_mag: Optional[Callable] = None):
+                 _gw: np.ndarray, g_double_prime0: Optional[complex] = None):
         self.lattice = lattice
         self.weight = weight
         self.source = source                     # "builtin_sigma" | "user_table"
         self._gw = _gw                           # weighted g' per index
         self.g_double_prime0 = g_double_prime0
-        self._user_weighted_mag = _user_weighted_mag
 
     # -- g'(lambda) ---------------------------------------------------------
 
@@ -168,22 +151,6 @@ class Multiplier:
                      + 1j * math.pi * mu_par)
         return 2.0 * np.conj(lam) * w + abs2 + 1j * math.pi * parity + log_ratio
 
-    def weighted_mag(self, z) -> np.ndarray:
-        """|g(z)| e^{-phi(z)}; exactly 0 on lattice points."""
-        if self.source == "builtin_sigma":
-            return sigma_weighted_mag(self.lattice, z)
-        if self._user_weighted_mag is None:
-            raise NumericalError("no weighted-magnitude table supplied")
-        return self._user_weighted_mag(z)
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def derivative_envelope(self):
-        """Two-sided bound on |g'(lambda)| e^{-phi} rho(lambda) over the
-        lattice; the multiplier estimate makes this O(1)."""
-        vals = np.abs(self._gw) * self.lattice.rho_values
-        return float(vals.min()), float(vals.max())
-
 
 def builtin_sigma_multiplier(lat: Lattice,
                              w: Optional[WeightProfile] = None) -> Multiplier:
@@ -201,7 +168,6 @@ def builtin_sigma_multiplier(lat: Lattice,
 
 
 def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
-                    weighted_mag_table: Optional[Callable] = None,
                     g_double_prime0: Optional[complex] = None,
                     weighted: bool = False, indices=None) -> Multiplier:
     """Wrap externally supplied multiplier data.
@@ -210,8 +176,7 @@ def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
     multiplied by e^{-phi} when weighted=True): a dict index -> value, the
     values in index order, or the values at `indices`, where a repeated
     index keeps its last value (`scatter_indexed`).  Out-of-range, missing
-    and zero entries are rejected; the two-sided |g'| e^{-phi} rho envelope
-    is computed so callers can inspect how multiplier-like the table is.
+    and zero entries are rejected.
     """
     if isinstance(g_prime_table, dict):
         n = len(g_prime_table)
@@ -228,34 +193,4 @@ def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
     if not weighted:
         vals = vals * np.exp(-phi(w, lat.points))
     return Multiplier(lattice=lat, weight=w, source="user_table", _gw=vals,
-                      g_double_prime0=g_double_prime0,
-                      _user_weighted_mag=weighted_mag_table)
-
-
-class BoundsReport(NamedTuple):
-    """Empirical envelope constants for |g(z)| e^{-phi} against the
-    capped surrogate distance min(1, |z - lambda|/rho(lambda))."""
-
-    c: float
-    C: float
-    n_points: int
-
-    @property
-    def spread(self) -> float:
-        return self.C / self.c if self.c > 0 else math.inf
-
-
-def multiplier_bounds_check(m: Multiplier, grid) -> BoundsReport:
-    """Envelope of weighted_mag / min(1, dist/rho_nearest) over a grid,
-    excluding points within 1e-6 of the lattice."""
-    pts = grid.points().ravel()
-    lat = m.lattice
-    if grid.corner_radius > lat.guard_radius():
-        raise ValueError("grid extends beyond the guard band")
-    near, d = nearest_index(lat, pts)
-    keep = d > 1e-6
-    pts, d, near = pts[keep], d[keep], near[keep]
-    surr = np.minimum(1.0, d / lat.rho_values[near])
-    vals = m.weighted_mag(pts) / surr
-    return BoundsReport(c=float(vals.min()), C=float(vals.max()),
-                        n_points=int(len(pts)))
+                      g_double_prime0=g_double_prime0)

@@ -41,45 +41,42 @@ Transforms acting on weighted sequences d (normally d = c/g'):
                Cauchy transform, n = 2 the Beurling-Ahlfors one)
     modified:  -d_0/lambda' + sum d_lambda (1/(lambda-lambda') - 1/lambda)
 
-plus the positive-kernel potentials L and M(N) and matrix-free operator
-norm probes of their boundedness.
+plus matrix-free norm probes of the operator sections B, L and M(N)
+(`_FftSection`) and the geometric-remainder identity behind Levin's
+perturbed-point recovery (`taylor_kernel_check`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericalError
 from .lattice import Lattice, ShellSchedule, grid_coords, shells_for, SQUARE_SCALE
-from .weights import WeightProfile, phi, quasirandom, rho_many
+from .weights import WeightProfile, quasirandom, rho_many
 
 __all__ = [
     "PV_RTOL",
     "PvResult",
     "SequenceData",
     "OperatorNormReport",
-    "NecessityReport",
     "loglog_fit",
     "pv_sum",
     "higher_transform",
     "modified_cauchy_inf",
     "batch_higher",
     "batch_modified_inf",
-    "potential_LM",
-    "operator_matrix",
     "operator_norm_estimate",
     "taylor_kernel_check",
-    "necessity_probe",
 ]
 
 # terms per row block of the batch transforms (64 MB of complex terms)
 _CHUNK_TERMS = 4_000_000
-# inner centres lambda' of the trace conditions and the necessity probe lie
-# in |lambda'| <= OUTER_GUARD_FRACTION * R, away from the truncation edge
+# inner centres lambda' of the trace conditions lie in
+# |lambda'| <= OUTER_GUARD_FRACTION * R, away from the truncation edge
 OUTER_GUARD_FRACTION = 0.5
 
 
@@ -147,12 +144,6 @@ class PvResult:
         self.shell_partials = shell_partials
         self.shell_radii = shell_radii
         self.converged = converged
-
-    def growth_exponent(self):
-        """Fitted log-log slope of |partial| against shell radius over the
-        last decade of radii, with its R^2; None when the data cannot
-        support a fit.  Used to tell divergence from boundedness."""
-        return loglog_fit(self.shell_radii, np.abs(self.shell_partials))
 
 
 def pv_sum(schedule: ShellSchedule, terms: np.ndarray,
@@ -323,29 +314,6 @@ def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
                          totals)
 
 
-def potential_LM(lat: Lattice, d: SequenceData, mode: str, index: int,
-                 N: Optional[int] = None, t: Optional[float] = None) -> complex:
-    """Positive-kernel potentials (dense summation, no p.v. needed):
-
-        L:    sum d~_lambda rho(lambda) rho(lambda')^2 / |lambda'-lambda|^3
-        M(N): sum d~_lambda rho(lambda) rho(lambda')^N / |lambda'-lambda|^(N+1)
-
-    Mode M enforces N > 1/t when the doubling exponent t is supplied.  The
-    kernel is row `index` of `operator_matrix`.
-    """
-    if mode not in ("L", "M"):
-        raise ValueError("mode must be 'L' or 'M'")
-    if mode == "M":
-        if N is None:
-            raise ValueError("mode M needs the order N")
-        if t is not None and N <= 1.0 / t:
-            raise ValueError(f"mode M requires N > 1/t (N={N}, 1/t={1.0 / t:.3f})")
-    mask = np.arange(len(lat)) != index
-    out_w, in_w = _op_weights(mode, lat.rho_values, N)
-    kern = out_w[index] * in_w[mask] * _op_kernel(mode, lat.points[mask] - lat.points[index], N)
-    return complex(np.sum(d.values[mask] * kern))
-
-
 # ---------------------------------------------------------------------------
 # Operator-norm probes
 # ---------------------------------------------------------------------------
@@ -362,37 +330,6 @@ class OperatorNormReport(NamedTuple):
     @property
     def growth_ratio(self) -> float:
         return self.norms[-1] / self.norms[0]
-
-
-def _op_weights(kind: str, rho_vals: np.ndarray, N: int):
-    # (output diagonal, input diagonal) of the weighted matrix form
-    if kind == "B":
-        return rho_vals, rho_vals
-    if kind == "L":
-        return rho_vals ** 2, rho_vals
-    if kind == "M":
-        return rho_vals ** N, rho_vals
-    raise ValueError("operator must be 'B', 'L' or 'M'")
-
-
-def _op_kernel(kind: str, diffs: np.ndarray, N: int) -> np.ndarray:
-    if kind == "B":
-        return 1.0 / diffs ** 2
-    if kind == "L":
-        return 1.0 / np.abs(diffs) ** 3
-    return 1.0 / np.abs(diffs) ** (N + 1)
-
-
-def operator_matrix(lat: Lattice, w: WeightProfile, kind: str,
-                    N: int = 2) -> np.ndarray:
-    """Dense weighted matrix of the operator section on the lattice
-    (B carries the l^p(rho^-1) -> l^p(rho) conjugation; diagonal is 0)."""
-    out_w, in_w = _op_weights(kind, lat.rho_values, N)
-    diffs = lat.points[:, None] - lat.points[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    K = _op_kernel(kind, diffs, N) * out_w[:, None] * in_w[None, :]
-    np.fill_diagonal(K, 0.0)
-    return K
 
 
 def _fft_length(n: int) -> int:
@@ -457,24 +394,37 @@ class _SquareGrid:
 
 
 class _FftSection:
-    """Matrix-free section of a translation-invariant kernel with diagonal
-    weights on a disc of the square lattice.  Every kernel (B, L, M(N) and
-    |K|) is even on the offset grid and the weights are real, so the
-    adjoint applies K itself.  Each kernel FFT is built on first use: p = 2
-    reads K, p = 1 and inf only |K|.  The L and M(N) kernels are real
-    (`real`), and so is their whole arithmetic on real vectors."""
+    """Matrix-free section of one operator on the disc |lambda| <= R of
+    the square lattice, its weights real and its diagonal 0:
+
+        B:    rho(lambda) rho(mu) / (lambda - mu)^2
+        L:    rho(lambda)^2 rho(mu) / |lambda - mu|^3
+        M(N): rho(lambda)^N rho(mu) / |lambda - mu|^(N+1)
+
+    (B carries the l^p(rho^-1) -> l^p(rho) conjugation).  Every kernel
+    (and |K|) is even on the offset grid, so the adjoint applies K itself.
+    Each kernel FFT is built on first use: p = 2 reads K, p = 1 and inf
+    only |K|.  The L and M(N) kernels are real (`real`), and so is their
+    whole arithmetic on real vectors."""
 
     def __init__(self, R: float, w: WeightProfile, kind: str, N: int,
                  scale: float = SQUARE_SCALE):
+        if kind not in ("B", "L", "M"):
+            raise ValueError("operator must be 'B', 'L' or 'M'")
         self.grid = _SquareGrid(R, scale)
         lam = self.grid.points
         self.mask = np.abs(lam) <= R
         self.size = int(self.mask.sum())
         # the weights vanish off the disc, where rho is never evaluated
+        rho = rho_many(w, lam[self.mask])
         self.out_w, self.in_w = np.zeros((2,) + lam.shape)
-        self.out_w[self.mask], self.in_w[self.mask] = _op_weights(
-            kind, rho_many(w, lam[self.mask]), N)
-        self._kern = self.grid.kernel(lambda d: _op_kernel(kind, d, N))
+        self.out_w[self.mask] = rho ** {"B": 1, "L": 2, "M": N}[kind]
+        self.in_w[self.mask] = rho
+        if kind == "B":
+            self._kern = self.grid.kernel(lambda d: 1.0 / d ** 2)
+        else:
+            e = 3 if kind == "L" else N + 1
+            self._kern = self.grid.kernel(lambda d: 1.0 / np.abs(d) ** e)
         self.real = np.isrealobj(self._kern)
 
     @functools.cached_property
@@ -586,7 +536,7 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
 
 
 # ---------------------------------------------------------------------------
-# Kernel identity and the perturbed-point probe
+# Kernel identity
 # ---------------------------------------------------------------------------
 
 def taylor_kernel_check(z: complex, lam: complex, lam_prime: complex = 0.0,
@@ -610,99 +560,3 @@ def taylor_kernel_check(z: complex, lam: complex, lam_prime: complex = 0.0,
         zp *= z
     rhs = z ** n / (L ** n * (z - L))
     return abs(lhs - rhs)
-
-
-class NecessityReport:
-    """Comparison of condition sums recovered from perturbed-point samples
-    against directly computed transforms."""
-
-    def __init__(self, delta: float, N: int, indices: np.ndarray,
-                 sample_norms: dict, recovered: dict, direct: dict,
-                 max_discrepancy: dict):
-        self.delta = delta
-        self.N = N
-        self.indices = indices
-        self.sample_norms = sample_norms       # k -> l^p norm (or sup) of f/g samples
-        self.recovered = recovered             # n -> complex array over indices
-        self.direct = direct                   # n -> complex array over indices
-        self.max_discrepancy = max_discrepancy # n -> float
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_discrepancy.values())
-
-
-def necessity_probe(lat: Lattice, m, f: Callable, p: float, delta: float,
-                    N: int, rtol: float = PV_RTOL) -> NecessityReport:
-    """Sample f/g at the N rotated points lambda' + delta w_k rho(lambda')
-    (w_k the N-th roots of unity) and reconstruct each condition-(n) sum
-    from the sample family.
-
-    The underlying identity (for f in the space, evaluated at z = z_k):
-
-        sum_{n=1..N} zeta^(n-1) S_n(lambda')
-            = d_lambda'/zeta + R_k(lambda') - f(z_k)/g(z_k),
-
-    zeta = delta w_k rho(lambda'), S_n the p.v. transform of order n, and
-    R_k the absolutely convergent N-th order remainder.  Averaging against
-    w_k^-(n-1) isolates S_n; agreement with the directly computed
-    transforms is reported per order.
-    """
-    if not (0.0 < delta < lat.delta_sep / 2.0):
-        raise ValueError("delta must lie in (0, delta_sep/2)")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    guard = OUTER_GUARD_FRACTION * lat.truncation_radius
-    indices = np.nonzero(lat.radii <= guard)[0]
-    pts = lat.points
-    rho_v = lat.rho_values
-
-    # trace data d = f|Lambda / g'
-    f_lam = _eval_f(f, pts)
-    d_vals = f_lam * np.exp(-phi(m.weight, pts)) / m.g_prime_weighted()
-    d = SequenceData(lattice=lat, values=d_vals)
-
-    direct = {n: batch_higher(lat, d, indices, n, rtol)[0] for n in range(1, N + 1)}
-
-    omega = np.exp(2j * math.pi * np.arange(N) / N)
-    A = np.zeros((N, len(indices)), dtype=complex)
-    rows = max(1, _CHUNK_TERMS // len(lat))
-    sample_norms = {}
-    for k in range(N):
-        zk = pts[indices] + delta * omega[k] * rho_v[indices]
-        fg = _eval_f(f, zk) * np.exp(-m.log_g(zk))
-        if math.isinf(p):
-            sample_norms[k] = float(np.max(np.abs(fg)))
-        else:
-            sample_norms[k] = float(np.sum(np.abs(fg) ** p) ** (1.0 / p))
-        zeta = delta * omega[k] * rho_v[indices]
-        # remainder: sum over lambda != lambda' of
-        # d_lambda zeta^N / ((lambda - lambda')^N (z_k - lambda))
-        rem = np.empty(len(indices), dtype=complex)
-        for i in range(0, len(indices), rows):
-            sl = slice(i, i + rows)
-            rem[sl] = np.sum(_higher_terms(lat, d, indices[sl], N)
-                             * (zeta[sl, None] ** N / (zk[sl, None] - pts[None, :])),
-                             axis=1)
-        A[k] = d.values[indices] / zeta + rem - fg
-
-    recovered = {}
-    discrepancy = {}
-    for n in range(1, N + 1):
-        coef = np.mean(A * omega[:, None] ** (-(n - 1)), axis=0)
-        recovered[n] = coef / (delta * rho_v[indices]) ** (n - 1)
-        discrepancy[n] = float(np.max(np.abs(recovered[n] - direct[n])))
-    return NecessityReport(delta=delta, N=N, indices=indices,
-                           sample_norms=sample_norms, recovered=recovered,
-                           direct=direct, max_discrepancy=discrepancy)
-
-
-def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:
-    """Evaluate a user function on an array, vectorised when it supports it."""
-    try:
-        out = np.asarray(f(z), dtype=complex)
-        if out.shape == z.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([complex(f(zz)) for zz in z])

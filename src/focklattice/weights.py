@@ -28,7 +28,6 @@ __all__ = [
     "power_weight",
     "c_gamma_for_rho_origin",
     "phi",
-    "laplacian_phi",
     "mu_disc",
     "mu_disc_many",
     "rho",
@@ -51,7 +50,9 @@ _PSI_PANELS = 12
 _PSI_FIRST = 1e-14       # innermost psi panel is [0, pi * _PSI_FIRST]
 _CHECK_RTOL = 1e-6
 _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
-_CHUNK = 128             # discs per array expression (~0.6 MB per temporary)
+# discs per array expression: 16 x 576 nodes make 74 KB per density
+# temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
+_CHUNK = 16
 _EPS = np.finfo(float).eps
 # the doubling-exponent fit: T_PAIRS sampled pairs spread over T_SPAN rho(0),
 # T_BINS envelope bins over the top T_WINDOW_DECADES decades, and t_fit kept
@@ -146,16 +147,6 @@ def phi(w: WeightProfile, z) -> np.ndarray | float:
     if w.is_classical_like:
         return a * a
     return w.c_gamma * a ** w.gamma
-
-
-def laplacian_phi(w: WeightProfile, z) -> np.ndarray | float:
-    """Laplacian density C*gamma^2*|z|^(gamma-2); equals 4 for classical."""
-    a = np.abs(z)
-    if w.is_classical_like:
-        return 4.0 * np.ones_like(a) if isinstance(a, np.ndarray) else 4.0
-    if w.gamma < 2.0 and np.any(np.asarray(a) == 0.0):
-        raise ValueError("Laplacian is singular at the origin for gamma < 2")
-    return w.c_gamma * w.gamma ** 2 * a ** (w.gamma - 2.0)
 
 
 @lru_cache(maxsize=None)

@@ -78,7 +78,9 @@ class TestTraceCheck:
         grid = ["--grid", str(tmp_path / "g.csv")] if cmd == "reconstruct" else None
         rc, rep = run(tmp_path, job, cmd, grid, flags=flags)
         assert rc == 2 and rep is None
-        assert "p.v. tolerance" in capsys.readouterr().err
+        # json.dumps writes math.inf as Infinity, which the loader refuses
+        want = "may not hold Infinity" if pv == math.inf else "p.v. tolerance"
+        assert want in capsys.readouterr().err
 
     def test_pv_tolerance_precedence_and_effect(self, tmp_path, cw):
         # weighted values (1 + |lambda|)^-10: the last shells move each inner
@@ -397,6 +399,24 @@ class TestOtherCommands:
         rc, _ = run(tmp_path, dict(BASE, density_r_max=100.0), "lattice-info")
         assert rc == 3
 
+    @pytest.mark.parametrize("cmd, job, literal", [
+        ("lattice-info", dict(BASE, lattice={"kind": "square", "R": math.inf}),
+         "Infinity"),
+        ("lattice-info", dict(BASE, density_r_max=math.nan), "NaN"),
+        ("lattice-info", dict(BASE, density_r_max=-math.inf), "-Infinity"),
+        ("reconstruct", dict(BASE, values={"kind": "zero"}, p=2,
+                             grid={"half_width": math.nan, "n": 2}), "NaN")])
+    def test_non_finite_json_literals_are_schema_errors(self, tmp_path, capsys,
+                                                        cmd, job, literal):
+        # json.dumps writes them and json.loads reads them back; the loader
+        # refuses them, where R = Infinity raised OverflowError (exit 1) and
+        # the two NaN jobs exited 0 with a NaN density and an all-NaN grid
+        grid = tmp_path / "g.csv"
+        rc, rep = run(tmp_path, job, cmd,
+                      ["--grid", str(grid)] if cmd == "reconstruct" else None)
+        assert rc == 2 and rep is None and not grid.exists()
+        assert f"may not hold {literal}" in capsys.readouterr().err
+
     def test_reconstruct_raw_overflow_is_nan(self, tmp_path):
         # corner cells centred at (+-20, +-20): phi = 800 > log(max double);
         # the edge cells (phi = 400) and the centre stay finite.  The grid
@@ -474,6 +494,25 @@ class TestOtherCommands:
         rc, rep = run(tmp_path, job, "op-norm")
         assert rc == 0 and rep["results"]["op"] == "M(5)" and len(fits) == 1
         classifier.cached_t.cache_clear()
+
+    @pytest.mark.parametrize("weight, N, rc", [
+        ({"kind": "classical"}, 0, 2),
+        ({"kind": "classical"}, -1, 2),
+        ({"kind": "classical"}, 1, 2),
+        ({"kind": "classical"}, 2.5, 2),
+        ({"kind": "classical"}, 2, 0),
+        ({"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, 4, 2),
+        ({"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, 5, 0)])
+    def test_op_norm_m_order_must_exceed_one_over_t(self, tmp_path, capsys,
+                                                     weight, N, rc):
+        # t <= min(1 - T_FIT_SLACK, gamma/2): 0.98 classical, 0.25 at gamma 0.5
+        job = {"weight": weight, "op": "M", "p": 1, "sizes": [20], "N": N}
+        got, rep = run(tmp_path, job, "op-norm")
+        assert got == rc
+        if rc == 0:
+            assert rep["results"]["op"] == f"M({N})"
+        else:
+            assert rep is None and "N > 1/t" in capsys.readouterr().err
 
     def test_op_norm_trials_key_is_schema_error(self, tmp_path, capsys):
         job = {"weight": {"kind": "classical"}, "op": "B", "p": 2,

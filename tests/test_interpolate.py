@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from focklattice import (NumericalError, make_interpolant, reconstruct,
-                         reconstruct_inf, verify_interpolation, w0_from,
-                         weighted_norm)
+                         reconstruct_inf, verify_interpolation, w0_from)
 from focklattice.classifier import TraceData
 from conftest import gaussian_fn
 
@@ -187,35 +186,3 @@ class TestVerifyAndNorms:
         data = TraceData.gaussian(lat16, mult16, cw, 2.0, 0.7 - 0.2j)
         res = verify_interpolation(make_interpolant(data), max_points=50)
         assert res <= 1e-3
-
-    def test_norm_stabilises_with_region(self, lat16, mult16, cw):
-        wv = 0.3
-        data = TraceData.gaussian(lat16, mult16, cw, 2.0, wv)
-        I = make_interpolant(data)
-        n1 = weighted_norm(I, 2.0, 3.5, grid_density=8.0)
-        n2 = weighted_norm(I, 2.0, 5.0, grid_density=8.0)
-        assert n2.value >= n1.value - 1e-12
-        assert n2.value == pytest.approx(n1.value, rel=0.02)
-
-    def test_zero_norm(self, lat16, mult16, cw):
-        data = TraceData.zero(lat16, mult16, cw, 2.0)
-        n = weighted_norm(make_interpolant(data), 2.0, 3.0, grid_density=6.0)
-        assert n.value == 0.0
-
-    def test_sup_norm_of_g_matches_bounds_check(self, lat16, mult16, cw):
-        from focklattice import GridSpec, multiplier_bounds_check
-        data = TraceData.zero(lat16, mult16, cw, math.inf)
-        I = reconstruct_inf(data, 1.0)      # the interpolant is exactly g
-        n = weighted_norm(I, math.inf, 4.0, grid_density=12.0)
-        grid = GridSpec(-4.0, 4.0, -4.0, 4.0, 160, 160)
-        rep = multiplier_bounds_check(mult16, grid)
-        # the sup of |g| e^{-phi} over the region equals the envelope C
-        # evaluated with the capped distance equal to its maximum
-        assert n.value == pytest.approx(
-            float(np.max(mult16.weighted_mag(grid.points().ravel()))), rel=0.02)
-        assert n.value <= rep.C * 1.05
-
-    def test_region_guard_enforced(self, lat12, mult12, cw):
-        data = TraceData.zero(lat12, mult12, cw, 2.0)
-        with pytest.raises(ValueError):
-            weighted_norm(make_interpolant(data), 2.0, 100.0)

@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from focklattice import (GridSpec, Lattice, NumericalError, SeparationError,
-                         cell_geometry, explicit_lattice, mu_disc, nearest_index,
-                         power_weight, rho_many, shells_for, square_lattice,
-                         upper_density)
+from focklattice import (Lattice, NumericalError, SeparationError,
+                         explicit_lattice, mu_disc, nearest_index, power_weight,
+                         rho_many, shells_for, square_lattice, upper_density)
 from focklattice.lattice import grid_coords
 
 
@@ -158,43 +157,6 @@ class TestShells:
             Lattice(points=pts, scale=lat12.scale,
                     truncation_radius=lat12.truncation_radius,
                     rho_values=lat12.rho_values, kind="explicit")
-
-
-class TestCellGeometry:
-    def test_classical_cell_measure(self, cw, lat12, scale):
-        # Voronoi square of area scale^2 = pi/2 over rho^2 = 1/(4 pi): 2 pi^2
-        grid = GridSpec(-4.0, 4.0, -4.0, 4.0, 220, 220)
-        geo = cell_geometry(lat12, grid, cw)
-        interior = [i for i, p in enumerate(lat12.points) if abs(p) < 2.5]
-        vals = [geo.cell_measure[i] for i in interior]
-        assert np.mean(vals) == pytest.approx(2 * math.pi ** 2, rel=0.02)
-
-    def test_measures_uniformly_bounded(self, cw, lat12):
-        grid = GridSpec(-5.0, 5.0, -5.0, 5.0, 160, 160)
-        geo = cell_geometry(lat12, grid, cw)
-        assert max(geo.cell_measure.values()) < 4 * math.pi ** 2
-
-    def test_own_point_in_own_cell(self, cw, lat12, scale):
-        grid = GridSpec(-2 * scale, 2 * scale, -2 * scale, 2 * scale, 81, 81)
-        geo = cell_geometry(lat12, grid, cw)
-        pts = grid.points()
-        for i, p in enumerate(lat12.points):
-            if abs(p) > 1.5 * scale:
-                continue
-            ix = np.unravel_index(np.argmin(np.abs(pts - p)), pts.shape)
-            assert geo.cell_of[ix] == i
-
-    def test_grid_outside_safe_region_rejected(self, cw, lat12):
-        grid = GridSpec(-12.0, 12.0, -12.0, 12.0, 10, 10)
-        with pytest.raises(ValueError):
-            cell_geometry(lat12, grid, cw)
-
-    def test_csv_rows(self, cw, lat12):
-        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 4)
-        geo = cell_geometry(lat12, grid, cw)
-        rows = list(geo.to_csv_rows())
-        assert len(rows) == 16
-        assert all(len(r) == 3 for r in rows)
 
 
 @pytest.fixture(scope="module")

@@ -5,42 +5,13 @@ import pytest
 
 from focklattice import (NumericalError, WeightProfile, ap_probe,
                          c_gamma_for_rho_origin, choose_N, classical_weight,
-                         default_ap_radii, effective_t, estimate_t,
-                         laplacian_phi, mu_disc, phi, power_weight, rho,
-                         rho_many)
+                         default_ap_radii, effective_t, estimate_t, mu_disc,
+                         phi, power_weight, rho, rho_many)
 from focklattice import weights
 from focklattice.weights import (T_BINS, T_FIT_SLACK, T_WINDOW_DECADES,
                                  DoublingExponent, _check_refinement,
                                  _not_a_knot_spline, _unit_rho_table,
                                  default_t_pairs)
-
-
-def fd_laplacian(w, z, h=1e-4):
-    # five-point stencil oracle for the Laplacian of phi
-    f = lambda zz: phi(w, zz)
-    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h ** 2
-
-
-class TestLaplacian:
-    def test_classical_constant(self):
-        w = classical_weight()
-        assert laplacian_phi(w, 3 + 4j) == 4.0
-        assert laplacian_phi(w, 0.0) == 4.0
-
-    def test_power_gamma2_matches_classical(self):
-        w = power_weight(2.0, c_gamma=1.0)
-        assert laplacian_phi(w, 1j) == pytest.approx(4.0, abs=1e-12)
-
-    def test_power_gamma1_value_and_fd_oracle(self):
-        w = power_weight(1.0, c_gamma=1.0)
-        assert laplacian_phi(w, 4.0) == pytest.approx(0.25, rel=1e-12)
-        assert laplacian_phi(w, 4.0) == pytest.approx(fd_laplacian(w, 4.0 + 0j),
-                                                      rel=1e-6)
-
-    def test_origin_singularity_raises(self):
-        w = power_weight(1.0, c_gamma=1.0)
-        with pytest.raises(ValueError):
-            laplacian_phi(w, 0.0)
 
 
 class TestMuDisc:
@@ -64,7 +35,7 @@ class TestMuDisc:
         ts = np.linspace(0.0, R, 400)[1:]
         th = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
         zz = c + ts[:, None] * np.exp(1j * th[None, :])
-        vals = laplacian_phi(w, zz)
+        vals = w.c_gamma * w.gamma ** 2 * np.abs(zz) ** (w.gamma - 2.0)
         oracle = np.trapezoid(np.mean(vals, axis=1) * 2 * math.pi * ts, ts)
         assert mu_disc(w, c, R) == pytest.approx(float(oracle), rel=1e-4)
 
