@@ -28,5 +28,5 @@ from .transforms import (OperatorNormReport, PvResult, SequenceData,
 from .classifier import (BranchInfo, ConditionReport, Margins, TraceData,
                          TraceVerdict, classify, condition, condition_a,
                          select_branch, trajectory_margins)
-from .interpolate import (Interpolant, make_interpolant, reconstruct,
-                          reconstruct_inf, verify_interpolation, w0_from)
+from .interpolate import (Interpolant, reconstruct, verify_interpolation,
+                          w0_from)

@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .classifier import TraceData, classify, select_branch, cached_t
-from .interpolate import (make_interpolant, reconstruct, reconstruct_inf,
-                          verify_interpolation, w0_from)
+from .interpolate import (Interpolant, reconstruct, verify_interpolation,
+                          w0_from)
 from .lattice import SQUARE_SCALE, nearest_index, shells_for, square_lattice
 from .multiplier import builtin_sigma_multiplier, sigma_weighted_mag
 from .transforms import operator_norm_estimate, pv_sum, taylor_kernel_check
@@ -148,8 +148,8 @@ def criterion_3() -> CriterionResult:
     lat = _lattice(25.0)
     m = _multiplier(25.0)
     data = TraceData.gaussian(lat, m, w, math.inf, 0.4 + 0.3j)
-    I0 = reconstruct_inf(data, 0.0)
-    I1 = reconstruct_inf(data, 1.0)
+    I0 = Interpolant(data, 0.0)
+    I1 = Interpolant(data, 1.0)
     zs = _offgrid_points(lat, 50, 5.0, seed=21)
     diff = I1.eval(zs) - I0.eval(zs)
     g = np.exp(m.log_g(zs))
@@ -394,10 +394,10 @@ def criterion_9() -> CriterionResult:
     worst = 0.0
     for wv in (0.0, 0.7 - 0.2j, 1.0 + 1.0j):
         data = TraceData.gaussian(lat, m, w, 2.0, wv)
-        I = make_interpolant(data)
+        I = Interpolant(data)
         worst = max(worst, verify_interpolation(I, max_points=60))
     dinf = TraceData.gaussian(lat, m, w, math.inf, 0.4 + 0.3j)
-    Iinf = reconstruct_inf(dinf, w0_from(
+    Iinf = Interpolant(dinf, w0_from(
         lambda z: np.exp(2.0 * np.conj(0.4 + 0.3j) * z - abs(0.4 + 0.3j) ** 2), m))
     worst = max(worst, verify_interpolation(Iinf, max_points=60))
     zero = TraceData.zero(lat, m, w, 2.0)

@@ -258,14 +258,13 @@ def condition(data: TraceData, cid: str,
     the sup over lambda' != 0 of the origin-anchored modified Cauchy sum;
     b, c, bprime(n) and inf_c(n) the order-n transform of `_order_n`, n = 1
     for the Cauchy sums (b), which converge absolutely at p = 1, and n = 2
-    for Beurling-Ahlfors (c), absolute for finite l^2(rho^-1) norm."""
+    for Beurling-Ahlfors (c), absolute for any l^2(rho^-1) data."""
     if cid in ("a", "inf_a"):
         return condition_a(data)
     if cid == "b":
         return _order_n(data, 1, cid, rtol, advisory=data.p == 1.0)
     if cid == "c":
-        return _order_n(data, 2, cid, rtol,
-                        advisory=bool(np.isfinite(data.d.norm(2.0, -1.0))))
+        return _order_n(data, 2, cid, rtol, advisory=True)
     if cid == "inf_b":
         if not math.isinf(data.p):
             raise ValueError("the modified Cauchy condition applies to p = inf only")

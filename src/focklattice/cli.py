@@ -31,7 +31,7 @@ from . import __version__
 from .classifier import (DIVERGE_MIN_EXPONENT, DIVERGE_MIN_R2, FLATTEN_TOL,
                          UNCONVERGED_MAX_SHARE, TraceData, cached_t, classify)
 from .errors import FockLatticeError, NumericalError, SchemaError
-from .interpolate import make_interpolant, reconstruct_inf, verify_interpolation
+from .interpolate import Interpolant, verify_interpolation
 from .lattice import (GridSpec, Lattice, explicit_lattice, scatter_indexed,
                       shells_for, square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
@@ -50,13 +50,38 @@ def _reject_constant(name: str):
     raise SchemaError(f"job files may not hold {name}")
 
 
+def _finite(parse):
+    """A json number hook: parse(text), refused unless float(text) is finite."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            raise SchemaError(f"number {text} is not a finite double")
+        return parse(text)
+    return hook
+
+
+# digits to "0" and "E" to "e", so that a substring search finds a digit run
+_NUMBER_SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
+
+
+def _may_overflow(raw: bytes) -> bool:
+    """False when every digit run in raw is shorter than 200 and every
+    exponent has at most two digits, so that every number literal lies
+    below 1e299.  Such a file parses without the hooks, which cost a
+    Python call per literal (6-12 ms on a 10,000-entry table)."""
+    shape = raw.translate(_NUMBER_SHAPE)
+    return any(run in shape for run in (b"0" * 200, b"e000", b"e+000", b"e-000"))
+
+
 def _load_job(path: str) -> tuple:
     """The parsed job and the SHA-256 hex digest of the file's bytes.  The
-    non-standard JSON literals NaN, Infinity and -Infinity are refused."""
+    non-standard JSON literals NaN, Infinity and -Infinity are refused, and
+    so is every number literal that is not a finite double."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        job = json.loads(raw, parse_constant=_reject_constant)
+        hooks = {"parse_float": _finite(float),
+                 "parse_int": _finite(int)} if _may_overflow(raw) else {}
+        job = json.loads(raw, parse_constant=_reject_constant, **hooks)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read job file: {exc}")
     if not isinstance(job, dict):
@@ -174,6 +199,25 @@ def _pv_rtol(job: dict, args) -> float:
     return tol
 
 
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise SchemaError(f"{what} must be an integer >= 1, not {value!r}")
+    return value
+
+
+def _grid(job: dict, default_half: float, default_n: int) -> GridSpec:
+    """The square grid [-half_width, half_width]^2 with n x n points of the
+    job's "grid" object: an integer n >= 1 and a finite half_width > 0."""
+    g = job.get("grid", {})
+    half, n = g.get("half_width", default_half), g.get("n", default_n)
+    if isinstance(half, bool) or not isinstance(half, (int, float)) \
+            or not 0.0 < half < math.inf:
+        raise SchemaError(f"grid.half_width must be a finite number > 0, "
+                          f"not {half!r}")
+    n = _count(n, "grid.n")
+    return GridSpec(-half, half, -half, half, n, n)
+
+
 def _load_trace_job(args) -> tuple:
     """(job, digest, data, rtol) of a trace-check or reconstruct job: its
     trace data on the job's lattice and multiplier, and the p.v. tolerance."""
@@ -250,11 +294,7 @@ def cmd_sigma_eval(args) -> int:
     job, digest = _load_job(args.input)
     w = _build_weight(job)
     lat = _build_lattice(job, w)
-    g = job.get("grid", {})
-    half = float(g.get("half_width", lat.scale))
-    n = int(g.get("n", 100))
-    grid = GridSpec(-half, half, -half, half, n, n)
-    pts = grid.points()
+    pts = _grid(job, lat.scale, 100).points()
     vals = sigma_weighted_mag(lat, pts.ravel())
     with open(args.grid, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -308,19 +348,13 @@ def cmd_reconstruct(args) -> int:
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
     guard = data.lattice.guard_radius()
-    g = job.get("grid", {})
-    half = float(g.get("half_width", min(4.0, guard / math.sqrt(2.0))))
-    n = int(g.get("n", 60))
-    grid = GridSpec(-half, half, -half, half, n, n)
+    grid = _grid(job, min(4.0, guard / math.sqrt(2.0)), 60)
+    verify_points = _count(job.get("verify_points", 80), "verify_points")
     if grid.corner_radius > guard:
         raise ValueError(f"grid corner at radius {grid.corner_radius:.4g} lies "
                          f"beyond the guard radius {guard:.4g}")
-    if math.isinf(data.p):
-        w0 = job.get("w0")
-        I = reconstruct_inf(data, None if w0 is None else _complex_of(w0, "w0"),
-                            rtol)
-    else:
-        I = make_interpolant(data, rtol)
+    w0 = job.get("w0")
+    I = Interpolant(data, None if w0 is None else _complex_of(w0, "w0"), rtol)
     pts = grid.points().ravel()
     vals_w = I.eval_weighted(pts)
     # raw f = f e^{-phi} e^{phi}; NaN where that leaves double range
@@ -335,7 +369,7 @@ def cmd_reconstruct(args) -> int:
             wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
                          f"{f.real:.12g}", f"{f.imag:.12g}",
                          f"{abs(vw):.12g}"])
-    residual = verify_interpolation(I, max_points=int(job.get("verify_points", 80)))
+    residual = verify_interpolation(I, max_points=verify_points)
     results = {"grid_file": args.grid, "max_weighted_residual": residual,
                "raw_overflow_points": int(overflow.sum()),
                "mode": I.mode, "w0": I.w0,

@@ -12,8 +12,10 @@ function via w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)).
 
 Evaluation happens in weighted space (values times e^{-phi}) wherever
 magnitudes can reach e^{phi}; raw outputs are restricted to the guard band.
-Within 1e-3 rho of a lattice point the leading kernel term is folded into
-the deflated factor g(z)/(z - lambda) to avoid 0/0 amplification.
+The kernel sums are the p.v. engine's own order-1 and modified rows,
+centred at z (`transforms._shell_partials`).  Every off-lattice z is
+deflated at its nearest lattice point: the pole term joins g(z)/(z -
+lambda), which `Multiplier.log_g_deflated` gives stably at any distance.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .classifier import TraceData, shell_trajectory, trajectory_margins
 from .errors import NumericalError
 from .lattice import nearest_index, shells_for
 from .multiplier import Multiplier
-from .transforms import PV_RTOL, _shell_kernel, loglog_fit
+from .transforms import (PV_RTOL, _higher_terms, _modified_terms,
+                         _shell_partials, loglog_fit)
 # rho_many is unused here, but perfbench's tracer wraps it under this
 # module's name (focklattice.interpolate:rho_many) and cannot install without it
 from .weights import phi, rho_many
@@ -35,60 +38,30 @@ from .weights import phi, rho_many
 __all__ = [
     "Interpolant",
     "reconstruct",
-    "reconstruct_inf",
-    "make_interpolant",
     "w0_from",
     "verify_interpolation",
 ]
 
-_NEAR_FACTOR = 1e-3
 _ON_FACTOR = 1e-8
 
 
-def _kernel_shell_sums(data: TraceData, z: np.ndarray, excl: np.ndarray,
-                       mode: str, w0: complex):
-    """(len(z) x shells) matrix of per-shell sums of the reconstruction
-    kernel at each z, built shell by shell.
+def _eval_core(I: "Interpolant", z, weighted: bool):
+    """f(z), or f(z) e^{-phi(z)} when weighted, deflated at the nearest
+    lattice point lambda_k of every off-lattice z:
 
-    The term of index excl[j] (-1: none) loses its 1/(z - lambda) half at
-    z[j]; the deflated factor g(z)/(z - lambda) carries it instead.  In
-    p = inf mode the +1/lambda half and w0 stay.
-    """
+        f(z) = [g(z)/(z - lambda_k)] (d_k + (z - lambda_k) S_k),
+
+    S_k the kernel sum without the pole term of lambda_k: minus the
+    order-1 rows of `_higher_terms` at finite p, and w0 + d_k/lambda_k
+    (0 for k = 0) minus the `_modified_terms` rows at p = inf."""
+    data = I.data
     lat = data.lattice
     d = data.d.values
-    pts = lat.points
-    sched = shells_for(lat)
-    out = np.empty((len(z), sched.n_shells), dtype=complex)
-    bounds = np.append(sched.starts, len(lat))
-    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if mode == "inf" and s == 0:
-            # the origin shell holds the origin alone
-            out[:, 0] = w0 + np.where(excl == 0, 0.0, d[0] / z)
-            continue
-        lam, dm = pts[a:b], d[a:b]
-        if mode == "finite":
-            block = dm[None, :] / (z[:, None] - lam[None, :])
-        else:
-            block = dm[None, :] * (1.0 / (z[:, None] - lam[None, :]) + 1.0 / lam[None, :])
-        rows = np.nonzero((excl >= a) & (excl < b))[0]
-        k = excl[rows] - a
-        block[rows, k] = 0.0 if mode == "finite" else dm[k] / lam[k]
-        out[:, s] = np.sum(block, axis=1)
-    return out
-
-
-def _eval_core(data: TraceData, z, mode: str, w0: complex,
-               rtol: float, weighted: bool):
-    lat = data.lattice
-    m = data.multiplier
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(zarr.shape, dtype=complex)
 
-    # classify points: on-lattice / near-lattice / regular
     nearest, dmin = nearest_index(lat, zarr)
     on = dmin <= _ON_FACTOR * lat.scale
-    near = (~on) & (dmin <= _NEAR_FACTOR * lat.rho_values[nearest])
-
     if on.any():
         cw = data.c_weighted[nearest[on]]
         if weighted:
@@ -99,23 +72,22 @@ def _eval_core(data: TraceData, z, mode: str, w0: complex,
 
     off = ~on
     if off.any():
-        zs = zarr[off]
-        excl = np.where(near[off], nearest[off], -1)
-        partials, conv, spread = _shell_kernel(
-            _kernel_shell_sums(data, zs, excl, mode, w0), rtol)
+        zs, k = zarr[off], nearest[off]
+        if I.w0 is None:
+            rows = lambda r: _higher_terms(lat, data.d, zs[r], k[r], 1)
+        else:
+            rows = lambda r: _modified_terms(lat, data.d, zs[r], k[r])
+        partials, conv, spread = _shell_partials(lat, len(zs), rows, I.rtol)
         if not conv.all():
             _check_summable(data, zs, partials, spread)
-        shift = phi(data.weight, zs) if weighted else np.zeros(zs.shape)
-        vals = np.exp(m.log_g(zs) - shift) * partials[:, -1]
-        nr = excl >= 0
-        if nr.any():
-            # the folded lead term d_lambda g(z)/(z - lambda)
-            log_defl = m.log_g_deflated(zs[nr], excl[nr])
-            vals[nr] += np.exp(log_defl - shift[nr]) * data.d.values[excl[nr]]
-        out[off] = vals
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(out[0])
-    return out
+        s = -partials[:, -1]
+        if I.w0 is not None:
+            s += I.w0 + np.divide(d[k], lat.points[k], out=np.zeros(len(k), complex),
+                                  where=k > 0)
+        shift = phi(data.weight, zs) if weighted else 0.0
+        out[off] = (np.exp(data.multiplier.log_g_deflated(zs, k) - shift)
+                    * (d[k] + (zs - lat.points[k]) * s))
+    return complex(out[0]) if np.ndim(z) == 0 else out
 
 
 def _check_summable(data: TraceData, zs: np.ndarray, partials: np.ndarray,
@@ -138,56 +110,39 @@ def _check_summable(data: TraceData, zs: np.ndarray, partials: np.ndarray,
 
 
 def reconstruct(data: TraceData, z, rtol: float = PV_RTOL):
-    """Value of the reconstructed interpolant at z (finite-p formula).
+    """Value at z of the interpolant of `data` (w0 = 0 at p = inf).
 
-    On-lattice queries return c_lambda directly; points inside the guard
-    band evaluate g(z) times the shell-ordered kernel sum, deflating the
-    nearest factor within 1e-3 rho of the lattice.  Non-convergence of the
-    principal value raises NumericalError carrying the fitted growth
-    exponent."""
-    return _eval_core(data, z, "finite", 0.0, rtol, weighted=False)
+    On-lattice queries return c_lambda directly; other points inside the
+    guard band evaluate the kernel sum deflated at the nearest lattice
+    point.  Non-convergence of the principal value raises NumericalError
+    carrying the fitted growth exponent."""
+    return Interpolant(data, rtol=rtol).eval(z)
 
 
 class Interpolant:
-    """Evaluator for one reconstruction; immutable and shareable."""
+    """Evaluator for one reconstruction; immutable and shareable.
 
-    def __init__(self, data: TraceData, mode: str, w0: Optional[complex] = None,
-                 rtol: float = PV_RTOL, representative_only: bool = False):
+    The formula follows data.p.  The free parameter w0 belongs to the
+    p = inf representation only (ValueError at finite p); a missing w0
+    defaults to 0 and flags the output as one representative of the
+    family f + C g."""
+
+    def __init__(self, data: TraceData, w0: Optional[complex] = None,
+                 rtol: float = PV_RTOL):
+        inf = math.isinf(data.p)
+        if w0 is not None and not inf:
+            raise ValueError("w0 belongs to the p = inf representation")
         self.data = data
-        self.mode = mode                   # "finite_p" | "infinity"
-        self.w0 = w0
+        self.mode = "infinity" if inf else "finite_p"
+        self.w0 = (0.0 if w0 is None else complex(w0)) if inf else None
         self.rtol = rtol
-        # w0 defaulted: one member of f + C g
-        self.representative_only = representative_only
+        self.representative_only = inf and w0 is None
 
     def eval(self, z):
-        w0 = self.w0 if self.w0 is not None else 0.0
-        kind = "finite" if self.mode == "finite_p" else "inf"
-        return _eval_core(self.data, z, kind, w0, self.rtol, weighted=False)
+        return _eval_core(self, z, weighted=False)
 
     def eval_weighted(self, z):
-        w0 = self.w0 if self.w0 is not None else 0.0
-        kind = "finite" if self.mode == "finite_p" else "inf"
-        return _eval_core(self.data, z, kind, w0, self.rtol, weighted=True)
-
-
-def make_interpolant(data: TraceData, rtol: float = PV_RTOL) -> Interpolant:
-    if math.isinf(data.p):
-        raise ValueError("finite-p interpolant requested for p = inf data")
-    return Interpolant(data=data, mode="finite_p", rtol=rtol)
-
-
-def reconstruct_inf(data: TraceData, w0: Optional[complex] = None,
-                    rtol: float = PV_RTOL) -> Interpolant:
-    """Interpolant from the p = inf representation with free parameter w0.
-
-    A missing w0 defaults to 0 and flags the output as one representative
-    of the family f + C g."""
-    if not math.isinf(data.p):
-        raise ValueError("reconstruct_inf requires p = inf data")
-    return Interpolant(data=data, mode="infinity",
-                       w0=0.0 if w0 is None else complex(w0), rtol=rtol,
-                       representative_only=w0 is None)
+        return _eval_core(self, z, weighted=True)
 
 
 def w0_from(f: Callable, m: Multiplier) -> complex:

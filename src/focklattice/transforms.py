@@ -15,9 +15,13 @@ Which path runs follows from the lattice, with no knob:
   per-shell sums into compensated partial-sum trajectories.  Lattice
   indices run in ascending radius order (`Lattice` enforces it), so the
   per-shell sums of a term matrix are one `np.add.reduceat` over the shell
-  starts.  It serves explicit lattices, the scalar transforms that return
-  whole `PvResult` trajectories, and the reconstruction sums of
-  `interpolate`; the tests use it as the oracle.
+  starts.  One builder per kernel (`_higher_terms`, `_modified_terms`)
+  writes the rows at any centres, each row's own index zeroed, and
+  `_shell_partials` sums them in blocks of _CHUNK_TERMS terms before one
+  compensated pass over all rows.  It serves explicit lattices, the
+  scalar transforms that return whole `PvResult` trajectories, and the
+  reconstruction sums of `interpolate` (centres z, own index the point
+  nearest z); the tests use it as the oracle.
 * On the square lattice `batch_higher` and `batch_modified_inf` take the
   whole-disc total at every centre from one 2-D FFT correlation of the
   grid-embedded d with the order-n kernel (K(0) = 0), O(R^2 log R) instead
@@ -73,8 +77,9 @@ __all__ = [
     "taylor_kernel_check",
 ]
 
-# terms per row block of the batch transforms (64 MB of complex terms)
-_CHUNK_TERMS = 4_000_000
+# terms per row block of every term matrix: 128 KB of complex terms, under
+# glibc's default mmap threshold, like weights._CHUNK
+_CHUNK_TERMS = 8192
 # inner centres lambda' of the trace conditions lie in
 # |lambda'| <= OUTER_GUARD_FRACTION * R, away from the truncation edge
 OUTER_GUARD_FRACTION = 0.5
@@ -159,84 +164,87 @@ def pv_sum(schedule: ShellSchedule, terms: np.ndarray,
 
 
 class SequenceData:
-    """A weighted sequence d over lattice indices with cached norms."""
+    """A weighted sequence d over lattice indices."""
 
     def __init__(self, lattice: Lattice, values: np.ndarray):
         self.lattice = lattice
         self.values = np.asarray(values, dtype=complex)
-        self._norms = {}
         if self.values.shape != (len(lattice),):
             raise ValueError("sequence must cover every lattice index")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sequence entries must be finite")
 
-    def norm(self, p: float, alpha: float = -1.0) -> float:
-        """l^p norm of d_lambda * rho(lambda)^alpha."""
-        key = (p, alpha)
-        if key not in self._norms:
-            wvals = np.abs(self.values) * self.lattice.rho_values ** alpha
-            if math.isinf(p):
-                self._norms[key] = float(wvals.max()) if len(wvals) else 0.0
-            else:
-                self._norms[key] = float(np.sum(wvals ** p) ** (1.0 / p))
-        return self._norms[key]
 
-
-def _zero_self(terms: np.ndarray, blk: np.ndarray, first: int):
-    # terms spans the indices first.. ; zero each centre's own term
-    rows = np.nonzero(blk >= first)[0]
-    terms[rows, blk[rows] - first] = 0.0
-
-
-def _higher_terms(lat: Lattice, d: SequenceData, blk, n: int, first: int = 0):
-    """Rows d_lambda / (lambda - lambda')^n over the indices first.. for the
-    centres lambda' = blk, with the centre's own term 0."""
+def _higher_terms(lat: Lattice, d: SequenceData, centres, own, n: int,
+                  first: int = 0):
+    """Rows d_lambda / (lambda - centre)^n over the indices first.., with
+    each row's own index `own` zeroed (the centre's own term, or the pole
+    that reconstruction deflates)."""
     if n < 1:
         raise ValueError(f"transform order n={n} out of range")
-    blk = np.asarray(blk, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d.values[None, first:] / (lat.points[None, first:]
-                                          - lat.points[blk, None]) ** n
-    _zero_self(terms, blk, first)
+        terms = d.values[first:] / (lat.points[first:] - centres[:, None]) ** n
+    _zero_own(terms, own, first)
     return terms
 
 
-def _modified_terms(lat: Lattice, d: SequenceData, blk, first: int = 0):
-    """Rows of the modified Cauchy kernel over the indices first.. for the
-    nonzero centres blk."""
-    blk = np.asarray(blk, dtype=int)
-    centers = lat.points[blk]
-    if np.any(centers == 0.0):
+def _modified_terms(lat: Lattice, d: SequenceData, centres, own, first: int = 0):
+    """Rows of the modified Cauchy kernel over the indices first.. at the
+    nonzero centres, with each row's own index `own` zeroed; the origin
+    column -d_0/centre is set first, so own = 0 zeroes it too."""
+    if np.any(centres == 0.0):
         raise ValueError("modified transform requires lambda' != 0")
     inv_lam = np.zeros(len(lat), dtype=complex)
     inv_lam[1:] = 1.0 / lat.points[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d.values[None, first:] * (
-            1.0 / (lat.points[None, first:] - centers[:, None]) - inv_lam[None, first:])
-    _zero_self(terms, blk, first)
+        terms = d.values[first:] * (1.0 / (lat.points[first:] - centres[:, None])
+                                    - inv_lam[first:])
     if first == 0:
-        terms[:, 0] = -d.values[0] / centers
+        terms[:, 0] = -d.values[0] / centres
+    _zero_own(terms, own, first)
     return terms
+
+
+def _zero_own(terms: np.ndarray, own: np.ndarray, first: int):
+    # terms spans the indices first.. ; zero each row's own term
+    rows = np.nonzero(own >= first)[0]
+    terms[rows, own[rows] - first] = 0.0
+
+
+def _row_sums(count: int, width: int, terms_of, starts) -> np.ndarray:
+    """(count x len(starts)) sums of the term rows terms_of(rows) (rows a
+    slice of range(count), `width` terms each) over the column runs that
+    begin at `starts`, in row blocks of at most _CHUNK_TERMS terms."""
+    out = np.empty((count, len(starts)), dtype=complex)
+    step = max(1, _CHUNK_TERMS // max(1, width))
+    for i in range(0, count, step):
+        # runs even without columns: terms_of validates its arguments
+        terms = terms_of(slice(i, i + step))
+        if len(starts):
+            out[i:i + step] = np.add.reduceat(terms, starts, axis=1)
+    return out
+
+
+def _shell_partials(lat: Lattice, count: int, terms_of, rtol: float):
+    """`_shell_kernel` of the per-shell sums of count term rows
+    terms_of(rows) over every lattice index: (partials, converged,
+    spread).  The compensated pass runs once, over all rows."""
+    return _shell_kernel(_row_sums(count, len(lat), terms_of,
+                                   shells_for(lat).starts), rtol)
 
 
 def _batch_values(lat: Lattice, indices, rtol: float, terms_of, totals):
     """Values and convergence flags of the p.v. sums with term rows
-    terms_of(block, first) (over the indices first..) at the centres: from
-    `_tail_partials` on the square lattice, and on explicit lattices
-    through the shell kernel in blocks of at most _CHUNK_TERMS terms."""
+    terms_of(block, first) (over the indices first..) at the centres
+    points[indices]: from `_tail_partials` on the square lattice, and on
+    explicit lattices from `_shell_partials`."""
     indices = np.asarray(indices, dtype=int)
     if lat.kind == "square":
         partials = _tail_partials(lat, indices, terms_of, totals)
         return partials[:, -1], _window_test(partials, rtol)[0]
-    values = np.empty(len(indices), dtype=complex)
-    converged = np.empty(len(indices), dtype=bool)
-    starts = shells_for(lat).starts
-    rows = max(1, _CHUNK_TERMS // len(lat))
-    for i in range(0, len(indices), rows):
-        shell_sums = np.add.reduceat(terms_of(indices[i:i + rows]), starts, axis=1)
-        partials, conv, _ = _shell_kernel(shell_sums, rtol)
-        values[i:i + rows], converged[i:i + rows] = partials[:, -1], conv
-    return values, converged
+    partials, conv, _ = _shell_partials(
+        lat, len(indices), lambda rows: terms_of(indices[rows]), rtol)
+    return partials[:, -1], conv
 
 
 def _tail_partials(lat: Lattice, indices: np.ndarray, terms_of,
@@ -247,14 +255,9 @@ def _tail_partials(lat: Lattice, indices: np.ndarray, terms_of,
     sched = shells_for(lat)
     k = min(CAUCHY_WINDOW, sched.n_shells) - 1
     first = int(sched.starts[-k]) if k > 0 else len(lat)
-    outer = np.empty((len(indices), k), dtype=complex)
-    rows = max(1, _CHUNK_TERMS // max(1, len(lat) - first))
-    for i in range(0, len(indices), rows):
-        # runs even without outer shells: terms_of validates its arguments
-        terms = terms_of(indices[i:i + rows], first)
-        if k > 0:
-            outer[i:i + rows] = np.add.reduceat(terms, sched.starts[-k:] - first,
-                                                axis=1)
+    outer = _row_sums(len(indices), len(lat) - first,
+                      lambda rows: terms_of(indices[rows], first),
+                      sched.starts[sched.n_shells - k:] - first)
     total = totals(indices)[:, None]
     beyond = np.cumsum(outer[:, ::-1], axis=1)[:, ::-1]
     return np.concatenate([total - beyond, total], axis=1)
@@ -279,7 +282,9 @@ def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
     the discrete Cauchy transform for n = 1, Beurling-Ahlfors for n = 2.
     The rho(lambda')^(n-1) prefactor of the trace conditions is applied by
     the caller."""
-    return pv_sum(shells_for(lat), _higher_terms(lat, d, [index], n)[0], rtol)
+    own = np.array([index])
+    return pv_sum(shells_for(lat),
+                  _higher_terms(lat, d, lat.points[own], own, n)[0], rtol)
 
 
 def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
@@ -288,7 +293,9 @@ def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
     d_lambda (1/(lambda - lambda') - 1/lambda); the sup-norm counterpart of
     the Cauchy condition.  The kernel decays like |lambda'|/|lambda|^2, so
     bounded (rho^-1-weighted) data sums absolutely at fixed lambda'."""
-    return pv_sum(shells_for(lat), _modified_terms(lat, d, [index])[0], rtol)
+    own = np.array([index])
+    return pv_sum(shells_for(lat),
+                  _modified_terms(lat, d, lat.points[own], own)[0], rtol)
 
 
 def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
@@ -296,7 +303,8 @@ def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
     """Order-n transforms at many centers (vectorised higher_transform):
     arrays of values and convergence flags."""
     return _batch_values(lat, indices, rtol,
-                         lambda blk, first=0: _higher_terms(lat, d, blk, n, first),
+                         lambda blk, first=0: _higher_terms(lat, d, lat.points[blk],
+                                                            blk, n, first),
                          lambda idx: _correlate(lat, d, n, idx))
 
 
@@ -310,7 +318,8 @@ def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
         return _correlate(lat, d, 1, idx) - c + d.values[idx] / lat.points[idx]
 
     return _batch_values(lat, indices, rtol,
-                         lambda blk, first=0: _modified_terms(lat, d, blk, first),
+                         lambda blk, first=0: _modified_terms(lat, d, lat.points[blk],
+                                                              blk, first),
                          totals)
 
 

@@ -493,12 +493,11 @@ def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float,
     return ratios
 
 
-def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
-             centers: Optional[Sequence[complex]] = None) -> ApReport:
+def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     """Probe whether rho^(p-2) satisfies the A_p disc condition.
 
     For each radius the ratio is maximised over the origin-centred disc and
-    (by default) eight centers on the ring |c| = radius.  A fitted slope
+    eight centers on the ring |c| = radius.  A fitted slope
     <= 0.05 over the largest decade of radii declares the condition
     satisfied; the p = 2 case gives ratio exactly 1 for every disc.  All
     discs of all radii go through the disc quadrature as one batch.
@@ -517,11 +516,8 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float],
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be ascending")
     R = np.asarray(radii)[:, None]
-    if centers is None:
-        ring = R * np.exp(2j * math.pi * np.arange(8) / 8.0)
-        discs = np.concatenate([np.zeros_like(ring[:, :1]), ring], axis=1)
-    else:
-        discs = np.asarray(centers, dtype=complex)[None, :]
+    ring = R * np.exp(2j * math.pi * np.arange(8) / 8.0)
+    discs = np.concatenate([np.zeros_like(ring[:, :1]), ring], axis=1)
     vals = _disc_ratios(w, np.abs(discs), R, p)
     bad = ~np.all(np.isfinite(vals) & (vals > 0.0), axis=1)
     if np.any(bad):

@@ -417,6 +417,56 @@ class TestOtherCommands:
         assert rc == 2 and rep is None and not grid.exists()
         assert f"may not hold {literal}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, key, literal", [
+        ("lattice-info", "R", "1e400"),
+        ("lattice-info", "R", "1" + "0" * 400),
+        ("op-norm", "sizes", "[200, 1e400]")], ids=["1e400", "1e400-int", "sizes"])
+    def test_number_literals_beyond_a_double_are_schema_errors(
+            self, tmp_path, capsys, cmd, key, literal):
+        # json reads 1e400 as inf and the 401-digit integer exactly; each
+        # ended in an uncaught OverflowError (exit 1)
+        job = (dict(BASE, lattice={"kind": "square", "R": "@"}) if key == "R"
+               else {"op": "B", "p": 2, "sizes": "@"})
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job).replace('"@"', literal))
+        out = tmp_path / "out.json"
+        rc = main([cmd, "--input", str(path), "--output", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "double" in capsys.readouterr().err
+
+    def test_number_literals_within_a_double_are_read(self, tmp_path):
+        # a three-digit exponent takes the checked parse, which keeps them
+        path = tmp_path / "job.json"
+        path.write_text('{"lattice": {"kind": "square", "R": 1000e-002}, '
+                        '"density_r_max": 0.2000000000000000000000000e+000}')
+        out = tmp_path / "out.json"
+        assert main(["lattice-info", "--input", str(path), "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["lattice"]["R"] == 10.0
+        assert rep["config"]["density_r_max"] == 0.2
+
+    @pytest.mark.parametrize("cmd, field, extra", [
+        *((cmd, field, {"grid": grid})
+          for cmd in ("sigma-eval", "reconstruct")
+          for field, grid in (("grid.n", {"half_width": 1.0, "n": 0}),
+                              ("grid.n", {"half_width": 1.0, "n": -3}),
+                              ("grid.n", {"half_width": 1.0, "n": 2.5}),
+                              ("grid.half_width", {"half_width": 0, "n": 2}),
+                              ("grid.half_width", {"half_width": -1.0, "n": 2}))),
+        ("reconstruct", "verify_points", {"verify_points": 0})])
+    def test_grid_fields_are_schema_errors(self, tmp_path, capsys, cmd, field,
+                                           extra):
+        # n <= 0 wrote a header-only grid (reconstruct, exit 0) or raised
+        # numpy's zero-size error; n = 2.5 ran as 2; half_width <= 0 ran;
+        # verify_points 0 reported a residual of 0 from no points
+        job = dict(BASE, values={"kind": "zero"}, p=2,
+                   **{"grid": {"half_width": 1.0, "n": 2}, "verify_points": 4,
+                      **extra})
+        grid = tmp_path / "g.csv"
+        rc, rep = run(tmp_path, job, cmd, ["--grid", str(grid)])
+        assert rc == 2 and rep is None and not grid.exists()
+        assert field in capsys.readouterr().err
+
     def test_reconstruct_raw_overflow_is_nan(self, tmp_path):
         # corner cells centred at (+-20, +-20): phi = 800 > log(max double);
         # the edge cells (phi = 400) and the centre stay finite.  The grid

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (NumericalError, make_interpolant, reconstruct,
-                         reconstruct_inf, verify_interpolation, w0_from)
+import focklattice.transforms
+from focklattice import (Interpolant, NumericalError, reconstruct,
+                         verify_interpolation, w0_from)
 from focklattice.classifier import TraceData
 from conftest import gaussian_fn
 
@@ -52,7 +53,7 @@ class TestReconstruct:
         data = TraceData.gaussian(lat16, mult16, cw, 2.0, wv)
         lam = lat16.points[5]
         rho = lat16.rho_values[5]
-        z = lam + 1e-4 * rho          # inside the deflation threshold
+        z = lam + 1e-4 * rho
         rec = reconstruct(data, z)
         assert abs(rec - gaussian_fn(wv)(z)) * math.exp(-abs(z) ** 2) <= 1e-6
 
@@ -95,8 +96,8 @@ class TestReconstruct:
 class TestReconstructInf:
     def test_w0_shift_is_exactly_g(self, lat16, mult16, cw, rng):
         data = TraceData.gaussian(lat16, mult16, cw, math.inf, 0.5 + 0.2j)
-        I0 = reconstruct_inf(data, 0.0)
-        I1 = reconstruct_inf(data, 1.0)
+        I0 = Interpolant(data, 0.0)
+        I1 = Interpolant(data, 1.0)
         zs = offgrid(lat16, rng, 30, 4.0)
         g = np.exp(mult16.log_g(zs))
         assert np.max(np.abs((I1.eval(zs) - I0.eval(zs)) - g) / np.abs(g)) <= 1e-10
@@ -105,17 +106,17 @@ class TestReconstructInf:
         wv = 0.4 - 0.3j
         data = TraceData.gaussian(lat16, mult16, cw, math.inf, wv)
         w0 = w0_from(gaussian_fn(wv), mult16)
-        I = reconstruct_inf(data, w0)
+        I = Interpolant(data, w0)
         zs = offgrid(lat16, rng, 40, 4.0)
         err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
         assert np.max(err) <= 1e-3
 
     def test_near_lattice_deflated_path(self, lat16, mult16, cw):
-        # within 1e-3 rho the excluded term keeps its +1/lambda half (and
-        # at the origin w0); the origin and four other points
+        # the deflated term keeps its +1/lambda half (and at the origin
+        # w0); the origin and four other points
         wv = 0.4 - 0.3j
         data = TraceData.gaussian(lat16, mult16, cw, math.inf, wv)
-        I = reconstruct_inf(data, w0_from(gaussian_fn(wv), mult16))
+        I = Interpolant(data, w0_from(gaussian_fn(wv), mult16))
         idx = np.array([0, 3, 5, 12, 30])
         zs = lat16.points[idx] + 1e-4 * lat16.rho_values[idx] * np.exp(0.7j)
         err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
@@ -123,21 +124,48 @@ class TestReconstructInf:
 
     def test_zero_data_w0_one_gives_g(self, lat16, mult16, cw, rng):
         data = TraceData.zero(lat16, mult16, cw, math.inf)
-        I = reconstruct_inf(data, 1.0)
+        I = Interpolant(data, 1.0)
         zs = offgrid(lat16, rng, 20, 4.0)
         g = np.exp(mult16.log_g(zs))
         assert np.allclose(I.eval(zs), g, rtol=1e-12)
 
     def test_default_w0_flagged(self, lat16, mult16, cw):
         data = TraceData.zero(lat16, mult16, cw, math.inf)
-        I = reconstruct_inf(data)
+        I = Interpolant(data)
         assert I.representative_only
         assert I.w0 == 0.0
 
-    def test_requires_inf_data(self, lat16, mult16, cw):
+    def test_w0_requires_inf_data(self, lat16, mult16, cw):
         data = TraceData.zero(lat16, mult16, cw, 2.0)
         with pytest.raises(ValueError):
-            reconstruct_inf(data, 0.0)
+            Interpolant(data, w0=1)
+
+
+class TestDeflatedEvaluation:
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 9e-4, 1.1e-3, 0.1, 0.4])
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_gaussian_at_distance(self, lat16, mult16, cw, t, p):
+        # z = lambda + t rho e^{i theta}: one deflated formula at every
+        # distance from the nearest point, down to 1e-12 rho and out to 0.4
+        wv = 0.4 - 0.3j
+        data = TraceData.gaussian(lat16, mult16, cw, p, wv)
+        I = Interpolant(data, w0_from(gaussian_fn(wv), mult16)
+                        if math.isinf(p) else None)
+        idx = np.array([0, 3, 5, 12, 30])
+        zs = lat16.points[idx] + t * lat16.rho_values[idx] * np.exp(
+            1j * np.linspace(0.3, 5.9, len(idx)))
+        err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
+        assert np.max(err) <= 1e-10
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_block_size_independent(self, lat12, mult12, cw, rng, monkeypatch, p):
+        # one term row per block gives the same bits as the default blocks
+        data = TraceData.gaussian(lat12, mult12, cw, p, 0.3 + 0.2j)
+        I = Interpolant(data)
+        zs = np.concatenate([offgrid(lat12, rng, 40, 4.0), lat12.points[:3] + 1e-6])
+        want = I.eval_weighted(zs)
+        monkeypatch.setattr(focklattice.transforms, "_CHUNK_TERMS", 1)
+        assert np.array_equal(I.eval_weighted(zs), want)
 
 
 class TestW0From:
@@ -180,9 +208,9 @@ class TestW0From:
 class TestVerifyAndNorms:
     def test_zero_data_residual(self, lat16, mult16, cw):
         data = TraceData.zero(lat16, mult16, cw, 2.0)
-        assert verify_interpolation(make_interpolant(data)) == 0.0
+        assert verify_interpolation(Interpolant(data)) == 0.0
 
     def test_gaussian_residual(self, lat16, mult16, cw):
         data = TraceData.gaussian(lat16, mult16, cw, 2.0, 0.7 - 0.2j)
-        res = verify_interpolation(make_interpolant(data), max_points=50)
+        res = verify_interpolation(Interpolant(data), max_points=50)
         assert res <= 1e-3

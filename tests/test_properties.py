@@ -9,9 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from focklattice import (SequenceData, TraceData, batch_higher,  # noqa: E402
-                         classify, make_interpolant, mu_disc_many, power_weight,
-                         pv_sum, reconstruct_inf, rho, rho_many, shells_for)
+from focklattice import (Interpolant, SequenceData, TraceData,  # noqa: E402
+                         batch_higher, classify, mu_disc_many, power_weight,
+                         pv_sum, rho, rho_many, shells_for)
 
 _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
 
@@ -117,7 +117,7 @@ class TestReconstructionProperties:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(inf=st.booleans(), seed=_seeds)
     def test_linear_in_values(self, lat12, mult12, cw, inf, seed):
-        # the regular, near-lattice (deflated) and on-lattice paths alike
+        # points far from the lattice, 1e-4 rho from it, and on it
         rng = np.random.default_rng(seed)
         p = math.inf if inf else 2.0
         a, b, w01, w02 = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -131,8 +131,7 @@ class TestReconstructionProperties:
                             near, lat12.points[k[:2]]])
 
         def ev(data, w0):
-            I = reconstruct_inf(data, w0) if inf else make_interpolant(data)
-            return I.eval_weighted(z)
+            return Interpolant(data, w0 if inf else None).eval_weighted(z)
 
         lhs = ev(mix, a * w01 + b * w02)
         rhs = a * ev(d1, w01) + b * ev(d2, w02)

@@ -212,6 +212,19 @@ class TestFftPath:
             assert np.all(np.abs(fv - sv) <= bound), (n, np.max(np.abs(fv - sv) / bound))
             assert np.array_equal(fc, sc), n
 
+    def test_explicit_path_block_size_independent(self, lat12, rng, monkeypatch):
+        # one term row per block gives the same bits as the default blocks
+        import focklattice.transforms
+        lat = shell_oracle(lat12)
+        d = SequenceData(lat, rng.standard_normal(len(lat))
+                         + 1j * rng.standard_normal(len(lat)))
+        idx = np.arange(len(lat))
+        want = [batch_higher(lat, d, idx, n) for n in (1, 2)]
+        monkeypatch.setattr(focklattice.transforms, "_CHUNK_TERMS", 1)
+        for n, (wv, wc) in zip((1, 2), want):
+            v, c = batch_higher(lat, d, idx, n)
+            assert np.array_equal(v, wv) and np.array_equal(c, wc)
+
     def test_tail_partials_match_shell_partials(self, lat16, rng):
         # the last CAUCHY_WINDOW partials themselves, not only the verdict
         from focklattice.transforms import (CAUCHY_WINDOW, _higher_terms,
@@ -222,7 +235,7 @@ class TestFftPath:
         w = CAUCHY_WINDOW
         for n in (1, 2, 3):
             def terms_of(blk, first=0):
-                return _higher_terms(lat16, d, blk, n, first)
+                return _higher_terms(lat16, d, lat16.points[blk], blk, n, first)
             fft = _tail_partials(lat16, idx, terms_of,
                                  lambda i: batch_higher(lat16, d, i, n)[0])
             shell = np.array([higher_transform(lat16, d, int(i), n).shell_partials[-w:]
