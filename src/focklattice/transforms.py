@@ -18,10 +18,12 @@ Which path runs follows from the lattice, with no knob:
   starts.  One builder per kernel (`_higher_terms`, `_modified_terms`)
   writes the rows at any centres, each row's own index zeroed, and
   `_shell_partials` sums them in blocks of _CHUNK_TERMS terms before one
-  compensated pass over all rows.  It serves explicit lattices, the
-  scalar transforms that return whole `PvResult` trajectories, and the
-  reconstruction sums of `interpolate` (centres z, own index the point
-  nearest z); the tests use it as the oracle.
+  compensated pass over all rows.  It serves the scalar transforms that
+  return whole `PvResult` trajectories, the reconstruction sums of
+  `interpolate` (centres z, own index the point nearest z) and explicit
+  lattices, whose shells number about as many as their points, so there
+  one pass covers at most _PASS_SUMS per-shell sums; the tests use it as
+  the oracle.
 * On the square lattice `batch_higher` and `batch_modified_inf` take the
   whole-disc total at every centre from one 2-D FFT correlation of the
   grid-embedded d with the order-n kernel (K(0) = 0), O(R^2 log R) instead
@@ -77,9 +79,12 @@ __all__ = [
     "taylor_kernel_check",
 ]
 
-# terms per row block of every term matrix: 128 KB of complex terms, under
-# glibc's default mmap threshold, like weights._CHUNK
-_CHUNK_TERMS = 8192
+# terms per row block of every term matrix: 125 KB of complex terms, under
+# glibc's default 128 KB mmap threshold, like weights._CHUNK
+_CHUNK_TERMS = 8000
+# per-shell sums per compensated pass on explicit lattices (64 MB): there
+# the shells number about as many as the points
+_PASS_SUMS = 4_000_000
 # inner centres lambda' of the trace conditions lie in
 # |lambda'| <= OUTER_GUARD_FRACTION * R, away from the truncation edge
 OUTER_GUARD_FRACTION = 0.5
@@ -237,14 +242,21 @@ def _batch_values(lat: Lattice, indices, rtol: float, terms_of, totals):
     """Values and convergence flags of the p.v. sums with term rows
     terms_of(block, first) (over the indices first..) at the centres
     points[indices]: from `_tail_partials` on the square lattice, and on
-    explicit lattices from `_shell_partials`."""
+    explicit lattices from `_shell_partials`, one pass per _PASS_SUMS
+    per-shell sums."""
     indices = np.asarray(indices, dtype=int)
     if lat.kind == "square":
         partials = _tail_partials(lat, indices, terms_of, totals)
         return partials[:, -1], _window_test(partials, rtol)[0]
-    partials, conv, _ = _shell_partials(
-        lat, len(indices), lambda rows: terms_of(indices[rows]), rtol)
-    return partials[:, -1], conv
+    values = np.empty(len(indices), dtype=complex)
+    converged = np.empty(len(indices), dtype=bool)
+    step = max(1, _PASS_SUMS // shells_for(lat).n_shells)
+    for i in range(0, len(indices), step):
+        blk = indices[i:i + step]
+        partials, converged[i:i + step], _ = _shell_partials(
+            lat, len(blk), lambda rows: terms_of(blk[rows]), rtol)
+        values[i:i + step] = partials[:, -1]
+    return values, converged
 
 
 def _tail_partials(lat: Lattice, indices: np.ndarray, terms_of,

@@ -435,7 +435,7 @@ class TestOtherCommands:
         assert "double" in capsys.readouterr().err
 
     def test_number_literals_within_a_double_are_read(self, tmp_path):
-        # a three-digit exponent takes the checked parse, which keeps them
+        # the checked parse keeps long mantissas and three-digit exponents
         path = tmp_path / "job.json"
         path.write_text('{"lattice": {"kind": "square", "R": 1000e-002}, '
                         '"density_r_max": 0.2000000000000000000000000e+000}')
@@ -453,12 +453,14 @@ class TestOtherCommands:
                               ("grid.n", {"half_width": 1.0, "n": 2.5}),
                               ("grid.half_width", {"half_width": 0, "n": 2}),
                               ("grid.half_width", {"half_width": -1.0, "n": 2}))),
-        ("reconstruct", "verify_points", {"verify_points": 0})])
+        ("reconstruct", "verify_points", {"verify_points": 0}),
+        ("reconstruct", "w0", {"w0": 1})])
     def test_grid_fields_are_schema_errors(self, tmp_path, capsys, cmd, field,
                                            extra):
         # n <= 0 wrote a header-only grid (reconstruct, exit 0) or raised
         # numpy's zero-size error; n = 2.5 ran as 2; half_width <= 0 ran;
-        # verify_points 0 reported a residual of 0 from no points
+        # verify_points 0 reported a residual of 0 from no points; w0 at
+        # finite p was ignored
         job = dict(BASE, values={"kind": "zero"}, p=2,
                    **{"grid": {"half_width": 1.0, "n": 2}, "verify_points": 4,
                       **extra})

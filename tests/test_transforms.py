@@ -213,7 +213,8 @@ class TestFftPath:
             assert np.array_equal(fc, sc), n
 
     def test_explicit_path_block_size_independent(self, lat12, rng, monkeypatch):
-        # one term row per block gives the same bits as the default blocks
+        # one row per term block and per compensated pass gives the same
+        # bits as the default blocks
         import focklattice.transforms
         lat = shell_oracle(lat12)
         d = SequenceData(lat, rng.standard_normal(len(lat))
@@ -221,6 +222,7 @@ class TestFftPath:
         idx = np.arange(len(lat))
         want = [batch_higher(lat, d, idx, n) for n in (1, 2)]
         monkeypatch.setattr(focklattice.transforms, "_CHUNK_TERMS", 1)
+        monkeypatch.setattr(focklattice.transforms, "_PASS_SUMS", 1)
         for n, (wv, wc) in zip((1, 2), want):
             v, c = batch_higher(lat, d, idx, n)
             assert np.array_equal(v, wv) and np.array_equal(c, wc)
