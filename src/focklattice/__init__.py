@@ -16,9 +16,8 @@ from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       c_gamma_for_rho_origin, choose_N, classical_weight,
                       default_ap_radii, effective_t, estimate_t, mu_disc,
                       mu_disc_many, phi, power_weight, rho, rho_many)
-from .lattice import (GridSpec, Lattice, ShellSchedule, SQUARE_SCALE,
-                      explicit_lattice, nearest_index, shells_for,
-                      square_lattice, upper_density)
+from .lattice import (Lattice, ShellSchedule, SQUARE_SCALE, explicit_lattice,
+                      nearest_index, shells_for, square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_log,
                          sigma_weighted_mag, user_multiplier)
 from .transforms import (OperatorNormReport, PvResult, SequenceData,

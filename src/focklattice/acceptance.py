@@ -118,18 +118,17 @@ def criterion_2() -> CriterionResult:
     e^{-|z|^2} from O(1) terms, so beyond |z|^2 ~ 27 the target sits below
     the double-precision cancellation floor of the formula itself."""
     t0 = time.perf_counter()
-    w = classical_weight()
     lat = _lattice(25.0)
     m = _multiplier(25.0)
     zs = _offgrid_points(lat, 100, 6.0, seed=11)
     worst = 0.0
     for wv in (0.0, 0.7 - 0.2j, 1.0 + 1.0j):
-        data = TraceData.gaussian(lat, m, w, 2.0, wv)
+        data = TraceData.gaussian(m, 2.0, wv)
         rec = reconstruct(data, zs)
         ref = np.exp(2.0 * np.conj(wv) * zs - abs(wv) ** 2)
         err = float(np.max(np.abs(rec - ref) * np.exp(-np.abs(zs) ** 2)))
         worst = max(worst, err)
-    ones = TraceData.constant(lat, m, w, 2.0, 1.0)
+    ones = TraceData.constant(m, 2.0, 1.0)
     zs_raw = _offgrid_points(lat, 100, 4.5, seed=12)
     rec1 = reconstruct(ones, zs_raw)
     err1 = float(np.max(np.abs(rec1 - 1.0)))
@@ -144,10 +143,9 @@ def criterion_3() -> CriterionResult:
     """p=inf uniqueness modulo g: interpolants with w0 = 0 and w0 = 1
     differ by exactly g(z) (1e-10 relative at 50 points)."""
     t0 = time.perf_counter()
-    w = classical_weight()
     lat = _lattice(25.0)
     m = _multiplier(25.0)
-    data = TraceData.gaussian(lat, m, w, math.inf, 0.4 + 0.3j)
+    data = TraceData.gaussian(m, math.inf, 0.4 + 0.3j)
     I0 = Interpolant(data, 0.0)
     I1 = Interpolant(data, 1.0)
     zs = _offgrid_points(lat, 50, 5.0, seed=21)
@@ -168,18 +166,15 @@ def criterion_4() -> CriterionResult:
     like the trace itself, so their last decade must start beyond the
     Gaussian bulk: they run on a radius-68 lattice (outer radius 34)."""
     t0 = time.perf_counter()
-    w = classical_weight()
-    lat30, m30 = _lattice(30.0), _multiplier(30.0)
-    lat68, m68 = _lattice(68.0), _multiplier(68.0)
-    cases = [(lat68, m68, 1.0, 0.0), (lat68, m68, 1.0, 0.3 + 0.1j),
-             (lat30, m30, 2.0, 0.25), (lat30, m30, 2.0, 0.2 - 0.15j),
-             (lat30, m30, math.inf, 0.3 + 0.1j),
-             (lat30, m30, math.inf, 0.15 - 0.2j)]
+    m30, m68 = _multiplier(30.0), _multiplier(68.0)
+    cases = [(m68, 1.0, 0.0), (m68, 1.0, 0.3 + 0.1j),
+             (m30, 2.0, 0.25), (m30, 2.0, 0.2 - 0.15j),
+             (m30, math.inf, 0.3 + 0.1j), (m30, math.inf, 0.15 - 0.2j)]
     worst_growth = 0.0
     all_bounded = True
     branches = set()
-    for lat, m, p, wv in cases:
-        data = TraceData.gaussian(lat, m, w, p, wv)
+    for m, p, wv in cases:
+        data = TraceData.gaussian(m, p, wv)
         verdict = classify(data)
         branches.add(verdict.branch.case)
         for rep in verdict.reports:
@@ -388,19 +383,18 @@ def criterion_9() -> CriterionResult:
     """Round-trip residuals: every acceptance interpolant verifies its
     own trace to 1e-3 weighted, and the zero trace reconstructs to 0."""
     t0 = time.perf_counter()
-    w = classical_weight()
     lat = _lattice(25.0)
     m = _multiplier(25.0)
     worst = 0.0
     for wv in (0.0, 0.7 - 0.2j, 1.0 + 1.0j):
-        data = TraceData.gaussian(lat, m, w, 2.0, wv)
+        data = TraceData.gaussian(m, 2.0, wv)
         I = Interpolant(data)
         worst = max(worst, verify_interpolation(I, max_points=60))
-    dinf = TraceData.gaussian(lat, m, w, math.inf, 0.4 + 0.3j)
+    dinf = TraceData.gaussian(m, math.inf, 0.4 + 0.3j)
     Iinf = Interpolant(dinf, w0_from(
         lambda z: np.exp(2.0 * np.conj(0.4 + 0.3j) * z - abs(0.4 + 0.3j) ** 2), m))
     worst = max(worst, verify_interpolation(Iinf, max_points=60))
-    zero = TraceData.zero(lat, m, w, 2.0)
+    zero = TraceData.zero(m, 2.0)
     zs = _offgrid_points(lat, 40, 8.0, seed=31)
     zmax = float(np.max(np.abs(reconstruct(zero, zs))))
     ok = worst <= 1e-3 and zmax == 0.0

@@ -1,7 +1,8 @@
 """Regime-by-regime decision procedure for the trace problem.
 
 Given lattice values c, a multiplier, and an exponent p, the classifier
-evaluates exactly the condition set prescribed for that regime:
+evaluates exactly the condition set prescribed for that regime (the
+lattice, and the weight it carries, are the multiplier's):
 
     p = 1        size condition (a) plus absolutely convergent Cauchy (b)
                  and rho-weighted second-order (c) sums;
@@ -59,23 +60,30 @@ DIVERGE_MIN_R2 = 0.9
 UNCONVERGED_MAX_SHARE = 0.1 # of inner sums, above which bounded is demoted
 
 
+def _phi_at_points(multiplier: Multiplier) -> np.ndarray:
+    """phi at every lattice point, in the lattice's weight."""
+    return np.asarray(phi(multiplier.weight, multiplier.lattice.points), dtype=float)
+
+
 class TraceData:
     """Lattice values with their multiplier and target exponent.
 
-    Values are stored in weighted form c_lambda e^{-phi(lambda)} (raw traces
-    of space functions overflow doubles once phi(lambda) > ~700); the
-    derived sequence d = c/g' is what every transform consumes.
+    The lattice and the weight are the multiplier's (`lattice`, `weight`),
+    so the values, g' and rho are all measured against the one weight the
+    lattice carries.  Values are stored in weighted form c_lambda
+    e^{-phi(lambda)} (raw traces of space functions overflow doubles once
+    phi(lambda) > ~700); the derived sequence d = c/g' is what every
+    transform consumes.
     """
 
-    def __init__(self, lattice: Lattice, multiplier: Multiplier,
-                 weight: WeightProfile, p: float, c_weighted: np.ndarray):
-        self.lattice = lattice
+    def __init__(self, multiplier: Multiplier, p: float, c_weighted: np.ndarray):
         self.multiplier = multiplier
-        self.weight = weight
+        self.lattice = multiplier.lattice
+        self.weight = multiplier.weight
         self.p = p
         self.c_weighted = np.asarray(c_weighted, dtype=complex)
         self._d = None
-        if self.c_weighted.shape != (len(lattice),):
+        if self.c_weighted.shape != (len(self.lattice),):
             raise ValueError("values must cover every lattice index")
         if not (p == math.inf or p >= 1.0):
             raise ValueError("p must lie in [1, inf]")
@@ -96,34 +104,32 @@ class TraceData:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_weighted(cls, lattice, multiplier, weight, p, values) -> "TraceData":
-        return cls(lattice, multiplier, weight, float(p) if p != "inf" else math.inf,
+    def from_weighted(cls, multiplier, p, values) -> "TraceData":
+        return cls(multiplier, float(p) if p != "inf" else math.inf,
                    np.asarray(values, dtype=complex))
 
     @classmethod
-    def from_raw(cls, lattice, multiplier, weight, p, values) -> "TraceData":
-        vals = np.asarray(values, dtype=complex) \
-            * np.exp(-np.asarray(phi(weight, lattice.points), dtype=float))
-        return cls.from_weighted(lattice, multiplier, weight, p, vals)
+    def from_raw(cls, multiplier, p, values) -> "TraceData":
+        vals = np.asarray(values, dtype=complex) * np.exp(-_phi_at_points(multiplier))
+        return cls.from_weighted(multiplier, p, vals)
 
     @classmethod
-    def gaussian(cls, lattice, multiplier, weight, p, w: complex) -> "TraceData":
+    def gaussian(cls, multiplier, p, w: complex) -> "TraceData":
         """Trace of f_w(z) = exp(2 conj(w) z - |w|^2); its weighted values
         e^{-|lambda - w|^2 + i Im(...)} never overflow."""
-        lam = lattice.points
-        expo = 2.0 * np.conj(w) * lam - abs(w) ** 2 \
-            - np.asarray(phi(weight, lam), dtype=float)
-        return cls.from_weighted(lattice, multiplier, weight, p, np.exp(expo))
+        lam = multiplier.lattice.points
+        expo = 2.0 * np.conj(w) * lam - abs(w) ** 2 - _phi_at_points(multiplier)
+        return cls.from_weighted(multiplier, p, np.exp(expo))
 
     @classmethod
-    def constant(cls, lattice, multiplier, weight, p, v: complex) -> "TraceData":
-        vals = v * np.exp(-np.asarray(phi(weight, lattice.points), dtype=float))
-        return cls.from_weighted(lattice, multiplier, weight, p, vals)
+    def constant(cls, multiplier, p, v: complex) -> "TraceData":
+        vals = v * np.exp(-_phi_at_points(multiplier))
+        return cls.from_weighted(multiplier, p, vals)
 
     @classmethod
-    def zero(cls, lattice, multiplier, weight, p) -> "TraceData":
-        return cls.from_weighted(lattice, multiplier, weight, p,
-                                 np.zeros(len(lattice), dtype=complex))
+    def zero(cls, multiplier, p) -> "TraceData":
+        return cls.from_weighted(multiplier, p,
+                                 np.zeros(len(multiplier.lattice), dtype=complex))
 
 
 class Margins(NamedTuple):
@@ -317,28 +323,27 @@ def _cached_ap(w: WeightProfile, p: float) -> ApReport:
     return ap_probe(w, p, default_ap_radii(w))
 
 
-def select_branch(p: float, w: WeightProfile,
-                  t: Optional[DoublingExponent] = None,
-                  ap: Optional[ApReport] = None) -> BranchInfo:
-    """Pure branch selection from (p, A_p status, doubling exponent)."""
+def select_branch(p: float, w: WeightProfile) -> BranchInfo:
+    """Branch selection from p and the weight's A_p status and doubling
+    exponent (each probed once per weight and cached)."""
     if p == 1.0:
         return BranchInfo("p=1", p, None, None, None, ("a", "b", "c"))
     if p == 2.0:
         return BranchInfo("p=2", p, None, None, None, ("a", "b"))
     if math.isinf(p):
-        t = t if t is not None else cached_t(w)
+        t = cached_t(w)
         N = choose_N(t)
         ids = ("inf_a", "inf_b") + tuple(f"inf_c({n})" for n in range(2, N + 1))
         return BranchInfo("p=inf", p, None, effective_t(t), N, ids)
     if 1.0 < p < 2.0:
-        ap = ap if ap is not None else cached_ap(w, p)
+        ap = cached_ap(w, p)
         ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
         return BranchInfo("1<p<2", p, ap.is_ap, None, None, ids)
     # 2 < p < inf
-    t = t if t is not None else cached_t(w)
+    t = cached_t(w)
     te = effective_t(t)
     if te > 0.5:
-        ap = ap if ap is not None else cached_ap(w, p)
+        ap = cached_ap(w, p)
         ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
         return BranchInfo("2<p<inf", p, ap.is_ap, te, None, ids)
     N = choose_N(t)
@@ -346,14 +351,12 @@ def select_branch(p: float, w: WeightProfile,
     return BranchInfo("2<p<inf", p, None, te, N, ids)
 
 
-def classify(data: TraceData, rtol: float = PV_RTOL,
-             t: Optional[DoublingExponent] = None,
-             ap: Optional[ApReport] = None) -> TraceVerdict:
+def classify(data: TraceData, rtol: float = PV_RTOL) -> TraceVerdict:
     """Evaluate the condition set for data.p and fold the verdicts.
 
     Overall is bounded only if every selected condition is bounded;
     any divergence wins, and undetermined propagates otherwise."""
-    branch = select_branch(data.p, data.weight, t=t, ap=ap)
+    branch = select_branch(data.p, data.weight)
     reports = tuple(condition(data, cid, rtol) for cid in branch.condition_ids)
     verdicts = {r.verdict for r in reports}
     if "diverging" in verdicts:

@@ -32,8 +32,8 @@ from .classifier import (DIVERGE_MIN_EXPONENT, DIVERGE_MIN_R2, FLATTEN_TOL,
                          UNCONVERGED_MAX_SHARE, TraceData, cached_t, classify)
 from .errors import FockLatticeError, NumericalError, SchemaError
 from .interpolate import Interpolant, verify_interpolation
-from .lattice import (GridSpec, Lattice, explicit_lattice, scatter_indexed,
-                      shells_for, square_lattice, upper_density)
+from .lattice import (Lattice, explicit_lattice, scatter_indexed, shells_for,
+                      square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
                          user_multiplier)
 from .transforms import PV_RTOL, operator_norm_estimate
@@ -128,36 +128,35 @@ def _build_lattice(job: dict, w: WeightProfile) -> Lattice:
     raise SchemaError(f"unknown lattice kind {spec['kind']!r}")
 
 
-def _build_multiplier(job: dict, lat: Lattice, w: WeightProfile) -> Multiplier:
+def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
     spec = job.get("multiplier", {"kind": "builtin_sigma"})
     if spec.get("kind") == "builtin_sigma":
-        return builtin_sigma_multiplier(lat, w)
+        return builtin_sigma_multiplier(lat)
     if spec.get("kind") == "user_table":
         indices, values = _entries(spec.get("g_prime", []))
         g2 = spec.get("g_double_prime0")
-        return user_multiplier(lat, w, values, indices=indices,
+        return user_multiplier(lat, values, indices=indices,
                                g_double_prime0=None if g2 is None
                                else _complex_of(g2, "g_double_prime0"),
                                weighted=bool(spec.get("weighted", False)))
     raise SchemaError("multiplier kind must be builtin_sigma or user_table")
 
 
-def _build_values(job: dict, lat: Lattice, m: Multiplier, w: WeightProfile,
-                  p) -> TraceData:
+def _build_values(job: dict, m: Multiplier, p) -> TraceData:
     spec = job.get("values", {"kind": "zero"})
     kind = spec.get("kind")
     if kind == "zero":
-        return TraceData.zero(lat, m, w, p)
+        return TraceData.zero(m, p)
     if kind == "constant":
-        return TraceData.constant(lat, m, w, p, _complex_of(spec.get("v", 1.0), "v"))
+        return TraceData.constant(m, p, _complex_of(spec.get("v", 1.0), "v"))
     if kind == "gaussian_trace":
-        return TraceData.gaussian(lat, m, w, p, _complex_of(spec.get("w", 0.0), "w"))
+        return TraceData.gaussian(m, p, _complex_of(spec.get("w", 0.0), "w"))
     if kind == "list":
-        vals, _ = scatter_indexed(len(lat), *_entries(spec.get("items", [])),
+        vals, _ = scatter_indexed(len(m.lattice), *_entries(spec.get("items", [])),
                                   "value")
         if spec.get("weighted", False):
-            return TraceData.from_weighted(lat, m, w, p, vals)
-        return TraceData.from_raw(lat, m, w, p, vals)
+            return TraceData.from_weighted(m, p, vals)
+        return TraceData.from_raw(m, p, vals)
     raise SchemaError(f"unknown values kind {kind!r}")
 
 
@@ -191,9 +190,10 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _grid(job: dict, default_half: float, default_n: int) -> GridSpec:
-    """The square grid [-half_width, half_width]^2 with n x n points of the
-    job's "grid" object: an integer n >= 1 and a finite half_width > 0."""
+def _grid(job: dict, default_half: float, default_n: int) -> tuple:
+    """(points, corner radius) of the midpoint grid of n x n cells on
+    [-half_width, half_width]^2 of the job's "grid" object: an integer
+    n >= 1 and a finite half_width > 0; y varies fastest along the points."""
     g = job.get("grid", {})
     half, n = g.get("half_width", default_half), g.get("n", default_n)
     if isinstance(half, bool) or not isinstance(half, (int, float)) \
@@ -201,18 +201,16 @@ def _grid(job: dict, default_half: float, default_n: int) -> GridSpec:
         raise SchemaError(f"grid.half_width must be a finite number > 0, "
                           f"not {half!r}")
     n = _count(n, "grid.n")
-    return GridSpec(-half, half, -half, half, n, n)
+    xs = -half + (np.arange(n) + 0.5) * (half + half) / n
+    return (xs[:, None] + 1j * xs[None, :]).ravel(), abs(complex(half, half))
 
 
 def _load_trace_job(args) -> tuple:
     """(job, digest, data, rtol) of a trace-check or reconstruct job: its
     trace data on the job's lattice and multiplier, and the p.v. tolerance."""
     job, digest = _load_job(args.input)
-    w = _build_weight(job)
-    lat = _build_lattice(job, w)
-    m = _build_multiplier(job, lat, w)
-    p = _parse_p(job)
-    data = _build_values(job, lat, m, w, p)
+    m = _build_multiplier(job, _build_lattice(job, _build_weight(job)))
+    data = _build_values(job, m, _parse_p(job))
     return job, digest, data, _pv_rtol(job, args)
 
 
@@ -255,8 +253,7 @@ def _json_default(obj):
 def cmd_lattice_info(args) -> int:
     t0 = time.perf_counter()
     job, digest = _load_job(args.input)
-    w = _build_weight(job)
-    lat = _build_lattice(job, w)
+    lat = _build_lattice(job, _build_weight(job))
     sched = shells_for(lat)
     results = {
         "n_points": len(lat),
@@ -270,7 +267,7 @@ def cmd_lattice_info(args) -> int:
     r_max = job.get("density_r_max")
     if r_max is None:
         r_max = 0.45 * lat.truncation_radius / lat.max_rho
-    results["upper_density"] = upper_density(lat, w, [float(r_max)])
+    results["upper_density"] = upper_density(lat, float(r_max))
     _emit(_report("lattice-info", args, job, digest, results, t0), args.output)
     return EXIT_OK
 
@@ -278,14 +275,13 @@ def cmd_lattice_info(args) -> int:
 def cmd_sigma_eval(args) -> int:
     t0 = time.perf_counter()
     job, digest = _load_job(args.input)
-    w = _build_weight(job)
-    lat = _build_lattice(job, w)
-    pts = _grid(job, lat.scale, 100).points()
-    vals = sigma_weighted_mag(lat, pts.ravel())
+    lat = _build_lattice(job, _build_weight(job))
+    pts = _grid(job, lat.scale, 100)[0]
+    vals = sigma_weighted_mag(lat, pts)
     with open(args.grid, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["x", "y", "weighted_mag"])
-        for z, v in zip(pts.ravel(), vals):
+        for z, v in zip(pts, vals):
             wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}", f"{v:.12g}"])
     results = {"grid_file": args.grid, "n_values": int(vals.size),
                "max_weighted_mag": float(np.max(vals))}
@@ -334,14 +330,13 @@ def cmd_reconstruct(args) -> int:
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
     guard = data.lattice.guard_radius()
-    grid = _grid(job, min(4.0, guard / math.sqrt(2.0)), 60)
+    pts, corner = _grid(job, min(4.0, guard / math.sqrt(2.0)), 60)
     verify_points = _count(job.get("verify_points", 80), "verify_points")
-    if grid.corner_radius > guard:
-        raise ValueError(f"grid corner at radius {grid.corner_radius:.4g} lies "
+    if corner > guard:
+        raise ValueError(f"grid corner at radius {corner:.4g} lies "
                          f"beyond the guard radius {guard:.4g}")
     w0 = job.get("w0")
     I = Interpolant(data, None if w0 is None else _complex_of(w0, "w0"), rtol)
-    pts = grid.points().ravel()
     vals_w = I.eval_weighted(pts)
     # raw f = f e^{-phi} e^{phi}; NaN where that leaves double range
     with np.errstate(over="ignore", invalid="ignore"):
@@ -394,7 +389,10 @@ def cmd_op_norm(args) -> int:
     op = job.get("op", "B")
     if op not in ("B", "L", "M"):
         raise SchemaError("op must be B, L or M")
-    sizes = [int(s) for s in job.get("sizes", [200, 800, 3200])]
+    sizes = job.get("sizes", [200, 800, 3200])
+    if not isinstance(sizes, list) or not sizes:
+        raise SchemaError(f"sizes must be a non-empty list, not {sizes!r}")
+    sizes = [_count(s, "sizes") for s in sizes]
     p = _parse_p(job)
     # only M(N) reads N; without one it is the smallest N > 1/t.  The
     # effective t never exceeds min(1 - T_FIT_SLACK, gamma/2), so a given N
@@ -408,6 +406,10 @@ def cmd_op_norm(args) -> int:
             raise SchemaError(f"op-norm: M(N) needs an integer N > 1/t, and "
                               f"t <= {t_max:g} for this weight; N = {N!r}")
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
+    if rep.sizes[0] == 1:
+        # its norm is 0, so no growth ratio can be taken against it
+        raise SchemaError(f"sizes: the smallest, {min(sizes)}, gives a "
+                          f"one-point section; the growth ratio needs two points")
     results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
                "sizes": list(rep.sizes), "norms": list(rep.norms),
                "growth_ratio": rep.growth_ratio}

@@ -2,10 +2,13 @@
 
 The working set is always a finite truncation |lambda| <= R of either the
 critical square lattice sqrt(pi/2)*(Z+iZ) or a user-supplied point set.
-The origin is point index 0 throughout.  Shell schedules order principal
-value sums (partial sums over |lambda| < R with R growing through the
-distinct point radii): lattice indices run in ascending radius order, so
-every shell is a contiguous index range.
+The origin is point index 0 throughout.  A lattice is given its weight
+once and owns it: rho per point, the density surrogate, the multiplier's
+weighted g' and the weighted trace values all read `Lattice.weight`.
+
+Shell schedules order principal value sums (partial sums over |lambda| < R
+with R growing through the distinct point radii): lattice indices run in
+ascending radius order, so every shell is a contiguous index range.
 
 Nearest-point lookups, Euclidean or in the surrogate metric
 |z - lambda| / rho(lambda) that assigns grid points to cells, and the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .weights import WeightProfile, mu_disc_many, rho_many
 __all__ = [
     "Lattice",
     "ShellSchedule",
-    "GridSpec",
     "SQUARE_SCALE",
     "square_lattice",
     "explicit_lattice",
@@ -52,16 +54,20 @@ _SHELL_RTOL = 1e-9
 
 class Lattice:
     """A finite, rho-separated point set containing the origin at index 0,
-    indexed in ascending radius order (ValueError otherwise).  The point
-    and rho arrays are read-only.  `delta_sep` is searched for on first
-    read, so a job that never reads it never pays for it."""
+    indexed in ascending radius order (ValueError otherwise), and the weight
+    it is measured against: the one weight that the multiplier and the trace
+    data read.  rho per point is computed from that weight, so the two
+    cannot disagree.  The point and rho arrays are read-only.  `delta_sep`
+    and `inv_points` are computed on first read, so a job that never reads
+    them never pays for them."""
 
     def __init__(self, points, scale: float, truncation_radius: float,
-                 rho_values, kind: str):
+                 weight: WeightProfile, kind: str):
         self.points = np.asarray(points, dtype=complex)   # index 0 is the origin
         self.scale = scale                 # sqrt(pi/2) for square kind
         self.truncation_radius = truncation_radius
-        self.rho_values = np.asarray(rho_values, dtype=float)   # rho per point
+        self.weight = weight
+        self.rho_values = rho_many(weight, self.points)   # rho per point
         self.kind = kind                   # "square" | "explicit"
         self.points.setflags(write=False)
         self.rho_values.setflags(write=False)
@@ -83,6 +89,14 @@ class Lattice:
         h = self.scale if self.kind == "square" else None
         return float(_search(self.points, self.rho_values, self.points,
                              self.rho_values, h, exclude=True)[1].min())
+
+    @functools.cached_property
+    def inv_points(self) -> np.ndarray:
+        """1/lambda per point, 0 at the origin (read-only)."""
+        inv = np.zeros(len(self), dtype=complex)
+        inv[1:] = 1.0 / self.points[1:]
+        inv.setflags(write=False)
+        return inv
 
     @property
     def max_rho(self) -> float:
@@ -200,8 +214,8 @@ def square_lattice(R: float, w: WeightProfile) -> Lattice:
     m, n = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
     pts = (s * (m + 1j * n)).ravel()
     pts = _order_points(pts[np.abs(pts) <= R])
-    return Lattice(points=pts, scale=s, truncation_radius=float(R),
-                   rho_values=rho_many(w, pts), kind="square")
+    return Lattice(points=pts, scale=s, truncation_radius=float(R), weight=w,
+                   kind="square")
 
 
 def explicit_lattice(points: Sequence[complex], w: WeightProfile) -> Lattice:
@@ -213,34 +227,30 @@ def explicit_lattice(points: Sequence[complex], w: WeightProfile) -> Lattice:
     pts = _order_points(pts)
     R = float(np.max(np.abs(pts)))
     scale = float(np.min(np.abs(pts[1:]))) if pts.size > 1 else 1.0
-    lat = Lattice(points=pts, scale=scale, truncation_radius=R,
-                  rho_values=rho_many(w, pts), kind="explicit")
+    lat = Lattice(points=pts, scale=scale, truncation_radius=R, weight=w,
+                  kind="explicit")
     if lat.delta_sep < _MIN_DELTA_SEP:
         raise SeparationError(
             f"points are not rho-separated (delta_sep = {lat.delta_sep:.3e})")
     return lat
 
 
-def upper_density(lat: Lattice, w: WeightProfile, r_schedule: Sequence[float],
+def upper_density(lat: Lattice, r: float,
                   centers: Optional[Sequence[complex]] = None) -> float:
     """Counting surrogate for the upper uniform density.
 
-    For each sampled center z and each r in the schedule, the ratio
-    #(Lambda on the closed disc D(z, r*rho(z))) / mu(D(z, r*rho(z))) is
-    formed; the value returned is the maximum over centers at the largest r
-    (the limsup surrogate).  The critical square lattice gives 1/(2*pi).
-    NumericalError when the largest disc reaches past the truncation.
+    For each sampled center z the ratio #(Lambda on the closed disc
+    D(z, r*rho(z))) / mu(D(z, r*rho(z))) is formed, in the lattice's weight;
+    the value returned is the maximum over centers (the limsup surrogate at
+    radius factor r).  The critical square lattice gives 1/(2*pi).
+    NumericalError when a disc reaches past the truncation.
     """
-    rs = sorted(float(r) for r in r_schedule)
-    if not rs:
-        raise ValueError("empty schedule")
+    w = lat.weight
     # by default the nine points nearest the origin (index order is radius order)
     centers = np.asarray(lat.points[:9] if centers is None else centers, dtype=complex)
-    rho_c = rho_many(w, centers)
-    reach = np.abs(centers) + rs[-1] * rho_c
-    if np.any(reach > lat.truncation_radius):
-        raise NumericalError("schedule exceeds the safe truncation margin")
-    rad = rs[-1] * rho_c
+    rad = float(r) * rho_many(w, centers)
+    if np.any(np.abs(centers) + rad > lat.truncation_radius):
+        raise NumericalError("radius factor exceeds the safe truncation margin")
     counts = [np.count_nonzero(np.abs(lat.points - c) <= rc + 1e-12)
               for c, rc in zip(centers, rad)]
     return float(np.max(np.asarray(counts) / mu_disc_many(w, centers, rad)))
@@ -282,28 +292,6 @@ def shells_for(lat: Lattice) -> ShellSchedule:
     starts = np.concatenate([[0], np.nonzero(gaps)[0] + 1])
     return ShellSchedule(radii=np.maximum.reduceat(r, starts), starts=starts,
                          n_points=len(r))
-
-
-class GridSpec(NamedTuple):
-    """Rectangular midpoint grid: nx-by-ny cells covering [x0,x1]x[y0,y1]."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    nx: int
-    ny: int
-
-    def points(self) -> np.ndarray:
-        xs = self.x0 + (np.arange(self.nx) + 0.5) * (self.x1 - self.x0) / self.nx
-        ys = self.y0 + (np.arange(self.ny) + 0.5) * (self.y1 - self.y0) / self.ny
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return X + 1j * Y
-
-    @property
-    def corner_radius(self) -> float:
-        return max(abs(complex(x, y))
-                   for x in (self.x0, self.x1) for y in (self.y0, self.y1))
 
 
 def nearest_index(lat: Lattice, z, cell: bool = False):

@@ -25,6 +25,9 @@ which is regular at v = 0; the fifth term is below 1e-21.  So
 
 Weighted quantities are O(1) at any radius; raw values overflow doubles
 once |z|^2 exceeds ~700, so large-|z| work stays in weighted or log form.
+
+A multiplier holds no weight of its own: weighting is by the weight of its
+lattice, `lattice.weight`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import NumericalError, SchemaError
 from .lattice import SQUARE_SCALE, Lattice, grid_coords, scatter_indexed
-from .weights import WeightProfile, classical_weight, phi
+from .weights import WeightProfile, phi
 
 __all__ = ["Multiplier", "sigma_log", "sigma_weighted_mag",
            "builtin_sigma_multiplier", "user_multiplier"]
@@ -99,19 +102,23 @@ def sigma_weighted_mag(lat: Lattice, z):
 class Multiplier:
     """Evaluator bundle for a multiplier g with zero set = the lattice.
 
-    g' values are held in weighted form g'(lambda) e^{-phi(lambda)} (O(1/rho)
-    sized); raw values are exposed but overflow once phi(lambda) > ~700.
-    log_g is available for the builtin sigma only; user tables support the
-    trace-side operations, which consume g only through g'(lambda).
+    g' values are held in weighted form g'(lambda) e^{-phi(lambda)}, phi the
+    lattice's weight (O(1/rho) sized); raw values are exposed but overflow
+    once phi(lambda) > ~700.  log_g is available for the builtin sigma only;
+    user tables support the trace-side operations, which consume g only
+    through g'(lambda).
     """
 
-    def __init__(self, lattice: Lattice, weight: WeightProfile, source: str,
-                 _gw: np.ndarray, g_double_prime0: Optional[complex] = None):
+    def __init__(self, lattice: Lattice, source: str, _gw: np.ndarray,
+                 g_double_prime0: Optional[complex] = None):
         self.lattice = lattice
-        self.weight = weight
         self.source = source                     # "builtin_sigma" | "user_table"
         self._gw = _gw                           # weighted g' per index
         self.g_double_prime0 = g_double_prime0
+
+    @property
+    def weight(self) -> WeightProfile:
+        return self.lattice.weight
 
     # -- g'(lambda) ---------------------------------------------------------
 
@@ -152,36 +159,30 @@ class Multiplier:
         return 2.0 * np.conj(lam) * w + abs2 + 1j * math.pi * parity + log_ratio
 
 
-def builtin_sigma_multiplier(lat: Lattice,
-                             w: Optional[WeightProfile] = None) -> Multiplier:
+def builtin_sigma_multiplier(lat: Lattice) -> Multiplier:
     """Multiplier backed by the built-in sigma of the critical square
-    lattice; its weighted derivatives are the signs (-1)^{m+n+mn}."""
+    lattice under the classical weight; its weighted derivatives are the
+    signs (-1)^{m+n+mn}."""
     _require_square(lat)
-    if w is None:
-        w = classical_weight()
-    if not w.is_classical_like:
+    if not lat.weight.is_classical_like:
         raise SchemaError("builtin sigma is tied to the classical weight")
     parity = _nearest(lat.points)[3]
-    return Multiplier(lattice=lat, weight=w, source="builtin_sigma",
+    return Multiplier(lattice=lat, source="builtin_sigma",
                       _gw=(1.0 - 2.0 * parity).astype(complex),
                       g_double_prime0=0.0)
 
 
-def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
+def user_multiplier(lat: Lattice, g_prime_table,
                     g_double_prime0: Optional[complex] = None,
                     weighted: bool = False, indices=None) -> Multiplier:
     """Wrap externally supplied multiplier data.
 
     g_prime_table gives g'(lambda) for every lattice index (raw, or already
-    multiplied by e^{-phi} when weighted=True): a dict index -> value, the
-    values in index order, or the values at `indices`, where a repeated
+    multiplied by e^{-phi}, phi the lattice's weight, when weighted=True):
+    the values in index order, or the values at `indices`, where a repeated
     index keeps its last value (`scatter_indexed`).  Out-of-range, missing
     and zero entries are rejected.
     """
-    if isinstance(g_prime_table, dict):
-        n = len(g_prime_table)
-        indices = np.fromiter(g_prime_table.keys(), float, n)
-        g_prime_table = np.fromiter(g_prime_table.values(), complex, n)
     values = np.asarray(g_prime_table, dtype=complex)
     if indices is None:
         indices = np.arange(len(values))
@@ -191,6 +192,6 @@ def user_multiplier(lat: Lattice, w: WeightProfile, g_prime_table,
     if np.any(vals == 0.0):
         raise SchemaError("g' table contains zero entries (zeros must be simple)")
     if not weighted:
-        vals = vals * np.exp(-phi(w, lat.points))
-    return Multiplier(lattice=lat, weight=w, source="user_table", _gw=vals,
+        vals = vals * np.exp(-phi(lat.weight, lat.points))
+    return Multiplier(lattice=lat, source="user_table", _gw=vals,
                       g_double_prime0=g_double_prime0)

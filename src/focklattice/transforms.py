@@ -199,11 +199,9 @@ def _modified_terms(lat: Lattice, d: SequenceData, centres, own, first: int = 0)
     column -d_0/centre is set first, so own = 0 zeroes it too."""
     if np.any(centres == 0.0):
         raise ValueError("modified transform requires lambda' != 0")
-    inv_lam = np.zeros(len(lat), dtype=complex)
-    inv_lam[1:] = 1.0 / lat.points[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = d.values[first:] * (1.0 / (lat.points[first:] - centres[:, None])
-                                    - inv_lam[first:])
+                                    - lat.inv_points[first:])
     if first == 0:
         terms[:, 0] = -d.values[0] / centres
     _zero_own(terms, own, first)
@@ -540,17 +538,13 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
     for size in sizes:
         # radius with expected count ~ size: pi R^2 / scale^2 = size
         R = math.sqrt(size * SQUARE_SCALE ** 2 / math.pi)
-        change = 0.0
-        if size == 1:
-            n_pts, norm = 1, 0.0
-        else:
-            sec = _FftSection(R, w, kind, N)
-            n_pts = sec.size
-            if p == 2.0:
-                norm, change = _top_singular_value(sec, seed)
-            else:
-                norm = sec.abs_sum_max(p)
-        rows.append((n_pts, norm, change))
+        sec, norm, change = _FftSection(R, w, kind, N), 0.0, 0.0
+        # a one-point section is the zero operator: its norm is exactly 0
+        if sec.size > 1 and p == 2.0:
+            norm, change = _top_singular_value(sec, seed)
+        elif sec.size > 1:
+            norm = sec.abs_sum_max(p)
+        rows.append((sec.size, norm, change))
     actual, norms, stags = zip(*rows)
     return OperatorNormReport(op=kind if kind != "M" else f"M({N})", p=p,
                               sizes=actual, norms=norms, stagnations=stags)

@@ -86,67 +86,67 @@ class TestShellTrajectory:
 
 
 class TestConditionA:
-    def test_gaussian_trace_total_matches_oracle(self, lat16, mult16, cw):
+    def test_gaussian_trace_total_matches_oracle(self, lat16, mult16):
         # weighted terms are e^{-2|lambda-w|^2}: closed-form oracle; the
         # bounded verdict at desk scale needs the larger acceptance lattice
         # (the last decade must start beyond the Gaussian bulk)
-        data = TraceData.gaussian(lat16, mult16, cw, 2.0, 1.0 + 1.0j)
+        data = TraceData.gaussian(mult16, 2.0, 1.0 + 1.0j)
         rep = condition_a(data)
         assert rep.verdict != "diverging"
         lam = lat16.points
         oracle = float(np.sum(np.exp(-2 * np.abs(lam - (1 + 1j)) ** 2)))
         assert rep.final_value == pytest.approx(oracle, rel=1e-10)
 
-    def test_origin_gaussian_trace_bounded(self, lat16, mult16, cw):
-        data = TraceData.gaussian(lat16, mult16, cw, math.inf, 0.0)
+    def test_origin_gaussian_trace_bounded(self, mult16):
+        data = TraceData.gaussian(mult16, math.inf, 0.0)
         rep = condition_a(data)
         assert rep.verdict == "bounded"
 
-    def test_phi_sized_data_p2_diverges_like_count(self, lat16, mult16, cw):
-        data = TraceData.from_weighted(lat16, mult16, cw, 2.0,
+    def test_phi_sized_data_p2_diverges_like_count(self, lat16, mult16):
+        data = TraceData.from_weighted(mult16, 2.0,
                                        np.ones(len(lat16), complex))
         rep = condition_a(data)
         assert rep.verdict == "diverging"
         assert rep.margins.slope == pytest.approx(2.0, abs=0.2)
 
-    def test_phi_sized_data_sup_bounded(self, lat16, mult16, cw):
-        data = TraceData.from_weighted(lat16, mult16, cw, math.inf,
+    def test_phi_sized_data_sup_bounded(self, lat16, mult16):
+        data = TraceData.from_weighted(mult16, math.inf,
                                        np.ones(len(lat16), complex))
         rep = condition_a(data)
         assert rep.condition_id == "inf_a"
         assert rep.verdict == "bounded"
         assert rep.final_value == 1.0
 
-    def test_zero_data(self, lat16, mult16, cw):
-        data = TraceData.zero(lat16, mult16, cw, 1.0)
+    def test_zero_data(self, mult16):
+        data = TraceData.zero(mult16, 1.0)
         rep = condition_a(data)
         assert rep.verdict == "bounded"
         assert rep.final_value == 0.0
 
-    def test_monotone_trajectory(self, lat16, mult16, cw):
-        data = TraceData.gaussian(lat16, mult16, cw, 2.0, 0.4)
+    def test_monotone_trajectory(self, mult16):
+        data = TraceData.gaussian(mult16, 2.0, 0.4)
         vals = [v for _, v in condition_a(data).partial_trajectory]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 class TestConditionsBC:
-    def test_zero_data_all_zero(self, lat12, mult12, cw):
-        data = TraceData.zero(lat12, mult12, cw, 2.0)
+    def test_zero_data_all_zero(self, mult12):
+        data = TraceData.zero(mult12, 2.0)
         assert condition(data, "b").final_value == 0.0
         assert condition(data, "c").final_value == 0.0
 
-    def test_bprime_first_order_equals_b(self, lat12, mult12, cw):
-        data = TraceData.gaussian(lat12, mult12, cw, 3.0, 0.2)
+    def test_bprime_first_order_equals_b(self, mult12):
+        data = TraceData.gaussian(mult12, 3.0, 0.2)
         r1 = condition(data, "bprime(1)")
         rb = condition(data, "b")
         t1 = np.asarray(r1.partial_trajectory)
         tb = np.asarray(rb.partial_trajectory)
         assert np.allclose(t1, tb, rtol=1e-12)
 
-    def test_scaling_invariance_of_verdicts(self, lat16, mult16, cw):
-        base = TraceData.gaussian(lat16, mult16, cw, 2.0, 0.3 + 0.2j)
+    def test_scaling_invariance_of_verdicts(self, mult16):
+        base = TraceData.gaussian(mult16, 2.0, 0.3 + 0.2j)
         kappa = 37.0 - 11.0j
-        scaled = TraceData.from_weighted(lat16, mult16, cw, 2.0,
+        scaled = TraceData.from_weighted(mult16, 2.0,
                                          kappa * base.c_weighted)
         for cid in ("a", "b"):
             ra, rs = condition(base, cid), condition(scaled, cid)
@@ -155,26 +155,26 @@ class TestConditionsBC:
             vs = np.asarray([v for _, v in rs.partial_trajectory])
             assert np.allclose(vs, abs(kappa) ** 2 * va, rtol=1e-9)
 
-    def test_inf_b_requires_inf(self, lat12, mult12, cw):
-        data = TraceData.gaussian(lat12, mult12, cw, 2.0, 0.1)
+    def test_inf_b_requires_inf(self, mult12):
+        data = TraceData.gaussian(mult12, 2.0, 0.1)
         with pytest.raises(ValueError):
             condition(data, "inf_b")
 
     @pytest.mark.parametrize("cid", ["d", "bprime(x)", "inf_c", "bprime(0)",
                                      "inf_c(2"])
-    def test_unknown_id_raises(self, lat12, mult12, cw, cid):
-        data = TraceData.gaussian(lat12, mult12, cw, math.inf, 0.1)
+    def test_unknown_id_raises(self, mult12, cid):
+        data = TraceData.gaussian(mult12, math.inf, 0.1)
         with pytest.raises(ValueError, match="unknown condition id"):
             condition(data, cid)
 
-    def test_inner_flags_advisory_only_where_absolute(self, lat12, mult12, cw):
+    def test_inner_flags_advisory_only_where_absolute(self, mult12):
         # with rtol = 0 no Gaussian inner sum converges (centred at 7, its
         # outer shells move every partial by more than the 1e-15 floor);
         # (c) and (b) at p = 1 sum absolutely and count none, the others
         # count them all
         for p, cid, advisory in [(2.0, "c", True), (2.0, "bprime(2)", False),
                                  (1.0, "b", True), (2.0, "b", False)]:
-            data = TraceData.gaussian(lat12, mult12, cw, p, 7.0)
+            data = TraceData.gaussian(mult12, p, 7.0)
             rep = condition(data, cid, 0.0)
             assert rep.inner_total > 0
             want = 0 if advisory else rep.inner_total
@@ -182,10 +182,10 @@ class TestConditionsBC:
 
     @pytest.mark.parametrize("p, cid, n", [(2.0, "c", 2), (3.0, "bprime(3)", 3),
                                            (math.inf, "inf_c(3)", 3)])
-    def test_order_n_against_scalar_transform(self, lat12, mult12, cw, p, cid, n):
+    def test_order_n_against_scalar_transform(self, lat12, mult12, p, cid, n):
         # rho(lambda')^(n-1) |order-n p.v. sum| over |lambda'| <= R/2,
         # aggregated in l^p, from the scalar shell-path transform
-        data = TraceData.gaussian(lat12, mult12, cw, p, 0.3 - 0.1j)
+        data = TraceData.gaussian(mult12, p, 0.3 - 0.1j)
         idx = np.nonzero(lat12.radii <= 0.5 * lat12.truncation_radius)[0]
         mags = np.array([abs(higher_transform(lat12, data.d, int(i), n).value)
                          * lat12.rho_values[i] ** (n - 1) for i in idx])
@@ -227,40 +227,40 @@ class TestBranchSelection:
 
 
 class TestClassify:
-    def test_gaussian_sup_norm_bounded_small_lattice(self, lat16, mult16, cw):
-        data = TraceData.gaussian(lat16, mult16, cw, math.inf, 0.3 + 0.1j)
+    def test_gaussian_sup_norm_bounded_small_lattice(self, mult16):
+        data = TraceData.gaussian(mult16, math.inf, 0.3 + 0.1j)
         verdict = classify(data)
         assert verdict.branch.case == "p=inf"
         assert verdict.overall == "bounded"
 
-    def test_zero_trace_bounded_everywhere(self, lat12, mult12, cw):
+    def test_zero_trace_bounded_everywhere(self, mult12):
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            verdict = classify(TraceData.zero(lat12, mult12, cw, p))
+            verdict = classify(TraceData.zero(mult12, p))
             assert verdict.overall == "bounded"
 
-    def test_multiplier_trace_is_zero_member(self, lat12, mult12, cw):
+    def test_multiplier_trace_is_zero_member(self, mult12):
         # the trace of g itself is identically zero: the trivial member of
         # the necessity family
         gw = mult12.g_prime_weighted()
-        data = TraceData.from_weighted(lat12, mult12, cw, 2.0,
+        data = TraceData.from_weighted(mult12, 2.0,
                                        np.zeros_like(gw))
         assert classify(data).overall == "bounded"
 
-    def test_phi_sized_data_p2_diverging_overall(self, lat16, mult16, cw):
-        data = TraceData.from_weighted(lat16, mult16, cw, 2.0,
+    def test_phi_sized_data_p2_diverging_overall(self, lat16, mult16):
+        data = TraceData.from_weighted(mult16, 2.0,
                                        np.ones(len(lat16), complex))
         assert classify(data).overall == "diverging"
 
-    def test_undetermined_propagates(self, lat12, mult12, cw):
+    def test_undetermined_propagates(self, mult12):
         # tiny truncation: the Gaussian p=2 Cauchy condition cannot flatten
         # within the last decade, and must not be called bounded
-        data = TraceData.gaussian(lat12, mult12, cw, 2.0, 0.3 + 0.1j)
+        data = TraceData.gaussian(mult12, 2.0, 0.3 + 0.1j)
         verdict = classify(data)
         assert verdict.overall in ("undetermined", "bounded")
         if verdict.overall == "undetermined":
             assert any(r.verdict == "undetermined" for r in verdict.reports)
 
-    def test_adversarial_pattern_search(self, lat16, mult16, cw):
+    def test_adversarial_pattern_search(self, lat16, mult16):
         # search a small family of unimodular patterns for data that passes
         # the sup-norm size condition but breaks the modified Cauchy sum
         # (the resonant pattern makes it grow like log R)
@@ -276,7 +276,7 @@ class TestClassify:
         }
         witnesses = []
         for name, u in patterns.items():
-            data = TraceData.from_weighted(lat16, mult16, cw, math.inf,
+            data = TraceData.from_weighted(mult16, math.inf,
                                            gw * rho * u)
             verdict = classify(data)
             size_ok = verdict.report("inf_a").verdict == "bounded"
@@ -293,9 +293,9 @@ class TestPowerWeightClassify:
         pw = power_weight(0.5, rho_origin=2.0)
         lat = square_lattice(10.0, pw)
         # synthetic multiplier data of the right magnitude profile
-        table = {i: 1.0 / lat.rho_values[i] for i in range(len(lat))}
-        um = user_multiplier(lat, pw, table, weighted=True)
-        data = TraceData.zero(lat, um, pw, 3.0)
+        table = 1.0 / lat.rho_values
+        um = user_multiplier(lat, table, weighted=True)
+        data = TraceData.zero(um, 3.0)
         verdict = classify(data)
         assert verdict.branch.n_max == 5
         assert verdict.overall == "bounded"

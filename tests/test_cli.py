@@ -104,6 +104,16 @@ class TestTraceCheck:
         assert check(zero, ["--tolerance", "1e-9"]) == (1e-9, 0)
         assert check(job, ["--tolerance", "0"]) == (0.0, 44)
 
+    def test_power_weight_with_builtin_sigma_is_schema_error(self, tmp_path,
+                                                             capsys):
+        # builtin sigma is the classical lattice's multiplier; the lattice
+        # carries the job's weight, so the two cannot be mixed
+        job = dict(BASE, weight={"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
+                   values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=3)
+        rc, rep = run(tmp_path, job, "trace-check")
+        assert rc == 2 and rep is None
+        assert "classical weight" in capsys.readouterr().err
+
     def test_zero_job_bounded(self, tmp_path):
         job = dict(BASE, values={"kind": "zero"}, p="inf")
         rc, rep = run(tmp_path, job, "trace-check")
@@ -395,6 +405,18 @@ class TestOtherCommands:
         half = lat.guard_radius() / math.sqrt(2.0)
         assert [abs(float(r["x"])) for r in rows] == pytest.approx([half / 2] * 4)
 
+    @pytest.mark.parametrize("cmd", ["sigma-eval", "reconstruct"])
+    def test_grid_coordinates_are_cell_midpoints(self, tmp_path, cmd):
+        # 3 x 3 cells on [-1.5, 1.5]^2: midpoints -1, 0 and 1, y running first
+        job = dict(BASE, values={"kind": "zero"}, p=2,
+                   grid={"half_width": 1.5, "n": 3}, verify_points=4)
+        grid = tmp_path / "g.csv"
+        rc, _ = run(tmp_path, job, cmd, ["--grid", str(grid)])
+        assert rc == 0
+        rows = list(csv.DictReader(grid.read_text().splitlines()))
+        assert [(float(r["x"]), float(r["y"])) for r in rows] == \
+            [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+
     def test_density_schedule_past_truncation_is_numerical_error(self, tmp_path):
         rc, _ = run(tmp_path, dict(BASE, density_r_max=100.0), "lattice-info")
         assert rc == 3
@@ -572,6 +594,30 @@ class TestOtherCommands:
         rc, rep = run(tmp_path, job, "op-norm")
         assert rc == 2 and rep is None
         assert "'trials'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [1, 2, "inf"])
+    @pytest.mark.parametrize("sizes", [[200.7, 600.9], ["200"], [True, 60],
+                                       [0, 60], [], 200, [1, 60], [2, 60],
+                                       [3, 60]],
+                             ids=["floats", "string", "bool", "zero", "empty",
+                                  "scalar", "one", "two", "three"])
+    def test_op_norm_sizes_are_schema_errors(self, tmp_path, capsys, sizes, p):
+        # int() ran 200.7 and "200" as 200 (193 points) and true as 1, and
+        # a bare number raised TypeError (exit 1).  Sizes 1 to 3 hold the
+        # origin alone, whose norm is 0: 1 ended in a ZeroDivisionError
+        # (exit 1); 2 and 3 gave FFT noise and a growth ratio near 3e16 at
+        # p = 1 (exit 0) and a stalled bidiagonalisation at p = 2 (exit 3)
+        job = {"weight": {"kind": "classical"}, "op": "B", "p": p, "sizes": sizes}
+        rc, rep = run(tmp_path, job, "op-norm")
+        assert rc == 2 and rep is None
+        assert "sizes" in capsys.readouterr().err
+
+    def test_op_norm_smallest_two_point_size(self, tmp_path):
+        # size 4 already reaches the four nearest neighbours
+        job = {"weight": {"kind": "classical"}, "op": "B", "p": 1, "sizes": [4, 60]}
+        rc, rep = run(tmp_path, job, "op-norm")
+        assert rc == 0 and rep["results"]["sizes"][0] == 5
+        assert rep["results"]["norms"][0] > 0
 
     def test_explicit_lattice_user_table(self, tmp_path):
         pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5],

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import focklattice
@@ -216,3 +217,22 @@ def test_package_reexports_are_in_module_all():
                 continue
             missing = [a.name for a in node.names if a.name not in mod.__all__]
             assert not missing, f"focklattice.{node.module}.__all__ lacks {missing}"
+
+
+def test_readme_library_sketch_runs():
+    # the README's sketch is the documented library API: run it as written
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("## Library sketch"):]
+    code = section[section.index("```python") + len("```python"):]
+    code = code[:code.index("```")]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    w, z = 0.3 + 0.1j, 1.2 - 0.7j
+    assert scope["verdict"].branch.condition_ids == ("a", "b")
+    assert scope["value"] == pytest.approx(np.exp(2 * np.conj(w) * z - abs(w) ** 2),
+                                           rel=1e-6)
+    assert scope["data"].weight is scope["lat"].weight
+    assert np.all(np.isfinite(scope["weighted"]))

@@ -44,6 +44,20 @@ class TestSquareLattice:
         # explicit_lattice reads it to reject sets that are not rho-separated
         assert "delta_sep" in vars(explicit_lattice(list(lat.points), cw))
 
+    def test_inverse_points_are_built_on_first_read(self, cw):
+        # the modified Cauchy rows slice this one array at every row block
+        lat = square_lattice(7.0, cw)
+        assert "inv_points" not in vars(lat)
+        inv = lat.inv_points
+        assert inv is lat.inv_points and not inv.flags.writeable
+        assert inv[0] == 0.0
+        assert np.array_equal(inv[1:], 1.0 / lat.points[1:])
+
+    def test_rho_follows_the_weight(self, lat12, power_lat):
+        for lat in (lat12, power_lat):
+            assert np.array_equal(lat.rho_values, rho_many(lat.weight, lat.points))
+            assert not lat.rho_values.flags.writeable
+
     def test_delta_sep_independent_of_R(self, cw, lat12):
         lat = square_lattice(7.0, cw)
         assert lat.delta_sep == pytest.approx(lat12.delta_sep, rel=1e-12)
@@ -76,7 +90,7 @@ class TestUpperDensity:
     def test_classical_critical_density(self, cw):
         lat = square_lattice(40.0, cw)
         r = 0.45 * 40.0 / lat.max_rho
-        dens = upper_density(lat, cw, [r], centers=[0.0])
+        dens = upper_density(lat, r, centers=[0.0])
         assert dens == pytest.approx(1.0 / (2 * math.pi), rel=0.03)
 
     def test_thinned_lattice_halves(self, cw, scale):
@@ -85,20 +99,20 @@ class TestUpperDensity:
                 if p == 0 or (round(p.real / scale) % 2 != 0)]
         thin = explicit_lattice(kept, cw)
         r = 0.45 * 40.0 / lat.max_rho
-        dens = upper_density(thin, cw, [r], centers=[0.0])
+        dens = upper_density(thin, r, centers=[0.0])
         assert dens == pytest.approx(0.5 / (2 * math.pi), rel=0.06)
 
     def test_monotone_under_superset(self, cw):
         lat = square_lattice(40.0, cw)
-        r = [0.4 * 40.0 / lat.max_rho]
+        r = 0.4 * 40.0 / lat.max_rho
         kept = [p for p in lat.points if p == 0 or abs(p.imag) > 1e-12]
         sub = explicit_lattice(kept, cw)
-        assert upper_density(sub, cw, r, centers=[0.0]) <= \
-            upper_density(lat, cw, r, centers=[0.0]) + 1e-12
+        assert upper_density(sub, r, centers=[0.0]) <= \
+            upper_density(lat, r, centers=[0.0]) + 1e-12
 
-    def test_schedule_margin_enforced(self, cw, lat12):
+    def test_schedule_margin_enforced(self, lat12):
         with pytest.raises(NumericalError):
-            upper_density(lat12, cw, [100.0 / lat12.max_rho])
+            upper_density(lat12, 100.0 / lat12.max_rho)
 
     def test_power_weight_matches_per_centre_loop(self):
         # the batched disc masses against one scalar mu_disc per centre
@@ -110,12 +124,12 @@ class TestUpperDensity:
             rad = 1.5 * rc
             count = int(np.sum(np.abs(lat.points - c) <= rad + 1e-12))
             ref = max(ref, count / mu_disc(w, c, rad))
-        dens = upper_density(lat, w, [1.5], centers=centers)
+        dens = upper_density(lat, 1.5, centers=centers)
         assert dens == pytest.approx(ref, rel=1e-9)
 
-    def test_empty_window_contributes_zero(self, cw, lat12, scale):
+    def test_empty_window_contributes_zero(self, lat12, scale):
         deep = 0.5 * scale * (1 + 1j)   # cell center, far from all points
-        dens = upper_density(lat12, cw, [0.5], centers=[deep])
+        dens = upper_density(lat12, 0.5, centers=[deep])
         assert dens == 0.0
 
 
@@ -156,7 +170,7 @@ class TestShells:
         with pytest.raises(ValueError, match="ascending radius"):
             Lattice(points=pts, scale=lat12.scale,
                     truncation_radius=lat12.truncation_radius,
-                    rho_values=lat12.rho_values, kind="explicit")
+                    weight=lat12.weight, kind="explicit")
 
 
 @pytest.fixture(scope="module")

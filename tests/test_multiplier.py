@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from focklattice import (NumericalError, SchemaError, builtin_sigma_multiplier,
-                         sigma_log, sigma_weighted_mag, square_lattice,
-                         user_multiplier)
+                         power_weight, sigma_log, sigma_weighted_mag,
+                         square_lattice, user_multiplier)
 from focklattice.classifier import TraceData, condition, condition_a
 
 
@@ -174,56 +174,72 @@ class TestBuiltinMultiplier:
             builtin_sigma_multiplier(lat)
 
 
-class TestUserMultiplier:
-    def _sigma_table(self, lat, mult):
-        gw = mult.g_prime_weighted()
-        return gw, dict(enumerate(gw))
+class TestOneWeight:
+    """The lattice carries the weight; multipliers and trace data read it."""
 
-    def test_reproduces_builtin_trace_ops(self, lat12, mult12, cw):
-        gw, table = self._sigma_table(lat12, mult12)
-        um = user_multiplier(lat12, cw, table, weighted=True)
-        d1 = TraceData.gaussian(lat12, mult12, cw, 2.0, 0.3)
-        d2 = TraceData.gaussian(lat12, um, cw, 2.0, 0.3)
+    def test_builtin_reads_the_lattice_weight(self, lat12, mult12):
+        data = TraceData.gaussian(mult12, 2.0, 0.3)
+        assert mult12.weight is lat12.weight
+        assert data.weight is lat12.weight and data.lattice is lat12
+
+    def test_user_table_reads_the_lattice_weight(self):
+        lat = square_lattice(10.0, power_weight(0.5, rho_origin=2.0))
+        um = user_multiplier(lat, 1.0 / lat.rho_values, weighted=True)
+        data = TraceData.zero(um, 3.0)
+        assert um.weight is lat.weight
+        assert data.weight is lat.weight and data.lattice is lat
+
+    def test_builtin_refuses_a_power_weight_lattice(self):
+        # the builtin took the classical weight by default whatever the
+        # lattice's, and then ran the power weight's branch on classical rho
+        lat = square_lattice(12.0, power_weight(0.5, rho_origin=2.0))
+        with pytest.raises(SchemaError, match="classical weight"):
+            builtin_sigma_multiplier(lat)
+
+
+class TestUserMultiplier:
+    def test_reproduces_builtin_trace_ops(self, lat12, mult12):
+        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
+        d1 = TraceData.gaussian(mult12, 2.0, 0.3)
+        d2 = TraceData.gaussian(um, 2.0, 0.3)
         r1, r2 = condition(d1, "b"), condition(d2, "b")
         t1 = np.asarray(r1.partial_trajectory)
         t2 = np.asarray(r2.partial_trajectory)
         assert np.allclose(t1, t2, rtol=1e-12)
 
-    def test_scaled_table_scales_d_not_verdicts(self, lat12, mult12, cw):
-        gw, _ = self._sigma_table(lat12, mult12)
+    def test_scaled_table_scales_d_not_verdicts(self, lat12, mult12):
         kappa = 2.5 - 1.0j
-        um = user_multiplier(lat12, cw, dict(enumerate(kappa * gw)),
+        um = user_multiplier(lat12, kappa * mult12.g_prime_weighted(),
                              weighted=True)
-        base = TraceData.gaussian(lat12, mult12, cw, 2.0, 0.3)
-        scaled = TraceData.gaussian(lat12, um, cw, 2.0, 0.3)
+        base = TraceData.gaussian(mult12, 2.0, 0.3)
+        scaled = TraceData.gaussian(um, 2.0, 0.3)
         assert np.allclose(scaled.d.values, base.d.values / kappa, rtol=1e-12)
         assert condition_a(base).verdict == condition_a(scaled).verdict
         assert condition(base, "b").verdict == condition(scaled, "b").verdict
 
-    def test_zero_entry_rejected(self, lat12, cw):
-        table = {i: 1.0 + 0j for i in range(len(lat12))}
+    def test_zero_entry_rejected(self, lat12):
+        table = np.ones(len(lat12), dtype=complex)
         table[3] = 0.0
         with pytest.raises(SchemaError):
-            user_multiplier(lat12, cw, table)
+            user_multiplier(lat12, table)
 
-    def test_missing_index_rejected(self, lat12, cw):
-        table = {i: 1.0 + 0j for i in range(len(lat12) - 1)}
+    def test_missing_index_rejected(self, lat12):
+        table = np.ones(len(lat12) - 1, dtype=complex)
         with pytest.raises(SchemaError):
-            user_multiplier(lat12, cw, table)
+            user_multiplier(lat12, table)
 
-    def test_no_log_g(self, lat12, mult12, cw):
-        gw, table = self._sigma_table(lat12, mult12)
-        um = user_multiplier(lat12, cw, table, weighted=True)
+    def test_no_log_g(self, lat12, mult12):
+        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
         with pytest.raises(NumericalError):
             um.log_g(0.3 + 0.2j)
 
-    def test_ops_depend_on_g_only_through_gprime(self, lat12, mult12, cw):
-        gw, table = self._sigma_table(lat12, mult12)
-        um1 = user_multiplier(lat12, cw, table, weighted=True)
-        um2 = user_multiplier(lat12, cw, table, weighted=True,
+    def test_ops_depend_on_g_only_through_gprime(self, lat12, mult12):
+        table = mult12.g_prime_weighted()
+        um1 = user_multiplier(lat12, table, weighted=True)
+        um2 = user_multiplier(lat12, table, weighted=True,
                               g_double_prime0=3.0 - 2.0j)
-        da = TraceData.gaussian(lat12, um1, cw, 2.0, 0.2 + 0.1j)
-        db = TraceData.gaussian(lat12, um2, cw, 2.0, 0.2 + 0.1j)
+        da = TraceData.gaussian(um1, 2.0, 0.2 + 0.1j)
+        db = TraceData.gaussian(um2, 2.0, 0.2 + 0.1j)
         ra, rb = condition(da, "b"), condition(db, "b")
         assert np.allclose(np.asarray(ra.partial_trajectory),
                            np.asarray(rb.partial_trajectory), rtol=0)

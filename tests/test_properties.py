@@ -93,14 +93,14 @@ class TestClassifierProperties:
     @given(p=st.sampled_from([1.0, 2.0, math.inf]),
            w=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
            log_mod=st.floats(-3.0, 3.0), arg=st.floats(0.0, 2.0 * math.pi))
-    def test_verdicts_invariant_under_complex_scaling(self, lat16, mult16, cw,
+    def test_verdicts_invariant_under_complex_scaling(self, mult16,
                                                       p, w, log_mod, arg):
         # the conditions are homogeneous in c: trajectories scale by
         # |kappa|^p (|kappa| at p = inf), up to rounding noise where a sum
         # cancels, and the verdicts do not move
         kappa = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
-        base = TraceData.gaussian(lat16, mult16, cw, p, complex(*w))
-        scaled = TraceData.from_weighted(lat16, mult16, cw, p, kappa * base.c_weighted)
+        base = TraceData.gaussian(mult16, p, complex(*w))
+        scaled = TraceData.from_weighted(mult16, p, kappa * base.c_weighted)
         vb, vs = classify(base), classify(scaled)
         assert vs.overall == vb.overall
         factor = abs(kappa) if math.isinf(p) else abs(kappa) ** p
@@ -116,14 +116,14 @@ class TestClassifierProperties:
 class TestReconstructionProperties:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(inf=st.booleans(), seed=_seeds)
-    def test_linear_in_values(self, lat12, mult12, cw, inf, seed):
+    def test_linear_in_values(self, lat12, mult12, inf, seed):
         # points far from the lattice, 1e-4 rho from it, and on it
         rng = np.random.default_rng(seed)
         p = math.inf if inf else 2.0
         a, b, w01, w02 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        d1, d2 = (TraceData.gaussian(lat12, mult12, cw, p, complex(*rng.uniform(-0.5, 0.5, 2)))
+        d1, d2 = (TraceData.gaussian(mult12, p, complex(*rng.uniform(-0.5, 0.5, 2)))
                   for _ in range(2))
-        mix = TraceData.from_weighted(lat12, mult12, cw, p,
+        mix = TraceData.from_weighted(mult12, p,
                                       a * d1.c_weighted + b * d2.c_weighted)
         k = rng.integers(1, 40, size=6)
         near = lat12.points[k] + 1e-4 * lat12.rho_values[k] * np.exp(2j * math.pi * rng.uniform(size=6))

@@ -167,7 +167,7 @@ def shell_oracle(lat):
     """The same lattice run through the compensated shell path."""
     return Lattice(points=lat.points, scale=lat.scale,
                    truncation_radius=lat.truncation_radius,
-                   rho_values=lat.rho_values, kind="explicit")
+                   weight=lat.weight, kind="explicit")
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +220,14 @@ class TestFftPath:
         d = SequenceData(lat, rng.standard_normal(len(lat))
                          + 1j * rng.standard_normal(len(lat)))
         idx = np.arange(len(lat))
-        want = [batch_higher(lat, d, idx, n) for n in (1, 2)]
+        runs = [lambda: batch_higher(lat, d, idx, 1),
+                lambda: batch_higher(lat, d, idx, 2),
+                lambda: batch_modified_inf(lat, d, idx[1:])]
+        want = [run() for run in runs]
         monkeypatch.setattr(focklattice.transforms, "_CHUNK_TERMS", 1)
         monkeypatch.setattr(focklattice.transforms, "_PASS_SUMS", 1)
-        for n, (wv, wc) in zip((1, 2), want):
-            v, c = batch_higher(lat, d, idx, n)
+        for run, (wv, wc) in zip(runs, want):
+            v, c = run()
             assert np.array_equal(v, wv) and np.array_equal(c, wc)
 
     def test_tail_partials_match_shell_partials(self, lat16, rng):
@@ -420,8 +423,13 @@ class TestOperatorNorms:
         assert "_kabsf" in vars(sec)
 
     def test_single_point_lattice(self, cw):
-        rep = operator_norm_estimate("B", [1], 2.0, cw)
-        assert rep.norms == (0.0,)
+        # sizes 1 to 3 all give the origin alone (R < scale): the zero
+        # operator, whose norm is exactly 0.  Sizes 2 and 3 ran the one-point
+        # section, to FFT noise at p = 1 and a stalled bidiagonalisation at 2
+        for size in (1, 2, 3):
+            for p in (1.0, 2.0):
+                rep = operator_norm_estimate("B", [size], p, cw)
+                assert rep.sizes == (1,) and rep.norms == (0.0,), (size, p)
 
     def test_dense_matrix_diagonal_zero(self, lat12, cw):
         K = dense_section(lat12, "B")
