@@ -38,7 +38,7 @@ from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_ma
                          user_multiplier)
 from .transforms import PV_RTOL, operator_norm_estimate
 from .weights import (AP_EXPONENT_TOLERANCE, T_FIT_SLACK, WeightProfile,
-                      ap_probe, choose_N, default_ap_radii, phi)
+                      ap_probe, choose_N, default_ap_radii, phi, power_weight)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -50,24 +50,15 @@ def _reject_constant(name: str):
     raise SchemaError(f"job files may not hold {name}")
 
 
-def _finite(parse):
-    """A json number hook: parse(text), refused unless float(text) is finite."""
-    def hook(text: str):
-        if not math.isfinite(float(text)):
-            raise SchemaError(f"number {text} is not a finite double")
-        return parse(text)
-    return hook
-
-
 def _load_job(path: str) -> tuple:
     """The parsed job and the SHA-256 hex digest of the file's bytes.  The
-    non-standard JSON literals NaN, Infinity and -Infinity are refused, and
-    so is every number literal that is not a finite double."""
+    non-standard JSON literals NaN, Infinity and -Infinity are refused.
+    Numbers are checked where they are read (`_number`, `_entries`): json
+    reads 1e400 as inf, and a 401-digit integer as a Python int."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        job = json.loads(raw, parse_constant=_reject_constant,
-                         parse_float=_finite(float), parse_int=_finite(int))
+        job = json.loads(raw, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read job file: {exc}")
     if not isinstance(job, dict):
@@ -86,11 +77,26 @@ def _echo(job: dict) -> dict:
     return out
 
 
+def _number(value, what: str, positive: bool = False) -> float:
+    """A job number as a finite double (> 0 if `positive`); anything else,
+    a string, a bool or a number beyond double range, is a schema error
+    naming `what`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:      # an integer beyond 1.8e308
+            x = math.inf
+        if math.isfinite(x) and (x > 0.0 or not positive):
+            return x
+    raise SchemaError(f"{what} must be a finite double{' > 0' if positive else ''}, "
+                      f"not {value!r:.40}")
+
+
 def _complex_of(obj, what: str) -> complex:
+    if isinstance(obj, list) and len(obj) == 2:
+        return complex(_number(obj[0], what), _number(obj[1], what))
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        return complex(_number(obj, what))
     raise SchemaError(f"{what} must be a number or [re, im] pair")
 
 
@@ -98,19 +104,35 @@ def _entries(entries: list) -> tuple:
     """Index and complex value arrays of a list of {"index", "re", "im"}
     objects, one numpy conversion per field."""
     n = len(entries)
-    idx, re, im = (np.fromiter(map(itemgetter(key), entries), float, n)
-                   for key in ("index", "re", "im"))
+    bad = SchemaError("table entries need a finite index, re and im, each a double")
+    try:
+        idx, re, im = (np.fromiter(map(itemgetter(key), entries), float, n)
+                       for key in ("index", "re", "im"))
+    except (KeyError, TypeError, OverflowError):   # OverflowError: a 401-digit int
+        raise bad from None
     # numpy reads a JSON null as NaN, where float() would have refused it
     if not (np.isfinite(idx).all() and np.isfinite(re).all()
             and np.isfinite(im).all()):
-        raise SchemaError("table entries need a finite index, re and im")
+        raise bad
     values = np.empty(n, dtype=complex)
     values.real, values.imag = re, im
     return idx, values
 
 
 def _build_weight(job: dict) -> WeightProfile:
-    return WeightProfile.from_json(job.get("weight", {"kind": "classical"}))
+    spec = job.get("weight", {"kind": "classical"})
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise SchemaError("weight must be an object with a 'kind'")
+    if spec["kind"] != "power":
+        return WeightProfile(spec["kind"])
+    if "gamma" not in spec:
+        raise SchemaError("power weight needs gamma")
+    gamma = _number(spec["gamma"], "weight.gamma", positive=True)
+    for key in ("c_gamma", "rho_origin"):
+        if key in spec:
+            return power_weight(gamma, **{key: _number(spec[key], f"weight.{key}",
+                                                       positive=True)})
+    raise SchemaError("power weight needs c_gamma or rho_origin")
 
 
 def _build_lattice(job: dict, w: WeightProfile) -> Lattice:
@@ -119,12 +141,14 @@ def _build_lattice(job: dict, w: WeightProfile) -> Lattice:
         raise SchemaError("lattice must be an object with a 'kind'")
     if spec["kind"] == "square":
         try:
-            return square_lattice(float(spec["R"]), w)
+            return square_lattice(_number(spec["R"], "lattice.R"), w)
         except KeyError:
             raise SchemaError("square lattice needs R")
     if spec["kind"] == "explicit":
-        pts = [complex(float(p[0]), float(p[1])) for p in spec.get("points", [])]
-        return explicit_lattice(pts, w)
+        pts = spec.get("points", [])
+        if not isinstance(pts, list):
+            raise SchemaError("lattice.points must be a list of [x, y] pairs")
+        return explicit_lattice([_complex_of(p, "lattice.points") for p in pts], w)
     raise SchemaError(f"unknown lattice kind {spec['kind']!r}")
 
 
@@ -164,7 +188,7 @@ def _parse_p(job: dict):
     p = job.get("p", 2)
     if p == "inf":
         return math.inf
-    p = float(p)
+    p = _number(p, "p")
     if not p >= 1.0:
         raise SchemaError("p must be >= 1 or 'inf'")
     return p
@@ -174,17 +198,18 @@ def _pv_rtol(job: dict, args) -> float:
     """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL; a
     finite number >= 0, since no window test passes below 0."""
     pv = job.get("pv", {})
-    tol = args.tolerance if args.tolerance is not None else pv.get("tolerance", PV_RTOL)
     if pv.get("center_mode", "origin") != "origin":
         raise SchemaError("pv.center_mode: only the origin schedule exists "
                           "(partial sums always run over |lambda| < R)")
-    tol = float(tol)
+    tol = args.tolerance if args.tolerance is not None else \
+        _number(pv.get("tolerance", PV_RTOL), "pv.tolerance")
     if not 0.0 <= tol < math.inf:
         raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {tol}")
     return tol
 
 
 def _count(value, what: str) -> int:
+    _number(value, what)
     if type(value) is not int or value < 1:
         raise SchemaError(f"{what} must be an integer >= 1, not {value!r}")
     return value
@@ -195,12 +220,8 @@ def _grid(job: dict, default_half: float, default_n: int) -> tuple:
     [-half_width, half_width]^2 of the job's "grid" object: an integer
     n >= 1 and a finite half_width > 0; y varies fastest along the points."""
     g = job.get("grid", {})
-    half, n = g.get("half_width", default_half), g.get("n", default_n)
-    if isinstance(half, bool) or not isinstance(half, (int, float)) \
-            or not 0.0 < half < math.inf:
-        raise SchemaError(f"grid.half_width must be a finite number > 0, "
-                          f"not {half!r}")
-    n = _count(n, "grid.n")
+    half = _number(g.get("half_width", default_half), "grid.half_width", positive=True)
+    n = _count(g.get("n", default_n), "grid.n")
     xs = -half + (np.arange(n) + 0.5) * (half + half) / n
     return (xs[:, None] + 1j * xs[None, :]).ravel(), abs(complex(half, half))
 
@@ -267,7 +288,7 @@ def cmd_lattice_info(args) -> int:
     r_max = job.get("density_r_max")
     if r_max is None:
         r_max = 0.45 * lat.truncation_radius / lat.max_rho
-    results["upper_density"] = upper_density(lat, float(r_max))
+    results["upper_density"] = upper_density(lat, _number(r_max, "density_r_max"))
     _emit(_report("lattice-info", args, job, digest, results, t0), args.output)
     return EXIT_OK
 
@@ -368,7 +389,12 @@ def cmd_ap_probe(args) -> int:
     if math.isinf(p) or p <= 1.0:
         raise SchemaError("ap-probe needs 1 < p < inf")
     radii = job.get("radii")
-    radii = default_ap_radii(w) if radii is None else [float(r) for r in radii]
+    if radii is None:
+        radii = default_ap_radii(w)
+    elif isinstance(radii, list):
+        radii = [_number(r, "radii") for r in radii]
+    else:
+        raise SchemaError(f"radii must be a list of radii, not {radii!r:.40}")
     rep = ap_probe(w, p, radii)
     results = {"p": p, "disc_radii": list(rep.disc_radii),
                "ratios": list(rep.ratios),
@@ -393,6 +419,12 @@ def cmd_op_norm(args) -> int:
     if not isinstance(sizes, list) or not sizes:
         raise SchemaError(f"sizes must be a non-empty list, not {sizes!r}")
     sizes = [_count(s, "sizes") for s in sizes]
+    if min(sizes) < math.pi:
+        # a size's section is the disc pi R^2 = size scale^2, which below
+        # pi holds the origin alone: its norm is 0, and the growth ratio
+        # divides by it
+        raise SchemaError(f"sizes: the smallest, {min(sizes)}, gives a "
+                          f"one-point section; the growth ratio needs two points")
     p = _parse_p(job)
     # only M(N) reads N; without one it is the smallest N > 1/t.  The
     # effective t never exceeds min(1 - T_FIT_SLACK, gamma/2), so a given N
@@ -402,14 +434,10 @@ def cmd_op_norm(args) -> int:
         N = choose_N(cached_t(w))
     elif op == "M":
         N, t_max = job["N"], min(1.0 - T_FIT_SLACK, w.gamma / 2.0)
-        if type(N) is not int or N <= 1.0 / t_max:
+        if type(N) is not int or _number(N, "N") <= 1.0 / t_max:
             raise SchemaError(f"op-norm: M(N) needs an integer N > 1/t, and "
                               f"t <= {t_max:g} for this weight; N = {N!r}")
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
-    if rep.sizes[0] == 1:
-        # its norm is 0, so no growth ratio can be taken against it
-        raise SchemaError(f"sizes: the smallest, {min(sizes)}, gives a "
-                          f"one-point section; the growth ratio needs two points")
     results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
                "sizes": list(rep.sizes), "norms": list(rep.norms),
                "growth_ratio": rep.growth_ratio}

@@ -13,7 +13,8 @@ function via w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)).
 Evaluation happens in weighted space (values times e^{-phi}) wherever
 magnitudes can reach e^{phi}; raw outputs are restricted to the guard band.
 The kernel sums are the p.v. engine's own order-1 and modified rows,
-centred at z (`transforms._shell_partials`).  Every off-lattice z is
+centred at z, each the total less its outer shells
+(`transforms._tail_partials`).  Every off-lattice z is
 deflated at its nearest lattice point: the pole term joins g(z)/(z -
 lambda), which `Multiplier.log_g_deflated` gives stably at any distance.
 """
@@ -30,7 +31,7 @@ from .errors import NumericalError
 from .lattice import nearest_index, shells_for
 from .multiplier import Multiplier
 from .transforms import (PV_RTOL, _higher_terms, _modified_terms,
-                         _shell_partials, loglog_fit)
+                         _tail_partials, _window_test, loglog_fit, pv_sum)
 # rho_many is unused here, but perfbench's tracer wraps it under this
 # module's name (focklattice.interpolate:rho_many) and cannot install without it
 from .weights import phi, rho_many
@@ -74,12 +75,13 @@ def _eval_core(I: "Interpolant", z, weighted: bool):
     if off.any():
         zs, k = zarr[off], nearest[off]
         if I.w0 is None:
-            rows = lambda r: _higher_terms(lat, data.d, zs[r], k[r], 1)
+            rows = lambda r, first: _higher_terms(lat, data.d, zs[r], k[r], 1, first)
         else:
-            rows = lambda r: _modified_terms(lat, data.d, zs[r], k[r])
-        partials, conv, spread = _shell_partials(lat, len(zs), rows, I.rtol)
+            rows = lambda r, first: _modified_terms(lat, data.d, zs[r], k[r], first)
+        partials = _tail_partials(lat, len(zs), rows)
+        conv, spread = _window_test(partials, I.rtol)
         if not conv.all():
-            _check_summable(data, zs, partials, spread)
+            _check_summable(data, zs, rows, spread)
         s = -partials[:, -1]
         if I.w0 is not None:
             s += I.w0 + np.divide(d[k], lat.points[k], out=np.zeros(len(k), complex),
@@ -90,19 +92,20 @@ def _eval_core(I: "Interpolant", z, weighted: bool):
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
-def _check_summable(data: TraceData, zs: np.ndarray, partials: np.ndarray,
-                    spread: np.ndarray):
+def _check_summable(data: TraceData, zs: np.ndarray, rows, spread: np.ndarray):
     """Raise NumericalError for a failed Cauchy criterion unless
     sum |d_lambda| / |z - lambda| converges: the far-field kernel scales
     like 1/|lambda|, so the shell trajectory of |d|/(1+|lambda|) must
     flatten.  When it does, the failure is tolerance noise rather than
-    divergence."""
+    divergence.  The error carries the growth exponent of the worst
+    centre's trajectory, rebuilt from its term row rows(r, 0)."""
     lat = data.lattice
     per = np.abs(data.d.values) / (1.0 + lat.radii)
     if trajectory_margins(*shell_trajectory(lat, per, 1.0)).verdict == "bounded":
         return
     worst = int(np.argmax(spread))
-    fit = loglog_fit(shells_for(lat).radii, np.abs(partials[worst]))
+    res = pv_sum(shells_for(lat), rows(slice(worst, worst + 1), 0)[0])
+    fit = loglog_fit(res.shell_radii, np.abs(res.shell_partials))
     why = "trajectory too short to fit" if fit is None \
         else f"growth exponent ~ {fit[0]:.3f}"
     raise NumericalError("principal value did not converge at z = "

@@ -1,39 +1,37 @@
 """Principal-value summation engine and the discrete lattice transforms.
 
 A principal value here always means the limit of partial sums over
-|lambda| < R, realised as shell-by-shell accumulation in ascending shell
-order with compensated (Kahan) carries: the sums are cancellation-heavy
-(odd kernels vanish per shell on the square lattice) and may run over 1e5
-terms.  Convergence at finite truncation is a verdict, not a certainty:
+|lambda| < R, taken shell by shell in ascending shell order: the sums are
+cancellation-heavy (odd kernels vanish per shell on the square lattice)
+and may run over 1e5 terms.  Convergence at finite truncation is a verdict, not a certainty:
 the last CAUCHY_WINDOW shell partials must agree to the relative tolerance
 `rtol` (PV_RTOL unless the caller passes another), and one test,
 `_window_test`, decides that on every path.
 
-Which path runs follows from the lattice, with no knob:
+Every batch p.v. evaluation takes one route, `_tail_partials`: the
+verdict needs only the last CAUCHY_WINDOW partials, and partial k is the
+total less the sums over the shells beyond k.  Those few outer shells (a
+few dozen points on the square lattice, a few on an explicit one) are
+summed directly from the rows of one builder per kernel (`_higher_terms`,
+`_modified_terms`), which writes them at any centres with each row's own
+index zeroed, in row blocks of _CHUNK_TERMS terms (`_row_sums`).  Which
+totals run follows from the lattice, with no knob:
 
-* The shell path (`_shell_kernel`) turns a (rows x shells) matrix of
-  per-shell sums into compensated partial-sum trajectories.  Lattice
-  indices run in ascending radius order (`Lattice` enforces it), so the
-  per-shell sums of a term matrix are one `np.add.reduceat` over the shell
-  starts.  One builder per kernel (`_higher_terms`, `_modified_terms`)
-  writes the rows at any centres, each row's own index zeroed, and
-  `_shell_partials` sums them in blocks of _CHUNK_TERMS terms before one
-  compensated pass over all rows.  It serves the scalar transforms that
-  return whole `PvResult` trajectories, the reconstruction sums of
-  `interpolate` (centres z, own index the point nearest z) and explicit
-  lattices, whose shells number about as many as their points, so there
-  one pass covers at most _PASS_SUMS per-shell sums; the tests use it as
-  the oracle.
 * On the square lattice `batch_higher` and `batch_modified_inf` take the
   whole-disc total at every centre from one 2-D FFT correlation of the
   grid-embedded d with the order-n kernel (K(0) = 0), O(R^2 log R) instead
-  of the O(R^4) term matrix.  The verdict needs only the last
-  CAUCHY_WINDOW partials, and partial k is the total minus the sums over
-  the shells beyond k.  Those few outer shells (a few dozen points) are
-  summed directly, so the tail partials are exact up to rounding of the
-  same order as the shell path's, and the window test sees the same
-  numbers.  The modified p = inf kernel is the order-1 correlation minus
-  sum_{lambda != 0} d_lambda/lambda plus d_lambda'/lambda'.
+  of the O(R^4) term matrix (`_correlate`).  The modified p = inf kernel
+  is the order-1 correlation minus sum_{lambda != 0} d_lambda/lambda plus
+  d_lambda'/lambda'.
+* Elsewhere, on explicit lattices and at the off-lattice centres z of
+  `interpolate` (own index the point nearest z), the totals are the plain
+  row sums of the same term rows.
+
+The totals are pairwise numpy sums, so the tail partials are exact up to
+rounding of the order of the compensated shell sum's, and the window test
+sees the same numbers.  The full compensated shell pass (`_shell_kernel`)
+is left in `pv_sum`, which serves the scalar transforms that return whole
+`PvResult` trajectories; the tests use it as the reference.
 
 The same zero-padded FFT convolution (`_SquareGrid`) applies the operator
 sections of the norm probes.  Its transforms skip the zero padding (only
@@ -82,9 +80,6 @@ __all__ = [
 # terms per row block of every term matrix: 125 KB of complex terms, under
 # glibc's default 128 KB mmap threshold, like weights._CHUNK
 _CHUNK_TERMS = 8000
-# per-shell sums per compensated pass on explicit lattices (64 MB): there
-# the shells number about as many as the points
-_PASS_SUMS = 4_000_000
 # inner centres lambda' of the trace conditions lie in
 # |lambda'| <= OUTER_GUARD_FRACTION * R, away from the truncation edge
 OUTER_GUARD_FRACTION = 0.5
@@ -228,49 +223,34 @@ def _row_sums(count: int, width: int, terms_of, starts) -> np.ndarray:
     return out
 
 
-def _shell_partials(lat: Lattice, count: int, terms_of, rtol: float):
-    """`_shell_kernel` of the per-shell sums of count term rows
-    terms_of(rows) over every lattice index: (partials, converged,
-    spread).  The compensated pass runs once, over all rows."""
-    return _shell_kernel(_row_sums(count, len(lat), terms_of,
-                                   shells_for(lat).starts), rtol)
-
-
 def _batch_values(lat: Lattice, indices, rtol: float, terms_of, totals):
     """Values and convergence flags of the p.v. sums with term rows
     terms_of(block, first) (over the indices first..) at the centres
-    points[indices]: from `_tail_partials` on the square lattice, and on
-    explicit lattices from `_shell_partials`, one pass per _PASS_SUMS
-    per-shell sums."""
+    points[indices]; on the square lattice their totals are
+    totals(indices), an FFT correlation."""
     indices = np.asarray(indices, dtype=int)
-    if lat.kind == "square":
-        partials = _tail_partials(lat, indices, terms_of, totals)
-        return partials[:, -1], _window_test(partials, rtol)[0]
-    values = np.empty(len(indices), dtype=complex)
-    converged = np.empty(len(indices), dtype=bool)
-    step = max(1, _PASS_SUMS // shells_for(lat).n_shells)
-    for i in range(0, len(indices), step):
-        blk = indices[i:i + step]
-        partials, converged[i:i + step], _ = _shell_partials(
-            lat, len(blk), lambda rows: terms_of(blk[rows]), rtol)
-        values[i:i + step] = partials[:, -1]
-    return values, converged
+    partials = _tail_partials(lat, len(indices),
+                              lambda rows, first: terms_of(indices[rows], first),
+                              (lambda: totals(indices)) if lat.kind == "square" else None)
+    return partials[:, -1], _window_test(partials, rtol)[0]
 
 
-def _tail_partials(lat: Lattice, indices: np.ndarray, terms_of,
-                   totals) -> np.ndarray:
-    """The last CAUCHY_WINDOW shell partials at the centres: the totals
-    (from totals(indices), an FFT correlation) less the direct sums over
-    the outer shells beyond each partial."""
+def _tail_partials(lat: Lattice, count: int, terms_of, totals=None) -> np.ndarray:
+    """The last CAUCHY_WINDOW shell partials of count p.v. sums with term
+    rows terms_of(rows, first) (rows a slice of range(count), over the
+    indices first..): the totals, totals() or else the row sums over every
+    index, less the direct sums over the outer shells beyond each
+    partial.  The outer rows come first, so terms_of validates its
+    arguments before any total is taken."""
     sched = shells_for(lat)
     k = min(CAUCHY_WINDOW, sched.n_shells) - 1
     first = int(sched.starts[-k]) if k > 0 else len(lat)
-    outer = _row_sums(len(indices), len(lat) - first,
-                      lambda rows: terms_of(indices[rows], first),
+    outer = _row_sums(count, len(lat) - first, lambda rows: terms_of(rows, first),
                       sched.starts[sched.n_shells - k:] - first)
-    total = totals(indices)[:, None]
+    total = (_row_sums(count, len(lat), lambda rows: terms_of(rows, 0), [0])[:, 0]
+             if totals is None else totals())
     beyond = np.cumsum(outer[:, ::-1], axis=1)[:, ::-1]
-    return np.concatenate([total - beyond, total], axis=1)
+    return np.concatenate([total[:, None] - beyond, total[:, None]], axis=1)
 
 
 def _correlate(lat: Lattice, d: SequenceData, n: int, indices) -> np.ndarray:
@@ -313,8 +293,8 @@ def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
     """Order-n transforms at many centers (vectorised higher_transform):
     arrays of values and convergence flags."""
     return _batch_values(lat, indices, rtol,
-                         lambda blk, first=0: _higher_terms(lat, d, lat.points[blk],
-                                                            blk, n, first),
+                         lambda blk, first: _higher_terms(lat, d, lat.points[blk],
+                                                          blk, n, first),
                          lambda idx: _correlate(lat, d, n, idx))
 
 
@@ -328,8 +308,8 @@ def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
         return _correlate(lat, d, 1, idx) - c + d.values[idx] / lat.points[idx]
 
     return _batch_values(lat, indices, rtol,
-                         lambda blk, first=0: _modified_terms(lat, d, lat.points[blk],
-                                                              blk, first),
+                         lambda blk, first: _modified_terms(lat, d, lat.points[blk],
+                                                            blk, first),
                          totals)
 
 
@@ -399,17 +379,37 @@ class _SquareGrid:
         rows = (np.fft.rfft if np.isrealobj(a) else np.fft.fft)(a, n=n, axis=1)
         return np.fft.fft(rows, n=n, axis=0)
 
+    @functools.cached_property
+    def _work(self):
+        # the complex product's work arrays, kept: fresh ones lie above
+        # glibc's mmap threshold, and were mapped and unmapped every call
+        return (np.empty((2 * self.M + 1, self._n), dtype=complex),
+                np.empty((self._n, self._n), dtype=complex))
+
     def conv(self, kf: np.ndarray, x: np.ndarray) -> np.ndarray:
         """K * x on the grid, for kf = fft(K); real when K and x are."""
         M, n = self.M, self._n
-        real = kf.shape[1] != n          # a real K has the half spectrum
-        if not real:
-            x = np.asarray(x, dtype=complex)
-        elif np.iscomplexobj(x):
-            return self.conv(kf, x.real) + 1j * self.conv(kf, x.imag)
-        rows = np.fft.ifft(kf * self.fft(x), axis=0)[2 * M:4 * M + 1]
-        out = np.fft.irfft(rows, n=n, axis=1) if real else np.fft.ifft(rows, axis=1)
-        return out[:, 2 * M:4 * M + 1]
+        if kf.shape[1] != n:             # a real K has the half spectrum
+            if np.iscomplexobj(x):
+                return self.conv(kf, x.real) + 1j * self.conv(kf, x.imag)
+            rows = np.fft.ifft(kf * self.fft(x), axis=0)[2 * M:4 * M + 1]
+            return np.fft.irfft(rows, n=n, axis=1)[:, 2 * M:4 * M + 1]
+        rows, spec = self._work
+        rows[:, :2 * M + 1] = x
+        rows[:, 2 * M + 1:] = 0.0
+        np.fft.fft(rows, axis=1, out=rows)
+        np.fft.fft(rows, n=n, axis=0, out=spec)
+        # the rounding of a complex product (its fused multiply-adds)
+        # depends on the operand order; this is numpy's order for
+        # kf * spectrum, which from 256 KiB multiplies into the temporary
+        # spectrum, so the sections keep their bits
+        if spec.nbytes >= 1 << 18:
+            np.multiply(spec, kf, out=spec)
+        else:
+            np.multiply(kf, spec, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.ifft(spec[2 * M:4 * M + 1], axis=1, out=rows)
+        return rows[:, 2 * M:4 * M + 1].copy()
 
 
 class _FftSection:

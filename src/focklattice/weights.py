@@ -104,22 +104,6 @@ class WeightProfile:
     def is_classical_like(self) -> bool:
         return self.kind == "classical" or (self.gamma == 2.0 and self.c_gamma == 1.0)
 
-    @staticmethod
-    def from_json(obj: dict) -> "WeightProfile":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise SchemaError("weight must be an object with a 'kind'")
-        kind = obj["kind"]
-        if kind == "classical":
-            return classical_weight()
-        if kind == "power":
-            gamma = float(obj["gamma"])
-            if "c_gamma" in obj:
-                return power_weight(gamma, c_gamma=float(obj["c_gamma"]))
-            if "rho_origin" in obj:
-                return power_weight(gamma, rho_origin=float(obj["rho_origin"]))
-            raise SchemaError("power weight needs c_gamma or rho_origin")
-        raise SchemaError(f"unknown weight kind {kind!r}")
-
 
 def classical_weight() -> WeightProfile:
     return WeightProfile(kind="classical")
@@ -513,8 +497,10 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, inf)")
     radii = [float(r) for r in radii]
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be ascending")
+    if len(radii) < 2 or not all(map(math.isfinite, radii)) or radii[0] <= 0.0 \
+            or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be at least 2 finite, positive, ascending "
+                         f"radii, not {radii}")
     R = np.asarray(radii)[:, None]
     ring = R * np.exp(2j * math.pi * np.arange(8) / 8.0)
     discs = np.concatenate([np.zeros_like(ring[:, :1]), ring], axis=1)

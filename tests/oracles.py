@@ -1,13 +1,18 @@
 """Reference implementations that the tests check program code against.
 
-Each is the plain dense form of what the program computes another way, and
-shares no code with it:
+Each is the plain dense form of what the program computes another way:
 
 * `dense_section`: the weighted matrix of an operator section, which the
   program applies matrix-free by FFT convolution (`transforms._FftSection`);
 * `levin_recovery`: Levin's recovery of the order-n transforms from samples
   of f/g at perturbed points, which the program computes as p.v. sums
-  (`transforms.batch_higher`).
+  (`transforms.batch_higher`);
+* `shell_batch`: the batch transforms by the compensated pass over every
+  shell of whole term rows, where the program takes the total less the
+  outer shells (`transforms._tail_partials`).  It shares with the program
+  only `pv_sum`'s compensated pass and window test (`_shell_kernel`).
+
+The first two share no code with the program.
 
 (Not named oracle.py: perfbench's module of that name shares sys.path.)
 """
@@ -17,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from focklattice import phi
+from focklattice import phi, shells_for
+from focklattice.transforms import PV_RTOL, _shell_kernel
 
 
 def dense_section(lat, kind, N=2):
@@ -39,6 +45,27 @@ def dense_section(lat, kind, N=2):
         K = rho[:, None] ** N * rho[None, :] / np.abs(diffs) ** (N + 1)
     np.fill_diagonal(K, 0.0)
     return K
+
+
+def shell_batch(lat, d, idx, n):
+    """Values and convergence flags of `batch_higher` (order n) or, for
+    n = "modified", `batch_modified_inf` at the centres points[idx]: the
+    term rows written from the kernel formulas, summed per shell and run
+    through the compensated shell pass, 64 rows at a time."""
+    pts, vals, starts = lat.points, d.values, shells_for(lat).starts
+    sums = []
+    for blk in np.array_split(np.asarray(idx), max(1, len(idx) // 64)):
+        ctr = pts[blk, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if n == "modified":
+                terms = vals * (1.0 / (pts - ctr) - 1.0 / pts)
+                terms[:, 0] = -vals[0] / ctr[:, 0]
+            else:
+                terms = vals / (pts - ctr) ** n
+        terms[np.arange(len(blk)), blk] = 0.0
+        sums.append(np.add.reduceat(terms, starts, axis=1))
+    partials, conv, _ = _shell_kernel(np.concatenate(sums), PV_RTOL)
+    return partials[:, -1], conv
 
 
 class Recovery(NamedTuple):

@@ -439,16 +439,30 @@ class TestOtherCommands:
         assert rc == 2 and rep is None and not grid.exists()
         assert f"may not hold {literal}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd, key, literal", [
-        ("lattice-info", "R", "1e400"),
-        ("lattice-info", "R", "1" + "0" * 400),
-        ("op-norm", "sizes", "[200, 1e400]")], ids=["1e400", "1e400-int", "sizes"])
+    @pytest.mark.parametrize("cmd, job, literal", [
+        ("lattice-info", dict(BASE, lattice={"kind": "square", "R": "@"}), "1e400"),
+        ("lattice-info", dict(BASE, lattice={"kind": "square", "R": "@"}),
+         "1" + "0" * 400),
+        ("op-norm", {"op": "B", "p": 2, "sizes": "@"}, "[200, 1e400]"),
+        ("lattice-info", dict(BASE, weight={"kind": "power", "gamma": "@",
+                                            "rho_origin": 2.0}), "1e400"),
+        ("lattice-info", dict(BASE, lattice={"kind": "explicit",
+                                             "points": [[0, 0], "@"]}), "[1e400, 0]"),
+        ("trace-check", dict(BASE, p=2, values={"kind": "zero"}, multiplier={
+            "kind": "user_table", "g_prime": [{"index": "@", "re": 1, "im": 0}]}),
+         "1" + "0" * 400),
+        ("ap-probe", {"weight": {"kind": "classical"}, "p": 3, "radii": "@"},
+         "[1, 1e400]"),
+        ("lattice-info", dict(BASE, lattice={"kind": "square", "R": "@"}), '"inf"'),
+        ("lattice-info", dict(BASE, weight={"kind": "power", "gamma": 0.5,
+                                            "rho_origin": "@"}), "0.0")],
+        ids=["1e400", "1e400-int", "sizes", "weight", "point", "table-index",
+             "radii", "R-string", "rho-origin-0"])
     def test_number_literals_beyond_a_double_are_schema_errors(
-            self, tmp_path, capsys, cmd, key, literal):
+            self, tmp_path, capsys, cmd, job, literal):
         # json reads 1e400 as inf and the 401-digit integer exactly; each
-        # ended in an uncaught OverflowError (exit 1)
-        job = (dict(BASE, lattice={"kind": "square", "R": "@"}) if key == "R"
-               else {"op": "B", "p": 2, "sizes": "@"})
+        # ended in an uncaught OverflowError (exit 1), and so did the
+        # string "inf" for R; rho_origin 0 raised ZeroDivisionError (exit 1)
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job).replace('"@"', literal))
         out = tmp_path / "out.json"
@@ -540,6 +554,19 @@ class TestOtherCommands:
         assert rep["results"]["is_ap"] is False
         assert rep["results"]["fitted_exponent"] == pytest.approx(0.25, abs=0.05)
 
+    @pytest.mark.parametrize("radii", [[-1, 2, 3, 4], [0, 1, 2, 3], 5, [1.0],
+                                       [], [3, 2], ["1", 2]],
+                             ids=["negative", "zero", "scalar", "one", "empty",
+                                  "descending", "string"])
+    def test_ap_probe_radii_are_schema_errors(self, tmp_path, capsys, radii):
+        # radii <= 0 ran (ratio 1.0, fitted into the slope), a bare number
+        # raised TypeError (exit 1) and one radius an SVD that did not
+        # converge (exit 2 without naming radii)
+        job = {"weight": {"kind": "classical"}, "p": 3, "radii": radii}
+        rc, rep = run(tmp_path, job, "ap-probe")
+        assert rc == 2 and rep is None
+        assert "radii" in capsys.readouterr().err
+
     def test_op_norm(self, tmp_path):
         job = {"weight": {"kind": "classical"}, "op": "B", "p": 2,
                "sizes": [200, 400]}
@@ -611,6 +638,18 @@ class TestOtherCommands:
         rc, rep = run(tmp_path, job, "op-norm")
         assert rc == 2 and rep is None
         assert "sizes" in capsys.readouterr().err
+
+    def test_op_norm_one_point_size_builds_no_section(self, tmp_path, monkeypatch):
+        # the one-point smallest size is refused before any section of the
+        # other sizes is computed
+        import focklattice.transforms as transforms
+        built = []
+        section = transforms._FftSection
+        monkeypatch.setattr(transforms, "_FftSection",
+                            lambda *a, **k: built.append(a) or section(*a, **k))
+        job = {"weight": {"kind": "classical"}, "op": "B", "p": 2, "sizes": [1, 5000]}
+        rc, rep = run(tmp_path, job, "op-norm")
+        assert rc == 2 and rep is None and built == []
 
     def test_op_norm_smallest_two_point_size(self, tmp_path):
         # size 4 already reaches the four nearest neighbours

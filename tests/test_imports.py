@@ -232,6 +232,7 @@ def test_readme_library_sketch_runs():
     exec(compile(code, "README.md", "exec"), scope)
     w, z = 0.3 + 0.1j, 1.2 - 0.7j
     assert scope["verdict"].branch.condition_ids == ("a", "b")
+    assert scope["verdict"].overall == "bounded"
     assert scope["value"] == pytest.approx(np.exp(2 * np.conj(w) * z - abs(w) ** 2),
                                            rel=1e-6)
     assert scope["data"].weight is scope["lat"].weight

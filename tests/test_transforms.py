@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from focklattice import (SQUARE_SCALE, Lattice, SequenceData, batch_higher,
-                         batch_modified_inf, classical_weight, higher_transform,
+                         batch_modified_inf, classical_weight, explicit_lattice,
+                         higher_transform,
                          modified_cauchy_inf, operator_norm_estimate,
                          power_weight, pv_sum, shells_for, square_lattice,
                          taylor_kernel_check)
 from focklattice.transforms import loglog_fit
 from conftest import gaussian_fn
-from oracles import dense_section, levin_recovery
+from oracles import dense_section, levin_recovery, shell_batch
 
 
 def power_terms(lat, k):
@@ -163,11 +164,31 @@ class TestModifiedCauchy:
                                           rel=1e-12)
 
 
-def shell_oracle(lat):
-    """The same lattice run through the compensated shell path."""
+def as_explicit(lat):
+    """The same points as an explicit lattice, whose totals are row sums."""
     return Lattice(points=lat.points, scale=lat.scale,
                    truncation_radius=lat.truncation_radius,
                    weight=lat.weight, kind="explicit")
+
+
+def roundoff_bound(lat, vals, idx, n):
+    """Per centre lambda': 16 eps ||d||_2 ||K||_2, ||K||_2 the l^2 norm of
+    the order-n kernel over the other lattice points, plus eps sum |d/lambda|
+    for the modified kernel (n = "modified")."""
+    pts = lat.points
+    eps = np.finfo(float).eps
+    diff = np.abs(pts[None, :] - pts[idx, None])
+    diff[np.arange(len(idx)), idx] = np.inf
+    k = 1 if n == "modified" else n
+    bound = 16 * eps * np.linalg.norm(vals) * np.sqrt(np.sum(diff ** (-2.0 * k), axis=1))
+    if n == "modified":
+        bound += eps * np.sum(np.abs(vals[1:] / pts[1:]))
+    return bound
+
+
+def batch(lat, d, idx, n):
+    return (batch_modified_inf(lat, d, idx) if n == "modified"
+            else batch_higher(lat, d, idx, n))
 
 
 @pytest.fixture(scope="module")
@@ -177,11 +198,10 @@ def fft_lattices(cw):
 
 
 class TestFftPath:
-    """The square-lattice FFT path against the shell path.  The bound,
-    fixed before measuring: per centre lambda',
-    |FFT - shell| <= 16 eps ||d||_2 ||K||_2, ||K||_2 the l^2 norm of the
-    order-n kernel over the other lattice points, plus eps sum |d/lambda|
-    for the modified kernel; the convergence flags are identical."""
+    """The batch transforms, the total less the outer shells, against the
+    compensated pass over every shell (`oracles.shell_batch`).  The bound,
+    fixed before measuring, is `roundoff_bound`; the convergence flags are
+    identical."""
 
     @pytest.mark.parametrize("name", ["classical70", "power45"])
     @pytest.mark.parametrize("data", ["gaussian", "constant", "phase"])
@@ -196,27 +216,42 @@ class TestFftPath:
         d = SequenceData(lat, vals)
         # every 7th centre of the classifier's disc |lambda'| <= R/2
         idx = np.nonzero(lat.radii <= 0.5 * lat.truncation_radius)[0][1::7]
-        eps = np.finfo(float).eps
-        diff = np.abs(pts[None, :] - pts[idx, None])
-        diff[np.arange(len(idx)), idx] = np.inf
         for n in (1, 2, 3, 5, "modified"):
-            k = 1 if n == "modified" else n
-            bound = 16 * eps * np.linalg.norm(vals) * np.sqrt(np.sum(diff ** (-2.0 * k), axis=1))
-            if n == "modified":
-                bound += eps * np.sum(np.abs(vals[1:] / pts[1:]))
-                fv, fc = batch_modified_inf(lat, d, idx)
-                sv, sc = batch_modified_inf(shell_oracle(lat), d, idx)
-            else:
-                fv, fc = batch_higher(lat, d, idx, n)
-                sv, sc = batch_higher(shell_oracle(lat), d, idx, n)
+            fv, fc = batch(lat, d, idx, n)
+            sv, sc = shell_batch(lat, d, idx, n)
+            bound = roundoff_bound(lat, vals, idx, n)
             assert np.all(np.abs(fv - sv) <= bound), (n, np.max(np.abs(fv - sv) / bound))
             assert np.array_equal(fc, sc), n
 
+    @pytest.mark.parametrize("delta", [0.01, 0.25])
+    def test_jittered_explicit_lattice_matches_shell_path(self, cw, delta):
+        # points near a critical lattice, Levin's setting: the square
+        # lattice of radius 20 with each point but the origin moved by up
+        # to delta * scale; the totals are row sums there.  The data leave
+        # converged and unconverged centres
+        rng = np.random.default_rng(5)
+        sq = square_lattice(20.0, cw).points[1:]
+        jitter = delta * SQUARE_SCALE * np.sqrt(rng.uniform(size=len(sq))) \
+            * np.exp(2j * math.pi * rng.uniform(size=len(sq)))
+        lat = explicit_lattice(np.concatenate([[0.0], sq + jitter]), cw)
+        vals = np.exp(-np.abs(lat.points) ** 2 / 21.0) \
+            * np.exp(2j * math.pi * rng.uniform(size=len(lat)))
+        d = SequenceData(lat, vals)
+        idx = np.nonzero(lat.radii <= 0.5 * lat.truncation_radius)[0][1::3]
+        flags = []
+        for n in (1, 2, "modified"):
+            fv, fc = batch(lat, d, idx, n)
+            sv, sc = shell_batch(lat, d, idx, n)
+            bound = roundoff_bound(lat, vals, idx, n)
+            assert np.all(np.abs(fv - sv) <= bound), (n, np.max(np.abs(fv - sv) / bound))
+            assert np.array_equal(fc, sc), n
+            flags.append(fc)
+        assert 0 < np.sum(flags) < np.size(flags)
+
     def test_explicit_path_block_size_independent(self, lat12, rng, monkeypatch):
-        # one row per term block and per compensated pass gives the same
-        # bits as the default blocks
+        # one row per term block gives the same bits as the default blocks
         import focklattice.transforms
-        lat = shell_oracle(lat12)
+        lat = as_explicit(lat12)
         d = SequenceData(lat, rng.standard_normal(len(lat))
                          + 1j * rng.standard_normal(len(lat)))
         idx = np.arange(len(lat))
@@ -225,13 +260,13 @@ class TestFftPath:
                 lambda: batch_modified_inf(lat, d, idx[1:])]
         want = [run() for run in runs]
         monkeypatch.setattr(focklattice.transforms, "_CHUNK_TERMS", 1)
-        monkeypatch.setattr(focklattice.transforms, "_PASS_SUMS", 1)
         for run, (wv, wc) in zip(runs, want):
             v, c = run()
             assert np.array_equal(v, wv) and np.array_equal(c, wc)
 
     def test_tail_partials_match_shell_partials(self, lat16, rng):
-        # the last CAUCHY_WINDOW partials themselves, not only the verdict
+        # the last CAUCHY_WINDOW partials themselves, not only the verdict,
+        # from the FFT totals and from the row sums
         from focklattice.transforms import (CAUCHY_WINDOW, _higher_terms,
                                             _tail_partials)
         d = SequenceData(lat16, rng.standard_normal(len(lat16))
@@ -239,14 +274,15 @@ class TestFftPath:
         idx = np.arange(0, len(lat16), 3)
         w = CAUCHY_WINDOW
         for n in (1, 2, 3):
-            def terms_of(blk, first=0):
-                return _higher_terms(lat16, d, lat16.points[blk], blk, n, first)
-            fft = _tail_partials(lat16, idx, terms_of,
-                                 lambda i: batch_higher(lat16, d, i, n)[0])
+            def terms_of(rows, first):
+                return _higher_terms(lat16, d, lat16.points[idx[rows]], idx[rows],
+                                     n, first)
             shell = np.array([higher_transform(lat16, d, int(i), n).shell_partials[-w:]
                               for i in idx])
-            assert fft.shape == shell.shape == (len(idx), w)
-            assert np.max(np.abs(fft - shell)) <= 1e-13 * np.max(np.abs(shell))
+            for totals in (lambda: batch_higher(lat16, d, idx, n)[0], None):
+                tail = _tail_partials(lat16, len(idx), terms_of, totals)
+                assert tail.shape == shell.shape == (len(idx), w)
+                assert np.max(np.abs(tail - shell)) <= 1e-13 * np.max(np.abs(shell))
 
     def test_window_flags_match_shell_path(self, lat12, rng):
         # the data leave the window test with converged and unconverged
@@ -256,7 +292,7 @@ class TestFftPath:
         idx = np.arange(len(lat12))
         for n in (1, 2):
             fv, fc = batch_higher(lat12, d, idx, n)
-            sv, sc = batch_higher(shell_oracle(lat12), d, idx, n)
+            sv, sc = shell_batch(lat12, d, idx, n)
             assert np.max(np.abs(fv - sv)) <= 1e-14
             assert np.array_equal(fc, sc)
             assert 0 < fc.sum() < len(idx)
@@ -294,6 +330,10 @@ class TestFftPath:
         assert got.shape == x.shape
         assert np.isrealobj(got) == (kernel_real and data_real)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(K) * np.linalg.norm(x)
+        # the next product reuses the grid's work arrays, not the result
+        saved = got.copy()
+        grid.conv(grid.fft(K), draw(x.shape, data_real))
+        assert np.array_equal(got, saved)
 
     def test_fft_length_is_five_smooth(self):
         from focklattice.transforms import _fft_length
