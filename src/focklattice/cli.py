@@ -201,15 +201,16 @@ def _pv_rtol(job: dict, args) -> float:
     if pv.get("center_mode", "origin") != "origin":
         raise SchemaError("pv.center_mode: only the origin schedule exists "
                           "(partial sums always run over |lambda| < R)")
-    tol = args.tolerance if args.tolerance is not None else \
-        _number(pv.get("tolerance", PV_RTOL), "pv.tolerance")
+    tol = args.tolerance
+    if tol is None:
+        tol = _number(pv.get("tolerance", PV_RTOL), "pv.tolerance")
     if not 0.0 <= tol < math.inf:
         raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {tol}")
     return tol
 
 
 def _count(value, what: str) -> int:
-    _number(value, what)
+    _number(value, what)      # names a literal beyond double range as such
     if type(value) is not int or value < 1:
         raise SchemaError(f"{what} must be an integer >= 1, not {value!r}")
     return value

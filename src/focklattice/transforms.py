@@ -3,10 +3,13 @@
 A principal value here always means the limit of partial sums over
 |lambda| < R, taken shell by shell in ascending shell order: the sums are
 cancellation-heavy (odd kernels vanish per shell on the square lattice)
-and may run over 1e5 terms.  Convergence at finite truncation is a verdict, not a certainty:
-the last CAUCHY_WINDOW shell partials must agree to the relative tolerance
-`rtol` (PV_RTOL unless the caller passes another), and one test,
-`_window_test`, decides that on every path.
+and may run over 1e5 terms.  Lattice indices run in ascending radius
+order (`Lattice` enforces it), so the sums of a term row over shells are
+one `np.add.reduceat` over the shell starts.  Convergence at finite
+truncation is a verdict, not a certainty: the last CAUCHY_WINDOW shell
+partials must agree to the relative tolerance `rtol` (PV_RTOL unless the
+caller passes another), and one test, `_window_test`, decides that on
+every path.
 
 Every batch p.v. evaluation takes one route, `_tail_partials`: the
 verdict needs only the last CAUCHY_WINDOW partials, and partial k is the
@@ -381,8 +384,9 @@ class _SquareGrid:
 
     @functools.cached_property
     def _work(self):
-        # the complex product's work arrays, kept: fresh ones lie above
-        # glibc's mmap threshold, and were mapped and unmapped every call
+        # the complex product's work arrays, kept across calls: fresh ones
+        # lie above glibc's mmap threshold, so every call would map and
+        # unmap them and fault their pages in again
         return (np.empty((2 * self.M + 1, self._n), dtype=complex),
                 np.empty((self._n, self._n), dtype=complex))
 
