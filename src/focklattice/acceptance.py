@@ -319,8 +319,7 @@ def criterion_7() -> CriterionResult:
     |slope| <= 0.02 and verdict A_p."""
     t0 = time.perf_counter()
     pw = power_weight(5.0, rho_origin=2.0)
-    rad = default_ap_radii(pw, decades=3.2, n=12)
-    rep = ap_probe(pw, 4.0 / 3.0, rad)
+    rep = ap_probe(pw, 4.0 / 3.0, default_ap_radii(pw))
     target = -1.0 - 5.0 / 2.0 + 5.0 / (4.0 / 3.0)
     cw = classical_weight()
     rep_c = ap_probe(cw, 4.0 / 3.0, default_ap_radii(cw))

@@ -100,9 +100,22 @@ def _complex_of(obj, what: str) -> complex:
     raise SchemaError(f"{what} must be a number or [re, im] pair")
 
 
-def _entries(entries: list) -> tuple:
+def _section(job: dict, key: str, default: dict) -> dict:
+    """The job's object `key`, or `default` where it has none; anything
+    but an object is a schema error naming `key`."""
+    spec = job.get(key, default)
+    if not isinstance(spec, dict):
+        raise SchemaError(f"{key} must be an object, not {spec!r:.40}")
+    return spec
+
+
+def _entries(entries: list, what: str) -> tuple:
     """Index and complex value arrays of a list of {"index", "re", "im"}
-    objects, one numpy conversion per field."""
+    objects, one numpy conversion per field; anything but a list is a
+    schema error naming `what`."""
+    if not isinstance(entries, list):
+        raise SchemaError(f"{what} must be a list of table entries, "
+                          f"not {entries!r:.40}")
     n = len(entries)
     bad = SchemaError("table entries need a finite index, re and im, each a double")
     try:
@@ -153,11 +166,11 @@ def _build_lattice(job: dict, w: WeightProfile) -> Lattice:
 
 
 def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
-    spec = job.get("multiplier", {"kind": "builtin_sigma"})
+    spec = _section(job, "multiplier", {"kind": "builtin_sigma"})
     if spec.get("kind") == "builtin_sigma":
         return builtin_sigma_multiplier(lat)
     if spec.get("kind") == "user_table":
-        indices, values = _entries(spec.get("g_prime", []))
+        indices, values = _entries(spec.get("g_prime", []), "multiplier.g_prime")
         g2 = spec.get("g_double_prime0")
         return user_multiplier(lat, values, indices=indices,
                                g_double_prime0=None if g2 is None
@@ -167,7 +180,7 @@ def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
 
 
 def _build_values(job: dict, m: Multiplier, p) -> TraceData:
-    spec = job.get("values", {"kind": "zero"})
+    spec = _section(job, "values", {"kind": "zero"})
     kind = spec.get("kind")
     if kind == "zero":
         return TraceData.zero(m, p)
@@ -176,7 +189,8 @@ def _build_values(job: dict, m: Multiplier, p) -> TraceData:
     if kind == "gaussian_trace":
         return TraceData.gaussian(m, p, _complex_of(spec.get("w", 0.0), "w"))
     if kind == "list":
-        vals, _ = scatter_indexed(len(m.lattice), *_entries(spec.get("items", [])),
+        vals, _ = scatter_indexed(len(m.lattice),
+                                  *_entries(spec.get("items", []), "values.items"),
                                   "value")
         if spec.get("weighted", False):
             return TraceData.from_weighted(m, p, vals)
@@ -197,7 +211,7 @@ def _parse_p(job: dict):
 def _pv_rtol(job: dict, args) -> float:
     """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL; a
     finite number >= 0, since no window test passes below 0."""
-    pv = job.get("pv", {})
+    pv = _section(job, "pv", {})
     if pv.get("center_mode", "origin") != "origin":
         raise SchemaError("pv.center_mode: only the origin schedule exists "
                           "(partial sums always run over |lambda| < R)")
@@ -220,7 +234,7 @@ def _grid(job: dict, default_half: float, default_n: int) -> tuple:
     """(points, corner radius) of the midpoint grid of n x n cells on
     [-half_width, half_width]^2 of the job's "grid" object: an integer
     n >= 1 and a finite half_width > 0; y varies fastest along the points."""
-    g = job.get("grid", {})
+    g = _section(job, "grid", {})
     half = _number(g.get("half_width", default_half), "grid.half_width", positive=True)
     n = _count(g.get("n", default_n), "grid.n")
     xs = -half + (np.arange(n) + 0.5) * (half + half) / n

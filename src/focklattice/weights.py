@@ -155,13 +155,12 @@ def _radial_disc_integral(f: Callable[[np.ndarray], np.ndarray],
     that does not cancel near psi = 0).  In the psi variable the integrand
     is analytic except at u -> 0, so geometric panels toward psi = 0 make
     the rule uniformly robust.  full_part(u_full) supplies the closed-form
-    (or separately integrated) full-circle contribution over |w| <= u_full;
-    it is called with u_full = 0 where the disc misses the origin and must
-    return 0 there.  Every panel of a chunk of discs is one array
-    expression; f and full_part must accept arrays of any shape.  f may
-    return several densities stacked on a new leading axis (full_part
-    then stacks their parts the same way), and the result carries that
-    axis in front.
+    (or separately integrated) full-circle contribution over |w| <= u_full,
+    u_full = r - a, and is called only for the discs that hold the origin
+    (r > a).  Every panel of a chunk of discs is one array expression; f
+    and full_part must accept arrays of any shape.  f may return several
+    densities stacked on a new leading axis (full_part then stacks their
+    parts the same way), and the result carries that axis in front.
     """
     a, r = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(r, dtype=float))
     t, wt = _geometric_rule(_PSI_FIRST, npanels)
@@ -173,8 +172,10 @@ def _radial_disc_integral(f: Callable[[np.ndarray], np.ndarray],
         ac, rc = af[lo:lo + _CHUNK, None], rf[lo:lo + _CHUNK, None]
         u = np.hypot(ac - rc, 2.0 * np.sqrt(ac * rc) * sin_half)
         alpha = np.arctan2(rc * sin_psi, ac - rc * cos_psi)
-        arcs = (f(u) * (2.0 * alpha * sin_psi)) @ wpsi
-        parts.append(full_part(np.maximum(rc - ac, 0.0))[..., 0] + ac[:, 0] * rc[:, 0] * arcs)
+        part = ac[:, 0] * rc[:, 0] * ((f(u) * (2.0 * alpha * sin_psi)) @ wpsi)
+        holds = rc[:, 0] > ac[:, 0]
+        part[..., holds] += full_part((rc - ac)[holds])[..., 0]
+        parts.append(part)
     out = np.concatenate(parts, axis=-1) if parts else np.empty(0)
     return out.reshape(out.shape[:-1] + a.shape)
 
@@ -349,11 +350,17 @@ def _unit_rho_table(gamma: float):
     geometric from 0.5 down to 1e-7), s = 1 itself (the kink rho(a*) = a*,
     where d mu / d r is unbounded for gamma <= 1) and 170 with s - 1
     geometric from 1e-7 up to 1e4.  All of M is one checked quadrature
-    batch.  The inner branch (u <= a*) is the not-a-knot cubic through
-    (0, rho(0)) and the nodes in (u, rho); the outer one is the not-a-knot
-    cubic in (log u, log rho).  Beyond the outermost node (s = 1e-4) the
-    local-density radius (pi*gamma^2*u^(gamma-2))^(-1/2) takes over; its
-    relative error there is (gamma-2)^2*s^2/16, 2.3e-8 at gamma = 8.
+    batch.  The inner branch, up to the node s = 1 + 1e-7, is the
+    not-a-knot cubic through (0, rho(0)) and the nodes in (u, rho); the
+    outer one, from the node s = 1 - 1e-7, is the not-a-knot cubic in
+    (log u, log rho).  Between those two nodes log rho = log u + log s,
+    with log s linear in log u through the three nodes (log a*, 0
+    included): there |log s| <= 1e-7, so this is as good at every gamma,
+    while at small gamma, where M(s) moves by about |s - 1|^gamma, the
+    two nodes lie far from a* and a cubic across them would ring.  Beyond
+    the outermost node (s = 1e-4) the local-density radius
+    (pi*gamma^2*u^(gamma-2))^(-1/2) takes over; its relative error there
+    is (gamma-2)^2*s^2/16, 2.3e-8 at gamma = 8.
     Raises NumericalError if the a(s) are not strictly decreasing.
     """
     w = WeightProfile(kind="power", gamma=gamma, c_gamma=1.0)
@@ -368,18 +375,22 @@ def _unit_rho_table(gamma: float):
         raise NumericalError(f"rho table not monotone: a(s) = M(s)^(-1/gamma) does not "
                              f"fall toward s = {s[1:][~falls][:4].tolist()}")
     k = 250                                     # s[k] = 1, a[k] = a*
-    log_a_star, log_a_max = log_a[k], log_a[0]
-    a = np.exp(log_a[k:])
+    log_s = np.log(s)
+    a = np.exp(log_a[k + 1:])
     inner = _not_a_knot_spline(np.concatenate([[0.0], a[::-1]]),
-                               np.concatenate([[w.rho_origin], (a * s[k:])[::-1]]))
-    outer = _not_a_knot_spline(log_a[:k + 1][::-1], (log_a + np.log(s))[:k + 1][::-1])
+                               np.concatenate([[w.rho_origin], (a * s[k + 1:])[::-1]]))
+    outer = _not_a_knot_spline(log_a[:k][::-1], (log_a + log_s)[:k][::-1])
+    # log a (ascending) and log s at the nodes s = 1 + 1e-7, 1 and 1 - 1e-7
+    gap_a, gap_s = log_a[k + 1:k - 2:-1], log_s[k + 1:k - 2:-1]
     log_lap = math.log(math.pi * gamma * gamma)
 
     def log_rho(log_u):
         out = np.empty(log_u.shape)
-        near, tail = log_u <= log_a_star, log_u > log_a_max
-        mid = ~(near | tail)
+        near, tail = log_u <= gap_a[0], log_u > log_a[0]
+        gap = ~near & (log_u < gap_a[2])
+        mid = ~(near | gap | tail)
         out[near] = np.log(inner(np.exp(log_u[near])))
+        out[gap] = log_u[gap] + np.interp(log_u[gap], gap_a, gap_s)
         out[mid] = outer(log_u[mid])
         out[tail] = -0.5 * (log_lap + (gamma - 2.0) * log_u[tail])
         return out
@@ -409,8 +420,8 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
     `_rho_radial`, not from the polished scalar `rho`: measured against it
     for gamma from 0.2 to 8, C from 1e-3 to 1e3 and |z| from 1e-6 to 1e6,
     points within 1e-9 of rho(u) = u included, they are good to 2.8e-7
-    relative.  Smaller gamma is coarser: at gamma = 0.1 the table pieces
-    next to rho(u) = u span a factor of 9 in u and are 1.8e-6 off.
+    relative, and to 1.2e-7 at gamma = 0.02, 0.05 and 0.1 (rho(0) = 2,
+    |z| from 1e-3 to 1e6).
     """
     return _rho_radial(w, np.abs(np.asarray(z, dtype=complex)))
 
@@ -422,8 +433,8 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
 class ApReport(NamedTuple):
     """Disc-ratio probe of the Muckenhoupt condition for rho^(p-2).
 
-    ratios[i] is the supremum over the sampled centers, at disc radius
-    disc_radii[i], of
+    ratios[i] is the larger of the values at the two sampled centres
+    (|c| = 0 and |c| = disc_radii[i]), at disc radius disc_radii[i], of
 
         (1/|D|) * (int_D rho^p dnu)^(1/p) * (int_D rho^q dnu)^(1/q),
 
@@ -441,15 +452,11 @@ class ApReport(NamedTuple):
     def is_ap(self) -> bool:
         return self.fitted_exponent <= AP_EXPONENT_TOLERANCE
 
-    @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0)
 
-
-def default_ap_radii(w: WeightProfile, decades: float = 3.2, n: int = 12) -> list:
-    """Radii spanning >= `decades` decades, starting just above rho(0)."""
+def default_ap_radii(w: WeightProfile) -> list:
+    """12 radii spanning 3.2 decades, starting at 2 rho(0)."""
     r0 = 2.0 * w.rho_origin
-    return list(np.geomspace(r0, r0 * 10.0 ** decades, n))
+    return list(np.geomspace(r0, r0 * 10.0 ** 3.2, 12))
 
 
 def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float,
@@ -480,9 +487,11 @@ def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float,
 def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     """Probe whether rho^(p-2) satisfies the A_p disc condition.
 
-    For each radius the ratio is maximised over the origin-centred disc and
-    eight centers on the ring |c| = radius.  A fitted slope
-    <= 0.05 over the largest decade of radii declares the condition
+    For each radius the ratio is the larger of those of two discs: the
+    origin-centred one and one centred at distance radius, whose edge
+    passes through the origin.  The weight is radial, so every centre on
+    the circle |c| = radius gives the same disc up to rotation.  A fitted
+    slope <= 0.05 over the largest decade of radii declares the condition
     satisfied; the p = 2 case gives ratio exactly 1 for every disc.  All
     discs of all radii go through the disc quadrature as one batch.
 
@@ -502,15 +511,14 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
         raise ValueError(f"radii must be at least 2 finite, positive, ascending "
                          f"radii, not {radii}")
     R = np.asarray(radii)[:, None]
-    ring = R * np.exp(2j * math.pi * np.arange(8) / 8.0)
-    discs = np.concatenate([np.zeros_like(ring[:, :1]), ring], axis=1)
-    vals = _disc_ratios(w, np.abs(discs), R, p)
+    a = R * [0.0, 1.0]                          # the centre distances |c|
+    vals = _disc_ratios(w, a, R, p)
     bad = ~np.all(np.isfinite(vals) & (vals > 0.0), axis=1)
     if np.any(bad):
         raise NumericalError(f"ap_probe quadrature failed at radius "
                              f"{np.asarray(radii)[bad].tolist()}")
-    _check_refinement(vals, _disc_ratios(w, np.abs(discs), R, p, _PSI_PANELS),
-                      np.abs(discs), R, "ap_probe", _AP_CHECK_RTOL)
+    _check_refinement(vals, _disc_ratios(w, a, R, p, _PSI_PANELS),
+                      a, R, "ap_probe", _AP_CHECK_RTOL)
     sup_ratios = [float(v) for v in vals.max(axis=1)]
 
     top = np.asarray(radii) >= max(radii) / 10.0

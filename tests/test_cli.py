@@ -505,6 +505,24 @@ class TestOtherCommands:
         assert rc == 2 and rep is None and not grid.exists()
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, field, extra", [
+        ("reconstruct", "grid", {"grid": [1, 2]}),
+        *((cmd, key, {key: [1]}) for cmd in ("trace-check", "reconstruct")
+          for key in ("pv", "values", "multiplier")),
+        ("trace-check", "multiplier.g_prime",
+         {"multiplier": {"kind": "user_table", "g_prime": 5}}),
+        ("trace-check", "values.items", {"values": {"kind": "list", "items": 5}})])
+    def test_sections_of_the_wrong_type_are_schema_errors(self, tmp_path, capsys,
+                                                          cmd, field, extra):
+        # each ended in an uncaught AttributeError or TypeError (exit 1)
+        job = {**BASE, "values": {"kind": "zero"}, "p": 2,
+               "grid": {"half_width": 1.0, "n": 2}, "verify_points": 4, **extra}
+        grid = tmp_path / "g.csv"
+        rc, rep = run(tmp_path, job, cmd,
+                      ["--grid", str(grid)] if cmd == "reconstruct" else None)
+        assert rc == 2 and rep is None and not grid.exists()
+        assert f"{field} must be" in capsys.readouterr().err
+
     def test_reconstruct_raw_overflow_is_nan(self, tmp_path):
         # corner cells centred at (+-20, +-20): phi = 800 > log(max double);
         # the edge cells (phi = 400) and the centre stay finite.  The grid

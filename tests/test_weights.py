@@ -199,15 +199,21 @@ def _spline_nodes(umax):
     return np.concatenate([[0.0], np.geomspace(max(umax * 1e-6, 1e-9), umax, 420)])
 
 
+# (gamma, weight, largest |z|) of the rho_many cases
+_RHO_CASES = [
+    (0.5, dict(rho_origin=2.0), 64.0), (1.0, dict(rho_origin=2.0), 8.0),
+    (1.5, dict(c_gamma=0.7), 64.0), (3.0, dict(rho_origin=2.0), 256.0),
+    (5.0, dict(c_gamma=1.0), 4096.0), (5.0, dict(c_gamma=1.0), 1e6),
+    (8.0, dict(c_gamma=1e-3), 1e6), (8.0, dict(c_gamma=1e3), 1e6),
+    (0.02, dict(rho_origin=2.0), 1e6), (0.05, dict(rho_origin=2.0), 1e6),
+    (0.1, dict(rho_origin=2.0), 1e6)]
+
+
 class TestRhoTable:
     """rho_many (the scaling-law table) against the polished scalar rho,
     and the failures the table and the polish raise instead of clamping."""
 
-    @pytest.mark.parametrize("gamma,kw,zmax", [
-        (0.5, dict(rho_origin=2.0), 64.0), (1.0, dict(rho_origin=2.0), 8.0),
-        (1.5, dict(c_gamma=0.7), 64.0), (3.0, dict(rho_origin=2.0), 256.0),
-        (5.0, dict(c_gamma=1.0), 4096.0), (5.0, dict(c_gamma=1.0), 1e6),
-        (8.0, dict(c_gamma=1e-3), 1e6), (8.0, dict(c_gamma=1e3), 1e6)])
+    @pytest.mark.parametrize("gamma,kw,zmax", _RHO_CASES)
     def test_rho_many_matches_scalar_rho(self, gamma, kw, zmax, rng):
         w = power_weight(gamma, **kw)
         a_star = mu_disc(w, 1.0, 1.0) ** (-1.0 / gamma)    # rho(a*) = a*
@@ -216,6 +222,25 @@ class TestRhoTable:
                             zmax * 10.0 ** rng.uniform(-6.0, 0.0, 20)])
         ref = np.array([rho(w, x) for x in a])
         assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.1])
+    def test_small_gamma_on_a_log_grid(self, gamma):
+        # a cubic across the nodes s = 1 -+ 1e-7 rang at small gamma: on
+        # this grid the scalar rho raised at 7 points (gamma = 0.05) and
+        # rho_many was 1.8e-6 off (gamma = 0.1)
+        w = power_weight(gamma, rho_origin=2.0)
+        a = np.geomspace(1e-3, 1e6, 100)
+        ref = np.array([rho(w, x) for x in a])
+        assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("gamma,kw", sorted({(g, tuple(kw.items()))
+                                                 for g, kw, _ in _RHO_CASES}))
+    def test_rho_many_is_1_lipschitz(self, gamma, kw):
+        # rho is 1-Lipschitz, so rho(z) <= rho(0) + |z| at every scale; at
+        # gamma = 0.02 the ringing table reached 1.2e18 times that bound
+        w = power_weight(gamma, **dict(kw))
+        z = np.geomspace(1e-3, 1e29, 6000)
+        assert np.all(rho_many(w, z) <= (w.rho_origin + z) * (1.0 + 1e-7))
 
     def test_one_table_per_gamma(self, monkeypatch):
         # gamma = 0.61 is tabulated by no other test; its table is one
@@ -270,18 +295,18 @@ class TestApProbe:
 
     def test_p2_trivially_one(self):
         w = power_weight(3.0, rho_origin=2.0)
-        rep = ap_probe(w, 2.0, default_ap_radii(w, decades=2.0, n=6))
+        rep = ap_probe(w, 2.0, np.geomspace(4.0, 400.0, 6))
         assert np.allclose(rep.ratios, 1.0, atol=1e-6)
 
     def test_power_gamma5_failure_exponent(self):
         w = power_weight(5.0, rho_origin=2.0)
-        rep = ap_probe(w, 4.0 / 3.0, default_ap_radii(w, decades=3.2, n=12))
+        rep = ap_probe(w, 4.0 / 3.0, default_ap_radii(w))
         assert not rep.is_ap
         assert rep.fitted_exponent == pytest.approx(0.25, abs=0.05)
 
     def test_p_q_symmetry(self):
         w = power_weight(5.0, rho_origin=2.0)
-        radii = default_ap_radii(w, decades=2.0, n=6)
+        radii = np.geomspace(4.0, 400.0, 6)
         rep_p = ap_probe(w, 4.0 / 3.0, radii)
         rep_q = ap_probe(w, 4.0, radii)
         assert np.allclose(rep_p.ratios, rep_q.ratios, rtol=1e-9)
@@ -292,6 +317,34 @@ class TestApProbe:
         w = power_weight(1.0, rho_origin=2.0)
         with pytest.raises(NumericalError, match="ap_probe quadrature did not converge"):
             ap_probe(w, 3.0, default_ap_radii(w))
+
+    def test_full_part_only_where_a_disc_holds_the_origin(self, monkeypatch):
+        # each radius integrates the disc centred at the origin and one
+        # through it; only the first has a full-circle part
+        sizes, u_full, integral = [], [], weights._radial_disc_integral
+
+        def spy(f, full_part, a, r, npanels):
+            sizes.append(np.broadcast(a, r).size)
+            return integral(f, lambda u: u_full.append(u) or full_part(u), a, r, npanels)
+
+        monkeypatch.setattr(weights, "_radial_disc_integral", spy)
+        w = power_weight(5.0, rho_origin=2.0)
+        ap_probe(w, 4.0 / 3.0, default_ap_radii(w))
+        assert sizes == [24, 24]                    # the 24- and 12-panel rules
+        u = np.concatenate([x.ravel() for x in u_full])
+        assert u.size == 24 and np.all(u > 0.0)
+
+    @pytest.mark.parametrize("gamma,p", [(5.0, 4.0 / 3.0), (1.0, 3.0), (0.5, 3.0)])
+    def test_two_discs_give_the_ring_maximum(self, gamma, p):
+        # the largest ratio over the origin-centred disc and eight centres
+        # on the ring |c| = radius
+        w = power_weight(gamma, rho_origin=2.0)
+        radii = default_ap_radii(w)
+        R = np.asarray(radii)[:, None]
+        ring = np.abs(R * np.exp(2j * math.pi * np.arange(8) / 8.0))
+        ref = weights._disc_ratios(w, np.concatenate([0.0 * R, ring], axis=1), R, p)
+        assert np.allclose(ap_probe(w, p, radii).ratios, ref.max(axis=1),
+                           rtol=1e-12, atol=0.0)
 
     def test_radii_must_ascend(self):
         with pytest.raises(ValueError):
