@@ -412,8 +412,11 @@ CRITERIA: Dict[int, Callable[[], CriterionResult]] = {
 
 def run_acceptance(numbers: Optional[Sequence[int]] = None,
                    printer: Callable[[str], None] = print) -> List[CriterionResult]:
+    chosen = sorted(set(numbers or CRITERIA))
+    if not CRITERIA.keys() >= set(chosen):
+        raise ValueError(f"--criteria {chosen}: the criteria are 1-9")
     results = []
-    for k in sorted(numbers or CRITERIA):
+    for k in chosen:
         res = CRITERIA[k]()
         printer(res.line())
         results.append(res)

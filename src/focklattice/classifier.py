@@ -35,10 +35,10 @@ import numpy as np
 from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
 from .transforms import (OUTER_GUARD_FRACTION, PV_RTOL, SequenceData,
-                         batch_higher, batch_modified_inf, loglog_fit)
+                         batch_higher, batch_modified_inf)
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       choose_N, default_ap_radii, effective_t, estimate_t,
-                      phi)
+                      loglog_fit, phi)
 
 __all__ = [
     "TraceData",

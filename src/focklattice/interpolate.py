@@ -31,10 +31,10 @@ from .errors import NumericalError
 from .lattice import nearest_index, shells_for
 from .multiplier import Multiplier
 from .transforms import (PV_RTOL, _higher_terms, _modified_terms,
-                         _tail_partials, _window_test, loglog_fit, pv_sum)
+                         _tail_partials, _window_test, pv_sum)
 # rho_many is unused here, but perfbench's tracer wraps it under this
 # module's name (focklattice.interpolate:rho_many) and cannot install without it
-from .weights import phi, rho_many
+from .weights import loglog_fit, phi, rho_many
 
 __all__ = [
     "Interpolant",

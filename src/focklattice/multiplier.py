@@ -70,16 +70,18 @@ def _log_ratio(z0: np.ndarray) -> np.ndarray:
     return z0 * z0 + np.log(t)
 
 
-def _require_square(lat: Lattice):
+def _require_sigma_lattice(lat: Lattice):
     if lat.kind != "square":
         raise SchemaError("builtin sigma requires the square critical lattice")
+    if not lat.weight.is_classical_like:
+        raise SchemaError("builtin sigma is tied to the classical weight")
 
 
 def sigma_log(lat: Lattice, z):
     """log sigma(z) for z off the lattice by 1e-8*scale (NumericalError
     otherwise).  Only exp and Re are consumed downstream, so the branch of
     the imaginary part is immaterial."""
-    _require_square(lat)
+    _require_sigma_lattice(lat)
     z0, lam, abs2, parity = _nearest(np.asarray(z, dtype=complex))
     if np.any(np.abs(z0) <= _ON_LATTICE_RTOL * _S):
         raise NumericalError("evaluation point lies on (or too near) the lattice")
@@ -90,7 +92,7 @@ def sigma_log(lat: Lattice, z):
 
 def sigma_weighted_mag(lat: Lattice, z):
     """|sigma(z)| e^{-|z|^2}, exactly 0 within 1e-8*scale of the lattice."""
-    _require_square(lat)
+    _require_sigma_lattice(lat)
     zarr = np.asarray(z, dtype=complex)
     z0 = _nearest(zarr)[0]
     a = np.abs(z0)
@@ -163,9 +165,7 @@ def builtin_sigma_multiplier(lat: Lattice) -> Multiplier:
     """Multiplier backed by the built-in sigma of the critical square
     lattice under the classical weight; its weighted derivatives are the
     signs (-1)^{m+n+mn}."""
-    _require_square(lat)
-    if not lat.weight.is_classical_like:
-        raise SchemaError("builtin sigma is tied to the classical weight")
+    _require_sigma_lattice(lat)
     parity = _nearest(lat.points)[3]
     return Multiplier(lattice=lat, source="builtin_sigma",
                       _gw=(1.0 - 2.0 * parity).astype(complex),

@@ -70,7 +70,6 @@ __all__ = [
     "PvResult",
     "SequenceData",
     "OperatorNormReport",
-    "loglog_fit",
     "pv_sum",
     "higher_transform",
     "modified_cauchy_inf",
@@ -124,23 +123,6 @@ def _window_test(partials: np.ndarray, rtol: float):
     spread = np.max(np.abs(tail[:, :, None] - tail[:, None, :]), axis=(1, 2))
     scale = np.max(np.abs(tail), axis=1)
     return spread <= rtol * scale + PV_ATOL, spread
-
-
-def loglog_fit(radii, values):
-    """Least-squares slope of log(values) against log(radii), with its R^2,
-    over the positive entries in the last decade of radii; None when fewer
-    than four entries remain."""
-    r = np.asarray(radii, dtype=float)
-    v = np.asarray(values, dtype=float)
-    keep = (r >= r[-1] / 10.0) & (r > 0) & (v > 0)
-    if keep.sum() < 4:
-        return None
-    x, y = np.log(r[keep]), np.log(v[keep])
-    slope, icpt = np.polyfit(x, y, 1)
-    res = y - (slope * x + icpt)
-    ss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(res ** 2)) / ss if ss > 0 else 0.0
-    return float(slope), r2
 
 
 class PvResult:

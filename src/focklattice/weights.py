@@ -34,6 +34,7 @@ __all__ = [
     "rho_many",
     "ap_probe",
     "default_ap_radii",
+    "loglog_fit",
     "estimate_t",
     "quasirandom",
     "default_t_pairs",
@@ -43,15 +44,14 @@ __all__ = [
 
 # Quadrature tooling: one 24-point Gauss-Legendre rule on geometric panels
 # toward an integrable endpoint singularity, applied to whole arrays of
-# discs at once.  Every disc integral is taken with 2 * _PSI_PANELS panels
-# and checked against the _PSI_PANELS rule.
+# discs at once.
 _GL_ORDER = 24
 _PSI_PANELS = 12
 _PSI_FIRST = 1e-14       # innermost psi panel is [0, pi * _PSI_FIRST]
 _CHECK_RTOL = 1e-6
 _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
-# discs per array expression: 16 x 576 nodes make 74 KB per density
-# temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
+# discs per array expression: 16 x 864 nodes (both psi rules) make 110 KB per
+# density temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
 _CHUNK = 16
 _EPS = np.finfo(float).eps
 # the doubling-exponent fit: T_PAIRS sampled pairs spread over T_SPAN rho(0),
@@ -134,19 +134,20 @@ def phi(w: WeightProfile, z) -> np.ndarray | float:
 
 
 @lru_cache(maxsize=None)
-def _geometric_rule(first: float, npanels: int):
-    """Nodes and weights on [0, 1]: the panel [0, first], then npanels - 1
+def _geometric_rule(first: float, panels: int):
+    """Nodes and weights on [0, 1]: the panel [0, first], then panels - 1
     geometric panels from first up to 1, each with the Gauss-Legendre rule."""
     x, wt = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.concatenate([[0.0], np.geomspace(first, 1.0, npanels)])
+    edges = np.concatenate([[0.0], np.geomspace(first, 1.0, panels)])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * wt).ravel()
 
 
 def _radial_disc_integral(f: Callable[[np.ndarray], np.ndarray],
                           full_part: Callable[[np.ndarray], np.ndarray],
-                          a, r, npanels: int = 2 * _PSI_PANELS) -> np.ndarray:
-    """Integrals of a radial density f(|w|) over the discs D(c, r), |c| = a.
+                          a, r) -> np.ndarray:
+    """Integrals of a radial density f(|w|) over the discs D(c, r), |c| = a, by
+    the 2 * _PSI_PANELS and the _PSI_PANELS psi rule, stacked (fine, coarse).
 
     a and r are broadcast against each other.  Reduction to one dimension:
     slicing by circles |w| = u, the disc meets the circle over an angle
@@ -156,15 +157,16 @@ def _radial_disc_integral(f: Callable[[np.ndarray], np.ndarray],
     is analytic except at u -> 0, so geometric panels toward psi = 0 make
     the rule uniformly robust.  full_part(u_full) supplies the closed-form
     (or separately integrated) full-circle contribution over |w| <= u_full,
-    u_full = r - a, and is called only for the discs that hold the origin
-    (r > a).  Every panel of a chunk of discs is one array expression; f
-    and full_part must accept arrays of any shape.  f may return several
-    densities stacked on a new leading axis (full_part then stacks their
-    parts the same way), and the result carries that axis in front.
+    u_full = r - a, once for both rules and only for the discs that hold
+    the origin (r > a).  Each chunk of discs is one array expression over
+    the nodes of both rules; f and full_part must accept arrays of any
+    shape.  f may return several densities stacked on a new leading axis
+    (full_part then stacks their parts the same way), and the result
+    carries that axis second.
     """
     a, r = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(r, dtype=float))
-    t, wt = _geometric_rule(_PSI_FIRST, npanels)
-    psi, wpsi = math.pi * t, math.pi * wt
+    (tf, wf), (tc, wc) = (_geometric_rule(_PSI_FIRST, n) for n in (2 * _PSI_PANELS, _PSI_PANELS))
+    nf, psi, wf, wc = tf.size, math.pi * np.concatenate([tf, tc]), math.pi * wf, math.pi * wc
     sin_psi, cos_psi, sin_half = np.sin(psi), np.cos(psi), np.sin(0.5 * psi)
     af, rf = a.ravel(), r.ravel()
     parts = []
@@ -172,19 +174,20 @@ def _radial_disc_integral(f: Callable[[np.ndarray], np.ndarray],
         ac, rc = af[lo:lo + _CHUNK, None], rf[lo:lo + _CHUNK, None]
         u = np.hypot(ac - rc, 2.0 * np.sqrt(ac * rc) * sin_half)
         alpha = np.arctan2(rc * sin_psi, ac - rc * cos_psi)
-        part = ac[:, 0] * rc[:, 0] * ((f(u) * (2.0 * alpha * sin_psi)) @ wpsi)
+        g = f(u) * (2.0 * alpha * sin_psi)
+        part = ac[:, 0] * rc[:, 0] * np.stack([g[..., :nf] @ wf, g[..., nf:] @ wc])
         holds = rc[:, 0] > ac[:, 0]
         part[..., holds] += full_part((rc - ac)[holds])[..., 0]
         parts.append(part)
-    out = np.concatenate(parts, axis=-1) if parts else np.empty(0)
+    out = np.concatenate(parts, axis=-1) if parts else np.empty((2, 0))
     return out.reshape(out.shape[:-1] + a.shape)
 
 
-def _check_refinement(ref, coarse, a, r, what: str, rtol: float = _CHECK_RTOL) -> None:
-    """The refinement self-check: raise NumericalError, naming the discs
-    D(c, r), |c| = a, where the 2 * _PSI_PANELS value `ref` is not finite
-    or the _PSI_PANELS value `coarse` differs from it by more than rtol
-    relative."""
+def _check_refinement(ref, coarse, a, r, what: str, rtol: float = _CHECK_RTOL) -> np.ndarray:
+    """The refinement self-check, returning `ref`: raise NumericalError,
+    naming the discs D(c, r), |c| = a, where the 2 * _PSI_PANELS value `ref`
+    is not finite or the _PSI_PANELS value `coarse` differs from it by more
+    than rtol relative."""
     with np.errstate(invalid="ignore"):
         bad = ~(np.isfinite(ref) & (np.abs(coarse - ref) <= rtol * np.abs(ref)))
     if np.any(bad):
@@ -195,17 +198,18 @@ def _check_refinement(ref, coarse, a, r, what: str, rtol: float = _CHECK_RTOL) -
             f"{what} quadrature did not converge at {int(bad.sum())} disc(s), "
             f"first |c| = {ab[bad][:4].tolist()}, r = {rb[bad][:4].tolist()}: "
             f"achieved {gap[bad][:4].tolist()} relative")
+    return ref
 
 
-def _mu_power(w: WeightProfile, a, r, npanels: int = 2 * _PSI_PANELS) -> np.ndarray:
-    """mu(D(c, r)), |c| = a, for a power weight.  The density
-    C*gamma^2*|w|^(gamma-2) is homogeneous, so mu(D(c, r)) = r^gamma *
-    mu(D(c/r, 1)): the quadrature runs on unit discs, which keeps tiny and
-    huge discs in floating-point range.  mu(D(0, u)) = 2*pi*C*gamma*u^gamma
-    is the exact full-circle part."""
+def _mu_power(w: WeightProfile, a, r) -> np.ndarray:
+    """mu(D(c, r)), |c| = a, for a power weight, as the (fine, coarse) pair
+    of `_radial_disc_integral`.  The density C*gamma^2*|w|^(gamma-2) is
+    homogeneous, so mu(D(c, r)) = r^gamma * mu(D(c/r, 1)): the quadrature
+    runs on unit discs, which keeps tiny and huge discs in floating-point
+    range.  mu(D(0, u)) = 2*pi*C*gamma*u^gamma is the exact full-circle part."""
     lap = lambda u: w.c_gamma * w.gamma ** 2 * np.power(u, w.gamma - 2.0)
     full = lambda u_full: 2.0 * math.pi * w.c_gamma * w.gamma * np.power(u_full, w.gamma)
-    return np.power(r, w.gamma) * _radial_disc_integral(lap, full, a / r, 1.0, npanels)
+    return np.power(r, w.gamma) * _radial_disc_integral(lap, full, a / r, 1.0)
 
 
 def mu_disc_many(w: WeightProfile, centers, radii) -> np.ndarray:
@@ -224,9 +228,7 @@ def mu_disc_many(w: WeightProfile, centers, radii) -> np.ndarray:
         raise ValueError("radius must be positive")
     if w.is_classical_like:
         return np.full(np.broadcast_shapes(a.shape, r.shape), 4.0 * math.pi) * r * r
-    ref = _mu_power(w, a, r)
-    _check_refinement(ref, _mu_power(w, a, r, _PSI_PANELS), a, r, "mu_disc")
-    return ref
+    return _check_refinement(*_mu_power(w, a, r), a, r, "mu_disc")
 
 
 def mu_disc(w: WeightProfile, center, radius: float) -> float:
@@ -244,39 +246,40 @@ def _solve_rho(w: WeightProfile, a: float) -> float:
     """rho at the modulus a > 0 of a power weight, to full precision.
 
     The root of mu(D(a, r)) = 1, which is a^gamma * M(r/a) = 1 written in
-    r, by secant steps from the ends of the bracket r0 * (1 -+ _POLISH_RTOL)
-    around the table value r0 of `_rho_radial`.  A step that leaves the
-    shrinking bracket, or follows a step that did not halve it, is replaced
-    by bisection: where d mu / d r is unbounded (the disc edge at the
-    origin, gamma <= 1) secant steps can stay inside the bracket without
-    shrinking it.  Raises NumericalError if the bracket holds no sign
-    change (the table is off by more than its half-width) or the iteration
-    does not settle; the refinement self-check runs at the root.
+    r, by Pegasus regula falsi (Dowell & Jarratt, BIT 12, 1972) in the
+    bracket r0 * (1 -+ _POLISH_RTOL) around the table value r0 of
+    `_rho_radial`: secant steps through the two ends, each at least 2 eps r
+    inside them (Dekker's minimum step, which closes the bracket once a
+    step lands on the root), and an end kept twice in a row has its mu - 1
+    scaled by f_old / (f_old + f_new), so that it moves even where d mu / d r
+    is unbounded (the disc edge at the origin, gamma <= 1).  Raises
+    NumericalError if the bracket holds no sign change (the table is off by
+    more than its half-width) or the iteration does not settle; the last
+    step's quadrature pair takes the refinement self-check.
     """
-    f = lambda r: float(_mu_power(w, a, r)) - 1.0
     r0 = float(_rho_radial(w, a))
     lo, hi = r0 * (1.0 - _POLISH_RTOL), r0 * (1.0 + _POLISH_RTOL)
-    x0, f0, x1, f1 = lo, f(lo), hi, f(hi)
-    if not f0 < 0.0 < f1:
+    flo, fhi = (float(_mu_power(w, a, r)[0]) - 1.0 for r in (lo, hi))
+    if not flo < 0.0 < fhi:
         raise NumericalError(f"rho bracket [{lo}, {hi}] from the table holds no "
-                             f"sign change at |z| = {a}: mu - 1 = {f0}, {f1}")
-    width = math.inf                            # the bracket before the last step
+                             f"sign change at |z| = {a}: mu - 1 = {flo}, {fhi}")
+    side = 0                                    # the end the last step moved
     for _ in range(_POLISH_ITERS):
-        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
-        if not lo < x < hi or hi - lo > 0.5 * width:
-            x = 0.5 * (lo + hi)
-        width = hi - lo
-        fx = f(x)
+        tol = 2.0 * _EPS * hi
+        x = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + tol), hi - tol)
+        fine, coarse = _mu_power(w, a, x)
+        fx = float(fine) - 1.0
         if fx < 0.0:
-            lo = x
+            fhi *= flo / (flo + fx) if side < 0 else 1.0
+            lo, flo, side = x, fx, -1
         else:
-            hi = x
-        if fx == 0.0 or abs(x - x1) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * hi:
+            flo *= fhi / (fhi + fx) if side > 0 else 1.0
+            hi, fhi, side = x, fx, 1
+        if fx == 0.0 or hi - lo <= 4.0 * _EPS * hi:
             break
-        x0, f0, x1, f1 = x1, f1, x, fx
     else:
         raise NumericalError(f"rho did not converge at |z| = {a}: bracket [{lo}, {hi}]")
-    _check_refinement(fx + 1.0, _mu_power(w, a, x, _PSI_PANELS), a, x, "rho")
+    _check_refinement(fine, coarse, a, x, "rho")
     return x
 
 
@@ -367,8 +370,7 @@ def _unit_rho_table(gamma: float):
     s = np.concatenate([np.geomspace(1e-4, 0.5, 90, endpoint=False),
                         1.0 - np.geomspace(0.5, 1e-7, 160), [1.0],
                         1.0 + np.geomspace(1e-7, 1e4, 170)])
-    m = _mu_power(w, 1.0, s)
-    _check_refinement(m, _mu_power(w, 1.0, s, _PSI_PANELS), 1.0, s, "rho")
+    m = _check_refinement(*_mu_power(w, 1.0, s), 1.0, s, "rho")
     log_a = -np.log(m) / gamma
     falls = np.diff(log_a) < 0.0
     if not np.all(falls):
@@ -440,7 +442,7 @@ class ApReport(NamedTuple):
 
     with dnu = dm/rho^2 and q the conjugate exponent.  Failure of the
     condition manifests as power-law growth of the ratio in the radius, so
-    the verdict is the fitted log-log slope over the largest decade.
+    the verdict is the log-log slope over the largest decade (`loglog_fit`).
     """
 
     p: float
@@ -453,19 +455,35 @@ class ApReport(NamedTuple):
         return self.fitted_exponent <= AP_EXPONENT_TOLERANCE
 
 
+def loglog_fit(radii, values):
+    """Least-squares slope of log(values) against log(radii), with its R^2,
+    over the positive entries in the last decade of (ascending) radii; None
+    when fewer than four entries remain.  The package's one slope fit."""
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    keep = (r >= r[-1] / 10.0) & (r > 0) & (v > 0)
+    if keep.sum() < 4:
+        return None
+    x, y = np.log(r[keep]), np.log(v[keep])
+    slope, icpt = np.polyfit(x, y, 1)
+    res = y - (slope * x + icpt)
+    ss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(res ** 2)) / ss if ss > 0 else 0.0
+    return float(slope), r2
+
+
 def default_ap_radii(w: WeightProfile) -> list:
     """12 radii spanning 3.2 decades, starting at 2 rho(0)."""
     r0 = 2.0 * w.rho_origin
     return list(np.geomspace(r0, r0 * 10.0 ** 3.2, 12))
 
 
-def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float,
-                 npanels: int = 2 * _PSI_PANELS) -> np.ndarray:
-    """The A_p disc ratio at every disc D(c, R), |c| = a (broadcast), by
-    the disc quadrature with npanels psi panels."""
+def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float) -> np.ndarray:
+    """The A_p disc ratio at every disc D(c, R), |c| = a (broadcast), as the
+    (fine, coarse) pair of `_radial_disc_integral`."""
     q = p / (p - 1.0)
     a, R = np.broadcast_arrays(a, R)
-    ratios = np.ones(a.shape)
+    ratios = np.ones((2,) + a.shape)
     # Small-disc shortcut: rho is 1-Lipschitz, hence nearly constant on D,
     # and the ratio collapses to 1.
     big = R > _rho_radial(w, a) / 4.0
@@ -479,8 +497,8 @@ def _disc_ratios(w: WeightProfile, a: np.ndarray, R: np.ndarray, p: float,
         u = u_full[..., None] * t
         return 2.0 * math.pi * u_full * ((f(u) * u) @ wt)
 
-    ip, iq = _radial_disc_integral(f, full, a[big], R[big], npanels)
-    ratios[big] = ip ** (1.0 / p) * iq ** (1.0 / q) / (math.pi * R[big] ** 2)
+    ip, iq = _radial_disc_integral(f, full, a[big], R[big]).swapaxes(0, 1)
+    ratios[:, big] = ip ** (1.0 / p) * iq ** (1.0 / q) / (math.pi * R[big] ** 2)
     return ratios
 
 
@@ -490,10 +508,12 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     For each radius the ratio is the larger of those of two discs: the
     origin-centred one and one centred at distance radius, whose edge
     passes through the origin.  The weight is radial, so every centre on
-    the circle |c| = radius gives the same disc up to rotation.  A fitted
-    slope <= 0.05 over the largest decade of radii declares the condition
-    satisfied; the p = 2 case gives ratio exactly 1 for every disc.  All
-    discs of all radii go through the disc quadrature as one batch.
+    the circle |c| = radius gives the same disc up to rotation.  A
+    `loglog_fit` slope <= 0.05 declares the condition satisfied, so at
+    least 4 of the ascending, positive `radii` must lie within a factor 10
+    of the largest (ValueError naming `radii`, before any quadrature); the
+    p = 2 case gives ratio exactly 1 for every disc.  All discs of all
+    radii go through the disc quadrature as one batch.
 
     The ratios pass the 12- versus 24-panel self-check at _AP_CHECK_RTOL =
     1e-4 relative, not the 1e-6 that guards mu: the integrand
@@ -506,27 +526,21 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, inf)")
     radii = [float(r) for r in radii]
-    if len(radii) < 2 or not all(map(math.isfinite, radii)) or radii[0] <= 0.0 \
-            or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError(f"radii must be at least 2 finite, positive, ascending "
-                         f"radii, not {radii}")
+    if not (all(map(math.isfinite, radii)) and sum(r >= radii[-1] / 10.0 for r in radii) >= 4
+            and radii[0] > 0.0 and all(r1 < r2 for r1, r2 in zip(radii, radii[1:]))):
+        raise ValueError(f"radii must be finite, positive and ascending, with at "
+                         f"least 4 within a factor 10 of the largest, not {radii}")
     R = np.asarray(radii)[:, None]
     a = R * [0.0, 1.0]                          # the centre distances |c|
-    vals = _disc_ratios(w, a, R, p)
+    vals, coarse = _disc_ratios(w, a, R, p)
     bad = ~np.all(np.isfinite(vals) & (vals > 0.0), axis=1)
     if np.any(bad):
         raise NumericalError(f"ap_probe quadrature failed at radius "
                              f"{np.asarray(radii)[bad].tolist()}")
-    _check_refinement(vals, _disc_ratios(w, a, R, p, _PSI_PANELS),
-                      a, R, "ap_probe", _AP_CHECK_RTOL)
+    _check_refinement(vals, coarse, a, R, "ap_probe", _AP_CHECK_RTOL)
     sup_ratios = [float(v) for v in vals.max(axis=1)]
-
-    top = np.asarray(radii) >= max(radii) / 10.0
-    if top.sum() < 2:
-        top[:] = True
-    slope = float(np.polyfit(np.log(radii)[top], np.log(sup_ratios)[top], 1)[0])
     return ApReport(p=p, disc_radii=tuple(radii), ratios=tuple(sup_ratios),
-                    fitted_exponent=slope)
+                    fitted_exponent=loglog_fit(radii, sup_ratios)[0])
 
 
 # ---------------------------------------------------------------------------

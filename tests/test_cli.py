@@ -366,6 +366,15 @@ class TestOtherCommands:
                    "--grid", str(tmp_path / "g.csv")])
         assert rc == 2
 
+    def test_sigma_eval_power_weight_is_schema_error(self, tmp_path, capsys):
+        # it wrote |sigma(z)| e^{-|z|^2}, the classical weighting, with exit 0
+        job = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
+               "lattice": {"kind": "square", "R": 10}}
+        rc, rep = run(tmp_path, job, "sigma-eval", extra=["--grid", str(tmp_path / "g.csv")])
+        assert rc == 2 and rep is None
+        assert "classical weight" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_sigma_on_the_lattice_is_numerical_error(self):
         # s(8 + 8i) is a point of the infinite lattice beyond R = 10, where
         # the sigma evaluator refuses to take log sigma; `reconstruct` never
@@ -573,13 +582,16 @@ class TestOtherCommands:
         assert rep["results"]["fitted_exponent"] == pytest.approx(0.25, abs=0.05)
 
     @pytest.mark.parametrize("radii", [[-1, 2, 3, 4], [0, 1, 2, 3], 5, [1.0],
-                                       [], [3, 2], ["1", 2]],
+                                       [], [3, 2], ["1", 2], [1, 2, 3],
+                                       [1, 50, 100]],
                              ids=["negative", "zero", "scalar", "one", "empty",
-                                  "descending", "string"])
+                                  "descending", "string", "three",
+                                  "two_in_last_decade"])
     def test_ap_probe_radii_are_schema_errors(self, tmp_path, capsys, radii):
         # radii <= 0 ran (ratio 1.0, fitted into the slope), a bare number
         # raised TypeError (exit 1) and one radius an SVD that did not
-        # converge (exit 2 without naming radii)
+        # converge (exit 2 without naming radii); fewer than 4 radii within
+        # a factor 10 of the largest were fitted on 2 or 3 points, or all
         job = {"weight": {"kind": "classical"}, "p": 3, "radii": radii}
         rc, rep = run(tmp_path, job, "ap-probe")
         assert rc == 2 and rep is None
@@ -698,3 +710,19 @@ class TestOtherCommands:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["all_passed"] is True
+
+    def test_acceptance_repeated_criterion_runs_once(self, tmp_path):
+        out = tmp_path / "acc.json"
+        rc = main(["acceptance", "--criteria", "1,1", "--output", str(out)])
+        assert rc == 0
+        assert [r["criterion"] for r in json.loads(out.read_text())["results"]] == [1]
+
+    @pytest.mark.parametrize("criteria", ["99", "1,0", "x"])
+    def test_acceptance_unknown_criterion_is_schema_error(self, tmp_path, capsys, criteria):
+        # 99 ended in KeyError: 99 (traceback, exit 1)
+        out = tmp_path / "acc.json"
+        rc = main(["acceptance", "--criteria", criteria, "--output", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:")
+        assert criteria == "x" or "the criteria are 1-9" in err

@@ -191,10 +191,14 @@ class TestOneWeight:
 
     def test_builtin_refuses_a_power_weight_lattice(self):
         # the builtin took the classical weight by default whatever the
-        # lattice's, and then ran the power weight's branch on classical rho
+        # lattice's, and then ran the power weight's branch on classical
+        # rho; sigma_weighted_mag (sigma-eval) wrote the classical weighting
         lat = square_lattice(12.0, power_weight(0.5, rho_origin=2.0))
-        with pytest.raises(SchemaError, match="classical weight"):
-            builtin_sigma_multiplier(lat)
+        for call in (lambda: builtin_sigma_multiplier(lat),
+                     lambda: sigma_log(lat, 0.7 + 0.2j),
+                     lambda: sigma_weighted_mag(lat, 0.7 + 0.2j)):
+            with pytest.raises(SchemaError, match="classical weight"):
+                call()
 
 
 class TestUserMultiplier:

@@ -8,7 +8,7 @@ from focklattice import (SQUARE_SCALE, Lattice, SequenceData, batch_higher,
                          higher_transform, modified_cauchy_inf,
                          operator_norm_estimate, power_weight, pv_sum,
                          shells_for, square_lattice, taylor_kernel_check)
-from focklattice.transforms import loglog_fit
+from focklattice.weights import loglog_fit
 from conftest import gaussian_fn
 from oracles import dense_section, levin_recovery, shell_batch
 

@@ -244,19 +244,35 @@ class TestRhoTable:
 
     def test_one_table_per_gamma(self, monkeypatch):
         # gamma = 0.61 is tabulated by no other test; its table is one
-        # checked quadrature batch at C = 1, shared by every C
+        # checked quadrature batch at C = 1, shared by every C, and the one
+        # call gives both rules
         calls, mu = [], weights._mu_power
         monkeypatch.setattr(weights, "_mu_power",
-                            lambda w, a, r, n=24: calls.append(w.c_gamma) or mu(w, a, r, n))
+                            lambda w, a, r: calls.append((w.c_gamma, np.size(r))) or mu(w, a, r))
         for c in (1e-3, 0.4, 1e3):
             rho_many(power_weight(0.61, c_gamma=c), [0.0, 0.5, 7.0, 3e4])
-        assert calls == [1.0, 1.0]
+        assert calls == [(1.0, 421)]
 
     def test_non_monotone_table_raises(self, monkeypatch):
         # a constant M(s) gives a constant a(s)
-        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r, n=24: np.ones(np.shape(r)))
+        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r: (np.ones(np.shape(r)),) * 2)
         with pytest.raises(NumericalError, match="not monotone"):
             _unit_rho_table(0.77)
+
+    def test_polish_quadratures(self, monkeypatch):
+        # the bisection after every step that did not halve the bracket took
+        # 12.0 quadratures per call on this sample, 35 at worst
+        calls, mu = [], weights._mu_power
+        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r: calls.append(1) or mu(w, a, r))
+        counts = []
+        for gamma in np.geomspace(0.2, 8.0, 7):
+            w = power_weight(gamma, rho_origin=2.0)
+            _unit_rho_table(w.gamma)
+            for a in np.geomspace(1e-3, 1e4, 30):
+                calls.clear()
+                rho(w, a)
+                counts.append(len(calls))
+        assert np.mean(counts) <= 7.0 and max(counts) <= 24
 
     def test_bracket_without_sign_change_raises(self, monkeypatch):
         # the table value is not within 1e-13 of the root
@@ -295,7 +311,7 @@ class TestApProbe:
 
     def test_p2_trivially_one(self):
         w = power_weight(3.0, rho_origin=2.0)
-        rep = ap_probe(w, 2.0, np.geomspace(4.0, 400.0, 6))
+        rep = ap_probe(w, 2.0, np.geomspace(4.0, 400.0, 9))
         assert np.allclose(rep.ratios, 1.0, atol=1e-6)
 
     def test_power_gamma5_failure_exponent(self):
@@ -306,7 +322,7 @@ class TestApProbe:
 
     def test_p_q_symmetry(self):
         w = power_weight(5.0, rho_origin=2.0)
-        radii = np.geomspace(4.0, 400.0, 6)
+        radii = np.geomspace(4.0, 400.0, 9)
         rep_p = ap_probe(w, 4.0 / 3.0, radii)
         rep_q = ap_probe(w, 4.0, radii)
         assert np.allclose(rep_p.ratios, rep_q.ratios, rtol=1e-9)
@@ -320,19 +336,20 @@ class TestApProbe:
 
     def test_full_part_only_where_a_disc_holds_the_origin(self, monkeypatch):
         # each radius integrates the disc centred at the origin and one
-        # through it; only the first has a full-circle part
+        # through it; only the first has a full-circle part, which both
+        # rules of the one call share
         sizes, u_full, integral = [], [], weights._radial_disc_integral
 
-        def spy(f, full_part, a, r, npanels):
+        def spy(f, full_part, a, r):
             sizes.append(np.broadcast(a, r).size)
-            return integral(f, lambda u: u_full.append(u) or full_part(u), a, r, npanels)
+            return integral(f, lambda u: u_full.append(u) or full_part(u), a, r)
 
         monkeypatch.setattr(weights, "_radial_disc_integral", spy)
         w = power_weight(5.0, rho_origin=2.0)
         ap_probe(w, 4.0 / 3.0, default_ap_radii(w))
-        assert sizes == [24, 24]                    # the 24- and 12-panel rules
+        assert sizes == [24]                        # one call for both rules
         u = np.concatenate([x.ravel() for x in u_full])
-        assert u.size == 24 and np.all(u > 0.0)
+        assert u.size == 12 and np.all(u > 0.0)
 
     @pytest.mark.parametrize("gamma,p", [(5.0, 4.0 / 3.0), (1.0, 3.0), (0.5, 3.0)])
     def test_two_discs_give_the_ring_maximum(self, gamma, p):
@@ -342,13 +359,22 @@ class TestApProbe:
         radii = default_ap_radii(w)
         R = np.asarray(radii)[:, None]
         ring = np.abs(R * np.exp(2j * math.pi * np.arange(8) / 8.0))
-        ref = weights._disc_ratios(w, np.concatenate([0.0 * R, ring], axis=1), R, p)
+        ref = weights._disc_ratios(w, np.concatenate([0.0 * R, ring], axis=1), R, p)[0]
         assert np.allclose(ap_probe(w, p, radii).ratios, ref.max(axis=1),
                            rtol=1e-12, atol=0.0)
 
     def test_radii_must_ascend(self):
         with pytest.raises(ValueError):
             ap_probe(classical_weight(), 1.5, [2.0, 1.0])
+
+    @pytest.mark.parametrize("radii", [[4.0, 40.0, 400.0], np.geomspace(4.0, 400.0, 6),
+                                       [1.0, 2.0, 3.0, 50.0, 100.0]])
+    def test_radii_need_four_in_the_last_decade(self, monkeypatch, radii):
+        # the slope is loglog_fit's, over the radii within a factor 10 of
+        # the largest; the list is refused before any quadrature
+        monkeypatch.setattr(weights, "_radial_disc_integral", None)
+        with pytest.raises(ValueError, match="at least 4 within a factor 10"):
+            ap_probe(power_weight(5.0, rho_origin=2.0), 4.0 / 3.0, radii)
 
 
 def _loop_t_fit(w, nbins=T_BINS, fit_slack=T_FIT_SLACK,
