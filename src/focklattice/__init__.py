@@ -20,10 +20,8 @@ from .lattice import (Lattice, ShellSchedule, SQUARE_SCALE, explicit_lattice,
                       nearest_index, shells_for, square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_log,
                          sigma_weighted_mag, user_multiplier)
-from .transforms import (OperatorNormReport, PvResult, SequenceData,
-                         batch_higher, batch_modified_inf, higher_transform,
-                         modified_cauchy_inf, operator_norm_estimate, pv_sum,
-                         taylor_kernel_check)
+from .transforms import (OperatorNormReport, batch_higher, batch_modified_inf,
+                         operator_norm_estimate, taylor_kernel_check)
 from .classifier import (BranchInfo, ConditionReport, Margins, TraceData,
                          TraceVerdict, classify, condition, condition_a,
                          select_branch, trajectory_margins)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
-from .transforms import (OUTER_GUARD_FRACTION, PV_RTOL, SequenceData,
+from .transforms import (OUTER_GUARD_FRACTION, PV_RTOL, _sequence,
                          batch_higher, batch_modified_inf)
 from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
                       choose_N, default_ap_radii, effective_t, estimate_t,
@@ -89,7 +89,9 @@ class TraceData:
             raise ValueError("p must lie in [1, inf]")
 
     @property
-    def d(self) -> SequenceData:
+    def d(self) -> np.ndarray:
+        """d = c/g' over the lattice's indices: a complex array, every
+        entry finite (ValueError otherwise), computed once."""
         if self._d is None:
             # d = c/g' where c is nonzero (weighted traces underflow to 0
             # far out), and 0 elsewhere
@@ -98,15 +100,14 @@ class TraceData:
             if len(nz):
                 gw = self.multiplier.g_prime_weighted(nz)
                 vals[nz] = self.c_weighted[nz] / gw
-            self._d = SequenceData(lattice=self.lattice, values=vals)
+            self._d = _sequence(self.lattice, vals)
         return self._d
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_weighted(cls, multiplier, p, values) -> "TraceData":
-        return cls(multiplier, float(p) if p != "inf" else math.inf,
-                   np.asarray(values, dtype=complex))
+        return cls(multiplier, float(p), np.asarray(values, dtype=complex))
 
     @classmethod
     def from_raw(cls, multiplier, p, values) -> "TraceData":

@@ -92,6 +92,15 @@ def _number(value, what: str, positive: bool = False) -> float:
                       f"not {value!r:.40}")
 
 
+def _flag(spec: dict, key: str, what: str) -> bool:
+    """spec[key] as a JSON true or false (false when absent); anything
+    else is a schema error naming `what`."""
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{what} must be true or false, not {value!r:.40}")
+    return value
+
+
 def _complex_of(obj, what: str) -> complex:
     if isinstance(obj, list) and len(obj) == 2:
         return complex(_number(obj[0], what), _number(obj[1], what))
@@ -175,7 +184,7 @@ def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
         return user_multiplier(lat, values, indices=indices,
                                g_double_prime0=None if g2 is None
                                else _complex_of(g2, "g_double_prime0"),
-                               weighted=bool(spec.get("weighted", False)))
+                               weighted=_flag(spec, "weighted", "multiplier.weighted"))
     raise SchemaError("multiplier kind must be builtin_sigma or user_table")
 
 
@@ -192,7 +201,7 @@ def _build_values(job: dict, m: Multiplier, p) -> TraceData:
         vals, _ = scatter_indexed(len(m.lattice),
                                   *_entries(spec.get("items", []), "values.items"),
                                   "value")
-        if spec.get("weighted", False):
+        if _flag(spec, "weighted", "values.weighted"):
             return TraceData.from_weighted(m, p, vals)
         return TraceData.from_raw(m, p, vals)
     raise SchemaError(f"unknown values kind {kind!r}")
@@ -465,7 +474,11 @@ def cmd_acceptance(args) -> int:
     t0 = time.perf_counter()
     numbers = None
     if args.criteria:
-        numbers = [int(k) for k in args.criteria.split(",")]
+        try:
+            numbers = [int(k) for k in args.criteria.split(",")]
+        except ValueError:
+            raise SchemaError(f"--criteria {args.criteria!r}: give criterion "
+                              "numbers separated by commas, e.g. 1,5") from None
     results = run_acceptance(numbers)
     ok = all(r.passed for r in results)
     report = {

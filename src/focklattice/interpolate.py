@@ -12,11 +12,12 @@ function via w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)).
 
 Evaluation happens in weighted space (values times e^{-phi}) wherever
 magnitudes can reach e^{phi}; raw outputs are restricted to the guard band.
-The kernel sums are the p.v. engine's own order-1 and modified rows,
-centred at z, each the total less its outer shells
-(`transforms._tail_partials`).  Every off-lattice z is
-deflated at its nearest lattice point: the pole term joins g(z)/(z -
-lambda), which `Multiplier.log_g_deflated` gives stably at any distance.
+The kernel sums are the p.v. engine's own order-1 and modified rows of
+the array d (`TraceData.d`), centred at z, each the total less its outer
+shells (`transforms._tail_partials`); the engine has no other summation
+path.  Every off-lattice z is deflated at its nearest lattice point: the
+pole term joins g(z)/(z - lambda), which `Multiplier.log_g_deflated`
+gives stably at any distance.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import NumericalError
 from .lattice import nearest_index, shells_for
 from .multiplier import Multiplier
 from .transforms import (PV_RTOL, _higher_terms, _modified_terms,
-                         _tail_partials, _window_test, pv_sum)
+                         _row_sums, _tail_partials, _window_test)
 # rho_many is unused here, but perfbench's tracer wraps it under this
 # module's name (focklattice.interpolate:rho_many) and cannot install without it
 from .weights import loglog_fit, phi, rho_many
@@ -57,7 +58,7 @@ def _eval_core(I: "Interpolant", z, weighted: bool):
     (0 for k = 0) minus the `_modified_terms` rows at p = inf."""
     data = I.data
     lat = data.lattice
-    d = data.d.values
+    d = data.d
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(zarr.shape, dtype=complex)
 
@@ -75,9 +76,9 @@ def _eval_core(I: "Interpolant", z, weighted: bool):
     if off.any():
         zs, k = zarr[off], nearest[off]
         if I.w0 is None:
-            rows = lambda r, first: _higher_terms(lat, data.d, zs[r], k[r], 1, first)
+            rows = lambda r, first: _higher_terms(lat, d, zs[r], k[r], 1, first)
         else:
-            rows = lambda r, first: _modified_terms(lat, data.d, zs[r], k[r], first)
+            rows = lambda r, first: _modified_terms(lat, d, zs[r], k[r], first)
         partials = _tail_partials(lat, len(zs), rows)
         conv, spread = _window_test(partials, I.rtol)
         if not conv.all():
@@ -98,14 +99,18 @@ def _check_summable(data: TraceData, zs: np.ndarray, rows, spread: np.ndarray):
     like 1/|lambda|, so the shell trajectory of |d|/(1+|lambda|) must
     flatten.  When it does, the failure is tolerance noise rather than
     divergence.  The error carries the growth exponent of the worst
-    centre's trajectory, rebuilt from its term row rows(r, 0)."""
+    centre's trajectory: the running sums of its term row rows(r, 0) over
+    the shells."""
     lat = data.lattice
-    per = np.abs(data.d.values) / (1.0 + lat.radii)
+    per = np.abs(data.d) / (1.0 + lat.radii)
     if trajectory_margins(*shell_trajectory(lat, per, 1.0)).verdict == "bounded":
         return
     worst = int(np.argmax(spread))
-    res = pv_sum(shells_for(lat), rows(slice(worst, worst + 1), 0)[0])
-    fit = loglog_fit(res.shell_radii, np.abs(res.shell_partials))
+    sched = shells_for(lat)
+    partials = np.cumsum(_row_sums(1, len(lat),
+                                   lambda _: rows(slice(worst, worst + 1), 0),
+                                   sched.starts)[0])
+    fit = loglog_fit(sched.radii, np.abs(partials))
     why = "trajectory too short to fit" if fit is None \
         else f"growth exponent ~ {fit[0]:.3f}"
     raise NumericalError("principal value did not converge at z = "

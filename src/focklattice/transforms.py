@@ -30,11 +30,10 @@ totals run follows from the lattice, with no knob:
   `interpolate` (own index the point nearest z), the totals are the plain
   row sums of the same term rows.
 
-The totals are pairwise numpy sums, so the tail partials are exact up to
-rounding of the order of the compensated shell sum's, and the window test
-sees the same numbers.  The full compensated shell pass (`_shell_kernel`)
-is left in `pv_sum`, which serves the scalar transforms that return whole
-`PvResult` trajectories; the tests use it as the reference.
+The totals are pairwise numpy sums, so the tail partials agree with a
+compensated pass over every shell up to rounding, and the window test
+sees the same numbers; the tests hold the engine to such a pass, written
+apart from the program (`tests/oracles.py`).
 
 The same zero-padded FFT convolution (`_SquareGrid`) applies the operator
 sections of the norm probes.  Its transforms skip the zero padding (only
@@ -42,7 +41,9 @@ the rows that hold data are transformed forward, only the output rows
 backward), and real kernels (L, M(N), |K|) take real transforms on the
 half spectrum.
 
-Transforms acting on weighted sequences d (normally d = c/g'):
+Transforms acting on weighted sequences d (normally d = c/g'), each a
+plain complex array over the lattice's indices, finite, checked once per
+call (`_sequence`):
 
     higher n:  sum d_lambda / (lambda - lambda')^n   (n = 1 the discrete
                Cauchy transform, n = 2 the Beurling-Ahlfors one)
@@ -62,17 +63,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .lattice import Lattice, ShellSchedule, grid_coords, shells_for, SQUARE_SCALE
+from .lattice import Lattice, grid_coords, shells_for, SQUARE_SCALE
 from .weights import WeightProfile, quasirandom, rho_many
 
 __all__ = [
     "PV_RTOL",
-    "PvResult",
-    "SequenceData",
     "OperatorNormReport",
-    "pv_sum",
-    "higher_transform",
-    "modified_cauchy_inf",
     "batch_higher",
     "batch_modified_inf",
     "operator_norm_estimate",
@@ -96,24 +92,6 @@ PV_ATOL = 1e-15
 CAUCHY_WINDOW = 5
 
 
-def _shell_kernel(shell_sums: np.ndarray, rtol: float):
-    """Compensated running totals of a (rows x shells) matrix of per-shell
-    sums, written into that matrix in place.
-
-    Returns (partials, converged, spread): partials is the overwritten
-    matrix; converged and spread are `_window_test` of it.
-    """
-    total = np.zeros(shell_sums.shape[0], dtype=shell_sums.dtype)
-    comp = np.zeros_like(total)
-    for s in range(shell_sums.shape[1]):
-        y = shell_sums[:, s] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        shell_sums[:, s] = total
-    return (shell_sums,) + _window_test(shell_sums, rtol)
-
-
 def _window_test(partials: np.ndarray, rtol: float):
     """Cauchy test on the last CAUCHY_WINDOW columns of (rows x partials):
     (converged, spread), where a row converged when the largest pairwise
@@ -125,42 +103,18 @@ def _window_test(partials: np.ndarray, rtol: float):
     return spread <= rtol * scale + PV_ATOL, spread
 
 
-class PvResult:
-    """Value and convergence diagnostics of one shell-ordered sum."""
-
-    def __init__(self, value: complex, shell_partials: np.ndarray,
-                 shell_radii: np.ndarray, converged: bool):
-        self.value = value
-        self.shell_partials = shell_partials
-        self.shell_radii = shell_radii
-        self.converged = converged
-
-
-def pv_sum(schedule: ShellSchedule, terms: np.ndarray,
-           rtol: float = PV_RTOL) -> PvResult:
-    """Shell-ordered principal value of the sum of `terms`, an array over
-    all lattice indices.  Non-convergence is a reported state, never an
-    error."""
-    values = np.asarray(terms, dtype=complex)
-    partials, conv, _ = _shell_kernel(
-        np.add.reduceat(values[None, :], schedule.starts, axis=1), rtol)
-    return PvResult(value=complex(partials[0, -1]), shell_partials=partials[0],
-                    shell_radii=schedule.radii, converged=bool(conv[0]))
+def _sequence(lat: Lattice, d) -> np.ndarray:
+    """The sequence d as a complex array over the indices of lat: shape
+    (len(lat),) and every entry finite, or ValueError."""
+    d = np.asarray(d, dtype=complex)
+    if d.shape != (len(lat),):
+        raise ValueError("sequence must cover every lattice index")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("sequence entries must be finite")
+    return d
 
 
-class SequenceData:
-    """A weighted sequence d over lattice indices."""
-
-    def __init__(self, lattice: Lattice, values: np.ndarray):
-        self.lattice = lattice
-        self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != (len(lattice),):
-            raise ValueError("sequence must cover every lattice index")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sequence entries must be finite")
-
-
-def _higher_terms(lat: Lattice, d: SequenceData, centres, own, n: int,
+def _higher_terms(lat: Lattice, d: np.ndarray, centres, own, n: int,
                   first: int = 0):
     """Rows d_lambda / (lambda - centre)^n over the indices first.., with
     each row's own index `own` zeroed (the centre's own term, or the pole
@@ -168,22 +122,22 @@ def _higher_terms(lat: Lattice, d: SequenceData, centres, own, n: int,
     if n < 1:
         raise ValueError(f"transform order n={n} out of range")
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d.values[first:] / (lat.points[first:] - centres[:, None]) ** n
+        terms = d[first:] / (lat.points[first:] - centres[:, None]) ** n
     _zero_own(terms, own, first)
     return terms
 
 
-def _modified_terms(lat: Lattice, d: SequenceData, centres, own, first: int = 0):
+def _modified_terms(lat: Lattice, d: np.ndarray, centres, own, first: int = 0):
     """Rows of the modified Cauchy kernel over the indices first.. at the
     nonzero centres, with each row's own index `own` zeroed; the origin
     column -d_0/centre is set first, so own = 0 zeroes it too."""
     if np.any(centres == 0.0):
         raise ValueError("modified transform requires lambda' != 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d.values[first:] * (1.0 / (lat.points[first:] - centres[:, None])
-                                    - lat.inv_points[first:])
+        terms = d[first:] * (1.0 / (lat.points[first:] - centres[:, None])
+                             - lat.inv_points[first:])
     if first == 0:
-        terms[:, 0] = -d.values[0] / centres
+        terms[:, 0] = -d[0] / centres
     _zero_own(terms, own, first)
     return terms
 
@@ -238,59 +192,47 @@ def _tail_partials(lat: Lattice, count: int, terms_of, totals=None) -> np.ndarra
     return np.concatenate([total[:, None] - beyond, total[:, None]], axis=1)
 
 
-def _correlate(lat: Lattice, d: SequenceData, n: int, indices) -> np.ndarray:
+def _correlate(lat: Lattice, d: np.ndarray, n: int, indices) -> np.ndarray:
     """sum over lambda != lambda' of d_lambda / (lambda - lambda')^n at the
     centres lambda' = points[indices] of a square lattice: one FFT
     correlation of the grid-embedded d."""
     grid = _SquareGrid(lat.truncation_radius, lat.scale)
     ii, jj = (c.astype(int) + grid.M for c in grid_coords(lat.points, grid.scale))
     x = np.zeros(grid.points.shape, dtype=complex)
-    x[ii, jj] = d.values
+    x[ii, jj] = d
     # the kernel at offset lambda' - lambda
     kf = grid.fft(grid.kernel(lambda off: 1.0 / (-off) ** n))
     return grid.conv(kf, x)[ii[indices], jj[indices]]
 
 
-def higher_transform(lat: Lattice, d: SequenceData, index: int, n: int,
-                     rtol: float = PV_RTOL) -> PvResult:
-    """p.v. sum of d_lambda / (lambda - lambda')^n at lambda' = points[index]:
-    the discrete Cauchy transform for n = 1, Beurling-Ahlfors for n = 2.
-    The rho(lambda')^(n-1) prefactor of the trace conditions is applied by
-    the caller."""
-    own = np.array([index])
-    return pv_sum(shells_for(lat),
-                  _higher_terms(lat, d, lat.points[own], own, n)[0], rtol)
-
-
-def modified_cauchy_inf(lat: Lattice, d: SequenceData, index: int,
-                        rtol: float = PV_RTOL) -> PvResult:
-    """-d_0/lambda' + p.v. sum over lambda not in {0, lambda'} of
-    d_lambda (1/(lambda - lambda') - 1/lambda); the sup-norm counterpart of
-    the Cauchy condition.  The kernel decays like |lambda'|/|lambda|^2, so
-    bounded (rho^-1-weighted) data sums absolutely at fixed lambda'."""
-    own = np.array([index])
-    return pv_sum(shells_for(lat),
-                  _modified_terms(lat, d, lat.points[own], own)[0], rtol)
-
-
-def batch_higher(lat: Lattice, d: SequenceData, indices: np.ndarray, n: int,
+def batch_higher(lat: Lattice, d: np.ndarray, indices: np.ndarray, n: int,
                  rtol: float = PV_RTOL):
-    """Order-n transforms at many centers (vectorised higher_transform):
-    arrays of values and convergence flags."""
+    """p.v. sums of d_lambda / (lambda - lambda')^n at the centres
+    lambda' = points[indices]: the discrete Cauchy transform for n = 1,
+    Beurling-Ahlfors for n = 2.  Arrays of values and convergence flags;
+    the rho(lambda')^(n-1) prefactor of the trace conditions is applied by
+    the caller."""
+    d = _sequence(lat, d)
     return _batch_values(lat, indices, rtol,
                          lambda blk, first: _higher_terms(lat, d, lat.points[blk],
                                                           blk, n, first),
                          lambda idx: _correlate(lat, d, n, idx))
 
 
-def batch_modified_inf(lat: Lattice, d: SequenceData, indices: np.ndarray,
+def batch_modified_inf(lat: Lattice, d: np.ndarray, indices: np.ndarray,
                        rtol: float = PV_RTOL):
-    """Vectorised modified_cauchy_inf over many nonzero centers."""
+    """-d_0/lambda' + p.v. sum over lambda not in {0, lambda'} of
+    d_lambda (1/(lambda - lambda') - 1/lambda) at the nonzero centres
+    lambda' = points[indices]; the sup-norm counterpart of the Cauchy
+    condition.  The kernel decays like |lambda'|/|lambda|^2, so bounded
+    (rho^-1-weighted) data sums absolutely at fixed lambda'."""
+    d = _sequence(lat, d)
+
     def totals(idx):
         # the order-1 sum holds -d_0/lambda'; the -1/lambda halves of the
         # other terms are sum_{lambda != 0} d_lambda/lambda less the centre's
-        c = np.sum(d.values[1:] / lat.points[1:])
-        return _correlate(lat, d, 1, idx) - c + d.values[idx] / lat.points[idx]
+        c = np.sum(d[1:] / lat.points[1:])
+        return _correlate(lat, d, 1, idx) - c + d[idx] / lat.points[idx]
 
     return _batch_values(lat, indices, rtol,
                          lambda blk, first: _modified_terms(lat, d, lat.points[blk],

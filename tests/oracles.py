@@ -7,12 +7,14 @@ Each is the plain dense form of what the program computes another way:
 * `levin_recovery`: Levin's recovery of the order-n transforms from samples
   of f/g at perturbed points, which the program computes as p.v. sums
   (`transforms.batch_higher`);
-* `shell_batch`: the batch transforms by the compensated pass over every
-  shell of whole term rows, where the program takes the total less the
-  outer shells (`transforms._tail_partials`).  It shares with the program
-  only `pv_sum`'s compensated pass and window test (`_shell_kernel`).
+* `shell_batch`: the batch transforms by a compensated (Kahan) pass over
+  every shell of whole term rows, with its own window test, where the
+  program takes the total less the outer shells
+  (`transforms._tail_partials`).
 
-The first two share no code with the program.
+None of them shares computing code with the program; they take from it
+only their inputs (the lattice, its shells, the multiplier and phi) and
+the window test's constants.
 
 (Not named oracle.py: perfbench's module of that name shares sys.path.)
 """
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from focklattice import phi, shells_for
-from focklattice.transforms import PV_RTOL, _shell_kernel
+from focklattice.transforms import CAUCHY_WINDOW, PV_ATOL, PV_RTOL
 
 
 def dense_section(lat, kind, N=2):
@@ -47,12 +49,27 @@ def dense_section(lat, kind, N=2):
     return K
 
 
-def shell_batch(lat, d, idx, n):
-    """Values and convergence flags of `batch_higher` (order n) or, for
-    n = "modified", `batch_modified_inf` at the centres points[idx]: the
-    term rows written from the kernel formulas, summed per shell and run
-    through the compensated shell pass, 64 rows at a time."""
-    pts, vals, starts = lat.points, d.values, shells_for(lat).starts
+def _compensated_partials(shell_sums):
+    """Kahan running totals of the rows of a (rows x shells) matrix."""
+    partials = np.empty_like(shell_sums)
+    total = np.zeros(shell_sums.shape[0], dtype=shell_sums.dtype)
+    comp = np.zeros_like(total)
+    for s in range(shell_sums.shape[1]):
+        y = shell_sums[:, s] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        partials[:, s] = total
+    return partials
+
+
+def shell_partials(lat, d, idx, n):
+    """(centres x shells) partial sums of the order-n (or, for
+    n = "modified", the modified Cauchy) p.v. sums at the centres
+    points[idx]: the term rows written from the kernel formulas, summed
+    per shell and run through the compensated shell pass, 64 rows at a
+    time."""
+    pts, vals, starts = lat.points, np.asarray(d, dtype=complex), shells_for(lat).starts
     sums = []
     for blk in np.array_split(np.asarray(idx), max(1, len(idx) // 64)):
         ctr = pts[blk, None]
@@ -64,7 +81,18 @@ def shell_batch(lat, d, idx, n):
                 terms = vals / (pts - ctr) ** n
         terms[np.arange(len(blk)), blk] = 0.0
         sums.append(np.add.reduceat(terms, starts, axis=1))
-    partials, conv, _ = _shell_kernel(np.concatenate(sums), PV_RTOL)
+    return _compensated_partials(np.concatenate(sums))
+
+
+def shell_batch(lat, d, idx, n):
+    """Values and convergence flags of `batch_higher` (order n) or, for
+    n = "modified", `batch_modified_inf`, from `shell_partials`.  A row
+    converged when its last CAUCHY_WINDOW partials lie within PV_RTOL
+    times their largest modulus plus PV_ATOL of each other."""
+    partials = shell_partials(lat, d, idx, n)
+    tail = partials[:, -CAUCHY_WINDOW:]
+    spread = np.max(np.abs(tail[:, :, None] - tail[:, None, :]), axis=(1, 2))
+    conv = spread <= PV_RTOL * np.max(np.abs(tail), axis=1) + PV_ATOL
     return partials[:, -1], conv
 
 

@@ -43,6 +43,18 @@ class TestAcceptance:
         res = _run(5)
         assert res.passed, res.details
 
+    def test_criterion_5_checks_the_engine(self, monkeypatch):
+        # the dense sums are held against batch_higher itself: a 1e-10
+        # relative error in its FFT totals fails the criterion
+        import focklattice.transforms as transforms
+        correlate = transforms._correlate
+        monkeypatch.setattr(transforms, "_correlate",
+                            lambda *args: correlate(*args) * (1.0 + 1e-10))
+        res = CRITERIA[5]()
+        assert not res.passed
+        assert res.details["dense_vs_shell"] > 1e-12
+        assert res.details["shell_cancellation"] <= 1e-12
+
     def test_criterion_6_operator_norm_growth(self):
         res = _run(6)
         assert res.passed, res.details

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (classify, condition, condition_a, higher_transform,
-                         power_weight, select_branch, square_lattice,
-                         trajectory_margins, user_multiplier)
+from focklattice import (classify, condition, condition_a, power_weight,
+                         select_branch, square_lattice, trajectory_margins,
+                         user_multiplier)
 from focklattice.classifier import Margins, TraceData, shell_trajectory
+from oracles import shell_batch
 
 
 class TestTrajectoryVerdict:
@@ -184,11 +185,11 @@ class TestConditionsBC:
                                            (math.inf, "inf_c(3)", 3)])
     def test_order_n_against_scalar_transform(self, lat12, mult12, p, cid, n):
         # rho(lambda')^(n-1) |order-n p.v. sum| over |lambda'| <= R/2,
-        # aggregated in l^p, from the scalar shell-path transform
+        # aggregated in l^p, from the compensated pass over every shell
         data = TraceData.gaussian(mult12, p, 0.3 - 0.1j)
         idx = np.nonzero(lat12.radii <= 0.5 * lat12.truncation_radius)[0]
-        mags = np.array([abs(higher_transform(lat12, data.d, int(i), n).value)
-                         * lat12.rho_values[i] ** (n - 1) for i in idx])
+        mags = np.abs(shell_batch(lat12, data.d, idx, n)[0]) \
+            * lat12.rho_values[idx] ** (n - 1)
         want = mags.max() if math.isinf(p) else np.sum(mags ** p)
         rep = condition(data, cid)
         assert rep.condition_id == cid

@@ -320,6 +320,16 @@ class TestTableEntries:
         assert rc == 2
         assert "finite index, re and im" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["multiplier", "values"])
+    @pytest.mark.parametrize("flag", ["false", 1])
+    def test_weighted_must_be_a_json_boolean(self, tmp_path, capsys, section, flag):
+        # bool() read "false" as true, which weighted the values twice
+        job = self.job()
+        job[section]["weighted"] = flag
+        rc, rep = run(tmp_path, job, "trace-check")
+        assert rc == 2 and rep is None
+        assert f"{section}.weighted must be true or false" in capsys.readouterr().err
+
     def test_repeated_index_keeps_last_entry(self, tmp_path, capsys):
         base = [self.entry(k, 1.0 + k) for k in range(9)]
         # a zero g' overwritten by a later entry is accepted ...
@@ -717,12 +727,14 @@ class TestOtherCommands:
         assert rc == 0
         assert [r["criterion"] for r in json.loads(out.read_text())["results"]] == [1]
 
-    @pytest.mark.parametrize("criteria", ["99", "1,0", "x"])
+    @pytest.mark.parametrize("criteria", ["99", "1,0", "x", "1,,2"])
     def test_acceptance_unknown_criterion_is_schema_error(self, tmp_path, capsys, criteria):
-        # 99 ended in KeyError: 99 (traceback, exit 1)
+        # 99 ended in KeyError: 99 (traceback, exit 1); x and 1,,2 in
+        # "invalid literal for int()", which did not name the option
         out = tmp_path / "acc.json"
         rc = main(["acceptance", "--criteria", criteria, "--output", str(out)])
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("schema error:")
-        assert criteria == "x" or "the criteria are 1-9" in err
+        assert err.startswith("schema error: --criteria")
+        assert "int()" not in err
+        assert criteria in ("x", "1,,2") or "the criteria are 1-9" in err

@@ -89,7 +89,7 @@ class TestReconstruct:
         nz = np.abs(lam) > 0
         u[nz] = lam[nz] ** 2 / np.abs(lam[nz]) ** 1.5
         data = TraceData.from_weighted(mult16, 2.0, gw * u)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"growth exponent ~ 0\.75"):
             reconstruct(data, 0.4 + 0.35j)
 
 

@@ -217,7 +217,7 @@ class TestUserMultiplier:
                              weighted=True)
         base = TraceData.gaussian(mult12, 2.0, 0.3)
         scaled = TraceData.gaussian(um, 2.0, 0.3)
-        assert np.allclose(scaled.d.values, base.d.values / kappa, rtol=1e-12)
+        assert np.allclose(scaled.d, base.d / kappa, rtol=1e-12)
         assert condition_a(base).verdict == condition_a(scaled).verdict
         assert condition(base, "b").verdict == condition(scaled, "b").verdict
 

@@ -3,21 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import (SQUARE_SCALE, Lattice, SequenceData, batch_higher,
+from focklattice import (SQUARE_SCALE, Lattice, batch_higher,
                          batch_modified_inf, classical_weight, explicit_lattice,
-                         higher_transform, modified_cauchy_inf,
-                         operator_norm_estimate, power_weight, pv_sum,
-                         shells_for, square_lattice, taylor_kernel_check)
+                         operator_norm_estimate, power_weight, square_lattice,
+                         taylor_kernel_check)
 from focklattice.weights import loglog_fit
 from conftest import gaussian_fn
-from oracles import dense_section, levin_recovery, shell_batch
-
-
-def power_terms(lat, k):
-    t = np.zeros(len(lat), dtype=complex)
-    nz = np.abs(lat.points) > 0
-    t[nz] = lat.points[nz] ** (-float(k))
-    return t
+from oracles import dense_section, levin_recovery, shell_batch, shell_partials
 
 
 def eisenstein4_oracle(scale):
@@ -35,53 +27,66 @@ def eisenstein4_oracle(scale):
 
 
 class TestPvSum:
+    """The engine at the origin, batch_higher(lat, d, [0], n), on the
+    explicit copy of the lattice, whose totals are row sums (the path of
+    explicit lattices and reconstruction); constant d gives the lattice
+    sums of lambda^-n.  `TestBaAndHigher` takes the same sums through the
+    square lattice's FFT totals."""
+
+    @staticmethod
+    def _origin(lat, n, d=None):
+        d = np.ones(len(lat), complex) if d is None else d
+        v, c = batch_higher(as_explicit(lat), d, [0], n)
+        return v[0], c[0]
+
     def test_inverse_square_vanishes_per_shell(self, lat16):
-        res = pv_sum(shells_for(lat16), power_terms(lat16, 2))
-        shell_sums = np.diff(np.concatenate([[0], res.shell_partials]))
-        assert np.max(np.abs(shell_sums)) <= 1e-12
-        assert res.converged
-        assert abs(res.value) <= 1e-12
+        value, converged = self._origin(lat16, 2)
+        assert converged
+        assert abs(value) <= 1e-12
 
     def test_inverse_cube_vanishes(self, lat16):
-        res = pv_sum(shells_for(lat16), power_terms(lat16, 3))
-        assert np.max(np.abs(res.shell_partials)) <= 1e-12
+        value, _ = self._origin(lat16, 3)
+        assert abs(value) <= 1e-12
 
     def test_inverse_fourth_matches_eisenstein(self, lat16, scale):
         oracle = eisenstein4_oracle(scale)
-        res = pv_sum(shells_for(lat16), power_terms(lat16, 4))
-        assert res.value.real == pytest.approx(oracle, abs=1e-4)
-        assert abs(res.value.imag) < 1e-12
+        value, _ = self._origin(lat16, 4)
+        assert value.real == pytest.approx(oracle, abs=1e-4)
+        assert abs(value.imag) < 1e-12
 
-    def test_growth_exponent_of_divergent_sum(self, lat16):
-        # |lambda|^2-sized terms: partial sums grow like R^4
-        terms = np.abs(lat16.points) ** 2 + 0j
-        res = pv_sum(shells_for(lat16), terms)
-        assert not res.converged
-        slope, r2 = loglog_fit(res.shell_radii, np.abs(res.shell_partials))
+    def test_growth_exponent_of_divergent_sum(self, cw):
+        # d = lambda |lambda|^2 at order 1: |lambda|^2-sized terms, whose
+        # sums grow like R^4 across truncations, and no window converges
+        radii = (6.0, 8.0, 11.0, 16.0)
+        sums = []
+        for R in radii:
+            lat = square_lattice(R, cw)
+            value, converged = self._origin(lat, 1, lat.points * lat.radii ** 2)
+            assert not converged
+            assert value == pytest.approx(np.sum(lat.radii ** 2), rel=1e-12)
+            sums.append(abs(value))
+        slope, r2 = loglog_fit(np.array(radii), np.array(sums))
         assert r2 > 0.9
         assert slope == pytest.approx(4.0, abs=0.4)
 
 
 class TestCauchy:
     def test_zero_data(self, lat12):
-        d = SequenceData(lattice=lat12, values=np.zeros(len(lat12), complex))
-        assert higher_transform(lat12, d, 5, 1).value == 0
+        assert batch_higher(lat12, np.zeros(len(lat12), complex), [5], 1)[0][0] == 0
 
     def test_single_point_support(self, lat12):
         vals = np.zeros(len(lat12), complex)
         vals[7] = 1.0
-        d = SequenceData(lattice=lat12, values=vals)
-        res = higher_transform(lat12, d, 2, 1)
+        v, c = batch_higher(lat12, vals, [2], 1)
         want = 1.0 / (lat12.points[7] - lat12.points[2])
-        assert res.value == pytest.approx(want, rel=1e-14)
-        assert res.converged
+        assert v[0] == pytest.approx(want, rel=1e-14)
+        assert c[0]
 
     def test_linearity(self, lat12, rng):
         v1 = rng.standard_normal(len(lat12)) + 1j * rng.standard_normal(len(lat12))
         v2 = rng.standard_normal(len(lat12)) + 1j * rng.standard_normal(len(lat12))
         a, b = 1.3 - 0.2j, -0.7 + 2.2j
-        cauchy = lambda v: higher_transform(
-            lat12, SequenceData(lattice=lat12, values=v), 4, 1).value
+        cauchy = lambda v: batch_higher(lat12, v, [4], 1)[0][0]
         lhs = cauchy(a * v1 + b * v2)
         rhs = a * cauchy(v1) + b * cauchy(v2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -91,76 +96,65 @@ class TestBaAndHigher:
     def test_single_point(self, lat12):
         vals = np.zeros(len(lat12), complex)
         vals[9] = 2.0 - 1.0j
-        d = SequenceData(lattice=lat12, values=vals)
-        res = higher_transform(lat12, d, 1, 2)
+        value = batch_higher(lat12, vals, [1], 2)[0][0]
         want = vals[9] / (lat12.points[1] - lat12.points[9]) ** 2
-        assert res.value == pytest.approx(want, rel=1e-14)
+        assert value == pytest.approx(want, rel=1e-14)
 
     def test_dense_vs_shell_on_absolutely_convergent(self, lat16, rng):
         decay = np.exp(-np.abs(lat16.points) ** 2 / 3.0)
-        d = SequenceData(lattice=lat16,
-                         values=decay * np.exp(2j * math.pi * rng.uniform(size=len(lat16))))
-        for idx in (0, 5, 17):
-            for n in (1, 2, 3):
-                res = higher_transform(lat16, d, idx, n)
-                mask = np.arange(len(lat16)) != idx
-                dense = np.sum(d.values[mask]
-                               / (lat16.points[mask] - lat16.points[idx]) ** n)
-                assert abs(res.value - dense) <= 1e-12 * max(1.0, abs(dense))
+        d = decay * np.exp(2j * math.pi * rng.uniform(size=len(lat16)))
+        idx = np.array([0, 5, 17])
+        for n in (1, 2, 3):
+            values = batch_higher(lat16, d, idx, n)[0]
+            for i, value in zip(idx, values):
+                mask = np.arange(len(lat16)) != i
+                dense = np.sum(d[mask] / (lat16.points[mask] - lat16.points[i]) ** n)
+                assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense))
 
     def test_odd_order_constant_data_vanishes(self, lat16):
-        d = SequenceData(lattice=lat16, values=np.ones(len(lat16), complex))
-        res = higher_transform(lat16, d, 0, 3)
-        assert abs(res.value) <= 1e-12
+        value = batch_higher(lat16, np.ones(len(lat16), complex), [0], 3)[0][0]
+        assert abs(value) <= 1e-12
 
     def test_fourth_order_constant_is_eisenstein(self, lat16, scale):
-        d = SequenceData(lattice=lat16, values=np.ones(len(lat16), complex))
-        res = higher_transform(lat16, d, 0, 4)
-        assert res.value.real == pytest.approx(eisenstein4_oracle(scale), abs=1e-4)
+        value = batch_higher(lat16, np.ones(len(lat16), complex), [0], 4)[0][0]
+        assert value.real == pytest.approx(eisenstein4_oracle(scale), abs=1e-4)
 
     def test_batch_matches_scalar(self, lat12, rng):
-        vals = (rng.standard_normal(len(lat12))
-                + 1j * rng.standard_normal(len(lat12))) \
+        # against the compensated pass over every shell, one centre a row
+        d = (rng.standard_normal(len(lat12))
+             + 1j * rng.standard_normal(len(lat12))) \
             * np.exp(-np.abs(lat12.points) ** 2 / 5.0)
-        d = SequenceData(lattice=lat12, values=vals)
         idx = np.asarray([0, 3, 8, 21])
         bv, bc = batch_higher(lat12, d, idx, 2)
-        for j, i in enumerate(idx):
-            res = higher_transform(lat12, d, int(i), 2)
-            assert bv[j] == pytest.approx(res.value, rel=1e-13)
-            assert bc[j] == res.converged
+        sv, sc = shell_batch(lat12, d, idx, 2)
+        assert bv == pytest.approx(sv, rel=1e-13)
+        assert np.array_equal(bc, sc)
 
 
 class TestModifiedCauchy:
     def test_zero_data(self, lat12):
-        d = SequenceData(lattice=lat12, values=np.zeros(len(lat12), complex))
-        assert modified_cauchy_inf(lat12, d, 4).value == 0
+        assert batch_modified_inf(lat12, np.zeros(len(lat12), complex), [4])[0][0] == 0
 
     def test_origin_rejected(self, lat12):
-        d = SequenceData(lattice=lat12, values=np.ones(len(lat12), complex))
         with pytest.raises(ValueError):
-            modified_cauchy_inf(lat12, d, 0)
+            batch_modified_inf(lat12, np.ones(len(lat12), complex), [0])
 
     def test_origin_only_data(self, lat12):
         vals = np.zeros(len(lat12), complex)
         vals[0] = 3.0 + 1.0j
-        d = SequenceData(lattice=lat12, values=vals)
-        sups = []
-        for i in range(1, len(lat12)):
-            sups.append(abs(modified_cauchy_inf(lat12, d, i).value))
+        sups = np.abs(batch_modified_inf(lat12, vals, np.arange(1, len(lat12)))[0])
         want = abs(vals[0]) / np.min(np.abs(lat12.points[1:]))
-        assert max(sups) == pytest.approx(want, rel=1e-12)
+        assert sups.max() == pytest.approx(want, rel=1e-12)
 
     def test_batch_matches_scalar(self, lat12, rng):
-        vals = (rng.standard_normal(len(lat12))
-                + 1j * rng.standard_normal(len(lat12))) \
+        # against the compensated pass over every shell, one centre a row
+        d = (rng.standard_normal(len(lat12))
+             + 1j * rng.standard_normal(len(lat12))) \
             * np.exp(-np.abs(lat12.points))
-        d = SequenceData(lattice=lat12, values=vals)
         idx = np.asarray([1, 2, 6, 15])
         bv, _ = batch_modified_inf(lat12, d, idx)
-        for j, i in enumerate(idx):
-            assert bv[j] == pytest.approx(modified_cauchy_inf(lat12, d, int(i)).value,
-                                          rel=1e-12)
+        sv, _ = shell_batch(lat12, d, idx, "modified")
+        assert bv == pytest.approx(sv, rel=1e-12)
 
 
 def as_explicit(lat):
@@ -212,12 +206,11 @@ class TestFftPath:
         vals = {"gaussian": np.exp(2 * np.conj(w) * pts - abs(w) ** 2 - np.abs(pts) ** 2),
                 "constant": np.ones(len(lat), complex),
                 "phase": np.exp(2j * math.pi * rng.uniform(size=len(lat)))}[data]
-        d = SequenceData(lat, vals)
         # every 7th centre of the classifier's disc |lambda'| <= R/2
         idx = np.nonzero(lat.radii <= 0.5 * lat.truncation_radius)[0][1::7]
         for n in (1, 2, 3, 5, "modified"):
-            fv, fc = batch(lat, d, idx, n)
-            sv, sc = shell_batch(lat, d, idx, n)
+            fv, fc = batch(lat, vals, idx, n)
+            sv, sc = shell_batch(lat, vals, idx, n)
             bound = roundoff_bound(lat, vals, idx, n)
             assert np.all(np.abs(fv - sv) <= bound), (n, np.max(np.abs(fv - sv) / bound))
             assert np.array_equal(fc, sc), n
@@ -235,12 +228,11 @@ class TestFftPath:
         lat = explicit_lattice(np.concatenate([[0.0], sq + jitter]), cw)
         vals = np.exp(-np.abs(lat.points) ** 2 / 21.0) \
             * np.exp(2j * math.pi * rng.uniform(size=len(lat)))
-        d = SequenceData(lat, vals)
         idx = np.nonzero(lat.radii <= 0.5 * lat.truncation_radius)[0][1::3]
         flags = []
         for n in (1, 2, "modified"):
-            fv, fc = batch(lat, d, idx, n)
-            sv, sc = shell_batch(lat, d, idx, n)
+            fv, fc = batch(lat, vals, idx, n)
+            sv, sc = shell_batch(lat, vals, idx, n)
             bound = roundoff_bound(lat, vals, idx, n)
             assert np.all(np.abs(fv - sv) <= bound), (n, np.max(np.abs(fv - sv) / bound))
             assert np.array_equal(fc, sc), n
@@ -251,8 +243,7 @@ class TestFftPath:
         # one row per term block gives the same bits as the default blocks
         import focklattice.transforms
         lat = as_explicit(lat12)
-        d = SequenceData(lat, rng.standard_normal(len(lat))
-                         + 1j * rng.standard_normal(len(lat)))
+        d = rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
         idx = np.arange(len(lat))
         runs = [lambda: batch_higher(lat, d, idx, 1),
                 lambda: batch_higher(lat, d, idx, 2),
@@ -268,16 +259,14 @@ class TestFftPath:
         # from the FFT totals and from the row sums
         from focklattice.transforms import (CAUCHY_WINDOW, _higher_terms,
                                             _tail_partials)
-        d = SequenceData(lat16, rng.standard_normal(len(lat16))
-                         + 1j * rng.standard_normal(len(lat16)))
+        d = rng.standard_normal(len(lat16)) + 1j * rng.standard_normal(len(lat16))
         idx = np.arange(0, len(lat16), 3)
         w = CAUCHY_WINDOW
         for n in (1, 2, 3):
             def terms_of(rows, first):
                 return _higher_terms(lat16, d, lat16.points[idx[rows]], idx[rows],
                                      n, first)
-            shell = np.array([higher_transform(lat16, d, int(i), n).shell_partials[-w:]
-                              for i in idx])
+            shell = shell_partials(lat16, d, idx, n)[:, -w:]
             for totals in (lambda: batch_higher(lat16, d, idx, n)[0], None):
                 tail = _tail_partials(lat16, len(idx), terms_of, totals)
                 assert tail.shape == shell.shape == (len(idx), w)
@@ -286,8 +275,7 @@ class TestFftPath:
     def test_window_flags_match_shell_path(self, lat12, rng):
         # the data leave the window test with converged and unconverged
         # centres, and both paths flag the same ones
-        d = SequenceData(lat12, rng.standard_normal(len(lat12))
-                         * np.exp(-np.abs(lat12.points) ** 2 / 6.0) + 0j)
+        d = rng.standard_normal(len(lat12)) * np.exp(-np.abs(lat12.points) ** 2 / 6.0)
         idx = np.arange(len(lat12))
         for n in (1, 2):
             fv, fc = batch_higher(lat12, d, idx, n)
@@ -297,13 +285,24 @@ class TestFftPath:
             assert 0 < fc.sum() < len(idx)
 
     def test_arguments_are_validated(self, lat12):
-        d = SequenceData(lat12, np.ones(len(lat12), complex))
+        d = np.ones(len(lat12), complex)
         with pytest.raises(ValueError):
             batch_higher(lat12, d, [1, 2], 0)
         with pytest.raises(ValueError):
             batch_modified_inf(lat12, d, [0, 3])
         v, c = batch_higher(lat12, d, np.zeros(0, dtype=int), 2)
         assert v.shape == c.shape == (0,)
+
+    @pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+    def test_sequence_is_validated(self, lat12, bad):
+        # d must be finite over exactly the lattice's indices
+        d = np.ones(len(lat12) + (bad == "long") - (bad == "short"), complex)
+        if bad in ("nan", "inf"):
+            d[7] = {"nan": complex(math.nan, 0.0), "inf": complex(0.0, math.inf)}[bad]
+        for run in (lambda: batch_higher(lat12, d, [1, 2], 1),
+                    lambda: batch_modified_inf(lat12, d, [1, 2])):
+            with pytest.raises(ValueError, match="sequence"):
+                run()
 
     @pytest.mark.parametrize("M", [6, 10])       # 4M + 1 = 25, 41 (-> 45)
     @pytest.mark.parametrize("kernel_real", [True, False])
@@ -524,8 +523,7 @@ class TestNecessityProbe:
 
     @staticmethod
     def _direct(lat, rec, n):
-        d = SequenceData(lattice=lat, values=rec.d)
-        return batch_higher(lat, d, rec.indices, n)[0]
+        return batch_higher(lat, rec.d, rec.indices, n)[0]
 
     def test_gaussian_recovery_matches_direct(self, lat12, mult12):
         f = gaussian_fn(0.3 + 0.1j)
