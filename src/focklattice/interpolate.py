@@ -32,7 +32,7 @@ from .errors import NumericalError
 from .lattice import nearest_index, shells_for
 from .multiplier import Multiplier
 from .transforms import (PV_RTOL, _higher_terms, _modified_terms,
-                         _row_sums, _tail_partials, _window_test)
+                         _tail_partials, _window_test)
 # rho_many is unused here, but perfbench's tracer wraps it under this
 # module's name (focklattice.interpolate:rho_many) and cannot install without it
 from .weights import loglog_fit, phi, rho_many
@@ -107,9 +107,8 @@ def _check_summable(data: TraceData, zs: np.ndarray, rows, spread: np.ndarray):
         return
     worst = int(np.argmax(spread))
     sched = shells_for(lat)
-    partials = np.cumsum(_row_sums(1, len(lat),
-                                   lambda _: rows(slice(worst, worst + 1), 0),
-                                   sched.starts)[0])
+    partials = np.cumsum(np.add.reduceat(rows(slice(worst, worst + 1), 0)[0],
+                                         sched.starts))
     fit = loglog_fit(sched.radii, np.abs(partials))
     why = "trajectory too short to fit" if fit is None \
         else f"growth exponent ~ {fit[0]:.3f}"

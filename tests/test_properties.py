@@ -10,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focklattice import (Interpolant, TraceData, batch_higher,  # noqa: E402
-                         classify, mu_disc_many, power_weight, rho, rho_many)
+                         classify, mu_disc_many, power_weight, rho, rho_many,
+                         shells_for)
 
 _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
 
@@ -62,8 +63,9 @@ class TestPvEngineProperties:
            seed=_seeds)
     def test_odd_kernel_vanishes_per_shell(self, lat16, a, b, extra, seed):
         # lambda^a conj(lambda)^b / |lambda|^(a+b+extra+1) with a + b odd is
-        # odd under lambda -> -lambda, and every shell is symmetric: the
-        # engine's order-1 sum at the origin of d = lambda * terms vanishes
+        # odd under lambda -> -lambda, and every shell is symmetric: each
+        # shell partial vanishes, and so does the engine's order-1 sum at
+        # the origin of d = lambda * terms
         if (a + b) % 2 == 0:
             b += 1
         rng = np.random.default_rng(seed)
@@ -71,8 +73,11 @@ class TestPvEngineProperties:
         lam = lat16.points[1:]
         terms = np.zeros(len(lat16), dtype=complex)
         terms[1:] = c * lam ** a * np.conj(lam) ** b / np.abs(lam) ** (a + b + extra + 1)
+        bound = 1e-12 * np.max(np.abs(terms))
+        partials = np.cumsum(np.add.reduceat(terms, shells_for(lat16).starts))
+        assert np.max(np.abs(partials)) <= bound
         value = batch_higher(lat16, terms * lat16.points, [0], 1)[0][0]
-        assert abs(value) <= 1e-12 * np.max(np.abs(terms))
+        assert abs(value) <= bound
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(n=st.integers(1, 3), seed=_seeds)

@@ -5,8 +5,8 @@ import pytest
 
 from focklattice import (SQUARE_SCALE, Lattice, batch_higher,
                          batch_modified_inf, classical_weight, explicit_lattice,
-                         operator_norm_estimate, power_weight, square_lattice,
-                         taylor_kernel_check)
+                         operator_norm_estimate, power_weight, shells_for,
+                         square_lattice, taylor_kernel_check)
 from focklattice.weights import loglog_fit
 from conftest import gaussian_fn
 from oracles import dense_section, levin_recovery, shell_batch, shell_partials
@@ -39,12 +39,21 @@ class TestPvSum:
         v, c = batch_higher(as_explicit(lat), d, [0], n)
         return v[0], c[0]
 
+    @staticmethod
+    def _shell_sums(lat, n):
+        terms = np.zeros(len(lat), dtype=complex)
+        nz = lat.radii > 0
+        terms[nz] = lat.points[nz] ** (-float(n))
+        return np.add.reduceat(terms, shells_for(lat).starts)
+
     def test_inverse_square_vanishes_per_shell(self, lat16):
+        assert np.max(np.abs(self._shell_sums(lat16, 2))) <= 1e-12
         value, converged = self._origin(lat16, 2)
         assert converged
         assert abs(value) <= 1e-12
 
     def test_inverse_cube_vanishes(self, lat16):
+        assert np.max(np.abs(np.cumsum(self._shell_sums(lat16, 3)))) <= 1e-12
         value, _ = self._origin(lat16, 3)
         assert abs(value) <= 1e-12
 
