@@ -167,10 +167,6 @@ class ConditionReport(NamedTuple):
     inner_unconverged: int = 0
     inner_total: int = 0
 
-    @property
-    def final_value(self) -> float:
-        return self.partial_trajectory[-1][1] if self.partial_trajectory else 0.0
-
 
 def trajectory_margins(radii, values) -> Margins:
     """Last-decade growth, and the log-log slope and R^2 unless growth
@@ -302,12 +298,6 @@ class TraceVerdict(NamedTuple):
     branch: BranchInfo
     reports: Tuple[ConditionReport, ...]
     overall: str
-
-    def report(self, cid: str) -> ConditionReport:
-        for r in self.reports:
-            if r.condition_id == cid:
-                return r
-        raise KeyError(cid)
 
 
 @lru_cache(maxsize=16)

@@ -375,6 +375,10 @@ def cmd_reconstruct(args) -> int:
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
     guard = data.lattice.guard_radius()
+    if guard <= 0:
+        raise SchemaError(f"lattice R = {data.lattice.truncation_radius:.4g} leaves "
+                          f"no guard band: the guard radius R - 5 max rho is "
+                          f"{guard:.4g}, so no grid lies inside it")
     pts, corner = _grid(job, min(4.0, guard / math.sqrt(2.0)), 60)
     verify_points = _count(job.get("verify_points", 80), "verify_points")
     if corner > guard:

@@ -10,12 +10,11 @@ Shell schedules order principal value sums (partial sums over |lambda| < R
 with R growing through the distinct point radii): lattice indices run in
 ascending radius order, so every shell is a contiguous index range.
 
-Nearest-point lookups, Euclidean or in the surrogate metric
-|z - lambda| / rho(lambda) that assigns grid points to cells, and the
-separation constant are one exact search (`_search`): the points are
-binned once into a bucket grid, one point per bucket on the square
-lattice, and each query scans rings of buckets until no farther ring can
-win.
+Euclidean nearest-point lookups and the separation constant (in the
+metric |lambda - mu| / max(rho_lambda, rho_mu)) are one exact search
+(`_search`): the points are binned once into a bucket grid, one point per
+bucket on the square lattice, and each query scans rings of buckets until
+no farther ring can win.
 """
 
 from __future__ import annotations
@@ -294,15 +293,10 @@ def shells_for(lat: Lattice) -> ShellSchedule:
                          n_points=len(r))
 
 
-def nearest_index(lat: Lattice, z, cell: bool = False):
-    """Index of the lattice point nearest to each z, and the distance.
-
-    With cell=True nearness is the surrogate |z - lambda| / rho(lambda) and
-    the distance returned is that surrogate.  Both are the exact argmin over
-    every lattice point (`_search`), for z anywhere in the plane; a surrogate
-    of 1 or more marks a z that the lattice does not cover at scale rho.
-    """
+def nearest_index(lat: Lattice, z):
+    """Index of the lattice point nearest to each z, and the distance: the
+    exact argmin over every lattice point (`_search`), for z anywhere in
+    the plane."""
     z = np.asarray(z, dtype=complex).ravel()
-    rho = lat.rho_values if cell else np.ones(len(lat))
-    return _search(lat.points, rho, z, np.zeros(z.size),
+    return _search(lat.points, np.ones(len(lat)), z, np.zeros(z.size),
                    lat.scale if lat.kind == "square" else None)

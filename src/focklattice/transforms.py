@@ -396,8 +396,12 @@ class _FftSection:
         return float((outer * self.grid.conv(self._kabsf, inner)).max())
 
 
-def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
-                        tol: float = 1e-8):
+# the step budget of a Golub-Kahan-Lanczos run, and its relative Ritz-residual stop
+_GKL_STEPS = 50
+_GKL_RTOL = 1e-8
+
+
+def _top_singular_value(sec: _FftSection, seed: int):
     """(theta, change): the section's largest singular value by one
     Golub-Kahan-Lanczos run (Golub & Van Loan, Matrix Computations, 10.4)
     and its last relative change.  The start is `quasirandom` offset by
@@ -414,8 +418,10 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
     singular values sigma of B_k and mu of B_{k-1} (LAPACK's singular-vector
     path starts BLAS threads, which stalled for ~50 ms a call on 2 cores).
     No basis is kept: plain Lanczos only repeats converged Ritz values.
-    Stops at `steps`, residual <= tol theta or change <= tol; at the cap
-    NumericalError if both exceed 1e-3."""
+    Stops early only on the residual, residual <= _GKL_RTOL theta: a small
+    change alone does not bound the gap when the top two singular values
+    cluster.  At the cap of _GKL_STEPS steps NumericalError if both the
+    residual and the change exceed 1e-3."""
     start = quasirandom(sec.size, seed)
     v = np.zeros(sec.mask.shape, dtype=float if sec.real else complex)
     v[sec.mask] = start[:, 0] if sec.real else start[:, 0] + 1j * start[:, 1]
@@ -423,7 +429,7 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
     # the weights vanish off the disc, so the iterates stay masked
     u, beta, theta, prev = 0.0, 0.0, 0.0, np.zeros(0)
     alphas, betas = [], []
-    for _ in range(steps):
+    for _ in range(_GKL_STEPS):
         u = sec.apply(v) - beta * u
         alpha = float(np.linalg.norm(u))
         u /= alpha
@@ -438,12 +444,13 @@ def _top_singular_value(sec: _FftSection, seed: int, steps: int = 50,
             q2 = np.prod((theta ** 2 - prev ** 2) / (theta ** 2 - s[1:] ** 2))
         resid = beta * alpha * math.sqrt(abs(q2)) / theta ** 2
         prev = s
-        if resid <= tol or change <= tol:
+        if resid <= _GKL_RTOL:
             return theta, change
         v /= beta
     if not (resid <= 1e-3 or change <= 1e-3):
-        raise NumericalError(f"bidiagonalisation did not converge in {steps} "
-                             f"steps (residual {resid:.1e}, change {change:.1e})")
+        raise NumericalError(f"bidiagonalisation did not converge in "
+                             f"{_GKL_STEPS} steps (residual {resid:.1e}, "
+                             f"change {change:.1e})")
     return theta, change
 
 
@@ -455,8 +462,9 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
     p=1 and p=inf are the exact max weighted column/row sums.  p=2 is a
     lower bound on the largest singular value by Golub-Kahan-Lanczos from
     the quasirandom start offset by `seed` (`_top_singular_value`: at most
-    50 steps, to a relative Ritz residual or change of 1e-8; that change is
-    in `stagnations`).  Sections are matrix-free FFT convolutions."""
+    50 steps, stopping early only at a relative Ritz residual of 1e-8; the
+    last relative Ritz change is in `stagnations`).  Sections are
+    matrix-free FFT convolutions."""
     if p not in (1.0, 2.0) and not math.isinf(p):
         raise ValueError("operator norms support p in {1, 2, inf}")
     sizes = sorted(int(s) for s in sizes)
@@ -482,20 +490,18 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
 # Kernel identity
 # ---------------------------------------------------------------------------
 
-def taylor_kernel_check(z: complex, lam: complex, lam_prime: complex = 0.0,
-                        n: int = 2) -> float:
+def taylor_kernel_check(z: complex, L: complex, n: int) -> float:
     """Absolute discrepancy of the geometric-remainder identity
 
         1/(z-L) + 1/L + z/L^2 + ... + z^(n-1)/L^n = z^n / (L^n (z-L))
 
-    with L = lam - lam_prime (the translated variant used at perturbed
-    points).  Exact algebra, so the return value is pure rounding."""
-    L = complex(lam) - complex(lam_prime)
-    z = complex(z)
+    (at perturbed points L = lambda - lambda').  Exact algebra, so the
+    return value is pure rounding."""
+    L, z = complex(L), complex(z)
     if L == 0:
-        raise ValueError("lambda must differ from lambda'")
+        raise ValueError("L must be nonzero")
     if z == L:
-        raise ValueError("z must differ from lambda - lambda'")
+        raise ValueError("z must differ from L")
     lhs = 1.0 / (z - L)
     zp = 1.0
     for j in range(1, n + 1):

@@ -96,7 +96,7 @@ class TestConditionA:
         assert rep.verdict != "diverging"
         lam = lat16.points
         oracle = float(np.sum(np.exp(-2 * np.abs(lam - (1 + 1j)) ** 2)))
-        assert rep.final_value == pytest.approx(oracle, rel=1e-10)
+        assert rep.partial_trajectory[-1][1] == pytest.approx(oracle, rel=1e-10)
 
     def test_origin_gaussian_trace_bounded(self, mult16):
         data = TraceData.gaussian(mult16, math.inf, 0.0)
@@ -116,13 +116,13 @@ class TestConditionA:
         rep = condition_a(data)
         assert rep.condition_id == "inf_a"
         assert rep.verdict == "bounded"
-        assert rep.final_value == 1.0
+        assert rep.partial_trajectory[-1][1] == 1.0
 
     def test_zero_data(self, mult16):
         data = TraceData.zero(mult16, 1.0)
         rep = condition_a(data)
         assert rep.verdict == "bounded"
-        assert rep.final_value == 0.0
+        assert rep.partial_trajectory[-1][1] == 0.0
 
     def test_monotone_trajectory(self, mult16):
         data = TraceData.gaussian(mult16, 2.0, 0.4)
@@ -133,8 +133,8 @@ class TestConditionA:
 class TestConditionsBC:
     def test_zero_data_all_zero(self, mult12):
         data = TraceData.zero(mult12, 2.0)
-        assert condition(data, "b").final_value == 0.0
-        assert condition(data, "c").final_value == 0.0
+        assert condition(data, "b").partial_trajectory[-1][1] == 0.0
+        assert condition(data, "c").partial_trajectory[-1][1] == 0.0
 
     def test_bprime_first_order_equals_b(self, mult12):
         data = TraceData.gaussian(mult12, 3.0, 0.2)
@@ -193,7 +193,7 @@ class TestConditionsBC:
         want = mags.max() if math.isinf(p) else np.sum(mags ** p)
         rep = condition(data, cid)
         assert rep.condition_id == cid
-        assert rep.final_value == pytest.approx(want, rel=1e-9)
+        assert rep.partial_trajectory[-1][1] == pytest.approx(want, rel=1e-9)
 
 
 class TestBranchSelection:
@@ -279,9 +279,9 @@ class TestClassify:
         for name, u in patterns.items():
             data = TraceData.from_weighted(mult16, math.inf,
                                            gw * rho * u)
-            verdict = classify(data)
-            size_ok = verdict.report("inf_a").verdict == "bounded"
-            cauchy_bad = verdict.report("inf_b").verdict != "bounded"
+            reports = {r.condition_id: r for r in classify(data).reports}
+            size_ok = reports["inf_a"].verdict == "bounded"
+            cauchy_bad = reports["inf_b"].verdict != "bounded"
             if size_ok and cauchy_bad:
                 witnesses.append(name)
         # the resonant pattern makes the modified sum grow; the constant

@@ -409,6 +409,26 @@ class TestOtherCommands:
         assert "beyond the guard radius" in capsys.readouterr().err
         assert not grid.exists()
 
+    def test_reconstruct_without_a_guard_band_is_schema_error(self, tmp_path, capsys):
+        # gamma = 0.5, rho(0) = 2 at R = 10: max rho 9.68, guard radius
+        # -38.4; the default grid's half-width guard / sqrt(2) < 0 exited 2
+        # naming grid.half_width, a field the job never set
+        table = [{"index": k, "re": 1.0, "im": 0.0} for k in range(193)]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
+            "lattice": {"kind": "square", "R": 10},
+            "multiplier": {"kind": "user_table", "g_prime": table, "weighted": True},
+            "values": {"kind": "zero"}, "p": 2, "verify_points": 4}))
+        grid = tmp_path / "g.csv"
+        rc = main(["reconstruct", "--input", str(path), "--grid", str(grid)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "R = 10 leaves no guard band" in err
+        assert "guard radius R - 5 max rho is -38.39" in err
+        assert "half_width" not in err
+        assert not grid.exists()
+
     def test_reconstruct_default_grid_inside_the_guard(self, tmp_path):
         # R = 7: guard radius 5.59, so a half-width of min(4, guard) put
         # the grid corner at 5.66; the default is now min(4, guard / sqrt(2))

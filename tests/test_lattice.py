@@ -7,7 +7,7 @@ import pytest
 from focklattice import (Lattice, NumericalError, SeparationError,
                          explicit_lattice, mu_disc, nearest_index, power_weight,
                          rho_many, shells_for, square_lattice, upper_density)
-from focklattice.lattice import grid_coords
+from focklattice.lattice import _search, grid_coords
 
 
 class TestSquareLattice:
@@ -214,8 +214,9 @@ LOOKUP_LATTICES = SQUARE_LATTICES + ["random_lat", "clustered_lat"]
 
 class TestNearestIndex:
     """The bucket-grid search against a dense argmin over every lattice
-    point, on square and explicit lattices, for queries in the disc, at
-    and near lattice points, beyond the truncation and out to |z| = 1e3."""
+    point, Euclidean (`nearest_index`) and in delta_sep's rho-scaled metric,
+    on square and explicit lattices, for queries in the disc, at and near
+    lattice points, beyond the truncation and out to |z| = 1e3."""
 
     @staticmethod
     def sample(lat, rng, n=3000):
@@ -245,43 +246,46 @@ class TestNearestIndex:
         return np.concatenate([z, 1j * z])
 
     @staticmethod
-    def check_against_dense(lat, z, cell):
-        # distances only: on ties either index is right
+    def check_against_dense(lat, z, scaled):
+        # distances only: on ties either index is right.  scaled: the search
+        # in delta_sep's metric |z - lambda| / max(rho(z), rho_lambda), here
+        # at queries off the points, where rho(z) may pass every rho_lambda
         dense = np.abs(z[:, None] - lat.points[None, :])
-        if cell:
-            dense = dense / lat.rho_values[None, :]
+        if scaled:
+            r_z = rho_many(lat.weight, z)
+            dense /= np.maximum(r_z[:, None], lat.rho_values[None, :])
+            idx, dist = _search(lat.points, lat.rho_values, z, r_z,
+                                lat.scale if lat.kind == "square" else None)
+        else:
+            idx, dist = nearest_index(lat, z)
         best = dense.min(axis=1)
-        idx, dist = nearest_index(lat, z, cell=cell)
-        own = np.abs(z - lat.points[idx])
-        if cell:
-            own = own / lat.rho_values[idx]
         assert np.allclose(dist, best, rtol=1e-12, atol=1e-15)
-        assert np.allclose(own, best, rtol=1e-12, atol=1e-15)
+        assert np.allclose(dense[np.arange(z.size), idx], best, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("which", LOOKUP_LATTICES)
     def test_euclidean_matches_dense_argmin(self, which, request, rng):
         lat = request.getfixturevalue(which)
-        self.check_against_dense(lat, self.sample(lat, rng), cell=False)
+        self.check_against_dense(lat, self.sample(lat, rng), scaled=False)
 
     @pytest.mark.parametrize("which", LOOKUP_LATTICES)
     def test_cell_matches_dense_surrogate_argmin(self, which, request, rng):
         lat = request.getfixturevalue(which)
-        self.check_against_dense(lat, self.sample(lat, rng), cell=True)
+        self.check_against_dense(lat, self.sample(lat, rng), scaled=True)
 
-    @pytest.mark.parametrize("cell", [False, True])
+    @pytest.mark.parametrize("scaled", [False, True])
     @pytest.mark.parametrize("which", SQUARE_LATTICES)
-    def test_beyond_truncation_matches_dense(self, which, cell, request, rng):
+    def test_beyond_truncation_matches_dense(self, which, scaled, request, rng):
         lat = request.getfixturevalue(which)
         z = self.beyond(lat, rng)
         m, n = grid_coords(z, lat.scale)
         assert np.sum(np.abs(lat.scale * (m + 1j * n)) > lat.truncation_radius) > 500
-        self.check_against_dense(lat, z, cell)
+        self.check_against_dense(lat, z, scaled)
 
-    @pytest.mark.parametrize("cell", [False, True])
+    @pytest.mark.parametrize("scaled", [False, True])
     @pytest.mark.parametrize("which", SQUARE_LATTICES)
-    def test_midlines_match_dense_by_distance(self, which, cell, request):
+    def test_midlines_match_dense_by_distance(self, which, scaled, request):
         lat = request.getfixturevalue(which)
-        self.check_against_dense(lat, self.midlines(lat), cell)
+        self.check_against_dense(lat, self.midlines(lat), scaled)
 
     def test_wide_explicit_lattice_keeps_a_small_table(self, cw, rng):
         # spacing 1e-3 near the origin, extent 1e3: a table binned at the
@@ -294,15 +298,14 @@ class TestNearestIndex:
         try:
             lat = explicit_lattice(np.concatenate([block, ring]), cw)
             z = self.sample(lat, rng)
-            for cell in (False, True):
-                nearest_index(lat, z, cell=cell)
+            nearest_index(lat, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4e6
         assert lat.delta_sep == pytest.approx(1e-3 / lat.max_rho, rel=1e-9)
-        for cell in (False, True):
-            self.check_against_dense(lat, z, cell)
+        for scaled in (False, True):
+            self.check_against_dense(lat, z, scaled)
 
 
 class TestSeparation:

@@ -420,6 +420,20 @@ class TestOperatorNorms:
         assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
         assert rep.norms[0] <= exact * (1 + 1e-9)
 
+    @pytest.mark.parametrize("kind,N", [("B", 2), ("M", 3)])
+    def test_power_weight_sections_stop_on_the_residual(self, kind, N):
+        # the top two singular values cluster here, so a stop on a relative
+        # Ritz change of 1e-8 leaves B 2.2e-7 to 3.1e-7 below the dense SVD
+        # (after 28 steps) and M(3) 5.1e-10 to 2.4e-9 below; the residual
+        # stop lands both within rounding
+        pw = power_weight(0.5, rho_origin=2.0)
+        n_pts, exact = self._dense_top_singular_value(pw, kind, 401, N)
+        for seed in (0, 1, 9901):
+            rep = operator_norm_estimate(kind, [401], 2.0, pw, N=N, seed=seed)
+            assert rep.sizes == (n_pts,)
+            gap = (exact - rep.norms[0]) / exact
+            assert -1e-14 <= gap <= 1e-12, (seed, gap)
+
     @staticmethod
     def _weight(name):
         return classical_weight() if name == "classical" else power_weight(0.5, rho_origin=2.0)
@@ -450,15 +464,16 @@ class TestOperatorNorms:
             gap = (exact - rep.norms[0]) / exact
             assert -1e-14 <= gap <= 1.2e-8, (seed, gap)
 
-    def test_bidiagonalisation_budget_exhausted_is_typed(self, cw):
+    def test_bidiagonalisation_budget_exhausted_is_typed(self, cw, monkeypatch):
         # two steps on the 4,997-point B section leave both the Ritz
         # residual and the last change far above 1e-3
+        from focklattice import transforms
         from focklattice.errors import NumericalError
-        from focklattice.transforms import _FftSection, _top_singular_value
-        sec = _FftSection(math.sqrt(5000 / 2.0), cw, "B", 2)
+        sec = transforms._FftSection(math.sqrt(5000 / 2.0), cw, "B", 2)
         assert sec.size == 4997
+        monkeypatch.setattr(transforms, "_GKL_STEPS", 2)
         with pytest.raises(NumericalError, match="did not converge in 2 steps"):
-            _top_singular_value(sec, seed=0, steps=2)
+            transforms._top_singular_value(sec, seed=0)
 
     def test_kernel_ffts_are_built_on_first_use(self, cw):
         from focklattice.transforms import _FftSection
@@ -489,7 +504,7 @@ class TestOperatorNorms:
 
 class TestTaylorIdentity:
     def test_zero_argument_exact(self):
-        assert taylor_kernel_check(0.0, 2.0 + 1.0j, 0.0, 4) == 0.0
+        assert taylor_kernel_check(0.0, 2.0 + 1.0j, 4) == 0.0
 
     def test_random_inputs(self, rng):
         worst = 0.0
@@ -499,7 +514,7 @@ class TestTaylorIdentity:
             n = rng.integers(2, 7)
             scale = max(abs(z ** n / (lam ** n * (z - lam))),
                         1.0 / abs(z - lam))
-            worst = max(worst, taylor_kernel_check(z, lam, 0.0, int(n)) / scale)
+            worst = max(worst, taylor_kernel_check(z, lam, int(n)) / scale)
         assert worst <= 1e-12
 
     def test_translated_variant(self, rng):
@@ -508,7 +523,7 @@ class TestTaylorIdentity:
             lam = lamp + rng.uniform(1, 3) * np.exp(2j * math.pi * rng.uniform())
             z = 0.3 * (lam - lamp)
             scale = 1.0 / abs(z - (lam - lamp))
-            assert taylor_kernel_check(z, lam, lamp, 3) <= 1e-12 * scale
+            assert taylor_kernel_check(z, lam - lamp, 3) <= 1e-12 * scale
 
     def test_near_cancellation_conditioning(self, rng):
         worst = 0.0
@@ -516,14 +531,14 @@ class TestTaylorIdentity:
             lam = rng.uniform(2, 5) * np.exp(2j * math.pi * rng.uniform())
             z = 0.99 * lam * np.exp(1j * rng.uniform(-0.01, 0.01))
             rhs = abs(z ** 4 / (lam ** 4 * (z - lam)))
-            worst = max(worst, taylor_kernel_check(z, lam, 0.0, 4) / rhs)
+            worst = max(worst, taylor_kernel_check(z, lam, 4) / rhs)
         assert worst <= 1e-8
 
     def test_excluded_inputs(self):
         with pytest.raises(ValueError):
-            taylor_kernel_check(1.0, 0.0, 0.0, 2)
+            taylor_kernel_check(1.0, 0.0, 2)
         with pytest.raises(ValueError):
-            taylor_kernel_check(2.0 + 0j, 2.0 + 0j, 0.0, 2)
+            taylor_kernel_check(2.0 + 0j, 2.0 + 0j, 2)
 
 
 class TestNecessityProbe:
