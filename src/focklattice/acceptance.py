@@ -25,8 +25,8 @@ from .transforms import batch_higher, operator_norm_estimate, taylor_kernel_chec
 from .weights import (ap_probe, choose_N, classical_weight, default_ap_radii,
                       power_weight)
 
-__all__ = ["CriterionResult", "run_acceptance", "CRITERIA", "extrapolated_norm",
-           "OP_NORM_SIZES", "OP_NORM_GROWTH_BUDGET"]
+__all__ = ["CriterionResult", "run_acceptance", "CRITERIA", "OP_NORM_SIZES",
+           "OP_NORM_GROWTH_BUDGET"]
 
 
 @dataclass
@@ -244,17 +244,11 @@ OP_NORM_GROWTH_BUDGET = 1.1
 
 
 def _richardson(size: int, a_m: float, a_n: float) -> float:
-    """E(n) from the n-point section norm a_n and the n // 4-point one a_m;
-    the section radius is proportional to sqrt(size)."""
-    r_m, r_n = math.sqrt(size // 4), math.sqrt(size)
-    return (r_n * a_n - r_m * a_m) / (r_n - r_m)
-
-
-def extrapolated_norm(kind: str, size: int, p: float, w, N: int = 2) -> float:
-    """First-order finite-section (Richardson) estimate E(n) of the l^p
-    norm of operator `kind` on the whole lattice, built from the n-point
-    section norm a_n and its inner-quarter section norm a_m (m = n // 4
-    points, disc radius R_n / 2) alone.
+    """First-order finite-section (Richardson) estimate E(n) of an
+    operator's l^p norm on the whole lattice, from its n-point section norm
+    a_n and its inner-quarter section norm a_m (m = n // 4 points, disc
+    radius R_n / 2) alone; the section radius is proportional to
+    sqrt(size).
 
     A finite section falls short of the operator norm by a truncation
     deficit of order 1/R: the kernel tail beyond the disc at p = 1 and
@@ -262,8 +256,8 @@ def extrapolated_norm(kind: str, size: int, p: float, w, N: int = 2) -> float:
     a(R) = E - c/R + O(R^-2), eliminating c between the two radii gives
     E(n) = (R_n a_n - R_m a_m) / (R_n - R_m), about 2 a_n - a_m.
     """
-    a_m, a_n = operator_norm_estimate(kind, [size // 4, size], p, w, N=N).norms
-    return _richardson(size, a_m, a_n)
+    r_m, r_n = math.sqrt(size // 4), math.sqrt(size)
+    return (r_n * a_n - r_m * a_m) / (r_n - r_m)
 
 
 def criterion_6() -> CriterionResult:
@@ -271,7 +265,7 @@ def criterion_6() -> CriterionResult:
     the estimated norms at most 1.1 for B (p=2), L (p=1,2), M(N) (p=1,inf),
     and the interpolation echo norm(p=2) <= 1.1 * max(norm(p=1), norm(inf)).
 
-    The estimated norm at n points is `extrapolated_norm`, and the gated
+    The estimated norm at n points is `_richardson`'s E(n), and the gated
     growth is E(5000) / E(200), taken from the same run as the item's raw
     section norms (its sizes add the quarter sizes 50 and 1250, so each
     section is built once).  The raw section norms are lower bounds whose

@@ -306,13 +306,15 @@ def cmd_lattice_info(args) -> int:
         "scale": lat.scale,
         "delta_sep": lat.delta_sep,
         "n_shells": sched.n_shells,
-        "first_shell_size": len(sched.members[1]) if sched.n_shells > 1 else 0,
+        "first_shell_size": (int(np.diff(sched.starts, append=sched.n_points)[1])
+                             if sched.n_shells > 1 else 0),
         "max_rho": lat.max_rho,
     }
     r_max = job.get("density_r_max")
     if r_max is None:
         r_max = 0.45 * lat.truncation_radius / lat.max_rho
-    results["upper_density"] = upper_density(lat, _number(r_max, "density_r_max"))
+    results["upper_density"] = upper_density(lat, _number(r_max, "density_r_max",
+                                                         positive=True))
     _emit(_report("lattice-info", args, job, digest, results, t0), args.output)
     return EXIT_OK
 

@@ -12,8 +12,9 @@ class SchemaError(FockLatticeError):
 class NumericalError(FockLatticeError):
     """A numerical procedure failed to meet its accuracy contract
     (quadrature non-convergence, a rho table that is not monotone or falls
-    short, a rho bracket without a sign change, Golub-Kahan-Lanczos
-    non-convergence, derivative-estimate instability)."""
+    short, a disc mass that is not a positive finite number,
+    Golub-Kahan-Lanczos non-convergence, derivative-estimate
+    instability)."""
 
 
 class SeparationError(FockLatticeError):

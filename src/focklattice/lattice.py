@@ -242,7 +242,9 @@ def upper_density(lat: Lattice, r: float,
     D(z, r*rho(z))) / mu(D(z, r*rho(z))) is formed, in the lattice's weight;
     the value returned is the maximum over centers (the limsup surrogate at
     radius factor r).  The critical square lattice gives 1/(2*pi).
-    NumericalError when a disc reaches past the truncation.
+    NumericalError when a disc reaches past the truncation, or when a disc
+    mass is not a positive finite number (a radius so small that it
+    underflows).
     """
     w = lat.weight
     # by default the nine points nearest the origin (index order is radius order)
@@ -252,7 +254,12 @@ def upper_density(lat: Lattice, r: float,
         raise NumericalError("radius factor exceeds the safe truncation margin")
     counts = [np.count_nonzero(np.abs(lat.points - c) <= rc + 1e-12)
               for c, rc in zip(centers, rad)]
-    return float(np.max(np.asarray(counts) / mu_disc_many(w, centers, rad)))
+    mass = mu_disc_many(w, centers, rad)
+    bad = ~(np.isfinite(mass) & (mass > 0.0))
+    if np.any(bad):
+        raise NumericalError(f"disc mass at radius factor {r} is not a positive "
+                             f"finite number: {mass[bad][:4].tolist()}")
+    return float(np.max(np.asarray(counts) / mass))
 
 
 class ShellSchedule:
@@ -272,11 +279,6 @@ class ShellSchedule:
     @property
     def n_shells(self) -> int:
         return len(self.starts)
-
-    @property
-    def members(self) -> tuple:
-        """Index array of each shell; together they partition the indices."""
-        return tuple(np.split(np.arange(self.n_points), self.starts[1:]))
 
 
 def shells_for(lat: Lattice) -> ShellSchedule:

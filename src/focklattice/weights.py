@@ -28,9 +28,7 @@ __all__ = [
     "power_weight",
     "c_gamma_for_rho_origin",
     "phi",
-    "mu_disc",
     "mu_disc_many",
-    "rho",
     "rho_many",
     "ap_probe",
     "default_ap_radii",
@@ -53,7 +51,6 @@ _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
 # discs per array expression: 16 x 864 nodes (both psi rules) make 110 KB per
 # density temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
 _CHUNK = 16
-_EPS = np.finfo(float).eps
 # the doubling-exponent fit: T_PAIRS sampled pairs spread over T_SPAN rho(0),
 # T_BINS envelope bins over the top T_WINDOW_DECADES decades, and t_fit kept
 # T_FIT_SLACK inside (0, 1)
@@ -231,72 +228,6 @@ def mu_disc_many(w: WeightProfile, centers, radii) -> np.ndarray:
     return _check_refinement(*_mu_power(w, a, r), a, r, "mu_disc")
 
 
-def mu_disc(w: WeightProfile, center, radius: float) -> float:
-    """mu(D(center, radius)): the single-disc case of mu_disc_many."""
-    return float(mu_disc_many(w, complex(center), float(radius)))
-
-
-# Scalar rho polishes the table value inside a bracket of this half-width
-# (relative), well above the table's measured error (see rho_many).
-_POLISH_RTOL = 1e-4
-_POLISH_ITERS = 100
-
-
-def _solve_rho(w: WeightProfile, a: float) -> float:
-    """rho at the modulus a > 0 of a power weight, to full precision.
-
-    The root of mu(D(a, r)) = 1, which is a^gamma * M(r/a) = 1 written in
-    r, by Pegasus regula falsi (Dowell & Jarratt, BIT 12, 1972) in the
-    bracket r0 * (1 -+ _POLISH_RTOL) around the table value r0 of
-    `_rho_radial`: secant steps through the two ends, each at least 2 eps r
-    inside them (Dekker's minimum step, which closes the bracket once a
-    step lands on the root), and an end kept twice in a row has its mu - 1
-    scaled by f_old / (f_old + f_new), so that it moves even where d mu / d r
-    is unbounded (the disc edge at the origin, gamma <= 1).  Raises
-    NumericalError if the bracket holds no sign change (the table is off by
-    more than its half-width) or the iteration does not settle; the last
-    step's quadrature pair takes the refinement self-check.
-    """
-    r0 = float(_rho_radial(w, a))
-    lo, hi = r0 * (1.0 - _POLISH_RTOL), r0 * (1.0 + _POLISH_RTOL)
-    flo, fhi = (float(_mu_power(w, a, r)[0]) - 1.0 for r in (lo, hi))
-    if not flo < 0.0 < fhi:
-        raise NumericalError(f"rho bracket [{lo}, {hi}] from the table holds no "
-                             f"sign change at |z| = {a}: mu - 1 = {flo}, {fhi}")
-    side = 0                                    # the end the last step moved
-    for _ in range(_POLISH_ITERS):
-        tol = 2.0 * _EPS * hi
-        x = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + tol), hi - tol)
-        fine, coarse = _mu_power(w, a, x)
-        fx = float(fine) - 1.0
-        if fx < 0.0:
-            fhi *= flo / (flo + fx) if side < 0 else 1.0
-            lo, flo, side = x, fx, -1
-        else:
-            flo *= fhi / (fhi + fx) if side > 0 else 1.0
-            hi, fhi, side = x, fx, 1
-        if fx == 0.0 or hi - lo <= 4.0 * _EPS * hi:
-            break
-    else:
-        raise NumericalError(f"rho did not converge at |z| = {a}: bracket [{lo}, {hi}]")
-    _check_refinement(fine, coarse, a, x, "rho")
-    return x
-
-
-def rho(w: WeightProfile, z) -> float:
-    """The radius with mu(D(z, rho)) = 1: the table value of rho_many,
-    polished to full precision by `_solve_rho`.
-
-    Classical: 4*pi*rho^2 = 1 gives rho = (4*pi)^(-1/2) everywhere.
-    """
-    if w.is_classical_like:
-        return (4.0 * math.pi) ** -0.5
-    a = abs(complex(z))
-    if a == 0.0:
-        return w.rho_origin
-    return _solve_rho(w, a)
-
-
 def _not_a_knot_spline(x: np.ndarray, y: np.ndarray):
     """The C^2 cubic spline through (x, y) whose third derivative is
     continuous at x[1] and x[-2] (not-a-knot ends), as a vectorised
@@ -419,11 +350,11 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
     """Vectorised rho over an array of points.
 
     The power-weight values come from the cached per-gamma table of
-    `_rho_radial`, not from the polished scalar `rho`: measured against it
-    for gamma from 0.2 to 8, C from 1e-3 to 1e3 and |z| from 1e-6 to 1e6,
-    points within 1e-9 of rho(u) = u included, they are good to 2.8e-7
-    relative, and to 1.2e-7 at gamma = 0.02, 0.05 and 0.1 (rho(0) = 2,
-    |z| from 1e-3 to 1e6).
+    `_rho_radial`.  Measured against the root of mu(D(z, r)) = 1 solved to
+    rounding on `mu_disc_many`, for gamma from 0.2 to 8, C from 1e-3 to
+    1e3 and |z| from 1e-6 to 1e6, points within 1e-9 of rho(u) = u
+    included, they are good to 2.8e-7 relative, and to 1.2e-7 at gamma =
+    0.02, 0.05 and 0.1 (rho(0) = 2, |z| from 1e-3 to 1e6).
     """
     return _rho_radial(w, np.abs(np.asarray(z, dtype=complex)))
 

@@ -10,11 +10,14 @@ Each is the plain dense form of what the program computes another way:
 * `shell_batch`: the batch transforms by a compensated (Kahan) pass over
   every shell of whole term rows, with its own window test, where the
   program takes the total less the outer shells
-  (`transforms._tail_partials`).
+  (`transforms._tail_partials`);
+* `rho_bisection`: rho as the root of mu(D(z, r)) = 1 by bisection on
+  the disc masses, which the program reads from a spline table
+  (`weights.rho_many`).
 
 None of them shares computing code with the program; they take from it
-only their inputs (the lattice, its shells, the multiplier and phi) and
-the window test's constants.
+only their inputs (the lattice, its shells, the multiplier, phi and the
+disc masses) and the window test's constants.
 
 (Not named oracle.py: perfbench's module of that name shares sys.path.)
 """
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from focklattice import phi, shells_for
+from focklattice import mu_disc_many, phi, shells_for
 from focklattice.transforms import CAUCHY_WINDOW, PV_ATOL, PV_RTOL
 
 
@@ -134,3 +137,25 @@ def levin_recovery(lat, m, f, delta, N):
     recovered = {n: np.mean(A * omega[:, None] ** (-(n - 1)), axis=0)
                  / (delta * rho[idx]) ** (n - 1) for n in range(1, N + 1)}
     return Recovery(indices=idx, d=d, samples=samples, recovered=recovered)
+
+
+def rho_bisection(w, z):
+    """rho at the points z: the root in r of mu_disc_many(w, z, r) = 1, by
+    bisection in log r to 1e-13 relative, over a bracket found from the
+    weight alone.
+
+    rho is 1-Lipschitz, as D(0, rho(0)) lies in D(z, rho(0) + |z|), so
+    rho(0) + |z| bounds it from above.  The lower end starts at rho(0)
+    and halves while mu there is at least 1, the upper end taking each
+    value it leaves."""
+    a = np.abs(np.asarray(z, dtype=complex)).ravel()
+    lo, hi = np.full(a.shape, w.rho_origin), w.rho_origin + a
+    over = np.ones(a.shape, dtype=bool)
+    while over.any():
+        over[over] = mu_disc_many(w, a[over], lo[over]) >= 1.0
+        hi[over], lo[over] = lo[over], 0.5 * lo[over]
+    while np.max(np.log(hi / lo)) > 1e-13:
+        mid = lo * np.sqrt(hi / lo)
+        below = mu_disc_many(w, a, mid) < 1.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (lo * np.sqrt(hi / lo)).reshape(np.shape(z))

@@ -11,7 +11,13 @@ import pytest
 
 from focklattice import operator_norm_estimate
 from focklattice.acceptance import (CRITERIA, OP_NORM_GROWTH_BUDGET,
-                                   OP_NORM_SIZES, extrapolated_norm)
+                                   OP_NORM_SIZES, _richardson)
+
+
+def _extrapolated(kind, size, p, w, N=2):
+    """Criterion 6's norm estimate E(size): `_richardson` of the section
+    norms at size // 4 and size points."""
+    return _richardson(size, *operator_norm_estimate(kind, [size // 4, size], p, w, N=N).norms)
 
 
 def _run(number):
@@ -108,8 +114,8 @@ class TestOperatorNormEstimate:
     def test_unbounded_operator_fails_budget(self, cw):
         # B at p=1 is unbounded on l^1 (its column sums diverge like log R),
         # so the gated growth E(5000) / E(200) must still exceed the budget
-        growth = (extrapolated_norm("B", OP_NORM_SIZES[-1], 1.0, cw)
-                  / extrapolated_norm("B", OP_NORM_SIZES[0], 1.0, cw))
+        growth = (_extrapolated("B", OP_NORM_SIZES[-1], 1.0, cw)
+                  / _extrapolated("B", OP_NORM_SIZES[0], 1.0, cw))
         assert growth > OP_NORM_GROWTH_BUDGET
 
     def test_L_p2_against_closed_form(self, cw):
@@ -118,7 +124,7 @@ class TestOperatorNormEstimate:
         # finite sections are lower bounds that increase with the disc
         assert all(b >= a for a, b in zip(raw, raw[1:])), raw
         assert max(raw) <= exact * (1 + 1e-9), (raw, exact)
-        est = extrapolated_norm("L", OP_NORM_SIZES[-1], 2.0, cw)
+        est = _extrapolated("L", OP_NORM_SIZES[-1], 2.0, cw)
         assert abs(est - exact) <= 0.01 * exact, (est, exact)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -127,5 +133,5 @@ class TestOperatorNormEstimate:
         # M(2) is criterion 6's setting (N = choose_N for the classical
         # weight); M(3) has the distinct kernel |lambda|^-4
         exact = _closed_form_norm(3 if kind == "L" else N + 1)
-        est = extrapolated_norm(kind, OP_NORM_SIZES[-1], p, cw, N=N)
+        est = _extrapolated(kind, OP_NORM_SIZES[-1], p, cw, N=N)
         assert abs(est - exact) <= 0.01 * exact, (est, exact)

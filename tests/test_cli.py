@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from focklattice import classical_weight, square_lattice
+from focklattice import classical_weight, cli, square_lattice
 from focklattice.cli import main
 
 
@@ -355,6 +355,18 @@ class TestOtherCommands:
         res = rep["results"]
         assert res["delta_sep"] == pytest.approx(4.4429, abs=1e-3)
         assert res["upper_density"] == pytest.approx(1 / (2 * math.pi), rel=0.1)
+        assert res["first_shell_size"] == 4
+
+    def test_lattice_info_two_shells(self, tmp_path, monkeypatch):
+        # the first shell runs to the last index; every default density
+        # centre but the origin lies on the truncation, so the density is
+        # stubbed out
+        monkeypatch.setattr(cli, "upper_density", lambda lat, r: 0.0)
+        pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5]]
+        rc, rep = run(tmp_path, dict(BASE, lattice={"kind": "explicit", "points": pts}),
+                      "lattice-info")
+        assert rc == 0
+        assert (rep["results"]["n_shells"], rep["results"]["first_shell_size"]) == (2, 4)
 
     def test_sigma_eval_grid(self, tmp_path):
         path = tmp_path / "job.json"
@@ -459,6 +471,21 @@ class TestOtherCommands:
     def test_density_schedule_past_truncation_is_numerical_error(self, tmp_path):
         rc, _ = run(tmp_path, dict(BASE, density_r_max=100.0), "lattice-info")
         assert rc == 3
+
+    @pytest.mark.parametrize("r_max", [-1, 0])
+    def test_density_r_max_must_be_positive(self, tmp_path, capsys, r_max):
+        # read without its sign, both exited 2 with "radius must be
+        # positive", which does not name the key
+        rc, rep = run(tmp_path, dict(BASE, density_r_max=r_max), "lattice-info")
+        assert rc == 2 and rep is None
+        assert "density_r_max must be a finite double > 0" in capsys.readouterr().err
+
+    def test_density_underflow_is_numerical_error(self, tmp_path, capsys):
+        # 4 pi r^2 underflows to 0: the job exited 0 with upper_density
+        # Infinity and a numpy RuntimeWarning
+        rc, rep = run(tmp_path, dict(BASE, density_r_max=1e-300), "lattice-info")
+        assert rc == 3 and rep is None
+        assert "not a positive finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd, job, literal", [
         ("lattice-info", dict(BASE, lattice={"kind": "square", "R": math.inf}),

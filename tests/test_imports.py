@@ -1,5 +1,5 @@
 """CLI jobs run on numpy alone: square lattices with classical and power
-weights (the rho table, its polish and spline are numpy code) and explicit
+weights (the rho table and its spline are numpy code) and explicit
 lattices (the nearest-point search is numpy code).  No job draws random
 numbers: the doubling-exponent fit and the op-norm start vector read the
 fixed quasirandom sample, so no job loads numpy.random (nor the `secrets`
@@ -217,6 +217,31 @@ def test_package_reexports_are_in_module_all():
                 continue
             missing = [a.name for a in node.names if a.name not in mod.__all__]
             assert not missing, f"focklattice.{node.module}.__all__ lacks {missing}"
+
+
+def test_every_definition_is_used_in_src():
+    # a top-level function or class, a method or a property of the package
+    # that no code in src names (imports and __all__ strings do not count)
+    # is kept only for the tests
+    import ast
+    import glob
+    defined, used = {}, set()
+    for path in glob.glob(os.path.join(os.path.dirname(focklattice.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    defined.setdefault(d.name, os.path.basename(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {name: where for name, where in defined.items()
+              if name not in used and not (name.startswith("__") and name.endswith("__"))}
+    assert not unused, f"defined in src but used only outside it: {unused}"
 
 
 def test_readme_library_sketch_runs():

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focklattice import (Interpolant, TraceData, batch_higher,  # noqa: E402
-                         classify, mu_disc_many, power_weight, rho, rho_many,
+                         classify, mu_disc_many, power_weight, rho_many,
                          shells_for)
 
 _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
@@ -18,17 +18,10 @@ _gammas = st.sampled_from([0.3, 0.5, 1.0, 1.5, 3.0, 5.0])
 
 class TestWeightProperties:
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(gamma=_gammas, a=st.floats(0.0, 300.0), k=st.floats(0.1, 10.0))
-    def test_rho_scale_covariance(self, gamma, a, k):
-        # phi_k(z) = phi(z / k) has rho_k(k z) = k rho(z)
-        c = 0.3
-        w, wk = power_weight(gamma, c_gamma=c), power_weight(gamma, c_gamma=c * k ** -gamma)
-        assert rho(wk, k * a) == pytest.approx(k * rho(w, a), rel=1e-10)
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(gamma=_gammas, a=st.floats(0.0, 1e6), k=st.floats(0.1, 10.0))
     def test_rho_table_scale_covariance(self, gamma, a, k):
-        # the same law for rho_many: both weights read one table per gamma
+        # phi_k(z) = phi(z / k) has rho_k(k z) = k rho(z); both weights read
+        # one table per gamma
         c = 0.3
         w, wk = power_weight(gamma, c_gamma=c), power_weight(gamma, c_gamma=c * k ** -gamma)
         assert float(rho_many(wk, k * a)) == pytest.approx(k * float(rho_many(w, a)), rel=1e-12)

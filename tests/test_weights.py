@@ -5,28 +5,29 @@ import pytest
 
 from focklattice import (NumericalError, WeightProfile, ap_probe,
                          c_gamma_for_rho_origin, choose_N, classical_weight,
-                         default_ap_radii, effective_t, estimate_t, mu_disc,
-                         phi, power_weight, rho, rho_many)
+                         default_ap_radii, effective_t, estimate_t,
+                         mu_disc_many, phi, power_weight, rho_many)
 from focklattice import weights
 from focklattice.weights import (T_BINS, T_FIT_SLACK, T_WINDOW_DECADES,
                                  DoublingExponent, _check_refinement,
                                  _not_a_knot_spline, _unit_rho_table,
                                  default_t_pairs)
+from oracles import rho_bisection
 
 
 class TestMuDisc:
     def test_classical_unit_disc(self):
         w = classical_weight()
-        assert mu_disc(w, 0.7 + 0.1j, 1.0) == pytest.approx(4 * math.pi, rel=1e-12)
+        assert float(mu_disc_many(w, 0.7 + 0.1j, 1.0)) == pytest.approx(4 * math.pi, rel=1e-12)
 
     def test_classical_scales_with_radius(self):
         w = classical_weight()
-        assert mu_disc(w, 5.0, 2.0) == pytest.approx(16 * math.pi, rel=1e-12)
+        assert float(mu_disc_many(w, 5.0, 2.0)) == pytest.approx(16 * math.pi, rel=1e-12)
 
     def test_power_gamma1_origin(self):
         # closed-form oracle: int_0^1 r^-1 * r dr dtheta = 2 pi
         w = power_weight(1.0, c_gamma=1.0)
-        assert mu_disc(w, 0.0, 1.0) == pytest.approx(2 * math.pi, rel=1e-10)
+        assert float(mu_disc_many(w, 0.0, 1.0)) == pytest.approx(2 * math.pi, rel=1e-10)
 
     def test_offcenter_agrees_with_polar_quadrature_oracle(self):
         # 2-D polar quadrature about the center, trapezoid in angle
@@ -37,11 +38,11 @@ class TestMuDisc:
         zz = c + ts[:, None] * np.exp(1j * th[None, :])
         vals = w.c_gamma * w.gamma ** 2 * np.abs(zz) ** (w.gamma - 2.0)
         oracle = np.trapezoid(np.mean(vals, axis=1) * 2 * math.pi * ts, ts)
-        assert mu_disc(w, c, R) == pytest.approx(float(oracle), rel=1e-4)
+        assert float(mu_disc_many(w, c, R)) == pytest.approx(float(oracle), rel=1e-4)
 
     def test_monotone_in_radius(self):
         w = power_weight(0.8, rho_origin=2.0)
-        vals = [mu_disc(w, 3.0 + 1j, r) for r in (0.5, 1.0, 2.0, 4.0)]
+        vals = [float(mu_disc_many(w, 3.0 + 1j, r)) for r in (0.5, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_doubling_constant_exists(self, rng):
@@ -50,32 +51,33 @@ class TestMuDisc:
         for _ in range(40):
             z = rng.uniform(-20, 20) + 1j * rng.uniform(-20, 20)
             r = 10 ** rng.uniform(-1, 1)
-            ratios.append(mu_disc(w, z, 2 * r) / mu_disc(w, z, r))
+            ratios.append(float(mu_disc_many(w, z, 2 * r) / mu_disc_many(w, z, r)))
         assert max(ratios) < 50.0
 
 
 class TestRho:
     def test_classical_value(self):
         w = classical_weight()
-        assert rho(w, 123 + 4j) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-14)
+        assert float(rho_many(w, 123 + 4j)) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-14)
 
     def test_normalisation_round_trip(self, rng):
+        # the oracle's root; rho_many is good to 3e-7, not to this bound
         w = power_weight(1.0, rho_origin=2.0)
-        for _ in range(25):
-            z = rng.uniform(-50, 50) + 1j * rng.uniform(-50, 50)
-            r = rho(w, z)
-            assert mu_disc(w, z, r) == pytest.approx(1.0, abs=1e-8)
+        z = np.array([rng.uniform(-50, 50) + 1j * rng.uniform(-50, 50) for _ in range(25)])
+        mu = mu_disc_many(w, z, rho_bisection(w, z))
+        assert np.max(np.abs(mu - 1.0)) <= 1e-8
 
     def test_power_growth_exponent_stable(self):
         # rho(z) ~ |z|^(1-gamma/2): the ratio stays within 5% across [50, 200]
         w = power_weight(1.0, rho_origin=2.0)
-        ratios = [rho(w, a) / a ** 0.5 for a in (50.0, 80.0, 120.0, 200.0)]
+        a = np.array([50.0, 80.0, 120.0, 200.0])
+        ratios = rho_many(w, a) / a ** 0.5
         assert max(ratios) / min(ratios) < 1.05
 
     def test_rho_origin_helper(self):
         c = c_gamma_for_rho_origin(1.0, 2.0)
         w = power_weight(1.0, c_gamma=c)
-        assert rho(w, 0.0) == pytest.approx(2.0, rel=1e-12)
+        assert float(rho_many(w, 0.0)) == pytest.approx(2.0, rel=1e-12)
         assert w.rho_origin == pytest.approx(2.0, rel=1e-12)
 
     def test_rho_origin_is_not_an_argument(self):
@@ -94,10 +96,10 @@ class TestRho:
         wc = classical_weight()
         wp = power_weight(2.0, c_gamma=1.0)
         for z in (0.0, 1 + 2j, -7.5j):
-            assert rho(wp, z) == pytest.approx(rho(wc, z), abs=1e-10)
+            assert float(rho_many(wp, z)) == pytest.approx(float(rho_many(wc, z)), abs=1e-10)
             assert phi(wp, z) == pytest.approx(phi(wc, z), abs=1e-10)
-            assert mu_disc(wp, z, 1.7) == pytest.approx(mu_disc(wc, z, 1.7),
-                                                        rel=1e-9)
+            assert float(mu_disc_many(wp, z, 1.7)) == pytest.approx(
+                float(mu_disc_many(wc, z, 1.7)), rel=1e-9)
 
 
 class TestDiscEdgeThroughOrigin:
@@ -105,18 +107,11 @@ class TestDiscEdgeThroughOrigin:
     # |w|^(gamma-2) is singular for gamma < 2.
 
     def test_rho_near_its_own_modulus(self):
-        # rho(a) is about a on [6.85, 7] for this weight
+        # rho(a) is about a on [6.85, 7] for this weight; the oracle's root,
+        # as for test_normalisation_round_trip
         w = power_weight(0.5, rho_origin=2.0)
-        for a in np.linspace(6.85, 7.0, 151):
-            assert mu_disc(w, a, rho(w, a)) == pytest.approx(1.0, abs=1e-8)
-
-    def test_polish_converges_where_secant_stalls(self):
-        # rho(a) = a to within rounding: once the disc takes in the origin, mu
-        # rises like 2*pi*C*gamma*(r-a)^gamma, with unbounded slope, and
-        # secant steps can stay inside the bracket without shrinking it
-        w = power_weight(0.02, rho_origin=2.0)
-        r = rho(w, 1e5)
-        assert mu_disc(w, 1e5, r * (1 - 1e-12)) < 1.0 < mu_disc(w, 1e5, r * (1 + 1e-12))
+        a = np.linspace(6.85, 7.0, 151)
+        assert np.max(np.abs(mu_disc_many(w, a, rho_bisection(w, a)) - 1.0)) <= 1e-8
 
     def test_self_check_raises_on_non_finite(self):
         # inf - inf is NaN, which every comparison with a bound passes
@@ -162,8 +157,9 @@ _ORACLE_WEIGHTS = {
 
 
 class TestMpmathOracle:
-    """mu_disc and rho against 30-digit mpmath quadrature and root-finding
-    in the radial variable; bounds 1e-8 (mu) and 1e-10 (rho) relative."""
+    """mu_disc_many and rho against 30-digit mpmath quadrature and
+    root-finding in the radial variable; bounds 1e-8 (mu), 1e-10 (the
+    bisection oracle's rho) and 3e-7 (rho_many) relative."""
 
     @pytest.fixture(autouse=True)
     def _mp(self):
@@ -177,7 +173,7 @@ class TestMpmathOracle:
     def test_mu_disc(self, gamma, a, r):
         w = power_weight(gamma, **_ORACLE_WEIGHTS[gamma])
         oracle = float(_mu_oracle(gamma, w.c_gamma, a, r))
-        assert mu_disc(w, a * np.exp(0.7j), r) == pytest.approx(oracle, rel=1e-8)
+        assert float(mu_disc_many(w, a * np.exp(0.7j), r)) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("gamma,a", [
         (0.5, 0.0), (0.5, 0.3), (0.5, 7.0), (0.5, 200.0), (1.0, 7.0),
@@ -185,7 +181,8 @@ class TestMpmathOracle:
     def test_rho(self, gamma, a):
         w = power_weight(gamma, **_ORACLE_WEIGHTS[gamma])
         oracle = float(_rho_oracle(gamma, w.c_gamma, a))
-        assert rho(w, -1j * a) == pytest.approx(oracle, rel=1e-10)
+        assert float(rho_bisection(w, -1j * a)) == pytest.approx(oracle, rel=1e-10)
+        assert float(rho_many(w, -1j * a)) == pytest.approx(oracle, rel=3e-7)
 
 
 # Three rho profiles: (gamma, weight, largest |z|)
@@ -210,28 +207,25 @@ _RHO_CASES = [
 
 
 class TestRhoTable:
-    """rho_many (the scaling-law table) against the polished scalar rho,
-    and the failures the table and the polish raise instead of clamping."""
+    """rho_many (the scaling-law table) against the bisection oracle, and
+    the failure the table raises instead of clamping."""
 
     @pytest.mark.parametrize("gamma,kw,zmax", _RHO_CASES)
     def test_rho_many_matches_scalar_rho(self, gamma, kw, zmax, rng):
         w = power_weight(gamma, **kw)
-        a_star = mu_disc(w, 1.0, 1.0) ** (-1.0 / gamma)    # rho(a*) = a*
+        a_star = float(mu_disc_many(w, 1.0, 1.0)) ** (-1.0 / gamma)    # rho(a*) = a*
         near = a_star * (1.0 + np.outer([-1.0, 1.0], 10.0 ** -np.arange(6.0, 10.0)).ravel())
         a = np.concatenate([[a_star, zmax], near, rng.uniform(0.0, zmax, 40),
                             zmax * 10.0 ** rng.uniform(-6.0, 0.0, 20)])
-        ref = np.array([rho(w, x) for x in a])
-        assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-6
+        assert np.max(np.abs(rho_many(w, a) / rho_bisection(w, a) - 1.0)) <= 1e-6
 
     @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.1])
     def test_small_gamma_on_a_log_grid(self, gamma):
         # a cubic across the nodes s = 1 -+ 1e-7 rang at small gamma: on
-        # this grid the scalar rho raised at 7 points (gamma = 0.05) and
-        # rho_many was 1.8e-6 off (gamma = 0.1)
+        # this grid rho_many was 1.8e-6 off (gamma = 0.1)
         w = power_weight(gamma, rho_origin=2.0)
         a = np.geomspace(1e-3, 1e6, 100)
-        ref = np.array([rho(w, x) for x in a])
-        assert np.max(np.abs(rho_many(w, a) / ref - 1.0)) <= 1e-6
+        assert np.max(np.abs(rho_many(w, a) / rho_bisection(w, a) - 1.0)) <= 1e-6
 
     @pytest.mark.parametrize("gamma,kw", sorted({(g, tuple(kw.items()))
                                                  for g, kw, _ in _RHO_CASES}))
@@ -258,27 +252,6 @@ class TestRhoTable:
         monkeypatch.setattr(weights, "_mu_power", lambda w, a, r: (np.ones(np.shape(r)),) * 2)
         with pytest.raises(NumericalError, match="not monotone"):
             _unit_rho_table(0.77)
-
-    def test_polish_quadratures(self, monkeypatch):
-        # the bisection after every step that did not halve the bracket took
-        # 12.0 quadratures per call on this sample, 35 at worst
-        calls, mu = [], weights._mu_power
-        monkeypatch.setattr(weights, "_mu_power", lambda w, a, r: calls.append(1) or mu(w, a, r))
-        counts = []
-        for gamma in np.geomspace(0.2, 8.0, 7):
-            w = power_weight(gamma, rho_origin=2.0)
-            _unit_rho_table(w.gamma)
-            for a in np.geomspace(1e-3, 1e4, 30):
-                calls.clear()
-                rho(w, a)
-                counts.append(len(calls))
-        assert np.mean(counts) <= 7.0 and max(counts) <= 24
-
-    def test_bracket_without_sign_change_raises(self, monkeypatch):
-        # the table value is not within 1e-13 of the root
-        monkeypatch.setattr(weights, "_POLISH_RTOL", 1e-13)
-        with pytest.raises(NumericalError, match="no sign change at \\|z\\| = 5.5"):
-            rho(power_weight(0.5, rho_origin=2.0), 5.5)
 
 
 class TestNotAKnotSpline:
