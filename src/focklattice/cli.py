@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-One JSON job in, one JSON report out (grids go to CSV).  Every report
-echoes the configuration, tolerances, seed, version and the SHA-256 of the
-job file.  The job's arrays (a user g' table, a value list, explicit lattice
-points) are echoed by length; the digest identifies their contents.
+One JSON job in, one JSON report out (grids go to CSV).  `main` loads and
+checks each job once (`_load_job`, `JOB_KEYS`), runs its command and writes
+the report, which echoes the configuration, tolerances, seed, version and
+the SHA-256 of the job file.  The job's arrays (a user g' table, a value
+list, explicit lattice points) are echoed by length; the digest identifies
+their contents.
 
 Exit codes: 0 success, 2 schema error, 3 numerical failure, 4 acceptance
 failure.
@@ -46,15 +48,57 @@ EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
 
+# The keys the job commands read.  A top-level key maps to None (a value), to
+# the keys of an object section, or to a section's kinds, each with its keys
+# besides "kind".  One table serves every command, since jobs are shared: a
+# key that another command reads is accepted.  Table entries are left to
+# their readers, which ignore fields other than index, re and im, so no
+# Python loop walks a 10^4-entry table.  No option turns the check off.
+JOB_KEYS = {
+    "weight": {"classical": (), "power": ("gamma", "c_gamma", "rho_origin")},
+    "lattice": {"square": ("R",), "explicit": ("points",)},
+    "multiplier": {"builtin_sigma": (),
+                   "user_table": ("g_prime", "g_double_prime0", "weighted")},
+    "values": {"zero": (), "constant": ("v",), "gaussian_trace": ("w",),
+               "list": ("items", "weighted")},
+    "pv": ("tolerance",),
+    "grid": ("half_width", "n"),
+    "p": None, "density_r_max": None, "verify_points": None, "w0": None,
+    "radii": None, "op": None, "sizes": None, "N": None,
+}
+
+
+def _check_keys(job: dict):
+    """Schema error on a section that is not an object, an unknown kind, or
+    keys that JOB_KEYS does not hold, naming each such key by its path."""
+    unread = [key for key in job if key not in JOB_KEYS]
+    for key, spec in job.items():
+        keys = JOB_KEYS.get(key)
+        if keys is None:
+            continue
+        if not isinstance(spec, dict):
+            raise SchemaError(f"{key} must be an object, not {spec!r:.40}")
+        if isinstance(keys, dict):
+            kind = spec.get("kind")
+            if not isinstance(kind, str) or kind not in keys:
+                raise SchemaError(f"{key}.kind must be one of {', '.join(keys)}, "
+                                  f"not {kind!r:.40}")
+            keys = ("kind", *keys[kind])
+        unread += [f"{key}.{sub}" for sub in spec if sub not in keys]
+    if unread:
+        raise SchemaError(f"no command reads {', '.join(map(repr, unread))}")
+
+
 def _reject_constant(name: str):
     raise SchemaError(f"job files may not hold {name}")
 
 
 def _load_job(path: str) -> tuple:
-    """The parsed job and the SHA-256 hex digest of the file's bytes.  The
-    non-standard JSON literals NaN, Infinity and -Infinity are refused.
-    Numbers are checked where they are read (`_number`, `_entries`): json
-    reads 1e400 as inf, and a 401-digit integer as a Python int."""
+    """The parsed job, checked against JOB_KEYS, and the SHA-256 hex digest
+    of the file's bytes.  The non-standard JSON literals NaN, Infinity and
+    -Infinity are refused.  Numbers are checked where they are read
+    (`_number`, `_entries`): json reads 1e400 as inf, and a 401-digit
+    integer as a Python int."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -63,6 +107,7 @@ def _load_job(path: str) -> tuple:
         raise SchemaError(f"cannot read job file: {exc}")
     if not isinstance(job, dict):
         raise SchemaError("job must be a JSON object")
+    _check_keys(job)
     return job, sha256(raw).hexdigest()
 
 
@@ -71,8 +116,8 @@ def _echo(job: dict) -> dict:
     out = dict(job)
     for section, key in (("multiplier", "g_prime"), ("values", "items"),
                          ("lattice", "points")):
-        spec = job.get(section)
-        if isinstance(spec, dict) and isinstance(spec.get(key), list):
+        spec = job.get(section, {})
+        if isinstance(spec.get(key), list):
             out[section] = {**spec, key: {"length": len(spec[key])}}
     return out
 
@@ -109,15 +154,6 @@ def _complex_of(obj, what: str) -> complex:
     raise SchemaError(f"{what} must be a number or [re, im] pair")
 
 
-def _section(job: dict, key: str, default: dict) -> dict:
-    """The job's object `key`, or `default` where it has none; anything
-    but an object is a schema error naming `key`."""
-    spec = job.get(key, default)
-    if not isinstance(spec, dict):
-        raise SchemaError(f"{key} must be an object, not {spec!r:.40}")
-    return spec
-
-
 def _entries(entries: list, what: str) -> tuple:
     """Index and complex value arrays of a list of {"index", "re", "im"}
     objects, one numpy conversion per field; anything but a list is a
@@ -143,68 +179,58 @@ def _entries(entries: list, what: str) -> tuple:
 
 def _build_weight(job: dict) -> WeightProfile:
     spec = job.get("weight", {"kind": "classical"})
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("weight must be an object with a 'kind'")
-    if spec["kind"] != "power":
-        return WeightProfile(spec["kind"])
-    if "gamma" not in spec:
-        raise SchemaError("power weight needs gamma")
-    gamma = _number(spec["gamma"], "weight.gamma", positive=True)
-    for key in ("c_gamma", "rho_origin"):
-        if key in spec:
-            return power_weight(gamma, **{key: _number(spec[key], f"weight.{key}",
-                                                       positive=True)})
-    raise SchemaError("power weight needs c_gamma or rho_origin")
+    if spec["kind"] == "classical":
+        return WeightProfile("classical")
+    scale = [key for key in ("c_gamma", "rho_origin") if key in spec]
+    if "gamma" not in spec or len(scale) != 1:
+        raise SchemaError("a power weight needs gamma and one of c_gamma "
+                          "and rho_origin")
+    return power_weight(_number(spec["gamma"], "weight.gamma", positive=True),
+                        **{scale[0]: _number(spec[scale[0]], f"weight.{scale[0]}",
+                                             positive=True)})
 
 
 def _build_lattice(job: dict, w: WeightProfile) -> Lattice:
-    spec = job.get("lattice")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("lattice must be an object with a 'kind'")
-    if spec["kind"] == "square":
-        try:
-            return square_lattice(_number(spec["R"], "lattice.R"), w)
-        except KeyError:
-            raise SchemaError("square lattice needs R")
+    if "lattice" not in job:
+        raise SchemaError("this command needs a lattice")
+    spec = job["lattice"]
     if spec["kind"] == "explicit":
         pts = spec.get("points", [])
         if not isinstance(pts, list):
             raise SchemaError("lattice.points must be a list of [x, y] pairs")
         return explicit_lattice([_complex_of(p, "lattice.points") for p in pts], w)
-    raise SchemaError(f"unknown lattice kind {spec['kind']!r}")
+    if "R" not in spec:
+        raise SchemaError("a square lattice needs R")
+    return square_lattice(_number(spec["R"], "lattice.R"), w)
 
 
 def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
-    spec = _section(job, "multiplier", {"kind": "builtin_sigma"})
-    if spec.get("kind") == "builtin_sigma":
+    spec = job.get("multiplier", {"kind": "builtin_sigma"})
+    if spec["kind"] == "builtin_sigma":
         return builtin_sigma_multiplier(lat)
-    if spec.get("kind") == "user_table":
-        indices, values = _entries(spec.get("g_prime", []), "multiplier.g_prime")
-        g2 = spec.get("g_double_prime0")
-        return user_multiplier(lat, values, indices=indices,
-                               g_double_prime0=None if g2 is None
-                               else _complex_of(g2, "g_double_prime0"),
-                               weighted=_flag(spec, "weighted", "multiplier.weighted"))
-    raise SchemaError("multiplier kind must be builtin_sigma or user_table")
+    indices, values = _entries(spec.get("g_prime", []), "multiplier.g_prime")
+    g2 = spec.get("g_double_prime0")
+    return user_multiplier(lat, values, indices=indices,
+                           g_double_prime0=None if g2 is None
+                           else _complex_of(g2, "multiplier.g_double_prime0"),
+                           weighted=_flag(spec, "weighted", "multiplier.weighted"))
 
 
 def _build_values(job: dict, m: Multiplier, p) -> TraceData:
-    spec = _section(job, "values", {"kind": "zero"})
-    kind = spec.get("kind")
+    spec = job.get("values", {"kind": "zero"})
+    kind = spec["kind"]
     if kind == "zero":
         return TraceData.zero(m, p)
     if kind == "constant":
-        return TraceData.constant(m, p, _complex_of(spec.get("v", 1.0), "v"))
+        return TraceData.constant(m, p, _complex_of(spec.get("v", 1.0), "values.v"))
     if kind == "gaussian_trace":
-        return TraceData.gaussian(m, p, _complex_of(spec.get("w", 0.0), "w"))
-    if kind == "list":
-        vals, _ = scatter_indexed(len(m.lattice),
-                                  *_entries(spec.get("items", []), "values.items"),
-                                  "value")
-        if _flag(spec, "weighted", "values.weighted"):
-            return TraceData.from_weighted(m, p, vals)
-        return TraceData.from_raw(m, p, vals)
-    raise SchemaError(f"unknown values kind {kind!r}")
+        return TraceData.gaussian(m, p, _complex_of(spec.get("w", 0.0), "values.w"))
+    vals, _ = scatter_indexed(len(m.lattice),
+                              *_entries(spec.get("items", []), "values.items"),
+                              "value")
+    if _flag(spec, "weighted", "values.weighted"):
+        return TraceData.from_weighted(m, p, vals)
+    return TraceData.from_raw(m, p, vals)
 
 
 def _parse_p(job: dict):
@@ -220,13 +246,9 @@ def _parse_p(job: dict):
 def _pv_rtol(job: dict, args) -> float:
     """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL; a
     finite number >= 0, since no window test passes below 0."""
-    pv = _section(job, "pv", {})
-    if pv.get("center_mode", "origin") != "origin":
-        raise SchemaError("pv.center_mode: only the origin schedule exists "
-                          "(partial sums always run over |lambda| < R)")
     tol = args.tolerance
     if tol is None:
-        tol = _number(pv.get("tolerance", PV_RTOL), "pv.tolerance")
+        tol = _number(job.get("pv", {}).get("tolerance", PV_RTOL), "pv.tolerance")
     if not 0.0 <= tol < math.inf:
         raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {tol}")
     return tol
@@ -243,34 +265,18 @@ def _grid(job: dict, default_half: float, default_n: int) -> tuple:
     """(points, corner radius) of the midpoint grid of n x n cells on
     [-half_width, half_width]^2 of the job's "grid" object: an integer
     n >= 1 and a finite half_width > 0; y varies fastest along the points."""
-    g = _section(job, "grid", {})
+    g = job.get("grid", {})
     half = _number(g.get("half_width", default_half), "grid.half_width", positive=True)
     n = _count(g.get("n", default_n), "grid.n")
     xs = -half + (np.arange(n) + 0.5) * (half + half) / n
     return (xs[:, None] + 1j * xs[None, :]).ravel(), abs(complex(half, half))
 
 
-def _load_trace_job(args) -> tuple:
-    """(job, digest, data, rtol) of a trace-check or reconstruct job: its
-    trace data on the job's lattice and multiplier, and the p.v. tolerance."""
-    job, digest = _load_job(args.input)
+def _trace_data(job: dict, args) -> tuple:
+    """(data, rtol) of a trace-check or reconstruct job: its trace data on
+    the job's lattice and multiplier, and the p.v. tolerance."""
     m = _build_multiplier(job, _build_lattice(job, _build_weight(job)))
-    data = _build_values(job, m, _parse_p(job))
-    return job, digest, data, _pv_rtol(job, args)
-
-
-def _report(command: str, args, job: dict, digest: str, results: dict,
-            t0: float, tolerances: Optional[dict] = None) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": args.seed,
-        "config": _echo(job),
-        "input_sha256": digest,
-        "tolerances": tolerances or {},
-        "timing_s": round(time.perf_counter() - t0, 3),
-        "results": results,
-    }
+    return _build_values(job, m, _parse_p(job)), _pv_rtol(job, args)
 
 
 def _emit(report: dict, path: Optional[str]):
@@ -292,15 +298,25 @@ def _json_default(obj):
     raise TypeError(f"cannot serialise {type(obj)}")
 
 
-# -- commands ---------------------------------------------------------------
+def _write_grid(path: str, header: list, columns: list):
+    """A CSV grid file: the header, then one row per point of the real
+    arrays in `columns`, each value to 12 significant digits."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(zip(*([f"{x:.12g}" for x in col] for col in columns)))
 
 
-def cmd_lattice_info(args) -> int:
-    t0 = time.perf_counter()
-    job, digest = _load_job(args.input)
+# -- commands: each maps (args, job) to (results, tolerances) ---------------
+
+
+def cmd_lattice_info(args, job: dict) -> tuple:
     lat = _build_lattice(job, _build_weight(job))
     sched = shells_for(lat)
-    results = {
+    r_max = job.get("density_r_max")
+    if r_max is None:
+        r_max = 0.45 * lat.truncation_radius / lat.max_rho
+    return {
         "n_points": len(lat),
         "truncation_radius": lat.truncation_radius,
         "scale": lat.scale,
@@ -309,36 +325,22 @@ def cmd_lattice_info(args) -> int:
         "first_shell_size": (int(np.diff(sched.starts, append=sched.n_points)[1])
                              if sched.n_shells > 1 else 0),
         "max_rho": lat.max_rho,
-    }
-    r_max = job.get("density_r_max")
-    if r_max is None:
-        r_max = 0.45 * lat.truncation_radius / lat.max_rho
-    results["upper_density"] = upper_density(lat, _number(r_max, "density_r_max",
-                                                         positive=True))
-    _emit(_report("lattice-info", args, job, digest, results, t0), args.output)
-    return EXIT_OK
+        "upper_density": upper_density(lat, _number(r_max, "density_r_max",
+                                                    positive=True)),
+    }, {}
 
 
-def cmd_sigma_eval(args) -> int:
-    t0 = time.perf_counter()
-    job, digest = _load_job(args.input)
+def cmd_sigma_eval(args, job: dict) -> tuple:
     lat = _build_lattice(job, _build_weight(job))
     pts = _grid(job, lat.scale, 100)[0]
     vals = sigma_weighted_mag(lat, pts)
-    with open(args.grid, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "y", "weighted_mag"])
-        for z, v in zip(pts, vals):
-            wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}", f"{v:.12g}"])
-    results = {"grid_file": args.grid, "n_values": int(vals.size),
-               "max_weighted_mag": float(np.max(vals))}
-    _emit(_report("sigma-eval", args, job, digest, results, t0), args.output)
-    return EXIT_OK
+    _write_grid(args.grid, ["x", "y", "weighted_mag"], [pts.real, pts.imag, vals])
+    return {"grid_file": args.grid, "n_values": int(vals.size),
+            "max_weighted_mag": float(np.max(vals))}, {}
 
 
-def cmd_trace_check(args) -> int:
-    t0 = time.perf_counter()
-    job, digest, data, rtol = _load_trace_job(args)
+def cmd_trace_check(args, job: dict) -> tuple:
+    data, rtol = _trace_data(job, args)
     verdict = classify(data, rtol)
     results = {
         "branch": {
@@ -364,16 +366,13 @@ def cmd_trace_check(args) -> int:
             for rep in verdict.reports
         ],
     }
-    tol = {"pv_rtol": rtol, "flatten_tol": FLATTEN_TOL,
-           "diverge_exponent": DIVERGE_MIN_EXPONENT, "diverge_r2": DIVERGE_MIN_R2,
-           "unconverged_max_share": UNCONVERGED_MAX_SHARE}
-    _emit(_report("trace-check", args, job, digest, results, t0, tol), args.output)
-    return EXIT_OK
+    return results, {"pv_rtol": rtol, "flatten_tol": FLATTEN_TOL,
+                     "diverge_exponent": DIVERGE_MIN_EXPONENT, "diverge_r2": DIVERGE_MIN_R2,
+                     "unconverged_max_share": UNCONVERGED_MAX_SHARE}
 
 
-def cmd_reconstruct(args) -> int:
-    t0 = time.perf_counter()
-    job, digest, data, rtol = _load_trace_job(args)
+def cmd_reconstruct(args, job: dict) -> tuple:
+    data, rtol = _trace_data(job, args)
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
     guard = data.lattice.guard_radius()
@@ -394,26 +393,17 @@ def cmd_reconstruct(args) -> int:
         raw = np.where(vals_w == 0, 0.0, vals_w * np.exp(phi(data.weight, pts)))
     overflow = ~np.isfinite(raw)
     raw[overflow] = complex(np.nan, np.nan)
-    with open(args.grid, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "y", "re_f", "im_f", "weighted_mag"])
-        for z, vw, f in zip(pts, vals_w, raw):
-            wr.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                         f"{f.real:.12g}", f"{f.imag:.12g}",
-                         f"{abs(vw):.12g}"])
+    _write_grid(args.grid, ["x", "y", "re_f", "im_f", "weighted_mag"],
+                [pts.real, pts.imag, raw.real, raw.imag, np.abs(vals_w)])
     residual = verify_interpolation(I, max_points=verify_points)
     results = {"grid_file": args.grid, "max_weighted_residual": residual,
                "raw_overflow_points": int(overflow.sum()),
                "mode": I.mode, "w0": I.w0,
                "representative_only": I.representative_only}
-    _emit(_report("reconstruct", args, job, digest, results, t0,
-                  {"pv_rtol": rtol, "residual_target": 1e-3}), args.output)
-    return EXIT_OK
+    return results, {"pv_rtol": rtol, "residual_target": 1e-3}
 
 
-def cmd_ap_probe(args) -> int:
-    t0 = time.perf_counter()
-    job, digest = _load_job(args.input)
+def cmd_ap_probe(args, job: dict) -> tuple:
     w = _build_weight(job)
     p = _parse_p(job)
     if math.isinf(p) or p <= 1.0:
@@ -426,21 +416,13 @@ def cmd_ap_probe(args) -> int:
     else:
         raise SchemaError(f"radii must be a list of radii, not {radii!r:.40}")
     rep = ap_probe(w, p, radii)
-    results = {"p": p, "disc_radii": list(rep.disc_radii),
-               "ratios": list(rep.ratios),
-               "fitted_exponent": rep.fitted_exponent,
-               "is_ap": rep.is_ap}
-    _emit(_report("ap-probe", args, job, digest, results, t0,
-                  {"exponent_tolerance": AP_EXPONENT_TOLERANCE}), args.output)
-    return EXIT_OK
+    return {"p": p, "disc_radii": list(rep.disc_radii),
+            "ratios": list(rep.ratios),
+            "fitted_exponent": rep.fitted_exponent,
+            "is_ap": rep.is_ap}, {"exponent_tolerance": AP_EXPONENT_TOLERANCE}
 
 
-def cmd_op_norm(args) -> int:
-    t0 = time.perf_counter()
-    job, digest = _load_job(args.input)
-    if "trials" in job:
-        raise SchemaError("op-norm: 'trials' is no longer a job key; p = 2 "
-                          "norms come from one Golub-Kahan-Lanczos run")
+def cmd_op_norm(args, job: dict) -> tuple:
     w = _build_weight(job)
     op = job.get("op", "B")
     if op not in ("B", "L", "M"):
@@ -468,11 +450,11 @@ def cmd_op_norm(args) -> int:
             raise SchemaError(f"op-norm: M(N) needs an integer N > 1/t, and "
                               f"t <= {t_max:g} for this weight; N = {N!r}")
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
-    results = {"op": rep.op, "p": "inf" if math.isinf(p) else p,
-               "sizes": list(rep.sizes), "norms": list(rep.norms),
-               "growth_ratio": rep.growth_ratio}
-    _emit(_report("op-norm", args, job, digest, results, t0), args.output)
-    return EXIT_OK
+    return {"op": rep.op, "p": "inf" if math.isinf(p) else p,
+            "sizes": list(rep.sizes), "norms": list(rep.norms),
+            "growth_ratio": rep.growth_ratio,
+            "stagnations": list(rep.stagnations),
+            "residuals": list(rep.residuals)}, {}
 
 
 def cmd_acceptance(args) -> int:
@@ -539,7 +521,24 @@ def main(argv=None) -> int:
     if not 0 <= args.seed < 2 ** 32:
         parser.error(f"--seed {args.seed} is not in [0, 2**32)")
     try:
-        return args.fn(args)
+        if args.command == "acceptance":
+            return args.fn(args)
+        # the lifecycle of every job command; timing_s covers all but the
+        # writing of the report
+        t0 = time.perf_counter()
+        job, digest = _load_job(args.input)
+        results, tolerances = args.fn(args, job)
+        _emit({
+            "command": args.command,
+            "version": __version__,
+            "seed": args.seed,
+            "config": _echo(job),
+            "input_sha256": digest,
+            "tolerances": tolerances,
+            "timing_s": round(time.perf_counter() - t0, 3),
+            "results": results,
+        }, args.output)
+        return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -241,16 +241,20 @@ def upper_density(lat: Lattice, r: float,
     For each sampled center z the ratio #(Lambda on the closed disc
     D(z, r*rho(z))) / mu(D(z, r*rho(z))) is formed, in the lattice's weight;
     the value returned is the maximum over centers (the limsup surrogate at
-    radius factor r).  The critical square lattice gives 1/(2*pi).
-    NumericalError when a disc reaches past the truncation, or when a disc
-    mass is not a positive finite number (a radius so small that it
-    underflows).
+    radius factor r).  The critical square lattice gives 1/(2*pi).  The
+    default centers are the points nearest the origin, at most nine in
+    index order (radius order), whose discs lie inside the truncation.
+    NumericalError when no default center qualifies, when a given center's
+    disc reaches past the truncation, or when a disc mass is not a
+    positive finite number (a radius so small that it underflows).
     """
-    w = lat.weight
-    # by default the nine points nearest the origin (index order is radius order)
-    centers = np.asarray(lat.points[:9] if centers is None else centers, dtype=complex)
+    w, R = lat.weight, lat.truncation_radius
+    if centers is None:
+        inside = np.abs(lat.points) + float(r) * lat.rho_values <= R
+        centers = lat.points[inside][:9]
+    centers = np.asarray(centers, dtype=complex)
     rad = float(r) * rho_many(w, centers)
-    if np.any(np.abs(centers) + rad > lat.truncation_radius):
+    if centers.size == 0 or np.any(np.abs(centers) + rad > R):
         raise NumericalError("radius factor exceeds the safe truncation margin")
     counts = [np.count_nonzero(np.abs(lat.points - c) <= rc + 1e-12)
               for c, rc in zip(centers, rad)]

@@ -252,6 +252,7 @@ class OperatorNormReport(NamedTuple):
     sizes: tuple
     norms: tuple
     stagnations: tuple = ()
+    residuals: tuple = ()
 
     @property
     def growth_ratio(self) -> float:
@@ -402,9 +403,10 @@ _GKL_RTOL = 1e-8
 
 
 def _top_singular_value(sec: _FftSection, seed: int):
-    """(theta, change): the section's largest singular value by one
-    Golub-Kahan-Lanczos run (Golub & Van Loan, Matrix Computations, 10.4)
-    and its last relative change.  The start is `quasirandom` offset by
+    """(theta, change, residual): the section's largest singular value by
+    one Golub-Kahan-Lanczos run (Golub & Van Loan, Matrix Computations,
+    10.4), its last relative change and the relative Ritz residual it
+    stopped on.  The start is `quasirandom` offset by
     `seed`: point seed + j gives the j-th disc point (in grid order) its
     real part and, on a complex section, its imaginary part, so a real
     section iterates in real arithmetic.  The start is positive, and so is
@@ -445,13 +447,13 @@ def _top_singular_value(sec: _FftSection, seed: int):
         resid = beta * alpha * math.sqrt(abs(q2)) / theta ** 2
         prev = s
         if resid <= _GKL_RTOL:
-            return theta, change
+            return theta, change, resid
         v /= beta
     if not (resid <= 1e-3 or change <= 1e-3):
         raise NumericalError(f"bidiagonalisation did not converge in "
                              f"{_GKL_STEPS} steps (residual {resid:.1e}, "
                              f"change {change:.1e})")
-    return theta, change
+    return theta, change, resid
 
 
 def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
@@ -463,7 +465,8 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
     lower bound on the largest singular value by Golub-Kahan-Lanczos from
     the quasirandom start offset by `seed` (`_top_singular_value`: at most
     50 steps, stopping early only at a relative Ritz residual of 1e-8; the
-    last relative Ritz change is in `stagnations`).  Sections are
+    last relative Ritz change is in `stagnations`, the residual at exit in
+    `residuals`, both 0 where the norm is exact).  Sections are
     matrix-free FFT convolutions."""
     if p not in (1.0, 2.0) and not math.isinf(p):
         raise ValueError("operator norms support p in {1, 2, inf}")
@@ -474,16 +477,17 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
     for size in sizes:
         # radius with expected count ~ size: pi R^2 / scale^2 = size
         R = math.sqrt(size * SQUARE_SCALE ** 2 / math.pi)
-        sec, norm, change = _FftSection(R, w, kind, N), 0.0, 0.0
+        sec, norm, change, resid = _FftSection(R, w, kind, N), 0.0, 0.0, 0.0
         # a one-point section is the zero operator: its norm is exactly 0
         if sec.size > 1 and p == 2.0:
-            norm, change = _top_singular_value(sec, seed)
+            norm, change, resid = _top_singular_value(sec, seed)
         elif sec.size > 1:
             norm = sec.abs_sum_max(p)
-        rows.append((sec.size, norm, change))
-    actual, norms, stags = zip(*rows)
+        rows.append((sec.size, norm, change, resid))
+    actual, norms, stags, resids = zip(*rows)
     return OperatorNormReport(op=kind if kind != "M" else f"M({N})", p=p,
-                              sizes=actual, norms=norms, stagnations=stags)
+                              sizes=actual, norms=norms, stagnations=stags,
+                              residuals=resids)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from focklattice import classical_weight, cli, square_lattice
+from focklattice import (classical_weight, cli, explicit_lattice, phi, power_weight,
+                         square_lattice, upper_density)
 from focklattice.cli import main
 
 
@@ -140,15 +142,14 @@ class TestTraceCheck:
         assert rc == 2
 
     def test_center_mode_other_than_origin_is_schema_error(self, tmp_path, capsys):
-        # partial sums always run over |lambda| < R; "center" never took effect
-        job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]}, p=2)
-        rc, _ = run(tmp_path, dict(job, pv={"center_mode": "center"}), "trace-check")
-        assert rc == 2
-        assert "only the origin schedule exists" in capsys.readouterr().err
-        rc, rep = run(tmp_path, dict(job, pv={"center_mode": "origin"}), "trace-check")
-        assert rc == 0
-        _, plain = run(tmp_path, job, "trace-check")
-        assert rep["results"] == plain["results"]
+        # partial sums always run over |lambda| < R, so pv.center_mode,
+        # whose one accepted value "origin" changed nothing, is no job key
+        for mode in ("center", "origin"):
+            job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.2, 0.0]},
+                       p=2, pv={"center_mode": mode})
+            rc, rep = run(tmp_path, job, "trace-check")
+            assert rc == 2 and rep is None
+            assert "'pv.center_mode'" in capsys.readouterr().err
 
     @staticmethod
     def verdict_from_margins(rep, tol):
@@ -233,7 +234,7 @@ class TestReportEcho:
 
     def test_scalar_config_echoed_unchanged(self, tmp_path):
         job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
-                   p="inf", pv={"tolerance": 1e-9, "center_mode": "origin"})
+                   p="inf", pv={"tolerance": 1e-9})
         rc, rep = run(tmp_path, job, "trace-check")
         assert rc == 0
         assert rep["config"] == job
@@ -357,16 +358,19 @@ class TestOtherCommands:
         assert res["upper_density"] == pytest.approx(1 / (2 * math.pi), rel=0.1)
         assert res["first_shell_size"] == 4
 
-    def test_lattice_info_two_shells(self, tmp_path, monkeypatch):
-        # the first shell runs to the last index; every default density
-        # centre but the origin lies on the truncation, so the density is
-        # stubbed out
-        monkeypatch.setattr(cli, "upper_density", lambda lat, r: 0.0)
+    def test_lattice_info_two_shells(self, tmp_path):
+        # the first shell runs to the last index; every point but the origin
+        # lies on the truncation, so the origin is the one density centre
+        # (exit 3 while all nine nearest points were centres)
         pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5]]
         rc, rep = run(tmp_path, dict(BASE, lattice={"kind": "explicit", "points": pts}),
                       "lattice-info")
         assert rc == 0
-        assert (rep["results"]["n_shells"], rep["results"]["first_shell_size"]) == (2, 4)
+        res = rep["results"]
+        assert (res["n_shells"], res["first_shell_size"]) == (2, 4)
+        lat = explicit_lattice([complex(*p) for p in pts], classical_weight())
+        r = 0.45 * 1.5 / lat.max_rho
+        assert res["upper_density"] == upper_density(lat, r, centers=[0.0]) > 0
 
     def test_sigma_eval_grid(self, tmp_path):
         path = tmp_path / "job.json"
@@ -709,6 +713,18 @@ class TestOtherCommands:
         assert rc == 2 and rep is None
         assert "'trials'" in capsys.readouterr().err
 
+    def test_op_norm_reports_residuals(self, tmp_path):
+        # the 4,997-point B section ends at the 50-step cap above the 1e-8
+        # residual stop; the 193-point L section stops on it; at p = 1 the
+        # norms are exact, and both lists read 0
+        job = {"weight": {"kind": "classical"}, "op": "B", "p": 2, "sizes": [5000]}
+        res = run(tmp_path, job, "op-norm")[1]["results"]
+        assert res["sizes"] == [4997] and res["residuals"][0] > 1e-8
+        res = run(tmp_path, dict(job, op="L", sizes=[200]), "op-norm")[1]["results"]
+        assert res["sizes"] == [193] and 0.0 <= res["residuals"][0] <= 1e-8
+        res = run(tmp_path, dict(job, p=1, sizes=[200, 800]), "op-norm")[1]["results"]
+        assert res["residuals"] == res["stagnations"] == [0.0, 0.0]
+
     @pytest.mark.parametrize("p", [1, 2, "inf"])
     @pytest.mark.parametrize("sizes", [[200.7, 600.9], ["200"], [True, 60],
                                        [0, 60], [], 200, [1, 60], [2, 60],
@@ -785,3 +801,135 @@ class TestOtherCommands:
         assert err.startswith("schema error: --criteria")
         assert "int()" not in err
         assert criteria in ("x", "1,,2") or "the criteria are 1-9" in err
+
+
+class TestRawInputs:
+    """Raw g' tables and raw values are the weighted ones times e^{phi}.  On
+    a gamma = 0.5 power weight at R = 10, e^{phi} stays below e^{0.72}, so a
+    raw job and its weighted twin give the same answers to rounding."""
+
+    @staticmethod
+    def entries(vals):
+        return [{"index": k, "re": v.real, "im": v.imag} for k, v in enumerate(vals)]
+
+    def test_raw_jobs_match_their_weighted_twins(self, tmp_path):
+        lat = square_lattice(10.0, power_weight(0.5, rho_origin=2.0))
+        e_phi = np.exp(phi(lat.weight, lat.points))
+        k = np.arange(len(lat))
+        gw = np.exp(0.7j * k) * (1.0 + 0.1 * k)            # g' e^{-phi}
+        cw = np.exp(-0.3j * k) * (1.0 + lat.radii) ** -3.0  # c e^{-phi}
+        v = 1.5 - 0.5j
+        weighted = {"weight": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
+                    "lattice": {"kind": "square", "R": 10}, "p": 3,
+                    "multiplier": {"kind": "user_table", "weighted": True,
+                                   "g_prime": self.entries(gw)}}
+        raw = dict(weighted, multiplier={"kind": "user_table",
+                                         "g_prime": self.entries(gw * e_phi),
+                                         "g_double_prime0": [0.5, -0.25]})
+        for job, twin in (
+                (dict(raw, values={"kind": "list", "items": self.entries(cw * e_phi)}),
+                 dict(weighted, values={"kind": "list", "weighted": True,
+                                        "items": self.entries(cw)})),
+                (dict(raw, values={"kind": "constant", "v": [v.real, v.imag]}),
+                 dict(weighted, values={"kind": "list", "weighted": True,
+                                        "items": self.entries(v / e_phi)}))):
+            rc, got = run(tmp_path, job, "trace-check")
+            rc_twin, want = run(tmp_path, twin, "trace-check", name="twin.json")
+            assert rc == rc_twin == 0
+            got, want = got["results"], want["results"]
+            assert got["branch"] == want["branch"] and got["overall"] == want["overall"]
+            for a, b in zip(got["reports"], want["reports"], strict=True):
+                assert (a["condition"], a["verdict"]) == (b["condition"], b["verdict"])
+                np.testing.assert_allclose(a["trajectory"], b["trajectory"],
+                                           rtol=1e-12, atol=0)
+
+
+class TestJobKeys:
+    """Every job is checked against one table of the keys the commands read,
+    `cli.JOB_KEYS`; the tests are generated from it."""
+
+    # a job every command accepts, with every top-level key set; reconstruct
+    # takes w0 at p = inf only, so it runs without it
+    FULL = {"weight": {"kind": "classical"}, "lattice": {"kind": "square", "R": 8},
+            "multiplier": {"kind": "builtin_sigma"}, "values": {"kind": "zero"},
+            "p": 2, "pv": {"tolerance": 1e-9}, "grid": {"half_width": 1.0, "n": 2},
+            "verify_points": 4, "w0": [0.0, 0.0], "density_r_max": 0.5,
+            "radii": [1.0, 2.0, 4.0, 6.0, 8.0], "op": "L", "sizes": [20], "N": 2}
+
+    @staticmethod
+    def misspelt(key):
+        return key[1] + key[0] + key[2:] if len(key) > 1 and key[0] != key[1] \
+            else key + key[-1]
+
+    def test_every_misspelt_key_is_schema_error_naming_its_path(self, tmp_path, capsys):
+        jobs = []
+        for key, keys in cli.JOB_KEYS.items():
+            assert self.misspelt(key) not in cli.JOB_KEYS
+            jobs.append((self.misspelt(key), {self.misspelt(key): 1}))
+            kinds = keys.items() if isinstance(keys, dict) else [(None, keys or ())]
+            for kind, sub in kinds:
+                head = {} if kind is None else {"kind": kind}
+                for name in sub:
+                    assert self.misspelt(name) not in (*sub, "kind")
+                    jobs.append((f"{key}.{self.misspelt(name)}",
+                                 {key: {**head, self.misspelt(name): 1}}))
+        # 14 top-level keys and 15 section keys
+        assert len(jobs) == 29
+        for path, job in jobs:
+            rc, rep = run(tmp_path, job, "trace-check")
+            assert rc == 2 and rep is None, path
+            assert f"no command reads {path!r}" in capsys.readouterr().err, path
+
+    def test_misspelt_trace_job_names_every_unread_key(self, tmp_path, capsys):
+        # it ran on the classical weight at the default p.v. tolerance
+        job = {"wieght": {"kind": "power", "gamma": 0.5, "rho_origin": 2.0},
+               "lattice": {"kind": "square", "R": 10},
+               "values": {"kind": "gaussian_trace", "w": [0.3, 0.1], "weigthed": True},
+               "p": 2, "pv": {"tolerence": 1e-6}}
+        rc, rep = run(tmp_path, job, "trace-check")
+        assert rc == 2 and rep is None
+        assert capsys.readouterr().err == ("schema error: no command reads 'wieght', "
+                                           "'values.weigthed', 'pv.tolerence'\n")
+
+    @pytest.mark.parametrize("section, spec, message", [
+        ("weight", {"kind": "classical", "gamma": 0.5}, "'weight.gamma'"),
+        ("lattice", {"kind": "square", "points": []}, "'lattice.points'"),
+        ("values", {"kind": "zero", "w": 0}, "'values.w'"),
+        ("multiplier", {"kind": "builtin_sigma", "weighted": True},
+         "'multiplier.weighted'"),
+        ("lattice", {"R": 10}, "lattice.kind must be one of square, explicit, not None"),
+        ("values", {"kind": ["list"]}, "values.kind must be one of"),
+        ("weight", {"kind": "power", "gamma": 0.5, "c_gamma": 1.0, "rho_origin": 2.0},
+         "one of c_gamma and rho_origin")])
+    def test_keys_of_another_kind_and_unknown_kinds_are_schema_errors(
+            self, tmp_path, capsys, section, spec, message):
+        # a key of another kind was ignored: a classical weight's gamma, or
+        # a power weight's rho_origin beside c_gamma
+        rc, rep = run(tmp_path, dict(self.FULL, **{section: spec}), "lattice-info")
+        assert rc == 2 and rep is None
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["lattice-info", "sigma-eval", "trace-check",
+                                     "reconstruct", "ap-probe", "op-norm"])
+    def test_keys_another_command_reads_are_accepted(self, tmp_path, cmd):
+        job = {k: v for k, v in self.FULL.items() if cmd != "reconstruct" or k != "w0"}
+        assert set(self.FULL) == set(cli.JOB_KEYS)
+        rc, rep = run(tmp_path, job, cmd, ["--grid", str(tmp_path / "g.csv")]
+                      if cmd in ("sigma-eval", "reconstruct") else None)
+        assert rc == 0 and rep["config"] == job
+
+    def test_readme_lists_every_key(self):
+        # the README's CLI section mirrors the table
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        section = text[text.index("## CLI"):text.index("## Library sketch")]
+        for key, keys in cli.JOB_KEYS.items():
+            names = [key]
+            if isinstance(keys, dict):
+                names += [n for kind, sub in keys.items() for n in (kind, *sub)]
+            elif keys is not None:
+                names += keys
+            for name in names:
+                assert f"`{name}`" in section, name

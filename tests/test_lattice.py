@@ -115,6 +115,18 @@ class TestUpperDensity:
         with pytest.raises(NumericalError):
             upper_density(lat12, 100.0 / lat12.max_rho)
 
+    def test_default_centres_are_the_nearest_whose_discs_fit(self, lat12):
+        # all nine nearest discs fit at r = 5; at r = 40 only the origin's
+        # disc does (0 + 40 rho < 12 < s + 40 rho), where the nine centres
+        # exited 3
+        r_all, r_one = 5.0, 40.0
+        assert upper_density(lat12, r_all) == \
+            upper_density(lat12, r_all, centers=lat12.points[:9])
+        assert upper_density(lat12, r_one) == \
+            upper_density(lat12, r_one, centers=[0.0]) > 0
+        with pytest.raises(NumericalError):
+            upper_density(lat12, r_one, centers=lat12.points[:9])
+
     def test_power_weight_matches_per_centre_loop(self):
         # the batched disc masses against one disc per mu_disc_many call
         w = power_weight(0.5, rho_origin=2.0)
