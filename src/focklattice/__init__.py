@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 
 from .errors import (FockLatticeError, NumericalError, SchemaError,
                      SeparationError)
-from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
-                      c_gamma_for_rho_origin, choose_N, classical_weight,
-                      default_ap_radii, effective_t, estimate_t, mu_disc_many,
-                      phi, power_weight, rho_many)
+from .weights import (ApReport, WeightProfile, ap_probe, c_gamma_for_rho_origin,
+                      choose_N, classical_weight, default_ap_radii, estimate_t,
+                      mu_disc_many, phi, power_weight, rho_many)
 from .lattice import (Lattice, ShellSchedule, SQUARE_SCALE, explicit_lattice,
                       nearest_index, shells_for, square_lattice, upper_density)
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_log,

@@ -16,14 +16,14 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .classifier import TraceData, classify, select_branch, cached_t
+from .classifier import TraceData, classify, select_branch
 from .interpolate import (Interpolant, reconstruct, verify_interpolation,
                           w0_from)
 from .lattice import SQUARE_SCALE, nearest_index, shells_for, square_lattice
 from .multiplier import builtin_sigma_multiplier, sigma_weighted_mag
 from .transforms import batch_higher, operator_norm_estimate, taylor_kernel_check
 from .weights import (ap_probe, choose_N, classical_weight, default_ap_radii,
-                      power_weight)
+                      estimate_t, power_weight)
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA", "OP_NORM_SIZES",
            "OP_NORM_GROWTH_BUDGET"]
@@ -274,7 +274,7 @@ def criterion_6() -> CriterionResult:
     ungated.  The echo compares raw 5000-point section norms."""
     t0 = time.perf_counter()
     w = classical_weight()
-    N = choose_N(cached_t(w))
+    N = choose_N(estimate_t(w))
     # growth budgeted only for the regimes where boundedness is expected
     budgeted = [("B", 2.0), ("L", 1.0), ("L", 2.0), ("M", 1.0), ("M", math.inf)]
     # the gated items add the quarter sizes that extrapolate both ends
@@ -348,16 +348,16 @@ _BRANCH_TABLE = {
 
 
 def criterion_8() -> CriterionResult:
-    """Branch logic: classical t_fit >= 0.9; gamma=0.5 gives the analytic
-    bound 0.25 and transform order 5; the twelve-case branch matrix
-    matches the regime table."""
+    """Branch logic: classical t >= 0.9; gamma=0.5 gives t = gamma/2 = 0.25
+    and transform order 5; the twelve-case branch matrix matches the regime
+    table."""
     t0 = time.perf_counter()
     cw = classical_weight()
     pw = power_weight(0.5, rho_origin=2.0)
-    t_c = cached_t(cw)
-    t_p = cached_t(pw)
-    ok = t_c.t_fit >= 0.9
-    ok = ok and t_p.t_bound == 0.25 and choose_N(t_p) == 5
+    t_c = estimate_t(cw)
+    t_p = estimate_t(pw)
+    ok = t_c >= 0.9
+    ok = ok and t_p == 0.25 and choose_N(t_p) == 5
     mismatches = []
     for (p, wname), expect in _BRANCH_TABLE.items():
         w = cw if wname == "classical" else pw
@@ -366,8 +366,8 @@ def criterion_8() -> CriterionResult:
             mismatches.append((wname, p, br.condition_ids, expect))
     ok = ok and not mismatches
     return CriterionResult(8, "doubling exponent + branch table", ok,
-                           {"t_fit_classical": t_c.t_fit,
-                            "t_bound_power05": t_p.t_bound,
+                           {"t_classical": t_c,
+                            "t_power05": t_p,
                             "N_power05": choose_N(t_p),
                             "branch_mismatches": len(mismatches)},
                            time.perf_counter() - t0)

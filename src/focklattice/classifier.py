@@ -36,9 +36,8 @@ from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
 from .transforms import (OUTER_GUARD_FRACTION, PV_RTOL, _sequence,
                          batch_higher, batch_modified_inf)
-from .weights import (ApReport, DoublingExponent, WeightProfile, ap_probe,
-                      choose_N, default_ap_radii, effective_t, estimate_t,
-                      loglog_fit, phi)
+from .weights import (ApReport, WeightProfile, ap_probe, choose_N,
+                      default_ap_radii, estimate_t, loglog_fit, phi)
 
 __all__ = [
     "TraceData",
@@ -300,11 +299,6 @@ class TraceVerdict(NamedTuple):
     overall: str
 
 
-@lru_cache(maxsize=16)
-def cached_t(w: WeightProfile) -> DoublingExponent:
-    return estimate_t(w)
-
-
 def cached_ap(w: WeightProfile, p: float) -> ApReport:
     return _cached_ap(w, round(p, 12))
 
@@ -315,31 +309,32 @@ def _cached_ap(w: WeightProfile, p: float) -> ApReport:
 
 
 def select_branch(p: float, w: WeightProfile) -> BranchInfo:
-    """Branch selection from p and the weight's A_p status and doubling
-    exponent (each probed once per weight and cached)."""
+    """Branch selection from p and the weight's A_p status (probed once per
+    weight and p, and cached) and doubling exponent t (`estimate_t`, closed
+    form): at 2 < p < inf the A_p branch while t > 1/2, else orders up to
+    N = `choose_N(t)`, the smallest integer above 1/t, as at p = inf."""
     if p == 1.0:
         return BranchInfo("p=1", p, None, None, None, ("a", "b", "c"))
     if p == 2.0:
         return BranchInfo("p=2", p, None, None, None, ("a", "b"))
     if math.isinf(p):
-        t = cached_t(w)
+        t = estimate_t(w)
         N = choose_N(t)
         ids = ("inf_a", "inf_b") + tuple(f"inf_c({n})" for n in range(2, N + 1))
-        return BranchInfo("p=inf", p, None, effective_t(t), N, ids)
+        return BranchInfo("p=inf", p, None, t, N, ids)
     if 1.0 < p < 2.0:
         ap = cached_ap(w, p)
         ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
         return BranchInfo("1<p<2", p, ap.is_ap, None, None, ids)
     # 2 < p < inf
-    t = cached_t(w)
-    te = effective_t(t)
-    if te > 0.5:
+    t = estimate_t(w)
+    if t > 0.5:
         ap = cached_ap(w, p)
         ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
-        return BranchInfo("2<p<inf", p, ap.is_ap, te, None, ids)
+        return BranchInfo("2<p<inf", p, ap.is_ap, t, None, ids)
     N = choose_N(t)
     ids = ("a",) + tuple(f"bprime({n})" for n in range(1, N + 1))
-    return BranchInfo("2<p<inf", p, None, te, N, ids)
+    return BranchInfo("2<p<inf", p, None, t, N, ids)
 
 
 def classify(data: TraceData, rtol: float = PV_RTOL) -> TraceVerdict:

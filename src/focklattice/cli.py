@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import (DIVERGE_MIN_EXPONENT, DIVERGE_MIN_R2, FLATTEN_TOL,
-                         UNCONVERGED_MAX_SHARE, TraceData, cached_t, classify)
+                         UNCONVERGED_MAX_SHARE, TraceData, classify)
 from .errors import FockLatticeError, NumericalError, SchemaError
 from .interpolate import Interpolant, verify_interpolation
 from .lattice import (Lattice, explicit_lattice, scatter_indexed, shells_for,
@@ -39,8 +39,8 @@ from .lattice import (Lattice, explicit_lattice, scatter_indexed, shells_for,
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
                          user_multiplier)
 from .transforms import PV_RTOL, operator_norm_estimate
-from .weights import (AP_EXPONENT_TOLERANCE, T_FIT_SLACK, WeightProfile,
-                      ap_probe, choose_N, default_ap_radii, phi, power_weight)
+from .weights import (AP_EXPONENT_TOLERANCE, WeightProfile, ap_probe, choose_N,
+                      default_ap_radii, estimate_t, phi, power_weight)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -58,7 +58,7 @@ JOB_KEYS = {
     "weight": {"classical": (), "power": ("gamma", "c_gamma", "rho_origin")},
     "lattice": {"square": ("R",), "explicit": ("points",)},
     "multiplier": {"builtin_sigma": (),
-                   "user_table": ("g_prime", "g_double_prime0", "weighted")},
+                   "user_table": ("g_prime", "weighted")},
     "values": {"zero": (), "constant": ("v",), "gaussian_trace": ("w",),
                "list": ("items", "weighted")},
     "pv": ("tolerance",),
@@ -209,10 +209,7 @@ def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
     if spec["kind"] == "builtin_sigma":
         return builtin_sigma_multiplier(lat)
     indices, values = _entries(spec.get("g_prime", []), "multiplier.g_prime")
-    g2 = spec.get("g_double_prime0")
     return user_multiplier(lat, values, indices=indices,
-                           g_double_prime0=None if g2 is None
-                           else _complex_of(g2, "multiplier.g_double_prime0"),
                            weighted=_flag(spec, "weighted", "multiplier.weighted"))
 
 
@@ -438,17 +435,14 @@ def cmd_op_norm(args, job: dict) -> tuple:
         raise SchemaError(f"sizes: the smallest, {min(sizes)}, gives a "
                           f"one-point section; the growth ratio needs two points")
     p = _parse_p(job)
-    # only M(N) reads N; without one it is the smallest N > 1/t.  The
-    # effective t never exceeds min(1 - T_FIT_SLACK, gamma/2), so a given N
-    # that fails N > 1/bound fails N > 1/t, and no fit is needed to say so
+    # only M(N) reads N; without one it is the smallest N > 1/t
     N = 2
-    if op == "M" and "N" not in job:
-        N = choose_N(cached_t(w))
-    elif op == "M":
-        N, t_max = job["N"], min(1.0 - T_FIT_SLACK, w.gamma / 2.0)
-        if type(N) is not int or _number(N, "N") <= 1.0 / t_max:
+    if op == "M":
+        t = estimate_t(w)
+        N = job.get("N", choose_N(t))
+        if type(N) is not int or _number(N, "N") <= 1.0 / t:
             raise SchemaError(f"op-norm: M(N) needs an integer N > 1/t, and "
-                              f"t <= {t_max:g} for this weight; N = {N!r}")
+                              f"t = {t:g} for this weight; N = {N!r}")
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
     return {"op": rep.op, "p": "inf" if math.isinf(p) else p,
             "sizes": list(rep.sizes), "norms": list(rep.norms),

@@ -154,13 +154,14 @@ class Interpolant:
 
 def w0_from(f: Callable, m: Multiplier) -> complex:
     """Free parameter of the p = inf representation for a concrete f:
-    w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)).
+    w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)), for the builtin sigma, whose
+    oddness makes g''(0) = 0.
 
     f'(0) comes from Richardson-extrapolated central differences with step
     h = 1e-5 * rho(0); the extrapolation at two step sizes must agree
-    or NumericalError is raised.  g''(0) must be known (0 for the builtin
-    sigma by oddness); user tables without it cannot use this helper."""
-    if m.g_double_prime0 is None:
+    or NumericalError is raised.  A user table carries no g''(0), so it
+    raises NumericalError: its w0 stays a free parameter."""
+    if m.source != "builtin_sigma":
         raise NumericalError("g''(0) unknown: w0 must be treated as a free "
                              "parameter for this multiplier")
     h = 1e-5 * float(m.lattice.rho_values[0])
@@ -176,8 +177,7 @@ def w0_from(f: Callable, m: Multiplier) -> complex:
     if abs(r1 - r2) > 1e-5 * scale:
         raise NumericalError(
             f"derivative estimate unstable: {abs(r1 - r2) / scale:.2e} relative")
-    g1 = m.g_prime(0)
-    return r2 / g1 - complex(m.g_double_prime0) / (2.0 * g1)
+    return r2 / m.g_prime(0)
 
 
 def verify_interpolation(I: Interpolant,

@@ -33,7 +33,6 @@ lattice, `lattice.weight`.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -111,12 +110,10 @@ class Multiplier:
     through g'(lambda).
     """
 
-    def __init__(self, lattice: Lattice, source: str, _gw: np.ndarray,
-                 g_double_prime0: Optional[complex] = None):
+    def __init__(self, lattice: Lattice, source: str, _gw: np.ndarray):
         self.lattice = lattice
         self.source = source                     # "builtin_sigma" | "user_table"
         self._gw = _gw                           # weighted g' per index
-        self.g_double_prime0 = g_double_prime0
 
     @property
     def weight(self) -> WeightProfile:
@@ -168,13 +165,11 @@ def builtin_sigma_multiplier(lat: Lattice) -> Multiplier:
     _require_sigma_lattice(lat)
     parity = _nearest(lat.points)[3]
     return Multiplier(lattice=lat, source="builtin_sigma",
-                      _gw=(1.0 - 2.0 * parity).astype(complex),
-                      g_double_prime0=0.0)
+                      _gw=(1.0 - 2.0 * parity).astype(complex))
 
 
-def user_multiplier(lat: Lattice, g_prime_table,
-                    g_double_prime0: Optional[complex] = None,
-                    weighted: bool = False, indices=None) -> Multiplier:
+def user_multiplier(lat: Lattice, g_prime_table, weighted: bool = False,
+                    indices=None) -> Multiplier:
     """Wrap externally supplied multiplier data.
 
     g_prime_table gives g'(lambda) for every lattice index (raw, or already
@@ -193,5 +188,4 @@ def user_multiplier(lat: Lattice, g_prime_table,
         raise SchemaError("g' table contains zero entries (zeros must be simple)")
     if not weighted:
         vals = vals * np.exp(-phi(lat.weight, lat.points))
-    return Multiplier(lattice=lat, source="user_table", _gw=vals,
-                      g_double_prime0=g_double_prime0)
+    return Multiplier(lattice=lat, source="user_table", _gw=vals)

@@ -326,8 +326,11 @@ class _SquareGrid:
         rows, spec = self._work
         rows[:, :2 * M + 1] = x
         rows[:, 2 * M + 1:] = 0.0
-        np.fft.fft(rows, axis=1, out=rows)
-        np.fft.fft(rows, n=n, axis=0, out=spec)
+        # the row transforms fill the top of spec, zero-padded below, and
+        # the column transform runs in place
+        np.fft.fft(rows, axis=1, out=spec[:2 * M + 1])
+        spec[2 * M + 1:] = 0.0
+        np.fft.fft(spec, axis=0, out=spec)
         # the rounding of a complex product (its fused multiply-adds)
         # depends on the operand order; this is numpy's order for
         # kf * spectrum, which from 256 KiB multiplies into the temporary

@@ -6,8 +6,9 @@ measure mu, and rho(z) is the radius normalised by mu(D(z, rho(z))) = 1.
 Everything downstream (separation, cells, transform weights, trace
 conditions) is phrased in terms of rho.
 
-The module also hosts the two empirical probes attached to a weight: the
-Muckenhoupt disc-ratio probe for rho^(p-2) and the doubling-exponent fit.
+The module also hosts what the trace conditions read off a weight: the
+Muckenhoupt disc-ratio probe for rho^(p-2) and the closed-form doubling
+exponent.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import NumericalError, SchemaError
 __all__ = [
     "WeightProfile",
     "ApReport",
-    "DoublingExponent",
     "classical_weight",
     "power_weight",
     "c_gamma_for_rho_origin",
@@ -35,8 +35,6 @@ __all__ = [
     "loglog_fit",
     "estimate_t",
     "quasirandom",
-    "default_t_pairs",
-    "effective_t",
     "choose_N",
 ]
 
@@ -51,13 +49,7 @@ _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
 # discs per array expression: 16 x 864 nodes (both psi rules) make 110 KB per
 # density temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
 _CHUNK = 16
-# the doubling-exponent fit: T_PAIRS sampled pairs spread over T_SPAN rho(0),
-# T_BINS envelope bins over the top T_WINDOW_DECADES decades, and t_fit kept
-# T_FIT_SLACK inside (0, 1)
-T_PAIRS = 20000
-T_SPAN = 1e4
-T_BINS = 28
-T_WINDOW_DECADES = 2.0
+# the doubling exponent is kept T_FIT_SLACK below 1 (estimate_t)
 T_FIT_SLACK = 0.02
 # ap_probe's largest fitted slope that still reads as A_p
 AP_EXPONENT_TOLERANCE = 0.05
@@ -65,7 +57,7 @@ AP_EXPONENT_TOLERANCE = 0.05
 
 class WeightProfile:
     """Description of the weight phi; treat it as immutable, since equal
-    profiles share cache entries (`classifier.cached_t`).
+    profiles share cache entries (`classifier.cached_ap`).
 
     kind "classical" behaves identically to kind "power" with gamma=2,
     c_gamma=1; rho_origin caches rho(0) and is derived, never passed.
@@ -478,26 +470,36 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
 # Doubling exponent
 # ---------------------------------------------------------------------------
 
-class DoublingExponent(NamedTuple):
-    """Empirical exponent t in rho(z)/rho(zeta) <= C (|z-zeta|/rho(zeta))^(1-t).
+def estimate_t(w: WeightProfile) -> float:
+    """The doubling exponent t of the weight: the largest t in (0, 1) with
 
-    t_fit comes from an envelope regression over sampled pairs; t_bound is
-    the analytic bound gamma/2 available for power weights.  The effective
-    value used for choosing the transform order is min(t_fit, t_bound).
-    sample_count == 0 marks the closed form of the classical weight, whose
-    constant rho makes every sampled log-ratio 0.
+        rho(z)/rho(zeta) <= C (|z - zeta|/rho(zeta))^(1 - t),
+
+    kept T_FIT_SLACK below 1, as min(gamma/2, 2/gamma, 1 - T_FIT_SLACK).
+
+    For phi = C|z|^gamma, rho is about rho(0) near the origin and behaves
+    like |z|^(1 - gamma/2) at infinity.  For gamma < 2 the ratio is largest with
+    zeta near the origin and |z| = a large, where it grows like
+    (a/rho(0))^(1 - gamma/2), so t = gamma/2.  For gamma > 2 rho falls, the
+    ratio is largest with z near the origin and |zeta| = a large, where it
+    grows like a^(gamma/2 - 1) and |z - zeta|/rho(zeta) like a^(gamma/2),
+    so 1 - t = (gamma/2 - 1)/(gamma/2) and t = 2/gamma.  The classical
+    weight (rho constant, gamma = 2) takes the slack: t = 0.98.  No rho is
+    evaluated.
     """
-
-    t_fit: float
-    t_bound: Optional[float]
-    sample_count: int
+    return min(w.gamma / 2.0, 2.0 / w.gamma, 1.0 - T_FIT_SLACK)
 
 
-def effective_t(t: DoublingExponent) -> float:
-    if t.t_bound is None:
-        return t.t_fit
-    return min(t.t_fit, t.t_bound)
+def choose_N(t: float) -> int:
+    """Smallest integer strictly greater than 1/t (t = the doubling exponent)."""
+    if not (0.0 < t < 1.0):
+        raise ValueError("the doubling exponent t must lie in (0, 1)")
+    return math.floor(1.0 / t) + 1
 
+
+# ---------------------------------------------------------------------------
+# Sampler
+# ---------------------------------------------------------------------------
 
 def quasirandom(count: int, offset: int = 0) -> np.ndarray:
     """Points k = offset + 1 .. offset + count of the additive R_6 sequence
@@ -506,75 +508,3 @@ def quasirandom(count: int, offset: int = 0) -> np.ndarray:
     2018): the package's one sampler, as a (count x 6) array."""
     alpha = 1.1127756842787055 ** -np.arange(1.0, 7.0)
     return (0.5 + np.arange(offset + 1, offset + count + 1)[:, None] * alpha) % 1.0
-
-
-def default_t_pairs(w: WeightProfile):
-    """Pairs (z, zeta) with zeta outside D(z): a log-uniform sweep of |z|
-    against small |zeta| (which traces the envelope for radial weights),
-    then pairs spread over every scale for coverage.
-
-    The sample is fixed: point k of `quasirandom` gives pair k its |z|, the
-    small |zeta| of the sweep or the far |zeta| and its span, and both
-    arguments."""
-    u = quasirandom(T_PAIRS)
-    r0, top = w.rho_origin, math.log10(T_SPAN)
-    n1 = T_PAIRS // 2
-    sweep, spread = u[:n1], u[n1:]
-    z = r0 * 10.0 ** np.concatenate([0.3 + (top - 0.3) * sweep[:, 0],
-                                     top * spread[:, 0]])
-    zeta = r0 * np.concatenate([0.5 * sweep[:, 1],
-                                10.0 ** (top * (0.2 + 0.8 * spread[:, 3])
-                                         * spread[:, 2])])
-    return (z * np.exp(2j * math.pi * u[:, 4]),
-            zeta * np.exp(2j * math.pi * u[:, 5]))
-
-
-def estimate_t(w: WeightProfile, pairs=None) -> DoublingExponent:
-    """Fit the doubling exponent from the ratio envelope.
-
-    Pairs violating |z - zeta| > rho(z) are dropped.  log(rho(z)/rho(zeta))
-    is binned (T_BINS bins) against log(|z-zeta|/rho(zeta)); the per-bin
-    maxima over the top T_WINDOW_DECADES decades (the asymptotic regime --
-    small-separation pairs still feel the rho(0) plateau of power weights)
-    are fit by least squares, and t_fit = 1 - slope, clamped into
-    [T_FIT_SLACK, 1 - T_FIT_SLACK].
-    Requires at least two decades of spread in |z-zeta|/rho(zeta).
-    Without `pairs` the classical weight takes its closed form (slope 0).
-    """
-    if pairs is None and w.kind == "classical":
-        return DoublingExponent(t_fit=1.0 - T_FIT_SLACK, t_bound=None,
-                                sample_count=0)
-    z, zeta = default_t_pairs(w) if pairs is None else pairs
-    z, zeta = np.asarray(z, dtype=complex), np.asarray(zeta, dtype=complex)
-    rz = rho_many(w, z)
-    rzeta = rho_many(w, zeta)
-    sep = np.abs(z - zeta)
-    keep = sep > rz
-    if keep.sum() < 16:
-        raise ValueError("insufficient admissible pairs (need zeta outside D(z))")
-    x = np.log10(sep[keep] / rzeta[keep])
-    y = np.log10(rz[keep] / rzeta[keep])
-    if x.max() - x.min() < 2.0:
-        raise ValueError("insufficient sample spread: need >= 2 decades of "
-                         "|z-zeta|/rho(zeta)")
-    lo = x.max() - T_WINDOW_DECADES
-    inwin = x >= lo
-    edges = np.linspace(lo, x.max(), T_BINS + 1)
-    idx = np.clip(np.digitize(x[inwin], edges) - 1, 0, T_BINS - 1)
-    by = np.full(T_BINS, -np.inf)
-    np.maximum.at(by, idx, y[inwin])
-    hit = np.bincount(idx, minlength=T_BINS) > 0
-    bx = 0.5 * (edges[:-1] + edges[1:])
-    slope = float(np.polyfit(bx[hit], by[hit], 1)[0])
-    t_fit = min(max(1.0 - slope, T_FIT_SLACK), 1.0 - T_FIT_SLACK)
-    t_bound = None if w.kind == "classical" else w.gamma / 2.0
-    return DoublingExponent(t_fit=t_fit, t_bound=t_bound,
-                            sample_count=int(keep.sum()))
-
-
-def choose_N(t: DoublingExponent) -> int:
-    """Smallest integer strictly greater than 1/t (t = effective exponent)."""
-    te = effective_t(t)
-    if not (0.0 < te < 1.0):
-        raise ValueError("effective t must lie in (0, 1)")
-    return math.floor(1.0 / te) + 1

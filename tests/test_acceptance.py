@@ -81,7 +81,7 @@ class TestAcceptance:
     def test_criterion_8_branch_logic(self):
         res = _run(8)
         assert res.passed, res.details
-        assert res.details["t_fit_classical"] == 0.98
+        assert res.details["t_classical"] == 0.98
 
     def test_criterion_9_round_trip_residuals(self):
         res = _run(9)

@@ -226,6 +226,28 @@ class TestBranchSelection:
         assert br.condition_ids == ("inf_a", "inf_b", "inf_c(2)")
         assert br.n_max == 2
 
+    @pytest.mark.parametrize("gamma, N", [(4.0, 3), (5.0, 3), (8.0, 5)])
+    def test_steep_power_weights_take_the_higher_orders(self, gamma, N):
+        # t = 2/gamma <= 1/2: orders up to the smallest N > gamma/2
+        pw = power_weight(gamma, c_gamma=1.0)
+        br = select_branch(3.0, pw)
+        assert br.t_effective == 2.0 / gamma and br.n_max == N and br.is_ap is None
+        assert br.condition_ids == ("a",) + tuple(f"bprime({n})" for n in range(1, N + 1))
+        br = select_branch(math.inf, pw)
+        assert br.n_max == N
+        assert br.condition_ids == ("inf_a", "inf_b") + tuple(
+            f"inf_c({n})" for n in range(2, N + 1))
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0])
+    def test_moderately_steep_power_weights_keep_the_ap_branch(self, gamma):
+        # t = 2/gamma > 1/2
+        pw = power_weight(gamma, c_gamma=1.0)
+        br = select_branch(3.0, pw)
+        assert br.t_effective == 2.0 / gamma and br.n_max is None
+        assert br.is_ap is not None and br.condition_ids[:2] == ("a", "b")
+        br = select_branch(math.inf, pw)
+        assert br.n_max == 2 and br.condition_ids == ("inf_a", "inf_b", "inf_c(2)")
+
 
 class TestClassify:
     def test_gaussian_sup_norm_bounded_small_lattice(self, mult16):

@@ -665,27 +665,23 @@ class TestOtherCommands:
         assert rc == 0
         assert rep["results"]["growth_ratio"] < 1.05
 
-    def test_op_norm_fits_t_only_for_m_without_n(self, tmp_path, monkeypatch):
-        # B and L never read N; M(N) without one takes the smallest N > 1/t
-        import focklattice.classifier as classifier
-        fits = []
-
-        def counting_estimate_t(w, *args):
-            fits.append(w)
-            return estimate_t(w, *args)
-
-        estimate_t = classifier.estimate_t
-        monkeypatch.setattr(classifier, "estimate_t", counting_estimate_t)
-        classifier.cached_t.cache_clear()
+    def test_op_norm_reads_t_only_for_m(self, tmp_path, monkeypatch):
+        # B and L never read N; M(N) checks a given N > 1/t, and without
+        # one takes the smallest N > 1/t
+        reads = []
+        estimate_t = cli.estimate_t
+        monkeypatch.setattr(cli, "estimate_t",
+                            lambda w: reads.append(w) or estimate_t(w))
         power = {"kind": "power", "gamma": 0.5, "rho_origin": 2.0}
-        for op, extra in (("B", {}), ("L", {}), ("M", {"N": 5})):
-            job = {"weight": power, "op": op, "p": 2, "sizes": [20, 60], **extra}
+        for op in ("B", "L"):
+            job = {"weight": power, "op": op, "p": 2, "sizes": [20, 60]}
             assert run(tmp_path, job, "op-norm")[0] == 0, op
-        assert fits == []
-        job = {"weight": power, "op": "M", "p": 2, "sizes": [20, 60]}
-        rc, rep = run(tmp_path, job, "op-norm")
-        assert rc == 0 and rep["results"]["op"] == "M(5)" and len(fits) == 1
-        classifier.cached_t.cache_clear()
+        assert reads == []
+        for extra in ({"N": 5}, {}):
+            job = {"weight": power, "op": "M", "p": 2, "sizes": [20, 60], **extra}
+            rc, rep = run(tmp_path, job, "op-norm")
+            assert rc == 0 and rep["results"]["op"] == "M(5)"
+        assert len(reads) == 2
 
     @pytest.mark.parametrize("weight, N, rc", [
         ({"kind": "classical"}, 0, 2),
@@ -694,10 +690,13 @@ class TestOtherCommands:
         ({"kind": "classical"}, 2.5, 2),
         ({"kind": "classical"}, 2, 0),
         ({"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, 4, 2),
-        ({"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, 5, 0)])
+        ({"kind": "power", "gamma": 0.5, "rho_origin": 2.0}, 5, 0),
+        ({"kind": "power", "gamma": 5.0, "c_gamma": 1.0}, 2, 2),
+        ({"kind": "power", "gamma": 5.0, "c_gamma": 1.0}, 3, 0)])
     def test_op_norm_m_order_must_exceed_one_over_t(self, tmp_path, capsys,
                                                      weight, N, rc):
-        # t <= min(1 - T_FIT_SLACK, gamma/2): 0.98 classical, 0.25 at gamma 0.5
+        # t = min(gamma/2, 2/gamma, 0.98): 0.98 classical, 0.25 at gamma
+        # 0.5, 0.4 at gamma 5
         job = {"weight": weight, "op": "M", "p": 1, "sizes": [20], "N": N}
         got, rep = run(tmp_path, job, "op-norm")
         assert got == rc
@@ -824,8 +823,7 @@ class TestRawInputs:
                     "multiplier": {"kind": "user_table", "weighted": True,
                                    "g_prime": self.entries(gw)}}
         raw = dict(weighted, multiplier={"kind": "user_table",
-                                         "g_prime": self.entries(gw * e_phi),
-                                         "g_double_prime0": [0.5, -0.25]})
+                                         "g_prime": self.entries(gw * e_phi)})
         for job, twin in (
                 (dict(raw, values={"kind": "list", "items": self.entries(cw * e_phi)}),
                  dict(weighted, values={"kind": "list", "weighted": True,
@@ -873,8 +871,8 @@ class TestJobKeys:
                     assert self.misspelt(name) not in (*sub, "kind")
                     jobs.append((f"{key}.{self.misspelt(name)}",
                                  {key: {**head, self.misspelt(name): 1}}))
-        # 14 top-level keys and 15 section keys
-        assert len(jobs) == 29
+        # 14 top-level keys and 14 section keys
+        assert len(jobs) == 28
         for path, job in jobs:
             rc, rep = run(tmp_path, job, "trace-check")
             assert rc == 2 and rep is None, path
@@ -890,6 +888,15 @@ class TestJobKeys:
         assert rc == 2 and rep is None
         assert capsys.readouterr().err == ("schema error: no command reads 'wieght', "
                                            "'values.weigthed', 'pv.tolerence'\n")
+
+    def test_retired_g_double_prime0_is_schema_error(self, tmp_path, capsys):
+        # g''(0) of a user table changed no command's output
+        job = dict(self.FULL, multiplier={"kind": "user_table", "g_prime": [],
+                                          "g_double_prime0": [0.5, -0.25]})
+        rc, rep = run(tmp_path, job, "trace-check")
+        assert rc == 2 and rep is None
+        assert capsys.readouterr().err == ("schema error: no command reads "
+                                           "'multiplier.g_double_prime0'\n")
 
     @pytest.mark.parametrize("section, spec, message", [
         ("weight", {"kind": "classical", "gamma": 0.5}, "'weight.gamma'"),

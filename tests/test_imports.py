@@ -1,10 +1,10 @@
 """CLI jobs run on numpy alone: square lattices with classical and power
 weights (the rho table and its spline are numpy code) and explicit
 lattices (the nearest-point search is numpy code).  No job draws random
-numbers: the doubling-exponent fit and the op-norm start vector read the
-fixed quasirandom sample, so no job loads numpy.random (nor the `secrets`
-and OpenSSL `_hashlib` modules it pulls in).  No job loads `dataclasses`
-(the records are named tuples and plain classes) or
+numbers: the op-norm start vector reads the fixed quasirandom sample, and
+the doubling exponent is closed form, so no job loads numpy.random (nor
+the `secrets` and OpenSSL `_hashlib` modules it pulls in).  No job loads
+`dataclasses` (the records are named tuples and plain classes) or
 `focklattice.acceptance` (only its own command imports it)."""
 
 import json
@@ -18,7 +18,7 @@ import pytest
 
 import focklattice
 from focklattice import WeightProfile, power_weight
-from focklattice.classifier import cached_t
+from focklattice.classifier import _cached_ap, cached_ap
 from focklattice.errors import SchemaError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(focklattice.__file__)))
@@ -133,8 +133,7 @@ def test_classical_trace_jobs_do_not_import_numpy_random(jobs):
 
 
 def test_power_weight_jobs_do_not_import_numpy_random(jobs):
-    # the power-weight trace-check at p = 3 fits its doubling exponent on
-    # the fixed quasirandom sample
+    # the power-weight trace-check at p = 3
     assert jobs["random_after_power"] is False
 
 
@@ -173,14 +172,14 @@ def test_loader_sees_scipy_when_it_loads(jobs):
     assert "scipy.spatial" in jobs["after_control"]
 
 
-def test_equal_weight_profiles_share_one_cached_t_entry():
+def test_equal_weight_profiles_share_one_cached_ap_entry():
     a = power_weight(0.5, rho_origin=2.0)
     b = WeightProfile(kind="power", gamma=0.5, c_gamma=a.c_gamma)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != power_weight(0.5, rho_origin=3.0)
-    cached_t.cache_clear()
-    assert cached_t(a) is cached_t(b)
-    assert cached_t.cache_info().currsize == 1
+    _cached_ap.cache_clear()
+    assert cached_ap(a, 3.0) is cached_ap(b, 3.0)
+    assert _cached_ap.cache_info().currsize == 1
 
 
 def test_bad_weight_profiles_still_raise():

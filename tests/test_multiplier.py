@@ -238,12 +238,11 @@ class TestUserMultiplier:
             um.log_g(0.3 + 0.2j)
 
     def test_ops_depend_on_g_only_through_gprime(self, lat12, mult12):
-        table = mult12.g_prime_weighted()
-        um1 = user_multiplier(lat12, table, weighted=True)
-        um2 = user_multiplier(lat12, table, weighted=True,
-                              g_double_prime0=3.0 - 2.0j)
-        da = TraceData.gaussian(um1, 2.0, 0.2 + 0.1j)
-        db = TraceData.gaussian(um2, 2.0, 0.2 + 0.1j)
+        # a user table of sigma's g' decides as sigma itself, which also
+        # carries log_g
+        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
+        da = TraceData.gaussian(um, 2.0, 0.2 + 0.1j)
+        db = TraceData.gaussian(mult12, 2.0, 0.2 + 0.1j)
         ra, rb = condition(da, "b"), condition(db, "b")
         assert np.allclose(np.asarray(ra.partial_trajectory),
                            np.asarray(rb.partial_trajectory), rtol=0)

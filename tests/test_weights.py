@@ -5,13 +5,11 @@ import pytest
 
 from focklattice import (NumericalError, WeightProfile, ap_probe,
                          c_gamma_for_rho_origin, choose_N, classical_weight,
-                         default_ap_radii, effective_t, estimate_t,
-                         mu_disc_many, phi, power_weight, rho_many)
+                         default_ap_radii, estimate_t, mu_disc_many, phi,
+                         power_weight, rho_many)
 from focklattice import weights
-from focklattice.weights import (T_BINS, T_FIT_SLACK, T_WINDOW_DECADES,
-                                 DoublingExponent, _check_refinement,
-                                 _not_a_knot_spline, _unit_rho_table,
-                                 default_t_pairs)
+from focklattice.weights import (T_FIT_SLACK, _check_refinement,
+                                 _not_a_knot_spline, _unit_rho_table)
 from oracles import rho_bisection
 
 
@@ -350,79 +348,83 @@ class TestApProbe:
             ap_probe(power_weight(5.0, rho_origin=2.0), 4.0 / 3.0, radii)
 
 
-def _loop_t_fit(w, nbins=T_BINS, fit_slack=T_FIT_SLACK,
-                window_decades=T_WINDOW_DECADES):
-    """estimate_t's slope fit as a per-bin loop over the default sample."""
-    z, zeta = default_t_pairs(w)
-    rz, rzeta = rho_many(w, z), rho_many(w, zeta)
-    sep = np.abs(z - zeta)
-    keep = sep > rz
-    x = np.log10(sep[keep] / rzeta[keep])
-    y = np.log10(rz[keep] / rzeta[keep])
-    lo = x.max() - max(window_decades, 2.0)
-    inwin = x >= lo
-    edges = np.linspace(lo, x.max(), nbins + 1)
-    idx = np.clip(np.digitize(x[inwin], edges) - 1, 0, nbins - 1)
-    bx, by = [], []
-    for b in range(nbins):
-        m = idx == b
-        if m.any():
-            bx.append(0.5 * (edges[b] + edges[b + 1]))
-            by.append(y[inwin][m].max())
-    slope = float(np.polyfit(np.asarray(bx), np.asarray(by), 1)[0])
-    return min(max(1.0 - slope, fit_slack), 1.0 - fit_slack)
+def _oracle_slopes(gamma, lo, hi):
+    """Least-squares slopes of log(rho(z)/rho(zeta)) against
+    log(|z - zeta|/rho(zeta)), rho from `rho_many`, over |z| or |zeta| = a
+    from lo to hi times rho(0), the other point at 0.01 rho(0): the
+    families that trace the envelope for a rising and a falling rho."""
+    w = power_weight(gamma, rho_origin=2.0)
+    a = w.rho_origin * np.geomspace(lo, hi, 41)
+    near = np.full(a.shape, 0.01 * w.rho_origin + 0j)
+    out = []
+    for z, zeta in ((a * np.exp(0.3j), near), (near, a * np.exp(0.7j))):
+        rz, rzeta = rho_many(w, z), rho_many(w, zeta)
+        x, y = np.log(np.abs(z - zeta) / rzeta), np.log(rz / rzeta)
+        out.append(np.polyfit(x, y, 1)[0])
+    return out
 
 
 class TestDoublingExponent:
+    """t = min(gamma/2, 2/gamma, 1 - T_FIT_SLACK), in closed form."""
+
     def test_classical_near_one(self):
-        t = estimate_t(classical_weight())
-        assert t.t_fit >= 0.9
-        assert t.t_bound is None
+        assert estimate_t(classical_weight()) == 1.0 - T_FIT_SLACK == 0.98
 
     def test_classical_closed_form_matches_sampled_fit(self):
-        w = classical_weight()
-        closed = estimate_t(w)
-        fitted = estimate_t(w, default_t_pairs(w))
-        assert closed.sample_count == 0 and fitted.sample_count > 0
-        assert closed.t_fit == fitted.t_fit == 0.98
-        assert closed.t_bound is fitted.t_bound is None
+        # rho is constant, so every sampled log-ratio is 0: slope 0, and t
+        # takes the slack
+        z = 10.0 ** np.linspace(0.0, 4.0, 20) * np.exp(0.4j)
+        ratio = rho_many(classical_weight(), z) / rho_many(classical_weight(), 0.01)
+        assert np.all(ratio == 1.0)
+        assert estimate_t(classical_weight()) == 1.0 - T_FIT_SLACK
 
-    def test_power_gamma2_is_still_fitted(self):
-        t = estimate_t(power_weight(2.0, c_gamma=1.0))
-        assert t.sample_count > 0
-        assert t.t_bound == 1.0
-
-    @pytest.mark.parametrize("gamma", [0.5, 1.0])
-    def test_bin_maxima_match_loop(self, gamma):
-        w = power_weight(gamma, rho_origin=2.0)
-        assert estimate_t(w).t_fit == _loop_t_fit(w)
+    def test_power_gamma2_takes_the_classical_t(self):
+        assert estimate_t(power_weight(2.0, c_gamma=1.0)) == 0.98
+        assert estimate_t(power_weight(2.0, c_gamma=5.0)) == 0.98
 
     def test_gamma1_at_most_half(self):
-        t = estimate_t(power_weight(1.0, rho_origin=2.0))
-        assert t.t_fit <= 0.5 + 2 * T_FIT_SLACK
-        assert t.t_bound == 0.5
+        assert estimate_t(power_weight(1.0, rho_origin=2.0)) == 0.5
 
     def test_gamma_half_bound(self):
-        t = estimate_t(power_weight(0.5, rho_origin=2.0))
-        assert t.t_bound == 0.25
-        assert 0.2 < effective_t(t) <= 0.25
-        assert t.t_fit <= t.t_bound + T_FIT_SLACK
+        assert estimate_t(power_weight(0.5, rho_origin=2.0)) == 0.25
 
-    def test_insufficient_spread_raises(self):
-        w = classical_weight()
-        z = np.full(100, 5.0 + 0j)
-        zeta = np.zeros(100, dtype=complex)
-        with pytest.raises(ValueError):
-            estimate_t(w, (z, zeta))
+    def test_reads_no_rho(self, monkeypatch):
+        monkeypatch.setattr(weights, "_rho_radial", None)
+        assert estimate_t(power_weight(5.0, rho_origin=2.0)) == 0.4
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.5, 3.0, 5.0, 8.0])
+    def test_matches_the_envelope_slope_of_rho(self, gamma):
+        # the larger slope of the two families, over 1e2 to 1e4 rho(0)
+        t = estimate_t(power_weight(gamma, rho_origin=2.0))
+        assert max(_oracle_slopes(gamma, 1e2, 1e4)) == pytest.approx(1.0 - t, abs=1e-3)
+
+    def test_gamma_half_slope_falls_to_one_minus_t(self):
+        # rising rho: the zeta = 0.01 rho(0) family; its slope falls to
+        # 1 - gamma/2 = 0.75 from above
+        t = estimate_t(power_weight(0.5, rho_origin=2.0))
+        near = _oracle_slopes(0.5, 1e2, 1e4)[0]
+        far = _oracle_slopes(0.5, 1e4, 1e6)[0]
+        assert near > far > 1.0 - t
+        assert near == pytest.approx(0.761, abs=1e-3)
+        assert far == pytest.approx(1.0 - t, abs=2e-3)
 
 
 class TestChooseN:
     @pytest.mark.parametrize("t,expected", [(0.6, 2), (0.5, 3), (0.25, 5)])
     def test_values(self, t, expected):
-        d = DoublingExponent(t_fit=t, t_bound=None, sample_count=1)
-        assert choose_N(d) == expected
+        assert choose_N(t) == expected
 
     def test_prefers_analytic_bound(self):
-        d = DoublingExponent(t_fit=0.21, t_bound=0.25, sample_count=1)
-        # effective t = min(fit, bound) = 0.21 -> N = 5
-        assert choose_N(d) == 5
+        # t = gamma/2 = 0.25 -> N = 5
+        assert choose_N(estimate_t(power_weight(0.5, rho_origin=2.0))) == 5
+
+    @pytest.mark.parametrize("gamma,expected", [(1.0, 3), (2.0 / 3.0, 4), (6.0, 4),
+                                                (8.0, 5)])
+    def test_exact_where_one_over_t_is_an_integer(self, gamma, expected):
+        # 1/t = 2, 3, 3 and 4: N is the next integer, not 1/t itself
+        assert choose_N(estimate_t(power_weight(gamma, c_gamma=1.0))) == expected
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -0.5])
+    def test_t_outside_the_open_unit_interval(self, t):
+        with pytest.raises(ValueError):
+            choose_N(t)
