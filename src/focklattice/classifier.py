@@ -7,7 +7,8 @@ lattice, and the weight it carries, are the multiplier's):
     p = 1        size condition (a) plus absolutely convergent Cauchy (b)
                  and rho-weighted second-order (c) sums;
     p = 2        (a) and the p.v. Cauchy condition (b);
-    1 < p < 2    (a), (b), plus (c) when rho^(p-2) fails the A_p probe;
+    1 < p < 2    (a), (b), plus (c) when rho^(p-2) is not A_p, read in
+                 closed form from the power its growth follows (`ap_range`);
     2 < p < inf  as above while the doubling exponent t exceeds 1/2,
                  otherwise (a) plus the higher-order family (b') up to the
                  smallest integer N > 1/t;
@@ -27,7 +28,6 @@ names the conditions by id, and `condition(data, cid)` evaluates any id.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -36,8 +36,10 @@ from .lattice import Lattice, shells_for
 from .multiplier import Multiplier
 from .transforms import (OUTER_GUARD_FRACTION, PV_RTOL, _sequence,
                          batch_higher, batch_modified_inf)
-from .weights import (ApReport, WeightProfile, ap_probe, choose_N,
-                      default_ap_radii, estimate_t, loglog_fit, phi)
+# ap_probe is unused here, but perfbench's tracer wraps it under this
+# module's name (focklattice.classifier:ap_probe) and cannot install without it
+from .weights import (WeightProfile, ap_probe, ap_range, choose_N, estimate_t,
+                      loglog_fit, phi)
 
 __all__ = [
     "TraceData",
@@ -283,7 +285,8 @@ def condition(data: TraceData, cid: str,
 
 
 class BranchInfo(NamedTuple):
-    """Which regime of the characterisation applied."""
+    """Which regime of the characterisation applied; on the A_p branch
+    `ap_margin` holds the (beta, lo, hi) of `ap_range` its verdict read."""
 
     case: str                  # "p=1" | "p=2" | "1<p<2" | "2<p<inf" | "p=inf"
     p: float
@@ -291,6 +294,7 @@ class BranchInfo(NamedTuple):
     t_effective: Optional[float]
     n_max: Optional[int]
     condition_ids: Tuple[str, ...]
+    ap_margin: Optional[Tuple[float, float, float]] = None
 
 
 class TraceVerdict(NamedTuple):
@@ -299,20 +303,12 @@ class TraceVerdict(NamedTuple):
     overall: str
 
 
-def cached_ap(w: WeightProfile, p: float) -> ApReport:
-    return _cached_ap(w, round(p, 12))
-
-
-@lru_cache(maxsize=16)
-def _cached_ap(w: WeightProfile, p: float) -> ApReport:
-    return ap_probe(w, p, default_ap_radii(w))
-
-
 def select_branch(p: float, w: WeightProfile) -> BranchInfo:
-    """Branch selection from p and the weight's A_p status (probed once per
-    weight and p, and cached) and doubling exponent t (`estimate_t`, closed
-    form): at 2 < p < inf the A_p branch while t > 1/2, else orders up to
-    N = `choose_N(t)`, the smallest integer above 1/t, as at p = inf."""
+    """Branch selection from p, the weight's A_p status and its doubling
+    exponent t, both closed form (`ap_range`, `estimate_t`): rho^(p-2) is
+    A_p when lo < beta < hi strictly, and at 2 < p < inf the A_p branch
+    holds while t > 1/2, else orders up to N = `choose_N(t)`, the smallest
+    integer above 1/t, as at p = inf."""
     if p == 1.0:
         return BranchInfo("p=1", p, None, None, None, ("a", "b", "c"))
     if p == 2.0:
@@ -322,16 +318,13 @@ def select_branch(p: float, w: WeightProfile) -> BranchInfo:
         N = choose_N(t)
         ids = ("inf_a", "inf_b") + tuple(f"inf_c({n})" for n in range(2, N + 1))
         return BranchInfo("p=inf", p, None, t, N, ids)
-    if 1.0 < p < 2.0:
-        ap = cached_ap(w, p)
-        ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
-        return BranchInfo("1<p<2", p, ap.is_ap, None, None, ids)
-    # 2 < p < inf
-    t = estimate_t(w)
-    if t > 0.5:
-        ap = cached_ap(w, p)
-        ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
-        return BranchInfo("2<p<inf", p, ap.is_ap, t, None, ids)
+    t = None if p < 2.0 else estimate_t(w)
+    if t is None or t > 0.5:
+        beta, lo, hi = ap_range(w, p)
+        is_ap = lo < beta < hi
+        ids = ("a", "b") if is_ap else ("a", "b", "c")
+        return BranchInfo("1<p<2" if t is None else "2<p<inf", p, is_ap, t, None,
+                          ids, (beta, lo, hi))
     N = choose_N(t)
     ids = ("a",) + tuple(f"bprime({n})" for n in range(1, N + 1))
     return BranchInfo("2<p<inf", p, None, t, N, ids)

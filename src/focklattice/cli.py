@@ -363,6 +363,10 @@ def cmd_trace_check(args, job: dict) -> tuple:
             for rep in verdict.reports
         ],
     }
+    if verdict.branch.ap_margin is not None:
+        # the A_p branch's margin: is_ap reads ap_range_lo < ap_beta < ap_range_hi
+        results["branch"].update(zip(("ap_beta", "ap_range_lo", "ap_range_hi"),
+                                     verdict.branch.ap_margin))
     return results, {"pv_rtol": rtol, "flatten_tol": FLATTEN_TOL,
                      "diverge_exponent": DIVERGE_MIN_EXPONENT, "diverge_r2": DIVERGE_MIN_R2,
                      "unconverged_max_share": UNCONVERGED_MAX_SHARE}

@@ -7,8 +7,8 @@ Everything downstream (separation, cells, transform weights, trace
 conditions) is phrased in terms of rho.
 
 The module also hosts what the trace conditions read off a weight: the
-Muckenhoupt disc-ratio probe for rho^(p-2) and the closed-form doubling
-exponent.
+closed-form A_p range of rho^(p-2), the Muckenhoupt disc-ratio probe that
+checks it, and the closed-form doubling exponent.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "phi",
     "mu_disc_many",
     "rho_many",
+    "ap_range",
     "ap_probe",
     "default_ap_radii",
     "loglog_fit",
@@ -49,15 +50,13 @@ _AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
 # discs per array expression: 16 x 864 nodes (both psi rules) make 110 KB per
 # density temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
 _CHUNK = 16
-# the doubling exponent is kept T_FIT_SLACK below 1 (estimate_t)
-T_FIT_SLACK = 0.02
 # ap_probe's largest fitted slope that still reads as A_p
 AP_EXPONENT_TOLERANCE = 0.05
 
 
 class WeightProfile:
-    """Description of the weight phi; treat it as immutable, since equal
-    profiles share cache entries (`classifier.cached_ap`).
+    """Description of the weight phi; treat it as immutable, since
+    rho_origin is derived from the other fields once.
 
     kind "classical" behaves identically to kind "power" with gamma=2,
     c_gamma=1; rho_origin caches rho(0) and is derived, never passed.
@@ -75,19 +74,9 @@ class WeightProfile:
         self.kind, self.gamma, self.c_gamma = kind, gamma, c_gamma
         self.rho_origin = (2.0 * math.pi * c_gamma * gamma) ** (-1.0 / gamma)
 
-    def _key(self) -> tuple:
-        return (self.kind, self.gamma, self.c_gamma)
-
-    def __eq__(self, other):
-        if other.__class__ is not WeightProfile:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
-        return "WeightProfile(kind=%r, gamma=%r, c_gamma=%r)" % self._key()
+        return (f"WeightProfile(kind={self.kind!r}, gamma={self.gamma!r}, "
+                f"c_gamma={self.c_gamma!r})")
 
     @property
     def is_classical_like(self) -> bool:
@@ -352,8 +341,19 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Muckenhoupt probe for rho^(p-2)
+# Muckenhoupt condition for rho^(p-2)
 # ---------------------------------------------------------------------------
+
+def ap_range(w: WeightProfile, p: float) -> tuple:
+    """(beta, lo, hi): rho^(p-2) behaves like (1 + |z|)^beta, beta = (1 -
+    gamma/2)(p - 2), as rho is about rho(0) near the origin and like
+    |z|^(1 - gamma/2) at infinity; such a weight is in A_p(R^2) exactly when
+    lo < beta < hi, lo = -2, hi = 2(p - 1) (Grafakos, Classical Fourier
+    Analysis, 7.1).  On an end of the range the disc ratio grows like log R,
+    outside it like R^e, e = dist(beta, [lo, hi])/p: the slope `ap_probe`
+    fits.  No rho is evaluated."""
+    return (1.0 - w.gamma / 2.0) * (p - 2.0), -2.0, 2.0 * (p - 1.0)
+
 
 class ApReport(NamedTuple):
     """Disc-ratio probe of the Muckenhoupt condition for rho^(p-2).
@@ -471,11 +471,11 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
 # ---------------------------------------------------------------------------
 
 def estimate_t(w: WeightProfile) -> float:
-    """The doubling exponent t of the weight: the largest t in (0, 1) with
+    """The doubling exponent t of the weight: the largest t in (0, 1] with
 
         rho(z)/rho(zeta) <= C (|z - zeta|/rho(zeta))^(1 - t),
 
-    kept T_FIT_SLACK below 1, as min(gamma/2, 2/gamma, 1 - T_FIT_SLACK).
+    as min(gamma/2, 2/gamma).
 
     For phi = C|z|^gamma, rho is about rho(0) near the origin and behaves
     like |z|^(1 - gamma/2) at infinity.  For gamma < 2 the ratio is largest with
@@ -484,16 +484,15 @@ def estimate_t(w: WeightProfile) -> float:
     ratio is largest with z near the origin and |zeta| = a large, where it
     grows like a^(gamma/2 - 1) and |z - zeta|/rho(zeta) like a^(gamma/2),
     so 1 - t = (gamma/2 - 1)/(gamma/2) and t = 2/gamma.  The classical
-    weight (rho constant, gamma = 2) takes the slack: t = 0.98.  No rho is
-    evaluated.
+    weight (rho constant, gamma = 2) has t = 1.  No rho is evaluated.
     """
-    return min(w.gamma / 2.0, 2.0 / w.gamma, 1.0 - T_FIT_SLACK)
+    return min(w.gamma / 2.0, 2.0 / w.gamma)
 
 
 def choose_N(t: float) -> int:
     """Smallest integer strictly greater than 1/t (t = the doubling exponent)."""
-    if not (0.0 < t < 1.0):
-        raise ValueError("the doubling exponent t must lie in (0, 1)")
+    if not (0.0 < t <= 1.0):
+        raise ValueError("the doubling exponent t must lie in (0, 1]")
     return math.floor(1.0 / t) + 1
 
 

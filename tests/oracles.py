@@ -15,6 +15,17 @@ Each is the plain dense form of what the program computes another way:
   the disc masses, which the program reads from a spline table
   (`weights.rho_many`).
 
+Two more are closed forms of whole-lattice quantities on the classical
+weight's lattice s(Z + iZ), s = sqrt(pi/2):
+
+* `b_norm_closed_form`: the l^2 norm of the whole-lattice B, the sup of
+  its symbol, which bounds every section the program probes
+  (`transforms.operator_norm_estimate`);
+* `gaussian_higher` and `gaussian_modified_inf`: the order-n and the
+  modified p = inf transforms of the Gaussian trace, from the Laurent
+  expansion of f/g, which the program sums over the lattice
+  (`transforms.batch_higher`, `transforms.batch_modified_inf`).
+
 None of them shares computing code with the program; they take from it
 only their inputs (the lattice, its shells, the multiplier, phi and the
 disc masses) and the window test's constants.
@@ -159,3 +170,55 @@ def rho_bisection(w, z):
         below = mu_disc_many(w, a, mid) < 1.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return (lo * np.sqrt(hi / lo)).reshape(np.shape(z))
+
+
+def b_norm_closed_form() -> float:
+    """||B||_2 on the whole classical lattice, the sup of the symbol
+    S(xi) = rho^2 sum' e^(i xi.lambda)/lambda^2, reached at xi = (pi/s, 0)
+    and (0, pi/s): summed row by row there, by the partial fractions
+    sum_m (-1)^m/(m + z)^2 = pi^2 cos(pi z)/sin^2(pi z), the rows n != 0
+    give -pi^2 cosh(pi n)/sinh^2(pi n) and the row n = 0 gives
+    -2 eta(2) = -pi^2/6, so
+
+        ||B||_2 = (rho^2/s^2) (pi^2/6 + 2 pi^2 sum_{n >= 1} cosh(pi n)/sinh^2(pi n))
+
+    with rho = (4 pi)^(-1/2), in mpmath at 30 digits: 0.1741504912."""
+    import mpmath
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        rows = mpmath.nsum(lambda n: mpmath.cosh(pi * n) / mpmath.sinh(pi * n) ** 2,
+                           [1, mpmath.inf])
+        rho2, s2 = 1 / (4 * pi), pi / 2
+        return float(rho2 / s2 * (pi ** 2 / 6 + 2 * pi ** 2 * rows))
+
+
+def gaussian_higher(lat, d, idx, w, n):
+    """S_n(lambda') = sum over lambda != lambda' of d_lambda/(lambda -
+    lambda')^n, on the whole square lattice of `lat`, for the trace
+    d = f/g' of f_w(z) = exp(2 conj(w) z - |w|^2), at lambda' =
+    points[idx], n = 1..4.
+
+    S_n is minus the coefficient of h^(n-1) in f/g at lambda' + h.  There
+    f(lambda' + h) = f(lambda') e^(2 conj(w) h) and g(lambda' + h) = g'(lambda')
+    e^(2 conj(lambda') h) sigma(h), sigma(h) = h - (g2/240) h^5 + ..., so
+    f/g = d_lambda' e^(2uh) (1/h + (g2/240) h^3 + ...), u = conj(w - lambda'):
+    S_n = -d_lambda' (2u)^n/n!, less d_lambda' g2/240 at n = 4."""
+    if not 1 <= n <= 4:
+        raise ValueError("the expansion is carried to n = 4")
+    u = np.conj(w - lat.points[idx])
+    out = -d[idx] * (2.0 * u) ** n / math.factorial(n)
+    # g2 = 60 sum' lambda^-4, with sum' (m + in)^-4 = Gamma(1/4)^8/(960 pi^2),
+    # the lemniscatic case (DLMF 23.5(iii))
+    g2 = math.gamma(0.25) ** 8 / (16.0 * math.pi ** 2 * lat.scale ** 4)
+    return out - d[idx] * g2 / 240.0 if n == 4 else out
+
+
+def gaussian_modified_inf(lat, d, idx, w):
+    """-d_0/lambda' + sum over lambda not in {0, lambda'} of d_lambda
+    (1/(lambda - lambda') - 1/lambda), on the whole lattice, for the trace
+    of `gaussian_higher`, at the nonzero lambda' = points[idx]: it is
+    S_1(lambda') - S_1(0) + d_lambda'/lambda', that is -2 d_lambda' u +
+    2 d_0 conj(w) + d_lambda'/lambda'.  The lattice lists the origin
+    first."""
+    lam = lat.points[idx]
+    return -2.0 * d[idx] * np.conj(w - lam) + 2.0 * d[0] * np.conj(w) + d[idx] / lam

@@ -6,6 +6,7 @@ import pytest
 from focklattice import (classify, condition, condition_a, power_weight,
                          select_branch, square_lattice, trajectory_margins,
                          user_multiplier)
+from focklattice import weights
 from focklattice.classifier import Margins, TraceData, shell_trajectory
 from oracles import shell_batch
 
@@ -213,6 +214,28 @@ class TestBranchSelection:
         assert br.condition_ids == ("a", "b")
         assert br.t_effective > 0.5
         assert br.is_ap
+        assert br.ap_margin == (0.0, -2.0, 8.0)
+
+    @pytest.mark.parametrize("gamma, p", [(2.5, 12.0), (2.5, 1.1), (3.0, 6.0),
+                                          (3.5, 1.25), (3.5, 5.0)])
+    def test_weights_just_outside_or_on_the_ap_range_add_c(self, gamma, p):
+        # beta = (1 - gamma/2)(p - 2) outside (-2, 2(p - 1)) by e p with
+        # 0 < e <= 0.05 (the disc ratio grows like R^e), or on its end
+        # (gamma = 3, p = 6: beta = -2, log growth): rho^(p-2) is not A_p
+        br = select_branch(p, power_weight(gamma, c_gamma=1.0))
+        assert br.is_ap is False and br.condition_ids == ("a", "b", "c")
+        beta, lo, hi = br.ap_margin
+        assert beta == pytest.approx((1.0 - gamma / 2.0) * (p - 2.0))
+        assert not lo < beta < hi
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 12.0])
+    def test_reads_no_rho(self, monkeypatch, p):
+        def refuse(w, a):
+            raise AssertionError("select_branch evaluated rho")
+
+        monkeypatch.setattr(weights, "_rho_radial", refuse)
+        for gamma in (0.5, 1.5, 2.5, 3.0, 5.0):
+            assert select_branch(p, power_weight(gamma, c_gamma=1.0)).condition_ids[0] == "a"
 
     def test_power_small_gamma_p3(self):
         pw = power_weight(0.5, rho_origin=2.0)

@@ -122,6 +122,18 @@ class TestTraceCheck:
         assert rc == 0
         assert rep["results"]["overall"] == "bounded"
 
+    def test_ap_branch_reports_its_margin(self, tmp_path):
+        # the A_p verdict is ap_range_lo < ap_beta < ap_range_hi, beta =
+        # (1 - gamma/2)(p - 2); only the A_p branch carries the three
+        job = dict(BASE, values={"kind": "zero"}, p=3)
+        branch = run(tmp_path, job, "trace-check")[1]["results"]["branch"]
+        assert branch["is_ap"] is True and branch["conditions"] == ["a", "b"]
+        assert (branch["ap_beta"], branch["ap_range_lo"], branch["ap_range_hi"]) \
+            == (0.0, -2.0, 4.0)
+        for p in (1, 2, "inf"):
+            branch = run(tmp_path, dict(job, p=p), "trace-check")[1]["results"]["branch"]
+            assert "ap_beta" not in branch and branch["is_ap"] is None, p
+
     def test_value_list_and_p1(self, tmp_path):
         items = [{"index": 0, "re": 1.0, "im": 0.0},
                  {"index": 3, "re": 0.0, "im": -2.0}]
@@ -695,7 +707,7 @@ class TestOtherCommands:
         ({"kind": "power", "gamma": 5.0, "c_gamma": 1.0}, 3, 0)])
     def test_op_norm_m_order_must_exceed_one_over_t(self, tmp_path, capsys,
                                                      weight, N, rc):
-        # t = min(gamma/2, 2/gamma, 0.98): 0.98 classical, 0.25 at gamma
+        # t = min(gamma/2, 2/gamma): 1 classical, 0.25 at gamma
         # 0.5, 0.4 at gamma 5
         job = {"weight": weight, "op": "M", "p": 1, "sizes": [20], "N": N}
         got, rep = run(tmp_path, job, "op-norm")

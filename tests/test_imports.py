@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 import focklattice
-from focklattice import WeightProfile, power_weight
-from focklattice.classifier import _cached_ap, cached_ap
+from focklattice import WeightProfile
 from focklattice.errors import SchemaError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(focklattice.__file__)))
@@ -170,16 +169,6 @@ def test_loader_sees_scipy_when_it_loads(jobs):
     if jobs["after_control"] is None:
         pytest.skip("scipy is not installed")
     assert "scipy.spatial" in jobs["after_control"]
-
-
-def test_equal_weight_profiles_share_one_cached_ap_entry():
-    a = power_weight(0.5, rho_origin=2.0)
-    b = WeightProfile(kind="power", gamma=0.5, c_gamma=a.c_gamma)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != power_weight(0.5, rho_origin=3.0)
-    _cached_ap.cache_clear()
-    assert cached_ap(a, 3.0) is cached_ap(b, 3.0)
-    assert _cached_ap.cache_info().currsize == 1
 
 
 def test_bad_weight_profiles_still_raise():

@@ -8,8 +8,10 @@ from focklattice import (SQUARE_SCALE, Lattice, batch_higher,
                          operator_norm_estimate, power_weight, shells_for,
                          square_lattice, taylor_kernel_check)
 from focklattice.weights import loglog_fit
+from focklattice.classifier import TraceData
 from conftest import gaussian_fn
-from oracles import dense_section, levin_recovery, shell_batch, shell_partials
+from oracles import (dense_section, gaussian_higher, gaussian_modified_inf,
+                     levin_recovery, shell_batch, shell_partials)
 
 
 def eisenstein4_oracle(scale):
@@ -138,6 +140,32 @@ class TestBaAndHigher:
         sv, sc = shell_batch(lat12, d, idx, 2)
         assert bv == pytest.approx(sv, rel=1e-13)
         assert np.array_equal(bc, sc)
+
+
+class TestGaussianTraceClosedForms:
+    """The transforms of the Gaussian trace f_w on the R = 16 sigma lattice,
+    at the centres |lambda'| <= 8, against their whole-lattice closed forms
+    (`oracles.gaussian_higher`, `oracles.gaussian_modified_inf`).  The
+    engine's error is absolute (near 1e-17 where the values fall to 1e-27),
+    so the bound scales with the largest value; the measured error is 4e-16
+    to 1.7e-15 of it."""
+
+    @pytest.mark.parametrize("w", [0.3 + 0.2j, 1.5 - 0.7j])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_higher(self, lat16, mult16, n, w):
+        d = TraceData.gaussian(mult16, 2.0, w).d
+        idx = np.nonzero(lat16.radii <= 8.0)[0]
+        want = gaussian_higher(lat16, d, idx, w, n)
+        got = batch_higher(lat16, d, idx, n)[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("w", [0.3 + 0.2j, 1.5 - 0.7j])
+    def test_modified_inf(self, lat16, mult16, w):
+        d = TraceData.gaussian(mult16, math.inf, w).d
+        idx = np.nonzero((lat16.radii <= 8.0) & (lat16.radii > 0.0))[0]
+        want = gaussian_modified_inf(lat16, d, idx, w)
+        got = batch_modified_inf(lat16, d, idx)[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestModifiedCauchy:

@@ -8,8 +8,8 @@ from focklattice import (NumericalError, WeightProfile, ap_probe,
                          default_ap_radii, estimate_t, mu_disc_many, phi,
                          power_weight, rho_many)
 from focklattice import weights
-from focklattice.weights import (T_FIT_SLACK, _check_refinement,
-                                 _not_a_knot_spline, _unit_rho_table)
+from focklattice.weights import (_check_refinement, _not_a_knot_spline,
+                                 _unit_rho_table, ap_range)
 from oracles import rho_bisection
 
 
@@ -334,6 +334,19 @@ class TestApProbe:
         assert np.allclose(ap_probe(w, p, radii).ratios, ref.max(axis=1),
                            rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 5.0, 8.0])
+    def test_slope_follows_the_closed_form_range(self, gamma):
+        # the disc ratio grows like R^e, e = dist(beta, [lo, hi])/p
+        # (`ap_range`), and not at all inside the range; the fitted slope
+        # misses e by up to 0.013 where e is small or 0 (gamma = 0.25, and
+        # e = 0.05 at gamma = 3.5, p = 1.25 and 5) and by 6e-4 where e >= 0.1
+        w = power_weight(gamma, rho_origin=2.0)
+        for p in (1.1, 1.25, 4.0 / 3.0, 1.5, 1.8, 2.5, 3.0, 5.0, 8.0, 12.0):
+            beta, lo, hi = ap_range(w, p)
+            e = max(lo - beta, beta - hi, 0.0) / p
+            slope = ap_probe(w, p, default_ap_radii(w)).fitted_exponent
+            assert abs(slope - e) <= (1e-3 if e >= 0.1 else 0.015), (p, beta, e, slope)
+
     def test_radii_must_ascend(self):
         with pytest.raises(ValueError):
             ap_probe(classical_weight(), 1.5, [2.0, 1.0])
@@ -365,22 +378,22 @@ def _oracle_slopes(gamma, lo, hi):
 
 
 class TestDoublingExponent:
-    """t = min(gamma/2, 2/gamma, 1 - T_FIT_SLACK), in closed form."""
+    """t = min(gamma/2, 2/gamma), in closed form."""
 
     def test_classical_near_one(self):
-        assert estimate_t(classical_weight()) == 1.0 - T_FIT_SLACK == 0.98
+        assert estimate_t(classical_weight()) == 1.0
 
     def test_classical_closed_form_matches_sampled_fit(self):
-        # rho is constant, so every sampled log-ratio is 0: slope 0, and t
-        # takes the slack
+        # rho is constant, so every sampled log-ratio is 0: slope 0, and
+        # t = 1
         z = 10.0 ** np.linspace(0.0, 4.0, 20) * np.exp(0.4j)
         ratio = rho_many(classical_weight(), z) / rho_many(classical_weight(), 0.01)
         assert np.all(ratio == 1.0)
-        assert estimate_t(classical_weight()) == 1.0 - T_FIT_SLACK
+        assert estimate_t(classical_weight()) == 1.0
 
     def test_power_gamma2_takes_the_classical_t(self):
-        assert estimate_t(power_weight(2.0, c_gamma=1.0)) == 0.98
-        assert estimate_t(power_weight(2.0, c_gamma=5.0)) == 0.98
+        assert estimate_t(power_weight(2.0, c_gamma=1.0)) == 1.0
+        assert estimate_t(power_weight(2.0, c_gamma=5.0)) == 1.0
 
     def test_gamma1_at_most_half(self):
         assert estimate_t(power_weight(1.0, rho_origin=2.0)) == 0.5
@@ -410,7 +423,7 @@ class TestDoublingExponent:
 
 
 class TestChooseN:
-    @pytest.mark.parametrize("t,expected", [(0.6, 2), (0.5, 3), (0.25, 5)])
+    @pytest.mark.parametrize("t,expected", [(1.0, 2), (0.6, 2), (0.5, 3), (0.25, 5)])
     def test_values(self, t, expected):
         assert choose_N(t) == expected
 
@@ -424,7 +437,8 @@ class TestChooseN:
         # 1/t = 2, 3, 3 and 4: N is the next integer, not 1/t itself
         assert choose_N(estimate_t(power_weight(gamma, c_gamma=1.0))) == expected
 
-    @pytest.mark.parametrize("t", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("t", [0.0, 1.5, -0.5])
     def test_t_outside_the_open_unit_interval(self, t):
+        # and outside (0, 1]: the classical t = 1 is accepted (test_values)
         with pytest.raises(ValueError):
             choose_N(t)
