@@ -306,7 +306,7 @@ class TraceVerdict(NamedTuple):
 def select_branch(p: float, w: WeightProfile) -> BranchInfo:
     """Branch selection from p, the weight's A_p status and its doubling
     exponent t, both closed form (`ap_range`, `estimate_t`): rho^(p-2) is
-    A_p when lo < beta < hi strictly, and at 2 < p < inf the A_p branch
+    A_p when `ApRange.is_ap`, and at 2 < p < inf the A_p branch
     holds while t > 1/2, else orders up to N = `choose_N(t)`, the smallest
     integer above 1/t, as at p = inf."""
     if p == 1.0:
@@ -320,11 +320,10 @@ def select_branch(p: float, w: WeightProfile) -> BranchInfo:
         return BranchInfo("p=inf", p, None, t, N, ids)
     t = None if p < 2.0 else estimate_t(w)
     if t is None or t > 0.5:
-        beta, lo, hi = ap_range(w, p)
-        is_ap = lo < beta < hi
-        ids = ("a", "b") if is_ap else ("a", "b", "c")
-        return BranchInfo("1<p<2" if t is None else "2<p<inf", p, is_ap, t, None,
-                          ids, (beta, lo, hi))
+        ap = ap_range(w, p)
+        ids = ("a", "b") if ap.is_ap else ("a", "b", "c")
+        return BranchInfo("1<p<2" if t is None else "2<p<inf", p, ap.is_ap, t, None,
+                          ids, ap)
     N = choose_N(t)
     ids = ("a",) + tuple(f"bprime({n})" for n in range(1, N + 1))
     return BranchInfo("2<p<inf", p, None, t, N, ids)

@@ -39,7 +39,7 @@ from .lattice import (Lattice, explicit_lattice, scatter_indexed, shells_for,
 from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
                          user_multiplier)
 from .transforms import PV_RTOL, operator_norm_estimate
-from .weights import (AP_EXPONENT_TOLERANCE, WeightProfile, ap_probe, choose_N,
+from .weights import (WeightProfile, ap_probe, choose_N, classical_weight,
                       default_ap_radii, estimate_t, phi, power_weight)
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def _entries(entries: list, what: str) -> tuple:
 def _build_weight(job: dict) -> WeightProfile:
     spec = job.get("weight", {"kind": "classical"})
     if spec["kind"] == "classical":
-        return WeightProfile("classical")
+        return classical_weight()
     scale = [key for key in ("c_gamma", "rho_origin") if key in spec]
     if "gamma" not in spec or len(scale) != 1:
         raise SchemaError("a power weight needs gamma and one of c_gamma "
@@ -240,17 +240,6 @@ def _parse_p(job: dict):
     return p
 
 
-def _pv_rtol(job: dict, args) -> float:
-    """The p.v. tolerance: --tolerance, else pv.tolerance, else PV_RTOL; a
-    finite number >= 0, since no window test passes below 0."""
-    tol = args.tolerance
-    if tol is None:
-        tol = _number(job.get("pv", {}).get("tolerance", PV_RTOL), "pv.tolerance")
-    if not 0.0 <= tol < math.inf:
-        raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {tol}")
-    return tol
-
-
 def _count(value, what: str) -> int:
     _number(value, what)      # names a literal beyond double range as such
     if type(value) is not int or value < 1:
@@ -269,11 +258,16 @@ def _grid(job: dict, default_half: float, default_n: int) -> tuple:
     return (xs[:, None] + 1j * xs[None, :]).ravel(), abs(complex(half, half))
 
 
-def _trace_data(job: dict, args) -> tuple:
+def _trace_data(job: dict) -> tuple:
     """(data, rtol) of a trace-check or reconstruct job: its trace data on
-    the job's lattice and multiplier, and the p.v. tolerance."""
+    the job's lattice and multiplier, and the p.v. tolerance pv.tolerance
+    (PV_RTOL when absent), finite and >= 0: no window test passes below 0."""
     m = _build_multiplier(job, _build_lattice(job, _build_weight(job)))
-    return _build_values(job, m, _parse_p(job)), _pv_rtol(job, args)
+    data = _build_values(job, m, _parse_p(job))
+    rtol = _number(job.get("pv", {}).get("tolerance", PV_RTOL), "pv.tolerance")
+    if rtol < 0.0:
+        raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {rtol}")
+    return data, rtol
 
 
 def _emit(report: dict, path: Optional[str]):
@@ -337,7 +331,7 @@ def cmd_sigma_eval(args, job: dict) -> tuple:
 
 
 def cmd_trace_check(args, job: dict) -> tuple:
-    data, rtol = _trace_data(job, args)
+    data, rtol = _trace_data(job)
     verdict = classify(data, rtol)
     results = {
         "branch": {
@@ -373,7 +367,7 @@ def cmd_trace_check(args, job: dict) -> tuple:
 
 
 def cmd_reconstruct(args, job: dict) -> tuple:
-    data, rtol = _trace_data(job, args)
+    data, rtol = _trace_data(job)
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
     guard = data.lattice.guard_radius()
@@ -420,7 +414,7 @@ def cmd_ap_probe(args, job: dict) -> tuple:
     return {"p": p, "disc_radii": list(rep.disc_radii),
             "ratios": list(rep.ratios),
             "fitted_exponent": rep.fitted_exponent,
-            "is_ap": rep.is_ap}, {"exponent_tolerance": AP_EXPONENT_TOLERANCE}
+            "is_ap": rep.is_ap}, {}
 
 
 def cmd_op_norm(args, job: dict) -> tuple:
@@ -440,6 +434,8 @@ def cmd_op_norm(args, job: dict) -> tuple:
                           f"one-point section; the growth ratio needs two points")
     p = _parse_p(job)
     # only M(N) reads N; without one it is the smallest N > 1/t
+    if op != "M" and "N" in job:
+        raise SchemaError(f"op-norm: only M reads N, and op is {op}")
     N = 2
     if op == "M":
         t = estimate_t(w)
@@ -491,7 +487,6 @@ def main(argv=None) -> int:
                     "critical Fock-space lattices.")
     parser.add_argument("--seed", type=int, default=0,
                         help="offsets the op-norm quasirandom start vector")
-    parser.add_argument("--tolerance", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, needs_grid=False):

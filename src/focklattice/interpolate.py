@@ -116,14 +116,15 @@ def _check_summable(data: TraceData, zs: np.ndarray, rows, spread: np.ndarray):
                          f"{complex(zs[worst]):.6g} ({why})")
 
 
-def reconstruct(data: TraceData, z, rtol: float = PV_RTOL):
-    """Value at z of the interpolant of `data` (w0 = 0 at p = inf).
+def reconstruct(data: TraceData, z):
+    """Value at z of the interpolant of `data` (w0 = 0 at p = inf; p.v.
+    tolerance PV_RTOL, which `Interpolant` takes as rtol).
 
     On-lattice queries return c_lambda directly; other points inside the
     guard band evaluate the kernel sum deflated at the nearest lattice
     point.  Non-convergence of the principal value raises NumericalError
     carrying the fitted growth exponent."""
-    return Interpolant(data, rtol=rtol).eval(z)
+    return Interpolant(data).eval(z)
 
 
 class Interpolant:

@@ -234,28 +234,23 @@ def explicit_lattice(points: Sequence[complex], w: WeightProfile) -> Lattice:
     return lat
 
 
-def upper_density(lat: Lattice, r: float,
-                  centers: Optional[Sequence[complex]] = None) -> float:
+def upper_density(lat: Lattice, r: float) -> float:
     """Counting surrogate for the upper uniform density.
 
     For each sampled center z the ratio #(Lambda on the closed disc
     D(z, r*rho(z))) / mu(D(z, r*rho(z))) is formed, in the lattice's weight;
     the value returned is the maximum over centers (the limsup surrogate at
     radius factor r).  The critical square lattice gives 1/(2*pi).  The
-    default centers are the points nearest the origin, at most nine in
+    centers are the lattice points nearest the origin, at most nine in
     index order (radius order), whose discs lie inside the truncation.
-    NumericalError when no default center qualifies, when a given center's
-    disc reaches past the truncation, or when a disc mass is not a
+    NumericalError when no center qualifies, or when a disc mass is not a
     positive finite number (a radius so small that it underflows).
     """
     w, R = lat.weight, lat.truncation_radius
-    if centers is None:
-        inside = np.abs(lat.points) + float(r) * lat.rho_values <= R
-        centers = lat.points[inside][:9]
-    centers = np.asarray(centers, dtype=complex)
-    rad = float(r) * rho_many(w, centers)
-    if centers.size == 0 or np.any(np.abs(centers) + rad > R):
+    idx = np.nonzero(np.abs(lat.points) + float(r) * lat.rho_values <= R)[0][:9]
+    if idx.size == 0:
         raise NumericalError("radius factor exceeds the safe truncation margin")
+    centers, rad = lat.points[idx], float(r) * lat.rho_values[idx]
     counts = [np.count_nonzero(np.abs(lat.points - c) <= rc + 1e-12)
               for c, rc in zip(centers, rad)]
     mass = mu_disc_many(w, centers, rad)

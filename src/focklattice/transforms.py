@@ -196,8 +196,8 @@ def _correlate(lat: Lattice, d: np.ndarray, n: int, indices) -> np.ndarray:
     """sum over lambda != lambda' of d_lambda / (lambda - lambda')^n at the
     centres lambda' = points[indices] of a square lattice: one FFT
     correlation of the grid-embedded d."""
-    grid = _SquareGrid(lat.truncation_radius, lat.scale)
-    ii, jj = (c.astype(int) + grid.M for c in grid_coords(lat.points, grid.scale))
+    grid = _SquareGrid(lat.truncation_radius)
+    ii, jj = (c.astype(int) + grid.M for c in grid_coords(lat.points, SQUARE_SCALE))
     x = np.zeros(grid.points.shape, dtype=complex)
     x[ii, jj] = d
     # the kernel at offset lambda' - lambda
@@ -272,8 +272,8 @@ def _fft_length(n: int) -> int:
 
 
 class _SquareGrid:
-    """The grid scale*(m + i n), |m|, |n| <= M = ceil(R / scale), which
-    holds the disc |lambda| <= R of the square lattice, with linear
+    """The grid s(m + i n), s = SQUARE_SCALE, |m|, |n| <= M = ceil(R / s),
+    which holds the disc |lambda| <= R of the square lattice, with linear
     convolution (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of grid
     functions x with kernels K on the offsets |m|, |n| <= 2M: a 2-D FFT
     zero-padded to a 5-smooth length n >= 4M + 1, so that no offset wraps
@@ -286,13 +286,12 @@ class _SquareGrid:
     spectrum), so a real kernel costs half a complex one; a complex x
     against a real kernel is convolved as its real and imaginary parts."""
 
-    def __init__(self, R: float, scale: float = SQUARE_SCALE):
-        self.M = M = int(math.ceil(R / scale))
-        self.scale = scale
+    def __init__(self, R: float):
+        self.M = M = int(math.ceil(R / SQUARE_SCALE))
         m = np.arange(-M, M + 1)
-        self.points = scale * (m[:, None] + 1j * m[None, :])
+        self.points = SQUARE_SCALE * (m[:, None] + 1j * m[None, :])
         off = np.arange(-2 * M, 2 * M + 1)
-        self.offsets = scale * (off[:, None] + 1j * off[None, :])
+        self.offsets = SQUARE_SCALE * (off[:, None] + 1j * off[None, :])
         self._n = _fft_length(4 * M + 1)
 
     def kernel(self, fn) -> np.ndarray:
@@ -358,11 +357,10 @@ class _FftSection:
     only |K|.  The L and M(N) kernels are real (`real`), and so is their
     whole arithmetic on real vectors."""
 
-    def __init__(self, R: float, w: WeightProfile, kind: str, N: int,
-                 scale: float = SQUARE_SCALE):
+    def __init__(self, R: float, w: WeightProfile, kind: str, N: int):
         if kind not in ("B", "L", "M"):
             raise ValueError("operator must be 'B', 'L' or 'M'")
-        self.grid = _SquareGrid(R, scale)
+        self.grid = _SquareGrid(R)
         lam = self.grid.points
         self.mask = np.abs(lam) <= R
         self.size = int(self.mask.sum())

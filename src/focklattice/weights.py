@@ -7,8 +7,8 @@ Everything downstream (separation, cells, transform weights, trace
 conditions) is phrased in terms of rho.
 
 The module also hosts what the trace conditions read off a weight: the
-closed-form A_p range of rho^(p-2), the Muckenhoupt disc-ratio probe that
-checks it, and the closed-form doubling exponent.
+closed-form A_p range and verdict of rho^(p-2), the Muckenhoupt disc-ratio
+probe that measures it, and the closed-form doubling exponent.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import NumericalError, SchemaError
 
 __all__ = [
     "WeightProfile",
+    "ApRange",
     "ApReport",
     "classical_weight",
     "power_weight",
@@ -46,45 +47,38 @@ _GL_ORDER = 24
 _PSI_PANELS = 12
 _PSI_FIRST = 1e-14       # innermost psi panel is [0, pi * _PSI_FIRST]
 _CHECK_RTOL = 1e-6
-_AP_CHECK_RTOL = 1e-4    # for the ap_probe ratios (see ap_probe)
+_AP_CHECK_RTOL = 1e-4    # ap_probe ratios: 500 x below criterion 7's 0.05 slope bound
 # discs per array expression: 16 x 864 nodes (both psi rules) make 110 KB per
 # density temporary, under glibc's 128 KB mmap threshold, so the heap reuses them
 _CHUNK = 16
-# ap_probe's largest fitted slope that still reads as A_p
-AP_EXPONENT_TOLERANCE = 0.05
 
 
 class WeightProfile:
-    """Description of the weight phi; treat it as immutable, since
+    """The weight phi = c_gamma |z|^gamma; treat it as immutable, since
     rho_origin is derived from the other fields once.
 
-    kind "classical" behaves identically to kind "power" with gamma=2,
-    c_gamma=1; rho_origin caches rho(0) and is derived, never passed.
+    gamma = 2, c_gamma = 1 is the classical weight |z|^2; rho_origin caches
+    rho(0) and is derived, never passed.
     """
 
-    __slots__ = ("kind", "gamma", "c_gamma", "rho_origin")
+    __slots__ = ("gamma", "c_gamma", "rho_origin")
 
-    def __init__(self, kind: str, gamma: float = 2.0, c_gamma: float = 1.0):
-        if kind not in ("classical", "power"):
-            raise SchemaError(f"unknown weight kind {kind!r}")
-        if kind == "classical":
-            gamma, c_gamma = 2.0, 1.0
+    def __init__(self, gamma: float, c_gamma: float):
         if not (gamma > 0 and c_gamma > 0):
             raise SchemaError("gamma and c_gamma must be positive")
-        self.kind, self.gamma, self.c_gamma = kind, gamma, c_gamma
+        self.gamma, self.c_gamma = gamma, c_gamma
         self.rho_origin = (2.0 * math.pi * c_gamma * gamma) ** (-1.0 / gamma)
 
     def __repr__(self):
-        return (f"WeightProfile(kind={self.kind!r}, gamma={self.gamma!r}, "
-                f"c_gamma={self.c_gamma!r})")
+        return f"WeightProfile(gamma={self.gamma!r}, c_gamma={self.c_gamma!r})"
 
     @property
     def is_classical_like(self) -> bool:
-        return self.kind == "classical" or (self.gamma == 2.0 and self.c_gamma == 1.0)
+        return self.gamma == 2.0 and self.c_gamma == 1.0
 
 
 def classical_weight() -> WeightProfile:
-    return WeightProfile(kind="classical")
+    return WeightProfile(2.0, 1.0)
 
 
 def power_weight(gamma: float, c_gamma: Optional[float] = None,
@@ -95,7 +89,7 @@ def power_weight(gamma: float, c_gamma: Optional[float] = None,
         if rho_origin is None:
             raise SchemaError("specify c_gamma or rho_origin")
         c_gamma = c_gamma_for_rho_origin(gamma, rho_origin)
-    return WeightProfile(kind="power", gamma=float(gamma), c_gamma=float(c_gamma))
+    return WeightProfile(float(gamma), float(c_gamma))
 
 
 def c_gamma_for_rho_origin(gamma: float, rho0: float) -> float:
@@ -194,8 +188,8 @@ def mu_disc_many(w: WeightProfile, centers, radii) -> np.ndarray:
     """mu(D(c, r)) with mu = Laplacian of phi, over broadcast arrays of
     centres and radii.
 
-    Classical kind uses the exact value 4*pi*r^2.  Power kinds evaluate the
-    one-dimensional arc quadrature for every disc in one array expression;
+    The classical weight takes the exact value 4*pi*r^2.  Power weights run
+    the one-dimensional arc quadrature for every disc in one array expression;
     the full-circle part (which carries the origin singularity for
     gamma < 2) is closed form.  Raises NumericalError, naming the discs,
     where the value is not finite or the refinement self-check fails.
@@ -278,7 +272,7 @@ def _unit_rho_table(gamma: float):
     is (gamma-2)^2*s^2/16, 2.3e-8 at gamma = 8.
     Raises NumericalError if the a(s) are not strictly decreasing.
     """
-    w = WeightProfile(kind="power", gamma=gamma, c_gamma=1.0)
+    w = WeightProfile(gamma, 1.0)
     s = np.concatenate([np.geomspace(1e-4, 0.5, 90, endpoint=False),
                         1.0 - np.geomspace(0.5, 1e-7, 160), [1.0],
                         1.0 + np.geomspace(1e-7, 1e4, 170)])
@@ -344,15 +338,27 @@ def rho_many(w: WeightProfile, z) -> np.ndarray:
 # Muckenhoupt condition for rho^(p-2)
 # ---------------------------------------------------------------------------
 
-def ap_range(w: WeightProfile, p: float) -> tuple:
-    """(beta, lo, hi): rho^(p-2) behaves like (1 + |z|)^beta, beta = (1 -
-    gamma/2)(p - 2), as rho is about rho(0) near the origin and like
-    |z|^(1 - gamma/2) at infinity; such a weight is in A_p(R^2) exactly when
-    lo < beta < hi, lo = -2, hi = 2(p - 1) (Grafakos, Classical Fourier
-    Analysis, 7.1).  On an end of the range the disc ratio grows like log R,
-    outside it like R^e, e = dist(beta, [lo, hi])/p: the slope `ap_probe`
-    fits.  No rho is evaluated."""
-    return (1.0 - w.gamma / 2.0) * (p - 2.0), -2.0, 2.0 * (p - 1.0)
+class ApRange(NamedTuple):
+    """rho^(p-2) behaves like (1 + |z|)^beta, beta = (1 - gamma/2)(p - 2),
+    as rho is about rho(0) near the origin and like |z|^(1 - gamma/2) at
+    infinity; such a weight is in A_p(R^2) exactly when beta lies strictly
+    between lo = -2 and hi = 2(p - 1) (Grafakos, Classical Fourier
+    Analysis, 7.1).  On an end of the range the disc ratio grows like
+    log R, outside it like R^e, e = dist(beta, [lo, hi])/p: the slope
+    `ap_probe` fits."""
+
+    beta: float
+    lo: float
+    hi: float
+
+    @property
+    def is_ap(self) -> bool:                   # the package's one A_p rule
+        return self.lo < self.beta < self.hi
+
+
+def ap_range(w: WeightProfile, p: float) -> ApRange:
+    """The `ApRange` of rho^(p-2); no rho is evaluated."""
+    return ApRange((1.0 - w.gamma / 2.0) * (p - 2.0), -2.0, 2.0 * (p - 1.0))
 
 
 class ApReport(NamedTuple):
@@ -363,19 +369,16 @@ class ApReport(NamedTuple):
 
         (1/|D|) * (int_D rho^p dnu)^(1/p) * (int_D rho^q dnu)^(1/q),
 
-    with dnu = dm/rho^2 and q the conjugate exponent.  Failure of the
-    condition manifests as power-law growth of the ratio in the radius, so
-    the verdict is the log-log slope over the largest decade (`loglog_fit`).
+    with dnu = dm/rho^2 and q the conjugate exponent.  fitted_exponent, the
+    log-log slope over the largest decade (`loglog_fit`), measures its growth
+    R^e, e = dist(beta, [lo, hi])/p; is_ap is the verdict of `ap_range`.
     """
 
     p: float
     disc_radii: tuple
     ratios: tuple
     fitted_exponent: float
-
-    @property
-    def is_ap(self) -> bool:
-        return self.fitted_exponent <= AP_EXPONENT_TOLERANCE
+    is_ap: bool
 
 
 def loglog_fit(radii, values):
@@ -431,20 +434,20 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     For each radius the ratio is the larger of those of two discs: the
     origin-centred one and one centred at distance radius, whose edge
     passes through the origin.  The weight is radial, so every centre on
-    the circle |c| = radius gives the same disc up to rotation.  A
-    `loglog_fit` slope <= 0.05 declares the condition satisfied, so at
-    least 4 of the ascending, positive `radii` must lie within a factor 10
-    of the largest (ValueError naming `radii`, before any quadrature); the
-    p = 2 case gives ratio exactly 1 for every disc.  All discs of all
-    radii go through the disc quadrature as one batch.
+    the circle |c| = radius gives the same disc up to rotation.  The
+    slope is a `loglog_fit`, so at least 4 of the ascending, positive
+    `radii` must lie within a factor 10 of the largest (ValueError naming
+    `radii`, before any quadrature); the p = 2 case gives ratio exactly 1
+    for every disc.  All discs of all radii go through the disc quadrature
+    as one batch; is_ap is `ap_range`'s verdict, whatever the slope.
 
     The ratios pass the 12- versus 24-panel self-check at _AP_CHECK_RTOL =
     1e-4 relative, not the 1e-6 that guards mu: the integrand
     rho^(p-2) from the table is only C^2 at its knots, and the two rules
     differ by up to 1.4e-5 (gamma = 1, p = 3).  A relative ratio error eps
     moves the slope fitted over a decade by about eps at most, so the
-    bound sits 500 times below the 0.05 exponent tolerance.  Raises
-    NumericalError naming the discs and radii that fail it.
+    bound sits 500 times below criterion 7's 0.05 bound on the slope.
+    Raises NumericalError naming the discs and radii that fail it.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, inf)")
@@ -463,7 +466,8 @@ def ap_probe(w: WeightProfile, p: float, radii: Sequence[float]) -> ApReport:
     _check_refinement(vals, coarse, a, R, "ap_probe", _AP_CHECK_RTOL)
     sup_ratios = [float(v) for v in vals.max(axis=1)]
     return ApReport(p=p, disc_radii=tuple(radii), ratios=tuple(sup_ratios),
-                    fitted_exponent=loglog_fit(radii, sup_ratios)[0])
+                    fitted_exponent=loglog_fit(radii, sup_ratios)[0],
+                    is_ap=ap_range(w, p).is_ap)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Each is the plain dense form of what the program computes another way:
   (`transforms._tail_partials`);
 * `rho_bisection`: rho as the root of mu(D(z, r)) = 1 by bisection on
   the disc masses, which the program reads from a spline table
-  (`weights.rho_many`).
+  (`weights.rho_many`);
+* `density_at`: the counting density at given lattice points, one disc
+  at a time, which the program forms for its own centres in one batch
+  (`lattice.upper_density`).
 
 Two more are closed forms of whole-lattice quantities on the classical
 weight's lattice s(Z + iZ), s = sqrt(pi/2):
@@ -27,8 +30,8 @@ weight's lattice s(Z + iZ), s = sqrt(pi/2):
   (`transforms.batch_higher`, `transforms.batch_modified_inf`).
 
 None of them shares computing code with the program; they take from it
-only their inputs (the lattice, its shells, the multiplier, phi and the
-disc masses) and the window test's constants.
+only their inputs (the lattice, its shells and rho values, the multiplier,
+phi and the disc masses) and the window test's constants.
 
 (Not named oracle.py: perfbench's module of that name shares sys.path.)
 """
@@ -170,6 +173,18 @@ def rho_bisection(w, z):
         below = mu_disc_many(w, a, mid) < 1.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return (lo * np.sqrt(hi / lo)).reshape(np.shape(z))
+
+
+def density_at(lat, r, idx):
+    """The largest #(points on the closed disc D(c, r rho(c))) /
+    mu(D(c, r rho(c))) over the centres c = points[idx], one count and
+    one `mu_disc_many` call per disc."""
+    best = 0.0
+    for c, rc in zip(lat.points[idx], lat.rho_values[idx]):
+        rad = r * rc
+        count = int(np.sum(np.abs(lat.points - c) <= rad + 1e-12))
+        best = max(best, count / float(mu_disc_many(lat.weight, c, rad)))
+    return best
 
 
 def b_norm_closed_form() -> float:

@@ -8,7 +8,7 @@ from focklattice import (classify, condition, condition_a, power_weight,
                          user_multiplier)
 from focklattice import weights
 from focklattice.classifier import Margins, TraceData, shell_trajectory
-from oracles import shell_batch
+from oracles import gaussian_higher, gaussian_modified_inf, shell_batch
 
 
 class TestTrajectoryVerdict:
@@ -195,6 +195,42 @@ class TestConditionsBC:
         rep = condition(data, cid)
         assert rep.condition_id == cid
         assert rep.partial_trajectory[-1][1] == pytest.approx(want, rel=1e-9)
+
+
+class TestGaussianTraceTrajectories:
+    """Whole trajectories of `condition` for the Gaussian trace f_w on the
+    R = 16 sigma lattice, inner centres |lambda'| <= 8, against the closed
+    forms of its transforms (`oracles.gaussian_higher` times rho^(n-1),
+    rho = (4 pi)^(-1/2); `oracles.gaussian_modified_inf`), with the shell
+    sums and running sups taken here: a shell is one value of m^2 + n^2
+    on s(Z + iZ).  Within 1e-12 of each trajectory's last value; measured
+    at most 8.4e-16 (b at p = 1, w = 1.5 - 0.7i)."""
+
+    @pytest.mark.parametrize("w", [0.3 + 0.2j, 1.5 - 0.7j])
+    @pytest.mark.parametrize("p, cid, n", [(1.0, "b", 1), (1.0, "c", 2), (2.0, "b", 1),
+                                           (math.inf, "inf_b", None),
+                                           (math.inf, "inf_c(2)", 2)])
+    def test_trajectory(self, lat16, mult16, p, cid, n, w):
+        data = TraceData.gaussian(mult16, p, w)
+        idx = np.nonzero(lat16.radii <= 8.0)[0]
+        if n is None:
+            idx = idx[lat16.radii[idx] > 0.0]
+            inner = gaussian_modified_inf(lat16, data.d, idx, w)
+        else:
+            inner = gaussian_higher(lat16, data.d, idx, w, n) \
+                * (4.0 * math.pi) ** (-0.5 * (n - 1))
+        mags = np.abs(inner)
+        keys, shell = np.unique(np.rint((lat16.radii[idx] / lat16.scale) ** 2),
+                                return_inverse=True)
+        if math.isinf(p):
+            sups = np.zeros(keys.size)
+            np.maximum.at(sups, shell, mags)
+            want = np.maximum.accumulate(sups)
+        else:
+            want = np.cumsum(np.bincount(shell, mags ** p))
+        radii, got = np.asarray(condition(data, cid).partial_trajectory).T
+        assert np.allclose(radii, lat16.scale * np.sqrt(keys), rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
 
 
 class TestBranchSelection:

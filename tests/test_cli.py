@@ -59,8 +59,8 @@ class TestTraceCheck:
         job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
                    p=2, grid={"half_width": 1.0, "n": 2}, verify_points=4)
         grid = ["--grid", str(tmp_path / "g.csv")]
-        for flags, want in (((), 1e-9), (("--tolerance", "1e-7"), 1e-7)):
-            rc, rep = run(tmp_path, job, "reconstruct", grid, flags=flags)
+        for pv, want in (({}, 1e-9), ({"pv": {"tolerance": 1e-7}}, 1e-7)):
+            rc, rep = run(tmp_path, dict(job, **pv), "reconstruct", grid)
             assert rc == 0
             assert rep["tolerances"] == {"pv_rtol": want, "residual_target": 1e-3}
 
@@ -72,13 +72,20 @@ class TestTraceCheck:
     def test_negative_or_nonfinite_tolerance_is_schema_error(
             self, tmp_path, capsys, cmd, flags, pv):
         # no window test passes below 0: such a tolerance would leave every
-        # inner sum unconverged and still exit 0
+        # inner sum unconverged and still exit 0.  pv.tolerance is its one
+        # setter; the retired --tolerance flag exits 2 whatever its value
         job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.3, 0.1]},
                    p="inf", grid={"half_width": 1.0, "n": 2})
         if pv is not None:
             job["pv"] = {"tolerance": pv}
         grid = ["--grid", str(tmp_path / "g.csv")] if cmd == "reconstruct" else None
-        rc, rep = run(tmp_path, job, cmd, grid, flags=flags)
+        if flags:
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, job, cmd, grid, flags=flags)
+            assert exc.value.code == 2 and not (tmp_path / "out.json").exists()
+            assert "focklattice: error:" in capsys.readouterr().err
+            return
+        rc, rep = run(tmp_path, job, cmd, grid)
         assert rc == 2 and rep is None
         # json.dumps writes math.inf as Infinity, which the loader refuses
         want = "may not hold Infinity" if pv == math.inf else "p.v. tolerance"
@@ -86,25 +93,44 @@ class TestTraceCheck:
 
     def test_pv_tolerance_precedence_and_effect(self, tmp_path, cw):
         # weighted values (1 + |lambda|)^-10: the last shells move each inner
-        # Cauchy sum by less than 1e-9 of its size but by more than 1e-15
+        # Cauchy sum by less than 1e-9 of its size but by more than 1e-15.
+        # pv.tolerance takes precedence over PV_RTOL, and the report echoes
+        # the tolerance it ran at both in config and in tolerances
         lat = square_lattice(10, cw)
         items = [{"index": k, "re": float(v), "im": 0.0}
                  for k, v in enumerate((1.0 + lat.radii) ** -10.0)]
         job = dict(BASE, values={"kind": "list", "weighted": True,
                                  "items": items}, p=2)
 
-        def check(job, flags=()):
-            rc, rep = run(tmp_path, job, "trace-check", flags=flags)
+        def check(job):
+            rc, rep = run(tmp_path, job, "trace-check")
             assert rc == 0
+            assert rep["config"].get("pv") == job.get("pv")
             b = rep["results"]["reports"][1]
             assert b["condition"] == "b"
             return rep["tolerances"]["pv_rtol"], b["inner_unconverged"]
 
-        zero = dict(job, pv={"tolerance": 0.0})
         assert check(job) == (1e-9, 0)
-        assert check(zero) == (0.0, 44)
-        assert check(zero, ["--tolerance", "1e-9"]) == (1e-9, 0)
-        assert check(job, ["--tolerance", "0"]) == (0.0, 44)
+        assert check(dict(job, pv={"tolerance": 0.0})) == (0.0, 44)
+        assert check(dict(job, pv={"tolerance": 1e-9})) == (1e-9, 0)
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_tolerance_flag_is_retired(self, tmp_path, capsys, before):
+        # the p.v. tolerance has one setter, pv.tolerance: a --tolerance
+        # flag, before the command or after it, exits 2 and runs nothing,
+        # where a job with pv.tolerance 0 run with --tolerance 1e-9 used to
+        # echo 0 in config and report pv_rtol 1e-9
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(BASE, values={"kind": "zero"}, p=2,
+                                        pv={"tolerance": 0.0})))
+        out = tmp_path / "out.json"
+        argv = ["trace-check", "--input", str(path), "--output", str(out)]
+        flag = ["--tolerance", "1e-9"]
+        with pytest.raises(SystemExit) as exc:
+            main(flag + argv if before else argv + flag)
+        assert exc.value.code == 2 and not out.exists()
+        assert ("invalid choice: '1e-9'" if before
+                else "unrecognized arguments: --tolerance 1e-9") in capsys.readouterr().err
 
     def test_power_weight_with_builtin_sigma_is_schema_error(self, tmp_path,
                                                              capsys):
@@ -216,6 +242,43 @@ class TestTraceCheck:
         a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
         a.pop("timing_s"), b.pop("timing_s")
         assert a == b
+
+
+class TestOneApVerdict:
+    """ap-probe's is_ap is the closed-form verdict, the one trace-check's
+    branch reads: rho^(p-2) is A_p exactly when -2 < beta < 2(p - 1),
+    beta = (1 - gamma/2)(p - 2).  At c_gamma = 1 the 0.05 slope rule that
+    ap-probe read before said A_p at (gamma, p) = (2.5, 12), (2.5, 1.1)
+    and (3, 6), fitted slopes 0.0427, 0.0267 and 0.0217, where the closed
+    form says not."""
+
+    PS = (1.1, 1.25, 4.0 / 3.0, 1.5, 1.8, 2.5, 3.0, 5.0, 6.0, 8.0, 12.0)
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 5.0, 8.0])
+    def test_ap_probe_and_trace_check_agree_with_the_closed_form(self, tmp_path, gamma):
+        from focklattice import ap_probe, default_ap_radii
+        w = power_weight(gamma, c_gamma=1.0)
+        weight = {"kind": "power", "gamma": gamma, "c_gamma": 1.0}
+        n_points = len(square_lattice(4.0, w))
+        trace = {"weight": weight, "lattice": {"kind": "square", "R": 4.0},
+                 "multiplier": {"kind": "user_table", "weighted": True,
+                                "g_prime": [{"index": k, "re": 1.0, "im": 0.0}
+                                            for k in range(n_points)]},
+                 "values": {"kind": "zero"}}
+        wrong = []
+        for p in self.PS:
+            beta = (1.0 - gamma / 2.0) * (p - 2.0)
+            want = -2.0 < beta < 2.0 * (p - 1.0)
+            probe = ap_probe(w, p, default_ap_radii(w)).is_ap
+            rc, rep = run(tmp_path, {"weight": weight, "p": p}, "ap-probe")
+            assert rc == 0
+            report = rep["results"]["is_ap"]
+            rc, rep = run(tmp_path, dict(trace, p=p), "trace-check")
+            assert rc == 0
+            branch = rep["results"]["branch"]["is_ap"]
+            if not (probe is report is want and branch in (None, want)):
+                wrong.append((p, want, probe, report, branch))
+        assert wrong == []       # (p, closed form, ap_probe, ap-probe, trace-check)
 
 
 class TestReportEcho:
@@ -382,7 +445,7 @@ class TestOtherCommands:
         assert (res["n_shells"], res["first_shell_size"]) == (2, 4)
         lat = explicit_lattice([complex(*p) for p in pts], classical_weight())
         r = 0.45 * 1.5 / lat.max_rho
-        assert res["upper_density"] == upper_density(lat, r, centers=[0.0]) > 0
+        assert res["upper_density"] == upper_density(lat, r) > 0
 
     def test_sigma_eval_grid(self, tmp_path):
         path = tmp_path / "job.json"
@@ -724,6 +787,15 @@ class TestOtherCommands:
         assert rc == 2 and rep is None
         assert "'trials'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op", ["B", "L"])
+    def test_op_norm_n_without_m_is_schema_error(self, tmp_path, capsys, op):
+        # only M(N) reads N: B and L once ran and ignored it
+        job = {"weight": {"kind": "classical"}, "op": op, "p": 2,
+               "sizes": [20], "N": 3}
+        rc, rep = run(tmp_path, job, "op-norm")
+        assert rc == 2 and rep is None
+        assert "only M reads N" in capsys.readouterr().err
+
     def test_op_norm_reports_residuals(self, tmp_path):
         # the 4,997-point B section ends at the 50-step cap above the 1e-8
         # residual stop; the 193-point L section stops on it; at p = 1 the
@@ -864,7 +936,7 @@ class TestJobKeys:
             "multiplier": {"kind": "builtin_sigma"}, "values": {"kind": "zero"},
             "p": 2, "pv": {"tolerance": 1e-9}, "grid": {"half_width": 1.0, "n": 2},
             "verify_points": 4, "w0": [0.0, 0.0], "density_r_max": 0.5,
-            "radii": [1.0, 2.0, 4.0, 6.0, 8.0], "op": "L", "sizes": [20], "N": 2}
+            "radii": [1.0, 2.0, 4.0, 6.0, 8.0], "op": "M", "sizes": [20], "N": 2}
 
     @staticmethod
     def misspelt(key):

@@ -172,10 +172,11 @@ def test_loader_sees_scipy_when_it_loads(jobs):
 
 
 def test_bad_weight_profiles_still_raise():
-    with pytest.raises(SchemaError, match="unknown weight kind"):
-        WeightProfile(kind="log")
+    # an unknown weight kind is the job key table's to refuse (cli.JOB_KEYS)
     with pytest.raises(SchemaError, match="must be positive"):
-        WeightProfile(kind="power", gamma=-1.0)
+        WeightProfile(-1.0, 1.0)
+    with pytest.raises(SchemaError, match="must be positive"):
+        WeightProfile(2.0, 0.0)
 
 
 def _package_modules():
@@ -230,6 +231,51 @@ def test_every_definition_is_used_in_src():
     unused = {name: where for name, where in defined.items()
               if name not in used and not (name.startswith("__") and name.endswith("__"))}
     assert not unused, f"defined in src but used only outside it: {unused}"
+
+
+def test_every_default_is_set_in_src():
+    # a defaulted parameter of a function, a method or a class constructor
+    # (a named tuple's defaulted fields included) that no call in src
+    # passes, by keyword or by position, holds one value: a setting that
+    # only tests change, or none does.  Calls match by name, and one that
+    # unpacks *args or **kwargs passes every parameter.  main(argv) is
+    # exempt: it is the console entry point, and argv is how tests drive it
+    import ast
+    import glob
+    defaults, calls = [], {}
+    for path in glob.glob(os.path.join(os.path.dirname(focklattice.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        owner = {d: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for d in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.setdefault(getattr(f, "id", getattr(f, "attr", None)), []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                fields = [d for d in node.body if isinstance(d, ast.AnnAssign)]
+                defaults += [(node.name, i, d.target.id) for i, d in enumerate(fields)
+                             if d.value is not None]
+            elif isinstance(node, ast.FunctionDef):
+                a, cls = node.args, owner.get(node)
+                pos = [x.arg for x in a.posonlyargs + a.args]
+                if cls and "staticmethod" not in [getattr(x, "id", None)
+                                                  for x in node.decorator_list]:
+                    pos = pos[1:]                   # self or cls
+                name = cls.name if node.name == "__init__" else node.name
+                defaults += [(name, i, pos[i])
+                             for i in range(len(pos) - len(a.defaults), len(pos))]
+                defaults += [(name, None, k.arg)
+                             for k, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+
+    def passes(call, index, param):
+        return (any(isinstance(x, ast.Starred) for x in call.args)
+                or any(k.arg in (None, param) for k in call.keywords)
+                or (index is not None and len(call.args) > index))
+
+    unset = sorted({(name, param) for name, index, param in defaults
+                    if not any(passes(c, index, param) for c in calls.get(name, []))})
+    assert unset == [("main", "argv")], f"defaults that no call in src sets: {unset}"
 
 
 def test_readme_library_sketch_runs():

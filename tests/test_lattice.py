@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from focklattice import (Lattice, NumericalError, SeparationError,
-                         explicit_lattice, mu_disc_many, nearest_index,
+                         explicit_lattice, nearest_index,
                          power_weight, rho_many, shells_for, square_lattice,
                          upper_density)
 from focklattice.lattice import _search, grid_coords
+from oracles import density_at
 
 
 class TestSquareLattice:
@@ -89,9 +90,12 @@ class TestExplicitLattice:
 
 class TestUpperDensity:
     def test_classical_critical_density(self, cw):
+        # the nine nearest points are the centres; on the square lattice
+        # every centre whose disc fits gives the origin's count
         lat = square_lattice(40.0, cw)
         r = 0.45 * 40.0 / lat.max_rho
-        dens = upper_density(lat, r, centers=[0.0])
+        dens = upper_density(lat, r)
+        assert dens == pytest.approx(density_at(lat, r, [0]), rel=1e-12)
         assert dens == pytest.approx(1.0 / (2 * math.pi), rel=0.03)
 
     def test_thinned_lattice_halves(self, cw, scale):
@@ -100,16 +104,17 @@ class TestUpperDensity:
                 if p == 0 or (round(p.real / scale) % 2 != 0)]
         thin = explicit_lattice(kept, cw)
         r = 0.45 * 40.0 / lat.max_rho
-        dens = upper_density(thin, r, centers=[0.0])
+        dens = upper_density(thin, r)
         assert dens == pytest.approx(0.5 / (2 * math.pi), rel=0.06)
 
     def test_monotone_under_superset(self, cw):
+        # the subset's centres are points of the full lattice, where every
+        # centre gives the same count
         lat = square_lattice(40.0, cw)
         r = 0.4 * 40.0 / lat.max_rho
         kept = [p for p in lat.points if p == 0 or abs(p.imag) > 1e-12]
         sub = explicit_lattice(kept, cw)
-        assert upper_density(sub, r, centers=[0.0]) <= \
-            upper_density(lat, r, centers=[0.0]) + 1e-12
+        assert upper_density(sub, r) <= upper_density(lat, r) + 1e-12
 
     def test_schedule_margin_enforced(self, lat12):
         with pytest.raises(NumericalError):
@@ -117,33 +122,23 @@ class TestUpperDensity:
 
     def test_default_centres_are_the_nearest_whose_discs_fit(self, lat12):
         # all nine nearest discs fit at r = 5; at r = 40 only the origin's
-        # disc does (0 + 40 rho < 12 < s + 40 rho), where the nine centres
-        # exited 3
+        # disc does (0 + 40 rho < 12 < s + 40 rho)
         r_all, r_one = 5.0, 40.0
         assert upper_density(lat12, r_all) == \
-            upper_density(lat12, r_all, centers=lat12.points[:9])
+            pytest.approx(density_at(lat12, r_all, np.arange(9)), rel=1e-12)
         assert upper_density(lat12, r_one) == \
-            upper_density(lat12, r_one, centers=[0.0]) > 0
-        with pytest.raises(NumericalError):
-            upper_density(lat12, r_one, centers=lat12.points[:9])
+            pytest.approx(density_at(lat12, r_one, [0]), rel=1e-12)
+        assert upper_density(lat12, r_one) > 0
 
     def test_power_weight_matches_per_centre_loop(self):
-        # the batched disc masses against one disc per mu_disc_many call
+        # the batched disc masses against one disc per mu_disc_many call, at
+        # the nine nearest points, whose discs all fit
         w = power_weight(0.5, rho_origin=2.0)
         lat = square_lattice(20.0, w)
-        centers = [0.0, 3.0 + 1.0j, -2.0j, 5.0]
-        ref = 0.0
-        for c, rc in zip(centers, rho_many(w, centers)):
-            rad = 1.5 * rc
-            count = int(np.sum(np.abs(lat.points - c) <= rad + 1e-12))
-            ref = max(ref, count / float(mu_disc_many(w, c, rad)))
-        dens = upper_density(lat, 1.5, centers=centers)
-        assert dens == pytest.approx(ref, rel=1e-9)
-
-    def test_empty_window_contributes_zero(self, lat12, scale):
-        deep = 0.5 * scale * (1 + 1j)   # cell center, far from all points
-        dens = upper_density(lat12, 0.5, centers=[deep])
-        assert dens == 0.0
+        nine = np.arange(9)
+        assert np.all(lat.radii[nine] + 1.5 * lat.rho_values[nine] <= 20.0)
+        assert upper_density(lat, 1.5) == \
+            pytest.approx(density_at(lat, 1.5, nine), rel=1e-9)
 
 
 class TestShells:

@@ -81,7 +81,7 @@ class TestRho:
     def test_rho_origin_is_not_an_argument(self):
         # rho(0) is derived from gamma and C, so passing it is an error
         with pytest.raises(TypeError):
-            WeightProfile(kind="power", gamma=1.0, c_gamma=1.0, rho_origin=5.0)
+            WeightProfile(gamma=1.0, c_gamma=1.0, rho_origin=5.0)
 
     def test_lipschitz_on_random_pairs(self, rng):
         w = power_weight(0.7, rho_origin=2.0)
