@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 One JSON job in, one JSON report out (grids go to CSV).  `main` loads and
-checks each job once (`_load_job`, `JOB_KEYS`), runs its command and writes
+reads each job once (`_load_job`, `JOB_KEYS`), runs its command and writes
 the report, which echoes the configuration, tolerances, seed, version and
 the SHA-256 of the job file.  The job's arrays (a user g' table, a value
 list, explicit lattice points) are echoed by length; the digest identifies
@@ -32,12 +32,11 @@ import numpy as np
 from . import __version__
 from .classifier import (DIVERGE_MIN_EXPONENT, DIVERGE_MIN_R2, FLATTEN_TOL,
                          UNCONVERGED_MAX_SHARE, TraceData, classify)
-from .errors import FockLatticeError, NumericalError, SchemaError
+from .errors import NumericalError, SchemaError
 from .interpolate import Interpolant, verify_interpolation
 from .lattice import (Lattice, explicit_lattice, scatter_indexed, shells_for,
                       square_lattice, upper_density)
-from .multiplier import (Multiplier, builtin_sigma_multiplier, sigma_weighted_mag,
-                         user_multiplier)
+from .multiplier import builtin_sigma_multiplier, sigma_weighted_mag, user_multiplier
 from .transforms import PV_RTOL, operator_norm_estimate
 from .weights import (WeightProfile, ap_probe, choose_N, classical_weight,
                       default_ap_radii, estimate_t, phi, power_weight)
@@ -48,45 +47,162 @@ EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
 
-# The keys the job commands read.  A top-level key maps to None (a value), to
-# the keys of an object section, or to a section's kinds, each with its keys
-# besides "kind".  One table serves every command, since jobs are shared: a
-# key that another command reads is accepted.  Table entries are left to
-# their readers, which ignore fields other than index, re and im, so no
-# Python loop walks a 10^4-entry table.  No option turns the check off.
+def _number(value, path: str) -> float:
+    """A job number as a finite double; anything else, a string, a bool or
+    a number beyond double range, is a schema error naming `path`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:      # an integer beyond 1.8e308
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SchemaError(f"{path} must be a finite double, not {value!r:.40}")
+
+
+def _positive(value, path: str) -> float:
+    x = _number(value, path)
+    if x > 0.0:
+        return x
+    raise SchemaError(f"{path} must be a finite double > 0, not {value!r:.40}")
+
+
+def _count(value, path: str) -> int:
+    _number(value, path)      # names a literal beyond double range as such
+    if type(value) is not int or value < 1:
+        raise SchemaError(f"{path} must be an integer >= 1, not {value!r:.40}")
+    return value
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{path} must be true or false, not {value!r:.40}")
+    return value
+
+
+def _complex_of(value, path: str) -> complex:
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_number(value[0], path), _number(value[1], path))
+    if isinstance(value, (int, float)):
+        return complex(_number(value, path))
+    raise SchemaError(f"{path} must be a number or [re, im] pair, not {value!r:.40}")
+
+
+def _entries(value, path: str) -> tuple:
+    """Index and complex value arrays of a list of {"index", "re", "im"}
+    objects, one numpy conversion per field."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{path} must be a list of table entries, not {value!r:.40}")
+    n = len(value)
+    bad = SchemaError(f"{path}: table entries need a finite index, re and im, "
+                      f"each a double")
+    try:
+        idx, re, im = (np.fromiter(map(itemgetter(key), value), float, n)
+                       for key in ("index", "re", "im"))
+    except (KeyError, TypeError, OverflowError):   # OverflowError: a 401-digit int
+        raise bad from None
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = re, im
+    # numpy reads a JSON null as NaN, where float() would have refused it
+    if not (np.isfinite(idx).all() and np.isfinite(values).all()):
+        raise bad
+    return idx, values
+
+
+def _list_of(read):
+    """The reader of a non-empty list whose items `read` reads."""
+    def read_list(value, path: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise SchemaError(f"{path} must be a non-empty list, not {value!r:.40}")
+        return [read(item, path) for item in value]
+    return read_list
+
+
+def _p(value, path: str) -> float:
+    if value == "inf":
+        return math.inf
+    p = _number(value, path)
+    if p >= 1.0:
+        return p
+    raise SchemaError(f"{path} must be >= 1 or 'inf', not {value!r:.40}")
+
+
+def _op(value, path: str) -> str:
+    if value in ("B", "L", "M"):
+        return value
+    raise SchemaError(f"{path} must be B, L or M, not {value!r:.40}")
+
+
+def _tolerance(value, path: str) -> float:
+    # no window test passes below 0: every inner sum would stay unconverged
+    rtol = _number(value, path)
+    if rtol >= 0.0:
+        return rtol
+    raise SchemaError(f"{path}, the p.v. tolerance, must be >= 0, not {value!r:.40}")
+
+
+# Every key of a job, by path, with its reader (value, path) -> value.  A
+# top-level key maps to its reader, to the readers of an object section's
+# keys, or to a section's kinds, each with the readers of its keys besides
+# "kind".  One table serves every command, since jobs are shared: every key
+# is read whichever command runs.  Table entries are read by field, index,
+# re and im, so no Python loop walks a 10^4-entry table.
 JOB_KEYS = {
-    "weight": {"classical": (), "power": ("gamma", "c_gamma", "rho_origin")},
-    "lattice": {"square": ("R",), "explicit": ("points",)},
-    "multiplier": {"builtin_sigma": (),
-                   "user_table": ("g_prime", "weighted")},
-    "values": {"zero": (), "constant": ("v",), "gaussian_trace": ("w",),
-               "list": ("items", "weighted")},
-    "pv": ("tolerance",),
-    "grid": ("half_width", "n"),
-    "p": None, "density_r_max": None, "verify_points": None, "w0": None,
-    "radii": None, "op": None, "sizes": None, "N": None,
+    "weight": {"classical": {},
+               "power": {"gamma": _positive, "c_gamma": _positive,
+                         "rho_origin": _positive}},
+    "lattice": {"square": {"R": _number},
+                "explicit": {"points": _list_of(_complex_of)}},
+    "multiplier": {"builtin_sigma": {},
+                   "user_table": {"g_prime": _entries, "weighted": _flag}},
+    "values": {"zero": {}, "constant": {"v": _complex_of},
+               "gaussian_trace": {"w": _complex_of},
+               "list": {"items": _entries, "weighted": _flag}},
+    "pv": {"tolerance": _tolerance},
+    "grid": {"half_width": _positive, "n": _count},
+    "p": _p, "density_r_max": _positive, "verify_points": _count, "w0": _complex_of,
+    "radii": _list_of(_number), "op": _op, "sizes": _list_of(_count), "N": _count,
+}
+
+# The value a path reads when the job leaves it out, itself read by the
+# path's reader; a section left out is read as its default.  The defaults
+# a command computes (density_r_max, radii, N, grid.half_width, grid.n, w0)
+# are its own.
+DEFAULTS = {
+    "weight": {"kind": "classical"}, "multiplier": {"kind": "builtin_sigma"},
+    "values": {"kind": "zero"}, "pv": {}, "grid": {},
+    "multiplier.g_prime": [], "multiplier.weighted": False,
+    "values.v": 1, "values.w": 0, "values.items": [], "values.weighted": False,
+    "pv.tolerance": PV_RTOL, "p": 2, "verify_points": 80, "op": "B",
+    "sizes": [200, 800, 3200],
 }
 
 
-def _check_keys(job: dict):
-    """Schema error on a section that is not an object, an unknown kind, or
-    keys that JOB_KEYS does not hold, naming each such key by its path."""
-    unread = [key for key in job if key not in JOB_KEYS]
-    for key, spec in job.items():
-        keys = JOB_KEYS.get(key)
-        if keys is None:
+def _read(given: dict, table: dict, prefix: str, unread: list) -> dict:
+    """The object `given` at `prefix` of the job ("" for the job itself) as
+    `table` reads it: each key by its reader, or an object section by its
+    own table (kinds, if it holds no reader), and DEFAULTS for the keys it
+    leaves out.  The paths of the keys `table` does not hold join `unread`."""
+    read = {}
+    if not any(map(callable, table.values())):
+        kind = given.get("kind")
+        if not isinstance(kind, str) or kind not in table:
+            raise SchemaError(f"{prefix}kind must be one of {', '.join(table)}, "
+                              f"not {kind!r:.40}")
+        read["kind"], table = kind, table[kind]
+    unread += [prefix + key for key in given if key not in table and key not in read]
+    for key, entry in table.items():
+        path = prefix + key
+        if key not in given and path not in DEFAULTS:
             continue
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{key} must be an object, not {spec!r:.40}")
-        if isinstance(keys, dict):
-            kind = spec.get("kind")
-            if not isinstance(kind, str) or kind not in keys:
-                raise SchemaError(f"{key}.kind must be one of {', '.join(keys)}, "
-                                  f"not {kind!r:.40}")
-            keys = ("kind", *keys[kind])
-        unread += [f"{key}.{sub}" for sub in spec if sub not in keys]
-    if unread:
-        raise SchemaError(f"no command reads {', '.join(map(repr, unread))}")
+        value = given[key] if key in given else DEFAULTS[path]
+        if callable(entry):
+            read[key] = entry(value, path)
+        elif isinstance(value, dict):
+            read[key] = _read(value, entry, path + ".", unread)
+        else:
+            raise SchemaError(f"{path} must be an object, not {value!r:.40}")
+    return read
 
 
 def _reject_constant(name: str):
@@ -94,11 +210,10 @@ def _reject_constant(name: str):
 
 
 def _load_job(path: str) -> tuple:
-    """The parsed job, checked against JOB_KEYS, and the SHA-256 hex digest
-    of the file's bytes.  The non-standard JSON literals NaN, Infinity and
-    -Infinity are refused.  Numbers are checked where they are read
-    (`_number`, `_entries`): json reads 1e400 as inf, and a 401-digit
-    integer as a Python int."""
+    """(config, read, digest) of a job file: the job with its arrays echoed
+    by length (`_echo`), the whole job read through JOB_KEYS (`_read`), and
+    the SHA-256 hex digest of the file's bytes.  The non-standard JSON
+    literals NaN, Infinity and -Infinity are refused."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -107,8 +222,11 @@ def _load_job(path: str) -> tuple:
         raise SchemaError(f"cannot read job file: {exc}")
     if not isinstance(job, dict):
         raise SchemaError("job must be a JSON object")
-    _check_keys(job)
-    return job, sha256(raw).hexdigest()
+    unread = []
+    read = _read(job, JOB_KEYS, "", unread)
+    if unread:
+        raise SchemaError(f"no command reads {', '.join(map(repr, unread))}")
+    return _echo(job), read, sha256(raw).hexdigest()
 
 
 def _echo(job: dict) -> dict:
@@ -122,152 +240,60 @@ def _echo(job: dict) -> dict:
     return out
 
 
-def _number(value, what: str, positive: bool = False) -> float:
-    """A job number as a finite double (> 0 if `positive`); anything else,
-    a string, a bool or a number beyond double range, is a schema error
-    naming `what`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:      # an integer beyond 1.8e308
-            x = math.inf
-        if math.isfinite(x) and (x > 0.0 or not positive):
-            return x
-    raise SchemaError(f"{what} must be a finite double{' > 0' if positive else ''}, "
-                      f"not {value!r:.40}")
-
-
-def _flag(spec: dict, key: str, what: str) -> bool:
-    """spec[key] as a JSON true or false (false when absent); anything
-    else is a schema error naming `what`."""
-    value = spec.get(key, False)
-    if not isinstance(value, bool):
-        raise SchemaError(f"{what} must be true or false, not {value!r:.40}")
-    return value
-
-
-def _complex_of(obj, what: str) -> complex:
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(_number(obj[0], what), _number(obj[1], what))
-    if isinstance(obj, (int, float)):
-        return complex(_number(obj, what))
-    raise SchemaError(f"{what} must be a number or [re, im] pair")
-
-
-def _entries(entries: list, what: str) -> tuple:
-    """Index and complex value arrays of a list of {"index", "re", "im"}
-    objects, one numpy conversion per field; anything but a list is a
-    schema error naming `what`."""
-    if not isinstance(entries, list):
-        raise SchemaError(f"{what} must be a list of table entries, "
-                          f"not {entries!r:.40}")
-    n = len(entries)
-    bad = SchemaError("table entries need a finite index, re and im, each a double")
-    try:
-        idx, re, im = (np.fromiter(map(itemgetter(key), entries), float, n)
-                       for key in ("index", "re", "im"))
-    except (KeyError, TypeError, OverflowError):   # OverflowError: a 401-digit int
-        raise bad from None
-    # numpy reads a JSON null as NaN, where float() would have refused it
-    if not (np.isfinite(idx).all() and np.isfinite(re).all()
-            and np.isfinite(im).all()):
-        raise bad
-    values = np.empty(n, dtype=complex)
-    values.real, values.imag = re, im
-    return idx, values
-
-
-def _build_weight(job: dict) -> WeightProfile:
-    spec = job.get("weight", {"kind": "classical"})
+def _build_weight(cfg: dict) -> WeightProfile:
+    spec = cfg["weight"]
     if spec["kind"] == "classical":
         return classical_weight()
     scale = [key for key in ("c_gamma", "rho_origin") if key in spec]
     if "gamma" not in spec or len(scale) != 1:
         raise SchemaError("a power weight needs gamma and one of c_gamma "
                           "and rho_origin")
-    return power_weight(_number(spec["gamma"], "weight.gamma", positive=True),
-                        **{scale[0]: _number(spec[scale[0]], f"weight.{scale[0]}",
-                                             positive=True)})
+    return power_weight(spec["gamma"], **{scale[0]: spec[scale[0]]})
 
 
-def _build_lattice(job: dict, w: WeightProfile) -> Lattice:
-    if "lattice" not in job:
+def _build_lattice(cfg: dict, w: WeightProfile) -> Lattice:
+    if "lattice" not in cfg:
         raise SchemaError("this command needs a lattice")
-    spec = job["lattice"]
-    if spec["kind"] == "explicit":
-        pts = spec.get("points", [])
-        if not isinstance(pts, list):
-            raise SchemaError("lattice.points must be a list of [x, y] pairs")
-        return explicit_lattice([_complex_of(p, "lattice.points") for p in pts], w)
-    if "R" not in spec:
-        raise SchemaError("a square lattice needs R")
-    return square_lattice(_number(spec["R"], "lattice.R"), w)
+    spec = cfg["lattice"]
+    key, build = (("R", square_lattice) if spec["kind"] == "square"
+                  else ("points", explicit_lattice))
+    if key not in spec:
+        raise SchemaError(f"a {spec['kind']} lattice needs {key}")
+    return build(spec.pop(key), w)
 
 
-def _build_multiplier(job: dict, lat: Lattice) -> Multiplier:
-    spec = job.get("multiplier", {"kind": "builtin_sigma"})
-    if spec["kind"] == "builtin_sigma":
-        return builtin_sigma_multiplier(lat)
-    indices, values = _entries(spec.get("g_prime", []), "multiplier.g_prime")
-    return user_multiplier(lat, values, indices=indices,
-                           weighted=_flag(spec, "weighted", "multiplier.weighted"))
-
-
-def _build_values(job: dict, m: Multiplier, p) -> TraceData:
-    spec = job.get("values", {"kind": "zero"})
-    kind = spec["kind"]
-    if kind == "zero":
-        return TraceData.zero(m, p)
-    if kind == "constant":
-        return TraceData.constant(m, p, _complex_of(spec.get("v", 1.0), "values.v"))
-    if kind == "gaussian_trace":
-        return TraceData.gaussian(m, p, _complex_of(spec.get("w", 0.0), "values.w"))
-    vals, _ = scatter_indexed(len(m.lattice),
-                              *_entries(spec.get("items", []), "values.items"),
-                              "value")
-    if _flag(spec, "weighted", "values.weighted"):
-        return TraceData.from_weighted(m, p, vals)
-    return TraceData.from_raw(m, p, vals)
-
-
-def _parse_p(job: dict):
-    p = job.get("p", 2)
-    if p == "inf":
-        return math.inf
-    p = _number(p, "p")
-    if not p >= 1.0:
-        raise SchemaError("p must be >= 1 or 'inf'")
-    return p
-
-
-def _count(value, what: str) -> int:
-    _number(value, what)      # names a literal beyond double range as such
-    if type(value) is not int or value < 1:
-        raise SchemaError(f"{what} must be an integer >= 1, not {value!r}")
-    return value
-
-
-def _grid(job: dict, default_half: float, default_n: int) -> tuple:
+def _grid(spec: dict, default_half: float, default_n: int) -> tuple:
     """(points, corner radius) of the midpoint grid of n x n cells on
-    [-half_width, half_width]^2 of the job's "grid" object: an integer
-    n >= 1 and a finite half_width > 0; y varies fastest along the points."""
-    g = job.get("grid", {})
-    half = _number(g.get("half_width", default_half), "grid.half_width", positive=True)
-    n = _count(g.get("n", default_n), "grid.n")
+    [-half_width, half_width]^2 of the job's "grid" section; y varies
+    fastest along the points."""
+    half, n = spec.get("half_width", default_half), spec.get("n", default_n)
     xs = -half + (np.arange(n) + 0.5) * (half + half) / n
     return (xs[:, None] + 1j * xs[None, :]).ravel(), abs(complex(half, half))
 
 
-def _trace_data(job: dict) -> tuple:
-    """(data, rtol) of a trace-check or reconstruct job: its trace data on
-    the job's lattice and multiplier, and the p.v. tolerance pv.tolerance
-    (PV_RTOL when absent), finite and >= 0: no window test passes below 0."""
-    m = _build_multiplier(job, _build_lattice(job, _build_weight(job)))
-    data = _build_values(job, m, _parse_p(job))
-    rtol = _number(job.get("pv", {}).get("tolerance", PV_RTOL), "pv.tolerance")
-    if rtol < 0.0:
-        raise SchemaError(f"the p.v. tolerance must be finite and >= 0, not {rtol}")
-    return data, rtol
+def _trace_data(cfg: dict) -> TraceData:
+    """The trace data of a trace-check or reconstruct job on its lattice
+    and multiplier.  The job's arrays leave cfg as they are built on, so
+    none outlives its builder."""
+    lat = _build_lattice(cfg, _build_weight(cfg))
+    spec, p = cfg["multiplier"], cfg["p"]
+    if spec["kind"] == "builtin_sigma":
+        m = builtin_sigma_multiplier(lat)
+    else:
+        indices, values = spec.pop("g_prime")
+        m = user_multiplier(lat, values, indices=indices, weighted=spec["weighted"])
+        del indices, values            # m holds them scattered
+    spec = cfg["values"]
+    if spec["kind"] == "zero":
+        return TraceData.zero(m, p)
+    if spec["kind"] == "constant":
+        return TraceData.constant(m, p, spec["v"])
+    if spec["kind"] == "gaussian_trace":
+        return TraceData.gaussian(m, p, spec["w"])
+    vals, _ = scatter_indexed(len(lat), *spec.pop("items"), "value")
+    if spec["weighted"]:
+        return TraceData.from_weighted(m, p, vals)
+    return TraceData.from_raw(m, p, vals)
 
 
 def _emit(report: dict, path: Optional[str]):
@@ -298,15 +324,13 @@ def _write_grid(path: str, header: list, columns: list):
         wr.writerows(zip(*([f"{x:.12g}" for x in col] for col in columns)))
 
 
-# -- commands: each maps (args, job) to (results, tolerances) ---------------
+# -- commands: each maps (args, the job as read) to (results, tolerances) --
 
 
-def cmd_lattice_info(args, job: dict) -> tuple:
-    lat = _build_lattice(job, _build_weight(job))
+def cmd_lattice_info(args, cfg: dict) -> tuple:
+    lat = _build_lattice(cfg, _build_weight(cfg))
     sched = shells_for(lat)
-    r_max = job.get("density_r_max")
-    if r_max is None:
-        r_max = 0.45 * lat.truncation_radius / lat.max_rho
+    r_max = cfg.get("density_r_max", 0.45 * lat.truncation_radius / lat.max_rho)
     return {
         "n_points": len(lat),
         "truncation_radius": lat.truncation_radius,
@@ -316,22 +340,21 @@ def cmd_lattice_info(args, job: dict) -> tuple:
         "first_shell_size": (int(np.diff(sched.starts, append=sched.n_points)[1])
                              if sched.n_shells > 1 else 0),
         "max_rho": lat.max_rho,
-        "upper_density": upper_density(lat, _number(r_max, "density_r_max",
-                                                    positive=True)),
+        "upper_density": upper_density(lat, r_max),
     }, {}
 
 
-def cmd_sigma_eval(args, job: dict) -> tuple:
-    lat = _build_lattice(job, _build_weight(job))
-    pts = _grid(job, lat.scale, 100)[0]
+def cmd_sigma_eval(args, cfg: dict) -> tuple:
+    lat = _build_lattice(cfg, _build_weight(cfg))
+    pts = _grid(cfg["grid"], lat.scale, 100)[0]
     vals = sigma_weighted_mag(lat, pts)
     _write_grid(args.grid, ["x", "y", "weighted_mag"], [pts.real, pts.imag, vals])
     return {"grid_file": args.grid, "n_values": int(vals.size),
             "max_weighted_mag": float(np.max(vals))}, {}
 
 
-def cmd_trace_check(args, job: dict) -> tuple:
-    data, rtol = _trace_data(job)
+def cmd_trace_check(args, cfg: dict) -> tuple:
+    data, rtol = _trace_data(cfg), cfg["pv"]["tolerance"]
     verdict = classify(data, rtol)
     results = {
         "branch": {
@@ -366,8 +389,8 @@ def cmd_trace_check(args, job: dict) -> tuple:
                      "unconverged_max_share": UNCONVERGED_MAX_SHARE}
 
 
-def cmd_reconstruct(args, job: dict) -> tuple:
-    data, rtol = _trace_data(job)
+def cmd_reconstruct(args, cfg: dict) -> tuple:
+    data, rtol = _trace_data(cfg), cfg["pv"]["tolerance"]
     # beyond the guard band the truncated sums lose the true value; the
     # default grid's corner, half * sqrt(2), stays inside it
     guard = data.lattice.guard_radius()
@@ -375,13 +398,11 @@ def cmd_reconstruct(args, job: dict) -> tuple:
         raise SchemaError(f"lattice R = {data.lattice.truncation_radius:.4g} leaves "
                           f"no guard band: the guard radius R - 5 max rho is "
                           f"{guard:.4g}, so no grid lies inside it")
-    pts, corner = _grid(job, min(4.0, guard / math.sqrt(2.0)), 60)
-    verify_points = _count(job.get("verify_points", 80), "verify_points")
+    pts, corner = _grid(cfg["grid"], min(4.0, guard / math.sqrt(2.0)), 60)
     if corner > guard:
         raise ValueError(f"grid corner at radius {corner:.4g} lies "
                          f"beyond the guard radius {guard:.4g}")
-    w0 = job.get("w0")
-    I = Interpolant(data, None if w0 is None else _complex_of(w0, "w0"), rtol)
+    I = Interpolant(data, cfg.get("w0"), rtol)
     vals_w = I.eval_weighted(pts)
     # raw f = f e^{-phi} e^{phi}; NaN where that leaves double range
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,7 +411,7 @@ def cmd_reconstruct(args, job: dict) -> tuple:
     raw[overflow] = complex(np.nan, np.nan)
     _write_grid(args.grid, ["x", "y", "re_f", "im_f", "weighted_mag"],
                 [pts.real, pts.imag, raw.real, raw.imag, np.abs(vals_w)])
-    residual = verify_interpolation(I, max_points=verify_points)
+    residual = verify_interpolation(I, max_points=cfg["verify_points"])
     results = {"grid_file": args.grid, "max_weighted_residual": residual,
                "raw_overflow_points": int(overflow.sum()),
                "mode": I.mode, "w0": I.w0,
@@ -398,49 +419,31 @@ def cmd_reconstruct(args, job: dict) -> tuple:
     return results, {"pv_rtol": rtol, "residual_target": 1e-3}
 
 
-def cmd_ap_probe(args, job: dict) -> tuple:
-    w = _build_weight(job)
-    p = _parse_p(job)
-    if math.isinf(p) or p <= 1.0:
-        raise SchemaError("ap-probe needs 1 < p < inf")
-    radii = job.get("radii")
-    if radii is None:
-        radii = default_ap_radii(w)
-    elif isinstance(radii, list):
-        radii = [_number(r, "radii") for r in radii]
-    else:
-        raise SchemaError(f"radii must be a list of radii, not {radii!r:.40}")
-    rep = ap_probe(w, p, radii)
+def cmd_ap_probe(args, cfg: dict) -> tuple:
+    w, p = _build_weight(cfg), cfg["p"]
+    rep = ap_probe(w, p, cfg.get("radii", default_ap_radii(w)))
     return {"p": p, "disc_radii": list(rep.disc_radii),
             "ratios": list(rep.ratios),
             "fitted_exponent": rep.fitted_exponent,
             "is_ap": rep.is_ap}, {}
 
 
-def cmd_op_norm(args, job: dict) -> tuple:
-    w = _build_weight(job)
-    op = job.get("op", "B")
-    if op not in ("B", "L", "M"):
-        raise SchemaError("op must be B, L or M")
-    sizes = job.get("sizes", [200, 800, 3200])
-    if not isinstance(sizes, list) or not sizes:
-        raise SchemaError(f"sizes must be a non-empty list, not {sizes!r}")
-    sizes = [_count(s, "sizes") for s in sizes]
+def cmd_op_norm(args, cfg: dict) -> tuple:
+    w, op, sizes, p = _build_weight(cfg), cfg["op"], cfg["sizes"], cfg["p"]
     if min(sizes) < math.pi:
         # a size's section is the disc pi R^2 = size scale^2, which below
         # pi holds the origin alone: its norm is 0, and the growth ratio
         # divides by it
         raise SchemaError(f"sizes: the smallest, {min(sizes)}, gives a "
                           f"one-point section; the growth ratio needs two points")
-    p = _parse_p(job)
     # only M(N) reads N; without one it is the smallest N > 1/t
-    if op != "M" and "N" in job:
+    if op != "M" and "N" in cfg:
         raise SchemaError(f"op-norm: only M reads N, and op is {op}")
     N = 2
     if op == "M":
         t = estimate_t(w)
-        N = job.get("N", choose_N(t))
-        if type(N) is not int or _number(N, "N") <= 1.0 / t:
+        N = cfg.get("N", choose_N(t))
+        if N <= 1.0 / t:
             raise SchemaError(f"op-norm: M(N) needs an integer N > 1/t, and "
                               f"t = {t:g} for this weight; N = {N!r}")
     rep = operator_norm_estimate(op, sizes, p, w, N=N, seed=args.seed)
@@ -519,31 +522,25 @@ def main(argv=None) -> int:
         # the lifecycle of every job command; timing_s covers all but the
         # writing of the report
         t0 = time.perf_counter()
-        job, digest = _load_job(args.input)
-        results, tolerances = args.fn(args, job)
+        config, cfg, digest = _load_job(args.input)
+        results, tolerances = args.fn(args, cfg)
         _emit({
             "command": args.command,
             "version": __version__,
             "seed": args.seed,
-            "config": _echo(job),
+            "config": config,
             "input_sha256": digest,
             "tolerances": tolerances,
             "timing_s": round(time.perf_counter() - t0, 3),
             "results": results,
         }, args.output)
         return EXIT_OK
-    except SchemaError as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FockLatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -17,5 +17,5 @@ class NumericalError(FockLatticeError):
     instability)."""
 
 
-class SeparationError(FockLatticeError):
+class SeparationError(SchemaError):
     """A point set is not rho-separated (or is missing the origin)."""

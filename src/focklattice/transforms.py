@@ -283,8 +283,7 @@ class _SquareGrid:
     one runs along the rows that hold data, then down all n columns, and
     the inverse one back up the columns and along the 2M + 1 output rows
     only.  A real array takes real transforms along its rows (the half
-    spectrum), so a real kernel costs half a complex one; a complex x
-    against a real kernel is convolved as its real and imaginary parts."""
+    spectrum), so a real kernel costs half a complex one."""
 
     def __init__(self, R: float):
         self.M = M = int(math.ceil(R / SQUARE_SCALE))
@@ -315,11 +314,10 @@ class _SquareGrid:
                 np.empty((self._n, self._n), dtype=complex))
 
     def conv(self, kf: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """K * x on the grid, for kf = fft(K); real when K and x are."""
+        """K * x on the grid, for kf = fft(K); a real K (its half spectrum)
+        takes a real x, and gives a real result."""
         M, n = self.M, self._n
         if kf.shape[1] != n:             # a real K has the half spectrum
-            if np.iscomplexobj(x):
-                return self.conv(kf, x.real) + 1j * self.conv(kf, x.imag)
             rows = np.fft.ifft(kf * self.fft(x), axis=0)[2 * M:4 * M + 1]
             return np.fft.irfft(rows, n=n, axis=1)[:, 2 * M:4 * M + 1]
         rows, spec = self._work

@@ -74,7 +74,9 @@ class WeightProfile:
 
     @property
     def is_classical_like(self) -> bool:
-        return self.gamma == 2.0 and self.c_gamma == 1.0
+        # a few ulps of C: C = 1/(2 pi gamma rho0^gamma) at rho0 = (4 pi)^(-1/2),
+        # rho of |z|^2, rounds to 1 + 2^-52
+        return self.gamma == 2.0 and abs(self.c_gamma - 1.0) <= 4.0 * math.ulp(1.0)
 
 
 def classical_weight() -> WeightProfile:

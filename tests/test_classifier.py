@@ -204,12 +204,13 @@ class TestGaussianTraceTrajectories:
     rho = (4 pi)^(-1/2); `oracles.gaussian_modified_inf`), with the shell
     sums and running sups taken here: a shell is one value of m^2 + n^2
     on s(Z + iZ).  Within 1e-12 of each trajectory's last value; measured
-    at most 8.4e-16 (b at p = 1, w = 1.5 - 0.7i)."""
+    at most 1.23e-15 (bprime(4) at p = 3, w = 1.5 - 0.7i)."""
 
     @pytest.mark.parametrize("w", [0.3 + 0.2j, 1.5 - 0.7j])
     @pytest.mark.parametrize("p, cid, n", [(1.0, "b", 1), (1.0, "c", 2), (2.0, "b", 1),
+                                           *((3.0, f"bprime({n})", n) for n in range(1, 5)),
                                            (math.inf, "inf_b", None),
-                                           (math.inf, "inf_c(2)", 2)])
+                                           *((math.inf, f"inf_c({n})", n) for n in (2, 3, 4))])
     def test_trajectory(self, lat16, mult16, p, cid, n, w):
         data = TraceData.gaussian(mult16, p, w)
         idx = np.nonzero(lat16.radii <= 8.0)[0]

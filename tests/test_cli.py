@@ -142,6 +142,19 @@ class TestTraceCheck:
         assert rc == 2 and rep is None
         assert "classical weight" in capsys.readouterr().err
 
+    def test_classical_weight_given_by_its_rho_origin_takes_builtin_sigma(
+            self, tmp_path):
+        # rho_origin = (4 pi)^(-1/2) gives c_gamma = 1 + 2^-52, which exact
+        # equality did not read as classical: the job exited 2
+        job = dict(BASE, values={"kind": "gaussian_trace", "w": [0.2, -0.1]}, p=2)
+        rc, want = run(tmp_path, job, "trace-check")
+        power = {"kind": "power", "gamma": 2, "rho_origin": 0.28209479177387814}
+        assert power_weight(2.0, rho_origin=power["rho_origin"]).c_gamma != 1.0
+        rc_power, got = run(tmp_path, dict(job, weight=power), "trace-check",
+                            name="power.json")
+        assert rc == rc_power == 0
+        assert got["results"] == want["results"]
+
     def test_zero_job_bounded(self, tmp_path):
         job = dict(BASE, values={"kind": "zero"}, p="inf")
         rc, rep = run(tmp_path, job, "trace-check")
@@ -771,14 +784,16 @@ class TestOtherCommands:
     def test_op_norm_m_order_must_exceed_one_over_t(self, tmp_path, capsys,
                                                      weight, N, rc):
         # t = min(gamma/2, 2/gamma): 1 classical, 0.25 at gamma
-        # 0.5, 0.4 at gamma 5
+        # 0.5, 0.4 at gamma 5.  N's reader refuses what is no integer >= 1
+        # before the op-norm command sees t
         job = {"weight": weight, "op": "M", "p": 1, "sizes": [20], "N": N}
         got, rep = run(tmp_path, job, "op-norm")
         assert got == rc
         if rc == 0:
             assert rep["results"]["op"] == f"M({N})"
         else:
-            assert rep is None and "N > 1/t" in capsys.readouterr().err
+            want = "N > 1/t" if N in (1, 2, 4) else "N must be an integer >= 1"
+            assert rep is None and want in capsys.readouterr().err
 
     def test_op_norm_trials_key_is_schema_error(self, tmp_path, capsys):
         job = {"weight": {"kind": "classical"}, "op": "B", "p": 2,
@@ -843,6 +858,17 @@ class TestOtherCommands:
         rc, rep = run(tmp_path, job, "op-norm")
         assert rc == 0 and rep["results"]["sizes"][0] == 5
         assert rep["results"]["norms"][0] > 0
+
+    @pytest.mark.parametrize("points, message", [
+        ([[1.5, 0], [0, 1.5]], "lattice must contain the origin"),
+        ([[0, 0], [1.5, 0], [1.5, 0]], "points are not rho-separated")])
+    def test_bad_explicit_lattice_is_schema_error(self, tmp_path, capsys, points,
+                                                  message):
+        # a fault of the job: both exited 3 with "error: ..."
+        job = dict(BASE, lattice={"kind": "explicit", "points": points})
+        rc, rep = run(tmp_path, job, "lattice-info")
+        assert rc == 2 and rep is None
+        assert capsys.readouterr().err.startswith(f"schema error: {message}")
 
     def test_explicit_lattice_user_table(self, tmp_path):
         pts = [[0, 0], [1.5, 0], [-1.5, 0], [0, 1.5], [0, -1.5],
@@ -943,24 +969,61 @@ class TestJobKeys:
         return key[1] + key[0] + key[2:] if len(key) > 1 and key[0] != key[1] \
             else key + key[-1]
 
+    @staticmethod
+    def keys():
+        """(key, head, sub) for every key the table reads: a top-level value
+        (head and sub None), or a section's key sub, which needs head, the
+        section's kind ({} for a section without kinds, and for "kind")."""
+        for key, table in cli.JOB_KEYS.items():
+            if callable(table):
+                yield key, None, None
+            elif any(map(callable, table.values())):
+                yield from ((key, {}, sub) for sub in table)
+            else:                                   # a section with kinds
+                yield key, {}, "kind"
+                for kind, readers in table.items():
+                    yield from ((key, {"kind": kind}, sub) for sub in readers)
+
     def test_every_misspelt_key_is_schema_error_naming_its_path(self, tmp_path, capsys):
         jobs = []
-        for key, keys in cli.JOB_KEYS.items():
+        for key in cli.JOB_KEYS:
             assert self.misspelt(key) not in cli.JOB_KEYS
             jobs.append((self.misspelt(key), {self.misspelt(key): 1}))
-            kinds = keys.items() if isinstance(keys, dict) else [(None, keys or ())]
-            for kind, sub in kinds:
-                head = {} if kind is None else {"kind": kind}
-                for name in sub:
-                    assert self.misspelt(name) not in (*sub, "kind")
-                    jobs.append((f"{key}.{self.misspelt(name)}",
-                                 {key: {**head, self.misspelt(name): 1}}))
+        paths = {f"{key}.{sub}" for key, _, sub in self.keys()}
+        for key, head, sub in self.keys():
+            if sub not in (None, "kind"):
+                assert f"{key}.{self.misspelt(sub)}" not in paths
+                assert self.misspelt(sub) != "kind"
+                jobs.append((f"{key}.{self.misspelt(sub)}",
+                             {key: {**head, self.misspelt(sub): 1}}))
         # 14 top-level keys and 14 section keys
         assert len(jobs) == 28
         for path, job in jobs:
             rc, rep = run(tmp_path, job, "trace-check")
             assert rc == 2 and rep is None, path
             assert f"no command reads {path!r}" in capsys.readouterr().err, path
+
+    @pytest.mark.parametrize("cmd", ["lattice-info", "sigma-eval", "trace-check",
+                                     "reconstruct", "ap-probe", "op-norm"])
+    def test_every_value_of_the_wrong_type_is_schema_error_naming_its_path(
+            self, tmp_path, capsys, cmd):
+        # every key is read whichever command runs: a lattice-info job with
+        # values.items "x", or a trace-check job with op 7, exited 0; a null
+        # w0, density_r_max or radii read as absent
+        cases = []
+        for key, head, sub in self.keys():
+            for bad in ("x", True, None, {}):
+                if bad is True and (sub or key) == "weighted":
+                    continue        # true is a flag's value
+                cases.append((key, {key: bad}) if sub is None else
+                             (f"{key}.{sub}", {key: {**head, sub: bad}}))
+        assert len(cases) == 4 * 26 - 2
+        grid = tmp_path / "g.csv"
+        extra = ["--grid", str(grid)] if cmd in ("sigma-eval", "reconstruct") else None
+        for path, part in cases:
+            rc, rep = run(tmp_path, {**self.FULL, **part}, cmd, extra)
+            assert rc == 2 and rep is None and not grid.exists(), (path, part)
+            assert path in capsys.readouterr().err, (path, part)
 
     def test_misspelt_trace_job_names_every_unread_key(self, tmp_path, capsys):
         # it ran on the classical weight at the default p.v. tolerance
@@ -1010,17 +1073,22 @@ class TestJobKeys:
         assert rc == 0 and rep["config"] == job
 
     def test_readme_lists_every_key(self):
-        # the README's CLI section mirrors the table
+        # the README's CLI section mirrors the table and its defaults
         readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                               "README.md")
         with open(readme) as fh:
             text = fh.read()
         section = text[text.index("## CLI"):text.index("## Library sketch")]
-        for key, keys in cli.JOB_KEYS.items():
-            names = [key]
-            if isinstance(keys, dict):
-                names += [n for kind, sub in keys.items() for n in (kind, *sub)]
-            elif keys is not None:
-                names += keys
-            for name in names:
-                assert f"`{name}`" in section, name
+        def names(table):          # keys, kinds and section keys
+            return {name for key, entry in table.items()
+                    for name in (key, *(names(entry) if isinstance(entry, dict) else ()))}
+
+        for name in names(cli.JOB_KEYS):
+            assert f"`{name}`" in section, name
+        for path, value in cli.DEFAULTS.items():
+            if isinstance(value, dict):         # a section's default: its kind
+                if not value:
+                    continue
+                value = value["kind"]
+            shown = value if isinstance(value, str) else json.dumps(value)
+            assert f"`{shown}`" in section, path

@@ -278,6 +278,38 @@ def test_every_default_is_set_in_src():
     assert unset == [("main", "argv")], f"defaults that no call in src sets: {unset}"
 
 
+def test_job_values_are_read_only_through_the_key_table():
+    # one place says what a job key holds: the readers in cli.JOB_KEYS are
+    # named only by other readers, by the table and by the read walk, and
+    # only the functions that load, read and echo the parsed job hold it
+    import ast
+    from focklattice import cli
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    table = next(node for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["JOB_KEYS"])
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    readers = {node.id for node in ast.walk(table.value)
+               if isinstance(node, ast.Name)} & functions
+    assert readers == {"_number", "_positive", "_count", "_flag", "_complex_of",
+                       "_entries", "_list_of", "_p", "_op", "_tolerance"}
+    for node in tree.body:
+        if node is table or getattr(node, "name", None) in readers | {"_read"}:
+            continue
+        named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & readers
+        assert not named, f"{getattr(node, 'name', ast.unparse(node)[:40])} reads " \
+                          f"a job value itself with {sorted(named)}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name not in (
+                "_load_job", "_echo", "main"):
+            a = node.args
+            names = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                     a.vararg, a.kwarg] if x is not None}
+            names |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            assert "job" not in names, f"{node.name} holds the parsed job"
+
+
 def test_readme_library_sketch_runs():
     # the README's sketch is the documented library API: run it as written
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
