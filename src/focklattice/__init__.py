@@ -24,5 +24,4 @@ from .transforms import (OperatorNormReport, batch_higher, batch_modified_inf,
 from .classifier import (BranchInfo, ConditionReport, Margins, TraceData,
                          TraceVerdict, classify, condition, condition_a,
                          select_branch, trajectory_margins)
-from .interpolate import (Interpolant, reconstruct, verify_interpolation,
-                          w0_from)
+from .interpolate import Interpolant, reconstruct, verify_interpolation

@@ -280,9 +280,7 @@ def _trace_data(cfg: dict) -> TraceData:
     if spec["kind"] == "builtin_sigma":
         m = builtin_sigma_multiplier(lat)
     else:
-        indices, values = spec.pop("g_prime")
-        m = user_multiplier(lat, values, indices=indices, weighted=spec["weighted"])
-        del indices, values            # m holds them scattered
+        m = user_multiplier(lat, *spec.pop("g_prime"), spec["weighted"])
     spec = cfg["values"]
     if spec["kind"] == "zero":
         return TraceData.zero(m, p)

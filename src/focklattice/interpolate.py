@@ -23,14 +23,13 @@ gives stably at any distance.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .classifier import TraceData, shell_trajectory, trajectory_margins
 from .errors import NumericalError
 from .lattice import nearest_index, shells_for
-from .multiplier import Multiplier
 from .transforms import (PV_RTOL, _higher_terms, _modified_terms,
                          _tail_partials, _window_test)
 # rho_many is unused here, but perfbench's tracer wraps it under this
@@ -40,7 +39,6 @@ from .weights import loglog_fit, phi, rho_many
 __all__ = [
     "Interpolant",
     "reconstruct",
-    "w0_from",
     "verify_interpolation",
 ]
 
@@ -153,37 +151,9 @@ class Interpolant:
         return _eval_core(self, z, weighted=True)
 
 
-def w0_from(f: Callable, m: Multiplier) -> complex:
-    """Free parameter of the p = inf representation for a concrete f:
-    w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)), for the builtin sigma, whose
-    oddness makes g''(0) = 0.
-
-    f'(0) comes from Richardson-extrapolated central differences with step
-    h = 1e-5 * rho(0); the extrapolation at two step sizes must agree
-    or NumericalError is raised.  A user table carries no g''(0), so it
-    raises NumericalError: its w0 stays a free parameter."""
-    if m.source != "builtin_sigma":
-        raise NumericalError("g''(0) unknown: w0 must be treated as a free "
-                             "parameter for this multiplier")
-    h = 1e-5 * float(m.lattice.rho_values[0])
-
-    def central(hh: float) -> complex:
-        return (complex(f(hh)) - complex(f(-hh))) / (2.0 * hh)
-
-    def richardson(hh: float) -> complex:
-        return (4.0 * central(hh / 2.0) - central(hh)) / 3.0
-
-    r1, r2 = richardson(h), richardson(h / 2.0)
-    scale = max(abs(r1), abs(r2), 1e-12)
-    if abs(r1 - r2) > 1e-5 * scale:
-        raise NumericalError(
-            f"derivative estimate unstable: {abs(r1 - r2) / scale:.2e} relative")
-    return r2 / m.g_prime(0)
-
-
-def verify_interpolation(I: Interpolant,
-                         max_points: Optional[int] = None) -> float:
-    """Max weighted interpolation residual over guard-band lattice points.
+def verify_interpolation(I: Interpolant, max_points: int) -> float:
+    """Max weighted interpolation residual over at most max_points
+    guard-band lattice points, spread evenly over their index range.
 
     The evaluator is sampled at lambda + 0.05 rho(lambda) in four directions
     and averaged, which cancels the first three Taylor terms and avoids the
@@ -191,7 +161,7 @@ def verify_interpolation(I: Interpolant,
     data = I.data
     lat = data.lattice
     idx = np.nonzero(lat.radii <= lat.guard_radius())[0]
-    if max_points is not None and len(idx) > max_points:
+    if len(idx) > max_points:
         idx = idx[np.linspace(0, len(idx) - 1, max_points).astype(int)]
     if len(idx) == 0:
         return 0.0

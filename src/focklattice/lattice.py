@@ -145,14 +145,13 @@ def grid_coords(z, scale: float):
 
 
 def _search(points: np.ndarray, rho: np.ndarray, z: np.ndarray,
-            r_z: np.ndarray, h: Optional[float] = None,
-            exclude: bool = False):
+            r_z: np.ndarray, h: Optional[float], exclude: bool = False):
     """Index and value of the exact argmin over the points lambda of
     |z - lambda| / max(r_z, rho_lambda), for each z (exclude: not z's own
     index, with z the points themselves).
 
     Bentley, Stanat & Williams' cell technique: the points are binned once
-    by `grid_coords(points, h)` into a CSR table; h defaults to the
+    by `grid_coords(points, h)` into a CSR table; h None takes the
     bounding-box side over ceil(sqrt(N)), so the table has O(N) bins.  Each
     query scans rings of bins around its bin, clipped into the table.  A
     point beyond ring k is at least hypot(gap, k h) from z, gap being z's

@@ -103,9 +103,9 @@ def sigma_weighted_mag(lat: Lattice, z):
 class Multiplier:
     """Evaluator bundle for a multiplier g with zero set = the lattice.
 
-    g' values are held in weighted form g'(lambda) e^{-phi(lambda)}, phi the
-    lattice's weight (O(1/rho) sized); raw values are exposed but overflow
-    once phi(lambda) > ~700.  log_g is available for the builtin sigma only;
+    g' values are held and given in weighted form g'(lambda) e^{-phi(lambda)},
+    phi the lattice's weight (O(1/rho) sized), as raw values overflow once
+    phi(lambda) > ~700.  log_g is available for the builtin sigma only;
     user tables support the trace-side operations, which consume g only
     through g'(lambda).
     """
@@ -121,16 +121,9 @@ class Multiplier:
 
     # -- g'(lambda) ---------------------------------------------------------
 
-    def g_prime_weighted(self, indices=None) -> np.ndarray:
-        """g'(lambda) e^{-phi(lambda)} at the indices (all by default)."""
-        if indices is None:
-            return self._gw.copy()
+    def g_prime_weighted(self, indices) -> np.ndarray:
+        """g'(lambda) e^{-phi(lambda)} at the indices."""
         return self._gw[np.asarray(indices, dtype=int)]
-
-    def g_prime(self, index: int) -> complex:
-        """Raw g'(lambda); valid while phi(lambda) fits in a double."""
-        gw = self._gw[index]
-        return complex(gw * np.exp(phi(self.weight, self.lattice.points[index])))
 
     # -- g(z) ----------------------------------------------------------------
 
@@ -168,20 +161,16 @@ def builtin_sigma_multiplier(lat: Lattice) -> Multiplier:
                       _gw=(1.0 - 2.0 * parity).astype(complex))
 
 
-def user_multiplier(lat: Lattice, g_prime_table, weighted: bool = False,
-                    indices=None) -> Multiplier:
+def user_multiplier(lat: Lattice, indices, g_prime_table,
+                    weighted: bool) -> Multiplier:
     """Wrap externally supplied multiplier data.
 
-    g_prime_table gives g'(lambda) for every lattice index (raw, or already
-    multiplied by e^{-phi}, phi the lattice's weight, when weighted=True):
-    the values in index order, or the values at `indices`, where a repeated
-    index keeps its last value (`scatter_indexed`).  Out-of-range, missing
-    and zero entries are rejected.
+    g_prime_table gives g'(lambda) at the lattice `indices` (raw, or already
+    multiplied by e^{-phi}, phi the lattice's weight, when weighted), where
+    a repeated index keeps its last value (`scatter_indexed`).
+    Out-of-range, missing and zero entries are rejected.
     """
-    values = np.asarray(g_prime_table, dtype=complex)
-    if indices is None:
-        indices = np.arange(len(values))
-    vals, seen = scatter_indexed(len(lat), indices, values, "g' table")
+    vals, seen = scatter_indexed(len(lat), indices, g_prime_table, "g' table")
     if not seen.all():
         raise SchemaError(f"g' table misses {int((~seen).sum())} lattice indices")
     if np.any(vals == 0.0):

@@ -114,8 +114,7 @@ def _sequence(lat: Lattice, d) -> np.ndarray:
     return d
 
 
-def _higher_terms(lat: Lattice, d: np.ndarray, centres, own, n: int,
-                  first: int = 0):
+def _higher_terms(lat: Lattice, d: np.ndarray, centres, own, n: int, first: int):
     """Rows d_lambda / (lambda - centre)^n over the indices first.., with
     each row's own index `own` zeroed (the centre's own term, or the pole
     that reconstruction deflates)."""
@@ -127,7 +126,7 @@ def _higher_terms(lat: Lattice, d: np.ndarray, centres, own, n: int,
     return terms
 
 
-def _modified_terms(lat: Lattice, d: np.ndarray, centres, own, first: int = 0):
+def _modified_terms(lat: Lattice, d: np.ndarray, centres, own, first: int):
     """Rows of the modified Cauchy kernel over the indices first.. at the
     nonzero centres, with each row's own index `own` zeroed; the origin
     column -d_0/centre is set first, so own = 0 zeroes it too."""
@@ -251,8 +250,8 @@ class OperatorNormReport(NamedTuple):
     p: float
     sizes: tuple
     norms: tuple
-    stagnations: tuple = ()
-    residuals: tuple = ()
+    stagnations: tuple
+    residuals: tuple
 
     @property
     def growth_ratio(self) -> float:
@@ -456,7 +455,7 @@ def _top_singular_value(sec: _FftSection, seed: int):
 
 
 def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
-                           w: WeightProfile, N: int = 2,
+                           w: WeightProfile, N: int,
                            seed: int = 0) -> OperatorNormReport:
     """Operator norms of B, L or M(N) across nested square-lattice sizes.
 

@@ -506,7 +506,7 @@ def choose_N(t: float) -> int:
 # Sampler
 # ---------------------------------------------------------------------------
 
-def quasirandom(count: int, offset: int = 0) -> np.ndarray:
+def quasirandom(count: int, offset: int) -> np.ndarray:
     """Points k = offset + 1 .. offset + count of the additive R_6 sequence
     frac(1/2 + k alpha) in [0, 1)^6, alpha_j = g^-j with g^7 = g + 1
     (Roberts, "The unreasonable effectiveness of quasirandom sequences",

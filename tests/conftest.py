@@ -37,6 +37,13 @@ def rng():
     return np.random.default_rng(0)
 
 
+def sigma_table(m):
+    """Every lattice index of the multiplier m and its weighted g' there:
+    the arguments of a user table that reproduces m."""
+    idx = np.arange(len(m.lattice))
+    return idx, m.g_prime_weighted(idx)
+
+
 def gaussian_fn(w):
     return lambda z: np.exp(2.0 * np.conj(w) * np.asarray(z, dtype=complex)
                             - abs(w) ** 2)

@@ -16,7 +16,11 @@ Each is the plain dense form of what the program computes another way:
   (`weights.rho_many`);
 * `density_at`: the counting density at given lattice points, one disc
   at a time, which the program forms for its own centres in one batch
-  (`lattice.upper_density`).
+  (`lattice.upper_density`);
+* `richardson_w0`: the free parameter w0 = f'(0)/g'(0) of a p = inf
+  interpolant, from a Richardson-extrapolated central difference, which
+  the program takes for the Gaussian in closed form (acceptance
+  criterion 9).
 
 Two more are closed forms of whole-lattice quantities on the classical
 weight's lattice s(Z + iZ), s = sqrt(pi/2):
@@ -135,7 +139,7 @@ def levin_recovery(lat, m, f, delta, N):
     arrays."""
     pts, rho = lat.points, lat.rho_values
     idx = np.nonzero(lat.radii <= 0.5 * lat.truncation_radius)[0]
-    d = f(pts) * np.exp(-phi(m.weight, pts)) / m.g_prime_weighted()
+    d = f(pts) * np.exp(-phi(m.weight, pts)) / m.g_prime_weighted(np.arange(len(lat)))
     omega = np.exp(2j * math.pi * np.arange(N) / N)
     samples = np.empty((N, len(idx)), dtype=complex)
     A = np.empty((N, len(idx)), dtype=complex)
@@ -185,6 +189,25 @@ def density_at(lat, r, idx):
         count = int(np.sum(np.abs(lat.points - c) <= rad + 1e-12))
         best = max(best, count / float(mu_disc_many(lat.weight, c, rad)))
     return best
+
+
+def richardson_w0(f, m):
+    """w0 = f'(0)/g'(0) - g''(0)/(2 g'(0)) for the builtin sigma m, whose
+    oddness makes g''(0) = 0.  f'(0) is the Richardson extrapolation of
+    central differences, at the steps h and h/2, h = 1e-5 rho(0); the two
+    must agree to 1e-5 relative."""
+    h = 1e-5 * float(m.lattice.rho_values[0])
+
+    def central(hh):
+        return (complex(f(hh)) - complex(f(-hh))) / (2.0 * hh)
+
+    def richardson(hh):
+        return (4.0 * central(hh / 2.0) - central(hh)) / 3.0
+
+    r1, r2 = richardson(h), richardson(h / 2.0)
+    assert abs(r1 - r2) <= 1e-5 * max(abs(r1), abs(r2), 1e-12), "unstable derivative"
+    g0 = m.g_prime_weighted([0])[0] * np.exp(phi(m.weight, m.lattice.points[0]))
+    return r2 / g0
 
 
 def b_norm_closed_form() -> float:

@@ -12,7 +12,8 @@ import pytest
 from focklattice import operator_norm_estimate
 from focklattice.acceptance import (CRITERIA, OP_NORM_GROWTH_BUDGET,
                                    OP_NORM_SIZES, _richardson)
-from oracles import b_norm_closed_form
+from conftest import gaussian_fn
+from oracles import b_norm_closed_form, richardson_w0
 
 
 def _extrapolated(kind, size, p, w, N=2):
@@ -88,6 +89,13 @@ class TestAcceptance:
         res = _run(9)
         assert res.passed, res.details
 
+    def test_criterion_9_closed_form_w0_matches_the_derivative(self):
+        # criterion 9 takes its Gaussian's w0 = f'(0)/g'(0) in closed form;
+        # the Richardson derivative on its R = 25 lattice is 5.3e-12 away
+        I = CRITERIA[9]().reports[math.inf]
+        want = richardson_w0(gaussian_fn(0.4 + 0.3j), I.data.multiplier)
+        assert abs(I.w0 - want) <= 1e-11
+
 
 def _closed_form_norm(k: int) -> float:
     """l^p norm, p = 1, 2 and inf, of the positive convolution with kernel
@@ -121,7 +129,7 @@ class TestOperatorNormEstimate:
 
     def test_L_p2_against_closed_form(self, cw):
         exact = _closed_form_norm(3)
-        raw = operator_norm_estimate("L", OP_NORM_SIZES, 2.0, cw).norms
+        raw = operator_norm_estimate("L", OP_NORM_SIZES, 2.0, cw, N=2).norms
         # finite sections are lower bounds that increase with the disc
         assert all(b >= a for a, b in zip(raw, raw[1:])), raw
         assert max(raw) <= exact * (1 + 1e-9), (raw, exact)
@@ -136,7 +144,7 @@ class TestOperatorNormEstimate:
         # assumes
         exact = b_norm_closed_form()
         assert exact == pytest.approx(0.1741504912, abs=1e-10)
-        raw = operator_norm_estimate("B", OP_NORM_SIZES, 2.0, cw).norms
+        raw = operator_norm_estimate("B", OP_NORM_SIZES, 2.0, cw, N=2).norms
         assert max(raw) <= exact * (1 + 1e-9), (raw, exact)
         est = _extrapolated("B", OP_NORM_SIZES[-1], 2.0, cw)
         assert abs(est - exact) <= 0.005 * exact, (est, exact)

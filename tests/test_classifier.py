@@ -8,6 +8,7 @@ from focklattice import (classify, condition, condition_a, power_weight,
                          user_multiplier)
 from focklattice import weights
 from focklattice.classifier import Margins, TraceData, shell_trajectory
+from conftest import sigma_table
 from oracles import gaussian_higher, gaussian_modified_inf, shell_batch
 
 
@@ -324,7 +325,7 @@ class TestClassify:
     def test_multiplier_trace_is_zero_member(self, mult12):
         # the trace of g itself is identically zero: the trivial member of
         # the necessity family
-        gw = mult12.g_prime_weighted()
+        gw = sigma_table(mult12)[1]
         data = TraceData.from_weighted(mult12, 2.0,
                                        np.zeros_like(gw))
         assert classify(data).overall == "bounded"
@@ -348,7 +349,7 @@ class TestClassify:
         # the sup-norm size condition but breaks the modified Cauchy sum
         # (the resonant pattern makes it grow like log R)
         lam = lat16.points
-        gw = mult16.g_prime_weighted()
+        gw = sigma_table(mult16)[1]
         rho = lat16.rho_values
         patterns = {
             "ones": np.ones(len(lam), complex),
@@ -377,7 +378,7 @@ class TestPowerWeightClassify:
         lat = square_lattice(10.0, pw)
         # synthetic multiplier data of the right magnitude profile
         table = 1.0 / lat.rho_values
-        um = user_multiplier(lat, table, weighted=True)
+        um = user_multiplier(lat, np.arange(len(lat)), table, True)
         data = TraceData.zero(um, 3.0)
         verdict = classify(data)
         assert verdict.branch.n_max == 5

@@ -233,13 +233,12 @@ def test_every_definition_is_used_in_src():
     assert not unused, f"defined in src but used only outside it: {unused}"
 
 
-def test_every_default_is_set_in_src():
-    # a defaulted parameter of a function, a method or a class constructor
-    # (a named tuple's defaulted fields included) that no call in src
-    # passes, by keyword or by position, holds one value: a setting that
-    # only tests change, or none does.  Calls match by name, and one that
-    # unpacks *args or **kwargs passes every parameter.  main(argv) is
-    # exempt: it is the console entry point, and argv is how tests drive it
+def _defaults_and_calls():
+    """Every defaulted parameter in src as (callee name, position or None,
+    parameter): of a function, a method or a class constructor, a named
+    tuple's or a dataclass's defaulted fields included; and every call in
+    src, by the name it calls.  Calls match by name only, so both default
+    guards match a callee alike."""
     import ast
     import glob
     defaults, calls = [], {}
@@ -267,15 +266,46 @@ def test_every_default_is_set_in_src():
                              for i in range(len(pos) - len(a.defaults), len(pos))]
                 defaults += [(name, None, k.arg)
                              for k, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+    return defaults, calls
 
-    def passes(call, index, param):
-        return (any(isinstance(x, ast.Starred) for x in call.args)
-                or any(k.arg in (None, param) for k in call.keywords)
-                or (index is not None and len(call.args) > index))
 
+def _unpacks(call):
+    # a call that unpacks *args or **kwargs may or may not pass a parameter
+    import ast
+    return (any(isinstance(x, ast.Starred) for x in call.args)
+            or any(k.arg is None for k in call.keywords))
+
+
+def _names(call, index, param):
+    # the call passes the parameter by keyword or by position
+    return (any(k.arg == param for k in call.keywords)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_default_is_set_in_src():
+    # a defaulted parameter that no call in src passes holds one value: a
+    # setting that only tests change, or none does.  A call that unpacks
+    # *args or **kwargs counts as passing every parameter.  main(argv) is
+    # exempt: it is the console entry point, and argv is how tests drive it
+    defaults, calls = _defaults_and_calls()
     unset = sorted({(name, param) for name, index, param in defaults
-                    if not any(passes(c, index, param) for c in calls.get(name, []))})
+                    if not any(_unpacks(c) or _names(c, index, param)
+                               for c in calls.get(name, []))})
     assert unset == [("main", "argv")], f"defaults that no call in src sets: {unset}"
+
+
+def test_every_default_is_used_in_src():
+    # the dual: a defaulted parameter that every call in src passes is a
+    # default that only tests take.  A call that unpacks *args or **kwargs
+    # counts as taking it (power_weight's rho_origin, _check_refinement's
+    # rtol).  Exempt, as documented API (README): condition(data, cid) and
+    # batch_modified_inf(lat, d, indices) take the p.v. tolerance PV_RTOL
+    defaults, calls = _defaults_and_calls()
+    overridden = sorted({(name, param) for name, index, param in defaults
+                         if calls.get(name) and all(not _unpacks(c) and _names(c, index, param)
+                                                    for c in calls[name])})
+    assert overridden == [("batch_modified_inf", "rtol"), ("condition", "rtol")], \
+        f"defaults that every call in src overrides: {overridden}"
 
 
 def test_job_values_are_read_only_through_the_key_table():

@@ -5,9 +5,10 @@ import pytest
 
 import focklattice.transforms
 from focklattice import (Interpolant, NumericalError, reconstruct,
-                         verify_interpolation, w0_from)
+                         verify_interpolation)
 from focklattice.classifier import TraceData
-from conftest import gaussian_fn
+from conftest import gaussian_fn, sigma_table
+from oracles import richardson_w0
 
 
 def offgrid(lat, rng, count, radius):
@@ -84,7 +85,7 @@ class TestReconstruct:
 
     def test_nonconvergent_data_raises_with_exponent(self, lat16, mult16, rng):
         lam = lat16.points
-        gw = mult16.g_prime_weighted()
+        gw = sigma_table(mult16)[1]
         u = np.ones(len(lam), dtype=complex)
         nz = np.abs(lam) > 0
         u[nz] = lam[nz] ** 2 / np.abs(lam[nz]) ** 1.5
@@ -105,7 +106,7 @@ class TestReconstructInf:
     def test_gaussian_with_matched_w0(self, lat16, mult16, rng):
         wv = 0.4 - 0.3j
         data = TraceData.gaussian(mult16, math.inf, wv)
-        w0 = w0_from(gaussian_fn(wv), mult16)
+        w0 = richardson_w0(gaussian_fn(wv), mult16)
         I = Interpolant(data, w0)
         zs = offgrid(lat16, rng, 40, 4.0)
         err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
@@ -116,7 +117,7 @@ class TestReconstructInf:
         # w0); the origin and four other points
         wv = 0.4 - 0.3j
         data = TraceData.gaussian(mult16, math.inf, wv)
-        I = Interpolant(data, w0_from(gaussian_fn(wv), mult16))
+        I = Interpolant(data, richardson_w0(gaussian_fn(wv), mult16))
         idx = np.array([0, 3, 5, 12, 30])
         zs = lat16.points[idx] + 1e-4 * lat16.rho_values[idx] * np.exp(0.7j)
         err = np.abs(I.eval(zs) - gaussian_fn(wv)(zs)) * np.exp(-np.abs(zs) ** 2)
@@ -149,7 +150,7 @@ class TestDeflatedEvaluation:
         # distance from the nearest point, down to 1e-12 rho and out to 0.4
         wv = 0.4 - 0.3j
         data = TraceData.gaussian(mult16, p, wv)
-        I = Interpolant(data, w0_from(gaussian_fn(wv), mult16)
+        I = Interpolant(data, richardson_w0(gaussian_fn(wv), mult16)
                         if math.isinf(p) else None)
         idx = np.array([0, 3, 5, 12, 30])
         zs = lat16.points[idx] + t * lat16.rho_values[idx] * np.exp(
@@ -169,6 +170,9 @@ class TestDeflatedEvaluation:
 
 
 class TestW0From:
+    """w0 = f'(0)/g'(0) for the builtin sigma, by the tests' Richardson
+    derivative (`oracles.richardson_w0`), on functions whose w0 is known."""
+
     def test_multiplier_itself(self, lat16, mult16):
         pts = lat16.points
 
@@ -182,32 +186,21 @@ class TestW0From:
             return out if out.size > 1 else complex(out[0])
 
         # f = g: f'(0)/g'(0) = 1 and g''(0) = 0 by oddness
-        assert w0_from(g_fn, mult16) == pytest.approx(1.0, abs=1e-8)
+        assert richardson_w0(g_fn, mult16) == pytest.approx(1.0, abs=1e-8)
 
     def test_constant_function(self, mult16):
-        assert abs(w0_from(lambda z: 1.0 + 0j, mult16)) <= 1e-10
+        assert abs(richardson_w0(lambda z: 1.0 + 0j, mult16)) <= 1e-10
 
     def test_gaussian_closed_form(self, mult16):
         wv = 0.7 - 0.2j
         want = 2 * np.conj(wv) * math.exp(-abs(wv) ** 2)
-        assert w0_from(gaussian_fn(wv), mult16) == pytest.approx(want, rel=1e-8)
-
-    def test_user_table_without_second_derivative(self, lat12, mult12):
-        from focklattice import user_multiplier
-        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
-        with pytest.raises(NumericalError):
-            w0_from(lambda z: 1.0 + 0j, um)
-
-    def test_unstable_derivative_rejected(self, mult16):
-        # odd kink at 0: the two Richardson extrapolations disagree
-        with pytest.raises(NumericalError):
-            w0_from(lambda z: z * abs(z) ** 0.1, mult16)
+        assert richardson_w0(gaussian_fn(wv), mult16) == pytest.approx(want, rel=1e-8)
 
 
 class TestVerifyAndNorms:
     def test_zero_data_residual(self, mult16):
         data = TraceData.zero(mult16, 2.0)
-        assert verify_interpolation(Interpolant(data)) == 0.0
+        assert verify_interpolation(Interpolant(data), len(mult16.lattice)) == 0.0
 
     def test_gaussian_residual(self, mult16):
         data = TraceData.gaussian(mult16, 2.0, 0.7 - 0.2j)

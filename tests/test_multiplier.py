@@ -8,6 +8,7 @@ from focklattice import (NumericalError, SchemaError, builtin_sigma_multiplier,
                          power_weight, sigma_log, sigma_weighted_mag,
                          square_lattice, user_multiplier)
 from focklattice.classifier import TraceData, condition, condition_a
+from conftest import sigma_table
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +185,7 @@ class TestOneWeight:
 
     def test_user_table_reads_the_lattice_weight(self):
         lat = square_lattice(10.0, power_weight(0.5, rho_origin=2.0))
-        um = user_multiplier(lat, 1.0 / lat.rho_values, weighted=True)
+        um = user_multiplier(lat, np.arange(len(lat)), 1.0 / lat.rho_values, True)
         data = TraceData.zero(um, 3.0)
         assert um.weight is lat.weight
         assert data.weight is lat.weight and data.lattice is lat
@@ -203,7 +204,7 @@ class TestOneWeight:
 
 class TestUserMultiplier:
     def test_reproduces_builtin_trace_ops(self, lat12, mult12):
-        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
+        um = user_multiplier(lat12, *sigma_table(mult12), True)
         d1 = TraceData.gaussian(mult12, 2.0, 0.3)
         d2 = TraceData.gaussian(um, 2.0, 0.3)
         r1, r2 = condition(d1, "b"), condition(d2, "b")
@@ -213,8 +214,8 @@ class TestUserMultiplier:
 
     def test_scaled_table_scales_d_not_verdicts(self, lat12, mult12):
         kappa = 2.5 - 1.0j
-        um = user_multiplier(lat12, kappa * mult12.g_prime_weighted(),
-                             weighted=True)
+        idx, gw = sigma_table(mult12)
+        um = user_multiplier(lat12, idx, kappa * gw, True)
         base = TraceData.gaussian(mult12, 2.0, 0.3)
         scaled = TraceData.gaussian(um, 2.0, 0.3)
         assert np.allclose(scaled.d, base.d / kappa, rtol=1e-12)
@@ -225,22 +226,22 @@ class TestUserMultiplier:
         table = np.ones(len(lat12), dtype=complex)
         table[3] = 0.0
         with pytest.raises(SchemaError):
-            user_multiplier(lat12, table)
+            user_multiplier(lat12, np.arange(len(lat12)), table, False)
 
     def test_missing_index_rejected(self, lat12):
         table = np.ones(len(lat12) - 1, dtype=complex)
         with pytest.raises(SchemaError):
-            user_multiplier(lat12, table)
+            user_multiplier(lat12, np.arange(len(table)), table, False)
 
     def test_no_log_g(self, lat12, mult12):
-        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
+        um = user_multiplier(lat12, *sigma_table(mult12), True)
         with pytest.raises(NumericalError):
             um.log_g(0.3 + 0.2j)
 
     def test_ops_depend_on_g_only_through_gprime(self, lat12, mult12):
         # a user table of sigma's g' decides as sigma itself, which also
         # carries log_g
-        um = user_multiplier(lat12, mult12.g_prime_weighted(), weighted=True)
+        um = user_multiplier(lat12, *sigma_table(mult12), True)
         da = TraceData.gaussian(um, 2.0, 0.2 + 0.1j)
         db = TraceData.gaussian(mult12, 2.0, 0.2 + 0.1j)
         ra, rb = condition(da, "b"), condition(db, "b")

@@ -417,7 +417,7 @@ class TestOperatorNorms:
     def test_bidiagonalisation_tracks_svd(self, cw):
         # the Ritz value is a lower bound within 1e-6 of the top singular
         # value of the dense section
-        fft_rep = operator_norm_estimate("B", [200], 2.0, cw)
+        fft_rep = operator_norm_estimate("B", [200], 2.0, cw, N=2)
         dense = np.linalg.norm(dense_section(square_lattice(10.0, cw), "B", 2), 2)
         assert fft_rep.norms[0] == pytest.approx(dense, rel=1e-6)
         assert fft_rep.norms[0] <= dense * (1 + 1e-9)
@@ -522,7 +522,7 @@ class TestOperatorNorms:
         # section, to FFT noise at p = 1 and a stalled bidiagonalisation at 2
         for size in (1, 2, 3):
             for p in (1.0, 2.0):
-                rep = operator_norm_estimate("B", [size], p, cw)
+                rep = operator_norm_estimate("B", [size], p, cw, N=2)
                 assert rep.sizes == (1,) and rep.norms == (0.0,), (size, p)
 
     def test_dense_matrix_diagonal_zero(self, lat12, cw):
@@ -530,7 +530,7 @@ class TestOperatorNorms:
         assert np.all(np.diag(K) == 0)
 
     def test_growth_ratio_definition(self, cw):
-        rep = operator_norm_estimate("L", [200, 800], 1.0, cw)
+        rep = operator_norm_estimate("L", [200, 800], 1.0, cw, N=2)
         assert rep.growth_ratio == pytest.approx(rep.norms[-1] / rep.norms[0])
 
 
