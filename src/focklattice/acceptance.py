@@ -280,11 +280,11 @@ def criterion_6() -> CriterionResult:
     lo, hi = OP_NORM_SIZES[0], OP_NORM_SIZES[-1]
     gated_sizes = sorted(OP_NORM_SIZES + (lo // 4, hi // 4))
     reports = {}
-    for op, ps in (("B", (2.0,)), ("L", (1.0, 2.0, math.inf)),
-                   ("M", (1.0, 2.0, math.inf))):
+    for op, ps, kw in (("B", (2.0,), {}), ("L", (1.0, 2.0, math.inf), {}),
+                       ("M", (1.0, 2.0, math.inf), {"N": N})):    # only M reads N
         for p in ps:
             sizes = gated_sizes if (op, p) in budgeted else OP_NORM_SIZES
-            reports[(op, p)] = operator_norm_estimate(op, sizes, p, w, N=N)
+            reports[(op, p)] = operator_norm_estimate(op, sizes, p, w, **kw)
     details = {}
     ok = True
     for op, p in budgeted:

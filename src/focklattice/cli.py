@@ -437,7 +437,7 @@ def cmd_op_norm(args, cfg: dict) -> tuple:
     # only M(N) reads N; without one it is the smallest N > 1/t
     if op != "M" and "N" in cfg:
         raise SchemaError(f"op-norm: only M reads N, and op is {op}")
-    N = 2
+    N = None
     if op == "M":
         t = estimate_t(w)
         N = cfg.get("N", choose_N(t))

@@ -56,9 +56,9 @@ class Lattice:
     indexed in ascending radius order (ValueError otherwise), and the weight
     it is measured against: the one weight that the multiplier and the trace
     data read.  rho per point is computed from that weight, so the two
-    cannot disagree.  The point and rho arrays are read-only.  `delta_sep`
-    and `inv_points` are computed on first read, so a job that never reads
-    them never pays for them."""
+    cannot disagree.  The point and rho arrays are read-only.  `delta_sep`,
+    `inv_points` and a square lattice's FFT `grid` are computed on first
+    read, so a job that never reads them never pays for them."""
 
     def __init__(self, points, scale: float, truncation_radius: float,
                  weight: WeightProfile, kind: str):
@@ -101,6 +101,11 @@ class Lattice:
     def max_rho(self) -> float:
         return float(self.rho_values.max())
 
+    @functools.cached_property
+    def grid(self) -> "_SquareGrid":
+        """The FFT grid of a square lattice, and its one index embedding."""
+        return _SquareGrid(self.truncation_radius, self.points)
+
     def guard_radius(self) -> float:
         """Inner radius unaffected by truncation-edge bias: R - 5 max rho."""
         return self.truncation_radius - 5.0 * self.max_rho
@@ -142,6 +147,90 @@ def grid_coords(z, scale: float):
     FFT grid)."""
     z = np.asarray(z)
     return np.rint(z.real / scale), np.rint(z.imag / scale)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
+
+
+class _SquareGrid:
+    """The FFT grid of a square lattice of radius R: the cells s(j + i k),
+    s = SQUARE_SCALE, |j|, |k| <= M = ceil(R / s), which embed the lattice
+    (`cells` holds each point's (j + M) n + k + M, in rows of length n), and
+    the linear convolution (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of
+    vectors x over the lattice's indices with kernels K on the offsets
+    |j|, |k| <= 2M: a 2-D FFT zero-padded to a 5-smooth length n >= 4M + 1,
+    so that no offset wraps around.
+
+    The transforms are pruned (Markel, "FFT pruning", 1971): the forward
+    one runs along the rows that hold data, then down all n columns, and
+    the inverse one back up the columns and along the 2M + 1 output rows
+    only.  A real array takes real transforms along its rows (the half
+    spectrum), so a real kernel costs half a complex one."""
+
+    def __init__(self, R: float, points: np.ndarray):
+        self.M = M = int(math.ceil(R / SQUARE_SCALE))
+        self.n = _fft_length(4 * M + 1)
+        j, k = (c.astype(np.intp) + M for c in grid_coords(points, SQUARE_SCALE))
+        self.cells = j * self.n + k
+
+    def kernel(self, fn) -> np.ndarray:
+        """fn on the nonzero offsets, 0 at offset 0."""
+        off = np.arange(-2 * self.M, 2 * self.M + 1)
+        off = SQUARE_SCALE * (off[:, None] + 1j * off[None, :])
+        return np.where(off == 0, 0.0, fn(np.where(off == 0, 1.0, off)))
+
+    def fft(self, a: np.ndarray) -> np.ndarray:
+        """The n x n spectrum of a zero-padded to n x n; n // 2 + 1
+        columns of it when a is real."""
+        rows = (np.fft.rfft if np.isrealobj(a) else np.fft.fft)(a, n=self.n, axis=1)
+        return np.fft.fft(rows, n=self.n, axis=0)
+
+    @functools.cached_property
+    def _work(self):
+        # the complex product's work arrays, kept across calls: fresh ones
+        # lie above glibc's mmap threshold, so every call would map and
+        # unmap them and fault their pages in again
+        return (np.empty((2 * self.M + 1, self.n), dtype=complex),
+                np.empty((self.n, self.n), dtype=complex))
+
+    def conv(self, kf: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """K * x over the lattice's indices, for kf = fft(K) and x over
+        them; a real K (its half spectrum) takes a real x, and gives a real
+        result."""
+        M, n = self.M, self.n
+        if kf.shape[1] != n:             # a real K has the half spectrum
+            a = np.zeros((2 * M + 1, n))
+            a.ravel()[self.cells] = x
+            rows = np.fft.ifft(kf * self.fft(a), axis=0)[2 * M:4 * M + 1]
+            return np.fft.irfft(rows, n=n, axis=1).ravel()[self.cells + 2 * M]
+        rows, spec = self._work
+        rows[:] = 0.0
+        rows.ravel()[self.cells] = x
+        # the row transforms fill the top of spec, zero-padded below, and
+        # the column transform runs in place
+        np.fft.fft(rows, axis=1, out=spec[:2 * M + 1])
+        spec[2 * M + 1:] = 0.0
+        np.fft.fft(spec, axis=0, out=spec)
+        # the rounding of a complex product (its fused multiply-adds)
+        # depends on the operand order; this is numpy's order for
+        # kf * spectrum, which from 256 KiB multiplies into the temporary
+        # spectrum, so the sections keep their bits
+        if spec.nbytes >= 1 << 18:
+            np.multiply(spec, kf, out=spec)
+        else:
+            np.multiply(kf, spec, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.ifft(spec[2 * M:4 * M + 1], axis=1, out=rows)
+        return rows.ravel()[self.cells + 2 * M]
 
 
 def _search(points: np.ndarray, rho: np.ndarray, z: np.ndarray,
@@ -205,9 +294,14 @@ def _search(points: np.ndarray, rho: np.ndarray, z: np.ndarray,
 
 def square_lattice(R: float, w: WeightProfile) -> Lattice:
     """All points sqrt(pi/2)*(m+in) with |point| <= R, origin at index 0."""
+    if R < 3.0 * SQUARE_SCALE:
+        raise ValueError(f"R must be at least 3*scale = {3 * SQUARE_SCALE:.3f}")
+    return _square_disc(R, w)
+
+
+def _square_disc(R: float, w: WeightProfile) -> Lattice:
+    """square_lattice without its guard, for the probes' small sections."""
     s = SQUARE_SCALE
-    if R < 3.0 * s:
-        raise ValueError(f"R must be at least 3*scale = {3 * s:.3f}")
     M = int(math.ceil(R / s)) + 1
     m, n = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
     pts = (s * (m + 1j * n)).ravel()

@@ -21,11 +21,11 @@ index zeroed, in row blocks of _CHUNK_TERMS terms (`_row_sums`).  Which
 totals run follows from the lattice, with no knob:
 
 * On the square lattice `batch_higher` and `batch_modified_inf` take the
-  whole-disc total at every centre from one 2-D FFT correlation of the
-  grid-embedded d with the order-n kernel (K(0) = 0), O(R^2 log R) instead
-  of the O(R^4) term matrix (`_correlate`).  The modified p = inf kernel
-  is the order-1 correlation minus sum_{lambda != 0} d_lambda/lambda plus
-  d_lambda'/lambda'.
+  whole-disc total at every centre from one 2-D FFT correlation of d with
+  the order-n kernel (K(0) = 0) on the lattice's grid (`Lattice.grid`),
+  O(R^2 log R) instead of the O(R^4) term matrix (`_correlate`).  The
+  modified p = inf kernel is the order-1 correlation minus
+  sum_{lambda != 0} d_lambda/lambda plus d_lambda'/lambda'.
 * Elsewhere, on explicit lattices and at the off-lattice centres z of
   `interpolate` (own index the point nearest z), the totals are the plain
   row sums of the same term rows.
@@ -35,11 +35,11 @@ compensated pass over every shell up to rounding, and the window test
 sees the same numbers; the tests hold the engine to such a pass, written
 apart from the program (`tests/oracles.py`).
 
-The same zero-padded FFT convolution (`_SquareGrid`) applies the operator
-sections of the norm probes.  Its transforms skip the zero padding (only
-the rows that hold data are transformed forward, only the output rows
-backward), and real kernels (L, M(N), |K|) take real transforms on the
-half spectrum.
+The operator sections of the norm probes are square lattices, applied by
+the same `conv` on vectors in index order.  Its transforms skip the zero
+padding (only the rows that hold data are transformed forward, only the
+output rows backward), and real kernels (L, M(N), |K|) take real
+transforms on the half spectrum.
 
 Transforms acting on weighted sequences d (normally d = c/g'), each a
 plain complex array over the lattice's indices, finite, checked once per
@@ -58,12 +58,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError
-from .lattice import Lattice, grid_coords, shells_for, SQUARE_SCALE
+from .lattice import Lattice, _square_disc, shells_for, SQUARE_SCALE
+# rho_many is unused here, but perfbench's tracer wraps it under this
+# module's name (focklattice.transforms:rho_many) and cannot install without it
 from .weights import WeightProfile, quasirandom, rho_many
 
 __all__ = [
@@ -194,14 +196,10 @@ def _tail_partials(lat: Lattice, count: int, terms_of, totals=None) -> np.ndarra
 def _correlate(lat: Lattice, d: np.ndarray, n: int, indices) -> np.ndarray:
     """sum over lambda != lambda' of d_lambda / (lambda - lambda')^n at the
     centres lambda' = points[indices] of a square lattice: one FFT
-    correlation of the grid-embedded d."""
-    grid = _SquareGrid(lat.truncation_radius)
-    ii, jj = (c.astype(int) + grid.M for c in grid_coords(lat.points, SQUARE_SCALE))
-    x = np.zeros(grid.points.shape, dtype=complex)
-    x[ii, jj] = d
+    correlation of d on the lattice's grid."""
     # the kernel at offset lambda' - lambda
-    kf = grid.fft(grid.kernel(lambda off: 1.0 / (-off) ** n))
-    return grid.conv(kf, x)[ii[indices], jj[indices]]
+    kf = lat.grid.fft(lat.grid.kernel(lambda off: 1.0 / (-off) ** n))
+    return lat.grid.conv(kf, d)[indices]
 
 
 def batch_higher(lat: Lattice, d: np.ndarray, indices: np.ndarray, n: int,
@@ -258,119 +256,28 @@ class OperatorNormReport(NamedTuple):
         return self.norms[-1] / self.norms[0]
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 5-smooth integer >= n, a fast FFT length."""
-    while True:
-        m = n
-        for f in (2, 3, 5):
-            while m % f == 0:
-                m //= f
-        if m == 1:
-            return n
-        n += 1
-
-
-class _SquareGrid:
-    """The grid s(m + i n), s = SQUARE_SCALE, |m|, |n| <= M = ceil(R / s),
-    which holds the disc |lambda| <= R of the square lattice, with linear
-    convolution (K * x)(lambda) = sum_mu K(lambda - mu) x(mu) of grid
-    functions x with kernels K on the offsets |m|, |n| <= 2M: a 2-D FFT
-    zero-padded to a 5-smooth length n >= 4M + 1, so that no offset wraps
-    around.
-
-    The transforms are pruned (Markel, "FFT pruning", 1971): the forward
-    one runs along the rows that hold data, then down all n columns, and
-    the inverse one back up the columns and along the 2M + 1 output rows
-    only.  A real array takes real transforms along its rows (the half
-    spectrum), so a real kernel costs half a complex one."""
-
-    def __init__(self, R: float):
-        self.M = M = int(math.ceil(R / SQUARE_SCALE))
-        m = np.arange(-M, M + 1)
-        self.points = SQUARE_SCALE * (m[:, None] + 1j * m[None, :])
-        off = np.arange(-2 * M, 2 * M + 1)
-        self.offsets = SQUARE_SCALE * (off[:, None] + 1j * off[None, :])
-        self._n = _fft_length(4 * M + 1)
-
-    def kernel(self, fn) -> np.ndarray:
-        """fn on the nonzero offsets, 0 at offset 0."""
-        ctr = self.offsets == 0
-        return np.where(ctr, 0.0, fn(np.where(ctr, 1.0, self.offsets)))
-
-    def fft(self, a: np.ndarray) -> np.ndarray:
-        """The n x n spectrum of a zero-padded to n x n; n // 2 + 1
-        columns of it when a is real."""
-        n = self._n
-        rows = (np.fft.rfft if np.isrealobj(a) else np.fft.fft)(a, n=n, axis=1)
-        return np.fft.fft(rows, n=n, axis=0)
-
-    @functools.cached_property
-    def _work(self):
-        # the complex product's work arrays, kept across calls: fresh ones
-        # lie above glibc's mmap threshold, so every call would map and
-        # unmap them and fault their pages in again
-        return (np.empty((2 * self.M + 1, self._n), dtype=complex),
-                np.empty((self._n, self._n), dtype=complex))
-
-    def conv(self, kf: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """K * x on the grid, for kf = fft(K); a real K (its half spectrum)
-        takes a real x, and gives a real result."""
-        M, n = self.M, self._n
-        if kf.shape[1] != n:             # a real K has the half spectrum
-            rows = np.fft.ifft(kf * self.fft(x), axis=0)[2 * M:4 * M + 1]
-            return np.fft.irfft(rows, n=n, axis=1)[:, 2 * M:4 * M + 1]
-        rows, spec = self._work
-        rows[:, :2 * M + 1] = x
-        rows[:, 2 * M + 1:] = 0.0
-        # the row transforms fill the top of spec, zero-padded below, and
-        # the column transform runs in place
-        np.fft.fft(rows, axis=1, out=spec[:2 * M + 1])
-        spec[2 * M + 1:] = 0.0
-        np.fft.fft(spec, axis=0, out=spec)
-        # the rounding of a complex product (its fused multiply-adds)
-        # depends on the operand order; this is numpy's order for
-        # kf * spectrum, which from 256 KiB multiplies into the temporary
-        # spectrum, so the sections keep their bits
-        if spec.nbytes >= 1 << 18:
-            np.multiply(spec, kf, out=spec)
-        else:
-            np.multiply(kf, spec, out=spec)
-        np.fft.ifft(spec, axis=0, out=spec)
-        np.fft.ifft(spec[2 * M:4 * M + 1], axis=1, out=rows)
-        return rows[:, 2 * M:4 * M + 1].copy()
-
-
 class _FftSection:
-    """Matrix-free section of one operator on the disc |lambda| <= R of
-    the square lattice, its weights real and its diagonal 0:
+    """Matrix-free section of one operator on a square lattice lat, its
+    weights real (powers of lat.rho_values) and its diagonal 0:
 
         B:    rho(lambda) rho(mu) / (lambda - mu)^2
         L:    rho(lambda)^2 rho(mu) / |lambda - mu|^3
         M(N): rho(lambda)^N rho(mu) / |lambda - mu|^(N+1)
 
-    (B carries the l^p(rho^-1) -> l^p(rho) conjugation).  Every kernel
-    (and |K|) is even on the offset grid, so the adjoint applies K itself.
-    Each kernel FFT is built on first use: p = 2 reads K, p = 1 and inf
-    only |K|.  The L and M(N) kernels are real (`real`), and so is their
-    whole arithmetic on real vectors."""
+    (B carries the l^p(rho^-1) -> l^p(rho) conjugation) on vectors in
+    index order; only M reads N.  Every kernel (and |K|) is even, so the
+    adjoint applies K itself.  Each kernel FFT is built on first use: p = 2
+    reads K, p = 1 and inf only |K|.  The L and M(N) kernels are real
+    (`real`), and so is their whole arithmetic on real vectors."""
 
-    def __init__(self, R: float, w: WeightProfile, kind: str, N: int):
-        if kind not in ("B", "L", "M"):
-            raise ValueError("operator must be 'B', 'L' or 'M'")
-        self.grid = _SquareGrid(R)
-        lam = self.grid.points
-        self.mask = np.abs(lam) <= R
-        self.size = int(self.mask.sum())
-        # the weights vanish off the disc, where rho is never evaluated
-        rho = rho_many(w, lam[self.mask])
-        self.out_w, self.in_w = np.zeros((2,) + lam.shape)
-        self.out_w[self.mask] = rho ** {"B": 1, "L": 2, "M": N}[kind]
-        self.in_w[self.mask] = rho
-        if kind == "B":
-            self._kern = self.grid.kernel(lambda d: 1.0 / d ** 2)
-        else:
-            e = 3 if kind == "L" else N + 1
-            self._kern = self.grid.kernel(lambda d: 1.0 / np.abs(d) ** e)
+    def __init__(self, lat: Lattice, kind: str, N):
+        k = {"B": 1, "L": 2, "M": N}.get(kind)
+        if k is None:
+            raise ValueError(f"operator must be B, L or M with an order N, not {kind}, N = {N}")
+        self.grid, self.size, self.in_w = lat.grid, len(lat), lat.rho_values
+        self.out_w = self.in_w ** k
+        self._kern = self.grid.kernel((lambda d: 1.0 / d ** 2) if kind == "B" else
+                                      (lambda d: 1.0 / np.abs(d) ** (k + 1)))
         self.real = np.isrealobj(self._kern)
 
     @functools.cached_property
@@ -389,8 +296,7 @@ class _FftSection:
         return np.conj(self.in_w * self.grid.conv(self._kf, self.out_w * np.conj(y)))
 
     def abs_sum_max(self, p: float) -> float:
-        """The largest weighted column (p = 1) or row (p = inf) sum of |K|;
-        the outer weight vanishes off the disc."""
+        """The largest weighted column (p = 1) or row (p = inf) sum of |K|."""
         outer, inner = (self.in_w, self.out_w) if p == 1.0 else (self.out_w, self.in_w)
         return float((outer * self.grid.conv(self._kabsf, inner)).max())
 
@@ -423,10 +329,9 @@ def _top_singular_value(sec: _FftSection, seed: int):
     cluster.  At the cap of _GKL_STEPS steps NumericalError if both the
     residual and the change exceed 1e-3."""
     start = quasirandom(sec.size, seed)
-    v = np.zeros(sec.mask.shape, dtype=float if sec.real else complex)
-    v[sec.mask] = start[:, 0] if sec.real else start[:, 0] + 1j * start[:, 1]
+    v = start[:, 0] if sec.real else start[:, 0] + 1j * start[:, 1]
+    v = v[np.argsort(np.argsort(sec.grid.cells))]
     v /= np.linalg.norm(v)
-    # the weights vanish off the disc, so the iterates stay masked
     u, beta, theta, prev = 0.0, 0.0, 0.0, np.zeros(0)
     alphas, betas = [], []
     for _ in range(_GKL_STEPS):
@@ -455,11 +360,10 @@ def _top_singular_value(sec: _FftSection, seed: int):
 
 
 def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
-                           w: WeightProfile, N: int,
+                           w: WeightProfile, N: Optional[int] = None,
                            seed: int = 0) -> OperatorNormReport:
-    """Operator norms of B, L or M(N) across nested square-lattice sizes.
-
-    p=1 and p=inf are the exact max weighted column/row sums.  p=2 is a
+    """Operator norms of B, L or M(N) (only M reads N, and needs it) across
+    nested square-lattice sizes.  p=1 and p=inf are the exact max weighted column/row sums.  p=2 is a
     lower bound on the largest singular value by Golub-Kahan-Lanczos from
     the quasirandom start offset by `seed` (`_top_singular_value`: at most
     50 steps, stopping early only at a relative Ritz residual of 1e-8; the
@@ -475,7 +379,7 @@ def operator_norm_estimate(kind: str, sizes: Sequence[int], p: float,
     for size in sizes:
         # radius with expected count ~ size: pi R^2 / scale^2 = size
         R = math.sqrt(size * SQUARE_SCALE ** 2 / math.pi)
-        sec, norm, change, resid = _FftSection(R, w, kind, N), 0.0, 0.0, 0.0
+        sec, norm, change, resid = _FftSection(_square_disc(R, w), kind, N), 0.0, 0.0, 0.0
         # a one-point section is the zero operator: its norm is exactly 0
         if sec.size > 1 and p == 2.0:
             norm, change, resid = _top_singular_value(sec, seed)

@@ -3,7 +3,9 @@
 Each is the plain dense form of what the program computes another way:
 
 * `dense_section`: the weighted matrix of an operator section, which the
-  program applies matrix-free by FFT convolution (`transforms._FftSection`);
+  program applies matrix-free by FFT convolution of index-order vectors
+  on the square lattice's own grid (`transforms._FftSection`,
+  `Lattice.grid`);
 * `levin_recovery`: Levin's recovery of the order-n transforms from samples
   of f/g at perturbed points, which the program computes as p.v. sums
   (`transforms.batch_higher`);
@@ -27,7 +29,8 @@ weight's lattice s(Z + iZ), s = sqrt(pi/2):
 
 * `b_norm_closed_form`: the l^2 norm of the whole-lattice B, the sup of
   its symbol, which bounds every section the program probes
-  (`transforms.operator_norm_estimate`);
+  (`transforms.operator_norm_estimate`), and `b_symbol`, that symbol at
+  any frequency, row-summed by partial fractions;
 * `gaussian_higher` and `gaussian_modified_inf`: the order-n and the
   modified p = inf transforms of the Gaussian trace, from the Laurent
   expansion of f/g, which the program sums over the lattice
@@ -228,6 +231,41 @@ def b_norm_closed_form() -> float:
                            [1, mpmath.inf])
         rho2, s2 = 1 / (4 * pi), pi / 2
         return float(rho2 / s2 * (pi ** 2 / 6 + 2 * pi ** 2 * rows))
+
+
+def b_symbol(a, b) -> np.ndarray:
+    """The symbol S(xi) = rho^2 sum' e^(i xi.lambda)/lambda^2 of the
+    whole-lattice B on the classical lattice s(Z + iZ), s = sqrt(pi/2),
+    rho = (4 pi)^(-1/2), at the phases (a, b) = s xi (arrays, not both 0
+    mod 2 pi).  The sum runs row by row: with t = a/(2 pi) mod 1, row 0 is
+    2 sum_{m >= 1} cos(2 pi t m)/m^2 = pi^2/3 - pi x + x^2/2, x = 2 pi t,
+    and row n != 0 is e^(ibn) F_n, where the partial fractions
+    sum_m e^(2 pi i m t)/(m + z) = pi e^(i pi z (1 - 2t))/sin(pi z),
+    differentiated in z at z = in, give, with c = sign(n) (1 - 2t) and
+    u = e^(-2 pi |n|),
+
+        F_n = -2 pi^2 e^(-pi |n| (1 + c)) ((1 + u)/(1 - u)^2 + c/(1 - u)).
+
+    Row n decays like e^(-2 pi |n| min(t, 1 - t)), so where b lies farther
+    from 0 mod 2 pi than a the sum runs by columns instead: S(a, b) =
+    -S(b, -a), by lambda -> i lambda."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    dist = lambda x: np.abs((x + math.pi) % (2.0 * math.pi) - math.pi)
+    swap = dist(b) > dist(a)
+    a, b, sign = np.where(swap, b, a), np.where(swap, -a, b), np.where(swap, -1.0, 1.0)
+    t = (a / (2.0 * math.pi)) % 1.0
+    x = 2.0 * math.pi * t
+    total = math.pi ** 2 / 3.0 - math.pi * x + x ** 2 / 2.0
+    # the rows beyond k hold less than e^(-k dist(a)) < 1e-18
+    k = np.arange(1, int(42.0 / max(dist(a).min(), 1e-3)) + 2)
+    u = np.exp(-2.0 * math.pi * k)
+    for sgn in (1.0, -1.0):
+        c = sgn * (1.0 - 2.0 * t[..., None])
+        F = -2.0 * math.pi ** 2 * np.exp(-math.pi * k * (1.0 + c)) * (
+            (1.0 + u) / (1.0 - u) ** 2 + c / (1.0 - u))
+        total = total + np.sum(np.exp(1j * sgn * b[..., None] * k) * F, axis=-1)
+    rho2, s2 = 1.0 / (4.0 * math.pi), math.pi / 2.0
+    return sign * rho2 / s2 * total
 
 
 def gaussian_higher(lat, d, idx, w, n):

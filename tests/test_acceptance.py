@@ -7,18 +7,19 @@ the monotonicity of the raw section norms the criterion builds.
 
 import math
 
+import numpy as np
 import pytest
 
 from focklattice import operator_norm_estimate
 from focklattice.acceptance import (CRITERIA, OP_NORM_GROWTH_BUDGET,
                                    OP_NORM_SIZES, _richardson)
 from conftest import gaussian_fn
-from oracles import b_norm_closed_form, richardson_w0
+from oracles import b_norm_closed_form, b_symbol, richardson_w0
 
 
-def _extrapolated(kind, size, p, w, N=2):
+def _extrapolated(kind, size, p, w, N=None):
     """Criterion 6's norm estimate E(size): `_richardson` of the section
-    norms at size // 4 and size points."""
+    norms at size // 4 and size points (N only for M)."""
     return _richardson(size, *operator_norm_estimate(kind, [size // 4, size], p, w, N=N).norms)
 
 
@@ -129,7 +130,7 @@ class TestOperatorNormEstimate:
 
     def test_L_p2_against_closed_form(self, cw):
         exact = _closed_form_norm(3)
-        raw = operator_norm_estimate("L", OP_NORM_SIZES, 2.0, cw, N=2).norms
+        raw = operator_norm_estimate("L", OP_NORM_SIZES, 2.0, cw).norms
         # finite sections are lower bounds that increase with the disc
         assert all(b >= a for a, b in zip(raw, raw[1:])), raw
         assert max(raw) <= exact * (1 + 1e-9), (raw, exact)
@@ -144,10 +145,28 @@ class TestOperatorNormEstimate:
         # assumes
         exact = b_norm_closed_form()
         assert exact == pytest.approx(0.1741504912, abs=1e-10)
-        raw = operator_norm_estimate("B", OP_NORM_SIZES, 2.0, cw, N=2).norms
+        raw = operator_norm_estimate("B", OP_NORM_SIZES, 2.0, cw).norms
         assert max(raw) <= exact * (1 + 1e-9), (raw, exact)
         est = _extrapolated("B", OP_NORM_SIZES[-1], 2.0, cw)
         assert abs(est - exact) <= 0.005 * exact, (est, exact)
+
+    def test_b_symbol_peaks_at_the_edge_midpoints(self, cw):
+        # B's symbol, row-summed by partial fractions, on a 49 x 49 scan of
+        # the zone |xi_1|, |xi_2| <= pi/s, less xi = 0 (where it jumps): its
+        # sup lies at the four edge midpoints, equals the closed form, and
+        # bounds every classical section norm
+        K = 24
+        ka, kb = (k.ravel() for k in np.meshgrid(np.arange(-K, K + 1),
+                                                 np.arange(-K, K + 1), indexing="ij"))
+        keep = (ka != 0) | (kb != 0)
+        ka, kb = ka[keep], kb[keep]
+        S = np.abs(b_symbol(math.pi * ka / K, math.pi * kb / K))
+        top = S >= S.max() * (1.0 - 1e-12)
+        assert sorted(zip(ka[top].tolist(), kb[top].tolist())) == \
+            [(-K, 0), (0, -K), (0, K), (K, 0)]
+        assert S.max() == pytest.approx(b_norm_closed_form(), rel=1e-12)
+        norms = operator_norm_estimate("B", [20, 50, 200, 800, 3200], 2.0, cw).norms
+        assert max(norms) < S.max(), (norms, S.max())
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("kind,N", [("L", 2), ("M", 2), ("M", 3)])
@@ -155,5 +174,6 @@ class TestOperatorNormEstimate:
         # M(2) is criterion 6's setting (N = choose_N for the classical
         # weight); M(3) has the distinct kernel |lambda|^-4
         exact = _closed_form_norm(3 if kind == "L" else N + 1)
-        est = _extrapolated(kind, OP_NORM_SIZES[-1], p, cw, N=N)
+        est = _extrapolated(kind, OP_NORM_SIZES[-1], p, cw,
+                            N=N if kind == "M" else None)
         assert abs(est - exact) <= 0.01 * exact, (est, exact)

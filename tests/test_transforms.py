@@ -344,23 +344,25 @@ class TestFftPath:
     @pytest.mark.parametrize("M", [6, 10])       # 4M + 1 = 25, 41 (-> 45)
     @pytest.mark.parametrize("data_real, kernel_real",
                              [(True, True), (True, False), (False, False)])
-    def test_grid_conv_matches_direct_convolution(self, M, kernel_real,
+    def test_grid_conv_matches_direct_convolution(self, cw, M, kernel_real,
                                                   data_real, rng):
-        # the pruned (and, for a real kernel, half-spectrum) FFT product
-        # against sum_mu K(lambda - mu) x(mu) summed directly; a general
-        # kernel, so that a flipped offset would show
-        from focklattice.transforms import _SquareGrid
-        grid = _SquareGrid((M - 0.5) * SQUARE_SCALE)
-        assert grid.M == M
+        # the pruned (and, for a real kernel, half-spectrum) FFT product on
+        # the lattice's grid, over its indices, against sum_mu K(lambda - mu)
+        # x(mu) summed directly; a general kernel, so that a flipped offset
+        # would show
+        lat = square_lattice((M - 0.5) * SQUARE_SCALE, cw)
+        grid = lat.grid
+        assert grid.M == M and lat.grid is grid
+        # the embedding: point s(m + in) sits in grid cell (m + M, n + M)
+        m = np.round(lat.points.real / SQUARE_SCALE).astype(int)
+        n = np.round(lat.points.imag / SQUARE_SCALE).astype(int)
+        assert np.array_equal(np.divmod(grid.cells, grid.n), (m + M, n + M))
         draw = lambda shape, real: (rng.standard_normal(shape) if real else
                                     rng.standard_normal(shape)
                                     + 1j * rng.standard_normal(shape))
         K = draw((4 * M + 1,) * 2, kernel_real)
-        x = draw((2 * M + 1,) * 2, data_real)
-        want = np.zeros(x.shape, dtype=complex)
-        for a in range(2 * M + 1):
-            for b in range(2 * M + 1):
-                want += x[a, b] * K[2 * M - a:4 * M + 1 - a, 2 * M - b:4 * M + 1 - b]
+        x = draw(len(lat), data_real)
+        want = K[m[:, None] - m + 2 * M, n[:, None] - n + 2 * M] @ x
         got = grid.conv(grid.fft(K), x)
         assert got.shape == x.shape
         assert np.isrealobj(got) == (kernel_real and data_real)
@@ -370,8 +372,27 @@ class TestFftPath:
         grid.conv(grid.fft(K), draw(x.shape, data_real))
         assert np.array_equal(got, saved)
 
+    def test_one_grid_per_lattice(self, monkeypatch):
+        # the five order-n correlations of a p = 3 trace on the gamma = 0.5
+        # weight (bprime(1..5)) share the lattice's one FFT grid, and each
+        # size of a norm probe builds one
+        from focklattice import lattice, classify, user_multiplier
+        built = []
+        grid = lattice._SquareGrid
+        monkeypatch.setattr(lattice, "_SquareGrid",
+                            lambda *a: built.append(a) or grid(*a))
+        pw = power_weight(0.5, rho_origin=2.0)
+        lat = square_lattice(10.0, pw)
+        um = user_multiplier(lat, np.arange(len(lat)), 1.0 / lat.rho_values, True)
+        verdict = classify(TraceData.gaussian(um, 3.0, 0.3 + 0.2j))
+        assert verdict.branch.condition_ids == ("a",) + tuple(
+            f"bprime({n})" for n in range(1, 6))
+        assert len(built) == 1
+        operator_norm_estimate("B", [20, 50, 200], 2.0, pw)
+        assert len(built) == 4
+
     def test_fft_length_is_five_smooth(self):
-        from focklattice.transforms import _fft_length
+        from focklattice.lattice import _fft_length
         assert _fft_length(161) == 162
         assert _fft_length(225) == 225
         for n in range(1, 400):
@@ -383,33 +404,43 @@ class TestFftPath:
             assert m == 1
 
 
+def _order(kind, N):
+    # only M(N) reads N
+    return {"N": N} if kind == "M" else {}
+
+
 class TestOperatorNorms:
     def test_fft_matvec_matches_dense_matrix(self, cw, rng):
         # the matrix-free section must BE the dense operator: compare the
         # application to random vectors entry by entry, real ones for the
         # real kernels of L and M(N)
         from focklattice.transforms import _FftSection
-        R = 10.0
-        lat = square_lattice(R, cw)
-        for kind in ("B", "L", "M"):
-            sec = _FftSection(R, cw, kind, 2)
+        lat = square_lattice(10.0, cw)
+        for kind, N in (("B", None), ("L", None), ("M", 2)):
+            sec = _FftSection(lat, kind, N)
             K = dense_section(lat, kind, 2)
             x = rng.standard_normal(len(lat)) \
                 + (0.0 if sec.real else 1j * rng.standard_normal(len(lat)))
-            xg = np.zeros(sec.mask.shape, dtype=x.dtype)
-            M = sec.grid.M
-            s = lat.scale
-            ii = np.round(lat.points.real / s).astype(int) + M
-            jj = np.round(lat.points.imag / s).astype(int) + M
-            xg[ii, jj] = x
-            yg = sec.apply(xg)
             want = K @ x
-            assert np.max(np.abs(yg[ii, jj] - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(sec.apply(x) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["B", "L"])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_section_below_the_lattice_guard_matches_dense(self, cw, kind, p):
+        # size 20 is the disc m^2 + n^2 <= 20/pi: 21 points, a radius below
+        # square_lattice's 3 s guard, which the probes do not take
+        lat = explicit_lattice([SQUARE_SCALE * complex(m, n)
+                                for m in range(-3, 4) for n in range(-3, 4)
+                                if math.pi * (m * m + n * n) <= 20], cw)
+        rep = operator_norm_estimate(kind, [20], p, cw)
+        assert rep.sizes == (len(lat),) == (21,)
+        dense = np.linalg.norm(dense_section(lat, kind), p)
+        assert rep.norms[0] == pytest.approx(dense, rel=1e-10)
 
     def test_fft_row_col_sums_match_dense(self, cw):
         lat = square_lattice(10.0, cw)                      # pi R^2 / s^2 = 200
         for kind, p in (("B", 1.0), ("L", 1.0), ("M", math.inf)):
-            fft_rep = operator_norm_estimate(kind, [200], p, cw, N=2)
+            fft_rep = operator_norm_estimate(kind, [200], p, cw, **_order(kind, 2))
             dense = np.linalg.norm(dense_section(lat, kind, 2), p)
             assert fft_rep.sizes == (len(lat),)
             assert fft_rep.norms[0] == pytest.approx(dense, rel=1e-10)
@@ -417,7 +448,7 @@ class TestOperatorNorms:
     def test_bidiagonalisation_tracks_svd(self, cw):
         # the Ritz value is a lower bound within 1e-6 of the top singular
         # value of the dense section
-        fft_rep = operator_norm_estimate("B", [200], 2.0, cw, N=2)
+        fft_rep = operator_norm_estimate("B", [200], 2.0, cw)
         dense = np.linalg.norm(dense_section(square_lattice(10.0, cw), "B", 2), 2)
         assert fft_rep.norms[0] == pytest.approx(dense, rel=1e-6)
         assert fft_rep.norms[0] <= dense * (1 + 1e-9)
@@ -434,7 +465,7 @@ class TestOperatorNorms:
     @pytest.mark.parametrize("kind", ["B", "L", "M"])
     def test_bidiagonalisation_against_dense_svd(self, cw, kind, size):
         n_pts, exact = self._dense_top_singular_value(cw, kind, size)
-        rep = operator_norm_estimate(kind, [size], 2.0, cw, N=2)
+        rep = operator_norm_estimate(kind, [size], 2.0, cw, **_order(kind, 2))
         assert rep.sizes == (n_pts,)
         assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
         assert rep.norms[0] <= exact * (1 + 1e-9)
@@ -445,7 +476,7 @@ class TestOperatorNorms:
         # the real sections iterate in real arithmetic; rho varies here
         pw = power_weight(0.5, rho_origin=2.0)
         n_pts, exact = self._dense_top_singular_value(pw, kind, size, N)
-        rep = operator_norm_estimate(kind, [size], 2.0, pw, N=N)
+        rep = operator_norm_estimate(kind, [size], 2.0, pw, **_order(kind, N))
         assert rep.sizes == (n_pts,)
         assert abs(rep.norms[0] - exact) <= 1e-6 * exact, (rep.norms, exact)
         assert rep.norms[0] <= exact * (1 + 1e-9)
@@ -459,7 +490,8 @@ class TestOperatorNorms:
         pw = power_weight(0.5, rho_origin=2.0)
         n_pts, exact = self._dense_top_singular_value(pw, kind, 401, N)
         for seed in (0, 1, 9901):
-            rep = operator_norm_estimate(kind, [401], 2.0, pw, N=N, seed=seed)
+            rep = operator_norm_estimate(kind, [401], 2.0, pw, seed=seed,
+                                         **_order(kind, N))
             assert rep.sizes == (n_pts,)
             gap = (exact - rep.norms[0]) / exact
             assert -1e-14 <= gap <= 1e-12, (seed, gap)
@@ -474,10 +506,10 @@ class TestOperatorNorms:
         # <A x, y> = <x, A^H y>: the adjoint applies K itself, by evenness;
         # the real kernels of L and M(N) act on real vectors
         from focklattice.transforms import _FftSection
-        sec = _FftSection(10.0, self._weight(weight), kind, N)
-        x, y = (np.where(sec.mask, rng.standard_normal(sec.mask.shape)
-                         + (0.0 if sec.real else 1j * rng.standard_normal(sec.mask.shape)),
-                         0.0)
+        sec = _FftSection(square_lattice(10.0, self._weight(weight)), kind,
+                          N if kind == "M" else None)
+        x, y = (rng.standard_normal(sec.size)
+                + (0.0 if sec.real else 1j * rng.standard_normal(sec.size))
                 for _ in range(2))
         ax, ahy = sec.apply(x), sec.apply_adjoint(y)
         lhs, rhs = np.vdot(y, ax), np.vdot(ahy, x)
@@ -491,7 +523,8 @@ class TestOperatorNorms:
         w = self._weight(weight)
         n_pts, exact = self._dense_top_singular_value(w, kind, 193, N)
         for seed in (0, 1, 2, 3, 51, 9999, 2 ** 31, 2 ** 32 - 1):
-            rep = operator_norm_estimate(kind, [193], 2.0, w, N=N, seed=seed)
+            rep = operator_norm_estimate(kind, [193], 2.0, w, seed=seed,
+                                         **_order(kind, N))
             assert rep.sizes == (n_pts,) == (193,)
             gap = (exact - rep.norms[0]) / exact
             assert -1e-14 <= gap <= 1.2e-8, (seed, gap)
@@ -501,7 +534,7 @@ class TestOperatorNorms:
         # residual and the last change far above 1e-3
         from focklattice import transforms
         from focklattice.errors import NumericalError
-        sec = transforms._FftSection(math.sqrt(5000 / 2.0), cw, "B", 2)
+        sec = transforms._FftSection(square_lattice(math.sqrt(5000 / 2.0), cw), "B", None)
         assert sec.size == 4997
         monkeypatch.setattr(transforms, "_GKL_STEPS", 2)
         with pytest.raises(NumericalError, match="did not converge in 2 steps"):
@@ -509,8 +542,8 @@ class TestOperatorNorms:
 
     def test_kernel_ffts_are_built_on_first_use(self, cw):
         from focklattice.transforms import _FftSection
-        sec = _FftSection(10.0, cw, "B", 2)
-        x = np.where(sec.mask, 1.0 + 0j, 0.0)
+        sec = _FftSection(square_lattice(10.0, cw), "B", None)
+        x = np.ones(sec.size, dtype=complex)
         sec.apply_adjoint(sec.apply(x))
         assert "_kabsf" not in vars(sec)     # p = 2 reads K alone
         sec.abs_sum_max(1.0)
@@ -522,15 +555,19 @@ class TestOperatorNorms:
         # section, to FFT noise at p = 1 and a stalled bidiagonalisation at 2
         for size in (1, 2, 3):
             for p in (1.0, 2.0):
-                rep = operator_norm_estimate("B", [size], p, cw, N=2)
+                rep = operator_norm_estimate("B", [size], p, cw)
                 assert rep.sizes == (1,) and rep.norms == (0.0,), (size, p)
 
     def test_dense_matrix_diagonal_zero(self, lat12, cw):
         K = dense_section(lat12, "B")
         assert np.all(np.diag(K) == 0)
 
+    def test_only_m_reads_n(self, cw):
+        with pytest.raises(ValueError, match="N"):
+            operator_norm_estimate("M", [200], 2.0, cw)
+
     def test_growth_ratio_definition(self, cw):
-        rep = operator_norm_estimate("L", [200, 800], 1.0, cw, N=2)
+        rep = operator_norm_estimate("L", [200, 800], 1.0, cw)
         assert rep.growth_ratio == pytest.approx(rep.norms[-1] / rep.norms[0])
 
 
